@@ -1,21 +1,22 @@
 //! E9 (scaling axis): thread-count sweep of the parallel explorer.
 //!
 //! Runs the largest E9 configuration (ABP + WDL observer over nondet-lossy
-//! channels of capacity 3, 3 messages) through `dl-explore` at thread
+//! channels of capacity 4, 4 messages) through `dl-explore` at thread
 //! counts 1, 2, 4, … up to the machine's available parallelism, against
-//! the sequential `ioa::Explorer` as baseline. Asserts on every run that
-//! the verdict — state count, quiescent count, safety — is identical at
-//! every thread count and equal to the sequential oracle's, then reports
-//! the per-thread-count exploration time and speedup.
+//! `dl-crosscheck`'s independent sequential checker as baseline. Asserts
+//! on every run that the report — state and quiescent counts, per-layer
+//! statistics, safety — agrees field by field with the checker's, then
+//! reports the per-thread-count exploration time and speedup.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use dl_channels::{LossMode, LossyFifoChannel};
 use dl_core::action::{Dir, DlAction, Msg};
 use dl_core::observer::{ObserverState, WdlObserver};
+use dl_crosscheck::{disagreements, CcChecker, CcProperty, EngineSummary, Translated};
 use dl_explore::ParallelExplorer;
 use ioa::composition::Compose2;
-use ioa::{Automaton, Explorer};
+use ioa::Automaton;
 
 type Sys = Compose2<
     Compose2<dl_protocols::AbpTransmitter, dl_protocols::AbpReceiver>,
@@ -62,12 +63,20 @@ fn inputs(s: &<Sys as Automaton>::State) -> Vec<DlAction> {
         .collect()
 }
 
-fn explore_sequential(sys: &Sys) -> (usize, usize) {
+fn safe(s: &<Sys as Automaton>::State) -> bool {
+    observer_of(s).is_safe()
+}
+
+fn explore_sequential(sys: &Sys) -> EngineSummary {
     let start = woken(sys);
-    let report = Explorer::new(sys, inputs, 8_000_000, 100_000)
-        .check_invariant_from(vec![start], |s| observer_of(s).is_safe());
-    assert!(report.holds(), "sequential oracle must verify safety");
-    (report.states_visited, report.quiescent_states)
+    let props = [CcProperty {
+        name: "invariant",
+        holds: &safe,
+    }];
+    let report = CcChecker::new(Translated::new(sys, inputs), 8_000_000, 100_000)
+        .check_from(vec![start], &props);
+    assert!(report.holds(), "independent checker must verify safety");
+    EngineSummary::from_crosscheck(&report)
 }
 
 fn explore_parallel(
@@ -77,7 +86,7 @@ fn explore_parallel(
     let start = woken(sys);
     let report = ParallelExplorer::new(sys, inputs, 8_000_000, 100_000)
         .threads(threads)
-        .check_invariant_from(vec![start], |s| observer_of(s).is_safe());
+        .check_invariant_from(vec![start], safe);
     assert!(report.holds(), "parallel engine must verify safety");
     report
 }
@@ -107,25 +116,26 @@ fn bench_parallel_explore(c: &mut Criterion) {
         std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
     );
 
-    // Verdict gate: every thread count agrees with the sequential oracle.
+    // Verdict gate: every thread count agrees with the independent checker.
     let t0 = std::time::Instant::now();
     let oracle = explore_sequential(&sys);
     let seq_time = t0.elapsed();
     eprintln!(
-        "  sequential: {} states ({} quiescent) in {seq_time:?}",
-        oracle.0, oracle.1
+        "  independent checker: {} states ({} quiescent) in {seq_time:?}",
+        oracle.states, oracle.quiescent
     );
     for &threads in &thread_counts() {
         let t0 = std::time::Instant::now();
         let report = explore_parallel(&sys, threads);
         let par_time = t0.elapsed();
-        assert_eq!(
-            (report.states_visited, report.quiescent_states),
-            oracle,
-            "verdict diverged from sequential at {threads} threads"
+        let diff = disagreements(&EngineSummary::from_explore(&report), &oracle);
+        assert!(
+            diff.is_empty(),
+            "report diverged from the independent checker at {threads} threads:\n{}",
+            diff.join("\n")
         );
         eprintln!(
-            "  {threads} threads: {} states in {par_time:?} ({:.2}x vs sequential; \
+            "  {threads} threads: {} states in {par_time:?} ({:.2}x vs checker; \
              arena {} B, {} dedup hits)",
             report.states_visited,
             seq_time.as_secs_f64() / par_time.as_secs_f64(),
@@ -136,7 +146,9 @@ fn bench_parallel_explore(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("e9_parallel_explore");
     group.sample_size(10);
-    group.bench_function("sequential_oracle", |b| b.iter(|| explore_sequential(&sys)));
+    group.bench_function("independent_checker", |b| {
+        b.iter(|| explore_sequential(&sys))
+    });
     for threads in thread_counts() {
         group.bench_with_input(
             BenchmarkId::new("threads", threads),

@@ -24,7 +24,6 @@ use ioa::automaton::{Automaton, TaskId};
 
 use dl_core::action::{Dir, DlAction, Packet};
 use dl_core::protocol::channel_classify;
-use dl_core::symmetry::{MsgRelabel, MsgVisit};
 use ioa::intern::PackedCodec;
 
 /// Loss behavior of a simulated channel.
@@ -60,24 +59,6 @@ impl PackedCodec for FlightState {
         FlightState {
             in_flight: Vec::<Packet>::decode(input),
             sends: u64::decode(input),
-        }
-    }
-}
-
-impl MsgVisit for FlightState {
-    fn visit_msgs(&self, f: &mut dyn FnMut(dl_core::action::Msg)) {
-        self.in_flight.visit_msgs(f);
-    }
-}
-
-impl MsgRelabel for FlightState {
-    fn relabel_msgs(
-        &self,
-        f: &mut dyn FnMut(dl_core::action::Msg) -> dl_core::action::Msg,
-    ) -> Self {
-        FlightState {
-            in_flight: self.in_flight.relabel_msgs(f),
-            sends: self.sends,
         }
     }
 }

@@ -138,36 +138,6 @@ impl MsgRenaming {
         self.forward.len()
     }
 
-    /// The composition `self ∘ other` — the renaming that applies `other`
-    /// first and then `self`; identity pairs produced by cancellation are
-    /// dropped from the support.
-    ///
-    /// A renaming is a *partial* injection read as the identity off its
-    /// support, and composing two of those is not always injective (e.g.
-    /// `{5→0}` after `{0→5}⁻¹ = {5→0}` is fine, but `{3→0}` composed with
-    /// a map that also sends `5` through `0` collides). When the composite
-    /// would conflate two messages this returns the offending
-    /// [`RenamingError`] instead of a renaming.
-    pub fn after(&self, other: &MsgRenaming) -> Result<MsgRenaming, RenamingError> {
-        let mut out = MsgRenaming::identity();
-        for &m in other.forward.keys() {
-            let img = self.apply(other.apply(m));
-            if img != m {
-                out.insert(m, img)?;
-            }
-        }
-        for &m in self.forward.keys() {
-            if other.forward.contains_key(&m) {
-                continue;
-            }
-            let img = self.apply(m);
-            if img != m {
-                out.insert(m, img)?;
-            }
-        }
-        Ok(out)
-    }
-
     /// Applies the renaming to a packet's payload; header and uid are
     /// untouched.
     #[must_use]

@@ -59,10 +59,8 @@ pub mod equivalence;
 pub mod observer;
 pub mod protocol;
 pub mod spec;
-pub mod symmetry;
 
 pub use action::{Dir, DlAction, Header, Msg, Packet, Station, Tag};
 pub use equivalence::MsgRenaming;
 pub use observer::WdlObserver;
 pub use protocol::{CorruptedStart, DataLinkProtocol, ProtocolInfo};
-pub use symmetry::{MsgRelabel, MsgVisit, Quotient};

@@ -1,14 +1,13 @@
 //! `dl-crosscheck`: cross-formalism differential verification for the
 //! data-link workspace.
 //!
-//! The workspace's verification story so far rests on one family of
-//! engines: `ioa::Explorer` and its parallel generalization
-//! [`dl_explore::ParallelExplorer`] share the `Automaton` trait, the
-//! action-enumeration discipline, and (in the packed backend) the
-//! interning codecs. A bug in any of those shared layers would bias
-//! *every* reported state count and counterexample the same way, and no
-//! tier-1 test could see it. This crate closes that gap with three
-//! deliberately independent artifacts:
+//! The workspace has one exploration engine,
+//! [`dl_explore::ParallelExplorer`], built on the `Automaton` trait's
+//! streaming callbacks, its own claim filter, and (in the packed
+//! backend) the interning codecs. A bug in any of those layers would
+//! bias *every* reported state count and counterexample the same way,
+//! and no test comparing the engine against itself could see it. This
+//! crate is its deliberately independent oracle, in three artifacts:
 //!
 //! * **An independent checker** ([`CcChecker`]) in the style of an
 //!   actor-model explicit-state checker: its own model trait
@@ -28,6 +27,11 @@
 //!   diameter, per-layer statistics, and minimal counterexample traces
 //!   action for action — across the zoo, including the Lemma 7.2 crash
 //!   pump where agreement covers the DL4 counterexample itself.
+//!   The comparison has one implementation, [`EngineSummary`] plus
+//!   [`disagreements`], which [`zoo::run_both`] wraps for composed zoo
+//!   systems. This crate's tests, the workspace's model-checking suite
+//!   and determinism matrix, and the `parallel_explore` bench all
+//!   compare the explorer against [`CcChecker`] through them.
 //!
 //! # Why exact agreement is the right contract
 //!

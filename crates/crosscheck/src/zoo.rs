@@ -4,8 +4,9 @@
 //! checker — from the same woken start, under the same environment
 //! closure, against the same WDL-observer invariant.
 //!
-//! Composition shape and environment discipline mirror the tier-1
-//! model-checking suite (`tests/model_checking.rs`): state shape
+//! Composition shape and environment discipline are shared with the
+//! tier-1 model-checking suite (`tests/model_checking.rs`) and the
+//! determinism matrix, which import these helpers: state shape
 //! `((tx, rx), ((ch_tr, ch_rt), observer))`, media woken once before
 //! exploration, at most one unsent message offered at a time.
 
@@ -79,7 +80,8 @@ pub fn crash_free_inputs<TS, RS, CS1, CS2>(
 
 /// Crash-pump environment: offer `m0` once, plus receiver crash and
 /// re-wake — the Lemma 7.2 fault pattern that makes DL4 reachable.
-fn crash_inputs<TS, RS, CS1, CS2>(
+/// `rx_active` is the receiver's view of the `r → t` medium.
+pub fn crash_inputs<TS, RS, CS1, CS2>(
     s: &SysState<TS, RS, CS1, CS2>,
     rx_active: bool,
 ) -> Vec<DlAction> {
@@ -97,7 +99,7 @@ fn crash_inputs<TS, RS, CS1, CS2>(
 /// Runs one composed system through both engines and pairs the
 /// summaries. The explorer uses `threads` workers; the independent
 /// checker is sequential by construction.
-fn run_both<T, R, C1, C2, I>(
+pub fn run_both<T, R, C1, C2, I>(
     name: String,
     threads: usize,
     sys: Sys<T, R, C1, C2>,

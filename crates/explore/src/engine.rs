@@ -57,12 +57,10 @@ impl WorkerStats {
 
 /// Parallel breadth-first explorer over an automaton's reachable states.
 ///
-/// Drop-in generalization of [`ioa::Explorer`]: same constructor shape
-/// (`automaton`, permitted-inputs closure, state and depth budgets), plus
-/// [`threads`](ParallelExplorer::threads) /
-/// [`shards`](ParallelExplorer::shards) controls, pluggable state
-/// storage ([`packed`](ParallelExplorer::packed) swaps the struct arena
-/// for bit-packed encodings), and multi-property search via
+/// Built from an automaton, a permitted-inputs closure, and state and
+/// depth budgets, with a [`threads`](ParallelExplorer::threads) control,
+/// a [`packed`](ParallelExplorer::packed) switch from the struct arena to
+/// bit-packed encodings, and multi-property search via
 /// [`check_properties_from`](ParallelExplorer::check_properties_from).
 pub struct ParallelExplorer<M, I, B = PlainBackend> {
     automaton: M,
@@ -102,15 +100,17 @@ impl<M, I, B> ParallelExplorer<M, I, B> {
     }
 
     /// Sets the claim-filter segment count (rounded up to a power of
-    /// two).
-    #[must_use]
-    pub fn shards(mut self, shards: usize) -> Self {
+    /// two); tests shrink it to force the overflow path.
+    #[cfg(test)]
+    fn shards(mut self, shards: usize) -> Self {
         self.shards = shards.max(1);
         self
     }
 
-    /// Swaps the state-storage backend, keeping every other setting.
-    pub fn with_backend<B2>(self, backend: B2) -> ParallelExplorer<M, I, B2> {
+    /// Stores states as packed canonical encodings ([`PackedBackend`]):
+    /// same admitted states, same ids, same verdicts — a fraction of the
+    /// arena bytes. Requires `M::State: PackedCodec`.
+    pub fn packed(self) -> ParallelExplorer<M, I, PackedBackend> {
         ParallelExplorer {
             automaton: self.automaton,
             inputs: self.inputs,
@@ -118,21 +118,8 @@ impl<M, I, B> ParallelExplorer<M, I, B> {
             max_depth: self.max_depth,
             threads: self.threads,
             shards: self.shards,
-            backend,
+            backend: PackedBackend::new(),
         }
-    }
-
-    /// Stores states as packed canonical encodings ([`PackedBackend`]):
-    /// same admitted states, same ids, same verdicts — a fraction of the
-    /// arena bytes. Requires `M::State: PackedCodec`.
-    pub fn packed(self) -> ParallelExplorer<M, I, PackedBackend> {
-        self.with_backend(PackedBackend::new())
-    }
-
-    /// Packed storage with the disk-spill path enabled: resident arena
-    /// bytes beyond `threshold` move to an unlinked temp file.
-    pub fn packed_with_spill(self, threshold: usize) -> ParallelExplorer<M, I, PackedBackend> {
-        self.with_backend(PackedBackend::new().with_spill_threshold(threshold))
     }
 
     fn effective_threads(&self) -> usize {
@@ -280,8 +267,8 @@ where
                 break;
             }
             if depth >= self.max_depth {
-                // Mirror the sequential explorer: a non-empty frontier at
-                // the depth budget means the verdict is inconclusive.
+                // A non-empty frontier at the depth budget means the
+                // verdict is inconclusive.
                 truncation = Some(Truncation::DepthBudget);
                 break;
             }
@@ -548,10 +535,10 @@ fn trace_violation<A, TP: TraceProperty<A>>(trace: &TP, tstate: &TP::State) -> O
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ioa::{ActionClass, Explorer, TaskId};
+    use ioa::{ActionClass, TaskId};
 
-    /// Counter modulo `n` with an input `Bump` and output `Tick` — the
-    /// same model the sequential explorer's unit tests use.
+    /// Counter modulo `n` with an input `Bump` and output `Tick`: `Tick`
+    /// (even states only) adds 2, `Bump` adds 1.
     #[derive(Clone)]
     struct Counter {
         n: u8,
@@ -621,15 +608,30 @@ mod tests {
     }
 
     #[test]
-    fn exhaustive_hold_matches_sequential() {
-        let seq = Explorer::new(Counter { n: 10 }, bump, 1000, 100).reachable_states();
+    fn exhaustive_hold_reaches_every_residue() {
+        // `Bump` is offered everywhere, so all `n` residues are reachable
+        // and none is quiescent.
         for threads in [1, 2, 4] {
             let par = ParallelExplorer::new(Counter { n: 10 }, bump, 1000, 100)
                 .threads(threads)
+                .check_invariant(|s| *s < 10);
+            assert!(par.holds() && par.exhaustive() && par.safe_within_budget());
+            assert_eq!(par.states_visited, 10);
+            assert_eq!(par.quiescent_states, 0);
+        }
+    }
+
+    #[test]
+    fn closed_system_quiesces_on_odd_states() {
+        // No inputs: from 0, `Tick` reaches only the five even residues,
+        // and each of them has `Tick` enabled, so none is quiescent.
+        for threads in [1, 2, 4] {
+            let report = ParallelExplorer::new(Counter { n: 10 }, |_s: &u8| vec![], 1000, 100)
+                .threads(threads)
                 .reachable_states();
-            assert!(par.holds() && par.exhaustive());
-            assert_eq!(par.states_visited, seq.states_visited);
-            assert_eq!(par.quiescent_states, seq.quiescent_states);
+            assert!(report.holds());
+            assert_eq!(report.states_visited, 5);
+            assert_eq!(report.quiescent_states, 0);
         }
     }
 
@@ -867,36 +869,25 @@ mod tests {
     }
 
     #[test]
-    fn packed_spill_keeps_results_and_bounds_resident_bytes() {
-        let reference = ParallelExplorer::new(Counter { n: 100 }, bump, 1000, 200)
-            .threads(2)
-            .packed()
-            .reachable_states();
-        let spilled = ParallelExplorer::new(Counter { n: 100 }, bump, 1000, 200)
-            .threads(2)
-            .packed_with_spill(16)
-            .reachable_states();
-        assert_eq!(spilled.states_visited, reference.states_visited);
-        assert_eq!(spilled.quiescent_states, reference.quiescent_states);
-        assert_eq!(spilled.dedup_hits(), reference.dedup_hits());
-        // With a 16-byte resident ceiling the encoding arena must have
-        // spilled, so the packed run's resident bytes shrink further.
-        assert!(spilled.arena_bytes < reference.arena_bytes);
-    }
-
-    #[test]
     fn tiny_filters_stay_exact_through_the_overflow_path() {
         // One segment and a frontier-derived size that the branching
         // factor of the bumping counter overwhelms: correctness must
-        // come from the barrier merge, not filter capacity.
-        let seq = Explorer::new(Counter { n: 100 }, bump, 1000, 200).reachable_states();
+        // come from the barrier merge, not filter capacity. The counter
+        // reaches all 100 residues, none quiescent, and every layer must
+        // match the default-shard run's.
+        let reference = ParallelExplorer::new(Counter { n: 100 }, bump, 1000, 200)
+            .threads(1)
+            .reachable_states();
+        assert_eq!(reference.states_visited, 100);
+        assert_eq!(reference.quiescent_states, 0);
         for threads in [1, 2, 4] {
             let par = ParallelExplorer::new(Counter { n: 100 }, bump, 1000, 200)
                 .threads(threads)
                 .shards(1)
                 .reachable_states();
-            assert_eq!(par.states_visited, seq.states_visited);
-            assert_eq!(par.quiescent_states, seq.quiescent_states);
+            assert_eq!(par.states_visited, reference.states_visited);
+            assert_eq!(par.quiescent_states, reference.quiescent_states);
+            assert_eq!(par.layers, reference.layers);
         }
     }
 }

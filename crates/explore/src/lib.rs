@@ -1,12 +1,11 @@
 //! `dl-explore`: a parallel, work-sharded explicit-state model checker
 //! for [`ioa`] automata.
 //!
-//! The sequential [`ioa::Explorer`] is this workspace's reference
-//! implementation of bounded exhaustive verification (experiment E9). It
-//! caps how large a channel capacity / message alphabet can be verified
-//! before the state budget truncates the search, because one thread must
-//! enumerate every interleaving alone. This crate generalizes it to a
-//! **layer-synchronous parallel BFS**:
+//! This crate is the workspace's engine for bounded exhaustive
+//! verification (experiments E9 and E15): a **layer-synchronous parallel
+//! BFS** over an automaton's reachable states, following every
+//! locally-controlled action and every environment input the caller
+//! permits:
 //!
 //! * the breadth-first frontier is expanded one depth layer at a time by a
 //!   pool of scoped worker threads ([`std::thread::scope`] — no external
@@ -20,8 +19,7 @@
 //! * state storage is **pluggable**: the default [`PlainBackend`] interns
 //!   full structs, while [`PackedBackend`] interns canonical bit-packed
 //!   [`ioa::intern::PackedCodec`] encodings (same states, same ids, same
-//!   verdicts, a fraction of the arena bytes) with an optional
-//!   disk-spill threshold that bounds resident memory on deep searches;
+//!   verdicts, a fraction of the arena bytes);
 //! * every newly discovered state records the **minimal claim** that
 //!   reached it — the lexicographically least `(parent index, action
 //!   index, successor index)` triple — which makes state numbering,
@@ -38,21 +36,19 @@
 //!   in this way (sound for violations, conclusive only per spanning-tree
 //!   path — see the trait docs);
 //! * budgets (state count, depth) and per-layer frontier statistics are
-//!   surfaced in an [`ExploreReport`] that is a superset of the
-//!   sequential explorer's report.
+//!   surfaced in an [`ExploreReport`].
 //!
-//! # Verdict compatibility with `ioa::Explorer`
+//! # The independent oracle
 //!
-//! On a search that completes without truncation, the parallel engine
-//! visits exactly the reachable state set, so `states_visited` and
-//! `quiescent_states` equal the sequential explorer's, and a violation
-//! (if any) is reported with a **shortest** path, the same length the
-//! sequential BFS finds. The differential tests in this crate and in the
-//! workspace root pin these guarantees at 1, 2, and 4 threads. The one
-//! intentional difference: on a violation the sequential explorer stops
-//! mid-layer (its `states_visited` depends on insertion order), while
-//! this engine always completes the layer it is in, so its counts are
-//! thread-count-independent.
+//! On a search that completes without truncation, the engine visits
+//! exactly the reachable state set, and a violation (if any) is reported
+//! with a **shortest** path. On a violation the engine completes the
+//! layer it is in before stopping, so its counts are
+//! thread-count-independent too. `dl-crosscheck`'s `CcChecker` — a
+//! sequential BFS sharing no search code with this crate — checks all of
+//! this field by field: states, quiescent states, per-layer statistics,
+//! and minimal counterexamples action for action, at 1, 2, and 4
+//! threads, over the protocol zoo and over random table automata.
 //!
 //! # Example
 //!

@@ -1,4 +1,5 @@
-//! Exploration results: a superset of [`ioa::ExploreReport`].
+//! Exploration results: verdict, counts, per-layer statistics, and
+//! engine telemetry.
 
 use std::time::Duration;
 
@@ -42,11 +43,9 @@ pub struct LayerStats {
     pub duplicates: u64,
 }
 
-/// Result of a parallel exploration.
-///
-/// Superset of [`ioa::ExploreReport`]: the `states_visited` /
-/// `quiescent_states` / `violation` triple carries the same meaning,
-/// plus truncation cause, per-layer statistics, and engine telemetry.
+/// Result of a parallel exploration: the `states_visited` /
+/// `quiescent_states` / `violation` verdict, plus truncation cause,
+/// per-layer statistics, and engine telemetry.
 #[derive(Debug, Clone)]
 pub struct ExploreReport<A, S> {
     /// Number of distinct states admitted to the search.
@@ -93,7 +92,7 @@ impl<A, S> ExploreReport<A, S> {
     }
 
     /// `true` if every admitted state satisfied every property **and**
-    /// the search was exhaustive. Mirrors `ioa::ExploreReport::holds`.
+    /// the search was exhaustive.
     #[must_use]
     pub fn holds(&self) -> bool {
         self.safe_within_budget() && self.exhaustive()

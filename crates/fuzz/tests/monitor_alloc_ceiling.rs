@@ -10,33 +10,52 @@
 //! matter how many more actions stream through. This test pins both
 //! with a counting global allocator, the same instrument
 //! `alloc_regression.rs` uses for the execution core.
+//!
+//! The count is kept per thread: the test harness runs this file's tests
+//! on parallel threads, and a process-wide counter would charge one
+//! test's allocations to the other's measurement window.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use dl_core::action::{Dir, DlAction, Msg, Packet};
 use dl_core::spec::monitor::TraceMonitor;
 
-/// Counts every allocation (and growth reallocation); frees are not
-/// interesting for a regression bound.
+/// Counts every allocation (and growth reallocation) made by the current
+/// thread; frees are not interesting for a regression bound.
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const`-initialised and drop-free, so touching it from inside the
+    // allocator never allocates and never runs lazy initialisation.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_alloc() {
+    // `try_with` rather than `with`: an allocation during thread
+    // teardown must not panic inside the allocator.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations made by the current thread so far.
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.alloc_zeroed(layout) }
     }
 }
@@ -83,7 +102,7 @@ fn monitor_steady_state_allocates_nothing_and_stays_byte_stable() {
     }
     let bytes_before = mon.approx_bytes();
     let actions_before = mon.actions_observed();
-    let allocs_before = ALLOCS.load(Ordering::Relaxed);
+    let allocs_before = allocs();
 
     // 400 more chunks ≈ 10⁵ further actions, 100× more total sends than
     // the live window ever holds.
@@ -93,7 +112,7 @@ fn monitor_steady_state_allocates_nothing_and_stays_byte_stable() {
         assert_eq!(mon.in_transit_count(Dir::RT), 0);
     }
 
-    let allocs = ALLOCS.load(Ordering::Relaxed) - allocs_before;
+    let allocs = allocs() - allocs_before;
     let actions = mon.actions_observed() - actions_before;
     eprintln!(
         "monitor steady state: {allocs} allocations over {actions} actions, \

@@ -19,7 +19,6 @@
 use std::collections::hash_map::RandomState;
 use std::collections::VecDeque;
 use std::hash::{BuildHasher, Hash, Hasher};
-use std::os::unix::fs::FileExt;
 
 /// A fast, **deterministic** build-hasher for small fixed-width keys:
 /// the multiply-rotate ("fx") scheme. `RandomState` stays the right
@@ -636,29 +635,16 @@ impl PackedCodec for std::collections::BTreeSet<u64> {
 /// structs run 50–150 bytes plus queue allocations, the packed arena is
 /// several times smaller and the hasher touches a handful of bytes
 /// instead of walking a struct.
-///
-/// **Disk spill** (optional): with a nonzero `spill_threshold`, the
-/// resident byte arena is appended to an unlinked temp file whenever it
-/// exceeds the threshold, keeping only the tail in memory. Offsets are
-/// logical (stream-absolute), reads go through positional I/O
-/// (`read_at`), so lookups and decodes keep working — duplicate probes
-/// touch the file only on a full hash match, which true duplicates are.
 pub struct PackedTable<H = FxBuildHasher> {
-    /// Resident suffix of the logical byte stream.
+    /// Every state's encoding, concatenated in id order.
     bytes: Vec<u8>,
-    /// Absolute end offset of each state's encoding in the stream.
+    /// End offset of each state's encoding in `bytes`.
     ends: Vec<u64>,
     /// Cached byte-string hash per state.
     hashes: Vec<u64>,
     /// Open-addressing index; `EMPTY` marks a free slot.
     table: Vec<u32>,
     hasher: H,
-    /// Logical offset of `bytes[0]` (== bytes already spilled).
-    base: u64,
-    /// Spill file (created lazily) and the resident-size threshold that
-    /// triggers spilling; `0` disables the spill path entirely.
-    spill: Option<std::fs::File>,
-    spill_threshold: usize,
 }
 
 impl Default for PackedTable {
@@ -668,8 +654,7 @@ impl Default for PackedTable {
 }
 
 impl PackedTable {
-    /// An empty packed arena with the deterministic fx hasher and no
-    /// spill.
+    /// An empty packed arena with the deterministic fx hasher.
     #[must_use]
     pub fn new() -> Self {
         Self::with_hasher(FxBuildHasher)
@@ -685,19 +670,7 @@ impl<H: BuildHasher> PackedTable<H> {
             hashes: Vec::new(),
             table: Vec::new(),
             hasher,
-            base: 0,
-            spill: None,
-            spill_threshold: 0,
         }
-    }
-
-    /// Enables disk spill: whenever the resident byte arena exceeds
-    /// `threshold` bytes it is appended to an unlinked temp file and the
-    /// in-memory copy is dropped. `0` disables spilling.
-    #[must_use]
-    pub fn with_spill_threshold(mut self, threshold: usize) -> Self {
-        self.spill_threshold = threshold;
-        self
     }
 
     /// Number of distinct states interned.
@@ -740,7 +713,7 @@ impl<H: BuildHasher> PackedTable<H> {
                 return None;
             }
             let idx = slot as usize;
-            if self.hashes[idx] == hash && self.bytes_eq(idx, encoded) {
+            if self.hashes[idx] == hash && self.encoding(slot) == encoded {
                 return Some(slot);
             }
             i = (i + 1) & mask;
@@ -755,51 +728,27 @@ impl<H: BuildHasher> PackedTable<H> {
         }
         let id = u32::try_from(self.ends.len()).expect("packed arena overflowed u32 ids");
         self.bytes.extend_from_slice(encoded);
-        self.ends.push(self.base + self.bytes.len() as u64);
+        self.ends.push(self.bytes.len() as u64);
         self.hashes.push(hash);
         if self.table.is_empty() || (self.ends.len() + 1) * 8 > self.table.len() * 7 {
             self.grow();
         } else {
             Self::place_in(&mut self.table, hash, id);
         }
-        if self.spill_threshold > 0 && self.bytes.len() >= self.spill_threshold {
-            self.spill_resident();
-        }
         (id, true)
-    }
-
-    /// Runs `f` over the stored encoding of state `idx`, reading it back
-    /// from the spill file when it is no longer resident.
-    pub fn with_bytes<R>(&self, idx: u32, f: impl FnOnce(&[u8]) -> R) -> R {
-        let (start, end) = self.span(idx);
-        if start >= self.base {
-            let lo = (start - self.base) as usize;
-            let hi = (end - self.base) as usize;
-            f(&self.bytes[lo..hi])
-        } else {
-            let mut buf = vec![0u8; (end - start) as usize];
-            self.spill
-                .as_ref()
-                .expect("offset below base implies a spill file")
-                .read_exact_at(&mut buf, start)
-                .expect("spill read failed");
-            f(&buf)
-        }
     }
 
     /// Decodes state `idx`.
     #[must_use]
     pub fn decode<S: PackedCodec>(&self, idx: u32) -> S {
-        self.with_bytes(idx, |mut b| {
-            let s = S::decode(&mut b);
-            debug_assert!(b.is_empty(), "encoding not fully consumed");
-            s
-        })
+        let mut b = self.encoding(idx);
+        let s = S::decode(&mut b);
+        debug_assert!(b.is_empty(), "encoding not fully consumed");
+        s
     }
 
     /// Resident bytes: byte arena, offsets, cached hashes, and index
-    /// slots. Spilled bytes are excluded — they are on disk, which is
-    /// the point; see [`spilled_bytes`](Self::spilled_bytes).
+    /// slots.
     #[must_use]
     pub fn approx_bytes(&self) -> usize {
         self.bytes.capacity()
@@ -808,35 +757,11 @@ impl<H: BuildHasher> PackedTable<H> {
             + self.table.capacity() * std::mem::size_of::<u32>()
     }
 
-    /// Bytes moved to the spill file so far.
-    #[must_use]
-    pub fn spilled_bytes(&self) -> u64 {
-        self.base
-    }
-
-    fn span(&self, idx: u32) -> (u64, u64) {
+    /// The stored encoding of state `idx`.
+    fn encoding(&self, idx: u32) -> &[u8] {
         let i = idx as usize;
         let start = if i == 0 { 0 } else { self.ends[i - 1] };
-        (start, self.ends[i])
-    }
-
-    fn bytes_eq(&self, idx: usize, encoded: &[u8]) -> bool {
-        let (start, end) = self.span(idx as u32);
-        if end - start != encoded.len() as u64 {
-            return false;
-        }
-        self.with_bytes(idx as u32, |b| b == encoded)
-    }
-
-    fn spill_resident(&mut self) {
-        if self.spill.is_none() {
-            self.spill = Some(unlinked_temp_file());
-        }
-        let file = self.spill.as_ref().expect("just created");
-        file.write_all_at(&self.bytes, self.base)
-            .expect("spill write failed");
-        self.base += self.bytes.len() as u64;
-        self.bytes.clear();
+        &self.bytes[start as usize..self.ends[i] as usize]
     }
 
     fn place_in(table: &mut [u32], hash: u64, id: u32) {
@@ -862,31 +787,9 @@ impl<H> std::fmt::Debug for PackedTable<H> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PackedTable")
             .field("len", &self.ends.len())
-            .field("resident_bytes", &self.bytes.len())
-            .field("spilled_bytes", &self.base)
+            .field("bytes", &self.bytes.len())
             .finish_non_exhaustive()
     }
-}
-
-/// Creates an anonymous (already-unlinked) temp file: readable and
-/// writable through the handle, invisible in the filesystem, reclaimed
-/// by the OS when the handle drops — no cleanup path needed.
-fn unlinked_temp_file() -> std::fs::File {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static COUNTER: AtomicU64 = AtomicU64::new(0);
-    let path = std::env::temp_dir().join(format!(
-        "ioa-packed-{}-{}.spill",
-        std::process::id(),
-        COUNTER.fetch_add(1, Ordering::Relaxed)
-    ));
-    let file = std::fs::OpenOptions::new()
-        .read(true)
-        .write(true)
-        .create_new(true)
-        .open(&path)
-        .expect("failed to create spill file");
-    std::fs::remove_file(&path).expect("failed to unlink spill file");
-    file
 }
 
 /// A sequence of (possibly repeating) states stored as ids over a private
@@ -1228,7 +1131,6 @@ mod tests {
         assert_eq!(t.decode::<Vec<u64>>(a), vec![1, 2, 3]);
         assert_eq!(t.len(), 1);
         assert!(t.approx_bytes() > 0);
-        assert_eq!(t.spilled_bytes(), 0);
     }
 
     #[test]
@@ -1245,33 +1147,6 @@ mod tests {
         }
         for n in 0..5_000u64 {
             assert_eq!(t.decode::<(u64, u64)>(n as u32), (n, n.wrapping_mul(3)));
-        }
-    }
-
-    #[test]
-    fn packed_table_spills_and_reads_back() {
-        let mut t = PackedTable::new().with_spill_threshold(256);
-        let mut enc = Vec::new();
-        let mut hashes = Vec::new();
-        for n in 0..2_000u64 {
-            enc.clear();
-            vec![n, n + 1, n + 2].encode(&mut enc);
-            let h = t.hash_bytes(&enc);
-            hashes.push(h);
-            assert!(t.intern(h, &enc).1);
-        }
-        assert!(t.spilled_bytes() > 0, "threshold must have triggered");
-        // Every state decodes back, resident or spilled.
-        for n in 0..2_000u64 {
-            assert_eq!(t.decode::<Vec<u64>>(n as u32), vec![n, n + 1, n + 2]);
-        }
-        // Duplicate probes across the spill boundary still dedup.
-        for n in (0..2_000u64).step_by(97) {
-            enc.clear();
-            vec![n, n + 1, n + 2].encode(&mut enc);
-            let (id, fresh) = t.intern(hashes[n as usize], &enc);
-            assert!(!fresh);
-            assert_eq!(id as u64, n);
         }
     }
 

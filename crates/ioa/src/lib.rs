@@ -78,7 +78,6 @@ pub mod action;
 pub mod automaton;
 pub mod composition;
 pub mod execution;
-pub mod explore;
 pub mod fairness;
 pub mod hiding;
 pub mod intern;
@@ -88,7 +87,6 @@ pub use action::{ActionClass, Signature};
 pub use automaton::{Automaton, TaskId};
 pub use composition::{CompatibilityError, Compose2, Pair};
 pub use execution::{Execution, Step};
-pub use explore::{ExploreReport, Explorer};
 pub use fairness::{EnvScript, FairExecutor, RunOutcome};
 pub use hiding::Hide;
 pub use intern::{InternedSeq, StateId, StateTable};

@@ -29,7 +29,6 @@ use dl_core::protocol::{
     receiver_classify, transmitter_classify, DataLinkProtocol, MessageIndependent, ProtocolInfo,
     StationAutomaton,
 };
-use dl_core::symmetry::{MsgRelabel, MsgVisit};
 use ioa::intern::PackedCodec;
 
 /// State of the ABP transmitter.
@@ -408,39 +407,6 @@ impl PackedCodec for AbpRxState {
             expected: bool::decode(input),
             deliver: std::collections::VecDeque::<Msg>::decode(input),
             acks: std::collections::VecDeque::<bool>::decode(input),
-        }
-    }
-}
-
-impl MsgVisit for AbpTxState {
-    fn visit_msgs(&self, f: &mut dyn FnMut(Msg)) {
-        self.queue.visit_msgs(f);
-    }
-}
-
-impl MsgRelabel for AbpTxState {
-    fn relabel_msgs(&self, f: &mut dyn FnMut(Msg) -> Msg) -> Self {
-        AbpTxState {
-            active: self.active,
-            bit: self.bit,
-            queue: self.queue.relabel_msgs(f),
-        }
-    }
-}
-
-impl MsgVisit for AbpRxState {
-    fn visit_msgs(&self, f: &mut dyn FnMut(Msg)) {
-        self.deliver.visit_msgs(f);
-    }
-}
-
-impl MsgRelabel for AbpRxState {
-    fn relabel_msgs(&self, f: &mut dyn FnMut(Msg) -> Msg) -> Self {
-        AbpRxState {
-            active: self.active,
-            expected: self.expected,
-            deliver: self.deliver.relabel_msgs(f),
-            acks: self.acks.clone(),
         }
     }
 }

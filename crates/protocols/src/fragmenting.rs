@@ -31,7 +31,6 @@ use dl_core::protocol::{
     receiver_classify, transmitter_classify, DataLinkProtocol, MessageIndependent, ProtocolInfo,
     StationAutomaton,
 };
-use dl_core::symmetry::{MsgRelabel, MsgVisit};
 use ioa::intern::PackedCodec;
 
 /// Header sequence for fragment `part` of bit `b`.
@@ -441,42 +440,6 @@ impl PackedCodec for FragRxState {
             pending: Option::<Msg>::decode(input),
             deliver: std::collections::VecDeque::<Msg>::decode(input),
             acks: std::collections::VecDeque::<bool>::decode(input),
-        }
-    }
-}
-
-impl MsgVisit for FragTxState {
-    fn visit_msgs(&self, f: &mut dyn FnMut(Msg)) {
-        self.queue.visit_msgs(f);
-    }
-}
-
-impl MsgRelabel for FragTxState {
-    fn relabel_msgs(&self, f: &mut dyn FnMut(Msg) -> Msg) -> Self {
-        FragTxState {
-            active: self.active,
-            bit: self.bit,
-            queue: self.queue.relabel_msgs(f),
-        }
-    }
-}
-
-impl MsgVisit for FragRxState {
-    fn visit_msgs(&self, f: &mut dyn FnMut(Msg)) {
-        self.pending.visit_msgs(f);
-        self.deliver.visit_msgs(f);
-    }
-}
-
-impl MsgRelabel for FragRxState {
-    fn relabel_msgs(&self, f: &mut dyn FnMut(Msg) -> Msg) -> Self {
-        FragRxState {
-            active: self.active,
-            expected: self.expected,
-            got: self.got,
-            pending: self.pending.relabel_msgs(f),
-            deliver: self.deliver.relabel_msgs(f),
-            acks: self.acks.clone(),
         }
     }
 }

@@ -39,7 +39,6 @@ use dl_core::protocol::{
     receiver_classify, transmitter_classify, DataLinkProtocol, MessageIndependent, ProtocolInfo,
     StationAutomaton,
 };
-use dl_core::symmetry::{MsgRelabel, MsgVisit};
 use ioa::intern::PackedCodec;
 
 /// Packs `(epoch, seq)` into a header sequence value.
@@ -459,41 +458,6 @@ impl PackedCodec for NvRxState {
             expected: u64::decode(input),
             deliver: std::collections::VecDeque::<Msg>::decode(input),
             acks: std::collections::VecDeque::<u64>::decode(input),
-        }
-    }
-}
-
-impl MsgVisit for NvTxState {
-    fn visit_msgs(&self, f: &mut dyn FnMut(Msg)) {
-        self.queue.visit_msgs(f);
-    }
-}
-
-impl MsgRelabel for NvTxState {
-    fn relabel_msgs(&self, f: &mut dyn FnMut(Msg) -> Msg) -> Self {
-        NvTxState {
-            active: self.active,
-            epoch: self.epoch,
-            seq: self.seq,
-            queue: self.queue.relabel_msgs(f),
-        }
-    }
-}
-
-impl MsgVisit for NvRxState {
-    fn visit_msgs(&self, f: &mut dyn FnMut(Msg)) {
-        self.deliver.visit_msgs(f);
-    }
-}
-
-impl MsgRelabel for NvRxState {
-    fn relabel_msgs(&self, f: &mut dyn FnMut(Msg) -> Msg) -> Self {
-        NvRxState {
-            active: self.active,
-            epoch: self.epoch,
-            expected: self.expected,
-            deliver: self.deliver.relabel_msgs(f),
-            acks: self.acks.clone(),
         }
     }
 }

@@ -35,7 +35,6 @@ use dl_core::protocol::{
     receiver_classify, transmitter_classify, DataLinkProtocol, MessageIndependent, ProtocolInfo,
     StationAutomaton,
 };
-use dl_core::symmetry::{MsgRelabel, MsgVisit};
 use ioa::intern::PackedCodec;
 
 /// Header sequence for the single packet of an even message with bit `b`.
@@ -475,42 +474,6 @@ impl PackedCodec for ParityRxState {
             pending: Option::<Msg>::decode(input),
             deliver: std::collections::VecDeque::<Msg>::decode(input),
             acks: std::collections::VecDeque::<bool>::decode(input),
-        }
-    }
-}
-
-impl MsgVisit for ParityTxState {
-    fn visit_msgs(&self, f: &mut dyn FnMut(Msg)) {
-        self.queue.visit_msgs(f);
-    }
-}
-
-impl MsgRelabel for ParityTxState {
-    fn relabel_msgs(&self, f: &mut dyn FnMut(Msg) -> Msg) -> Self {
-        ParityTxState {
-            active: self.active,
-            bit: self.bit,
-            queue: self.queue.relabel_msgs(f),
-        }
-    }
-}
-
-impl MsgVisit for ParityRxState {
-    fn visit_msgs(&self, f: &mut dyn FnMut(Msg)) {
-        self.pending.visit_msgs(f);
-        self.deliver.visit_msgs(f);
-    }
-}
-
-impl MsgRelabel for ParityRxState {
-    fn relabel_msgs(&self, f: &mut dyn FnMut(Msg) -> Msg) -> Self {
-        ParityRxState {
-            active: self.active,
-            expected: self.expected,
-            got: self.got,
-            pending: self.pending.relabel_msgs(f),
-            deliver: self.deliver.relabel_msgs(f),
-            acks: self.acks.clone(),
         }
     }
 }

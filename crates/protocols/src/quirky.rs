@@ -27,7 +27,6 @@ use dl_core::protocol::{
     receiver_classify, transmitter_classify, DataLinkProtocol, MessageIndependent, ProtocolInfo,
     StationAutomaton,
 };
-use dl_core::symmetry::{MsgRelabel, MsgVisit};
 use ioa::intern::PackedCodec;
 
 /// State of the quirky transmitter (an ABP-shaped stop-and-wait machine).
@@ -381,38 +380,6 @@ impl PackedCodec for QuirkyRxState {
             seen: std::collections::BTreeSet::<u64>::decode(input),
             deliver: std::collections::VecDeque::<Msg>::decode(input),
             acks: std::collections::VecDeque::<u64>::decode(input),
-        }
-    }
-}
-
-impl MsgVisit for QuirkyTxState {
-    fn visit_msgs(&self, f: &mut dyn FnMut(Msg)) {
-        self.queue.visit_msgs(f);
-    }
-}
-
-impl MsgRelabel for QuirkyTxState {
-    fn relabel_msgs(&self, f: &mut dyn FnMut(Msg) -> Msg) -> Self {
-        QuirkyTxState {
-            active: self.active,
-            queue: self.queue.relabel_msgs(f),
-        }
-    }
-}
-
-impl MsgVisit for QuirkyRxState {
-    fn visit_msgs(&self, f: &mut dyn FnMut(Msg)) {
-        self.deliver.visit_msgs(f);
-    }
-}
-
-impl MsgRelabel for QuirkyRxState {
-    fn relabel_msgs(&self, f: &mut dyn FnMut(Msg) -> Msg) -> Self {
-        QuirkyRxState {
-            active: self.active,
-            seen: self.seen.clone(),
-            deliver: self.deliver.relabel_msgs(f),
-            acks: self.acks.clone(),
         }
     }
 }

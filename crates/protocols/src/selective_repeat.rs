@@ -32,7 +32,6 @@ use dl_core::protocol::{
     receiver_classify, transmitter_classify, DataLinkProtocol, MessageIndependent, ProtocolInfo,
     StationAutomaton,
 };
-use dl_core::symmetry::{MsgRelabel, MsgVisit};
 use ioa::intern::PackedCodec;
 
 /// Packs an ack payload: the cumulative next-expected value (mod M) and
@@ -530,42 +529,6 @@ impl PackedCodec for SrRxState {
             buffer: std::collections::BTreeMap::<u64, Msg>::decode(input),
             deliver: std::collections::VecDeque::<Msg>::decode(input),
             acks: std::collections::VecDeque::<u64>::decode(input),
-        }
-    }
-}
-
-impl MsgVisit for SrTxState {
-    fn visit_msgs(&self, f: &mut dyn FnMut(Msg)) {
-        self.queue.visit_msgs(f);
-    }
-}
-
-impl MsgRelabel for SrTxState {
-    fn relabel_msgs(&self, f: &mut dyn FnMut(Msg) -> Msg) -> Self {
-        SrTxState {
-            active: self.active,
-            base: self.base,
-            queue: self.queue.relabel_msgs(f),
-            acked: self.acked.clone(),
-        }
-    }
-}
-
-impl MsgVisit for SrRxState {
-    fn visit_msgs(&self, f: &mut dyn FnMut(Msg)) {
-        self.buffer.visit_msgs(f);
-        self.deliver.visit_msgs(f);
-    }
-}
-
-impl MsgRelabel for SrRxState {
-    fn relabel_msgs(&self, f: &mut dyn FnMut(Msg) -> Msg) -> Self {
-        SrRxState {
-            active: self.active,
-            expected: self.expected,
-            buffer: self.buffer.relabel_msgs(f),
-            deliver: self.deliver.relabel_msgs(f),
-            acks: self.acks.clone(),
         }
     }
 }

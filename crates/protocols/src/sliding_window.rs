@@ -25,7 +25,6 @@ use dl_core::protocol::{
     receiver_classify, transmitter_classify, DataLinkProtocol, MessageIndependent, ProtocolInfo,
     StationAutomaton,
 };
-use dl_core::symmetry::{MsgRelabel, MsgVisit};
 use ioa::intern::PackedCodec;
 
 /// State of the sliding-window transmitter.
@@ -460,39 +459,6 @@ impl PackedCodec for SwRxState {
             expected: u64::decode(input),
             deliver: std::collections::VecDeque::<Msg>::decode(input),
             acks: std::collections::VecDeque::<u64>::decode(input),
-        }
-    }
-}
-
-impl MsgVisit for SwTxState {
-    fn visit_msgs(&self, f: &mut dyn FnMut(Msg)) {
-        self.queue.visit_msgs(f);
-    }
-}
-
-impl MsgRelabel for SwTxState {
-    fn relabel_msgs(&self, f: &mut dyn FnMut(Msg) -> Msg) -> Self {
-        SwTxState {
-            active: self.active,
-            base: self.base,
-            queue: self.queue.relabel_msgs(f),
-        }
-    }
-}
-
-impl MsgVisit for SwRxState {
-    fn visit_msgs(&self, f: &mut dyn FnMut(Msg)) {
-        self.deliver.visit_msgs(f);
-    }
-}
-
-impl MsgRelabel for SwRxState {
-    fn relabel_msgs(&self, f: &mut dyn FnMut(Msg) -> Msg) -> Self {
-        SwRxState {
-            active: self.active,
-            expected: self.expected,
-            deliver: self.deliver.relabel_msgs(f),
-            acks: self.acks.clone(),
         }
     }
 }

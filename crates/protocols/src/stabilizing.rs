@@ -44,7 +44,6 @@ use dl_core::protocol::{
     receiver_classify, transmitter_classify, DataLinkProtocol, MessageIndependent, ProtocolInfo,
     StationAutomaton,
 };
-use dl_core::symmetry::{MsgRelabel, MsgVisit};
 use ioa::intern::PackedCodec;
 
 /// The canonical channel-capacity bound used by [`protocol`] (and by the
@@ -527,43 +526,6 @@ impl PackedCodec for StabRxState {
             copies: u64::decode(input),
             deliver: std::collections::VecDeque::<Msg>::decode(input),
             acks: std::collections::VecDeque::<u64>::decode(input),
-        }
-    }
-}
-
-impl MsgVisit for StabTxState {
-    fn visit_msgs(&self, f: &mut dyn FnMut(Msg)) {
-        self.queue.visit_msgs(f);
-    }
-}
-
-impl MsgRelabel for StabTxState {
-    fn relabel_msgs(&self, f: &mut dyn FnMut(Msg) -> Msg) -> Self {
-        StabTxState {
-            active: self.active,
-            seq: self.seq,
-            acked: self.acked,
-            queue: self.queue.relabel_msgs(f),
-        }
-    }
-}
-
-impl MsgVisit for StabRxState {
-    fn visit_msgs(&self, f: &mut dyn FnMut(Msg)) {
-        self.candidate.visit_msgs(f);
-        self.deliver.visit_msgs(f);
-    }
-}
-
-impl MsgRelabel for StabRxState {
-    fn relabel_msgs(&self, f: &mut dyn FnMut(Msg) -> Msg) -> Self {
-        StabRxState {
-            active: self.active,
-            expected: self.expected,
-            candidate: self.candidate.relabel_msgs(f),
-            copies: self.copies,
-            deliver: self.deliver.relabel_msgs(f),
-            acks: self.acks.clone(),
         }
     }
 }

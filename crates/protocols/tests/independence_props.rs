@@ -1,5 +1,7 @@
 //! Property tests: the §5.3.1 message-independence axioms hold on random
-//! reachable states of every protocol in the zoo.
+//! reachable states of every protocol in the zoo that claims them — the
+//! single contract behind `MessageIndependent`, the workspace's one
+//! relabeling API.
 //!
 //! The axioms, in the concrete renaming form of `dl-core`:
 //!
@@ -7,6 +9,11 @@
 //! * axiom 5 — `ρ(step(s, a)) == step(ρ(s), ρ(a))` (determinism folds the
 //!   existential into an equation);
 //! * crash/start discipline — relabeling fixes start states.
+//!
+//! The renaming `i ↦ 1000 + i` preserves parity, so it is also a renaming
+//! of the `parity` protocol's mod-2 message classes. A negative test shows
+//! the contract bites: `quirky`, whose headers are derived from message
+//! identity, fails axiom 4.
 
 use proptest::prelude::*;
 
@@ -154,6 +161,46 @@ independence_suite!(
     nv_rx_independent,
     dl_protocols::nonvolatile::protocol()
 );
+independence_suite!(
+    sr_tx_independent,
+    sr_rx_independent,
+    dl_protocols::selective_repeat::protocol(4)
+);
+independence_suite!(
+    frag_tx_independent,
+    frag_rx_independent,
+    dl_protocols::fragmenting::protocol()
+);
+independence_suite!(
+    parity_tx_independent,
+    parity_rx_independent,
+    dl_protocols::parity::protocol()
+);
+independence_suite!(
+    stab_tx_independent,
+    stab_rx_independent,
+    dl_protocols::stabilizing::protocol()
+);
+
+/// The contract bites: `quirky`'s transmitter stamps each packet with a
+/// header derived from the message itself, so once a message is queued
+/// the renamed send (same header, renamed payload) is not enabled in the
+/// renamed state.
+#[test]
+fn quirky_tx_fails_axiom_4() {
+    let tx = dl_protocols::quirky::protocol().transmitter;
+    let s = reach(&tx, &[DlAction::Wake(Dir::TR), DlAction::SendMsg(Msg(1))]);
+    let send = tx
+        .enabled_local(&s)
+        .into_iter()
+        .next()
+        .expect("the queued message is sent");
+    let err = check_axioms(&tx, &s, &send).expect_err("quirky must fail the axioms");
+    assert_eq!(
+        err.to_string(),
+        format!("axiom 4 failed for {send}: enabledness differs (true vs false)")
+    );
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]

@@ -11,7 +11,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-STAGES=(toolchain fmt clippy test obs scaling explore-deep monitor-smoke fuzz-smoke fleet-smoke stabilize-smoke alloc differential cross-check bench-smoke)
+STAGES=(toolchain fmt clippy test obs scaling explore-deep monitor-smoke fuzz-smoke fleet-smoke stabilize-smoke alloc differential cross-check bench-smoke perfbench)
 
 stage_toolchain() {
   # The container pins the toolchain by version, not by channel file
@@ -131,6 +131,13 @@ stage_bench_smoke() {
   # Release benches + ledger binaries build without running.
   cargo bench --no-run -q -p dl-bench --bench model_check --bench parallel_explore
   cargo build -q --release -p dl-bench --features obs --bin ledger_run --bin bench_gate
+}
+
+stage_perfbench() {
+  # The repo benchmark (perfbench/, its own workspace and lockfile)
+  # builds against the engines' current public API, and its pin
+  # self-tests pass. Nothing under perfbench/ is run as a benchmark here.
+  cargo test -q --locked --manifest-path perfbench/Cargo.toml
 }
 
 list_stages() {

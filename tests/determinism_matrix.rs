@@ -3,8 +3,9 @@
 //!
 //! The CI workflow runs this test once per matrix leg with
 //! `DL_EXPLORE_THREADS` set to 1, 2, and 4; each leg compares that single
-//! thread count against the sequential `ioa::Explorer` oracle. Run
-//! locally without the variable, it sweeps all three counts in one go.
+//! thread count field by field against `dl-crosscheck`'s independent
+//! sequential checker. Run locally without the variable, it sweeps all
+//! three counts in one go.
 //!
 //! The model is E9 — ABP over capacity-3 nondeterministically-lossy
 //! channels with the WDL observer, two messages — so the pinned state
@@ -12,51 +13,65 @@
 //! publish.
 
 use datalink::channels::{LossMode, LossyFifoChannel};
-use datalink::core::action::{Dir, DlAction, Msg};
-use datalink::core::observer::{ObserverState, WdlObserver};
-use datalink::explore::ParallelExplorer;
-use datalink::ioa::composition::Compose2;
-use datalink::ioa::{Automaton, Explorer};
+use datalink::core::action::{Dir, DlAction};
+use datalink::crosscheck::zoo::{checked_system, crash_free_inputs, observer_of, woken_start, Sys};
+use datalink::crosscheck::{disagreements, CcChecker, CcProperty, EngineSummary, Translated};
+use datalink::explore::{ExploreReport, ParallelExplorer};
+use datalink::ioa::Automaton;
+use datalink::protocols::{AbpReceiver, AbpTransmitter};
 
-type Sys = Compose2<
-    Compose2<datalink::protocols::AbpTransmitter, datalink::protocols::AbpReceiver>,
-    Compose2<Compose2<LossyFifoChannel, LossyFifoChannel>, WdlObserver>,
->;
+type E9 = Sys<AbpTransmitter, AbpReceiver, LossyFifoChannel, LossyFifoChannel>;
 
-type SysState = <Sys as Automaton>::State;
+type SysState = <E9 as Automaton>::State;
 
-fn e9_system() -> Sys {
+const MAX_STATES: usize = 4_000_000;
+const MAX_DEPTH: usize = 100_000;
+
+fn e9_system() -> E9 {
     let p = datalink::protocols::abp::protocol();
-    Compose2::new(
-        Compose2::new(p.transmitter, p.receiver),
-        Compose2::new(
-            Compose2::new(
-                LossyFifoChannel::with_capacity(Dir::TR, LossMode::Nondet, 3),
-                LossyFifoChannel::with_capacity(Dir::RT, LossMode::Nondet, 3),
-            ),
-            WdlObserver,
-        ),
+    checked_system(
+        p.transmitter,
+        p.receiver,
+        LossyFifoChannel::with_capacity(Dir::TR, LossMode::Nondet, 3),
+        LossyFifoChannel::with_capacity(Dir::RT, LossMode::Nondet, 3),
     )
 }
 
-fn observer_of(s: &SysState) -> &ObserverState {
-    &s.right.right
+fn safe(s: &SysState) -> bool {
+    observer_of(s).is_safe()
 }
 
-fn inputs(s: &SysState) -> Vec<DlAction> {
-    let obs = observer_of(s);
-    (0..2u64)
-        .map(Msg)
-        .find(|m| !obs.sent.contains(m))
-        .map(DlAction::SendMsg)
-        .into_iter()
-        .collect()
+/// The independent checker's summary of E9: the oracle every matrix leg
+/// is compared against, field by field (states, quiescent states, depth,
+/// and each layer's frontier, discoveries, edges and dedup hits).
+fn oracle(sys: &E9, start: &SysState) -> EngineSummary {
+    let props = [CcProperty {
+        name: "invariant",
+        holds: &safe,
+    }];
+    let inputs = crash_free_inputs(2);
+    let report = CcChecker::new(Translated::new(sys, &inputs), MAX_STATES, MAX_DEPTH)
+        .check_from(vec![start.clone()], &props);
+    assert!(
+        report.holds(),
+        "independent checker: ABP must be safe crash-free"
+    );
+    assert_eq!(report.states_visited, 1178, "E9 state count moved");
+    EngineSummary::from_crosscheck(&report)
 }
 
-fn woken_start(sys: &Sys) -> SysState {
-    let s0 = sys.start_states().remove(0);
-    let s1 = sys.step_first(&s0, &DlAction::Wake(Dir::TR)).unwrap();
-    sys.step_first(&s1, &DlAction::Wake(Dir::RT)).unwrap()
+/// Asserts the explorer's report agrees with the oracle on every field.
+fn assert_matches_oracle(
+    par: &ExploreReport<DlAction, SysState>,
+    oracle: &EngineSummary,
+    leg: &str,
+) {
+    let diff = disagreements(&EngineSummary::from_explore(par), oracle);
+    assert!(
+        diff.is_empty(),
+        "{leg} diverged from the independent checker:\n{}",
+        diff.join("\n")
+    );
 }
 
 /// Thread counts under test: `DL_EXPLORE_THREADS` selects one CI matrix
@@ -108,19 +123,13 @@ fn e9_explore_is_deterministic_across_thread_counts() {
 fn e9_explore_matrix_body() {
     let sys = e9_system();
     let start = woken_start(&sys);
-
-    let seq = Explorer::new(&sys, inputs, 4_000_000, 100_000)
-        .check_invariant_from(vec![start.clone()], |s| observer_of(s).is_safe());
-    assert!(
-        seq.holds(),
-        "sequential oracle: ABP must be safe crash-free"
-    );
-    assert_eq!(seq.states_visited, 1178, "E9 state count moved");
+    let inputs = crash_free_inputs(2);
+    let oracle = oracle(&sys, &start);
 
     for threads in thread_matrix() {
-        let par = ParallelExplorer::new(&sys, inputs, 4_000_000, 100_000)
+        let par = ParallelExplorer::new(&sys, &inputs, MAX_STATES, MAX_DEPTH)
             .threads(threads)
-            .check_invariant_from(vec![start.clone()], |s| observer_of(s).is_safe());
+            .check_invariant_from(vec![start.clone()], safe);
         assert!(
             par.holds(),
             "parallel verdict diverged at {threads} threads; \
@@ -128,19 +137,11 @@ fn e9_explore_matrix_body() {
             rendered_path(&par.violation)
         );
         assert_eq!(par.threads, threads);
-        assert_eq!(
-            par.states_visited, seq.states_visited,
-            "states_visited diverged at {threads} threads"
-        );
-        assert_eq!(
-            par.quiescent_states, seq.quiescent_states,
-            "quiescent_states diverged at {threads} threads"
-        );
-        // The sequential report carries no layer statistics, so the
-        // deeper counts are pinned to the published E9 constants — the
-        // same ones `bench/baseline.json` and the differential test pin.
-        // A CI matrix leg runs exactly one thread count, and agreeing
-        // with a shared constant is agreeing across legs.
+        assert_matches_oracle(&par, &oracle, &format!("{threads} threads"));
+        // The deeper counts are also pinned to the published E9
+        // constants — the same ones `bench/baseline.json` pins. A CI
+        // matrix leg runs exactly one thread count, and agreeing with a
+        // shared constant is agreeing across legs.
         assert_eq!(
             par.edges_expanded(),
             6267,
@@ -165,7 +166,7 @@ fn e9_explore_matrix_body() {
 }
 
 /// The lock-free-visited-set leg: the same E9 model on the **packed**
-/// storage backend must agree with the sequential oracle on every
+/// storage backend must agree with the independent checker on every
 /// deterministic count at every thread count — same states, same edges,
 /// same layers — while storing the arena in strictly fewer bytes than
 /// the plain backend's pinned 516096.
@@ -177,30 +178,21 @@ fn e9_packed_backend_matches_the_plain_matrix() {
 fn e9_packed_matrix_body() {
     let sys = e9_system();
     let start = woken_start(&sys);
-
-    let seq = Explorer::new(&sys, inputs, 4_000_000, 100_000)
-        .check_invariant_from(vec![start.clone()], |s| observer_of(s).is_safe());
-    assert!(seq.holds());
+    let inputs = crash_free_inputs(2);
+    let oracle = oracle(&sys, &start);
 
     for threads in thread_matrix() {
-        let par = ParallelExplorer::new(&sys, inputs, 4_000_000, 100_000)
+        let par = ParallelExplorer::new(&sys, &inputs, MAX_STATES, MAX_DEPTH)
             .threads(threads)
             .packed()
-            .check_invariant_from(vec![start.clone()], |s| observer_of(s).is_safe());
+            .check_invariant_from(vec![start.clone()], safe);
         assert!(
             par.holds(),
             "packed verdict diverged at {threads} threads; \
              counterexample: {:?}",
             rendered_path(&par.violation)
         );
-        assert_eq!(
-            par.states_visited, seq.states_visited,
-            "packed states_visited diverged at {threads} threads"
-        );
-        assert_eq!(
-            par.quiescent_states, seq.quiescent_states,
-            "packed quiescent_states diverged at {threads} threads"
-        );
+        assert_matches_oracle(&par, &oracle, &format!("packed at {threads} threads"));
         assert_eq!(par.edges_expanded(), 6267);
         assert_eq!(par.dedup_hits(), 5090);
         assert_eq!(par.layers.len(), 28);

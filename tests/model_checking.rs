@@ -14,68 +14,15 @@
 //!   Stenning does not.
 //!
 //! The searches run on `dl-explore`'s parallel engine; the differential
-//! tests at the bottom pin its verdicts to the sequential `ioa::Explorer`
-//! oracle at 1, 2, and 4 threads.
+//! tests at the bottom pin it field by field to `dl-crosscheck`'s
+//! independent sequential checker at 1, 2, and 4 threads.
 
 use datalink::channels::{LossMode, LossyFifoChannel, ReorderChannel};
 use datalink::core::action::{Dir, DlAction, Msg, Station};
-use datalink::core::observer::{ObserverState, WdlObserver};
+use datalink::crosscheck::zoo::{
+    self, checked_system, crash_free_inputs, crash_inputs, observer_of, woken_start, SysState,
+};
 use datalink::explore::ParallelExplorer;
-use datalink::ioa::composition::{Compose2, Pair};
-use datalink::ioa::{Automaton, Explorer};
-
-/// Composes protocol + channels + observer. State shape:
-/// `((tx, rx), ((ch_tr, ch_rt), observer))`.
-fn checked_system<T, R, C1, C2>(
-    tx: T,
-    rx: R,
-    ch_tr: C1,
-    ch_rt: C2,
-) -> Compose2<Compose2<T, R>, Compose2<Compose2<C1, C2>, WdlObserver>>
-where
-    T: Automaton<Action = DlAction>,
-    R: Automaton<Action = DlAction>,
-    C1: Automaton<Action = DlAction>,
-    C2: Automaton<Action = DlAction>,
-{
-    Compose2::new(
-        Compose2::new(tx, rx),
-        Compose2::new(Compose2::new(ch_tr, ch_rt), WdlObserver),
-    )
-}
-
-type SysState<TS, RS, CS1, CS2> = Pair<Pair<TS, RS>, Pair<Pair<CS1, CS2>, ObserverState>>;
-
-fn observer_of<TS, RS, CS1, CS2>(s: &SysState<TS, RS, CS1, CS2>) -> &ObserverState {
-    &s.right.right
-}
-
-/// Environment inputs for a crash-free exploration: wake each medium once,
-/// then offer each of `n` messages exactly once.
-fn crash_free_inputs<TS, RS, CS1, CS2>(
-    n: u64,
-) -> impl Fn(&SysState<TS, RS, CS1, CS2>) -> Vec<DlAction> + Sync {
-    move |s| {
-        let mut out = Vec::new();
-        let obs = observer_of(s);
-        // Offer messages (at most one unsent at a time keeps the model
-        // small without losing the safety question).
-        for i in 0..n {
-            let m = Msg(i);
-            if !obs.sent.contains(&m) {
-                out.push(DlAction::SendMsg(m));
-                break;
-            }
-        }
-        out
-    }
-}
-
-fn woken_start<M: Automaton<Action = DlAction>>(sys: &M) -> M::State {
-    let s0 = sys.start_states().remove(0);
-    let s1 = sys.step_first(&s0, &DlAction::Wake(Dir::TR)).unwrap();
-    sys.step_first(&s1, &DlAction::Wake(Dir::RT)).unwrap()
-}
 
 #[test]
 fn abp_crash_free_safety_is_exhaustive() {
@@ -116,24 +63,6 @@ fn go_back_2_crash_free_safety_is_exhaustive() {
     let explorer = ParallelExplorer::new(&sys, crash_free_inputs(2), 2_000_000, 10_000);
     let report = explorer.check_invariant_from(vec![start], |s| observer_of(s).is_safe());
     assert!(report.holds(), "visited {}", report.states_visited);
-}
-
-/// Environment inputs that offer `m0` plus receiver crash/re-wake.
-fn crash_inputs<TS, RS, CS1, CS2>(
-    s: &SysState<TS, RS, CS1, CS2>,
-    rx_active: bool,
-) -> Vec<DlAction> {
-    let mut out = Vec::new();
-    if !observer_of(s).sent.contains(&Msg(0)) {
-        out.push(DlAction::SendMsg(Msg(0)));
-    }
-    // Crash the receiver (and wake it again right away — the model folds
-    // crash+wake into two offered inputs).
-    out.push(DlAction::Crash(Station::R));
-    if !rx_active {
-        out.push(DlAction::Wake(Dir::RT));
-    }
-    out
 }
 
 #[test]
@@ -238,152 +167,59 @@ fn stenning_safe_over_reordering_channel_exhaustively() {
 }
 
 // ---------------------------------------------------------------------
-// Differential tests: the parallel engine against the sequential oracle.
+// Differential tests: the parallel engine against the independent
+// sequential checker, field by field, at every thread count.
 // ---------------------------------------------------------------------
 
-/// Safe run (bounded ABP, crash-free): on an exhaustive search both
-/// engines must agree on the reachable state set, so `states_visited` and
-/// `quiescent_states` are equal — at every thread count.
+/// Safe run (bounded ABP, crash-free): both engines agree on the
+/// reachable state set and on every per-layer count.
 #[test]
 fn differential_abp_crash_free_matches_sequential_at_1_2_4_threads() {
-    let p = datalink::protocols::abp::protocol();
-    let sys = checked_system(
-        p.transmitter,
-        p.receiver,
-        LossyFifoChannel::with_capacity(Dir::TR, LossMode::Nondet, 2),
-        LossyFifoChannel::with_capacity(Dir::RT, LossMode::Nondet, 2),
-    );
-    let start = woken_start(&sys);
-
-    let seq = Explorer::new(&sys, crash_free_inputs(2), 2_000_000, 10_000)
-        .check_invariant_from(vec![start.clone()], |s| observer_of(s).is_safe());
-    assert!(seq.holds());
-
-    for threads in [1usize, 2, 4] {
-        let par = ParallelExplorer::new(&sys, crash_free_inputs(2), 2_000_000, 10_000)
-            .threads(threads)
-            .check_invariant_from(vec![start.clone()], |s| observer_of(s).is_safe());
-        assert!(
-            par.holds(),
-            "parallel engine disagrees at {threads} threads"
-        );
-        assert_eq!(
-            par.states_visited, seq.states_visited,
-            "states_visited diverged at {threads} threads"
-        );
-        assert_eq!(
-            par.quiescent_states, seq.quiescent_states,
-            "quiescent_states diverged at {threads} threads"
-        );
+    for threads in [1, 2, 4] {
+        let outcome = zoo::abp_lossy(2, threads);
+        outcome.assert_agree();
+        assert!(!outcome.explorer.truncated && outcome.explorer.violation.is_none());
     }
 }
 
-/// Violating run (ABP with receiver crashes): BFS counterexamples must
-/// have the same (minimal) length in both engines, and the parallel
-/// engine's full report — counts, violating state, exact path — must be
-/// identical at 1, 2, and 4 threads.
+/// Violating run (ABP with receiver crashes): both engines report the
+/// same minimal counterexample, action for action, with the same counts.
 #[test]
 fn differential_abp_crash_counterexample_matches_sequential_at_1_2_4_threads() {
-    let p = datalink::protocols::abp::protocol();
-    let sys = checked_system(
-        p.transmitter,
-        p.receiver,
-        LossyFifoChannel::with_capacity(Dir::TR, LossMode::None, 2),
-        LossyFifoChannel::with_capacity(Dir::RT, LossMode::None, 2),
-    );
-    let start = woken_start(&sys);
-    let inputs = |s: &SysState<
-        datalink::protocols::abp::AbpTxState,
-        datalink::protocols::abp::AbpRxState,
-        datalink::channels::FlightState,
-        datalink::channels::FlightState,
-    >| crash_inputs(s, s.left.right.active);
-
-    let seq = Explorer::new(&sys, inputs, 2_000_000, 10_000)
-        .check_invariant_from(vec![start.clone()], |s| observer_of(s).is_safe());
-    let (seq_path, _) = seq.violation.expect("oracle finds DL4");
-
-    let mut baseline = None;
-    for threads in [1usize, 2, 4] {
-        let par = ParallelExplorer::new(&sys, inputs, 2_000_000, 10_000)
-            .threads(threads)
-            .check_invariant_from(vec![start.clone()], |s| observer_of(s).is_safe());
-        let v = par.violation.clone().expect("parallel engine finds DL4");
-        assert_eq!(
-            v.path.len(),
-            seq_path.len(),
-            "counterexample length diverged from sequential at {threads} threads"
+    for threads in [1, 2, 4] {
+        let outcome = zoo::abp_crash_pump(threads);
+        outcome.assert_agree();
+        assert!(
+            outcome.explorer.violation.is_some(),
+            "DL4 must be reachable"
         );
-        let summary = (par.states_visited, par.quiescent_states, v.state, v.path);
-        match &baseline {
-            None => baseline = Some(summary),
-            Some(b) => assert_eq!(
-                *b, summary,
-                "parallel report not thread-count-independent at {threads} threads"
-            ),
-        }
     }
 }
 
-/// Full-zoo differential sweep: every protocol target, bounded lossy FIFO
-/// channels (capacity 1 keeps even go-back-8 exhaustive in milliseconds),
-/// parallel engine vs the sequential clone-based oracle at 1, 2, and 4
-/// threads. Safe runs must agree on the reachable-state counts; violating
-/// runs on the (minimal) counterexample length — and the parallel report
-/// (counts, violating state, exact path) must be byte-identical across
-/// thread counts.
+/// Full-zoo differential sweep: every protocol target over bounded lossy
+/// FIFO channels (capacity 1 keeps even go-back-8 exhaustive in
+/// milliseconds), crash-free, two messages. The engines must agree
+/// exactly at 1, 2, and 4 threads; since the checker is sequential, the
+/// explorer's report is thereby thread-count-independent too.
 macro_rules! differential_zoo_test {
     ($name:ident, $proto:expr) => {
         #[test]
         fn $name() {
-            let p = $proto;
-            let sys = checked_system(
-                p.transmitter,
-                p.receiver,
-                LossyFifoChannel::with_capacity(Dir::TR, LossMode::Nondet, 1),
-                LossyFifoChannel::with_capacity(Dir::RT, LossMode::Nondet, 1),
-            );
-            let start = woken_start(&sys);
-            let seq = Explorer::new(&sys, crash_free_inputs(2), 2_000_000, 10_000)
-                .check_invariant_from(vec![start.clone()], |s| observer_of(s).is_safe());
-            assert!(seq.exhaustive(), "oracle truncated: widen the budget");
-
-            let mut baseline = None;
-            for threads in [1usize, 2, 4] {
-                let par = ParallelExplorer::new(&sys, crash_free_inputs(2), 2_000_000, 10_000)
-                    .threads(threads)
-                    .check_invariant_from(vec![start.clone()], |s| observer_of(s).is_safe());
-                assert!(par.exhaustive());
-                match (&seq.violation, &par.violation) {
-                    (None, None) => {
-                        assert_eq!(par.states_visited, seq.states_visited);
-                        assert_eq!(par.quiescent_states, seq.quiescent_states);
-                    }
-                    (Some((seq_path, _)), Some(v)) => {
-                        assert_eq!(
-                            v.path.len(),
-                            seq_path.len(),
-                            "counterexample length diverged at {threads} threads"
-                        );
-                    }
-                    (seq_v, par_v) => panic!(
-                        "verdicts diverged at {threads} threads: sequential {:?}, parallel {:?}",
-                        seq_v.is_some(),
-                        par_v.is_some()
+            for threads in [1, 2, 4] {
+                let p = $proto;
+                let outcome = zoo::run_both(
+                    format!("{}_{threads}t", stringify!($name)),
+                    threads,
+                    checked_system(
+                        p.transmitter,
+                        p.receiver,
+                        LossyFifoChannel::with_capacity(Dir::TR, LossMode::Nondet, 1),
+                        LossyFifoChannel::with_capacity(Dir::RT, LossMode::Nondet, 1),
                     ),
-                }
-                let summary = (
-                    par.states_visited,
-                    par.quiescent_states,
-                    par.violation.clone().map(|v| (v.state, v.path)),
+                    crash_free_inputs(2),
                 );
-                match &baseline {
-                    None => baseline = Some(summary),
-                    Some(b) => assert_eq!(
-                        *b, summary,
-                        "report not thread-count-independent at {threads} threads"
-                    ),
-                }
+                outcome.assert_agree();
+                assert!(!outcome.explorer.truncated, "truncated: widen the budget");
             }
         }
     };
