@@ -17,7 +17,7 @@ use dl_channels::{FlightState, LossMode, LossyFifoChannel, ReorderChannel};
 use dl_core::action::{Dir, DlAction, Msg, Station};
 use dl_core::observer::{ObserverState, WdlObserver};
 use dl_explore::ParallelExplorer;
-use dl_protocols::abp::{AbpRxState, AbpTxState};
+use dl_protocols::abp::{AbpReceiver, AbpRxState, AbpTransmitter, AbpTxState};
 use ioa::composition::{Compose2, Pair};
 use ioa::Automaton;
 
@@ -211,19 +211,30 @@ pub fn stenning_reorder(threads: usize) -> ZooOutcome {
 /// crash/re-wake inputs. Both engines must report the *same* minimal
 /// DL4 counterexample, action for action.
 pub fn abp_crash_pump(threads: usize) -> ZooOutcome {
+    run_both(
+        "abp_crash_pump".to_string(),
+        threads,
+        abp_crash_pump_system(),
+        abp_crash_pump_inputs,
+    )
+}
+
+/// The crash pump's system: ABP over lossless 2-slot FIFO channels.
+pub fn abp_crash_pump_system(
+) -> Sys<AbpTransmitter, AbpReceiver, LossyFifoChannel, LossyFifoChannel> {
     let p = dl_protocols::abp::protocol();
-    let sys = checked_system(
+    checked_system(
         p.transmitter,
         p.receiver,
         LossyFifoChannel::with_capacity(Dir::TR, LossMode::None, 2),
         LossyFifoChannel::with_capacity(Dir::RT, LossMode::None, 2),
-    );
-    run_both(
-        "abp_crash_pump".to_string(),
-        threads,
-        sys,
-        |s: &SysState<AbpTxState, AbpRxState, FlightState, FlightState>| {
-            crash_inputs(s, s.left.right.active)
-        },
     )
+}
+
+/// The crash pump's environment: [`crash_inputs`] with the receiver's
+/// view of the `r → t` medium.
+pub fn abp_crash_pump_inputs(
+    s: &SysState<AbpTxState, AbpRxState, FlightState, FlightState>,
+) -> Vec<DlAction> {
+    crash_inputs(s, s.left.right.active)
 }

@@ -5,16 +5,19 @@
 //! contiguous id range per layer) — carries dense `u32` ids. The store
 //! is frozen while workers expand a layer: membership for admitted
 //! states is a read-only store lookup, and intra-layer discoveries are
-//! coordinated through the lock-free [`LayerFilter`]. The store grows
-//! only at the layer barrier, where the engine merges worker-local
-//! overflow claims with the drained filter, sorts by minimal claim key,
-//! and admits in that deterministic order. Workers reuse per-worker
-//! scratch buffers and enumerate transitions through the
-//! allocation-free [`Automaton`] callbacks, so a steady-state expansion
-//! allocates only for genuinely new states (plus, on the packed
-//! backend, one encoding buffer per discovered edge).
+//! coordinated through the lock-free [`LayerFilter`]. Workers enumerate
+//! transitions through the allocation-free [`Automaton`] callbacks and
+//! decide every claim on a borrowed view of the successor (on the packed
+//! backend, its encoding in one reused per-worker scratch buffer), so the
+//! duplicates that make up most edges never allocate: only a claim that
+//! wins a filter slot or overflows builds an owned representation, and
+//! that same worker evaluates the state properties on the successor it
+//! already holds. The store grows only at the layer barrier, where the
+//! engine merges worker-local overflow claims with the drained filter,
+//! sorts by minimal claim key, and admits in that deterministic order —
+//! reading each state's verdict off its claim, so the barrier decodes
+//! nothing but the one state it reports as a counterexample.
 
-use std::collections::HashMap;
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
@@ -24,11 +27,17 @@ use ioa::Automaton;
 
 use crate::property::{Invariant, Property, TraceProperty};
 use crate::report::{ExploreReport, LayerStats, Truncation, Violation};
-use crate::shard::{ClaimKey, Claimed, LayerFilter, PendingState};
+use crate::shard::{merge_overflow, ClaimKey, Claimed, LayerFilter, PendingState};
 use crate::store::{ExploreBackend, PackedBackend, PlainBackend, StateStore};
 
 /// Root marker in the spanning-tree link arrays.
 const NO_LINK: u32 = u32::MAX;
+
+/// The largest state budget the engine honors: admitted ids, claim-key
+/// parents and spanning-tree links are `u32`, so a search stops with
+/// [`Truncation::StateBudget`] at `u32::MAX` states instead of
+/// overflowing the id space.
+const MAX_STATE_BUDGET: usize = u32::MAX as usize;
 
 /// The claim representation a backend's store circulates.
 type ReprOf<B, S> = <<B as ExploreBackend<S>>::Store as StateStore<S>>::Repr;
@@ -77,12 +86,13 @@ impl<M, I> ParallelExplorer<M, I, PlainBackend> {
     /// Creates an explorer over the default plain (full-struct) storage.
     /// `inputs(state)` returns the environment input actions to consider
     /// from `state` (return an empty vector for a closed system). Thread
-    /// count defaults to the machine's available parallelism.
+    /// count defaults to the machine's available parallelism. State ids
+    /// are `u32`, so `max_states` is clamped to `u32::MAX`.
     pub fn new(automaton: M, inputs: I, max_states: usize, max_depth: usize) -> Self {
         ParallelExplorer {
             automaton,
             inputs,
-            max_states,
+            max_states: max_states.min(MAX_STATE_BUDGET),
             max_depth,
             threads: 0,
             shards: 64,
@@ -100,11 +110,18 @@ impl<M, I, B> ParallelExplorer<M, I, B> {
     }
 
     /// Sets the claim-filter segment count (rounded up to a power of
-    /// two); tests shrink it to force the overflow path.
+    /// two); tests shrink it, and `0` — a filter without segments —
+    /// sends every claim down the overflow path.
     #[cfg(test)]
     fn shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
+        self.shards = shards;
         self
+    }
+
+    /// The state budget after clamping to the `u32` id space.
+    #[cfg(test)]
+    fn max_states(&self) -> usize {
+        self.max_states
     }
 
     /// Stores states as packed canonical encodings ([`PackedBackend`]):
@@ -212,9 +229,11 @@ where
         // never touch this.
         let mut tstates: Vec<TP::State> = Vec::new();
 
+        let mut scratch: <B::Store as StateStore<M::State>>::Scratch = Default::default();
         for state in starts {
-            let (hash, repr) = store.absorb(state);
-            if store.lookup(hash, &repr).is_none() {
+            let (hash, view) = store.view(&state, &mut scratch);
+            if store.lookup_view(hash, view).is_none() {
+                let repr = store.owned_repr(state, &scratch);
                 store.intern_new(hash, repr);
                 parents.push(NO_LINK);
                 action_idx.push(NO_LINK);
@@ -225,8 +244,9 @@ where
         // Check properties on start states first, in admission order.
         for (i, tstate) in tstates.iter().enumerate() {
             let state = store.load(i as u32);
-            let failed =
-                first_violation(properties, &state).or_else(|| trace_violation(trace, tstate));
+            let failed = first_violation(properties, &state)
+                .map(|p| property_name(properties, p))
+                .or_else(|| trace_violation(trace, tstate));
             if let Some(property) = failed {
                 return ExploreReport {
                     states_visited: store.len(),
@@ -248,9 +268,10 @@ where
 
         let mut layers: Vec<LayerStats> = Vec::new();
         let mut quiescent = 0usize;
-        // Wall-clock spent single-threaded at layer barriers (merging
-        // claims, admitting states, checking properties) — the stall the
-        // workers sit out. Zero (and free) without the `obs` feature.
+        // Wall-clock spent single-threaded between layers (building the
+        // claim filter, merging and admitting claims, reporting a
+        // violation, freeing the filter) — the stall the workers sit
+        // out. Zero (and free) without the `obs` feature.
         let mut barrier_nanos = 0u64;
         let mut truncation: Option<Truncation> = None;
         let mut violation: Option<Violation<M::Action, M::State>> = None;
@@ -280,20 +301,28 @@ where
             let fan_out = if frontier < threads * 4 { 1 } else { threads };
             let counter = AtomicUsize::new(layer_start);
             let chunk = (frontier / (fan_out * 8)).max(1);
-            // Fresh claim filter per layer, generously sized from the
-            // frontier; undersizing is safe (claims overflow, the
-            // barrier merge stays exact).
-            let mut filter: LayerFilter<ReprOf<B, M::State>> =
-                LayerFilter::new(frontier * 8 + 64, self.shards);
+            // Fresh claim filter per layer, sized to twice the expected
+            // discoveries: the frontier times the last layer's growth.
+            // Undersizing is safe (claims overflow, the barrier merge
+            // stays exact); oversizing costs serial set-up and drain.
+            let setup = Stopwatch::start();
+            let expected = layers.last().map_or(frontier, |last| {
+                frontier.saturating_mul(last.discovered) / last.frontier
+            });
+            let filter: LayerFilter<ReprOf<B, M::State>> =
+                LayerFilter::new(expected.saturating_mul(2), self.shards);
+            barrier_nanos += setup.elapsed_nanos();
 
             let (stats, overflow) = if fan_out == 1 {
-                self.expand_worker(&store, layer_end, chunk, &counter, &filter)
+                self.expand_worker(&store, properties, layer_end, chunk, &counter, &filter)
             } else {
                 std::thread::scope(|scope| {
                     let handles: Vec<_> = (0..fan_out)
                         .map(|_| {
                             scope.spawn(|| {
-                                self.expand_worker(&store, layer_end, chunk, &counter, &filter)
+                                self.expand_worker(
+                                    &store, properties, layer_end, chunk, &counter, &filter,
+                                )
                             })
                         })
                         .collect();
@@ -310,30 +339,8 @@ where
             quiescent += stats.quiescent;
 
             let barrier_sw = Stopwatch::start();
-            // Merge overflow claims into the drained filter entries. The
-            // hash index is only ever *probed* (never iterated), and
-            // min/set-union are order-independent, so the merged entry
-            // set and keys do not depend on scheduling.
             let mut entries = filter.drain();
-            let mut merged_dups = 0u64;
-            {
-                let mut index: HashMap<u64, Vec<usize>> = HashMap::with_capacity(entries.len());
-                for (i, entry) in entries.iter().enumerate() {
-                    index.entry(entry.hash).or_default().push(i);
-                }
-                for pending in overflow {
-                    let slots = index.entry(pending.hash).or_default();
-                    if let Some(&i) = slots.iter().find(|&&i| entries[i].repr == pending.repr) {
-                        merged_dups += 1;
-                        if pending.key < entries[i].key {
-                            entries[i].key = pending.key;
-                        }
-                    } else {
-                        slots.push(entries.len());
-                        entries.push(pending);
-                    }
-                }
-            }
+            let merged_dups = merge_overflow(&mut entries, overflow);
             // Claim keys are unique (one entry per distinct state, and
             // distinct states that share a parent differ in action or
             // successor index), so this order is total and deterministic.
@@ -342,7 +349,8 @@ where
             if entries.len() > room {
                 truncation = Some(Truncation::StateBudget);
                 // The filter dies with the layer, so dropped states are
-                // naturally rediscoverable later.
+                // naturally rediscoverable later; their verdicts go with
+                // them.
                 entries.truncate(room);
             }
             layers.push(LayerStats {
@@ -353,9 +361,22 @@ where
                 duplicates: stats.duplicates + merged_dups,
             });
 
+            // Admit in deterministic (claim-key) order. The first state
+            // whose claim carries a violated property — or, after the
+            // state properties, whose trace-monitor state is violating —
+            // is the counterexample for every thread count; the rest of
+            // the layer is still admitted, so counts stay
+            // thread-count-independent.
             let admitted_start = store.len();
+            let mut first_failure: Option<(u32, String)> = None;
             cached_parent = NO_LINK;
-            for PendingState { key, hash, repr } in entries {
+            for PendingState {
+                key,
+                hash,
+                repr,
+                verdict,
+            } in entries
+            {
                 // Resolve the admitting action only when a real trace
                 // property needs it: rebuild the parent's deterministic
                 // action list once per parent (claims arrive
@@ -372,28 +393,23 @@ where
                         &parent_actions[key.action as usize],
                     )
                 };
-                store.intern_new(hash, repr);
+                let idx = store.intern_new(hash, repr);
+                if first_failure.is_none() {
+                    first_failure = verdict
+                        .map(|p| property_name(properties, p))
+                        .or_else(|| trace_violation(trace, &tstate))
+                        .map(|property| (idx, property));
+                }
                 parents.push(key.parent);
                 action_idx.push(key.action);
                 tstates.push(tstate);
             }
-
-            // Check properties on the admitted states in deterministic
-            // (claim-key) order; the first violator is the counterexample
-            // for every thread count. State properties outrank the trace
-            // property on the same state, again deterministically.
-            for (idx, tstate) in tstates.iter().enumerate().skip(admitted_start) {
-                let state = store.load(idx as u32);
-                let failed =
-                    first_violation(properties, &state).or_else(|| trace_violation(trace, tstate));
-                if let Some(property) = failed {
-                    violation = Some(Violation {
-                        path: self.reconstruct_path(&store, &parents, &action_idx, idx),
-                        state: state.into_owned(),
-                        property,
-                    });
-                    break;
-                }
+            if let Some((idx, property)) = first_failure {
+                violation = Some(Violation {
+                    path: self.reconstruct_path(&store, &parents, &action_idx, idx as usize),
+                    state: store.load(idx).into_owned(),
+                    property,
+                });
             }
             barrier_nanos += barrier_sw.elapsed_nanos();
             if violation.is_some() {
@@ -419,13 +435,16 @@ where
 
     /// One worker's share of a layer expansion: steal frontier chunks,
     /// enumerate each state's actions and successors through the
-    /// allocation-free callbacks, dedup against the frozen store, claim
-    /// genuinely new discoveries in the lock-free layer filter. Claims
-    /// the filter cannot decide go to the returned overflow list, merged
-    /// exactly at the barrier.
+    /// allocation-free callbacks, dedup a borrowed view of each successor
+    /// against the frozen store, claim genuinely new discoveries in the
+    /// lock-free layer filter. Only a claim that wins a slot or overflows
+    /// takes ownership of the successor and evaluates `properties` on it;
+    /// overflowing claims go to the returned list, merged exactly at the
+    /// barrier.
     fn expand_worker(
         &self,
         store: &B::Store,
+        properties: &[&dyn Property<M::State>],
         layer_end: usize,
         chunk: usize,
         counter: &AtomicUsize,
@@ -434,6 +453,7 @@ where
         let mut stats = WorkerStats::default();
         let mut overflow = Vec::new();
         let mut actions: Vec<M::Action> = Vec::new();
+        let mut scratch: <B::Store as StateStore<M::State>>::Scratch = Default::default();
         loop {
             let begin = counter.fetch_add(chunk, Ordering::Relaxed);
             if begin >= layer_end {
@@ -459,16 +479,25 @@ where
                                 succ: si,
                             };
                             si += 1;
-                            let (hash, repr) = store.absorb(succ);
-                            if store.lookup(hash, &repr).is_some() {
+                            let (hash, view) = store.view(&succ, &mut scratch);
+                            if store.lookup_view(hash, view).is_some() {
                                 stats.duplicates += 1;
-                            } else {
-                                match filter.claim(hash, key, repr) {
-                                    Claimed::New => {}
-                                    Claimed::Duplicate => stats.duplicates += 1,
-                                    Claimed::Overflow(repr) => {
-                                        overflow.push(PendingState { key, hash, repr });
-                                    }
+                                return ControlFlow::Continue(());
+                            }
+                            match filter.claim(hash, key, view) {
+                                Claimed::Duplicate => stats.duplicates += 1,
+                                Claimed::New(won) => {
+                                    let verdict = first_violation(properties, &succ);
+                                    won.publish(store.owned_repr(succ, &scratch), verdict);
+                                }
+                                Claimed::Overflow => {
+                                    let verdict = first_violation(properties, &succ);
+                                    overflow.push(PendingState {
+                                        key,
+                                        hash,
+                                        repr: store.owned_repr(succ, &scratch),
+                                        verdict,
+                                    });
                                 }
                             }
                             ControlFlow::Continue(())
@@ -516,12 +545,17 @@ where
     }
 }
 
-/// First property (in order) that `state` violates, as an owned name.
-fn first_violation<S>(properties: &[&dyn Property<S>], state: &S) -> Option<String> {
+/// Index of the first property (in order) that `state` violates.
+fn first_violation<S>(properties: &[&dyn Property<S>], state: &S) -> Option<u32> {
     properties
         .iter()
-        .find(|p| !p.holds(state))
-        .map(|p| p.name().to_string())
+        .position(|p| !p.holds(state))
+        .map(|i| i as u32)
+}
+
+/// The violation-report name of property `index`.
+fn property_name<S>(properties: &[&dyn Property<S>], index: u32) -> String {
+    properties[index as usize].name().to_string()
 }
 
 /// The trace property's verdict on a threaded monitor state, labelled
@@ -870,24 +904,182 @@ mod tests {
 
     #[test]
     fn tiny_filters_stay_exact_through_the_overflow_path() {
-        // One segment and a frontier-derived size that the branching
-        // factor of the bumping counter overwhelms: correctness must
-        // come from the barrier merge, not filter capacity. The counter
-        // reaches all 100 residues, none quiescent, and every layer must
-        // match the default-shard run's.
+        // A one-segment filter, and a filter with no segments at all,
+        // which sends every claim down the overflow path: correctness
+        // must come from the barrier merge, not filter capacity. The
+        // counter reaches all 100 residues, none quiescent, and every
+        // layer must match the default-shard run's.
         let reference = ParallelExplorer::new(Counter { n: 100 }, bump, 1000, 200)
             .threads(1)
             .reachable_states();
         assert_eq!(reference.states_visited, 100);
         assert_eq!(reference.quiescent_states, 0);
-        for threads in [1, 2, 4] {
-            let par = ParallelExplorer::new(Counter { n: 100 }, bump, 1000, 200)
-                .threads(threads)
-                .shards(1)
-                .reachable_states();
-            assert_eq!(par.states_visited, reference.states_visited);
-            assert_eq!(par.quiescent_states, reference.quiescent_states);
-            assert_eq!(par.layers, reference.layers);
+        for shards in [0, 1] {
+            for threads in [1, 2, 4] {
+                let par = ParallelExplorer::new(Counter { n: 100 }, bump, 1000, 200)
+                    .threads(threads)
+                    .shards(shards)
+                    .reachable_states();
+                assert_eq!(par.states_visited, reference.states_visited);
+                assert_eq!(par.quiescent_states, reference.quiescent_states);
+                assert_eq!(par.layers, reference.layers);
+            }
+        }
+    }
+
+    /// Every state `s < n` has eight output actions `k`, each stepping to
+    /// `(8s + k + 1) mod n`: layers widen eightfold until they cover the
+    /// `n` states, so expansions fan out across every worker.
+    #[derive(Clone)]
+    struct Spread {
+        n: u16,
+    }
+
+    impl Automaton for Spread {
+        type Action = u8;
+        type State = u16;
+
+        fn start_states(&self) -> Vec<u16> {
+            vec![0]
+        }
+        fn classify(&self, _a: &u8) -> Option<ActionClass> {
+            Some(ActionClass::Output)
+        }
+        fn successors(&self, s: &u16, a: &u8) -> Vec<u16> {
+            let next = (u32::from(*s) * 8 + u32::from(*a) + 1) % u32::from(self.n);
+            vec![next as u16]
+        }
+        fn enabled_local(&self, _s: &u16) -> Vec<u8> {
+            (0..8).collect()
+        }
+        fn task_of(&self, _a: &u8) -> TaskId {
+            TaskId(0)
+        }
+        fn task_count(&self) -> usize {
+            1
+        }
+    }
+
+    /// `check_invariant(|s| *s != bad)` on the plain or packed backend,
+    /// with `shards` claim-filter segments.
+    fn search_for<M, I>(
+        automaton: M,
+        inputs: I,
+        (threads, packed, shards): (usize, bool, usize),
+        max_states: usize,
+        bad: M::State,
+    ) -> ExploreReport<M::Action, M::State>
+    where
+        M: Automaton + Sync,
+        M::State: ioa::intern::PackedCodec + Eq + std::hash::Hash + Send + Sync,
+        M::Action: Send + Sync,
+        I: Fn(&M::State) -> Vec<M::Action> + Sync,
+    {
+        let explorer = ParallelExplorer::new(automaton, inputs, max_states, 200)
+            .threads(threads)
+            .shards(shards);
+        let avoid = move |s: &M::State| *s != bad;
+        if packed {
+            explorer.packed().check_invariant(avoid)
+        } else {
+            explorer.check_invariant(avoid)
+        }
+    }
+
+    /// Thread count × backend × claim-filter segments (0: every claim
+    /// overflows; 64: the default filter).
+    fn claim_paths() -> impl Iterator<Item = (usize, bool, usize)> {
+        [1, 2, 4].into_iter().flat_map(|threads| {
+            [false, true]
+                .into_iter()
+                .flat_map(move |packed| [0, 64].map(|shards| (threads, packed, shards)))
+        })
+    }
+
+    /// Asserts `report` found the same violation (state, path, property)
+    /// and the same layers as `reference`.
+    fn assert_same_violation<A, S>(
+        report: &ExploreReport<A, S>,
+        reference: &ExploreReport<A, S>,
+        config: (usize, bool, usize),
+    ) where
+        A: PartialEq + std::fmt::Debug,
+        S: PartialEq + std::fmt::Debug,
+    {
+        let (v, e) = (
+            report.violation.as_ref().expect("violation found"),
+            reference.violation.as_ref().expect("reference violation"),
+        );
+        assert_eq!(
+            (&v.state, &v.path, &v.property),
+            (&e.state, &e.path, &e.property),
+            "{config:?}"
+        );
+        assert_eq!(report.layers, reference.layers, "{config:?}");
+        assert_eq!(report.states_visited, reference.states_visited);
+    }
+
+    #[test]
+    fn overflow_path_violations_match_the_default_filter() {
+        // The overflowing worker evaluates the verdict itself; the
+        // barrier must report the same state, path, property and layers
+        // as when the claim wins a filter slot — on the thin-layered
+        // counter and on the wide `Spread`, whose layers fan out.
+        let counter = |config| search_for(Counter { n: 100 }, bump, config, 1000, 57);
+        let spread =
+            |config| search_for(Spread { n: 4000 }, |_: &u16| vec![], config, 10_000, 3999);
+        let (counter_ref, spread_ref) = (counter((1, false, 64)), spread((1, false, 64)));
+        assert_eq!(counter_ref.violation.as_ref().map(|v| v.state), Some(57));
+        assert_eq!(spread_ref.violation.as_ref().map(|v| v.state), Some(3999));
+        assert!(spread_ref.layers.iter().any(|l| l.frontier >= 4 * 4));
+        for config in claim_paths() {
+            assert_same_violation(&counter(config), &counter_ref, config);
+            assert_same_violation(&spread(config), &spread_ref, config);
+        }
+    }
+
+    #[test]
+    fn a_violator_the_state_budget_drops_is_not_reported() {
+        // Each counter layer admits its even residue (`Tick` precedes
+        // `Bump` in the action list, so it has the lower claim key)
+        // before its odd one. A 4-state budget admits 0, 2, 1, 4 and
+        // drops 3 — the only violator — although a worker already
+        // evaluated its verdict.
+        for config in claim_paths() {
+            let report = search_for(Counter { n: 100 }, bump, config, 4, 3);
+            assert!(report.violation.is_none(), "{config:?}");
+            assert_eq!(report.truncation, Some(Truncation::StateBudget));
+            assert!(report.safe_within_budget());
+            assert_eq!(report.states_visited, 4);
+        }
+        let roomy = search_for(Counter { n: 100 }, bump, (1, false, 64), 5, 3);
+        assert_eq!(roomy.violation.map(|v| v.state), Some(3));
+    }
+
+    #[test]
+    fn state_budget_is_clamped_to_the_u32_id_space() {
+        let explorer = ParallelExplorer::new(Counter { n: 10 }, bump, usize::MAX, 100).threads(2);
+        assert_eq!(explorer.max_states(), u32::MAX as usize);
+        let report = explorer.reachable_states();
+        assert!(report.holds());
+        assert_eq!(report.states_visited, 10);
+        // Budgets inside the id space are kept as given.
+        let small = ParallelExplorer::new(Counter { n: 10 }, bump, 5, 100);
+        assert_eq!(small.max_states(), 5);
+    }
+
+    #[test]
+    fn barrier_span_is_timed_only_with_obs() {
+        let report = ParallelExplorer::new(Spread { n: 4000 }, |_: &u16| vec![], 10_000, 100)
+            .threads(2)
+            .packed()
+            .reachable_states();
+        assert!(report.layers.len() > 1);
+        if cfg!(feature = "obs") {
+            assert!(report.barrier_nanos > 0, "obs timers must time the barrier");
+            assert!(u128::from(report.barrier_nanos) <= report.duration.as_nanos());
+        } else {
+            assert_eq!(report.barrier_nanos, 0, "default builds report no span");
         }
     }
 }

@@ -12,10 +12,12 @@
 //!   dependencies);
 //! * admitted states live in a frozen, read-only arena during expansion,
 //!   and intra-layer discoveries go through a **lock-free claim filter**
-//!   sharded by state hash: slots are claimed by compare-and-swap, rival
-//!   claims fold together with an atomic `fetch_min` on the packed claim
-//!   key, and anything the filter cannot decide overflows to worker-local
-//!   lists that the layer barrier merges exactly;
+//!   sharded by state hash: slots are claimed by compare-and-swap on a
+//!   borrowed view of the successor (no allocation for the duplicates
+//!   that make up most edges), rival claims fold together with an atomic
+//!   `fetch_min` on the packed claim key, and anything the filter cannot
+//!   decide overflows to worker-local lists that the layer barrier merges
+//!   exactly;
 //! * state storage is **pluggable**: the default [`PlainBackend`] interns
 //!   full structs, while [`PackedBackend`] interns canonical bit-packed
 //!   [`ioa::intern::PackedCodec`] encodings (same states, same ids, same
@@ -25,10 +27,13 @@
 //!   index, successor index)` triple — which makes state numbering,
 //!   counterexample choice, and counterexample length a pure function of
 //!   the state graph, **identical for every thread count**;
-//! * properties are pluggable [`Property`] observers checked on every
-//!   state as layers complete (the WDL-safety observer of `dl-core`
-//!   composes into the system as an automaton and is then checked here as
-//!   a plain [`Invariant`] over its projected state);
+//! * properties are pluggable [`Property`] observers, evaluated on every
+//!   newly claimed state by the worker that claims it; the claim carries
+//!   the verdict to the barrier, which admits without decoding and
+//!   reports the first violator in admission order (the WDL-safety
+//!   observer of `dl-core` composes into the system as an automaton and
+//!   is then checked here as a plain [`Invariant`] over its projected
+//!   state);
 //! * trace properties — judgements over the *action path* rather than the
 //!   state — thread a [`TraceProperty`] monitor state along the BFS
 //!   spanning tree without enlarging the explored state space;

@@ -2,9 +2,16 @@
 
 /// A named state predicate checked on every state the explorer admits.
 ///
-/// Implementations must be [`Sync`]: workers on different layers of the
-/// search share them. Temporal/trace properties can be expressed two
-/// ways: by composing an observer automaton into the explored system (as
+/// [`holds`](Property::holds) runs on worker threads, on *candidate*
+/// states: the worker that first claims a state in a layer evaluates it
+/// and the claim carries the verdict to the layer barrier. It may run
+/// more than once on the same state (several workers can claim it) and
+/// on states the state budget later drops, so it must be a pure function
+/// of the state — no side effects, no counting. Implementations must be
+/// [`Sync`]: all workers share them.
+///
+/// Temporal/trace properties can be expressed two ways: by composing an
+/// observer automaton into the explored system (as
 /// `dl-core`'s WDL-safety observer does) and checking the observer's
 /// projected state here — exhaustive but state-space-expanding — or by
 /// threading a [`TraceProperty`] along the BFS spanning tree, which adds
@@ -13,7 +20,8 @@ pub trait Property<S>: Sync {
     /// Human-readable name, used in violation reports.
     fn name(&self) -> &str;
 
-    /// `true` if `state` satisfies the property.
+    /// `true` if `state` satisfies the property. Must be pure (see the
+    /// trait docs).
     fn holds(&self, state: &S) -> bool;
 }
 

@@ -70,9 +70,11 @@ pub struct ExploreReport<A, S> {
     pub arena_bytes: usize,
     /// Wall-clock duration of the search.
     pub duration: Duration,
-    /// Nanoseconds spent single-threaded at layer barriers (claim
-    /// draining, admission, property checks) — the stall time the worker
-    /// pool sits out. Always 0 unless the `obs` feature is enabled.
+    /// Nanoseconds spent single-threaded between layers — building each
+    /// layer's claim filter, draining and merging its claims, admitting
+    /// them, reporting a violation, and freeing the filter: the stall
+    /// time the worker pool sits out. Always 0 unless the `obs` feature
+    /// is enabled.
     pub barrier_nanos: u64,
 }
 

@@ -8,18 +8,31 @@
 //! instead of walking a struct, and the arena footprint drops
 //! several-fold for queue-heavy zoo states.
 //!
-//! Both backends expose the same claim-time contract: [`absorb`] turns a
-//! successor into `(hash, representation)` once, workers dedup against
-//! admitted states via the read-only [`lookup`], and the barrier interns
-//! in deterministic sorted order via [`intern_new`] — so plain and
-//! packed runs admit the same states with the same dense ids and differ
-//! only in `arena_bytes`.
+//! Both backends expose the same claim-time contract. A worker turns each
+//! successor into a hash and a borrowed [`View`] with [`view`] — the
+//! state itself for plain storage, its encoding in the worker's reused
+//! [`Scratch`] buffer for packed storage — and dedups the view against
+//! admitted states with the read-only [`lookup_view`] and against the
+//! layer's claim filter, all without allocating. Only a claim that wins a
+//! filter slot or overflows it turns the successor into an owned
+//! [`Repr`] with [`owned_repr`]; the barrier then interns those in
+//! deterministic sorted order via [`intern_new`] — so plain and packed
+//! runs admit the same states with the same dense ids and differ only in
+//! `arena_bytes`. [`absorb`] and [`lookup`] are the owned-representation
+//! forms of the same steps, provided on top of them for callers that
+//! drive a store directly.
 //!
+//! [`View`]: StateStore::View
+//! [`view`]: StateStore::view
+//! [`Scratch`]: StateStore::Scratch
+//! [`lookup_view`]: StateStore::lookup_view
+//! [`Repr`]: StateStore::Repr
+//! [`owned_repr`]: StateStore::owned_repr
+//! [`intern_new`]: StateStore::intern_new
 //! [`absorb`]: StateStore::absorb
 //! [`lookup`]: StateStore::lookup
-//! [`intern_new`]: StateStore::intern_new
 
-use std::borrow::Cow;
+use std::borrow::{Borrow, Cow};
 use std::hash::{BuildHasher, Hash};
 use std::marker::PhantomData;
 
@@ -29,7 +42,7 @@ use ioa::{StateId, StateTable};
 use crate::shard::SharedHasher;
 
 /// Storage for one exploration run: an append-only arena of admitted
-/// states plus the claim-time representation workers pass around.
+/// states plus the claim-time representations workers pass around.
 ///
 /// The store is frozen (shared immutably) while workers expand a layer
 /// and grows only at the barrier, on the coordinating thread.
@@ -38,17 +51,49 @@ pub trait StateStore<S: Clone>: Sync {
     /// state itself for plain storage, its canonical encoding for packed
     /// storage. Equality on representations must coincide with equality
     /// on states.
-    type Repr: Eq + Send + Sync;
+    type Repr: Borrow<Self::View> + Eq + Send + Sync;
 
-    /// Hashes `state` and converts it to its claim representation. The
-    /// returned hash is the one [`lookup`](Self::lookup) and
-    /// [`intern_new`](Self::intern_new) expect — it is computed exactly
-    /// once per discovered edge.
-    fn absorb(&self, state: S) -> (u64, Self::Repr);
+    /// The borrowed form of a representation that workers hash, look up
+    /// and compare before anything is owned. Equality on views must
+    /// coincide with equality on states.
+    type View: ?Sized + Eq;
+
+    /// Per-worker scratch space that [`view`](Self::view) reuses across
+    /// edges: nothing for plain storage, one encoding buffer for packed
+    /// storage.
+    type Scratch: Default;
+
+    /// Hashes `state` and returns its claim-time view, borrowed from
+    /// `state` or written into `scratch` — no allocation once `scratch`
+    /// has grown. The returned hash is the one
+    /// [`lookup_view`](Self::lookup_view) and
+    /// [`intern_new`](Self::intern_new) expect.
+    fn view<'a>(&self, state: &'a S, scratch: &'a mut Self::Scratch) -> (u64, &'a Self::View);
+
+    /// The owned representation of `state`, whose view the preceding
+    /// [`view`](Self::view) call on the same `scratch` produced. Called
+    /// only for the claims that must keep the state: filter winners and
+    /// overflows.
+    fn owned_repr(&self, state: S, scratch: &Self::Scratch) -> Self::Repr;
+
+    /// Hashes `state` and converts it to its claim representation: a
+    /// [`view`](Self::view) into fresh scratch, then
+    /// [`owned_repr`](Self::owned_repr).
+    fn absorb(&self, state: S) -> (u64, Self::Repr) {
+        let mut scratch = Self::Scratch::default();
+        let hash = self.view(&state, &mut scratch).0;
+        (hash, self.owned_repr(state, &scratch))
+    }
+
+    /// Dense id of an already-admitted state with this view, if any.
+    /// Read-only; safe to call from concurrent workers.
+    fn lookup_view(&self, hash: u64, view: &Self::View) -> Option<u32>;
 
     /// Dense id of an already-admitted state with this representation,
     /// if any. Read-only; safe to call from concurrent workers.
-    fn lookup(&self, hash: u64, repr: &Self::Repr) -> Option<u32>;
+    fn lookup(&self, hash: u64, repr: &Self::Repr) -> Option<u32> {
+        self.lookup_view(hash, repr.borrow())
+    }
 
     /// Admits a representation known not to be stored yet, returning its
     /// dense id (ids are assigned in call order, starting at 0).
@@ -111,13 +156,19 @@ where
     S: Clone + Eq + Hash + Send + Sync,
 {
     type Repr = S;
+    type View = S;
+    type Scratch = ();
 
-    fn absorb(&self, state: S) -> (u64, S) {
-        (self.hasher.hash_one(&state), state)
+    fn view<'a>(&self, state: &'a S, _scratch: &'a mut ()) -> (u64, &'a S) {
+        (self.hasher.hash_one(state), state)
     }
 
-    fn lookup(&self, hash: u64, repr: &S) -> Option<u32> {
-        self.table.lookup_prehashed(hash, repr).map(|id| id.0)
+    fn owned_repr(&self, state: S, _scratch: &()) -> S {
+        state
+    }
+
+    fn lookup_view(&self, hash: u64, view: &S) -> Option<u32> {
+        self.table.lookup_prehashed(hash, view).map(|id| id.0)
     }
 
     fn intern_new(&mut self, hash: u64, repr: S) -> u32 {
@@ -177,22 +228,27 @@ where
     S: Clone + Eq + PackedCodec,
 {
     type Repr = Box<[u8]>;
+    type View = [u8];
+    type Scratch = Vec<u8>;
 
-    fn absorb(&self, state: S) -> (u64, Box<[u8]>) {
-        let mut buf = Vec::with_capacity(32);
-        state.encode(&mut buf);
-        let repr = buf.into_boxed_slice();
-        (self.table.hash_bytes(&repr), repr)
+    fn view<'a>(&self, state: &'a S, scratch: &'a mut Vec<u8>) -> (u64, &'a [u8]) {
+        scratch.clear();
+        state.encode(scratch);
+        (self.table.hash_bytes(scratch), scratch)
     }
 
-    fn lookup(&self, hash: u64, repr: &Box<[u8]>) -> Option<u32> {
-        self.table.lookup(hash, repr)
+    fn owned_repr(&self, _state: S, scratch: &Vec<u8>) -> Box<[u8]> {
+        scratch.as_slice().into()
     }
 
+    fn lookup_view(&self, hash: u64, view: &[u8]) -> Option<u32> {
+        self.table.lookup(hash, view)
+    }
+
+    /// Appends without re-probing the index: the caller guarantees the
+    /// state is new (debug builds check it).
     fn intern_new(&mut self, hash: u64, repr: Box<[u8]>) -> u32 {
-        let (id, fresh) = self.table.intern(hash, &repr);
-        debug_assert!(fresh, "intern_new called on an admitted state");
-        id
+        self.table.append(hash, &repr)
     }
 
     fn load(&self, idx: u32) -> Cow<'_, S> {
@@ -205,5 +261,38 @@ where
 
     fn approx_bytes(&self) -> usize {
         self.table.approx_bytes()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `absorb` and `lookup` must hash and compare exactly as the
+    /// claim-time `view` / `lookup_view` path does, so callers that drive
+    /// a store directly admit the same states under the same ids.
+    fn absorb_agrees_with_view<St: StateStore<u64>>(mut store: St) {
+        let states = [0u64, 1, 300, 1 << 40, u64::MAX];
+        let mut scratch = St::Scratch::default();
+        for (id, &state) in states.iter().enumerate() {
+            let (hash, repr) = store.absorb(state);
+            let (view_hash, view) = store.view(&state, &mut scratch);
+            assert_eq!(hash, view_hash);
+            assert!(repr.borrow() == view);
+            assert_eq!(store.lookup_view(view_hash, view), None);
+            assert_eq!(store.intern_new(hash, repr), id as u32);
+        }
+        for (id, &state) in states.iter().enumerate() {
+            let (hash, repr) = store.absorb(state);
+            assert_eq!(store.lookup(hash, &repr), Some(id as u32));
+            assert_eq!(*store.load(id as u32), state);
+        }
+        assert_eq!(store.len(), states.len());
+    }
+
+    #[test]
+    fn absorb_agrees_with_view_on_both_backends() {
+        absorb_agrees_with_view(ExploreBackend::<u64>::new_store(&PlainBackend));
+        absorb_agrees_with_view(ExploreBackend::<u64>::new_store(&PackedBackend::new()));
     }
 }

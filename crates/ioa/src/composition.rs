@@ -290,14 +290,27 @@ where
                 .try_for_each_successor(&state.right, action, &mut |r| {
                     f(Pair::new(state.left.clone(), r))
                 }),
-            (true, true) => self
-                .left
-                .try_for_each_successor(&state.left, action, &mut |l| {
-                    self.right
-                        .try_for_each_successor(&state.right, action, &mut |r| {
-                            f(Pair::new(l.clone(), r))
-                        })
-                }),
+            (true, true) => {
+                self.left
+                    .try_for_each_successor(&state.left, action, &mut |l| {
+                        // Each right successor is held back one step, so the
+                        // last product can take `l` by move: one clone fewer
+                        // per left successor, same products in the same order.
+                        let mut held = None;
+                        self.right.try_for_each_successor(
+                            &state.right,
+                            action,
+                            &mut |r| match held.replace(r) {
+                                Some(prev) => f(Pair::new(l.clone(), prev)),
+                                None => ControlFlow::Continue(()),
+                            },
+                        )?;
+                        match held {
+                            Some(last) => f(Pair::new(l, last)),
+                            None => ControlFlow::Continue(()),
+                        }
+                    })
+            }
         }
     }
 
@@ -482,6 +495,90 @@ mod tests {
         assert_eq!(s2.right, Some(7));
         let s3 = c.step_first(&s2, &Act::Out(7)).unwrap();
         assert_eq!(s3.right, None);
+    }
+
+    /// `fan` nondeterministic successors per `Mid` step, taken as an
+    /// output (left side) or an input (right side) — enough to exercise
+    /// the shared-action cross product.
+    #[derive(Clone)]
+    struct Fan {
+        fan: u8,
+        output: bool,
+    }
+
+    impl Automaton for Fan {
+        type Action = Act;
+        type State = u8;
+
+        fn start_states(&self) -> Vec<u8> {
+            vec![0]
+        }
+        fn classify(&self, a: &Act) -> Option<ActionClass> {
+            match a {
+                Act::Mid(_) if self.output => Some(ActionClass::Output),
+                Act::Mid(_) => Some(ActionClass::Input),
+                _ => None,
+            }
+        }
+        fn successors(&self, s: &u8, a: &Act) -> Vec<u8> {
+            match a {
+                Act::Mid(_) => (0..self.fan).map(|k| s + k).collect(),
+                _ => vec![],
+            }
+        }
+        fn enabled_local(&self, _s: &u8) -> Vec<Act> {
+            if self.output {
+                vec![Act::Mid(0)]
+            } else {
+                vec![]
+            }
+        }
+        fn task_of(&self, _a: &Act) -> TaskId {
+            TaskId(0)
+        }
+        fn task_count(&self) -> usize {
+            1
+        }
+    }
+
+    #[test]
+    fn shared_action_callbacks_match_successors_and_stop_on_break() {
+        let mid = Act::Mid(0);
+        for (lf, rf) in [(1, 1), (2, 3), (3, 1), (1, 3), (0, 2), (2, 0)] {
+            let c = Compose2::new(
+                Fan {
+                    fan: lf,
+                    output: true,
+                },
+                Fan {
+                    fan: rf,
+                    output: false,
+                },
+            );
+            let s = Pair::new(10, 20);
+            let legacy = c.successors(&s, &mid);
+            assert_eq!(legacy.len(), usize::from(lf * rf));
+            let mut seen = Vec::new();
+            let flow = c.try_for_each_successor(&s, &mid, &mut |p| {
+                seen.push(p);
+                ControlFlow::Continue(())
+            });
+            assert_eq!(flow, ControlFlow::Continue(()));
+            assert_eq!(seen, legacy, "fan {lf}x{rf}: order differs");
+            // A break after the k-th product stops the walk right there.
+            for k in 1..=legacy.len() {
+                let mut calls = 0;
+                let flow = c.try_for_each_successor(&s, &mid, &mut |_| {
+                    calls += 1;
+                    if calls == k {
+                        ControlFlow::Break(())
+                    } else {
+                        ControlFlow::Continue(())
+                    }
+                });
+                assert_eq!((flow, calls), (ControlFlow::Break(()), k));
+            }
+        }
     }
 
     #[test]

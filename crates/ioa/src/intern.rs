@@ -726,6 +726,19 @@ impl<H: BuildHasher> PackedTable<H> {
         if let Some(id) = self.lookup(hash, encoded) {
             return (id, false);
         }
+        (self.append(hash, encoded), true)
+    }
+
+    /// Appends an encoding the caller knows is not interned yet, returning
+    /// its id — [`intern`](Self::intern) without the lookup, for callers
+    /// that already deduplicated (the explorer's layer barrier). Same
+    /// `hash` contract as [`lookup`](Self::lookup); appending a duplicate
+    /// breaks the one-id-per-state invariant (debug builds assert it).
+    pub fn append(&mut self, hash: u64, encoded: &[u8]) -> u32 {
+        debug_assert!(
+            self.lookup(hash, encoded).is_none(),
+            "append called on an interned encoding"
+        );
         let id = u32::try_from(self.ends.len()).expect("packed arena overflowed u32 ids");
         self.bytes.extend_from_slice(encoded);
         self.ends.push(self.bytes.len() as u64);
@@ -735,7 +748,7 @@ impl<H: BuildHasher> PackedTable<H> {
         } else {
             Self::place_in(&mut self.table, hash, id);
         }
-        (id, true)
+        id
     }
 
     /// Decodes state `idx`.
@@ -1131,6 +1144,21 @@ mod tests {
         assert_eq!(t.decode::<Vec<u64>>(a), vec![1, 2, 3]);
         assert_eq!(t.len(), 1);
         assert!(t.approx_bytes() > 0);
+    }
+
+    #[test]
+    fn packed_table_append_assigns_the_ids_intern_would() {
+        let (mut interned, mut appended) = (PackedTable::new(), PackedTable::new());
+        let mut enc = Vec::new();
+        for n in 0..1_000u64 {
+            enc.clear();
+            (n, n % 7).encode(&mut enc);
+            let h = interned.hash_bytes(&enc);
+            assert_eq!(appended.append(h, &enc), interned.intern(h, &enc).0);
+            assert_eq!(appended.lookup(h, &enc), Some(n as u32));
+        }
+        assert_eq!(appended.approx_bytes(), interned.approx_bytes());
+        assert_eq!(appended.decode::<(u64, u64)>(999), (999, 999 % 7));
     }
 
     #[test]

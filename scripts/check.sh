@@ -47,10 +47,12 @@ stage_test() {
 stage_obs() {
   # The observability differential: every pinned engine output must be
   # identical with the `obs` feature off (default) and on. One process
-  # cannot compile both configurations, so the test runs twice.
+  # cannot compile both configurations, so the test runs twice. The
+  # explorer's own tests run with its barrier stopwatch compiled in too.
   cargo test -q -p dl-bench --test obs_differential
   cargo test -q -p dl-bench --test obs_differential --features obs
   cargo test -q -p dl-bench --features obs
+  cargo test -q -p dl-explore --features obs
 }
 
 stage_scaling() {

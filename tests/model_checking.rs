@@ -22,6 +22,7 @@ use datalink::core::action::{Dir, DlAction, Msg, Station};
 use datalink::crosscheck::zoo::{
     self, checked_system, crash_free_inputs, crash_inputs, observer_of, woken_start, SysState,
 };
+use datalink::crosscheck::{EngineSummary, ZooOutcome};
 use datalink::explore::ParallelExplorer;
 
 #[test]
@@ -184,8 +185,12 @@ fn differential_abp_crash_free_matches_sequential_at_1_2_4_threads() {
 
 /// Violating run (ABP with receiver crashes): both engines report the
 /// same minimal counterexample, action for action, with the same counts.
+/// The packed leg checks the claim path where workers dedup states by
+/// their encodings and carry each winner's verdict to the barrier.
 #[test]
 fn differential_abp_crash_counterexample_matches_sequential_at_1_2_4_threads() {
+    let sys = zoo::abp_crash_pump_system();
+    let start = woken_start(&sys);
     for threads in [1, 2, 4] {
         let outcome = zoo::abp_crash_pump(threads);
         outcome.assert_agree();
@@ -193,6 +198,16 @@ fn differential_abp_crash_counterexample_matches_sequential_at_1_2_4_threads() {
             outcome.explorer.violation.is_some(),
             "DL4 must be reachable"
         );
+        let packed = ParallelExplorer::new(&sys, zoo::abp_crash_pump_inputs, 2_000_000, 10_000)
+            .threads(threads)
+            .packed()
+            .check_invariant_from(vec![start.clone()], |s| observer_of(s).is_safe());
+        ZooOutcome {
+            name: format!("abp_crash_pump_packed_{threads}t"),
+            explorer: EngineSummary::from_explore(&packed),
+            crosscheck: outcome.crosscheck,
+        }
+        .assert_agree();
     }
 }
 
