@@ -27,7 +27,7 @@
 use std::ops::ControlFlow;
 
 use ioa::action::ActionClass;
-use ioa::automaton::{Automaton, TaskId};
+use ioa::automaton::{Automaton, Deterministic, TaskId};
 
 use dl_core::action::{Dir, DlAction, Msg, Packet};
 use dl_core::protocol::channel_classify;
@@ -168,35 +168,40 @@ impl CorruptChannel {
     pub fn spec(&self) -> CorruptSpec {
         self.spec
     }
+}
 
-    /// Deterministic transition function: the unique post-state of `a`
-    /// from `s`, or `None` when `a` is not enabled.
-    fn next(&self, s: &FlightState, a: &DlAction) -> Option<FlightState> {
+impl Deterministic for CorruptChannel {
+    fn enabled(&self, s: &FlightState, a: &DlAction) -> bool {
         match a {
-            DlAction::SendPkt(d, p) if *d == self.dir => {
-                let mut t = s.clone();
-                let overflow = t.in_flight.len() >= self.spec.capacity as usize;
+            DlAction::SendPkt(d, _) | DlAction::Wake(d) | DlAction::Fail(d) => *d == self.dir,
+            // Non-FIFO: any in-flight packet is deliverable.
+            DlAction::ReceivePkt(d, p) => *d == self.dir && s.in_flight.contains(p),
+            DlAction::Crash(x) => *x == self.dir.sender(),
+            _ => false,
+        }
+    }
+
+    fn apply(&self, s: &mut FlightState, a: &DlAction) {
+        match a {
+            DlAction::SendPkt(_, p) => {
+                let overflow = s.in_flight.len() >= self.spec.capacity as usize;
                 if !overflow && !self.spec.dropped(s.sends) {
-                    t.in_flight.push(*p);
+                    s.in_flight.push(*p);
                 }
-                t.sends += 1;
-                Some(t)
+                s.sends += 1;
             }
-            // Non-FIFO: any in-flight packet is deliverable; the first
-            // match is removed (delivered at most once — no duplication).
-            DlAction::ReceivePkt(d, p) if *d == self.dir => {
-                match s.in_flight.iter().position(|q| q == p) {
-                    Some(k) => {
-                        let mut t = s.clone();
-                        t.in_flight.remove(k);
-                        Some(t)
-                    }
-                    None => None,
-                }
+            // The first match is removed: delivered at most once, no
+            // duplication.
+            DlAction::ReceivePkt(_, p) => {
+                let k = s
+                    .in_flight
+                    .iter()
+                    .position(|q| q == p)
+                    .expect("guarded by `enabled`");
+                s.in_flight.remove(k);
             }
-            DlAction::Wake(d) | DlAction::Fail(d) if *d == self.dir => Some(s.clone()),
-            DlAction::Crash(x) if *x == self.dir.sender() => Some(s.clone()),
-            _ => None,
+            // `wake`, `fail` and the sender's crash leave the medium as it is.
+            _ => {}
         }
     }
 }
@@ -216,25 +221,7 @@ impl Automaton for CorruptChannel {
         channel_classify(self.dir, a)
     }
 
-    fn successors(&self, s: &FlightState, a: &DlAction) -> Vec<FlightState> {
-        self.next(s, a).into_iter().collect()
-    }
-
-    fn try_for_each_successor(
-        &self,
-        s: &FlightState,
-        a: &DlAction,
-        f: &mut dyn FnMut(FlightState) -> ControlFlow<()>,
-    ) -> ControlFlow<()> {
-        match self.next(s, a) {
-            Some(t) => f(t),
-            None => ControlFlow::Continue(()),
-        }
-    }
-
-    fn step_first(&self, s: &FlightState, a: &DlAction) -> Option<FlightState> {
-        self.next(s, a)
-    }
+    ioa::deterministic_transitions!();
 
     fn enabled_local(&self, s: &FlightState) -> Vec<DlAction> {
         let mut out = Vec::with_capacity(s.in_flight.len());

@@ -29,7 +29,7 @@
 use std::ops::ControlFlow;
 
 use ioa::action::ActionClass;
-use ioa::automaton::{Automaton, TaskId};
+use ioa::automaton::{Automaton, Deterministic, TaskId};
 
 use dl_core::action::{Dir, DlAction, Header, Msg, Packet, Tag};
 use dl_core::protocol::channel_classify;
@@ -273,36 +273,42 @@ impl FaultyChannel {
 }
 
 impl FaultyChannel {
-    /// Deterministic transition function: the unique post-state of `a`
-    /// from `s`, or `None` when `a` is not enabled.
-    fn next(&self, s: &FlightState, a: &DlAction) -> Option<FlightState> {
+    /// The position of `p` among the packets deliverable from `s` (the
+    /// first `window` in flight), or `None` when it is not one of them.
+    fn deliverable(&self, s: &FlightState, p: &Packet) -> Option<usize> {
+        let window = self.spec.window().min(s.in_flight.len());
+        s.in_flight[..window].iter().position(|q| q == p)
+    }
+}
+
+impl Deterministic for FaultyChannel {
+    fn enabled(&self, s: &FlightState, a: &DlAction) -> bool {
         match a {
-            DlAction::SendPkt(d, p) if *d == self.dir => {
+            DlAction::SendPkt(d, _) | DlAction::Wake(d) | DlAction::Fail(d) => *d == self.dir,
+            DlAction::ReceivePkt(d, p) => *d == self.dir && self.deliverable(s, p).is_some(),
+            DlAction::Crash(x) => *x == self.dir.sender(),
+            _ => false,
+        }
+    }
+
+    fn apply(&self, s: &mut FlightState, a: &DlAction) {
+        match a {
+            DlAction::SendPkt(_, p) => {
                 let (dropped, duplicated) = self.spec.fate(s.sends);
-                let mut t = s.clone();
-                t.sends += 1;
+                s.sends += 1;
                 if !dropped {
-                    t.in_flight.push(*p);
+                    s.in_flight.push(*p);
                     if duplicated {
-                        t.in_flight.push(*p);
+                        s.in_flight.push(*p);
                     }
                 }
-                Some(t)
             }
-            DlAction::ReceivePkt(d, p) if *d == self.dir => {
-                let window = self.spec.window().min(s.in_flight.len());
-                match s.in_flight[..window].iter().position(|q| q == p) {
-                    Some(k) => {
-                        let mut t = s.clone();
-                        t.in_flight.remove(k);
-                        Some(t)
-                    }
-                    None => None,
-                }
+            DlAction::ReceivePkt(_, p) => {
+                let k = self.deliverable(s, p).expect("guarded by `enabled`");
+                s.in_flight.remove(k);
             }
-            DlAction::Wake(d) | DlAction::Fail(d) if *d == self.dir => Some(s.clone()),
-            DlAction::Crash(x) if *x == self.dir.sender() => Some(s.clone()),
-            _ => None,
+            // `wake`, `fail` and the sender's crash leave the medium as it is.
+            _ => {}
         }
     }
 }
@@ -323,25 +329,7 @@ impl Automaton for FaultyChannel {
         channel_classify(self.dir, a)
     }
 
-    fn successors(&self, s: &FlightState, a: &DlAction) -> Vec<FlightState> {
-        self.next(s, a).into_iter().collect()
-    }
-
-    fn try_for_each_successor(
-        &self,
-        s: &FlightState,
-        a: &DlAction,
-        f: &mut dyn FnMut(FlightState) -> ControlFlow<()>,
-    ) -> ControlFlow<()> {
-        match self.next(s, a) {
-            Some(t) => f(t),
-            None => ControlFlow::Continue(()),
-        }
-    }
-
-    fn step_first(&self, s: &FlightState, a: &DlAction) -> Option<FlightState> {
-        self.next(s, a)
-    }
+    ioa::deterministic_transitions!();
 
     fn enabled_local(&self, s: &FlightState) -> Vec<DlAction> {
         let window = self.spec.window().min(s.in_flight.len());

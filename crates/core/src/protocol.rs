@@ -167,6 +167,19 @@ impl<A: StationAutomaton> Automaton for CorruptedStart<A> {
     fn successors(&self, s: &A::State, a: &DlAction) -> Vec<A::State> {
         self.inner.successors(s, a)
     }
+    fn enabled_local(&self, s: &A::State) -> Vec<DlAction> {
+        self.inner.enabled_local(s)
+    }
+    fn task_of(&self, a: &DlAction) -> ioa::automaton::TaskId {
+        self.inner.task_of(a)
+    }
+    fn task_count(&self) -> usize {
+        self.inner.task_count()
+    }
+
+    // Only the start state differs; the transition structure — and
+    // therefore every hot-path method — delegates, so the inner
+    // station's clone-free overrides survive the wrapper.
     fn try_for_each_successor(
         &self,
         s: &A::State,
@@ -175,11 +188,8 @@ impl<A: StationAutomaton> Automaton for CorruptedStart<A> {
     ) -> std::ops::ControlFlow<()> {
         self.inner.try_for_each_successor(s, a, f)
     }
-    fn step_first(&self, s: &A::State, a: &DlAction) -> Option<A::State> {
-        self.inner.step_first(s, a)
-    }
-    fn enabled_local(&self, s: &A::State) -> Vec<DlAction> {
-        self.inner.enabled_local(s)
+    fn successors_into(&self, s: &A::State, a: &DlAction, out: &mut Vec<A::State>) {
+        self.inner.successors_into(s, a, out);
     }
     fn for_each_enabled_local(
         &self,
@@ -188,11 +198,20 @@ impl<A: StationAutomaton> Automaton for CorruptedStart<A> {
     ) -> std::ops::ControlFlow<()> {
         self.inner.for_each_enabled_local(s, f)
     }
-    fn task_of(&self, a: &DlAction) -> ioa::automaton::TaskId {
-        self.inner.task_of(a)
+    fn has_enabled_local(&self, s: &A::State) -> bool {
+        self.inner.has_enabled_local(s)
     }
-    fn task_count(&self) -> usize {
-        self.inner.task_count()
+    fn is_enabled(&self, s: &A::State, a: &DlAction) -> bool {
+        self.inner.is_enabled(s, a)
+    }
+    fn step_first(&self, s: &A::State, a: &DlAction) -> Option<A::State> {
+        self.inner.step_first(s, a)
+    }
+    fn successor_count(&self, s: &A::State, a: &DlAction) -> usize {
+        self.inner.successor_count(s, a)
+    }
+    fn step_in_place(&self, s: &mut A::State, a: &DlAction, pick: usize) -> bool {
+        self.inner.step_in_place(s, a, pick)
     }
 }
 

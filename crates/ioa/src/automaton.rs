@@ -83,15 +83,20 @@ pub trait Automaton {
     /// [`successors`](Automaton::successors) would return them, stopping
     /// early when `f` breaks. Returns whatever the last `f` call returned.
     ///
-    /// This is the **single override point** for allocation-free
-    /// transitions: [`successors_into`](Automaton::successors_into),
-    /// [`is_enabled`](Automaton::is_enabled) and
-    /// [`step_first`](Automaton::step_first) are all derived from it, so an
-    /// automaton that overrides it (the protocol zoo, the channels, and
-    /// [`Compose2`](crate::composition::Compose2) do) gets a Vec-free hot
-    /// path everywhere at once. Overrides must enumerate **exactly** the
-    /// `successors` list — same states, same order — since executors pick
-    /// successors by position.
+    /// Every other transition method has a default derived from this one:
+    /// [`successors_into`](Automaton::successors_into),
+    /// [`is_enabled`](Automaton::is_enabled),
+    /// [`step_first`](Automaton::step_first),
+    /// [`successor_count`](Automaton::successor_count) and
+    /// [`step_in_place`](Automaton::step_in_place). Those defaults build
+    /// successor states to answer, so an automaton on a hot path overrides
+    /// them too: deterministic automata derive all six from a guard and an
+    /// in-place update through [`Deterministic`] and
+    /// [`deterministic_transitions!`](crate::deterministic_transitions),
+    /// and [`Compose2`](crate::composition::Compose2) touches only the
+    /// components whose signature holds the action. Overrides must
+    /// enumerate **exactly** the `successors` list — same states, same
+    /// order — since executors pick successors by position.
     fn try_for_each_successor(
         &self,
         state: &Self::State,
@@ -169,6 +174,47 @@ pub trait Automaton {
             ControlFlow::Break(())
         });
         first
+    }
+
+    /// The number of successors of `(state, action)`: the length
+    /// [`successors`](Automaton::successors) would return, without
+    /// collecting them. `0` means the action is not enabled.
+    fn successor_count(&self, state: &Self::State, action: &Self::Action) -> usize {
+        let mut n = 0;
+        let _ = self.try_for_each_successor(state, action, &mut |_| {
+            n += 1;
+            ControlFlow::Continue(())
+        });
+        n
+    }
+
+    /// Replaces `state` by its `pick`-th successor under `action` (the
+    /// position in [`successors`](Automaton::successors)) and returns
+    /// `true`. A `pick` at or beyond
+    /// [`successor_count`](Automaton::successor_count) returns `false` and
+    /// leaves `state` untouched.
+    ///
+    /// This is how a session that owns only its current state takes a
+    /// step: overrides update the state where it lies instead of building
+    /// a new one.
+    fn step_in_place(&self, state: &mut Self::State, action: &Self::Action, pick: usize) -> bool {
+        let mut k = 0;
+        let mut chosen = None;
+        let _ = self.try_for_each_successor(state, action, &mut |s| {
+            if k == pick {
+                chosen = Some(s);
+                return ControlFlow::Break(());
+            }
+            k += 1;
+            ControlFlow::Continue(())
+        });
+        match chosen {
+            Some(s) => {
+                *state = s;
+                true
+            }
+            None => false,
+        }
     }
 
     /// Spot-checks determinism: a unique start state and at most one
@@ -303,9 +349,136 @@ impl<A: Automaton + ?Sized> Automaton for &A {
     fn step_first(&self, state: &Self::State, action: &Self::Action) -> Option<Self::State> {
         (**self).step_first(state, action)
     }
+    fn successor_count(&self, state: &Self::State, action: &Self::Action) -> usize {
+        (**self).successor_count(state, action)
+    }
+    fn step_in_place(&self, state: &mut Self::State, action: &Self::Action, pick: usize) -> bool {
+        (**self).step_in_place(state, action, pick)
+    }
     fn in_signature(&self, action: &Self::Action) -> bool {
         (**self).in_signature(action)
     }
+}
+
+/// A deterministic transition relation — at most one successor per
+/// `(state, action)` — split into a guard that never clones and an
+/// update that works in place.
+///
+/// An automaton implements this pair and writes
+/// [`deterministic_transitions!`](crate::deterministic_transitions) inside
+/// its `impl Automaton` block. The macro derives every transition method
+/// from the pair, so the by-value path (guard, clone, apply) that the
+/// explorer takes and the in-place path that a session takes run the same
+/// transition code.
+pub trait Deterministic: Automaton {
+    /// `true` if `action` has a successor from `state`. Inputs must
+    /// answer `true` in every state (input-enabledness).
+    fn enabled(&self, state: &Self::State, action: &Self::Action) -> bool;
+
+    /// Replaces `state` by its unique successor under `action`. Called
+    /// only when [`enabled`](Deterministic::enabled) holds.
+    fn apply(&self, state: &mut Self::State, action: &Self::Action);
+}
+
+/// Emits, inside an `impl Automaton` block, the six transition methods of
+/// a [`Deterministic`] automaton: `successors`, `try_for_each_successor`,
+/// `step_first`, `is_enabled`, `successor_count` and `step_in_place`.
+///
+/// ```
+/// use ioa::{deterministic_transitions, ActionClass, Automaton, Deterministic, TaskId};
+///
+/// /// Counts `Tick`s modulo 3; `Reset` is an input.
+/// struct Counter;
+///
+/// #[derive(Debug, Clone, PartialEq, Eq)]
+/// enum Act { Reset, Tick }
+///
+/// impl Deterministic for Counter {
+///     fn enabled(&self, _s: &u8, _a: &Act) -> bool { true }
+///     fn apply(&self, s: &mut u8, a: &Act) {
+///         *s = match a { Act::Reset => 0, Act::Tick => (*s + 1) % 3 };
+///     }
+/// }
+///
+/// impl Automaton for Counter {
+///     type Action = Act;
+///     type State = u8;
+///     fn start_states(&self) -> Vec<u8> { vec![0] }
+///     fn classify(&self, a: &Act) -> Option<ActionClass> {
+///         Some(match a { Act::Reset => ActionClass::Input, Act::Tick => ActionClass::Output })
+///     }
+///     deterministic_transitions!();
+///     fn enabled_local(&self, _s: &u8) -> Vec<Act> { vec![Act::Tick] }
+///     fn task_of(&self, _a: &Act) -> TaskId { TaskId(0) }
+///     fn task_count(&self) -> usize { 1 }
+/// }
+///
+/// let mut s = 2;
+/// assert_eq!(Counter.successors(&s, &Act::Tick), vec![0]);
+/// assert!(Counter.step_in_place(&mut s, &Act::Tick, 0));
+/// assert_eq!(s, 0);
+/// assert!(!Counter.step_in_place(&mut s, &Act::Tick, 1));
+/// ```
+#[macro_export]
+macro_rules! deterministic_transitions {
+    () => {
+        fn successors(
+            &self,
+            state: &Self::State,
+            action: &Self::Action,
+        ) -> ::std::vec::Vec<Self::State> {
+            $crate::automaton::Automaton::step_first(self, state, action)
+                .into_iter()
+                .collect()
+        }
+
+        fn try_for_each_successor(
+            &self,
+            state: &Self::State,
+            action: &Self::Action,
+            f: &mut dyn FnMut(Self::State) -> ::std::ops::ControlFlow<()>,
+        ) -> ::std::ops::ControlFlow<()> {
+            match $crate::automaton::Automaton::step_first(self, state, action) {
+                ::std::option::Option::Some(next) => f(next),
+                ::std::option::Option::None => ::std::ops::ControlFlow::Continue(()),
+            }
+        }
+
+        fn step_first(
+            &self,
+            state: &Self::State,
+            action: &Self::Action,
+        ) -> ::std::option::Option<Self::State> {
+            $crate::automaton::Deterministic::enabled(self, state, action).then(|| {
+                let mut next = ::std::clone::Clone::clone(state);
+                $crate::automaton::Deterministic::apply(self, &mut next, action);
+                next
+            })
+        }
+
+        fn is_enabled(&self, state: &Self::State, action: &Self::Action) -> bool {
+            $crate::automaton::Deterministic::enabled(self, state, action)
+        }
+
+        fn successor_count(&self, state: &Self::State, action: &Self::Action) -> usize {
+            usize::from($crate::automaton::Deterministic::enabled(
+                self, state, action,
+            ))
+        }
+
+        fn step_in_place(
+            &self,
+            state: &mut Self::State,
+            action: &Self::Action,
+            pick: usize,
+        ) -> bool {
+            let fires = pick == 0 && $crate::automaton::Deterministic::enabled(self, state, action);
+            if fires {
+                $crate::automaton::Deterministic::apply(self, state, action);
+            }
+            fires
+        }
+    };
 }
 
 /// A state paired with a hash requirement, for algorithms that deduplicate
@@ -396,6 +569,10 @@ mod tests {
         assert_eq!(r.classify(&Act::Tick), Some(ActionClass::Output));
         assert_eq!(r.enabled_local(&2), vec![Act::Tick]);
         assert_eq!(r.task_of(&Act::Tick), TaskId(0));
+        assert_eq!(r.successor_count(&2, &Act::Tick), 1);
+        let mut s = 2;
+        assert!(r.step_in_place(&mut s, &Act::Tick, 0));
+        assert_eq!(s, 0);
     }
 
     #[test]
@@ -433,6 +610,17 @@ mod tests {
         }
         let found = Coin.check_deterministic(&[0], &[Act::Reset]).unwrap();
         assert!(found.is_some());
+
+        // The in-place defaults follow the `successors` positions.
+        assert_eq!(Coin.successor_count(&5, &Act::Reset), 2);
+        for (k, want) in [0u8, 1].into_iter().enumerate() {
+            let mut s = 5;
+            assert!(Coin.step_in_place(&mut s, &Act::Reset, k));
+            assert_eq!(s, want);
+        }
+        let mut s = 5;
+        assert!(!Coin.step_in_place(&mut s, &Act::Reset, 2));
+        assert_eq!(s, 5, "an out-of-range pick leaves the state untouched");
     }
 
     #[test]

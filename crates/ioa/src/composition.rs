@@ -332,6 +332,50 @@ where
         }
     }
 
+    fn successor_count(&self, state: &Self::State, action: &A) -> usize {
+        let in_l = self.left.in_signature(action);
+        let in_r = self.right.in_signature(action);
+        match (in_l, in_r) {
+            (false, false) => 0,
+            (true, false) => self.left.successor_count(&state.left, action),
+            (false, true) => self.right.successor_count(&state.right, action),
+            (true, true) => match self.left.successor_count(&state.left, action) {
+                0 => 0,
+                n => n * self.right.successor_count(&state.right, action),
+            },
+        }
+    }
+
+    fn step_in_place(&self, state: &mut Self::State, action: &A, pick: usize) -> bool {
+        // Only the components whose signature holds the action step; the
+        // other keeps its state untouched (§2.5). A shared action's pick
+        // splits in the enumeration's order, left outer and right inner,
+        // with both counts taken before either side moves.
+        let in_l = self.left.in_signature(action);
+        let in_r = self.right.in_signature(action);
+        match (in_l, in_r) {
+            (false, false) => false,
+            (true, false) => self.left.step_in_place(&mut state.left, action, pick),
+            (false, true) => self.right.step_in_place(&mut state.right, action, pick),
+            (true, true) => {
+                let nl = self.left.successor_count(&state.left, action);
+                if nl == 0 {
+                    return false;
+                }
+                let nr = self.right.successor_count(&state.right, action);
+                if pick >= nl * nr {
+                    return false;
+                }
+                let stepped = self.left.step_in_place(&mut state.left, action, pick / nr)
+                    && self
+                        .right
+                        .step_in_place(&mut state.right, action, pick % nr);
+                debug_assert!(stepped, "a counted successor must step");
+                stepped
+            }
+        }
+    }
+
     fn for_each_enabled_local(
         &self,
         state: &Self::State,
@@ -495,6 +539,12 @@ mod tests {
         assert_eq!(s2.right, Some(7));
         let s3 = c.step_first(&s2, &Act::Out(7)).unwrap();
         assert_eq!(s3.right, None);
+
+        // `Go` is in the producer's signature only: stepping it in place
+        // leaves the consumer's state exactly as it was.
+        let mut s = Pair::new(None, Some(3));
+        assert!(c.step_in_place(&mut s, &Act::Go, 0));
+        assert_eq!(s, Pair::new(Some(7), Some(3)));
     }
 
     /// `fan` nondeterministic successors per `Mid` step, taken as an
@@ -578,6 +628,17 @@ mod tests {
                 });
                 assert_eq!((flow, calls), (ControlFlow::Break(()), k));
             }
+            // In place, pick k lands on the k-th product; a pick equal to
+            // the count is refused and leaves the state alone.
+            assert_eq!(c.successor_count(&s, &mid), legacy.len());
+            for (k, want) in legacy.iter().enumerate() {
+                let mut t = s.clone();
+                assert!(c.step_in_place(&mut t, &mid, k), "fan {lf}x{rf} pick {k}");
+                assert_eq!(&t, want, "fan {lf}x{rf} pick {k}");
+            }
+            let mut t = s.clone();
+            assert!(!c.step_in_place(&mut t, &mid, legacy.len()));
+            assert_eq!(t, s);
         }
     }
 

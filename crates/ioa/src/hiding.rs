@@ -116,6 +116,14 @@ where
     fn step_first(&self, state: &Self::State, action: &Self::Action) -> Option<Self::State> {
         self.inner.step_first(state, action)
     }
+
+    fn successor_count(&self, state: &Self::State, action: &Self::Action) -> usize {
+        self.inner.successor_count(state, action)
+    }
+
+    fn step_in_place(&self, state: &mut Self::State, action: &Self::Action, pick: usize) -> bool {
+        self.inner.step_in_place(state, action, pick)
+    }
 }
 
 #[cfg(test)]

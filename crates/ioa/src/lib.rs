@@ -9,6 +9,9 @@
 //!   classification (§2.1 of the paper);
 //! * [`Automaton`] — explicit-state, nondeterministic automata that are
 //!   *input-enabled*: every input action is enabled in every state (§2.2);
+//! * [`Deterministic`] and [`deterministic_transitions!`] — a deterministic
+//!   automaton written once, as a guard that never clones plus an in-place
+//!   update, from which every transition method derives;
 //! * [`Execution`], schedules, and behaviors, with projection onto
 //!   components (§2.2–2.3);
 //! * task partitions and a *fair executor* that gives fair turns to every
@@ -84,7 +87,7 @@ pub mod intern;
 pub mod schedule_module;
 
 pub use action::{ActionClass, Signature};
-pub use automaton::{Automaton, TaskId};
+pub use automaton::{Automaton, Deterministic, TaskId};
 pub use composition::{CompatibilityError, Compose2, Pair};
 pub use execution::{Execution, Step};
 pub use fairness::{EnvScript, FairExecutor, RunOutcome};

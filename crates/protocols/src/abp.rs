@@ -21,7 +21,7 @@ use std::collections::VecDeque;
 use std::ops::ControlFlow;
 
 use ioa::action::ActionClass;
-use ioa::automaton::{Automaton, TaskId};
+use ioa::automaton::{Automaton, Deterministic, TaskId};
 
 use dl_core::action::{Dir, DlAction, Msg, Packet, Station, Tag};
 use dl_core::equivalence::MsgRenaming;
@@ -53,49 +53,44 @@ impl AbpTransmitter {
     pub fn current_packet(s: &AbpTxState) -> Option<Packet> {
         s.queue.front().map(|m| Packet::data(u64::from(s.bit), *m))
     }
+}
 
-    /// The unique post-state of `(s, a)`, or `None` when `a` is not
-    /// enabled. ABP is deterministic, so the whole transition relation
-    /// fits an `Option` — `successors` and the allocation-free visitor
-    /// methods all derive from this one function.
-    fn next(s: &AbpTxState, a: &DlAction) -> Option<AbpTxState> {
+/// ABP is deterministic: one guard and one in-place update define the
+/// whole transition relation, and every `Automaton` transition method
+/// derives from the pair.
+impl Deterministic for AbpTransmitter {
+    fn enabled(&self, s: &AbpTxState, a: &DlAction) -> bool {
         match a {
-            DlAction::SendMsg(m) => {
-                let mut t = s.clone();
-                t.queue.push_back(*m);
-                Some(t)
+            DlAction::SendMsg(_)
+            | DlAction::ReceivePkt(Dir::RT, _)
+            | DlAction::Wake(Dir::TR)
+            | DlAction::Fail(Dir::TR)
+            | DlAction::Crash(Station::T) => true,
+            // Any uid is accepted.
+            DlAction::SendPkt(Dir::TR, p) => {
+                s.active && Self::current_packet(s) == Some(p.content())
             }
-            DlAction::ReceivePkt(Dir::RT, p) => {
-                let mut t = s.clone();
+            _ => false,
+        }
+    }
+
+    fn apply(&self, s: &mut AbpTxState, a: &DlAction) {
+        match a {
+            DlAction::SendMsg(m) => s.queue.push_back(*m),
+            DlAction::ReceivePkt(Dir::RT, p)
                 if p.header.tag == Tag::Ack
                     && p.header.seq == u64::from(s.bit)
-                    && !t.queue.is_empty()
-                {
-                    t.queue.pop_front();
-                    t.bit = !t.bit;
-                }
-                Some(t)
+                    && !s.queue.is_empty() =>
+            {
+                s.queue.pop_front();
+                s.bit = !s.bit;
             }
-            DlAction::Wake(Dir::TR) => {
-                let mut t = s.clone();
-                t.active = true;
-                Some(t)
-            }
-            DlAction::Fail(Dir::TR) => {
-                let mut t = s.clone();
-                t.active = false;
-                Some(t)
-            }
-            DlAction::Crash(Station::T) => Some(AbpTxState::default()),
-            DlAction::SendPkt(Dir::TR, p) => {
-                // Retransmission leaves the state unchanged; any uid is
-                // accepted.
-                match Self::current_packet(s) {
-                    Some(q) if s.active && p.content() == q => Some(s.clone()),
-                    _ => None,
-                }
-            }
-            _ => None,
+            DlAction::Wake(Dir::TR) => s.active = true,
+            DlAction::Fail(Dir::TR) => s.active = false,
+            DlAction::Crash(Station::T) => *s = AbpTxState::default(),
+            // Retransmissions and acks that match nothing leave the
+            // state unchanged.
+            _ => {}
         }
     }
 }
@@ -112,25 +107,7 @@ impl Automaton for AbpTransmitter {
         transmitter_classify(a)
     }
 
-    fn successors(&self, s: &AbpTxState, a: &DlAction) -> Vec<AbpTxState> {
-        Self::next(s, a).into_iter().collect()
-    }
-
-    fn try_for_each_successor(
-        &self,
-        s: &AbpTxState,
-        a: &DlAction,
-        f: &mut dyn FnMut(AbpTxState) -> ControlFlow<()>,
-    ) -> ControlFlow<()> {
-        match Self::next(s, a) {
-            Some(t) => f(t),
-            None => ControlFlow::Continue(()),
-        }
-    }
-
-    fn step_first(&self, s: &AbpTxState, a: &DlAction) -> Option<AbpTxState> {
-        Self::next(s, a)
-    }
+    ioa::deterministic_transitions!();
 
     fn enabled_local(&self, s: &AbpTxState) -> Vec<DlAction> {
         if !s.active {
@@ -205,56 +182,49 @@ pub struct AbpRxState {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct AbpReceiver;
 
-impl AbpReceiver {
-    /// Deterministic transition core; see [`AbpTransmitter::next`]'s shape.
-    fn next(s: &AbpRxState, a: &DlAction) -> Option<AbpRxState> {
+impl Deterministic for AbpReceiver {
+    fn enabled(&self, s: &AbpRxState, a: &DlAction) -> bool {
         match a {
-            DlAction::ReceivePkt(Dir::TR, p) => {
-                let mut t = s.clone();
-                if p.header.tag == Tag::Data && p.header.seq <= 1 {
-                    if let Some(m) = p.payload {
-                        let b = p.header.seq == 1;
-                        if b == s.expected {
-                            t.deliver.push_back(m);
-                            t.expected = !t.expected;
-                        }
-                        // Acknowledge fresh and duplicate data alike
-                        // (bounded buffer; see MAX_PENDING_ACKS).
-                        if t.acks.len() < MAX_PENDING_ACKS {
-                            t.acks.push_back(b);
-                        }
+            DlAction::ReceivePkt(Dir::TR, _)
+            | DlAction::Wake(Dir::RT)
+            | DlAction::Fail(Dir::RT)
+            | DlAction::Crash(Station::R) => true,
+            DlAction::ReceiveMsg(m) => s.deliver.front() == Some(m),
+            DlAction::SendPkt(Dir::RT, p) => s
+                .acks
+                .front()
+                .is_some_and(|&b| s.active && p.content() == Packet::ack(u64::from(b))),
+            _ => false,
+        }
+    }
+
+    fn apply(&self, s: &mut AbpRxState, a: &DlAction) {
+        match a {
+            DlAction::ReceivePkt(Dir::TR, p) if p.header.tag == Tag::Data && p.header.seq <= 1 => {
+                if let Some(m) = p.payload {
+                    let b = p.header.seq == 1;
+                    if b == s.expected {
+                        s.deliver.push_back(m);
+                        s.expected = !s.expected;
+                    }
+                    // Acknowledge fresh and duplicate data alike
+                    // (bounded buffer; see MAX_PENDING_ACKS).
+                    if s.acks.len() < MAX_PENDING_ACKS {
+                        s.acks.push_back(b);
                     }
                 }
-                Some(t)
             }
-            DlAction::Wake(Dir::RT) => {
-                let mut t = s.clone();
-                t.active = true;
-                Some(t)
+            DlAction::Wake(Dir::RT) => s.active = true,
+            DlAction::Fail(Dir::RT) => s.active = false,
+            DlAction::Crash(Station::R) => *s = AbpRxState::default(),
+            DlAction::ReceiveMsg(_) => {
+                s.deliver.pop_front();
             }
-            DlAction::Fail(Dir::RT) => {
-                let mut t = s.clone();
-                t.active = false;
-                Some(t)
+            DlAction::SendPkt(Dir::RT, _) => {
+                s.acks.pop_front();
             }
-            DlAction::Crash(Station::R) => Some(AbpRxState::default()),
-            DlAction::ReceiveMsg(m) => match s.deliver.front() {
-                Some(front) if front == m => {
-                    let mut t = s.clone();
-                    t.deliver.pop_front();
-                    Some(t)
-                }
-                _ => None,
-            },
-            DlAction::SendPkt(Dir::RT, p) => match s.acks.front() {
-                Some(&b) if s.active && p.content() == Packet::ack(u64::from(b)) => {
-                    let mut t = s.clone();
-                    t.acks.pop_front();
-                    Some(t)
-                }
-                _ => None,
-            },
-            _ => None,
+            // Packets this receiver cannot parse leave the state unchanged.
+            _ => {}
         }
     }
 }
@@ -277,25 +247,7 @@ impl Automaton for AbpReceiver {
         receiver_classify(a)
     }
 
-    fn successors(&self, s: &AbpRxState, a: &DlAction) -> Vec<AbpRxState> {
-        Self::next(s, a).into_iter().collect()
-    }
-
-    fn try_for_each_successor(
-        &self,
-        s: &AbpRxState,
-        a: &DlAction,
-        f: &mut dyn FnMut(AbpRxState) -> ControlFlow<()>,
-    ) -> ControlFlow<()> {
-        match Self::next(s, a) {
-            Some(t) => f(t),
-            None => ControlFlow::Continue(()),
-        }
-    }
-
-    fn step_first(&self, s: &AbpRxState, a: &DlAction) -> Option<AbpRxState> {
-        Self::next(s, a)
-    }
+    ioa::deterministic_transitions!();
 
     fn enabled_local(&self, s: &AbpRxState) -> Vec<DlAction> {
         let mut out = Vec::new();

@@ -23,7 +23,7 @@ use std::collections::VecDeque;
 use std::ops::ControlFlow;
 
 use ioa::action::ActionClass;
-use ioa::automaton::{Automaton, TaskId};
+use ioa::automaton::{Automaton, Deterministic, TaskId};
 
 use dl_core::action::{Dir, DlAction, Msg, Packet, Station, Tag};
 use dl_core::equivalence::MsgRenaming;
@@ -74,44 +74,41 @@ impl FragTransmitter {
         let m = *s.queue.front()?;
         (i < 2).then(|| Packet::data(frag_seq(s.bit, i), m))
     }
+}
 
-    /// Deterministic transition function: the unique post-state of `a`
-    /// from `s`, or `None` when `a` is not enabled.
-    fn next(s: &FragTxState, a: &DlAction) -> Option<FragTxState> {
+impl Deterministic for FragTransmitter {
+    fn enabled(&self, s: &FragTxState, a: &DlAction) -> bool {
         match a {
-            DlAction::SendMsg(m) => {
-                let mut t = s.clone();
-                t.queue.push_back(*m);
-                Some(t)
+            DlAction::SendMsg(_)
+            | DlAction::ReceivePkt(Dir::RT, _)
+            | DlAction::Wake(Dir::TR)
+            | DlAction::Fail(Dir::TR)
+            | DlAction::Crash(Station::T) => true,
+            DlAction::SendPkt(Dir::TR, p) => {
+                s.active
+                    && (0..2).any(|i| Self::nth_fragment(s, i).is_some_and(|q| p.content() == q))
             }
-            DlAction::ReceivePkt(Dir::RT, p) => {
-                let mut t = s.clone();
+            _ => false,
+        }
+    }
+
+    fn apply(&self, s: &mut FragTxState, a: &DlAction) {
+        match a {
+            DlAction::SendMsg(m) => s.queue.push_back(*m),
+            DlAction::ReceivePkt(Dir::RT, p)
                 if p.header.tag == Tag::Ack
                     && p.header.seq == u64::from(s.bit)
-                    && !t.queue.is_empty()
-                {
-                    t.queue.pop_front();
-                    t.bit = !t.bit;
-                }
-                Some(t)
+                    && !s.queue.is_empty() =>
+            {
+                s.queue.pop_front();
+                s.bit = !s.bit;
             }
-            DlAction::Wake(Dir::TR) => {
-                let mut t = s.clone();
-                t.active = true;
-                Some(t)
-            }
-            DlAction::Fail(Dir::TR) => {
-                let mut t = s.clone();
-                t.active = false;
-                Some(t)
-            }
-            DlAction::Crash(Station::T) => Some(FragTxState::default()),
-            DlAction::SendPkt(Dir::TR, p) => {
-                let fires = s.active
-                    && (0..2).any(|i| Self::nth_fragment(s, i).is_some_and(|q| p.content() == q));
-                fires.then(|| s.clone())
-            }
-            _ => None,
+            DlAction::Wake(Dir::TR) => s.active = true,
+            DlAction::Fail(Dir::TR) => s.active = false,
+            DlAction::Crash(Station::T) => *s = FragTxState::default(),
+            // Retransmissions and acks that match nothing leave the
+            // state unchanged.
+            _ => {}
         }
     }
 }
@@ -128,25 +125,7 @@ impl Automaton for FragTransmitter {
         transmitter_classify(a)
     }
 
-    fn successors(&self, s: &FragTxState, a: &DlAction) -> Vec<FragTxState> {
-        Self::next(s, a).into_iter().collect()
-    }
-
-    fn try_for_each_successor(
-        &self,
-        s: &FragTxState,
-        a: &DlAction,
-        f: &mut dyn FnMut(FragTxState) -> ControlFlow<()>,
-    ) -> ControlFlow<()> {
-        match Self::next(s, a) {
-            Some(t) => f(t),
-            None => ControlFlow::Continue(()),
-        }
-    }
-
-    fn step_first(&self, s: &FragTxState, a: &DlAction) -> Option<FragTxState> {
-        Self::next(s, a)
-    }
+    ioa::deterministic_transitions!();
 
     fn enabled_local(&self, s: &FragTxState) -> Vec<DlAction> {
         if !s.active {
@@ -229,65 +208,57 @@ pub struct FragRxState {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FragReceiver;
 
-impl FragReceiver {
-    /// Deterministic transition function: the unique post-state of `a`
-    /// from `s`, or `None` when `a` is not enabled.
-    fn next(s: &FragRxState, a: &DlAction) -> Option<FragRxState> {
+impl Deterministic for FragReceiver {
+    fn enabled(&self, s: &FragRxState, a: &DlAction) -> bool {
         match a {
-            DlAction::ReceivePkt(Dir::TR, p) => {
-                let mut t = s.clone();
-                if p.header.tag == Tag::Data {
-                    if let (Some((bit, part)), Some(m)) = (decode_frag(p.header.seq), p.payload) {
-                        if bit == s.expected {
-                            t.got[part as usize] = true;
-                            t.pending.get_or_insert(m);
-                            if t.got == [true, true] {
-                                let msg = t.pending.take().expect("recorded at first part");
-                                t.deliver.push_back(msg);
-                                t.expected = !t.expected;
-                                t.got = [false, false];
-                                if t.acks.len() < crate::abp::MAX_PENDING_ACKS {
-                                    t.acks.push_back(bit);
-                                }
+            DlAction::ReceivePkt(Dir::TR, _)
+            | DlAction::Wake(Dir::RT)
+            | DlAction::Fail(Dir::RT)
+            | DlAction::Crash(Station::R) => true,
+            DlAction::ReceiveMsg(m) => s.deliver.front() == Some(m),
+            DlAction::SendPkt(Dir::RT, p) => s
+                .acks
+                .front()
+                .is_some_and(|&b| s.active && p.content() == Packet::ack(u64::from(b))),
+            _ => false,
+        }
+    }
+
+    fn apply(&self, s: &mut FragRxState, a: &DlAction) {
+        match a {
+            DlAction::ReceivePkt(Dir::TR, p) if p.header.tag == Tag::Data => {
+                if let (Some((bit, part)), Some(m)) = (decode_frag(p.header.seq), p.payload) {
+                    if bit == s.expected {
+                        s.got[part as usize] = true;
+                        s.pending.get_or_insert(m);
+                        if s.got == [true, true] {
+                            let msg = s.pending.take().expect("recorded at first part");
+                            s.deliver.push_back(msg);
+                            s.expected = !s.expected;
+                            s.got = [false, false];
+                            if s.acks.len() < crate::abp::MAX_PENDING_ACKS {
+                                s.acks.push_back(bit);
                             }
-                        } else {
-                            // Stale fragment of the completed bit: re-ack.
-                            if t.acks.len() < crate::abp::MAX_PENDING_ACKS {
-                                t.acks.push_back(bit);
-                            }
+                        }
+                    } else {
+                        // Stale fragment of the completed bit: re-ack.
+                        if s.acks.len() < crate::abp::MAX_PENDING_ACKS {
+                            s.acks.push_back(bit);
                         }
                     }
                 }
-                Some(t)
             }
-            DlAction::Wake(Dir::RT) => {
-                let mut t = s.clone();
-                t.active = true;
-                Some(t)
+            DlAction::Wake(Dir::RT) => s.active = true,
+            DlAction::Fail(Dir::RT) => s.active = false,
+            DlAction::Crash(Station::R) => *s = FragRxState::default(),
+            DlAction::ReceiveMsg(_) => {
+                s.deliver.pop_front();
             }
-            DlAction::Fail(Dir::RT) => {
-                let mut t = s.clone();
-                t.active = false;
-                Some(t)
+            DlAction::SendPkt(Dir::RT, _) => {
+                s.acks.pop_front();
             }
-            DlAction::Crash(Station::R) => Some(FragRxState::default()),
-            DlAction::ReceiveMsg(m) => match s.deliver.front() {
-                Some(front) if front == m => {
-                    let mut t = s.clone();
-                    t.deliver.pop_front();
-                    Some(t)
-                }
-                _ => None,
-            },
-            DlAction::SendPkt(Dir::RT, p) => match s.acks.front() {
-                Some(&b) if s.active && p.content() == Packet::ack(u64::from(b)) => {
-                    let mut t = s.clone();
-                    t.acks.pop_front();
-                    Some(t)
-                }
-                _ => None,
-            },
-            _ => None,
+            // Packets this receiver cannot parse leave the state unchanged.
+            _ => {}
         }
     }
 }
@@ -304,25 +275,7 @@ impl Automaton for FragReceiver {
         receiver_classify(a)
     }
 
-    fn successors(&self, s: &FragRxState, a: &DlAction) -> Vec<FragRxState> {
-        Self::next(s, a).into_iter().collect()
-    }
-
-    fn try_for_each_successor(
-        &self,
-        s: &FragRxState,
-        a: &DlAction,
-        f: &mut dyn FnMut(FragRxState) -> ControlFlow<()>,
-    ) -> ControlFlow<()> {
-        match Self::next(s, a) {
-            Some(t) => f(t),
-            None => ControlFlow::Continue(()),
-        }
-    }
-
-    fn step_first(&self, s: &FragRxState, a: &DlAction) -> Option<FragRxState> {
-        Self::next(s, a)
-    }
+    ioa::deterministic_transitions!();
 
     fn enabled_local(&self, s: &FragRxState) -> Vec<DlAction> {
         let mut out = Vec::new();

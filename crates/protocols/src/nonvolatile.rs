@@ -31,7 +31,7 @@ use std::collections::VecDeque;
 use std::ops::ControlFlow;
 
 use ioa::action::ActionClass;
-use ioa::automaton::{Automaton, TaskId};
+use ioa::automaton::{Automaton, Deterministic, TaskId};
 
 use dl_core::action::{Dir, DlAction, Msg, Packet, Station, Tag};
 use dl_core::equivalence::MsgRenaming;
@@ -72,52 +72,45 @@ pub struct NvTxState {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct NvTransmitter;
 
-impl NvTransmitter {
-    /// Deterministic transition function: the unique post-state of `a`
-    /// from `s`, or `None` when `a` is not enabled.
-    fn next(s: &NvTxState, a: &DlAction) -> Option<NvTxState> {
+impl Deterministic for NvTransmitter {
+    fn enabled(&self, s: &NvTxState, a: &DlAction) -> bool {
         match a {
-            DlAction::SendMsg(m) => {
-                let mut t = s.clone();
-                t.queue.push_back(*m);
-                Some(t)
-            }
-            DlAction::ReceivePkt(Dir::RT, p) => {
-                let mut t = s.clone();
-                if p.header.tag == Tag::Ack {
-                    let (e, q) = unpack(p.header.seq);
-                    if e == s.epoch && q == s.seq && !t.queue.is_empty() {
-                        t.queue.pop_front();
-                        t.seq += 1;
-                    }
+            DlAction::SendMsg(_)
+            | DlAction::ReceivePkt(Dir::RT, _)
+            | DlAction::Wake(Dir::TR)
+            | DlAction::Fail(Dir::TR)
+            | DlAction::Crash(Station::T) => true,
+            DlAction::SendPkt(Dir::TR, p) => s
+                .queue
+                .front()
+                .is_some_and(|m| s.active && p.content() == Packet::data(pack(s.epoch, s.seq), *m)),
+            _ => false,
+        }
+    }
+
+    fn apply(&self, s: &mut NvTxState, a: &DlAction) {
+        match a {
+            DlAction::SendMsg(m) => s.queue.push_back(*m),
+            DlAction::ReceivePkt(Dir::RT, p) if p.header.tag == Tag::Ack => {
+                let (e, q) = unpack(p.header.seq);
+                if e == s.epoch && q == s.seq && !s.queue.is_empty() {
+                    s.queue.pop_front();
+                    s.seq += 1;
                 }
-                Some(t)
             }
-            DlAction::Wake(Dir::TR) => {
-                let mut t = s.clone();
-                t.active = true;
-                Some(t)
-            }
-            DlAction::Fail(Dir::TR) => {
-                let mut t = s.clone();
-                t.active = false;
-                Some(t)
-            }
+            DlAction::Wake(Dir::TR) => s.active = true,
+            DlAction::Fail(Dir::TR) => s.active = false,
             DlAction::Crash(Station::T) => {
                 // Volatile state lost; the non-volatile epoch survives and
                 // advances, so post-crash packets are distinguishable.
-                Some(NvTxState {
+                *s = NvTxState {
                     epoch: s.epoch + 1,
                     ..NvTxState::default()
-                })
+                };
             }
-            DlAction::SendPkt(Dir::TR, p) => match s.queue.front() {
-                Some(m) if s.active && p.content() == Packet::data(pack(s.epoch, s.seq), *m) => {
-                    Some(s.clone())
-                }
-                _ => None,
-            },
-            _ => None,
+            // Retransmissions and acks that match nothing leave the
+            // state unchanged.
+            _ => {}
         }
     }
 }
@@ -134,25 +127,7 @@ impl Automaton for NvTransmitter {
         transmitter_classify(a)
     }
 
-    fn successors(&self, s: &NvTxState, a: &DlAction) -> Vec<NvTxState> {
-        Self::next(s, a).into_iter().collect()
-    }
-
-    fn try_for_each_successor(
-        &self,
-        s: &NvTxState,
-        a: &DlAction,
-        f: &mut dyn FnMut(NvTxState) -> ControlFlow<()>,
-    ) -> ControlFlow<()> {
-        match Self::next(s, a) {
-            Some(t) => f(t),
-            None => ControlFlow::Continue(()),
-        }
-    }
-
-    fn step_first(&self, s: &NvTxState, a: &DlAction) -> Option<NvTxState> {
-        Self::next(s, a)
-    }
+    ioa::deterministic_transitions!();
 
     fn enabled_local(&self, s: &NvTxState) -> Vec<DlAction> {
         if !s.active {
@@ -239,74 +214,63 @@ pub struct NvRxState {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct NvReceiver;
 
-impl NvReceiver {
-    /// Deterministic transition function: the unique post-state of `a`
-    /// from `s`, or `None` when `a` is not enabled.
-    fn next(s: &NvRxState, a: &DlAction) -> Option<NvRxState> {
+impl Deterministic for NvReceiver {
+    fn enabled(&self, s: &NvRxState, a: &DlAction) -> bool {
         match a {
-            DlAction::ReceivePkt(Dir::TR, p) => {
-                let mut t = s.clone();
-                if p.header.tag == Tag::Data {
-                    if let Some(m) = p.payload {
-                        let (e, q) = unpack(p.header.seq);
-                        if e > s.epoch {
-                            // The transmitter crashed and restarted: adopt
-                            // the new epoch.
-                            t.epoch = e;
-                            t.expected = 0;
-                        }
-                        if e >= s.epoch {
-                            if q == t.expected {
-                                t.deliver.push_back(m);
-                                t.expected += 1;
-                                if t.acks.len() < crate::abp::MAX_PENDING_ACKS {
-                                    t.acks.push_back(pack(e, q));
-                                }
-                            } else if q < t.expected && t.acks.len() < crate::abp::MAX_PENDING_ACKS
-                            {
-                                t.acks.push_back(pack(e, q));
-                            }
-                        }
-                        // e < s.epoch: stale epoch, ignore entirely.
+            DlAction::ReceivePkt(Dir::TR, _)
+            | DlAction::Wake(Dir::RT)
+            | DlAction::Fail(Dir::RT)
+            | DlAction::Crash(Station::R) => true,
+            DlAction::ReceiveMsg(m) => s.deliver.front() == Some(m),
+            DlAction::SendPkt(Dir::RT, p) => s
+                .acks
+                .front()
+                .is_some_and(|&seq| s.active && p.content() == Packet::ack(seq)),
+            _ => false,
+        }
+    }
+
+    fn apply(&self, s: &mut NvRxState, a: &DlAction) {
+        match a {
+            DlAction::ReceivePkt(Dir::TR, p) if p.header.tag == Tag::Data => {
+                if let Some(m) = p.payload {
+                    let (e, q) = unpack(p.header.seq);
+                    if e > s.epoch {
+                        // The transmitter crashed and restarted: adopt
+                        // the new epoch.
+                        s.epoch = e;
+                        s.expected = 0;
                     }
+                    if e >= s.epoch {
+                        if q == s.expected {
+                            s.deliver.push_back(m);
+                            s.expected += 1;
+                            if s.acks.len() < crate::abp::MAX_PENDING_ACKS {
+                                s.acks.push_back(pack(e, q));
+                            }
+                        } else if q < s.expected && s.acks.len() < crate::abp::MAX_PENDING_ACKS {
+                            s.acks.push_back(pack(e, q));
+                        }
+                    }
+                    // e < s.epoch: stale epoch, ignore entirely.
                 }
-                Some(t)
             }
-            DlAction::Wake(Dir::RT) => {
-                let mut t = s.clone();
-                t.active = true;
-                Some(t)
-            }
-            DlAction::Fail(Dir::RT) => {
-                let mut t = s.clone();
-                t.active = false;
-                Some(t)
-            }
+            DlAction::Wake(Dir::RT) => s.active = true,
+            DlAction::Fail(Dir::RT) => s.active = false,
             DlAction::Crash(Station::R) => {
                 // Non-volatile storage: only the medium flag and the
                 // volatile ack buffer are lost.
-                let mut t = s.clone();
-                t.active = false;
-                t.acks.clear();
-                Some(t)
+                s.active = false;
+                s.acks.clear();
             }
-            DlAction::ReceiveMsg(m) => match s.deliver.front() {
-                Some(front) if front == m => {
-                    let mut t = s.clone();
-                    t.deliver.pop_front();
-                    Some(t)
-                }
-                _ => None,
-            },
-            DlAction::SendPkt(Dir::RT, p) => match s.acks.front() {
-                Some(&seq) if s.active && p.content() == Packet::ack(seq) => {
-                    let mut t = s.clone();
-                    t.acks.pop_front();
-                    Some(t)
-                }
-                _ => None,
-            },
-            _ => None,
+            DlAction::ReceiveMsg(_) => {
+                s.deliver.pop_front();
+            }
+            DlAction::SendPkt(Dir::RT, _) => {
+                s.acks.pop_front();
+            }
+            // Packets this receiver cannot parse leave the state unchanged.
+            _ => {}
         }
     }
 }
@@ -323,25 +287,7 @@ impl Automaton for NvReceiver {
         receiver_classify(a)
     }
 
-    fn successors(&self, s: &NvRxState, a: &DlAction) -> Vec<NvRxState> {
-        Self::next(s, a).into_iter().collect()
-    }
-
-    fn try_for_each_successor(
-        &self,
-        s: &NvRxState,
-        a: &DlAction,
-        f: &mut dyn FnMut(NvRxState) -> ControlFlow<()>,
-    ) -> ControlFlow<()> {
-        match Self::next(s, a) {
-            Some(t) => f(t),
-            None => ControlFlow::Continue(()),
-        }
-    }
-
-    fn step_first(&self, s: &NvRxState, a: &DlAction) -> Option<NvRxState> {
-        Self::next(s, a)
-    }
+    ioa::deterministic_transitions!();
 
     fn enabled_local(&self, s: &NvRxState) -> Vec<DlAction> {
         let mut out = Vec::new();

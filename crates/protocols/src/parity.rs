@@ -27,7 +27,7 @@ use std::collections::VecDeque;
 use std::ops::ControlFlow;
 
 use ioa::action::ActionClass;
-use ioa::automaton::{Automaton, TaskId};
+use ioa::automaton::{Automaton, Deterministic, TaskId};
 
 use dl_core::action::{Dir, DlAction, Msg, Packet, Station, Tag};
 use dl_core::equivalence::MsgRenaming;
@@ -86,44 +86,40 @@ impl ParityTransmitter {
             (i < 2).then(|| Packet::data(part_seq(s.bit, i), m))
         }
     }
+}
 
-    /// Deterministic transition function: the unique post-state of `a`
-    /// from `s`, or `None` when `a` is not enabled.
-    fn next(s: &ParityTxState, a: &DlAction) -> Option<ParityTxState> {
+impl Deterministic for ParityTransmitter {
+    fn enabled(&self, s: &ParityTxState, a: &DlAction) -> bool {
         match a {
-            DlAction::SendMsg(m) => {
-                let mut t = s.clone();
-                t.queue.push_back(*m);
-                Some(t)
+            DlAction::SendMsg(_)
+            | DlAction::ReceivePkt(Dir::RT, _)
+            | DlAction::Wake(Dir::TR)
+            | DlAction::Fail(Dir::TR)
+            | DlAction::Crash(Station::T) => true,
+            DlAction::SendPkt(Dir::TR, p) => {
+                s.active && (0..2).any(|i| Self::nth_packet(s, i).is_some_and(|q| p.content() == q))
             }
-            DlAction::ReceivePkt(Dir::RT, p) => {
-                let mut t = s.clone();
+            _ => false,
+        }
+    }
+
+    fn apply(&self, s: &mut ParityTxState, a: &DlAction) {
+        match a {
+            DlAction::SendMsg(m) => s.queue.push_back(*m),
+            DlAction::ReceivePkt(Dir::RT, p)
                 if p.header.tag == Tag::Ack
                     && p.header.seq == u64::from(s.bit)
-                    && !t.queue.is_empty()
-                {
-                    t.queue.pop_front();
-                    t.bit = !t.bit;
-                }
-                Some(t)
+                    && !s.queue.is_empty() =>
+            {
+                s.queue.pop_front();
+                s.bit = !s.bit;
             }
-            DlAction::Wake(Dir::TR) => {
-                let mut t = s.clone();
-                t.active = true;
-                Some(t)
-            }
-            DlAction::Fail(Dir::TR) => {
-                let mut t = s.clone();
-                t.active = false;
-                Some(t)
-            }
-            DlAction::Crash(Station::T) => Some(ParityTxState::default()),
-            DlAction::SendPkt(Dir::TR, p) => {
-                let fires = s.active
-                    && (0..2).any(|i| Self::nth_packet(s, i).is_some_and(|q| p.content() == q));
-                fires.then(|| s.clone())
-            }
-            _ => None,
+            DlAction::Wake(Dir::TR) => s.active = true,
+            DlAction::Fail(Dir::TR) => s.active = false,
+            DlAction::Crash(Station::T) => *s = ParityTxState::default(),
+            // Retransmissions and acks that match nothing leave the
+            // state unchanged.
+            _ => {}
         }
     }
 }
@@ -140,25 +136,7 @@ impl Automaton for ParityTransmitter {
         transmitter_classify(a)
     }
 
-    fn successors(&self, s: &ParityTxState, a: &DlAction) -> Vec<ParityTxState> {
-        Self::next(s, a).into_iter().collect()
-    }
-
-    fn try_for_each_successor(
-        &self,
-        s: &ParityTxState,
-        a: &DlAction,
-        f: &mut dyn FnMut(ParityTxState) -> ControlFlow<()>,
-    ) -> ControlFlow<()> {
-        match Self::next(s, a) {
-            Some(t) => f(t),
-            None => ControlFlow::Continue(()),
-        }
-    }
-
-    fn step_first(&self, s: &ParityTxState, a: &DlAction) -> Option<ParityTxState> {
-        Self::next(s, a)
-    }
+    ioa::deterministic_transitions!();
 
     fn enabled_local(&self, s: &ParityTxState) -> Vec<DlAction> {
         if !s.active {
@@ -256,71 +234,65 @@ impl ParityReceiver {
         t.pending = None;
         Self::push_ack(t, bit);
     }
+}
 
-    /// Deterministic transition function: the unique post-state of `a`
-    /// from `s`, or `None` when `a` is not enabled.
-    fn next(s: &ParityRxState, a: &DlAction) -> Option<ParityRxState> {
+impl Deterministic for ParityReceiver {
+    fn enabled(&self, s: &ParityRxState, a: &DlAction) -> bool {
         match a {
-            DlAction::ReceivePkt(Dir::TR, p) => {
-                let mut t = s.clone();
-                if p.header.tag == Tag::Data {
-                    if let Some(m) = p.payload {
-                        let seq = p.header.seq;
-                        if (4..=5).contains(&seq) {
-                            // Whole packet of bit (seq - 4).
-                            let bit = seq == 5;
-                            if bit == s.expected {
-                                Self::complete(&mut t, m, bit);
-                            } else {
-                                Self::push_ack(&mut t, bit);
+            DlAction::ReceivePkt(Dir::TR, _)
+            | DlAction::Wake(Dir::RT)
+            | DlAction::Fail(Dir::RT)
+            | DlAction::Crash(Station::R) => true,
+            DlAction::ReceiveMsg(m) => s.deliver.front() == Some(m),
+            DlAction::SendPkt(Dir::RT, p) => s
+                .acks
+                .front()
+                .is_some_and(|&b| s.active && p.content() == Packet::ack(u64::from(b))),
+            _ => false,
+        }
+    }
+
+    fn apply(&self, s: &mut ParityRxState, a: &DlAction) {
+        match a {
+            DlAction::ReceivePkt(Dir::TR, p) if p.header.tag == Tag::Data => {
+                if let Some(m) = p.payload {
+                    let seq = p.header.seq;
+                    if (4..=5).contains(&seq) {
+                        // Whole packet of bit (seq - 4).
+                        let bit = seq == 5;
+                        if bit == s.expected {
+                            Self::complete(s, m, bit);
+                        } else {
+                            Self::push_ack(s, bit);
+                        }
+                    } else if seq < 4 {
+                        // Fragment (bit, part).
+                        let bit = seq >= 2;
+                        let part = (seq % 2) as usize;
+                        if bit == s.expected {
+                            s.got[part] = true;
+                            s.pending.get_or_insert(m);
+                            if s.got == [true, true] {
+                                let msg = s.pending.take().expect("recorded");
+                                Self::complete(s, msg, bit);
                             }
-                        } else if seq < 4 {
-                            // Fragment (bit, part).
-                            let bit = seq >= 2;
-                            let part = (seq % 2) as usize;
-                            if bit == s.expected {
-                                t.got[part] = true;
-                                t.pending.get_or_insert(m);
-                                if t.got == [true, true] {
-                                    let msg = t.pending.take().expect("recorded");
-                                    Self::complete(&mut t, msg, bit);
-                                }
-                            } else {
-                                Self::push_ack(&mut t, bit);
-                            }
+                        } else {
+                            Self::push_ack(s, bit);
                         }
                     }
                 }
-                Some(t)
             }
-            DlAction::Wake(Dir::RT) => {
-                let mut t = s.clone();
-                t.active = true;
-                Some(t)
+            DlAction::Wake(Dir::RT) => s.active = true,
+            DlAction::Fail(Dir::RT) => s.active = false,
+            DlAction::Crash(Station::R) => *s = ParityRxState::default(),
+            DlAction::ReceiveMsg(_) => {
+                s.deliver.pop_front();
             }
-            DlAction::Fail(Dir::RT) => {
-                let mut t = s.clone();
-                t.active = false;
-                Some(t)
+            DlAction::SendPkt(Dir::RT, _) => {
+                s.acks.pop_front();
             }
-            DlAction::Crash(Station::R) => Some(ParityRxState::default()),
-            DlAction::ReceiveMsg(m) => match s.deliver.front() {
-                Some(front) if front == m => {
-                    let mut t = s.clone();
-                    t.deliver.pop_front();
-                    Some(t)
-                }
-                _ => None,
-            },
-            DlAction::SendPkt(Dir::RT, p) => match s.acks.front() {
-                Some(&b) if s.active && p.content() == Packet::ack(u64::from(b)) => {
-                    let mut t = s.clone();
-                    t.acks.pop_front();
-                    Some(t)
-                }
-                _ => None,
-            },
-            _ => None,
+            // Packets this receiver cannot parse leave the state unchanged.
+            _ => {}
         }
     }
 }
@@ -337,25 +309,7 @@ impl Automaton for ParityReceiver {
         receiver_classify(a)
     }
 
-    fn successors(&self, s: &ParityRxState, a: &DlAction) -> Vec<ParityRxState> {
-        Self::next(s, a).into_iter().collect()
-    }
-
-    fn try_for_each_successor(
-        &self,
-        s: &ParityRxState,
-        a: &DlAction,
-        f: &mut dyn FnMut(ParityRxState) -> ControlFlow<()>,
-    ) -> ControlFlow<()> {
-        match Self::next(s, a) {
-            Some(t) => f(t),
-            None => ControlFlow::Continue(()),
-        }
-    }
-
-    fn step_first(&self, s: &ParityRxState, a: &DlAction) -> Option<ParityRxState> {
-        Self::next(s, a)
-    }
+    ioa::deterministic_transitions!();
 
     fn enabled_local(&self, s: &ParityRxState) -> Vec<DlAction> {
         let mut out = Vec::new();

@@ -19,7 +19,7 @@ use std::collections::VecDeque;
 use std::ops::ControlFlow;
 
 use ioa::action::ActionClass;
-use ioa::automaton::{Automaton, TaskId};
+use ioa::automaton::{Automaton, Deterministic, TaskId};
 
 use dl_core::action::{Dir, DlAction, Msg, Packet, Station, Tag};
 use dl_core::equivalence::MsgRenaming;
@@ -48,40 +48,38 @@ impl QuirkyTransmitter {
         // message-dependence under test.
         s.queue.front().map(|m| Packet::data(m.0, *m))
     }
+}
 
-    /// Deterministic transition function: the unique post-state of `a`
-    /// from `s`, or `None` when `a` is not enabled.
-    fn next(s: &QuirkyTxState, a: &DlAction) -> Option<QuirkyTxState> {
+impl Deterministic for QuirkyTransmitter {
+    fn enabled(&self, s: &QuirkyTxState, a: &DlAction) -> bool {
         match a {
-            DlAction::SendMsg(m) => {
-                let mut t = s.clone();
-                t.queue.push_back(*m);
-                Some(t)
+            DlAction::SendMsg(_)
+            | DlAction::ReceivePkt(Dir::RT, _)
+            | DlAction::Wake(Dir::TR)
+            | DlAction::Fail(Dir::TR)
+            | DlAction::Crash(Station::T) => true,
+            DlAction::SendPkt(Dir::TR, p) => {
+                s.active && Self::current_packet(s) == Some(p.content())
             }
-            DlAction::ReceivePkt(Dir::RT, p) => {
-                let mut t = s.clone();
-                if p.header.tag == Tag::Ack && s.queue.front().is_some_and(|m| m.0 == p.header.seq)
-                {
-                    t.queue.pop_front();
-                }
-                Some(t)
+            _ => false,
+        }
+    }
+
+    fn apply(&self, s: &mut QuirkyTxState, a: &DlAction) {
+        match a {
+            DlAction::SendMsg(m) => s.queue.push_back(*m),
+            DlAction::ReceivePkt(Dir::RT, p)
+                if p.header.tag == Tag::Ack
+                    && s.queue.front().is_some_and(|m| m.0 == p.header.seq) =>
+            {
+                s.queue.pop_front();
             }
-            DlAction::Wake(Dir::TR) => {
-                let mut t = s.clone();
-                t.active = true;
-                Some(t)
-            }
-            DlAction::Fail(Dir::TR) => {
-                let mut t = s.clone();
-                t.active = false;
-                Some(t)
-            }
-            DlAction::Crash(Station::T) => Some(QuirkyTxState::default()),
-            DlAction::SendPkt(Dir::TR, p) => match Self::current_packet(s) {
-                Some(q) if s.active && p.content() == q => Some(s.clone()),
-                _ => None,
-            },
-            _ => None,
+            DlAction::Wake(Dir::TR) => s.active = true,
+            DlAction::Fail(Dir::TR) => s.active = false,
+            DlAction::Crash(Station::T) => *s = QuirkyTxState::default(),
+            // Retransmissions and acks that match nothing leave the
+            // state unchanged.
+            _ => {}
         }
     }
 }
@@ -98,25 +96,7 @@ impl Automaton for QuirkyTransmitter {
         transmitter_classify(a)
     }
 
-    fn successors(&self, s: &QuirkyTxState, a: &DlAction) -> Vec<QuirkyTxState> {
-        Self::next(s, a).into_iter().collect()
-    }
-
-    fn try_for_each_successor(
-        &self,
-        s: &QuirkyTxState,
-        a: &DlAction,
-        f: &mut dyn FnMut(QuirkyTxState) -> ControlFlow<()>,
-    ) -> ControlFlow<()> {
-        match Self::next(s, a) {
-            Some(t) => f(t),
-            None => ControlFlow::Continue(()),
-        }
-    }
-
-    fn step_first(&self, s: &QuirkyTxState, a: &DlAction) -> Option<QuirkyTxState> {
-        Self::next(s, a)
-    }
+    ioa::deterministic_transitions!();
 
     fn enabled_local(&self, s: &QuirkyTxState) -> Vec<DlAction> {
         if !s.active {
@@ -185,54 +165,45 @@ pub struct QuirkyRxState {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct QuirkyReceiver;
 
-impl QuirkyReceiver {
-    /// Deterministic transition function: the unique post-state of `a`
-    /// from `s`, or `None` when `a` is not enabled.
-    fn next(s: &QuirkyRxState, a: &DlAction) -> Option<QuirkyRxState> {
+impl Deterministic for QuirkyReceiver {
+    fn enabled(&self, s: &QuirkyRxState, a: &DlAction) -> bool {
         match a {
-            DlAction::ReceivePkt(Dir::TR, p) => {
-                let mut t = s.clone();
-                if p.header.tag == Tag::Data {
-                    if let Some(m) = p.payload {
-                        if !t.seen.contains(&p.header.seq) {
-                            t.seen.insert(p.header.seq);
-                            t.deliver.push_back(m);
-                        }
-                        if t.acks.len() < crate::abp::MAX_PENDING_ACKS {
-                            t.acks.push_back(p.header.seq);
-                        }
+            DlAction::ReceivePkt(Dir::TR, _)
+            | DlAction::Wake(Dir::RT)
+            | DlAction::Fail(Dir::RT)
+            | DlAction::Crash(Station::R) => true,
+            DlAction::ReceiveMsg(m) => s.deliver.front() == Some(m),
+            DlAction::SendPkt(Dir::RT, p) => s
+                .acks
+                .front()
+                .is_some_and(|&seq| s.active && p.content() == Packet::ack(seq)),
+            _ => false,
+        }
+    }
+
+    fn apply(&self, s: &mut QuirkyRxState, a: &DlAction) {
+        match a {
+            DlAction::ReceivePkt(Dir::TR, p) if p.header.tag == Tag::Data => {
+                if let Some(m) = p.payload {
+                    if s.seen.insert(p.header.seq) {
+                        s.deliver.push_back(m);
+                    }
+                    if s.acks.len() < crate::abp::MAX_PENDING_ACKS {
+                        s.acks.push_back(p.header.seq);
                     }
                 }
-                Some(t)
             }
-            DlAction::Wake(Dir::RT) => {
-                let mut t = s.clone();
-                t.active = true;
-                Some(t)
+            DlAction::Wake(Dir::RT) => s.active = true,
+            DlAction::Fail(Dir::RT) => s.active = false,
+            DlAction::Crash(Station::R) => *s = QuirkyRxState::default(),
+            DlAction::ReceiveMsg(_) => {
+                s.deliver.pop_front();
             }
-            DlAction::Fail(Dir::RT) => {
-                let mut t = s.clone();
-                t.active = false;
-                Some(t)
+            DlAction::SendPkt(Dir::RT, _) => {
+                s.acks.pop_front();
             }
-            DlAction::Crash(Station::R) => Some(QuirkyRxState::default()),
-            DlAction::ReceiveMsg(m) => match s.deliver.front() {
-                Some(front) if front == m => {
-                    let mut t = s.clone();
-                    t.deliver.pop_front();
-                    Some(t)
-                }
-                _ => None,
-            },
-            DlAction::SendPkt(Dir::RT, p) => match s.acks.front() {
-                Some(&seq) if s.active && p.content() == Packet::ack(seq) => {
-                    let mut t = s.clone();
-                    t.acks.pop_front();
-                    Some(t)
-                }
-                _ => None,
-            },
-            _ => None,
+            // Packets this receiver cannot parse leave the state unchanged.
+            _ => {}
         }
     }
 }
@@ -249,25 +220,7 @@ impl Automaton for QuirkyReceiver {
         receiver_classify(a)
     }
 
-    fn successors(&self, s: &QuirkyRxState, a: &DlAction) -> Vec<QuirkyRxState> {
-        Self::next(s, a).into_iter().collect()
-    }
-
-    fn try_for_each_successor(
-        &self,
-        s: &QuirkyRxState,
-        a: &DlAction,
-        f: &mut dyn FnMut(QuirkyRxState) -> ControlFlow<()>,
-    ) -> ControlFlow<()> {
-        match Self::next(s, a) {
-            Some(t) => f(t),
-            None => ControlFlow::Continue(()),
-        }
-    }
-
-    fn step_first(&self, s: &QuirkyRxState, a: &DlAction) -> Option<QuirkyRxState> {
-        Self::next(s, a)
-    }
+    ioa::deterministic_transitions!();
 
     fn enabled_local(&self, s: &QuirkyRxState) -> Vec<DlAction> {
         let mut out = Vec::new();

@@ -24,7 +24,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::ops::ControlFlow;
 
 use ioa::action::ActionClass;
-use ioa::automaton::{Automaton, TaskId};
+use ioa::automaton::{Automaton, Deterministic, TaskId};
 
 use dl_core::action::{Dir, DlAction, Msg, Packet, Station, Tag};
 use dl_core::equivalence::MsgRenaming;
@@ -106,74 +106,66 @@ impl SrTransmitter {
     fn outstanding_packet(&self, s: &SrTxState, k: u64) -> Packet {
         Packet::data((s.base + k) % self.modulus(), s.queue[k as usize])
     }
+}
 
-    /// Deterministic transition core: the unique post-state, or `None`
-    /// when the action is not enabled.
-    fn next(&self, s: &SrTxState, a: &DlAction) -> Option<SrTxState> {
+impl Deterministic for SrTransmitter {
+    fn enabled(&self, s: &SrTxState, a: &DlAction) -> bool {
         match a {
-            DlAction::SendMsg(m) => {
-                let mut t = s.clone();
-                t.queue.push_back(*m);
-                Some(t)
-            }
-            DlAction::ReceivePkt(Dir::RT, p) => {
-                let mut t = s.clone();
-                if p.header.tag == Tag::Ack {
-                    let m = self.modulus();
-                    let (cum, bitmap) = decode_ack(p.header.seq);
-                    let limit = self.window.min(s.queue.len() as u64);
-                    // Cumulative part: slide by the unique in-window k with
-                    // (base + k) mod M == cum (the go-back-N guard).
-                    let k = (cum + m - (s.base % m)) % m;
-                    let aligned = if (1..=limit).contains(&k) {
-                        for _ in 0..k {
-                            t.queue.pop_front();
-                        }
-                        t.base += k;
-                        t.acked = t.acked.iter().filter(|&&x| x >= k).map(|x| x - k).collect();
-                        true
-                    } else {
-                        k == 0
-                    };
-                    // Selective part: only meaningful when the cumulative
-                    // point matches our (new) base; then bit j marks
-                    // offset j as received.
-                    if aligned {
-                        let limit = self.window.min(t.queue.len() as u64);
-                        for j in 1..self.window {
-                            if bitmap & (1 << j) != 0 && j < limit {
-                                t.acked.insert(j);
-                            }
-                        }
-                    }
-                }
-                Some(t)
-            }
-            DlAction::Wake(Dir::TR) => {
-                let mut t = s.clone();
-                t.active = true;
-                Some(t)
-            }
-            DlAction::Fail(Dir::TR) => {
-                let mut t = s.clone();
-                t.active = false;
-                Some(t)
-            }
-            DlAction::Crash(Station::T) => Some(SrTxState::default()),
+            DlAction::SendMsg(_)
+            | DlAction::ReceivePkt(Dir::RT, _)
+            | DlAction::Wake(Dir::TR)
+            | DlAction::Fail(Dir::TR)
+            | DlAction::Crash(Station::T) => true,
             DlAction::SendPkt(Dir::TR, p) => {
                 let n = (self.window as usize).min(s.queue.len()) as u64;
                 let c = p.content();
-                if s.active
+                s.active
                     && (0..n)
                         .filter(|k| !s.acked.contains(k))
                         .any(|k| c == self.outstanding_packet(s, k))
-                {
-                    Some(s.clone())
+            }
+            _ => false,
+        }
+    }
+
+    fn apply(&self, s: &mut SrTxState, a: &DlAction) {
+        match a {
+            DlAction::SendMsg(m) => s.queue.push_back(*m),
+            DlAction::ReceivePkt(Dir::RT, p) if p.header.tag == Tag::Ack => {
+                let m = self.modulus();
+                let (cum, bitmap) = decode_ack(p.header.seq);
+                let limit = self.window.min(s.queue.len() as u64);
+                // Cumulative part: slide by the unique in-window k with
+                // (base + k) mod M == cum (the go-back-N guard).
+                let k = (cum + m - (s.base % m)) % m;
+                let aligned = if (1..=limit).contains(&k) {
+                    for _ in 0..k {
+                        s.queue.pop_front();
+                    }
+                    s.base += k;
+                    s.acked = s.acked.iter().filter(|&&x| x >= k).map(|x| x - k).collect();
+                    true
                 } else {
-                    None
+                    k == 0
+                };
+                // Selective part: only meaningful when the cumulative
+                // point matches our (new) base; then bit j marks
+                // offset j as received.
+                if aligned {
+                    let limit = self.window.min(s.queue.len() as u64);
+                    for j in 1..self.window {
+                        if bitmap & (1 << j) != 0 && j < limit {
+                            s.acked.insert(j);
+                        }
+                    }
                 }
             }
-            _ => None,
+            DlAction::Wake(Dir::TR) => s.active = true,
+            DlAction::Fail(Dir::TR) => s.active = false,
+            DlAction::Crash(Station::T) => *s = SrTxState::default(),
+            // Retransmissions and acks that match nothing leave the
+            // state unchanged.
+            _ => {}
         }
     }
 }
@@ -190,25 +182,7 @@ impl Automaton for SrTransmitter {
         transmitter_classify(a)
     }
 
-    fn successors(&self, s: &SrTxState, a: &DlAction) -> Vec<SrTxState> {
-        self.next(s, a).into_iter().collect()
-    }
-
-    fn try_for_each_successor(
-        &self,
-        s: &SrTxState,
-        a: &DlAction,
-        f: &mut dyn FnMut(SrTxState) -> ControlFlow<()>,
-    ) -> ControlFlow<()> {
-        match self.next(s, a) {
-            Some(t) => f(t),
-            None => ControlFlow::Continue(()),
-        }
-    }
-
-    fn step_first(&self, s: &SrTxState, a: &DlAction) -> Option<SrTxState> {
-        self.next(s, a)
-    }
+    ioa::deterministic_transitions!();
 
     fn enabled_local(&self, s: &SrTxState) -> Vec<DlAction> {
         if !s.active {
@@ -308,12 +282,27 @@ impl SrReceiver {
     pub fn modulus(&self) -> u64 {
         2 * self.window
     }
+}
 
-    /// Deterministic transition core.
-    fn next(&self, s: &SrRxState, a: &DlAction) -> Option<SrRxState> {
+impl Deterministic for SrReceiver {
+    fn enabled(&self, s: &SrRxState, a: &DlAction) -> bool {
+        match a {
+            DlAction::ReceivePkt(Dir::TR, _)
+            | DlAction::Wake(Dir::RT)
+            | DlAction::Fail(Dir::RT)
+            | DlAction::Crash(Station::R) => true,
+            DlAction::ReceiveMsg(m) => s.deliver.front() == Some(m),
+            DlAction::SendPkt(Dir::RT, p) => s
+                .acks
+                .front()
+                .is_some_and(|&seq| s.active && p.content() == Packet::ack(seq)),
+            _ => false,
+        }
+    }
+
+    fn apply(&self, s: &mut SrRxState, a: &DlAction) {
         match a {
             DlAction::ReceivePkt(Dir::TR, p) => {
-                let mut t = s.clone();
                 let m_mod = self.modulus();
                 if p.header.tag == Tag::Data && p.header.seq < m_mod {
                     if let Some(msg) = p.payload {
@@ -324,60 +313,41 @@ impl SrReceiver {
                         if k == 0 {
                             // In-order: accept it, re-base the buffered
                             // offsets, then drain the contiguous prefix.
-                            t.deliver.push_back(msg);
-                            t.expected += 1;
+                            s.deliver.push_back(msg);
+                            s.expected += 1;
                             let shift_down = |b: BTreeMap<u64, Msg>| -> BTreeMap<u64, Msg> {
                                 b.into_iter().map(|(o, v)| (o - 1, v)).collect()
                             };
-                            t.buffer = shift_down(std::mem::take(&mut t.buffer));
-                            while let Some(v) = t.buffer.remove(&0) {
-                                t.deliver.push_back(v);
-                                t.expected += 1;
-                                t.buffer = shift_down(std::mem::take(&mut t.buffer));
+                            s.buffer = shift_down(std::mem::take(&mut s.buffer));
+                            while let Some(v) = s.buffer.remove(&0) {
+                                s.deliver.push_back(v);
+                                s.expected += 1;
+                                s.buffer = shift_down(std::mem::take(&mut s.buffer));
                             }
                         } else if k < self.window {
                             // Out-of-order but in-window: buffer it.
-                            t.buffer.entry(k).or_insert(msg);
+                            s.buffer.entry(k).or_insert(msg);
                         }
                         // Always acknowledge with *current* state: the
                         // cumulative expected value plus the buffered-
                         // offset bitmap (monotone ack stream).
-                        if t.acks.len() < crate::abp::MAX_PENDING_ACKS {
-                            let bitmap = t.buffer.keys().fold(0u64, |acc, &j| acc | (1 << j));
-                            t.acks.push_back(encode_ack(t.expected % m_mod, bitmap));
+                        if s.acks.len() < crate::abp::MAX_PENDING_ACKS {
+                            let bitmap = s.buffer.keys().fold(0u64, |acc, &j| acc | (1 << j));
+                            s.acks.push_back(encode_ack(s.expected % m_mod, bitmap));
                         }
                     }
                 }
-                Some(t)
             }
-            DlAction::Wake(Dir::RT) => {
-                let mut t = s.clone();
-                t.active = true;
-                Some(t)
+            DlAction::Wake(Dir::RT) => s.active = true,
+            DlAction::Fail(Dir::RT) => s.active = false,
+            DlAction::Crash(Station::R) => *s = SrRxState::default(),
+            DlAction::ReceiveMsg(_) => {
+                s.deliver.pop_front();
             }
-            DlAction::Fail(Dir::RT) => {
-                let mut t = s.clone();
-                t.active = false;
-                Some(t)
+            DlAction::SendPkt(Dir::RT, _) => {
+                s.acks.pop_front();
             }
-            DlAction::Crash(Station::R) => Some(SrRxState::default()),
-            DlAction::ReceiveMsg(m) => match s.deliver.front() {
-                Some(front) if front == m => {
-                    let mut t = s.clone();
-                    t.deliver.pop_front();
-                    Some(t)
-                }
-                _ => None,
-            },
-            DlAction::SendPkt(Dir::RT, p) => match s.acks.front() {
-                Some(&seq) if s.active && p.content() == Packet::ack(seq) => {
-                    let mut t = s.clone();
-                    t.acks.pop_front();
-                    Some(t)
-                }
-                _ => None,
-            },
-            _ => None,
+            _ => {}
         }
     }
 }
@@ -394,25 +364,7 @@ impl Automaton for SrReceiver {
         receiver_classify(a)
     }
 
-    fn successors(&self, s: &SrRxState, a: &DlAction) -> Vec<SrRxState> {
-        self.next(s, a).into_iter().collect()
-    }
-
-    fn try_for_each_successor(
-        &self,
-        s: &SrRxState,
-        a: &DlAction,
-        f: &mut dyn FnMut(SrRxState) -> ControlFlow<()>,
-    ) -> ControlFlow<()> {
-        match self.next(s, a) {
-            Some(t) => f(t),
-            None => ControlFlow::Continue(()),
-        }
-    }
-
-    fn step_first(&self, s: &SrRxState, a: &DlAction) -> Option<SrRxState> {
-        self.next(s, a)
-    }
+    ioa::deterministic_transitions!();
 
     fn enabled_local(&self, s: &SrRxState) -> Vec<DlAction> {
         let mut out = Vec::new();

@@ -17,7 +17,7 @@ use std::collections::VecDeque;
 use std::ops::ControlFlow;
 
 use ioa::action::ActionClass;
-use ioa::automaton::{Automaton, TaskId};
+use ioa::automaton::{Automaton, Deterministic, TaskId};
 
 use dl_core::action::{Dir, DlAction, Msg, Packet, Station, Tag};
 use dl_core::equivalence::MsgRenaming;
@@ -80,55 +80,48 @@ impl SwTransmitter {
     fn window_packet(&self, s: &SwTxState, i: usize) -> Packet {
         Packet::data((s.base + i as u64) % self.modulus(), s.queue[i])
     }
+}
 
-    /// Deterministic transition core: the unique post-state, or `None`
-    /// when the action is not enabled.
-    fn next(&self, s: &SwTxState, a: &DlAction) -> Option<SwTxState> {
+impl Deterministic for SwTransmitter {
+    fn enabled(&self, s: &SwTxState, a: &DlAction) -> bool {
         match a {
-            DlAction::SendMsg(m) => {
-                let mut t = s.clone();
-                t.queue.push_back(*m);
-                Some(t)
-            }
-            DlAction::ReceivePkt(Dir::RT, p) => {
-                let mut t = s.clone();
-                if p.header.tag == Tag::Ack {
-                    // Cumulative ack: `seq` is the next expected (mod M);
-                    // advance by the unique k with (base + k) mod M == seq,
-                    // 1 ≤ k ≤ min(window, queue.len()).
-                    let m = self.modulus();
-                    let limit = self.window.min(s.queue.len() as u64);
-                    let k = (p.header.seq + m - (s.base % m)) % m;
-                    if (1..=limit).contains(&k) {
-                        for _ in 0..k {
-                            t.queue.pop_front();
-                        }
-                        t.base += k;
-                    }
-                }
-                Some(t)
-            }
-            DlAction::Wake(Dir::TR) => {
-                let mut t = s.clone();
-                t.active = true;
-                Some(t)
-            }
-            DlAction::Fail(Dir::TR) => {
-                let mut t = s.clone();
-                t.active = false;
-                Some(t)
-            }
-            DlAction::Crash(Station::T) => Some(SwTxState::default()),
+            DlAction::SendMsg(_)
+            | DlAction::ReceivePkt(Dir::RT, _)
+            | DlAction::Wake(Dir::TR)
+            | DlAction::Fail(Dir::TR)
+            | DlAction::Crash(Station::T) => true,
             DlAction::SendPkt(Dir::TR, p) => {
                 let n = (self.window as usize).min(s.queue.len());
                 let c = p.content();
-                if s.active && (0..n).any(|i| c == self.window_packet(s, i)) {
-                    Some(s.clone())
-                } else {
-                    None
+                s.active && (0..n).any(|i| c == self.window_packet(s, i))
+            }
+            _ => false,
+        }
+    }
+
+    fn apply(&self, s: &mut SwTxState, a: &DlAction) {
+        match a {
+            DlAction::SendMsg(m) => s.queue.push_back(*m),
+            DlAction::ReceivePkt(Dir::RT, p) if p.header.tag == Tag::Ack => {
+                // Cumulative ack: `seq` is the next expected (mod M);
+                // advance by the unique k with (base + k) mod M == seq,
+                // 1 ≤ k ≤ min(window, queue.len()).
+                let m = self.modulus();
+                let limit = self.window.min(s.queue.len() as u64);
+                let k = (p.header.seq + m - (s.base % m)) % m;
+                if (1..=limit).contains(&k) {
+                    for _ in 0..k {
+                        s.queue.pop_front();
+                    }
+                    s.base += k;
                 }
             }
-            _ => None,
+            DlAction::Wake(Dir::TR) => s.active = true,
+            DlAction::Fail(Dir::TR) => s.active = false,
+            DlAction::Crash(Station::T) => *s = SwTxState::default(),
+            // Retransmissions and acks that match nothing leave the
+            // state unchanged.
+            _ => {}
         }
     }
 }
@@ -145,25 +138,7 @@ impl Automaton for SwTransmitter {
         transmitter_classify(a)
     }
 
-    fn successors(&self, s: &SwTxState, a: &DlAction) -> Vec<SwTxState> {
-        self.next(s, a).into_iter().collect()
-    }
-
-    fn try_for_each_successor(
-        &self,
-        s: &SwTxState,
-        a: &DlAction,
-        f: &mut dyn FnMut(SwTxState) -> ControlFlow<()>,
-    ) -> ControlFlow<()> {
-        match self.next(s, a) {
-            Some(t) => f(t),
-            None => ControlFlow::Continue(()),
-        }
-    }
-
-    fn step_first(&self, s: &SwTxState, a: &DlAction) -> Option<SwTxState> {
-        self.next(s, a)
-    }
+    ioa::deterministic_transitions!();
 
     fn enabled_local(&self, s: &SwTxState) -> Vec<DlAction> {
         if !s.active {
@@ -262,56 +237,53 @@ impl SwReceiver {
     pub fn modulus(&self) -> u64 {
         self.modulus
     }
+}
 
-    /// Deterministic transition core.
-    fn next(&self, s: &SwRxState, a: &DlAction) -> Option<SwRxState> {
+impl Deterministic for SwReceiver {
+    fn enabled(&self, s: &SwRxState, a: &DlAction) -> bool {
         match a {
-            DlAction::ReceivePkt(Dir::TR, p) => {
-                let mut t = s.clone();
-                if p.header.tag == Tag::Data && p.header.seq < self.modulus {
-                    if let Some(m) = p.payload {
-                        if p.header.seq == s.expected % self.modulus {
-                            t.deliver.push_back(m);
-                            t.expected += 1;
-                        }
-                        // Cumulative ack: next expected, fresh or not
-                        // (bounded buffer, like ABP's MAX_PENDING_ACKS).
-                        if t.acks.len() < crate::abp::MAX_PENDING_ACKS {
-                            let next = t.expected % self.modulus;
-                            t.acks.push_back(next);
-                        }
+            DlAction::ReceivePkt(Dir::TR, _)
+            | DlAction::Wake(Dir::RT)
+            | DlAction::Fail(Dir::RT)
+            | DlAction::Crash(Station::R) => true,
+            DlAction::ReceiveMsg(m) => s.deliver.front() == Some(m),
+            DlAction::SendPkt(Dir::RT, p) => s
+                .acks
+                .front()
+                .is_some_and(|&seq| s.active && p.content() == Packet::ack(seq)),
+            _ => false,
+        }
+    }
+
+    fn apply(&self, s: &mut SwRxState, a: &DlAction) {
+        match a {
+            DlAction::ReceivePkt(Dir::TR, p)
+                if p.header.tag == Tag::Data && p.header.seq < self.modulus =>
+            {
+                if let Some(m) = p.payload {
+                    if p.header.seq == s.expected % self.modulus {
+                        s.deliver.push_back(m);
+                        s.expected += 1;
+                    }
+                    // Cumulative ack: next expected, fresh or not
+                    // (bounded buffer, like ABP's MAX_PENDING_ACKS).
+                    if s.acks.len() < crate::abp::MAX_PENDING_ACKS {
+                        let next = s.expected % self.modulus;
+                        s.acks.push_back(next);
                     }
                 }
-                Some(t)
             }
-            DlAction::Wake(Dir::RT) => {
-                let mut t = s.clone();
-                t.active = true;
-                Some(t)
+            DlAction::Wake(Dir::RT) => s.active = true,
+            DlAction::Fail(Dir::RT) => s.active = false,
+            DlAction::Crash(Station::R) => *s = SwRxState::default(),
+            DlAction::ReceiveMsg(_) => {
+                s.deliver.pop_front();
             }
-            DlAction::Fail(Dir::RT) => {
-                let mut t = s.clone();
-                t.active = false;
-                Some(t)
+            DlAction::SendPkt(Dir::RT, _) => {
+                s.acks.pop_front();
             }
-            DlAction::Crash(Station::R) => Some(SwRxState::default()),
-            DlAction::ReceiveMsg(m) => match s.deliver.front() {
-                Some(front) if front == m => {
-                    let mut t = s.clone();
-                    t.deliver.pop_front();
-                    Some(t)
-                }
-                _ => None,
-            },
-            DlAction::SendPkt(Dir::RT, p) => match s.acks.front() {
-                Some(&seq) if s.active && p.content() == Packet::ack(seq) => {
-                    let mut t = s.clone();
-                    t.acks.pop_front();
-                    Some(t)
-                }
-                _ => None,
-            },
-            _ => None,
+            // Packets this receiver cannot parse leave the state unchanged.
+            _ => {}
         }
     }
 }
@@ -328,25 +300,7 @@ impl Automaton for SwReceiver {
         receiver_classify(a)
     }
 
-    fn successors(&self, s: &SwRxState, a: &DlAction) -> Vec<SwRxState> {
-        self.next(s, a).into_iter().collect()
-    }
-
-    fn try_for_each_successor(
-        &self,
-        s: &SwRxState,
-        a: &DlAction,
-        f: &mut dyn FnMut(SwRxState) -> ControlFlow<()>,
-    ) -> ControlFlow<()> {
-        match self.next(s, a) {
-            Some(t) => f(t),
-            None => ControlFlow::Continue(()),
-        }
-    }
-
-    fn step_first(&self, s: &SwRxState, a: &DlAction) -> Option<SwRxState> {
-        self.next(s, a)
-    }
+    ioa::deterministic_transitions!();
 
     fn enabled_local(&self, s: &SwRxState) -> Vec<DlAction> {
         let mut out = Vec::new();

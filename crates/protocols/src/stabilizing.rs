@@ -36,7 +36,7 @@ use std::collections::VecDeque;
 use std::ops::ControlFlow;
 
 use ioa::action::ActionClass;
-use ioa::automaton::{Automaton, TaskId};
+use ioa::automaton::{Automaton, Deterministic, TaskId};
 
 use dl_core::action::{Dir, DlAction, Msg, Packet, Station, Tag};
 use dl_core::equivalence::MsgRenaming;
@@ -79,49 +79,46 @@ pub struct StabTransmitter {
     pub init_seq: u64,
 }
 
-impl StabTransmitter {
-    /// Deterministic transition function: the unique post-state of `a`
-    /// from `s`, or `None` when `a` is not enabled.
-    fn next(&self, s: &StabTxState, a: &DlAction) -> Option<StabTxState> {
+impl Deterministic for StabTransmitter {
+    fn enabled(&self, s: &StabTxState, a: &DlAction) -> bool {
         match a {
-            DlAction::SendMsg(m) => {
-                let mut t = s.clone();
-                t.queue.push_back(*m);
-                Some(t)
-            }
-            DlAction::ReceivePkt(Dir::RT, p) => {
-                let mut t = s.clone();
-                if p.header.tag == Tag::Ack && p.header.seq == s.seq && !t.queue.is_empty() {
-                    // Count identical acks; `capacity` ghost copies can
-                    // exist at time zero, so only the `capacity + 1`-th
-                    // receipt proves a fresh acknowledgement.
-                    if t.acked >= self.capacity {
-                        t.queue.pop_front();
-                        t.seq += 1;
-                        t.acked = 0;
-                    } else {
-                        t.acked += 1;
-                    }
+            DlAction::SendMsg(_)
+            | DlAction::ReceivePkt(Dir::RT, _)
+            | DlAction::Wake(Dir::TR)
+            | DlAction::Fail(Dir::TR)
+            | DlAction::Crash(Station::T) => true,
+            DlAction::SendPkt(Dir::TR, p) => s
+                .queue
+                .front()
+                .is_some_and(|m| s.active && p.content() == Packet::data(s.seq, *m)),
+            _ => false,
+        }
+    }
+
+    fn apply(&self, s: &mut StabTxState, a: &DlAction) {
+        match a {
+            DlAction::SendMsg(m) => s.queue.push_back(*m),
+            DlAction::ReceivePkt(Dir::RT, p)
+                if p.header.tag == Tag::Ack && p.header.seq == s.seq && !s.queue.is_empty() =>
+            {
+                // Count identical acks; `capacity` ghost copies can
+                // exist at time zero, so only the `capacity + 1`-th
+                // receipt proves a fresh acknowledgement.
+                if s.acked >= self.capacity {
+                    s.queue.pop_front();
+                    s.seq += 1;
+                    s.acked = 0;
+                } else {
+                    s.acked += 1;
                 }
-                Some(t)
             }
-            DlAction::Wake(Dir::TR) => {
-                let mut t = s.clone();
-                t.active = true;
-                Some(t)
-            }
-            DlAction::Fail(Dir::TR) => {
-                let mut t = s.clone();
-                t.active = false;
-                Some(t)
-            }
+            DlAction::Wake(Dir::TR) => s.active = true,
+            DlAction::Fail(Dir::TR) => s.active = false,
             // Crash wipes the corruption: back to the clean ROM state.
-            DlAction::Crash(Station::T) => Some(StabTxState::default()),
-            DlAction::SendPkt(Dir::TR, p) => match s.queue.front() {
-                Some(m) if s.active && p.content() == Packet::data(s.seq, *m) => Some(s.clone()),
-                _ => None,
-            },
-            _ => None,
+            DlAction::Crash(Station::T) => *s = StabTxState::default(),
+            // Retransmissions and acks that match nothing leave the
+            // state unchanged.
+            _ => {}
         }
     }
 }
@@ -141,25 +138,7 @@ impl Automaton for StabTransmitter {
         transmitter_classify(a)
     }
 
-    fn successors(&self, s: &StabTxState, a: &DlAction) -> Vec<StabTxState> {
-        self.next(s, a).into_iter().collect()
-    }
-
-    fn try_for_each_successor(
-        &self,
-        s: &StabTxState,
-        a: &DlAction,
-        f: &mut dyn FnMut(StabTxState) -> ControlFlow<()>,
-    ) -> ControlFlow<()> {
-        match self.next(s, a) {
-            Some(t) => f(t),
-            None => ControlFlow::Continue(()),
-        }
-    }
-
-    fn step_first(&self, s: &StabTxState, a: &DlAction) -> Option<StabTxState> {
-        self.next(s, a)
-    }
+    ioa::deterministic_transitions!();
 
     fn enabled_local(&self, s: &StabTxState) -> Vec<DlAction> {
         if !s.active {
@@ -249,77 +228,69 @@ pub struct StabReceiver {
     pub init_expected: u64,
 }
 
-impl StabReceiver {
-    /// Deterministic transition function: the unique post-state of `a`
-    /// from `s`, or `None` when `a` is not enabled.
-    fn next(&self, s: &StabRxState, a: &DlAction) -> Option<StabRxState> {
+impl Deterministic for StabReceiver {
+    fn enabled(&self, s: &StabRxState, a: &DlAction) -> bool {
         match a {
-            DlAction::ReceivePkt(Dir::TR, p) => {
-                let mut t = s.clone();
-                if p.header.tag == Tag::Data {
-                    if let Some(m) = p.payload {
-                        if p.header.seq < s.expected {
-                            // Stale: the transmitter (or a ghost) is behind.
-                            // Re-acknowledge so a lagging transmitter can
-                            // climb; never re-deliver.
-                            if t.acks.len() < crate::abp::MAX_PENDING_ACKS {
-                                t.acks.push_back(p.header.seq);
-                            }
+            DlAction::ReceivePkt(Dir::TR, _)
+            | DlAction::Wake(Dir::RT)
+            | DlAction::Fail(Dir::RT)
+            | DlAction::Crash(Station::R) => true,
+            DlAction::ReceiveMsg(m) => s.deliver.front() == Some(m),
+            DlAction::SendPkt(Dir::RT, p) => s
+                .acks
+                .front()
+                .is_some_and(|&seq| s.active && p.content() == Packet::ack(seq)),
+            _ => false,
+        }
+    }
+
+    fn apply(&self, s: &mut StabRxState, a: &DlAction) {
+        match a {
+            DlAction::ReceivePkt(Dir::TR, p) if p.header.tag == Tag::Data => {
+                if let Some(m) = p.payload {
+                    if p.header.seq < s.expected {
+                        // Stale: the transmitter (or a ghost) is behind.
+                        // Re-acknowledge so a lagging transmitter can
+                        // climb; never re-deliver.
+                        if s.acks.len() < crate::abp::MAX_PENDING_ACKS {
+                            s.acks.push_back(p.header.seq);
+                        }
+                    } else {
+                        // Count identical copies of the candidate; a
+                        // mismatch restarts the count. At most
+                        // `capacity` ghost copies of any value can
+                        // exist, so `capacity + 1` receipts prove the
+                        // transmitter is really repeating this packet.
+                        if s.candidate == Some((p.header.seq, m)) {
+                            s.copies += 1;
                         } else {
-                            // Count identical copies of the candidate; a
-                            // mismatch restarts the count. At most
-                            // `capacity` ghost copies of any value can
-                            // exist, so `capacity + 1` receipts prove the
-                            // transmitter is really repeating this packet.
-                            if t.candidate == Some((p.header.seq, m)) {
-                                t.copies += 1;
-                            } else {
-                                t.candidate = Some((p.header.seq, m));
-                                t.copies = 1;
-                            }
-                            if t.copies > self.capacity {
-                                t.deliver.push_back(m);
-                                t.expected = p.header.seq + 1;
-                                t.candidate = None;
-                                t.copies = 0;
-                                if t.acks.len() < crate::abp::MAX_PENDING_ACKS {
-                                    t.acks.push_back(p.header.seq);
-                                }
+                            s.candidate = Some((p.header.seq, m));
+                            s.copies = 1;
+                        }
+                        if s.copies > self.capacity {
+                            s.deliver.push_back(m);
+                            s.expected = p.header.seq + 1;
+                            s.candidate = None;
+                            s.copies = 0;
+                            if s.acks.len() < crate::abp::MAX_PENDING_ACKS {
+                                s.acks.push_back(p.header.seq);
                             }
                         }
                     }
                 }
-                Some(t)
             }
-            DlAction::Wake(Dir::RT) => {
-                let mut t = s.clone();
-                t.active = true;
-                Some(t)
-            }
-            DlAction::Fail(Dir::RT) => {
-                let mut t = s.clone();
-                t.active = false;
-                Some(t)
-            }
+            DlAction::Wake(Dir::RT) => s.active = true,
+            DlAction::Fail(Dir::RT) => s.active = false,
             // Crash wipes the corruption: back to the clean ROM state.
-            DlAction::Crash(Station::R) => Some(StabRxState::default()),
-            DlAction::ReceiveMsg(m) => match s.deliver.front() {
-                Some(front) if front == m => {
-                    let mut t = s.clone();
-                    t.deliver.pop_front();
-                    Some(t)
-                }
-                _ => None,
-            },
-            DlAction::SendPkt(Dir::RT, p) => match s.acks.front() {
-                Some(&seq) if s.active && p.content() == Packet::ack(seq) => {
-                    let mut t = s.clone();
-                    t.acks.pop_front();
-                    Some(t)
-                }
-                _ => None,
-            },
-            _ => None,
+            DlAction::Crash(Station::R) => *s = StabRxState::default(),
+            DlAction::ReceiveMsg(_) => {
+                s.deliver.pop_front();
+            }
+            DlAction::SendPkt(Dir::RT, _) => {
+                s.acks.pop_front();
+            }
+            // Packets this receiver cannot parse leave the state unchanged.
+            _ => {}
         }
     }
 }
@@ -339,25 +310,7 @@ impl Automaton for StabReceiver {
         receiver_classify(a)
     }
 
-    fn successors(&self, s: &StabRxState, a: &DlAction) -> Vec<StabRxState> {
-        self.next(s, a).into_iter().collect()
-    }
-
-    fn try_for_each_successor(
-        &self,
-        s: &StabRxState,
-        a: &DlAction,
-        f: &mut dyn FnMut(StabRxState) -> ControlFlow<()>,
-    ) -> ControlFlow<()> {
-        match self.next(s, a) {
-            Some(t) => f(t),
-            None => ControlFlow::Continue(()),
-        }
-    }
-
-    fn step_first(&self, s: &StabRxState, a: &DlAction) -> Option<StabRxState> {
-        self.next(s, a)
-    }
+    ioa::deterministic_transitions!();
 
     fn enabled_local(&self, s: &StabRxState) -> Vec<DlAction> {
         let mut out = Vec::new();

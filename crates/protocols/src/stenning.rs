@@ -15,7 +15,7 @@ use std::collections::VecDeque;
 use std::ops::ControlFlow;
 
 use ioa::action::ActionClass;
-use ioa::automaton::{Automaton, TaskId};
+use ioa::automaton::{Automaton, Deterministic, TaskId};
 
 use dl_core::action::{Dir, DlAction, Msg, Packet, Station, Tag};
 use dl_core::equivalence::MsgRenaming;
@@ -40,40 +40,37 @@ pub struct StenningTxState {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StenningTransmitter;
 
-impl StenningTransmitter {
-    /// Deterministic transition function: the unique post-state of `a`
-    /// from `s`, or `None` when `a` is not enabled.
-    fn next(s: &StenningTxState, a: &DlAction) -> Option<StenningTxState> {
+impl Deterministic for StenningTransmitter {
+    fn enabled(&self, s: &StenningTxState, a: &DlAction) -> bool {
         match a {
-            DlAction::SendMsg(m) => {
-                let mut t = s.clone();
-                t.queue.push_back(*m);
-                Some(t)
+            DlAction::SendMsg(_)
+            | DlAction::ReceivePkt(Dir::RT, _)
+            | DlAction::Wake(Dir::TR)
+            | DlAction::Fail(Dir::TR)
+            | DlAction::Crash(Station::T) => true,
+            DlAction::SendPkt(Dir::TR, p) => s
+                .queue
+                .front()
+                .is_some_and(|m| s.active && p.content() == Packet::data(s.seq, *m)),
+            _ => false,
+        }
+    }
+
+    fn apply(&self, s: &mut StenningTxState, a: &DlAction) {
+        match a {
+            DlAction::SendMsg(m) => s.queue.push_back(*m),
+            DlAction::ReceivePkt(Dir::RT, p)
+                if p.header.tag == Tag::Ack && p.header.seq == s.seq && !s.queue.is_empty() =>
+            {
+                s.queue.pop_front();
+                s.seq += 1;
             }
-            DlAction::ReceivePkt(Dir::RT, p) => {
-                let mut t = s.clone();
-                if p.header.tag == Tag::Ack && p.header.seq == s.seq && !t.queue.is_empty() {
-                    t.queue.pop_front();
-                    t.seq += 1;
-                }
-                Some(t)
-            }
-            DlAction::Wake(Dir::TR) => {
-                let mut t = s.clone();
-                t.active = true;
-                Some(t)
-            }
-            DlAction::Fail(Dir::TR) => {
-                let mut t = s.clone();
-                t.active = false;
-                Some(t)
-            }
-            DlAction::Crash(Station::T) => Some(StenningTxState::default()),
-            DlAction::SendPkt(Dir::TR, p) => match s.queue.front() {
-                Some(m) if s.active && p.content() == Packet::data(s.seq, *m) => Some(s.clone()),
-                _ => None,
-            },
-            _ => None,
+            DlAction::Wake(Dir::TR) => s.active = true,
+            DlAction::Fail(Dir::TR) => s.active = false,
+            DlAction::Crash(Station::T) => *s = StenningTxState::default(),
+            // Retransmissions and acks that match nothing leave the
+            // state unchanged.
+            _ => {}
         }
     }
 }
@@ -90,25 +87,7 @@ impl Automaton for StenningTransmitter {
         transmitter_classify(a)
     }
 
-    fn successors(&self, s: &StenningTxState, a: &DlAction) -> Vec<StenningTxState> {
-        Self::next(s, a).into_iter().collect()
-    }
-
-    fn try_for_each_successor(
-        &self,
-        s: &StenningTxState,
-        a: &DlAction,
-        f: &mut dyn FnMut(StenningTxState) -> ControlFlow<()>,
-    ) -> ControlFlow<()> {
-        match Self::next(s, a) {
-            Some(t) => f(t),
-            None => ControlFlow::Continue(()),
-        }
-    }
-
-    fn step_first(&self, s: &StenningTxState, a: &DlAction) -> Option<StenningTxState> {
-        Self::next(s, a)
-    }
+    ioa::deterministic_transitions!();
 
     fn enabled_local(&self, s: &StenningTxState) -> Vec<DlAction> {
         if !s.active {
@@ -184,63 +163,55 @@ pub struct StenningRxState {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StenningReceiver;
 
-impl StenningReceiver {
-    /// Deterministic transition function: the unique post-state of `a`
-    /// from `s`, or `None` when `a` is not enabled.
-    fn next(s: &StenningRxState, a: &DlAction) -> Option<StenningRxState> {
+impl Deterministic for StenningReceiver {
+    fn enabled(&self, s: &StenningRxState, a: &DlAction) -> bool {
         match a {
-            DlAction::ReceivePkt(Dir::TR, p) => {
-                let mut t = s.clone();
-                if p.header.tag == Tag::Data {
-                    if let Some(m) = p.payload {
-                        if p.header.seq == s.expected {
-                            t.deliver.push_back(m);
-                            t.expected += 1;
-                            if t.acks.len() < crate::abp::MAX_PENDING_ACKS {
-                                t.acks.push_back(p.header.seq);
-                            }
-                        } else if p.header.seq < s.expected {
-                            // Stale duplicate: re-acknowledge, never
-                            // re-deliver. (A reordered old packet cannot
-                            // collide with a fresh number.)
-                            if t.acks.len() < crate::abp::MAX_PENDING_ACKS {
-                                t.acks.push_back(p.header.seq);
-                            }
+            DlAction::ReceivePkt(Dir::TR, _)
+            | DlAction::Wake(Dir::RT)
+            | DlAction::Fail(Dir::RT)
+            | DlAction::Crash(Station::R) => true,
+            DlAction::ReceiveMsg(m) => s.deliver.front() == Some(m),
+            DlAction::SendPkt(Dir::RT, p) => s
+                .acks
+                .front()
+                .is_some_and(|&seq| s.active && p.content() == Packet::ack(seq)),
+            _ => false,
+        }
+    }
+
+    fn apply(&self, s: &mut StenningRxState, a: &DlAction) {
+        match a {
+            DlAction::ReceivePkt(Dir::TR, p) if p.header.tag == Tag::Data => {
+                if let Some(m) = p.payload {
+                    if p.header.seq == s.expected {
+                        s.deliver.push_back(m);
+                        s.expected += 1;
+                        if s.acks.len() < crate::abp::MAX_PENDING_ACKS {
+                            s.acks.push_back(p.header.seq);
                         }
-                        // seq > expected cannot happen with a one-at-a-time
-                        // transmitter; ignore defensively.
+                    } else if p.header.seq < s.expected {
+                        // Stale duplicate: re-acknowledge, never
+                        // re-deliver. (A reordered old packet cannot
+                        // collide with a fresh number.)
+                        if s.acks.len() < crate::abp::MAX_PENDING_ACKS {
+                            s.acks.push_back(p.header.seq);
+                        }
                     }
+                    // seq > expected cannot happen with a one-at-a-time
+                    // transmitter; ignore defensively.
                 }
-                Some(t)
             }
-            DlAction::Wake(Dir::RT) => {
-                let mut t = s.clone();
-                t.active = true;
-                Some(t)
+            DlAction::Wake(Dir::RT) => s.active = true,
+            DlAction::Fail(Dir::RT) => s.active = false,
+            DlAction::Crash(Station::R) => *s = StenningRxState::default(),
+            DlAction::ReceiveMsg(_) => {
+                s.deliver.pop_front();
             }
-            DlAction::Fail(Dir::RT) => {
-                let mut t = s.clone();
-                t.active = false;
-                Some(t)
+            DlAction::SendPkt(Dir::RT, _) => {
+                s.acks.pop_front();
             }
-            DlAction::Crash(Station::R) => Some(StenningRxState::default()),
-            DlAction::ReceiveMsg(m) => match s.deliver.front() {
-                Some(front) if front == m => {
-                    let mut t = s.clone();
-                    t.deliver.pop_front();
-                    Some(t)
-                }
-                _ => None,
-            },
-            DlAction::SendPkt(Dir::RT, p) => match s.acks.front() {
-                Some(&seq) if s.active && p.content() == Packet::ack(seq) => {
-                    let mut t = s.clone();
-                    t.acks.pop_front();
-                    Some(t)
-                }
-                _ => None,
-            },
-            _ => None,
+            // Packets this receiver cannot parse leave the state unchanged.
+            _ => {}
         }
     }
 }
@@ -257,25 +228,7 @@ impl Automaton for StenningReceiver {
         receiver_classify(a)
     }
 
-    fn successors(&self, s: &StenningRxState, a: &DlAction) -> Vec<StenningRxState> {
-        Self::next(s, a).into_iter().collect()
-    }
-
-    fn try_for_each_successor(
-        &self,
-        s: &StenningRxState,
-        a: &DlAction,
-        f: &mut dyn FnMut(StenningRxState) -> ControlFlow<()>,
-    ) -> ControlFlow<()> {
-        match Self::next(s, a) {
-            Some(t) => f(t),
-            None => ControlFlow::Continue(()),
-        }
-    }
-
-    fn step_first(&self, s: &StenningRxState, a: &DlAction) -> Option<StenningRxState> {
-        Self::next(s, a)
-    }
+    ioa::deterministic_transitions!();
 
     fn enabled_local(&self, s: &StenningRxState) -> Vec<DlAction> {
         let mut out = Vec::new();

@@ -168,8 +168,8 @@ pub struct RunReport<S> {
     /// Always 0 unless the `obs` feature is enabled (and the runner was
     /// built with [`Runner::with_online_conformance`]).
     pub monitor_nanos: u64,
-    /// How many times a reusable scratch buffer (enabled set, task-class
-    /// filter, successor list) outgrew its capacity and reallocated — the
+    /// How many times a reusable scratch buffer (the enabled set or the
+    /// task-class filter) outgrew its capacity and reallocated — the
     /// steady-state target is a handful of warm-up growths and then zero.
     pub scratch_refills: u64,
 }
@@ -246,30 +246,20 @@ pub struct Runner {
     taken: Vec<Decision>,
 }
 
-/// Reusable per-run buffers: the enabled-action set, the per-task-class
-/// filter, and the successor list are refilled in place every step, so a
+/// Reusable per-run buffers: the enabled-action set and the
+/// per-task-class filter are refilled in place every step, so a
 /// steady-state run allocates only when a buffer grows past its
-/// high-water mark. Lives in [`SessionStep`] (the `Runner` itself is not
-/// generic over the system's state type).
-struct Scratch<S> {
+/// high-water mark. Successors need no buffer: a step counts them and
+/// then moves the state to the picked one in place
+/// ([`Automaton::step_in_place`]).
+#[derive(Default)]
+struct Scratch {
     enabled: Vec<DlAction>,
     in_class: Vec<DlAction>,
-    succs: Vec<S>,
-    /// Capacity-growth events across all three buffers; deterministic for
-    /// a fixed run (Vec growth is), so it lands in the ledger as a
-    /// counter rather than a gauge.
+    /// Capacity-growth events across both buffers; deterministic for a
+    /// fixed run (Vec growth is), so it lands in the ledger as a counter
+    /// rather than a gauge.
     refills: u64,
-}
-
-impl<S> Default for Scratch<S> {
-    fn default() -> Self {
-        Scratch {
-            enabled: Vec::new(),
-            in_class: Vec::new(),
-            succs: Vec::new(),
-            refills: 0,
-        }
-    }
 }
 
 /// Online conformance state threaded through one run: a streaming
@@ -481,14 +471,26 @@ impl<S: Clone + Eq + std::fmt::Debug> Trace<S> {
         }
     }
 
-    fn push(&mut self, action: DlAction, post: S) {
-        match self {
-            Trace::Full(e) => e.push_unchecked(action, post),
-            Trace::Tail { last, len } => {
-                *last = post;
-                *len += 1;
+    /// Takes `action` with successor `pick`, which the caller has counted.
+    /// A lean trace moves its one live state in place; a recording trace
+    /// steps a clone of its last state and appends it.
+    fn step<M>(&mut self, system: &M, action: DlAction, pick: usize)
+    where
+        M: Automaton<Action = DlAction, State = S>,
+    {
+        let stepped = match self {
+            Trace::Full(e) => {
+                let mut post = e.last_state().clone();
+                let stepped = system.step_in_place(&mut post, &action, pick);
+                e.push_unchecked(action, post);
+                stepped
             }
-        }
+            Trace::Tail { last, len } => {
+                *len += 1;
+                system.step_in_place(last, &action, pick)
+            }
+        };
+        assert!(stepped, "successor {pick} of a counted step must exist");
     }
 }
 
@@ -567,7 +569,7 @@ where
     digest: u64,
     metrics: Metrics,
     online: Option<OnlineConformance>,
-    scratch: Scratch<M::State>,
+    scratch: Scratch,
     next_task: usize,
     fully_ran: bool,
 }
@@ -711,7 +713,7 @@ where
                         self.cursor = Cursor::Halted;
                         return false;
                     }
-                    let ok = take(runner, system, trace, digest, a, metrics, online, scratch);
+                    let ok = take(runner, system, trace, digest, a, metrics, online);
                     assert!(ok, "input {a} was not enabled: system is not input-enabled");
                     self.cursor = Cursor::At {
                         step: step + 1,
@@ -865,9 +867,8 @@ where
     #[must_use]
     pub fn resident_bytes(&self) -> u64 {
         use std::mem::size_of;
-        let scratch = self.scratch.enabled.capacity() * size_of::<DlAction>()
-            + self.scratch.in_class.capacity() * size_of::<DlAction>()
-            + self.scratch.succs.capacity() * size_of::<M::State>();
+        let scratch = (self.scratch.enabled.capacity() + self.scratch.in_class.capacity())
+            * size_of::<DlAction>();
         let script = std::mem::size_of_val(self.script.steps());
         let metrics = self.metrics.latencies.capacity() * size_of::<u64>()
             + self.metrics.send_step.len() * (size_of::<dl_core::action::Msg>() + 32)
@@ -944,7 +945,7 @@ fn fair_local_step<M>(
     next_task: &mut usize,
     metrics: &mut Metrics,
     online: &mut Option<OnlineConformance>,
-    scratch: &mut Scratch<M::State>,
+    scratch: &mut Scratch,
 ) -> bool
 where
     M: Automaton<Action = DlAction>,
@@ -977,9 +978,7 @@ where
         }
         let pick = runner.decide(DecisionPoint::Action, scratch.in_class.len());
         let action = scratch.in_class[pick];
-        let took = take(
-            runner, system, trace, digest, action, metrics, online, scratch,
-        );
+        let took = take(runner, system, trace, digest, action, metrics, online);
         debug_assert!(took, "enabled_local returned a disabled action");
         *next_task = (*next_task + offset + 1) % tasks;
         return took;
@@ -988,8 +987,8 @@ where
 }
 
 /// Takes `action`, stamping a fresh uid if it is an unstamped `send_pkt`,
-/// and resolving successor nondeterminism with the seeded RNG.
-#[allow(clippy::too_many_arguments)]
+/// and resolving successor nondeterminism with the seeded RNG: count the
+/// successors, draw one, step to it in place.
 fn take<M>(
     runner: &mut Runner,
     system: &M,
@@ -998,7 +997,6 @@ fn take<M>(
     mut action: DlAction,
     metrics: &mut Metrics,
     online: &mut Option<OnlineConformance>,
-    scratch: &mut Scratch<M::State>,
 ) -> bool
 where
     M: Automaton<Action = DlAction>,
@@ -1009,20 +1007,17 @@ where
             runner.next_uid += 1;
         }
     }
-    scratch.succs.clear();
-    let cap = scratch.succs.capacity();
-    system.successors_into(trace.last_state(), &action, &mut scratch.succs);
-    scratch.refills += u64::from(scratch.succs.capacity() != cap);
-    if scratch.succs.is_empty() {
+    let n = system.successor_count(trace.last_state(), &action);
+    if n == 0 {
         return false;
     }
-    let pick = runner.decide(DecisionPoint::Successor, scratch.succs.len());
+    let pick = runner.decide(DecisionPoint::Successor, n);
     metrics.record(&action);
     if let Some(o) = online {
         o.observe(&action);
     }
     *digest = digest_action(*digest, &action);
-    trace.push(action, scratch.succs.swap_remove(pick));
+    trace.step(system, action, pick);
     true
 }
 

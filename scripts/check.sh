@@ -106,10 +106,12 @@ stage_stabilize_smoke() {
 }
 
 stage_alloc() {
-  # Counting allocator: steady-state allocs per fuzz exec and per
-  # explored edge (both visited-set backends) under the pinned ceilings.
+  # Counting allocator: steady-state allocs per fuzz exec, per explored
+  # edge (both visited-set backends) and per lean fleet-session action
+  # (every classic kind) under the pinned ceilings.
   cargo test -q -p dl-fuzz --test alloc_regression
   cargo test -q -p dl-explore --test alloc_ceiling
+  cargo test -q -p dl-fleet --test alloc_ceiling
 }
 
 stage_differential() {

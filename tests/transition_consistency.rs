@@ -4,19 +4,25 @@
 //! methods — `try_for_each_successor`, `for_each_enabled_local`, and the
 //! derived `is_enabled`/`step_first`/`has_enabled_local` — agreeing
 //! **exactly** (same elements, same order) with the legacy Vec-returning
-//! `successors`/`enabled_local` they shadow. Executors pick successors by
-//! position, so even a reordering would silently change schedules.
+//! `successors`/`enabled_local` they shadow. Sessions step through two
+//! more, `successor_count` and `step_in_place`, which must count the same
+//! successors and move a state to exactly the one at the picked position.
+//! Executors pick successors by position, so even a reordering would
+//! silently change schedules.
 //!
 //! This suite walks the full composed `link_system` (Hide ∘ Compose2 ∘
-//! protocol stations ∘ channels) for every protocol of the zoo and checks
-//! the agreement at every visited state, over every locally controlled
-//! action and a dense sample of environment inputs.
+//! protocol stations ∘ channels) for every protocol of the zoo — over
+//! fault-injecting channels, over ghost-loaded channels with corrupted
+//! station starts (the fuzz targets' shape), and for the stabilizing
+//! protocol over corrupted non-FIFO channels — and checks the agreement
+//! at every visited state, over every locally controlled action and a
+//! dense sample of environment inputs.
 
 use std::ops::ControlFlow;
 
-use datalink::channels::{FaultSpec, FaultyChannel};
+use datalink::channels::{CorruptChannel, CorruptSpec, FaultSpec, FaultyChannel, GhostSpec};
 use datalink::core::action::{Dir, DlAction, Msg, Station};
-use datalink::core::protocol::action_sample;
+use datalink::core::protocol::{action_sample, CorruptedStart, DataLinkProtocol, StationAutomaton};
 use datalink::ioa::Automaton;
 use datalink::sim::link_system;
 
@@ -60,6 +66,23 @@ where
         assert_eq!(legacy, into, "successors_into differs for {a:?}");
         assert_eq!(auto.is_enabled(s, a), !legacy.is_empty());
         assert_eq!(auto.step_first(s, a), legacy.first().cloned());
+
+        let n = auto.successor_count(s, a);
+        assert_eq!(n, legacy.len(), "successor_count differs for {a:?}");
+        for (k, want) in legacy.iter().enumerate() {
+            let mut t = s.clone();
+            assert!(
+                auto.step_in_place(&mut t, a, k),
+                "pick {k} refused for {a:?}"
+            );
+            assert_eq!(&t, want, "step_in_place pick {k} differs for {a:?}");
+        }
+        let mut t = s.clone();
+        assert!(
+            !auto.step_in_place(&mut t, a, n),
+            "a pick equal to the count stepped {a:?}"
+        );
+        assert_eq!(&t, s, "a refused step_in_place moved the state for {a:?}");
     }
 }
 
@@ -192,6 +215,66 @@ consistency_test!(
     datalink::protocols::quirky::protocol().transmitter,
     datalink::protocols::quirky::protocol().receiver
 );
+
+/// The fuzz targets' shape: every classic station starts from a corrupted
+/// configuration ([`CorruptedStart`]) over fault-injecting channels that
+/// start with ghost packets in flight.
+fn check_fuzz_shape<T, R>(p: &DataLinkProtocol<T, R>)
+where
+    T: StationAutomaton + Clone,
+    R: StationAutomaton + Clone,
+{
+    for seed in [1u64, 99, 2026] {
+        let (ch1, ch2) = faulty_pair();
+        let ghosts = |lane: u64| GhostSpec {
+            count: 3,
+            seed: seed ^ lane,
+        };
+        let sys = link_system(
+            CorruptedStart::new(p.transmitter.clone(), seed % 7),
+            CorruptedStart::new(p.receiver.clone(), seed % 5),
+            ch1.with_ghosts(ghosts(0x7121)),
+            ch2.with_ghosts(ghosts(0x1217)),
+        );
+        walk_and_check(&sys, 160, seed);
+    }
+}
+
+#[test]
+fn corrupted_stations_over_ghost_channels_match_legacy() {
+    use datalink::protocols as p;
+    check_fuzz_shape(&p::abp::protocol());
+    check_fuzz_shape(&p::sliding_window::protocol(2));
+    check_fuzz_shape(&p::sliding_window::protocol(8));
+    check_fuzz_shape(&p::selective_repeat::protocol(4));
+    check_fuzz_shape(&p::fragmenting::protocol());
+    check_fuzz_shape(&p::parity::protocol());
+    check_fuzz_shape(&p::stenning::protocol());
+    check_fuzz_shape(&p::nonvolatile::protocol());
+    check_fuzz_shape(&p::quirky::protocol());
+}
+
+/// The stabilizing protocol from a corrupted start over bounded non-FIFO
+/// channels preloaded with ghosts: the fleet's stabilizing session shape.
+#[test]
+fn stabilizing_over_corrupt_channels_matches_legacy() {
+    for seed in [1u64, 99, 2026] {
+        let spec = CorruptSpec {
+            capacity: 3,
+            ghosts: 3,
+            loss: 40,
+            seed,
+        };
+        let p = datalink::protocols::stabilizing::corrupted(3, seed % 7, seed % 5);
+        let sys = link_system(
+            p.transmitter,
+            p.receiver,
+            CorruptChannel::new(Dir::TR, spec),
+            CorruptChannel::new(Dir::RT, spec),
+        );
+        walk_and_check(&sys, 160, seed);
+    }
+}
 
 /// The simulated channels (nondeterministic loss, reordering, burst) get
 /// their own walk: they are the only automata with multi-successor
