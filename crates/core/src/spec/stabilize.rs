@@ -199,6 +199,14 @@ impl SuffixMonitor {
         self.observed
     }
 
+    /// Approximate resident heap bytes: the inner monitor's tables
+    /// ([`TraceMonitor::approx_bytes`]) plus the pending-message list.
+    /// A new monitor has allocated nothing and reports 0.
+    #[must_use]
+    pub fn approx_bytes(&self) -> usize {
+        self.inner.approx_bytes() + self.pending.capacity() * std::mem::size_of::<(Msg, usize)>()
+    }
+
     /// The current candidate convergence index: the global trace index
     /// where the present violation-free suffix begins.
     #[must_use]
@@ -422,6 +430,17 @@ mod tests {
         assert_eq!(report.resets, 0);
         assert_eq!(report.convergence_index, 0);
         assert!(report.converged());
+    }
+
+    #[test]
+    fn approx_bytes_counts_the_inner_tables_and_pending_list() {
+        let mut mon = SuffixMonitor::new(false);
+        assert_eq!(mon.approx_bytes(), 0, "a new monitor allocates nothing");
+        for a in wake_both() {
+            mon.observe(&a);
+        }
+        mon.observe(&SendMsg(Msg(1)));
+        assert!(mon.approx_bytes() > mon.suffix_monitor().approx_bytes());
     }
 
     #[test]

@@ -19,9 +19,10 @@
 //!   `dl-sim`'s resumable [`SessionStep`](dl_sim::SessionStep) built
 //!   **lean** (no retained trace), with an optional online
 //!   `TraceMonitor` sidecar for first-violation abort and per-session
-//!   complete-trace verdicts. Immutable protocol/channel tables are
-//!   separated from per-session mutable state, so a session costs
-//!   hundreds of bytes.
+//!   complete-trace verdicts — or, for the stabilizing protocol, a
+//!   `SuffixMonitor` sidecar fed as the session runs. Immutable
+//!   protocol/channel tables are separated from per-session mutable
+//!   state, so a session costs hundreds of bytes.
 //! * [`engine`] — [`run_fleet`]: contiguous per-worker id ranges,
 //!   chunked materialization (peak memory is bounded by
 //!   [`FleetSpec::chunk`], not fleet size), round-robin batch stepping.

@@ -9,19 +9,21 @@
 //! [`SessionStep`], built **lean** so no execution trace is retained.
 //! A session's resident cost is therefore a few hundred bytes
 //! (see [`SessionOutcome::resident_bytes`]) no matter how long it runs.
-//! The one exception is the stabilizing variant, which records its trace
-//! (suffix-mode judgment needs the whole behavior) and therefore pays
-//! trace-proportional memory — the corrupted-start fault class buys its
-//! eventual-correctness verdicts with that footprint.
 //!
 //! Monitoring posture mirrors `dl-fuzz`: `monitor_pl = false` (the
 //! duplication fault knob violates PL3 *by design*), `full_dl = false`,
 //! online abort on a `WDL` safety conclusion, and — for sessions that
 //! quiesce crash-free with the script fully consumed — a complete-trace
 //! `WDL` verdict from the streaming monitor, which adds DL8 liveness
-//! without ever materializing the trace.
+//! without ever materializing the trace. The stabilizing variant runs
+//! the same lean session without the online monitor (a corrupted start
+//! is supposed to misbehave for a prefix) and instead feeds each
+//! external action, as it is taken, to a [`SuffixMonitor`] sidecar,
+//! which judges it in suffix mode at teardown; the sidecar's tables are
+//! its [`SessionOutcome::monitor_bytes`].
 
 use ioa::schedule_module::{TraceKind, Verdict};
+use ioa::ActionClass;
 
 use dl_channels::{CorruptChannel, FaultyChannel};
 use dl_core::action::{Dir, DlAction};
@@ -67,10 +69,13 @@ pub enum ZooSession {
     /// The deliberately message-dependent negative control.
     Quirky(Step<dl_protocols::QuirkyTransmitter, dl_protocols::QuirkyReceiver>),
     /// The self-stabilizing protocol, possibly from a corrupted initial
-    /// configuration. Unlike every other variant this one *records* its
-    /// trace (no online monitor — a corrupted start is supposed to
-    /// misbehave for a prefix) and is judged in suffix mode at teardown.
-    Stabilizing(SessionStep<StabilizeSystem>),
+    /// configuration: a lean session with no online monitor (a corrupted
+    /// start is supposed to misbehave for a prefix), plus the
+    /// [`SuffixMonitor`] that [`ZooSession::advance_batch`] feeds every
+    /// external action as it is taken, judged in suffix mode at teardown.
+    /// The monitor is boxed so this variant is no larger than the others:
+    /// every live session of a chunk is sized by the largest variant.
+    Stabilizing(SessionStep<StabilizeSystem>, Box<SuffixMonitor>),
 }
 
 /// Runs `$body` with `$s` bound to the inner [`SessionStep`], whatever
@@ -86,7 +91,7 @@ macro_rules! with_session {
             ZooSession::Stenning($s) => $body,
             ZooSession::Nonvolatile($s) => $body,
             ZooSession::Quirky($s) => $body,
-            ZooSession::Stabilizing($s) => $body,
+            ZooSession::Stabilizing($s, _) => $body,
         }
     };
 }
@@ -170,8 +175,7 @@ pub fn build_session(cfg: &SessionConfig, spec: &FleetSpec) -> ZooSession {
                 corruption.rx_expected,
             );
             // No online conformance: the divergent prefix would trip it.
-            // Recording (not lean): the suffix monitor judges the full
-            // behavior at teardown.
+            // The suffix monitor watches the behavior instead.
             let runner = Runner::new(cfg.seed, spec.max_steps);
             let system = link_system(
                 protocol.transmitter,
@@ -179,7 +183,10 @@ pub fn build_session(cfg: &SessionConfig, spec: &FleetSpec) -> ZooSession {
                 CorruptChannel::new(Dir::TR, corruption.channels[0]),
                 CorruptChannel::new(Dir::RT, corruption.channels[1]),
             );
-            ZooSession::Stabilizing(SessionStep::new(runner, system, cfg.script.clone()))
+            ZooSession::Stabilizing(
+                SessionStep::lean(runner, system, cfg.script.clone()),
+                Box::new(SuffixMonitor::new(false)),
+            )
         }
     }
 }
@@ -187,6 +194,20 @@ pub fn build_session(cfg: &SessionConfig, spec: &FleetSpec) -> ZooSession {
 impl ZooSession {
     /// Takes up to `budget` actions; returns how many were taken.
     pub fn advance_batch(&mut self, budget: usize) -> usize {
+        if let ZooSession::Stabilizing(s, suffix) = self {
+            let mut taken = 0;
+            while taken < budget {
+                let Some(a) = s.step() else { break };
+                if s.system()
+                    .classify(&a)
+                    .is_some_and(ActionClass::is_external)
+                {
+                    suffix.observe(&a);
+                }
+                taken += 1;
+            }
+            return taken;
+        }
         with_session!(self, s => s.advance_batch(budget))
     }
 
@@ -206,8 +227,8 @@ impl ZooSession {
         steps_hist: &mut Histogram,
         latency_hist: &mut Histogram,
     ) -> SessionOutcome {
-        if let ZooSession::Stabilizing(s) = self {
-            return finish_stabilizing(s, cfg, steps_hist, latency_hist);
+        if let ZooSession::Stabilizing(s, suffix) = self {
+            return finish_stabilizing(&s, &suffix, cfg, steps_hist, latency_hist);
         }
         with_session!(self, s => {
             let quiescent = s.quiescent();
@@ -245,14 +266,15 @@ impl ZooSession {
     }
 }
 
-/// Tears a stabilizing session down: suffix-mode conformance over the
-/// recorded behavior, plus the corruption-budget liveness check (the
-/// convergence climb may consume [`CorruptionSpec::budget`] messages —
-/// losing one more means the protocol failed to stabilize).
+/// Tears a stabilizing session down: suffix-mode conformance from the
+/// sidecar that watched its behavior, plus the corruption-budget liveness
+/// check (the convergence climb may consume [`CorruptionSpec::budget`]
+/// messages — losing one more means the protocol failed to stabilize).
 ///
 /// [`CorruptionSpec::budget`]: crate::spec::CorruptionSpec::budget
 fn finish_stabilizing(
-    s: SessionStep<StabilizeSystem>,
+    s: &SessionStep<StabilizeSystem>,
+    suffix: &SuffixMonitor,
     cfg: &SessionConfig,
     steps_hist: &mut Histogram,
     latency_hist: &mut Histogram,
@@ -261,42 +283,36 @@ fn finish_stabilizing(
         .corruption
         .expect("stabilizing session configs carry a corruption spec");
     let quiescent = s.quiescent();
-    let digest = s.digest();
-    let resident_bytes = s.resident_bytes();
-    let monitor_bytes = s.monitor_bytes();
-    let (_, report) = s.into_report();
-    steps_hist.record(report.metrics.steps);
-    for latency in &report.metrics.latencies {
+    let metrics = s.metrics();
+    steps_hist.record(metrics.steps);
+    for latency in &metrics.latencies {
         latency_hist.record(*latency);
     }
     let mut violation = None;
     let mut convergence = None;
     if quiescent {
-        let suffix = SuffixMonitor::scan(&report.behavior, false);
-        let lost = report
-            .metrics
-            .msgs_sent
-            .saturating_sub(report.metrics.msgs_received);
-        match suffix.violation {
+        let report = suffix.finish(TraceKind::Complete);
+        let lost = metrics.msgs_sent.saturating_sub(metrics.msgs_received);
+        match report.violation {
             Some("DL8") | None if lost > corruption.budget() => {
                 violation = Some("DL8");
             }
             Some(property) if property != "DL8" => violation = Some(property),
-            _ => convergence = Some(suffix.convergence_index as u64),
+            _ => convergence = Some(report.convergence_index as u64),
         }
     }
     SessionOutcome {
         id: cfg.id,
         protocol: cfg.protocol,
-        steps: report.metrics.steps,
-        digest,
+        steps: metrics.steps,
+        digest: s.digest(),
         quiescent,
         crashed: cfg.crashed,
         violation,
-        msgs_sent: report.metrics.msgs_sent,
-        msgs_delivered: report.metrics.msgs_received,
-        resident_bytes,
-        monitor_bytes,
+        msgs_sent: metrics.msgs_sent,
+        msgs_delivered: metrics.msgs_received,
+        resident_bytes: s.resident_bytes() + std::mem::size_of::<SuffixMonitor>() as u64,
+        monitor_bytes: suffix.approx_bytes() as u64,
         convergence,
     }
 }
@@ -325,10 +341,13 @@ pub struct SessionOutcome {
     /// `receive_msg` events.
     pub msgs_delivered: u64,
     /// Resident-footprint estimate at teardown (see
-    /// [`SessionStep::resident_bytes`]).
+    /// [`SessionStep::resident_bytes`]; a stabilizing session adds its
+    /// [`SuffixMonitor`] struct).
     pub resident_bytes: u64,
-    /// The online monitor's footprint at teardown (see
-    /// [`SessionStep::monitor_bytes`]); 0 when unmonitored.
+    /// The monitor's footprint at teardown: the online monitor's (see
+    /// [`SessionStep::monitor_bytes`]; 0 when unmonitored), or for a
+    /// stabilizing session its suffix monitor's
+    /// ([`SuffixMonitor::approx_bytes`]).
     pub monitor_bytes: u64,
     /// For stabilizing sessions that converged: the convergence index —
     /// the behavior position where the conforming suffix begins, i.e.

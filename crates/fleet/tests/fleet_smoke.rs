@@ -65,3 +65,38 @@ fn ledger_round_trips_and_is_gateable() {
     let back = RunLedger::from_json(&ledger.to_json()).unwrap();
     assert_eq!(back, ledger);
 }
+
+#[test]
+fn stabilizing_sessions_report_their_suffix_monitor() {
+    // A stabilizing session keeps no trace: its resident cost is the lean
+    // session core plus the suffix monitor, whose tables are its
+    // `monitor_bytes`.
+    let report = run_fleet(&FleetSpec {
+        sessions: 40,
+        protocols: vec![ProtocolKind::Stabilizing],
+        corruption_per256: 255,
+        ..smoke_spec()
+    });
+    let classic = run_fleet(&FleetSpec {
+        sessions: 40,
+        protocols: ProtocolKind::CLASSIC.to_vec(),
+        ..smoke_spec()
+    });
+    let classic_peak = classic
+        .outcomes
+        .iter()
+        .map(|o| o.resident_bytes)
+        .max()
+        .unwrap();
+    for o in &report.outcomes {
+        assert!(o.steps > 0);
+        assert!(o.monitor_bytes > 0, "session {}: no monitor bytes", o.id);
+        assert!(
+            o.resident_bytes < 2 * classic_peak,
+            "session {}: {} resident bytes against a classic peak of {classic_peak}",
+            o.id,
+            o.resident_bytes
+        );
+    }
+    assert!(report.peak_monitor_bytes > 0);
+}

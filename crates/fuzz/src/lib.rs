@@ -17,15 +17,20 @@
 //!   Executions are **pure functions of the genome** — no hidden
 //!   randomness — so every result replays.
 //! * [`target`] — all ten protocols of the zoo, each composed with two
-//!   [`FaultyChannel`](dl_channels::FaultyChannel)s and executed under an
-//!   online conformance monitor (`monitor_pl = false`: the fault knobs
-//!   violate the physical layer on purpose; the quarry is data-link
-//!   violations of the protocol under test). The `stabilizing` target is
-//!   special: it runs over [`CorruptChannel`](dl_channels::CorruptChannel)s
-//!   whose initial contents (and the stations' initial counters) come from
-//!   [`Gene::Corrupt`] genes, with no online monitor at all — quiescent
-//!   runs are judged in *suffix mode* by `dl-core`'s `SuffixMonitor`, so
-//!   only a failure to stabilize counts as a counterexample.
+//!   [`FaultyChannel`](dl_channels::FaultyChannel)s and executed as a lean
+//!   `dl-sim` session (one live state stepped in place, nothing recorded
+//!   but the schedule) under an online conformance monitor
+//!   (`monitor_pl = false`: the fault knobs violate the physical layer on
+//!   purpose; the quarry is data-link violations of the protocol under
+//!   test). Coverage keys are hashed from the live state after each step,
+//!   and a quiescent run's DL8 verdict comes from the same monitor. The
+//!   `stabilizing` target is special: it runs over
+//!   [`CorruptChannel`](dl_channels::CorruptChannel)s whose initial
+//!   contents (and the stations' initial counters) come from
+//!   [`Gene::Corrupt`] genes, with no online monitor at all — `dl-core`'s
+//!   `SuffixMonitor` watches its behavior and judges quiescent runs in
+//!   *suffix mode*, so only a failure to stabilize counts as a
+//!   counterexample. A violation's `at` always indexes the schedule.
 //! * [`coverage`] / [`corpus`] — novelty detection over per-step
 //!   `(post-state, progress digest, action class)` hashes, deduplicated
 //!   in a sharded set modeled on `dl-explore`'s visited set; genomes that

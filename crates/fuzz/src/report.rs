@@ -16,7 +16,8 @@ use crate::genome::Genome;
 pub struct Counterexample {
     /// Which target it was found on.
     pub target: &'static str,
-    /// The violated property (earliest finding for this property).
+    /// The violated property (earliest finding for this property). Its
+    /// `at` indexes [`Counterexample::trace`].
     pub violation: Violation,
     /// The shrunk genome; running it reproduces [`Counterexample::trace`]
     /// exactly.

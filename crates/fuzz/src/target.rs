@@ -2,30 +2,33 @@
 //! channels and executed from a genome.
 //!
 //! Each target is a monomorphized `fn(&Genome, &ExecConfig) -> ExecOutcome`
-//! that builds the §5.2 composition `hide_Φ(protocol ∥ FaultyChannel²)`,
-//! runs the genome's plan through an online-monitored
-//! [`Runner`](dl_sim::Runner), and extracts per-step coverage keys.
+//! that builds the §5.2 composition `hide_Φ(protocol ∥ FaultyChannel²)`
+//! and runs the genome's plan as a lean [`SessionStep`]: one live state
+//! stepped in place, nothing recorded but the schedule. The target watches
+//! the session one action at a time, hashing each step's coverage key from
+//! the live post-state right after the step.
 //!
 //! Monitoring posture: executions run with `monitor_pl = false` (the
 //! duplication fault knob violates PL3 *by design*, and aborting on the
 //! medium's own misbehavior would hide the protocol bugs the fuzzer is
 //! hunting) and `full_dl = false` by default, so a **violation** is either
 //! an online `WDL` safety conclusion (DL4/DL5) or — on runs that quiesce
-//! with the script fully consumed — a complete-trace `WDL` verdict, which
-//! adds the DL8 liveness conclusion ("every sent message is delivered").
-//! Truncated runs are never judged against DL8, so step-budget exhaustion
-//! cannot fabricate liveness violations.
+//! with the script fully consumed — the same online monitor's
+//! complete-trace `WDL` verdict, which adds the DL8 liveness conclusion
+//! ("every sent message is delivered"). Truncated runs are never judged
+//! against DL8, so step-budget exhaustion cannot fabricate liveness
+//! violations. Every violation's `at` indexes the execution's schedule.
 
-use std::hash::{BuildHasher, BuildHasherDefault};
+use std::hash::{BuildHasher, BuildHasherDefault, Hash};
 
-use ioa::schedule_module::{ScheduleModule, TraceKind, Verdict, Violation};
+use ioa::schedule_module::{TraceKind, Verdict, Violation};
+use ioa::{ActionClass, Automaton};
 
 use dl_channels::{CorruptChannel, CorruptSpec, FaultyChannel, GhostSpec};
 use dl_core::action::{Dir, DlAction, Station};
 use dl_core::protocol::{CorruptedStart, DataLinkProtocol, StationAutomaton};
-use dl_core::spec::datalink::DlModule;
 use dl_core::spec::stabilize::SuffixMonitor;
-use dl_sim::{link_system, ConformancePolicy, RunReport, Runner};
+use dl_sim::{link_system, ConformancePolicy, Runner, SessionStep};
 
 use crate::genome::Genome;
 
@@ -50,8 +53,9 @@ impl Default for ExecConfig {
 /// What one execution of a genome produced.
 #[derive(Debug, Clone)]
 pub struct ExecOutcome {
-    /// The judged violation, if any (online safety, or batch `WDL` on a
-    /// quiescent complete trace).
+    /// The judged violation, if any (online safety, or the complete-trace
+    /// `WDL` verdict on a quiescent run). Its `at` indexes
+    /// [`ExecOutcome::schedule`].
     pub violation: Option<Violation>,
     /// `true` if the run quiesced with the script fully consumed.
     pub quiescent: bool,
@@ -220,59 +224,68 @@ where
         monitor_pl: false,
         ..ConformancePolicy::default()
     };
-    let mut runner = Runner::new(genome.seed, cfg.max_steps)
+    let runner = Runner::new(genome.seed, cfg.max_steps)
         .with_online_conformance(policy)
-        .with_decision_overrides(plan.overrides.clone());
-    let report = runner.run(&system, &plan.script);
+        .with_decision_overrides(plan.overrides);
+    let mut session = SessionStep::lean(runner, &system, plan.script);
+    let (coverage, schedule) = drive(&mut session, |_| {});
 
-    let mut violation = report.online_violation.clone();
-    if violation.is_none() && report.quiescent {
-        let module = if cfg.full_dl {
-            DlModule::full()
-        } else {
-            DlModule::weak()
-        };
-        if let Verdict::Violated(v) = module.check(&report.behavior, TraceKind::Complete) {
+    // Online safety conclusion first; a quiescent run is then judged as a
+    // complete trace by the same monitor, which adds DL8.
+    let quiescent = session.quiescent();
+    let mut violation = session.online_violation().cloned();
+    if violation.is_none() && quiescent {
+        let complete = session
+            .monitor()
+            .map(|m| m.dl_verdict(!cfg.full_dl, TraceKind::Complete));
+        if let Some(Verdict::Violated(v)) = complete {
             violation = Some(v);
         }
     }
-
-    let coverage = coverage_keys(&report);
     ExecOutcome {
         violation,
-        quiescent: report.quiescent,
-        steps: report.execution.len(),
+        quiescent,
+        steps: schedule.len(),
         coverage,
-        schedule: report.schedule(),
+        schedule,
     }
 }
 
+/// Drives a lean session to its end and returns its coverage keys and
+/// schedule; `watch` sees every action as it is taken.
+///
 /// Coverage: one key per step, hashing the composed post-state, a
 /// log-bucketed progress digest (the monitor-visible counters), and the
 /// action class — the `(protocol state, monitor state, action class)`
 /// tuple, collapsed to 64 bits.
-fn coverage_keys<S>(report: &RunReport<S>) -> Vec<u64>
+fn drive<M>(
+    session: &mut SessionStep<M, &M>,
+    mut watch: impl FnMut(&DlAction),
+) -> (Vec<u64>, Vec<DlAction>)
 where
-    S: std::hash::Hash + Clone + Eq + std::fmt::Debug,
+    M: Automaton<Action = DlAction>,
+    M::State: Hash,
 {
     let hasher = BuildHasherDefault::<std::collections::hash_map::DefaultHasher>::default();
-    let (mut sent, mut delivered, mut crashes) = (0u64, 0u64, 0u64);
-    let mut coverage = Vec::with_capacity(report.execution.len());
-    for step in report.execution.steps() {
-        match step.action {
-            DlAction::SendMsg(_) => sent += 1,
-            DlAction::ReceiveMsg(_) => delivered += 1,
-            DlAction::Crash(_) => crashes += 1,
-            _ => {}
-        }
-        let digest = bucket(sent) | bucket(delivered) << 4 | crashes.min(15) << 8;
+    let mut coverage = Vec::new();
+    let mut schedule = Vec::new();
+    while let Some(action) = session.step() {
+        let m = session.metrics();
+        let digest = bucket(m.msgs_sent) | bucket(m.msgs_received) << 4 | m.crashes.min(15) << 8;
         coverage.push(mix3(
-            hasher.hash_one(&step.post),
+            hasher.hash_one(session.state()),
             digest,
-            action_class(&step.action),
+            action_class(&action),
         ));
+        watch(&action);
+        schedule.push(action);
     }
-    coverage
+    (coverage, schedule)
+}
+
+/// `true` for the system's external actions — its behavior.
+fn is_external<M: Automaton<Action = DlAction>>(system: &M, a: &DlAction) -> bool {
+    system.classify(a).is_some_and(ActionClass::is_external)
 }
 
 /// Runs one genome against the self-stabilizing protocol (zoo member #10)
@@ -282,15 +295,17 @@ where
 ///
 /// Judged in **suffix mode**: the execution runs with no online
 /// conformance at all (a corrupted start is *supposed* to misbehave for a
-/// finite prefix), and quiescent complete runs are judged by the
-/// [`SuffixMonitor`] plus a **corruption budget**: a corrupted receiver
-/// expecting sequence `e` against a transmitter at sequence `s < e` is
-/// entitled to consume up to `e − s` messages while the counters climb
-/// into agreement, so only losses *beyond* that budget — or a suffix
-/// safety violation surviving every candidate convergence point — count
-/// as counterexamples. Crashy runs are not judged for liveness at all:
+/// finite prefix); a [`SuffixMonitor`] watches its behavior as it runs,
+/// and quiescent complete runs are judged by it plus a **corruption
+/// budget**: a corrupted receiver expecting sequence `e` against a
+/// transmitter at sequence `s < e` is entitled to consume up to `e − s`
+/// messages while the counters climb into agreement, so only losses
+/// *beyond* that budget — or a suffix safety violation surviving every
+/// candidate convergence point — count as counterexamples. Crashy runs are not judged for liveness at all:
 /// the stabilizing protocol's memory is volatile, crash-loss is outside
-/// its claim (Theorem 7.5 territory, not arXiv 1011.3632's).
+/// its claim (Theorem 7.5 territory, not arXiv 1011.3632's). A
+/// violation's `at` is the schedule position where the candidate
+/// conforming suffix begins.
 fn run_stabilizing(genome: &Genome, cfg: &ExecConfig) -> ExecOutcome {
     let plan = genome.decode();
     let c = plan.corruption.unwrap_or_default();
@@ -314,34 +329,39 @@ fn run_stabilizing(genome: &Genome, cfg: &ExecConfig) -> ExecOutcome {
         CorruptChannel::new(Dir::TR, spec(c.ghosts_tr, plan.faults[0].loss, 0x7121)),
         CorruptChannel::new(Dir::RT, spec(c.ghosts_rt, plan.faults[1].loss, 0x1217)),
     );
-    let mut runner =
-        Runner::new(genome.seed, cfg.max_steps).with_decision_overrides(plan.overrides.clone());
-    let report = runner.run(&system, &plan.script);
-
-    let mut violation = None;
-    let crash_free = !report
-        .behavior
-        .iter()
-        .any(|a| matches!(a, DlAction::Crash(_)));
-    if report.quiescent && crash_free {
-        let suffix = SuffixMonitor::scan(&report.behavior, cfg.full_dl);
-        let budget = u64::from(c.rx_expected.saturating_sub(c.tx_seq));
-        let (mut sent, mut delivered) = (0u64, 0u64);
-        for a in &report.behavior {
-            match a {
-                DlAction::SendMsg(_) => sent += 1,
-                DlAction::ReceiveMsg(_) => delivered += 1,
-                _ => {}
-            }
+    let runner = Runner::new(genome.seed, cfg.max_steps).with_decision_overrides(plan.overrides);
+    let mut session = SessionStep::lean(runner, &system, plan.script);
+    let mut monitor = SuffixMonitor::new(cfg.full_dl);
+    let (coverage, schedule) = drive(&mut session, |a| {
+        if is_external(&system, a) {
+            monitor.observe(a);
         }
-        let lost = sent.saturating_sub(delivered);
+    });
+
+    let quiescent = session.quiescent();
+    let m = session.metrics();
+    let mut violation = None;
+    if quiescent && m.crashes == 0 {
+        let suffix = monitor.finish(TraceKind::Complete);
+        let budget = u64::from(c.rx_expected.saturating_sub(c.tx_seq));
+        let lost = m.msgs_sent.saturating_sub(m.msgs_received);
+        // The convergence index counts behavior actions; the violation
+        // points at the schedule action where that suffix begins.
+        let at = || {
+            schedule
+                .iter()
+                .enumerate()
+                .filter(|(_, a)| is_external(&system, a))
+                .nth(suffix.convergence_index)
+                .map_or(schedule.len(), |(i, _)| i)
+        };
         match suffix.violation {
             // Liveness: the climb may consume `budget` messages; one more
             // lost is a genuine failure to stabilize.
             Some("DL8") | None if lost > budget => {
                 violation = Some(Violation {
                     property: "DL8",
-                    at: Some(suffix.convergence_index),
+                    at: Some(at()),
                     reason: format!(
                         "{lost} messages lost exceeds the corruption budget {budget} \
                          ({} resets)",
@@ -356,7 +376,7 @@ fn run_stabilizing(genome: &Genome, cfg: &ExecConfig) -> ExecOutcome {
             Some(property) if property != "DL8" => {
                 violation = Some(Violation {
                     property,
-                    at: Some(suffix.convergence_index),
+                    at: Some(at()),
                     reason: format!(
                         "no conforming suffix: {property} survives past every candidate \
                          convergence point ({} resets)",
@@ -367,14 +387,12 @@ fn run_stabilizing(genome: &Genome, cfg: &ExecConfig) -> ExecOutcome {
             _ => {}
         }
     }
-
-    let coverage = coverage_keys(&report);
     ExecOutcome {
         violation,
-        quiescent: report.quiescent,
-        steps: report.execution.len(),
+        quiescent,
+        steps: schedule.len(),
         coverage,
-        schedule: report.schedule(),
+        schedule,
     }
 }
 

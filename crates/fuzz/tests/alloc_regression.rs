@@ -1,43 +1,62 @@
-//! Allocation-regression smoke for the interned execution core.
+//! Allocation-regression smoke for the fuzz execution path.
 //!
 //! One fuzz exec used to clone the full enabled-action set, a per-class
-//! filter vector, and the full successor list on **every step** — tens of
-//! allocations per step, hundreds of thousands per exec. The scratch-
-//! buffer runner reduced the steady state to the unavoidable residue:
-//! constructing successor states (channel states own heap collections),
-//! recording the execution, and the report's output vectors. This test
-//! pins that residue with a counting global allocator so a future change
-//! that quietly reintroduces per-step cloning fails loudly here rather
+//! filter vector, and the full successor list on **every step**; later
+//! it still cloned the composed state per step to record the execution,
+//! rebuilt the behavior, and re-scanned it to judge liveness. A target
+//! now drives a lean session: one live state stepped in place, coverage
+//! hashed from it after each step, DL8 read from the online monitor. What
+//! remains is per-run set-up (the decoded plan, the composed system, the
+//! start state), growth of the output vectors, the monitor's value tables
+//! and the scratch buffers, and a crash's station reset. This test pins
+//! that residue with a counting global allocator so a change that quietly
+//! reintroduces per-step cloning or recording fails loudly here rather
 //! than as a silent throughput loss in the benches.
 //!
-//! The ceiling is deliberately generous (~1.5× current measurements) so it
-//! only trips on asymptotic regressions, not allocator or libstd noise.
+//! The count is kept per thread: the test harness runs tests on parallel
+//! threads, and a process-wide counter would charge another thread's
+//! allocations to this measurement window.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use dl_fuzz::{ExecConfig, Gene, Genome};
 
-/// Counts every allocation (and growth reallocation); frees are not
-/// interesting for a regression bound.
+/// Counts every allocation (and growth reallocation) made by the current
+/// thread; frees are not interesting for a regression bound.
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const`-initialised and drop-free, so touching it from inside the
+    // allocator never allocates and never runs lazy initialisation.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_alloc() {
+    // `try_with` rather than `with`: an allocation during thread
+    // teardown must not panic inside the allocator.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations made by the current thread so far.
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.alloc_zeroed(layout) }
     }
 }
@@ -50,10 +69,9 @@ fn allocs_for_one_exec(target_name: &str, genome: &Genome, cfg: &ExecConfig) -> 
     // Warm up once so lazily-initialized runtime state (thread-locals,
     // hasher seeds) is excluded from the measurement.
     let _ = (t.run)(genome, cfg);
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
     let outcome = (t.run)(genome, cfg);
-    let after = ALLOCS.load(Ordering::Relaxed);
-    (after - before, outcome.steps)
+    (allocs() - before, outcome.steps)
 }
 
 #[test]
@@ -78,14 +96,15 @@ fn fuzz_exec_allocations_stay_bounded() {
     };
     let cfg = ExecConfig::default();
 
-    // Measured on the scratch-buffer core (debug build): abp ≈ 721 allocs
-    // over 74 steps; go-back-8 ≈ 10_013 and selective-repeat-4 ≈ 10_068
-    // over the full 800-step budget — ≈ 10–13 per step, all from successor
-    // state construction, execution recording, and report assembly.
+    // Measured on the lean path (debug build): abp 104 allocations over
+    // 74 steps; go-back-8 172 and selective-repeat-4 180 over the full
+    // 800-step budget — well under one per step once set-up is paid. The
+    // ceilings are about 1.5× those counts; the recording path took
+    // 361 / 2,948 / 2,979.
     for (name, ceiling) in [
-        ("abp", 1_500u64),
-        ("go-back-8", 16_000),
-        ("selective-repeat-4", 16_000),
+        ("abp", 160u64),
+        ("go-back-8", 260),
+        ("selective-repeat-4", 270),
     ] {
         let (allocs, steps) = allocs_for_one_exec(name, &genome, &cfg);
         eprintln!("{name}: {allocs} allocations over {steps} steps");
@@ -100,10 +119,11 @@ fn fuzz_exec_allocations_stay_bounded() {
              back into the runner?"
         );
         // Also bound the per-step rate: the clone-based executor sat at
-        // dozens per step, the scratch-buffer core at a handful.
+        // dozens per step, the recording path at about 3.7–4.9, the lean
+        // path at 0.2–1.4 (abp's short run is mostly set-up).
         let per_step = allocs as f64 / steps as f64;
         assert!(
-            per_step < 20.0,
+            per_step < 2.1,
             "{name}: {per_step:.1} allocations per step ({allocs}/{steps})"
         );
     }

@@ -539,16 +539,16 @@ enum Cursor {
 }
 
 /// One resumable scripted run: the reusable session-stepping entry point
-/// the fleet engine drives.
+/// the fleet engine and the fuzzer drive.
 ///
 /// A `SessionStep` owns everything mutable about a run — the seeded
 /// [`Runner`] (RNG stream, uid counter, decision log), the current state,
 /// the script cursor, scratch buffers, metrics, and the optional online
 /// conformance monitor — while the system itself is accessed through
-/// [`Borrow`], so callers can either lend a shared system (`B = &M`, the
-/// [`Runner::run_from`] path) or move a per-session copy in (`B = M`, the
-/// `dl-fleet` path, where each session's channels carry session-derived
-/// fault salts).
+/// [`Borrow`](std::borrow::Borrow), so callers can either lend a shared
+/// system (`B = &M`, the [`Runner::run_from`] and `dl-fuzz` path) or move
+/// a per-session copy in (`B = M`, the `dl-fleet` path, where each
+/// session's channels carry session-derived fault salts).
 ///
 /// Driving a session to completion with [`SessionStep::run_to_end`] is
 /// *the same execution* as `Runner::run_from` with the same runner,
@@ -579,25 +579,9 @@ where
     M: Automaton<Action = DlAction>,
     B: std::borrow::Borrow<M>,
 {
-    /// A recording session from the system's first start state: the full
+    /// A recording session from an explicit start state: the full
     /// execution is retained and [`SessionStep::into_report`] produces
-    /// the usual [`RunReport`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the system has no start state.
-    #[must_use]
-    pub fn new(runner: Runner, system: B, script: crate::Script) -> Self {
-        let start = system
-            .borrow()
-            .start_states()
-            .into_iter()
-            .next()
-            .expect("automaton has a start state");
-        Self::from_state(runner, system, start, script)
-    }
-
-    /// A recording session from an explicit start state.
+    /// the usual [`RunReport`] (the [`Runner::run_from`] path).
     #[must_use]
     pub fn from_state(runner: Runner, system: B, start: M::State, script: crate::Script) -> Self {
         Self::build(runner, system, start, script, true)
@@ -605,10 +589,12 @@ where
 
     /// A lean session from the system's first start state: only the
     /// current state is retained (no execution, no behavior), which is
-    /// the fleet configuration — per-session cost stays in the hundreds
-    /// of bytes regardless of run length. Verdicts still flow from the
-    /// online monitor and the [`Metrics`]; the rolling
-    /// [`SessionStep::digest`] stands in for the schedule.
+    /// how the fleet and the fuzzer run sessions — per-session cost stays
+    /// in the hundreds of bytes regardless of run length. Verdicts still flow
+    /// from the online monitor and the [`Metrics`]; the rolling
+    /// [`SessionStep::digest`] stands in for the schedule, and a caller
+    /// that wants more of the run watches it one action at a time
+    /// through [`SessionStep::step`] and [`SessionStep::state`].
     ///
     /// # Panics
     ///
@@ -669,20 +655,36 @@ where
     /// Advances the session by exactly one taken action (skipping over
     /// script bookkeeping as needed); returns `false` once the run is
     /// over — script consumed, budget exhausted, or monitor-aborted.
+    /// A wrapper over [`SessionStep::step`].
     ///
     /// # Panics
     ///
     /// Panics if a scripted injection is not an enabled input of the
     /// system, exactly as [`Runner::run_from`] does.
     pub fn advance(&mut self) -> bool {
+        self.step().is_some()
+    }
+
+    /// Takes exactly one action, as [`SessionStep::advance`] does, and
+    /// returns it as taken (a `send_pkt` carries its stamped uid); `None`
+    /// once the run is over. Right after the call, [`SessionStep::state`]
+    /// is that action's post-state and [`SessionStep::metrics`] and the
+    /// online monitor have counted it, so an engine can watch a lean
+    /// session action by action without recording it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a scripted injection is not an enabled input of the
+    /// system, exactly as [`Runner::run_from`] does.
+    pub fn step(&mut self) -> Option<DlAction> {
         loop {
             let Cursor::At { step, local_left } = self.cursor else {
-                return false;
+                return None;
             };
             let view = match self.script.steps().get(step) {
                 None => {
                     self.cursor = Cursor::Halted;
-                    return false;
+                    return None;
                 }
                 Some(s) => s.clone(),
             };
@@ -711,10 +713,13 @@ where
                     if trace.len() >= runner.max_steps {
                         self.fully_ran = false;
                         self.cursor = Cursor::Halted;
-                        return false;
+                        return None;
                     }
-                    let ok = take(runner, system, trace, digest, a, metrics, online);
-                    assert!(ok, "input {a} was not enabled: system is not input-enabled");
+                    let taken = take(runner, system, trace, digest, a, metrics, online);
+                    assert!(
+                        taken.is_some(),
+                        "input {a} was not enabled: system is not input-enabled"
+                    );
                     self.cursor = Cursor::At {
                         step: step + 1,
                         local_left: None,
@@ -723,16 +728,18 @@ where
                         self.fully_ran = false;
                         self.cursor = Cursor::Halted;
                     }
-                    return true;
+                    return taken;
                 }
                 crate::ScriptStep::Local(n) => {
                     let left = local_left.unwrap_or(n);
-                    if left == 0
-                        || trace.len() >= runner.max_steps
-                        || !fair_local_step(
+                    let taken = if left == 0 || trace.len() >= runner.max_steps {
+                        None
+                    } else {
+                        fair_local_step(
                             runner, system, trace, digest, next_task, metrics, online, scratch,
                         )
-                    {
+                    };
+                    if taken.is_none() {
                         self.cursor = Cursor::At {
                             step: step + 1,
                             local_left: None,
@@ -747,7 +754,7 @@ where
                         self.fully_ran = false;
                         self.cursor = Cursor::Halted;
                     }
-                    return true;
+                    return taken;
                 }
                 crate::ScriptStep::Settle => {
                     if trace.len() >= runner.max_steps {
@@ -758,9 +765,10 @@ where
                         };
                         continue;
                     }
-                    if !fair_local_step(
+                    let taken = fair_local_step(
                         runner, system, trace, digest, next_task, metrics, online, scratch,
-                    ) {
+                    );
+                    if taken.is_none() {
                         self.cursor = Cursor::At {
                             step: step + 1,
                             local_left: None,
@@ -771,7 +779,7 @@ where
                         self.fully_ran = false;
                         self.cursor = Cursor::Halted;
                     }
-                    return true;
+                    return taken;
                 }
             }
         }
@@ -807,6 +815,19 @@ where
     #[must_use]
     pub fn steps_taken(&self) -> usize {
         self.trace.len()
+    }
+
+    /// The live state: the post-state of the last action taken (the
+    /// start state before the first).
+    #[must_use]
+    pub fn state(&self) -> &M::State {
+        self.trace.last_state()
+    }
+
+    /// The system this session runs.
+    #[must_use]
+    pub fn system(&self) -> &M {
+        self.system.borrow()
     }
 
     /// The rolling schedule digest: a deterministic 64-bit fold of every
@@ -933,9 +954,9 @@ where
     }
 }
 
-/// Takes one fair locally-controlled step; returns `false` if none is
-/// enabled. Free-standing so [`SessionStep::advance`] can borrow its
-/// fields disjointly.
+/// Takes one fair locally-controlled step and returns the action taken;
+/// `None` if none is enabled. Free-standing so [`SessionStep::step`] can
+/// borrow its fields disjointly.
 #[allow(clippy::too_many_arguments)]
 fn fair_local_step<M>(
     runner: &mut Runner,
@@ -946,7 +967,7 @@ fn fair_local_step<M>(
     metrics: &mut Metrics,
     online: &mut Option<OnlineConformance>,
     scratch: &mut Scratch,
-) -> bool
+) -> Option<DlAction>
 where
     M: Automaton<Action = DlAction>,
 {
@@ -958,7 +979,7 @@ where
     });
     scratch.refills += u64::from(scratch.enabled.capacity() != cap);
     if scratch.enabled.is_empty() {
-        return false;
+        return None;
     }
     let tasks = system.task_count().max(1);
     for offset in 0..tasks {
@@ -979,16 +1000,17 @@ where
         let pick = runner.decide(DecisionPoint::Action, scratch.in_class.len());
         let action = scratch.in_class[pick];
         let took = take(runner, system, trace, digest, action, metrics, online);
-        debug_assert!(took, "enabled_local returned a disabled action");
+        debug_assert!(took.is_some(), "enabled_local returned a disabled action");
         *next_task = (*next_task + offset + 1) % tasks;
         return took;
     }
-    false
+    None
 }
 
 /// Takes `action`, stamping a fresh uid if it is an unstamped `send_pkt`,
 /// and resolving successor nondeterminism with the seeded RNG: count the
-/// successors, draw one, step to it in place.
+/// successors, draw one, step to it in place. Returns the action as
+/// taken, or `None` if it has no successor.
 fn take<M>(
     runner: &mut Runner,
     system: &M,
@@ -997,7 +1019,7 @@ fn take<M>(
     mut action: DlAction,
     metrics: &mut Metrics,
     online: &mut Option<OnlineConformance>,
-) -> bool
+) -> Option<DlAction>
 where
     M: Automaton<Action = DlAction>,
 {
@@ -1009,7 +1031,7 @@ where
     }
     let n = system.successor_count(trace.last_state(), &action);
     if n == 0 {
-        return false;
+        return None;
     }
     let pick = runner.decide(DecisionPoint::Successor, n);
     metrics.record(&action);
@@ -1018,7 +1040,7 @@ where
     }
     *digest = digest_action(*digest, &action);
     trace.step(system, action, pick);
-    true
+    Some(action)
 }
 
 #[cfg(test)]
@@ -1337,6 +1359,28 @@ mod tests {
             DlModule::weak().check(&sched, TraceKind::Prefix),
             Verdict::Violated(v.clone())
         );
+    }
+
+    #[test]
+    fn stepping_a_lean_session_walks_the_recorded_execution() {
+        // `step` returns each action as taken and leaves `state` at its
+        // post-state, so watching a lean session action by action sees
+        // exactly what a recording run keeps.
+        let sys = abp_system(LossMode::Nondet);
+        let script = Script::deliver_n(4);
+        let recorded = Runner::new(9, 10_000).run(&sys, &script);
+        let mut session: SessionStep<_, &_> =
+            SessionStep::lean(Runner::new(9, 10_000), &sys, script);
+        let mut i = 0;
+        while let Some(a) = session.step() {
+            assert_eq!(a, *recorded.execution.action(i));
+            assert_eq!(session.state(), recorded.execution.state(i + 1));
+            i += 1;
+        }
+        assert!(i > 0);
+        assert_eq!(i, recorded.execution.len());
+        assert_eq!(session.quiescent(), recorded.quiescent);
+        assert!(std::ptr::eq(session.system(), &sys));
     }
 
     #[test]

@@ -81,8 +81,12 @@ stage_monitor_smoke() {
 
 stage_fuzz_smoke() {
   # Fixed seed, bounded execs, release: quirky DL4 + ABP crash pump
-  # rediscovered, every counterexample replays byte-identically.
+  # rediscovered, every counterexample replays byte-identically; and the
+  # lean execution path of all ten targets matches an in-test recording
+  # reference (coverage, schedule, verdict), with every violation's `at`
+  # indexing the schedule.
   cargo test --release -q -p dl-fuzz --test smoke
+  cargo test --release -q -p dl-fuzz --test differential
 }
 
 stage_fleet_smoke() {
@@ -106,9 +110,9 @@ stage_stabilize_smoke() {
 }
 
 stage_alloc() {
-  # Counting allocator: steady-state allocs per fuzz exec, per explored
-  # edge (both visited-set backends) and per lean fleet-session action
-  # (every classic kind) under the pinned ceilings.
+  # Counting allocator: allocs per fuzz exec, per explored edge (both
+  # visited-set backends) and per lean fleet-session action (every zoo
+  # kind, stabilizing included) under the pinned ceilings.
   cargo test -q -p dl-fuzz --test alloc_regression
   cargo test -q -p dl-explore --test alloc_ceiling
   cargo test -q -p dl-fleet --test alloc_ceiling
