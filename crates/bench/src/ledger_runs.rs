@@ -1,12 +1,13 @@
 //! Ledger-emitting release runs of the headline experiments.
 //!
-//! One function per workload — E9 (exhaustive ABP model check), E15
-//! (the same model pushed past 10⁶ states on the packed backend), E11
-//! (monitored simulation run), E12 (fuzz rediscovery), E13 (fleet
-//! traffic engine), E14 (self-stabilization from corrupted
-//! configurations), E16 (the cross-formalism differential), and the two
-//! impossibility constructions — each
-//! returning a [`RunLedger`] whose
+//! One function per workload — E3 (ARQ overhead over lossy links), E9
+//! (exhaustive ABP model check), E15 (the same model pushed past 10⁶
+//! states on the packed backend), E11 (monitored simulation run, the
+//! streaming monitor against the quadratic reference, and sharded
+//! monitor ingest), E12 (fuzz rediscovery), E13 (fleet traffic engine),
+//! E14 (self-stabilization from corrupted configurations), E16 (the
+//! cross-formalism differential), and the two impossibility
+//! constructions — each returning a [`RunLedger`] whose
 //! **counters** are pure functions of the run configuration (the ledger
 //! round-trip tests compare them exactly across re-runs) and whose
 //! **gauges** are wall-clock measurements consumed by the bench gate.
@@ -26,6 +27,7 @@ use dl_channels::{LossMode, LossyFifoChannel};
 use dl_core::action::{Dir, DlAction, Msg, Packet};
 use dl_core::observer::{ObserverState, WdlObserver};
 use dl_core::spec::monitor::TraceMonitor;
+use dl_core::spec::reference;
 use dl_crosscheck::zoo;
 use dl_crosscheck::ZooOutcome;
 use dl_explore::ParallelExplorer;
@@ -38,6 +40,8 @@ use dl_sim::{link_system, ConformancePolicy, Runner, Script};
 use ioa::composition::Compose2;
 use ioa::schedule_module::{TraceKind, Verdict};
 use ioa::Automaton;
+
+use crate::deliver_n_over_fifo;
 
 /// The E9 system: ABP over capacity-bounded nondeterministically-lossy
 /// channels, composed with the WDL-safety observer (closed and finite).
@@ -74,6 +78,24 @@ fn stall(sleep_micros: u64) {
     if sleep_micros > 0 {
         std::thread::sleep(Duration::from_micros(sleep_micros));
     }
+}
+
+/// Passes timed by a workload whose single pass lasts only milliseconds:
+/// it reports the fastest, so one scheduler hiccup cannot fail the gate.
+const TIMING_REPS: usize = 5;
+
+/// Runs `pass` [`TIMING_REPS`] times; returns the first pass's result and
+/// the fastest pass's wall-clock time.
+fn fastest_of<T>(mut pass: impl FnMut() -> T) -> (T, Duration) {
+    let t0 = Instant::now();
+    let out = pass();
+    let mut best = t0.elapsed();
+    for _ in 1..TIMING_REPS {
+        let t0 = Instant::now();
+        std::hint::black_box(pass());
+        best = best.min(t0.elapsed());
+    }
+    (out, best)
 }
 
 /// Reads the `DL_BENCH_SLEEP_US` synthetic-stall knob (0 when unset or
@@ -212,6 +234,65 @@ pub fn sim_e11(sleep_micros: u64) -> RunLedger {
     assert!(report.quiescent, "E11: monitored ABP run must quiesce");
     assert_eq!(report.metrics.msgs_received, 50, "E11: short delivery");
     report.to_ledger("e11", elapsed)
+}
+
+/// E3: ARQ overhead over lossy FIFO links. ABP, go-back-2/4/8,
+/// selective-repeat-2/4 and Stenning each deliver 20 messages (seed 7)
+/// with no loss, every 4th packet lost, and nondeterministic loss. Each
+/// of the 21 cells becomes one counter, `data_pkts_<protocol>_<loss>`:
+/// the data packets sent `t → r` to deliver the batch, so a cell's
+/// overhead ratio is its counter over 20. The gauges time the fastest of
+/// [`TIMING_REPS`] sweeps over all 21 cells.
+///
+/// # Panics
+///
+/// Panics if a cell fails to quiesce or delivers short
+/// ([`deliver_n_over_fifo`](crate::deliver_n_over_fifo)).
+#[must_use]
+pub fn sim_e3(sleep_micros: u64) -> RunLedger {
+    const MSGS: u64 = 20;
+    const SEED: u64 = 7;
+    let (mut ledger, sweep_time) = fastest_of(|| {
+        let mut ledger = RunLedger::new("sim", "e3");
+        for (loss, mode) in [
+            ("lossless", LossMode::None),
+            ("every4", LossMode::EveryNth(4)),
+            ("nondet", LossMode::Nondet),
+        ] {
+            let mut cell = |protocol: &str, metrics: dl_sim::Metrics| {
+                ledger.counter(
+                    &format!("data_pkts_{protocol}_{loss}"),
+                    metrics.pkts_sent[0],
+                );
+            };
+            let p = dl_protocols::abp::protocol();
+            let m = deliver_n_over_fifo(p.transmitter, p.receiver, mode, MSGS, SEED);
+            cell("abp", m);
+            for w in [2u64, 4, 8] {
+                let p = dl_protocols::sliding_window::protocol(w);
+                let m = deliver_n_over_fifo(p.transmitter, p.receiver, mode, MSGS, SEED);
+                cell(&format!("go_back_{w}"), m);
+            }
+            for w in [2u64, 4] {
+                let p = dl_protocols::selective_repeat::protocol(w);
+                let m = deliver_n_over_fifo(p.transmitter, p.receiver, mode, MSGS, SEED);
+                cell(&format!("sel_repeat_{w}"), m);
+            }
+            let p = dl_protocols::stenning::protocol();
+            let m = deliver_n_over_fifo(p.transmitter, p.receiver, mode, MSGS, SEED);
+            cell("stenning", m);
+        }
+        ledger
+    });
+    let t0 = Instant::now();
+    stall(sleep_micros);
+    let elapsed = sweep_time + t0.elapsed();
+
+    let secs = elapsed.as_secs_f64().max(1e-9);
+    let msgs = MSGS * ledger.counters.len() as u64;
+    ledger.gauge("msgs_per_sec", msgs as f64 / secs);
+    ledger.gauge("duration_micros", elapsed.as_secs_f64() * 1e6);
+    ledger
 }
 
 /// E12: the single-worker fuzz campaign that rediscovers ABP's DL4 from
@@ -482,8 +563,7 @@ impl MonitorTraceGen {
 /// (A single unsharded 10⁷-action stream is deliberately *not* the
 /// headline: PL2 forces every conformant packet value to be globally
 /// distinct, so a monolithic monitor's value tables outgrow cache and
-/// the run measures DRAM probe latency, ~2 · 10⁶ actions/s — the
-/// `checker_scaling` sweep covers that regime explicitly.)
+/// the run measures DRAM probe latency, ~2 · 10⁶ actions/s.)
 ///
 /// Counters (session/verdict tallies, in-transit population, and the
 /// `peak_monitor_bytes` footprint that gates the bounded-memory claim)
@@ -534,20 +614,7 @@ pub fn monitor_ingest_n(actions: usize, sleep_micros: u64) -> RunLedger {
         gen.finish(&mut chunk);
         let t0 = Instant::now();
         mon.observe_all(&chunk);
-        for dir in Dir::BOTH {
-            for fifo in [false, true] {
-                if mon.pl_verdict(dir, fifo) == Verdict::Satisfied {
-                    satisfied += 1;
-                }
-            }
-        }
-        for weak in [false, true] {
-            for kind in [TraceKind::Prefix, TraceKind::Complete] {
-                if mon.dl_verdict(weak, kind) == Verdict::Satisfied {
-                    satisfied += 1;
-                }
-            }
-        }
+        satisfied += count_satisfied(&monitor_verdicts(&mon));
         busy += t0.elapsed();
         let violation = match mon.dl_verdict(false, TraceKind::Complete) {
             Verdict::Violated(v) => Some(v.property),
@@ -581,6 +648,119 @@ pub fn monitor_ingest_n(actions: usize, sleep_micros: u64) -> RunLedger {
     ledger.gauge("actions_per_sec", total_actions as f64 / secs);
     ledger.gauge("duration_micros", busy.as_secs_f64() * 1e6);
     ledger
+}
+
+/// E11 (checker side): all eight module verdicts from one streaming
+/// [`TraceMonitor`] pass over a message-dense 10⁵-action trace, against
+/// the same verdicts from the frozen quadratic `spec::reference`
+/// checkers. `streaming_actions_per_sec` is the gated rate of the fastest
+/// of [`TIMING_REPS`] streaming passes; `speedup` reports the reference
+/// pass's time over that pass's.
+///
+/// # Panics
+///
+/// Panics if the two verdict lists differ, or if the streaming pass is
+/// less than 10× faster than the reference pass.
+#[must_use]
+pub fn monitor_e11(sleep_micros: u64) -> RunLedger {
+    monitor_e11_n(100_000, sleep_micros)
+}
+
+/// [`monitor_e11`] at a configurable trace length (the schema tests run
+/// a short trace in debug builds).
+#[must_use]
+pub fn monitor_e11_n(actions: usize, sleep_micros: u64) -> RunLedger {
+    let trace = message_dense_trace(actions);
+    let (streaming, streaming_time) = fastest_of(|| monitor_verdicts(&TraceMonitor::scan(&trace)));
+    let t0 = Instant::now();
+    stall(sleep_micros);
+    let measured = streaming_time + t0.elapsed();
+    let t0 = Instant::now();
+    let reference = eight_verdicts(
+        |dir, fifo| reference::pl_check(&trace, dir, fifo),
+        |weak, kind| reference::dl_check(&trace, weak, kind),
+    );
+    let reference_time = t0.elapsed();
+    assert_eq!(
+        streaming, reference,
+        "E11: streaming and reference verdicts diverged"
+    );
+    let speedup = reference_time.as_secs_f64() / streaming_time.as_secs_f64().max(1e-9);
+    assert!(
+        speedup >= 10.0,
+        "E11: streaming pass only {speedup:.1}x faster than the reference \
+         ({streaming_time:?} against {reference_time:?})"
+    );
+
+    let mut ledger = RunLedger::new("monitor", "e11");
+    ledger.counter("actions", trace.len() as u64);
+    ledger.counter(
+        "messages",
+        trace
+            .iter()
+            .filter(|a| matches!(a, DlAction::SendMsg(_)))
+            .count() as u64,
+    );
+    ledger.counter("verdicts_satisfied", count_satisfied(&streaming));
+    let secs = measured.as_secs_f64().max(1e-9);
+    ledger.gauge("streaming_actions_per_sec", trace.len() as f64 / secs);
+    ledger.gauge("speedup", speedup);
+    ledger.gauge("duration_micros", measured.as_secs_f64() * 1e6);
+    ledger
+}
+
+/// A message-dense trace of at least `n` actions: send/deliver pairs,
+/// with a transmitter fail/wake cycle every 500 messages. The reference
+/// DL5 check scans every earlier receive at each receive, so it is
+/// quadratic here.
+fn message_dense_trace(n: usize) -> Vec<DlAction> {
+    let mut out = vec![DlAction::Wake(Dir::TR), DlAction::Wake(Dir::RT)];
+    let mut m = 0u64;
+    while out.len() < n {
+        out.push(DlAction::SendMsg(Msg(m)));
+        out.push(DlAction::ReceiveMsg(Msg(m)));
+        m += 1;
+        if m.is_multiple_of(500) {
+            out.push(DlAction::Fail(Dir::TR));
+            out.push(DlAction::Wake(Dir::TR));
+        }
+    }
+    out
+}
+
+/// All eight module verdicts of `mon`, in [`eight_verdicts`] order.
+fn monitor_verdicts(mon: &TraceMonitor) -> Vec<Verdict> {
+    eight_verdicts(
+        |dir, fifo| mon.pl_verdict(dir, fifo),
+        |weak, kind| mon.dl_verdict(weak, kind),
+    )
+}
+
+/// The eight module verdicts of one trace: the four PL configurations
+/// (`pl(dir, fifo)`), then the four DL configurations (`dl(weak, kind)`).
+fn eight_verdicts(
+    pl: impl Fn(Dir, bool) -> Verdict,
+    dl: impl Fn(bool, TraceKind) -> Verdict,
+) -> Vec<Verdict> {
+    let mut out = Vec::with_capacity(8);
+    for dir in Dir::BOTH {
+        for fifo in [false, true] {
+            out.push(pl(dir, fifo));
+        }
+    }
+    for weak in [false, true] {
+        for kind in [TraceKind::Prefix, TraceKind::Complete] {
+            out.push(dl(weak, kind));
+        }
+    }
+    out
+}
+
+fn count_satisfied(verdicts: &[Verdict]) -> u64 {
+    verdicts
+        .iter()
+        .filter(|v| **v == Verdict::Satisfied)
+        .count() as u64
 }
 
 /// Theorem 7.5: the ABP crash pump, with the reference-projection
@@ -708,8 +888,10 @@ pub fn all_runs(threads: usize, sleep_micros: u64) -> BenchFile {
         runs: vec![
             explore_e9(threads, sleep_micros),
             explore_deep(threads, sleep_micros),
+            sim_e3(sleep_micros),
             sim_e11(sleep_micros),
             monitor_ingest(sleep_micros),
+            monitor_e11(sleep_micros),
             fuzz_e12(sleep_micros),
             fleet_e13(threads, sleep_micros),
             stabilize_converge(threads, sleep_micros),
@@ -770,6 +952,30 @@ mod tests {
         assert_eq!(ledger.counters["violation"], 0);
         assert_eq!(ledger.counters["threads"], 1);
         assert!(ledger.gauges["states_per_sec"] > 0.0);
+    }
+
+    /// The EXPERIMENTS.md E3 table: data packets per 20 delivered
+    /// messages, lossless / every 4th lost / nondeterministic loss.
+    #[test]
+    fn e3_counters_match_the_published_table() {
+        let ledger = sim_e3(0);
+        let table: [(&str, [u64; 3]); 7] = [
+            ("abp", [40, 52, 101]),
+            ("go_back_2", [37, 66, 73]),
+            ("go_back_4", [51, 114, 137]),
+            ("go_back_8", [99, 146, 198]),
+            ("sel_repeat_2", [35, 36, 75]),
+            ("sel_repeat_4", [27, 34, 48]),
+            ("stenning", [40, 52, 101]),
+        ];
+        let mut expected = std::collections::BTreeMap::new();
+        for (protocol, cells) in table {
+            for (loss, pkts) in ["lossless", "every4", "nondet"].into_iter().zip(cells) {
+                expected.insert(format!("data_pkts_{protocol}_{loss}"), pkts);
+            }
+        }
+        assert_eq!(ledger.counters, expected);
+        assert!(ledger.gauges["msgs_per_sec"] > 0.0);
     }
 
     #[test]

@@ -1,9 +1,9 @@
-//! Shared helpers for the experiment benchmarks (see `benches/`).
+//! Ledger-emitting experiment runs ([`ledger_runs`]) and their shared
+//! helpers.
 //!
-//! Each bench target regenerates one experiment from EXPERIMENTS.md; the
-//! helpers here standardize the common shape — run a protocol over a pair
-//! of symmetric channels under a script, assert the run completed, return
-//! the metrics.
+//! The helpers here standardize the common simulation shape — run a
+//! protocol over a pair of symmetric channels under a script, assert the
+//! run completed, return the metrics.
 
 use dl_channels::{LossMode, LossyFifoChannel};
 use dl_core::action::{Dir, DlAction};
@@ -17,8 +17,8 @@ pub mod ledger_runs;
 ///
 /// # Panics
 ///
-/// Panics if the run fails to quiesce — a bench must not silently measure
-/// a stuck system.
+/// Panics if the run fails to quiesce — a workload must not silently
+/// measure a stuck system.
 pub fn run_over_fifo<T, R>(tx: T, rx: R, mode: LossMode, script: &Script, seed: u64) -> Metrics
 where
     T: Automaton<Action = DlAction>,

@@ -8,13 +8,14 @@
 
 use dl_bench::ledger_runs::{
     crosscheck_e16, explore_e9, fleet_e13, fuzz_e12, impossibility_crash, impossibility_header,
-    monitor_ingest_n, sim_e11, stabilize_converge,
+    monitor_e11_n, monitor_ingest_n, sim_e11, sim_e3, stabilize_converge,
 };
 use dl_obs::{BenchFile, RunLedger, ENGINES, SCHEMA_VERSION};
 
 fn workloads() -> Vec<RunLedger> {
     vec![
         explore_e9(1, 0),
+        sim_e3(0),
         sim_e11(0),
         fuzz_e12(0),
         impossibility_crash(0),
@@ -25,6 +26,9 @@ fn workloads() -> Vec<RunLedger> {
         // Schema-shape only: the full 10⁷-action bench length lives in
         // `scripts/bench.sh`; here a short ingest keeps the suite fast.
         monitor_ingest_n(50_000, 0),
+        // Likewise: `monitor/e11` runs 10⁵ actions, and its reference
+        // pass is quadratic.
+        monitor_e11_n(10_000, 0),
     ]
 }
 
@@ -131,7 +135,12 @@ fn e9_rerun_reproduces_identical_counters_at_fixed_threads() {
 
 #[test]
 fn sim_fuzz_and_impossibility_counters_are_reproducible() {
+    assert_eq!(sim_e3(0).counters, sim_e3(0).counters);
     assert_eq!(sim_e11(0).counters, sim_e11(0).counters);
+    assert_eq!(
+        monitor_e11_n(10_000, 0).counters,
+        monitor_e11_n(10_000, 0).counters
+    );
     assert_eq!(fuzz_e12(0).counters, fuzz_e12(0).counters);
     assert_eq!(
         impossibility_crash(0).counters,

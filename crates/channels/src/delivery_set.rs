@@ -372,6 +372,33 @@ mod tests {
         assert_eq!(s.prefix_len(), 6);
     }
 
+    /// The lazy-representation ablation (DESIGN.md §4): surgery that
+    /// materializes only up to the deleted pair and surgery that first
+    /// materializes to a fixed horizon define the same delivery function
+    /// under repeated losses; only the explicit prefix differs.
+    #[test]
+    fn lazy_and_eager_materialization_agree() {
+        for (ops, lazy_len, eager_len) in [(100u64, 66, 400), (1_000, 666, 4_000)] {
+            let horizon = 4 * ops;
+            let mut lazy = DeliverySet::fifo();
+            let mut eager = DeliverySet::fifo();
+            for i in 1..=ops {
+                eager.materialize_to(horizon);
+                if i % 3 == 0 {
+                    for s in [&mut lazy, &mut eager] {
+                        let j = s.position_of(i).expect("undelivered index has a slot");
+                        s.del(i, j).expect("pair exists");
+                    }
+                }
+            }
+            for j in 1..=horizon + 1 {
+                assert_eq!(lazy.source_for(j), eager.source_for(j), "position {j}");
+            }
+            assert_eq!(lazy.prefix_len(), lazy_len, "lazy prefix at {ops} ops");
+            assert_eq!(eager.prefix_len(), eager_len, "eager prefix at {ops} ops");
+        }
+    }
+
     #[test]
     fn del_removes_and_shifts() {
         let mut s = DeliverySet::new(vec![2, 1, 3], 3).unwrap();

@@ -9,7 +9,7 @@
 //!   of the above in a single pass; the physical/datalink batch checkers
 //!   are thin replay wrappers over it;
 //! * [`reference`] — the frozen quadratic reference checkers, kept as the
-//!   oracle for differential tests and the `checker_scaling` bench;
+//!   oracle for differential tests and the `monitor/e11` ledger run;
 //! * [`liveness`] — patience monitors, the prefix surrogates of the
 //!   liveness properties PL6 and DL8;
 //! * [`stabilize`] — suffix-mode conformance ([`stabilize::SuffixMonitor`]):

@@ -10,12 +10,12 @@
 //! * the oracle of the differential test suite — the streaming
 //!   [`TraceMonitor`](crate::spec::monitor::TraceMonitor) must agree with
 //!   them on every trace, and the two implementations share no code; and
-//! * the baseline of the `checker_scaling` bench, which demonstrates the
-//!   linear monitor's speedup on long traces.
+//! * the baseline of the `monitor/e11` ledger run in `dl-bench`, which
+//!   holds the linear monitor's speedup on long traces to at least 10×.
 //!
 //! Production code should use the monitor-backed wrappers in
 //! [`crate::spec::physical`] and [`crate::spec::datalink`]; nothing outside
-//! tests and benches should need this module.
+//! tests and ledger runs should need this module.
 
 use std::collections::{HashMap, HashSet};
 

@@ -65,8 +65,7 @@ fn dir_index(d: Dir) -> usize {
 /// Expands a byte string of choices into a legality-biased trace:
 /// packet traffic only on up media and received in FIFO order, messages
 /// delivered in send order, wake/fail strictly alternating, occasional
-/// crashes. Shared (by construction, not linkage) with the
-/// `checker_scaling` bench.
+/// crashes.
 fn structured_trace(choices: &[u8]) -> Vec<DlAction> {
     let mut out = vec![DlAction::Wake(Dir::TR), DlAction::Wake(Dir::RT)];
     let mut up = [true, true];

@@ -29,9 +29,9 @@
 //!   pump where agreement covers the DL4 counterexample itself.
 //!   The comparison has one implementation, [`EngineSummary`] plus
 //!   [`disagreements`], which [`zoo::run_both`] wraps for composed zoo
-//!   systems. This crate's tests, the workspace's model-checking suite
-//!   and determinism matrix, and the `parallel_explore` bench all
-//!   compare the explorer against [`CcChecker`] through them.
+//!   systems. This crate's tests and the workspace's model-checking
+//!   suite and determinism matrix all compare the explorer against
+//!   [`CcChecker`] through them.
 //!
 //! # Why exact agreement is the right contract
 //!

@@ -23,8 +23,11 @@ fn abp_cap2_agrees_across_thread_counts() {
 
 #[test]
 fn abp_capacity_sweep_agrees() {
-    for capacity in 1..=3 {
-        zoo::abp_lossy(capacity, 2).assert_agree();
+    // E9's published state counts at capacity 1 / 2 / 3.
+    for (capacity, states) in [(1, 232), (2, 594), (3, 1178)] {
+        let outcome = zoo::abp_lossy(capacity, 2);
+        outcome.assert_agree();
+        assert_eq!(outcome.crosscheck.states, states, "capacity {capacity}");
     }
 }
 

@@ -459,6 +459,29 @@ mod tests {
         assert_eq!(beh.last(), Some(&DlAction::ReceiveMsg(Msg(1))));
     }
 
+    /// The scheduling ablation (DESIGN.md §4): delivery-eager Priority
+    /// scheduling is guaranteed minimal for the single-delivery
+    /// reference, and on go-back-N round-robin happens to be equally
+    /// minimal, so Priority is a guarantee rather than a measured win.
+    #[test]
+    fn priority_reference_is_no_longer_than_round_robin() {
+        let reference_len = |window, sched| {
+            let p = dl_protocols::sliding_window::protocol(window);
+            let mut d = Driver::new(p.transmitter, p.receiver, true, 1000);
+            d.apply(DlAction::Wake(Dir::TR)).unwrap();
+            d.apply(DlAction::Wake(Dir::RT)).unwrap();
+            d.apply(DlAction::SendMsg(Msg(0))).unwrap();
+            d.run_until(sched, 100_000, |_| false).unwrap();
+            d.trace.len()
+        };
+        for window in [1u64, 2, 4, 8] {
+            let priority = reference_len(window, Scheduling::Priority);
+            let round_robin = reference_len(window, Scheduling::RoundRobin);
+            assert!(priority <= round_robin, "go-back-{window}");
+            assert_eq!((priority, round_robin), (8, 8), "go-back-{window}");
+        }
+    }
+
     #[test]
     fn take_stamps_uids() {
         let mut d = driver();

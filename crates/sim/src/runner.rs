@@ -1116,12 +1116,28 @@ mod tests {
         }
     }
 
+    fn data_headers<S>(report: &RunReport<S>) -> usize {
+        report
+            .metrics
+            .headers_used
+            .iter()
+            .filter(|h| h.tag == dl_core::action::Tag::Data)
+            .count()
+    }
+
     #[test]
     fn abp_header_usage_is_bounded() {
         let sys = abp_system(LossMode::None);
         let mut runner = Runner::new(1, 100_000);
         let report = runner.run(&sys, &Script::deliver_n(20));
         assert!(report.metrics.headers_used.len() <= 4);
+        // E7(a)'s control: two DATA headers, however many messages.
+        for n in [10, 100, 1_000] {
+            let report = Runner::new(1, 100_000).run(&sys, &Script::deliver_n(n));
+            assert!(report.quiescent);
+            assert_eq!(report.metrics.msgs_received, n);
+            assert!(data_headers(&report) <= 2, "{n} messages");
+        }
     }
 
     #[test]
@@ -1133,17 +1149,13 @@ mod tests {
             LossyFifoChannel::perfect(Dir::TR),
             LossyFifoChannel::perfect(Dir::RT),
         );
-        let mut runner = Runner::new(1, 100_000);
-        let report = runner.run(&sys, &Script::deliver_n(15));
-        assert!(report.quiescent);
-        // 15 data headers + ack headers.
-        let data_headers = report
-            .metrics
-            .headers_used
-            .iter()
-            .filter(|h| h.tag == dl_core::action::Tag::Data)
-            .count();
-        assert_eq!(data_headers, 15);
+        // E7(a): one fresh DATA header per message, end to end.
+        for n in [10, 15, 100, 1_000] {
+            let report = Runner::new(1, 100_000).run(&sys, &Script::deliver_n(n));
+            assert!(report.quiescent);
+            assert_eq!(report.metrics.msgs_received, n);
+            assert_eq!(data_headers(&report) as u64, n);
+        }
     }
 
     #[test]

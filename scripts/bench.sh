@@ -1,14 +1,14 @@
 #!/usr/bin/env bash
 # Performance harness: ledger-emitting release runs of the headline
-# experiments (E9 explore, E11 sim, E12 fuzz, E13 fleet, the 10⁷-action
-# session-sharded monitor ingest, E16 cross-check, both impossibility
-# constructions), written to bench/out/BENCH_<date>.json and gated
-# against the committed bench/baseline.json.
+# experiments (E3 ARQ overhead, E9/E15 explore, E11 sim and monitor, the
+# 10⁷-action session-sharded monitor ingest, E12 fuzz, E13 fleet, E14
+# stabilize, E16 cross-check, both impossibility constructions), written
+# to bench/out/BENCH_<date>.json and gated against the committed
+# bench/baseline.json.
 #
 #   scripts/bench.sh                  run workloads, write bench/out/BENCH_<date>.json
 #   scripts/bench.sh --gate           ...and fail on regression vs baseline
 #   scripts/bench.sh --update-baseline  rewrite bench/baseline.json (relaxed)
-#   scripts/bench.sh --full           also run the criterion benches first
 #
 # Gate rules (dl_obs::gate): throughput gauges (*_per_sec) must not drop
 # more than 25 % below baseline; latency gauges (*_micros) and allocation
@@ -27,20 +27,14 @@ case "${1:-}" in
   "") ;;
   --gate) MODE=gate ;;
   --update-baseline) MODE=update ;;
-  --full) MODE=full ;;
   *)
-    echo "usage: bench.sh [--gate | --update-baseline | --full]" >&2
+    echo "usage: bench.sh [--gate | --update-baseline]" >&2
     exit 2
     ;;
 esac
 
 echo "==> build (release, --features obs)"
 cargo build -q --release -p dl-bench --features obs --bin ledger_run --bin bench_gate
-
-if [[ $MODE == full ]]; then
-  echo "==> criterion benches (release)"
-  cargo bench -q -p dl-bench --bench model_check --bench parallel_explore
-fi
 
 if [[ $MODE == update ]]; then
   echo "==> rewriting bench/baseline.json (relaxed tolerances)"

@@ -1,56 +1,227 @@
-//! Documentation consistency: the bench targets and examples the
-//! documentation points at actually exist, so EXPERIMENTS.md's
-//! "regenerate" lines never rot.
+//! Documentation consistency: the tests, examples, binaries, check
+//! stages and ledger runs the documentation points at actually exist, so
+//! EXPERIMENTS.md's "regenerate" lines never rot.
 
-use std::collections::BTreeSet;
 use std::fs;
 use std::path::Path;
+
+use dl_obs::BenchFile;
 
 fn repo_root() -> &'static Path {
     Path::new(env!("CARGO_MANIFEST_DIR"))
 }
 
-#[test]
-fn experiments_bench_targets_exist() {
-    let text = fs::read_to_string(repo_root().join("EXPERIMENTS.md")).unwrap();
-    let mut referenced = BTreeSet::new();
-    for line in text.lines() {
-        if let Some(idx) = line.find("--bench ") {
-            let rest = &line[idx + "--bench ".len()..];
-            let name: String = rest
-                .chars()
-                .take_while(|c| c.is_alphanumeric() || *c == '_')
-                .collect();
-            if !name.is_empty() {
-                referenced.insert(name);
+/// Names declared by `[[table]]` entries (e.g. `[[bin]]`) in a manifest.
+fn declared_names(manifest: &str, table: &str) -> Vec<String> {
+    let mut names = Vec::new();
+    let mut in_table = false;
+    for line in manifest.lines().map(str::trim) {
+        if line.starts_with('[') {
+            in_table = line == table;
+        } else if let Some(name) = line.strip_prefix("name = \"") {
+            if in_table {
+                names.push(name.trim_end_matches('"').to_string());
             }
         }
     }
-    assert!(
-        !referenced.is_empty(),
-        "EXPERIMENTS.md references no bench targets"
-    );
-    for name in &referenced {
-        let path = repo_root().join(format!("crates/bench/benches/{name}.rs"));
+    names
+}
+
+/// Every workspace manifest: the root package's and each crate's.
+fn manifests() -> Vec<String> {
+    let mut out = vec![fs::read_to_string(repo_root().join("Cargo.toml")).unwrap()];
+    for entry in fs::read_dir(repo_root().join("crates")).unwrap() {
+        let path = entry.unwrap().path().join("Cargo.toml");
+        if path.exists() {
+            out.push(fs::read_to_string(path).unwrap());
+        }
+    }
+    out
+}
+
+/// `true` if `name.rs` is a test file of the root package or any crate.
+fn test_file_exists(name: &str) -> bool {
+    let file = format!("{name}.rs");
+    repo_root().join("tests").join(&file).exists()
+        || fs::read_dir(repo_root().join("crates"))
+            .unwrap()
+            .any(|e| e.unwrap().path().join("tests").join(&file).exists())
+}
+
+/// `true` if `name` is a registered binary: declared by a `[[bin]]` entry
+/// or auto-discovered from a crate's `src/bin/`.
+fn bin_exists(name: &str) -> bool {
+    manifests()
+        .iter()
+        .any(|m| declared_names(m, "[[bin]]").iter().any(|n| n == name))
+        || fs::read_dir(repo_root().join("crates")).unwrap().any(|e| {
+            e.unwrap()
+                .path()
+                .join(format!("src/bin/{name}.rs"))
+                .exists()
+        })
+}
+
+/// `check.sh`'s stage names, from its `STAGES=(...)` line.
+fn check_stages() -> Vec<String> {
+    let script = fs::read_to_string(repo_root().join("scripts/check.sh")).unwrap();
+    let line = script
+        .lines()
+        .find_map(|l| l.strip_prefix("STAGES=("))
+        .expect("check.sh declares STAGES");
+    line.trim_end_matches(')')
+        .split_whitespace()
+        .map(String::from)
+        .collect()
+}
+
+/// The committed bench baseline.
+fn committed_baseline() -> BenchFile {
+    let text = fs::read_to_string(repo_root().join("bench/baseline.json")).unwrap();
+    BenchFile::from_json(&text).unwrap()
+}
+
+/// The name following each `flag ` occurrence in `text`.
+fn flag_values<'a>(text: &'a str, flag: &'a str) -> impl Iterator<Item = &'a str> + 'a {
+    text.match_indices(flag).map(move |(idx, _)| {
+        let rest = &text[idx + flag.len()..];
+        let end = rest
+            .find(|c: char| !(c.is_alphanumeric() || c == '_' || c == '-'))
+            .unwrap_or(rest.len());
+        &rest[..end]
+    })
+}
+
+/// Every measurement is a ledger run that `bench/baseline.json` gates: no
+/// crate keeps a `benches/` directory, no manifest declares a `[[bench]]`
+/// target or depends on criterion, and no script runs `cargo bench`.
+#[test]
+fn all_bench_files_are_registered() {
+    let mut dirs = vec![repo_root().to_path_buf()];
+    for entry in fs::read_dir(repo_root().join("crates")).unwrap() {
+        dirs.push(entry.unwrap().path());
+    }
+    for dir in &dirs {
         assert!(
-            path.exists(),
-            "EXPERIMENTS.md references missing bench {name}"
+            !dir.join("benches").exists(),
+            "{} has a benches/ directory outside the ledger",
+            dir.display()
+        );
+    }
+    for manifest in manifests() {
+        assert!(
+            !manifest.contains("[[bench]]"),
+            "a manifest declares a [[bench]] target outside the ledger"
+        );
+        assert!(
+            !manifest.contains("criterion"),
+            "a manifest depends on criterion"
+        );
+    }
+    for entry in fs::read_dir(repo_root().join("scripts")).unwrap() {
+        let path = entry.unwrap().path();
+        let script = fs::read_to_string(&path).unwrap();
+        assert!(
+            !script.contains("cargo bench"),
+            "{} runs `cargo bench`",
+            path.display()
         );
     }
 }
 
+/// Every EXPERIMENTS.md `**Regenerate.**` paragraph names at least one
+/// target, and every target resolves: `--test X` to a test file,
+/// `--example X` / `--bin X` to a registered target, `--stage X` to a
+/// `scripts/check.sh` stage, and a `engine/run_id` code span to an entry
+/// of `bench/baseline.json`.
 #[test]
-fn all_bench_files_are_registered() {
-    let manifest = fs::read_to_string(repo_root().join("crates/bench/Cargo.toml")).unwrap();
-    for entry in fs::read_dir(repo_root().join("crates/bench/benches")).unwrap() {
-        let file = entry.unwrap().file_name();
-        let name = file.to_string_lossy();
-        let stem = name.trim_end_matches(".rs");
+fn experiments_bench_targets_exist() {
+    let text = fs::read_to_string(repo_root().join("EXPERIMENTS.md")).unwrap();
+    assert!(
+        !text.contains("cargo bench"),
+        "EXPERIMENTS.md points at `cargo bench`, which runs nothing here"
+    );
+    let examples: Vec<String> = manifests()
+        .iter()
+        .flat_map(|m| declared_names(m, "[[example]]"))
+        .collect();
+    let stages = check_stages();
+    let baseline = committed_baseline();
+
+    let lines: Vec<&str> = text.lines().collect();
+    let mut paragraphs = 0;
+    for (start, line) in lines.iter().enumerate() {
+        if !line.starts_with("**Regenerate.**") {
+            continue;
+        }
+        paragraphs += 1;
+        let para = lines[start..]
+            .iter()
+            .take_while(|l| !l.trim().is_empty())
+            .copied()
+            .collect::<Vec<_>>()
+            .join(" ");
+        let mut targets = 0;
+        for name in flag_values(&para, "--test ") {
+            assert!(
+                test_file_exists(name),
+                "line {}: no test file {name}.rs",
+                start + 1
+            );
+            targets += 1;
+        }
+        for name in flag_values(&para, "--example ") {
+            assert!(
+                examples.iter().any(|e| e == name),
+                "line {}: example {name} is not registered",
+                start + 1
+            );
+            targets += 1;
+        }
+        for name in flag_values(&para, "--bin ") {
+            assert!(bin_exists(name), "line {}: no binary {name}", start + 1);
+            targets += 1;
+        }
+        for name in flag_values(&para, "--stage ") {
+            assert!(
+                stages.iter().any(|s| s == name),
+                "line {}: check.sh has no stage {name}",
+                start + 1
+            );
+            targets += 1;
+        }
+        // Ledger entries: code spans of the form `engine/run_id`.
+        for span in para.split('`').skip(1).step_by(2) {
+            let mut parts = span.split('/');
+            let (Some(engine), Some(run_id), None) = (parts.next(), parts.next(), parts.next())
+            else {
+                continue;
+            };
+            let word = |s: &str| {
+                !s.is_empty()
+                    && s.chars()
+                        .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_')
+            };
+            if word(engine) && word(run_id) {
+                assert!(
+                    baseline.find(engine, run_id).is_some(),
+                    "line {}: `{span}` is not in bench/baseline.json",
+                    start + 1
+                );
+                targets += 1;
+            }
+        }
         assert!(
-            manifest.contains(&format!("name = \"{stem}\"")),
-            "bench file {name} not registered in crates/bench/Cargo.toml"
+            targets > 0,
+            "line {}: Regenerate names no test, example, binary, stage or ledger run",
+            start + 1
         );
     }
+    let experiments = lines.iter().filter(|l| l.starts_with("## E")).count();
+    assert!(
+        paragraphs >= experiments,
+        "{paragraphs} Regenerate paragraphs for {experiments} experiments"
+    );
 }
 
 #[test]

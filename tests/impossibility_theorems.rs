@@ -9,6 +9,7 @@ use datalink::impossibility::crash::{
     build_reference, refute_crash_tolerance, refute_protocol, CounterexampleFlavor, CrashConfig,
     CrashEngine, CrashError,
 };
+use datalink::impossibility::driver::ProtocolAutomaton;
 use datalink::impossibility::headers::{
     refute_bounded_headers, HeaderConfig, HeaderEngine, HeaderOutcome,
 };
@@ -43,30 +44,43 @@ fn kind_for(flavor: CounterexampleFlavor) -> TraceKind {
     }
 }
 
+/// Refutes one crashing protocol and pins the E4/E5 shape every victim
+/// shares: the 8-step reference α, 3 pumps, a 16-event counterexample
+/// trace, and DL8 on the complete fair trace.
+fn refute_crashing_victim<T, R>(name: &str, tx: T, rx: R)
+where
+    T: ProtocolAutomaton,
+    R: ProtocolAutomaton,
+{
+    let engine =
+        CrashEngine::new(tx, rx, CrashConfig::default()).unwrap_or_else(|e| panic!("{name}: {e}"));
+    assert_eq!(engine.reference().len(), 8, "{name}: |α|");
+    let cx = engine.run().unwrap_or_else(|e| panic!("{name}: {e}"));
+    certify_wdl_violation(&cx.behavior, kind_for(cx.flavor));
+    assert_eq!(cx.pumps, 3, "{name}: pumps");
+    assert_eq!(cx.trace.len(), 16, "{name}: trace length");
+    assert_eq!(cx.violation.property, "DL8", "{name}: violation");
+    assert_eq!(cx.flavor, CounterexampleFlavor::Dl8Liveness, "{name}");
+}
+
 #[test]
 fn theorem_7_5_all_crashing_victims() {
     // Every crashing protocol in the zoo falls, whatever its header
     // discipline or window size.
     let abp = datalink::protocols::abp::protocol();
-    let cx = refute_crash_tolerance(abp.transmitter, abp.receiver).unwrap();
-    certify_wdl_violation(&cx.behavior, kind_for(cx.flavor));
+    refute_crashing_victim("abp", abp.transmitter, abp.receiver);
 
-    for w in [1, 2, 3, 5, 8] {
+    for w in [1, 2, 3, 4, 5, 8, 16] {
         let p = datalink::protocols::sliding_window::protocol(w);
-        let cx = refute_crash_tolerance(p.transmitter, p.receiver)
-            .unwrap_or_else(|e| panic!("window {w}: {e}"));
-        certify_wdl_violation(&cx.behavior, kind_for(cx.flavor));
+        refute_crashing_victim(&format!("go-back-{w}"), p.transmitter, p.receiver);
     }
 
     let st = datalink::protocols::stenning::protocol();
-    let cx = refute_crash_tolerance(st.transmitter, st.receiver).unwrap();
-    certify_wdl_violation(&cx.behavior, kind_for(cx.flavor));
+    refute_crashing_victim("stenning", st.transmitter, st.receiver);
 
     for w in [1, 2, 4] {
         let p = datalink::protocols::selective_repeat::protocol(w);
-        let cx = refute_crash_tolerance(p.transmitter, p.receiver)
-            .unwrap_or_else(|e| panic!("selective-repeat {w}: {e}"));
-        certify_wdl_violation(&cx.behavior, kind_for(cx.flavor));
+        refute_crashing_victim(&format!("selective-repeat-{w}"), p.transmitter, p.receiver);
     }
 }
 
@@ -233,12 +247,18 @@ fn crash_engine_respects_custom_config() {
 
 #[test]
 fn theorem_8_5_all_bounded_header_victims() {
-    for w in [1, 2, 4] {
+    // The E6 table: go-back-W has |H| = 2(W + 1) header classes, and the
+    // pump needs W + 1 rounds, inside the paper's k·|H| bound.
+    for (w, headers, rounds) in [(1, 4, 2), (2, 6, 3), (3, 8, 4), (4, 10, 5), (6, 14, 7)] {
         let p = datalink::protocols::sliding_window::protocol(w);
+        assert_eq!(p.info.header_bound, Some(headers), "window {w}: |H|");
+        let bound = headers as usize * p.info.k_bound.unwrap();
         let outcome = refute_bounded_headers(p).unwrap();
         let HeaderOutcome::Violation(cx) = outcome else {
             panic!("window {w} not refuted: {outcome:?}");
         };
+        assert_eq!(cx.rounds, rounds, "window {w}: pump rounds");
+        assert!(cx.rounds <= bound, "window {w}: rounds over k·|H|");
         certify_wdl_violation(&cx.behavior, TraceKind::Prefix);
         // The impersonation used genuinely distinct packet identities.
         for (fresh, old) in &cx.matched {
@@ -273,6 +293,7 @@ fn theorem_8_5_refutes_the_2_bounded_fragmenting_protocol() {
     certify_wdl_violation(&cx.behavior, TraceKind::Prefix);
     // Two packets impersonated: one per fragment class.
     assert_eq!(cx.matched.len(), 2);
+    assert_eq!(cx.rounds, 4, "the E6 table's fragmenting row");
     assert_ne!(cx.matched[0].0.header, cx.matched[1].0.header);
     assert!(
         cx.rounds <= bound + 2,
@@ -337,6 +358,10 @@ fn theorem_7_5_refutes_the_fragmenting_protocol() {
     let p = datalink::protocols::fragmenting::protocol();
     let cx = refute_crash_tolerance(p.transmitter, p.receiver).unwrap();
     certify_wdl_violation(&cx.behavior, kind_for(cx.flavor));
+    // The E5 table's fragmenting row (the single-packet victims need 3
+    // pumps and a 16-event trace).
+    assert_eq!((cx.pumps, cx.trace.len()), (5, 26));
+    assert_eq!(cx.violation.property, "DL8");
 }
 
 #[test]
@@ -361,6 +386,7 @@ fn theorem_8_5_round_bound_matches_paper() {
         panic!("expected violation");
     };
     assert!(cx.rounds <= 4, "took {} rounds", cx.rounds);
+    assert_eq!(cx.rounds, 2, "the E6 table's alternating-bit row");
 }
 
 #[test]

@@ -71,48 +71,54 @@ fn abp_duplicate_delivery_reachable_with_receiver_crash() {
     // Allowing crash^{r,t} (followed by re-wake) opens a short path to
     // DL4: deliver m0, crash the receiver (expected bit resets), let the
     // duplicate DATA#0 still in flight be re-accepted.
-    let p = datalink::protocols::abp::protocol();
-    let sys = checked_system(
-        p.transmitter,
-        p.receiver,
-        LossyFifoChannel::with_capacity(Dir::TR, LossMode::None, 2),
-        LossyFifoChannel::with_capacity(Dir::RT, LossMode::None, 2),
-    );
-    let start = woken_start(&sys);
-    let explorer = ParallelExplorer::new(
-        &sys,
-        |s: &SysState<
-            datalink::protocols::abp::AbpTxState,
-            datalink::protocols::abp::AbpRxState,
-            datalink::channels::FlightState,
-            datalink::channels::FlightState,
-        >| crash_inputs(s, s.left.right.active),
-        2_000_000,
-        10_000,
-    );
-    let report = explorer.check_invariant_from(vec![start], |s| observer_of(s).is_safe());
-    let v = report.violation.expect("DL4 must be reachable");
-    eprintln!(
-        "ABP + receiver crash: DL4 path of {} actions through {} states",
-        v.path.len(),
-        report.states_visited
-    );
-    assert!(matches!(
-        observer_of(&v.state).flag,
-        Some(datalink::core::observer::SafetyFlag::Duplicate(Msg(0)))
-    ));
-    // The path must actually contain the crash.
-    assert!(v
-        .path
-        .iter()
-        .any(|a| matches!(a, DlAction::Crash(Station::R))));
-    // And the delivery happens twice along it.
-    let deliveries = v
-        .path
-        .iter()
-        .filter(|a| matches!(a, DlAction::ReceiveMsg(Msg(0))))
-        .count();
-    assert_eq!(deliveries, 2);
+    // The shortest such path is 8 actions over lossless and over
+    // nondeterministically lossy channels alike.
+    for mode in [LossMode::None, LossMode::Nondet] {
+        let p = datalink::protocols::abp::protocol();
+        let sys = checked_system(
+            p.transmitter,
+            p.receiver,
+            LossyFifoChannel::with_capacity(Dir::TR, mode, 2),
+            LossyFifoChannel::with_capacity(Dir::RT, mode, 2),
+        );
+        let start = woken_start(&sys);
+        let explorer = ParallelExplorer::new(
+            &sys,
+            |s: &SysState<
+                datalink::protocols::abp::AbpTxState,
+                datalink::protocols::abp::AbpRxState,
+                datalink::channels::FlightState,
+                datalink::channels::FlightState,
+            >| crash_inputs(s, s.left.right.active),
+            2_000_000,
+            10_000,
+        );
+        let report = explorer.check_invariant_from(vec![start], |s| observer_of(s).is_safe());
+        let v = report.violation.expect("DL4 must be reachable");
+        eprintln!(
+            "ABP + receiver crash ({mode:?} loss): DL4 path of {} actions through {} states",
+            v.path.len(),
+            report.states_visited
+        );
+        assert!(matches!(
+            observer_of(&v.state).flag,
+            Some(datalink::core::observer::SafetyFlag::Duplicate(Msg(0)))
+        ));
+        // E9's published shortest DL4 path.
+        assert_eq!(v.path.len(), 8, "{mode:?} loss");
+        // The path must actually contain the crash.
+        assert!(v
+            .path
+            .iter()
+            .any(|a| matches!(a, DlAction::Crash(Station::R))));
+        // And the delivery happens twice along it.
+        let deliveries = v
+            .path
+            .iter()
+            .filter(|a| matches!(a, DlAction::ReceiveMsg(Msg(0))))
+            .count();
+        assert_eq!(deliveries, 2);
+    }
 }
 
 #[test]
@@ -173,13 +179,31 @@ fn stenning_safe_over_reordering_channel_exhaustively() {
 // ---------------------------------------------------------------------
 
 /// Safe run (bounded ABP, crash-free): both engines agree on the
-/// reachable state set and on every per-layer count.
+/// reachable state set and on every per-layer count. The second instance
+/// is E9's thread-scaling configuration: capacity-4 channels, 4 messages.
 #[test]
 fn differential_abp_crash_free_matches_sequential_at_1_2_4_threads() {
     for threads in [1, 2, 4] {
         let outcome = zoo::abp_lossy(2, threads);
         outcome.assert_agree();
         assert!(!outcome.explorer.truncated && outcome.explorer.violation.is_none());
+
+        let p = datalink::protocols::abp::protocol();
+        let outcome = zoo::run_both(
+            format!("abp_lossy_cap4_4msgs_{threads}t"),
+            threads,
+            checked_system(
+                p.transmitter,
+                p.receiver,
+                LossyFifoChannel::with_capacity(Dir::TR, LossMode::Nondet, 4),
+                LossyFifoChannel::with_capacity(Dir::RT, LossMode::Nondet, 4),
+            ),
+            crash_free_inputs(4),
+        );
+        outcome.assert_agree();
+        assert!(!outcome.explorer.truncated && outcome.explorer.violation.is_none());
+        assert_eq!(outcome.explorer.states, 11_841);
+        assert_eq!(outcome.explorer.quiescent, 1);
     }
 }
 
@@ -358,9 +382,9 @@ fn monitor_trace_property_matches_observer_on_crash_dl4() {
     }
 }
 
-/// On the crash-free model the monitor stays quiet, and threading it
-/// does not perturb the search: same reachable-state counts as the
-/// observer-invariant exploration.
+/// On the crash-free model the monitor stays quiet at 1, 2 and 4
+/// threads, and threading it does not perturb the search: same
+/// reachable-state counts as the observer-invariant exploration.
 #[test]
 fn monitor_trace_property_quiet_on_crash_free_abp() {
     let p = datalink::protocols::abp::protocol();
@@ -376,17 +400,19 @@ fn monitor_trace_property_quiet_on_crash_free_abp() {
         .check_invariant_from(vec![start.clone()], |s| observer_of(s).is_safe());
     assert!(observer.holds());
 
-    let monitor = MonitorProperty::new(false, true).with_prefix(&WAKE_PREFIX);
-    let traced = ParallelExplorer::new(&sys, crash_free_inputs(2), 2_000_000, 10_000)
-        .threads(2)
-        .check_traced_from(vec![start.clone()], &[], &monitor);
-    assert!(
-        traced.holds(),
-        "monitor flagged a crash-free ABP run: {:?}",
-        traced.violation.map(|v| v.property)
-    );
-    assert_eq!(traced.states_visited, observer.states_visited);
-    assert_eq!(traced.quiescent_states, observer.quiescent_states);
+    for threads in [1, 2, 4] {
+        let monitor = MonitorProperty::new(false, true).with_prefix(&WAKE_PREFIX);
+        let traced = ParallelExplorer::new(&sys, crash_free_inputs(2), 2_000_000, 10_000)
+            .threads(threads)
+            .check_traced_from(vec![start.clone()], &[], &monitor);
+        assert!(
+            traced.holds(),
+            "monitor flagged a crash-free ABP run at {threads} threads: {:?}",
+            traced.violation.map(|v| v.property)
+        );
+        assert_eq!(traced.states_visited, observer.states_visited);
+        assert_eq!(traced.quiescent_states, observer.quiescent_states);
+    }
 }
 
 /// E14's reachability leg: from a **corrupted** initial configuration —

@@ -145,24 +145,30 @@ fn soak_nonvolatile() {
 #[test]
 fn nonvolatile_survives_the_crash_storm_scenario() {
     // The only protocol for which the CrashStorm scenario must be safe.
-    let scenario = Scenario::CrashStorm {
-        burst: 3,
-        crashes: 5,
-    };
-    for seed in 0..4 {
+    let storm = |burst, crashes, loss, seed| {
+        let scenario = Scenario::CrashStorm { burst, crashes };
         let p = datalink::protocols::nonvolatile::protocol();
         let sys = link_system(
             p.transmitter,
             p.receiver,
-            LossyFifoChannel::new(Dir::TR, LossMode::EveryNth(4)),
-            LossyFifoChannel::new(Dir::RT, LossMode::EveryNth(4)),
+            LossyFifoChannel::new(Dir::TR, LossMode::EveryNth(loss)),
+            LossyFifoChannel::new(Dir::RT, LossMode::EveryNth(loss)),
         );
         let mut runner = Runner::new(seed, 3_000_000);
         let report = runner.run(&sys, &scenario.script());
         assert!(report.quiescent);
+        assert_eq!(report.metrics.msgs_sent, scenario.total_msgs());
         assert_eq!(report.metrics.msgs_received, scenario.total_msgs());
         let v = DlModule::weak().check(&report.behavior, TraceKind::Prefix);
-        assert!(v.is_allowed(), "seed {seed}: {v}");
+        assert!(v.is_allowed(), "{crashes} crashes, seed {seed}: {v}");
+        report.metrics.msgs_received
+    };
+    for seed in 0..4 {
+        storm(3, 5, 4, seed);
+    }
+    // E8's sweep: 4 messages per round, every 5th packet lost, seed 3.
+    for (crashes, delivered) in [(0, 4), (2, 12), (8, 36), (32, 132)] {
+        assert_eq!(storm(4, crashes, 5, 3), delivered);
     }
 }
 
