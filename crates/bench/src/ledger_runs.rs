@@ -111,6 +111,7 @@ pub fn sleep_from_env() -> u64 {
 
 /// E9: exhaustive crash-free ABP verification at channel capacity 3
 /// (1178 reachable states, 2 messages), on `threads` worker threads.
+/// The gauges time the fastest of [`TIMING_REPS`] searches.
 ///
 /// Counters are thread-count-independent by the engine's determinism
 /// contract; the round-trip test relies on that.
@@ -124,10 +125,12 @@ pub fn explore_e9(threads: usize, sleep_micros: u64) -> RunLedger {
     let sys = e9_system(3);
     let start = e9_woken(&sys);
     let explorer = ParallelExplorer::new(&sys, e9_inputs(2), 4_000_000, 100_000).threads(threads);
+    let (report, search_time) = fastest_of(|| {
+        explorer.check_invariant_from(vec![start.clone()], |s| e9_observer(s).is_safe())
+    });
     let t0 = Instant::now();
-    let report = explorer.check_invariant_from(vec![start], |s| e9_observer(s).is_safe());
     stall(sleep_micros);
-    let elapsed = t0.elapsed();
+    let elapsed = search_time + t0.elapsed();
     assert!(report.holds(), "E9: ABP crash-free safety must hold");
 
     let mut ledger = report.to_ledger("e9");
@@ -173,6 +176,19 @@ pub fn explore_deep(threads: usize, sleep_micros: u64) -> RunLedger {
 /// Parameterized deep exploration (capacity, message alphabet, minimum
 /// reach): [`explore_deep`] is the published `explore/deep` point; the
 /// check-gate smoke stage runs a small instance through the same path.
+///
+/// Beside its main pass on `threads` workers, the run searches again on
+/// two workers and asserts that every counter but `threads` and both
+/// layer histograms come out equal. That leg adds three ungated gauges:
+/// `speedup_2t` (main-pass search time over the 2-thread time),
+/// `barrier_share_2t` (the 2-thread run's barrier span over its
+/// duration; 0 without the `obs` feature) and `available_parallelism`.
+///
+/// # Panics
+///
+/// Panics if safety stops holding, the search truncates, it reaches
+/// fewer than `min_states` states, or the 2-thread leg disagrees with
+/// the main pass.
 #[must_use]
 pub fn explore_deep_n(
     cap: usize,
@@ -183,11 +199,15 @@ pub fn explore_deep_n(
 ) -> RunLedger {
     let sys = e9_system(cap);
     let start = e9_woken(&sys);
-    let explorer = ParallelExplorer::new(&sys, e9_inputs(msgs), 16_000_000, 100_000)
-        .threads(threads)
-        .packed();
+    let search = |threads: usize| {
+        ParallelExplorer::new(&sys, e9_inputs(msgs), 16_000_000, 100_000)
+            .threads(threads)
+            .packed()
+            .check_invariant_from(vec![start.clone()], |s| e9_observer(s).is_safe())
+    };
     let t0 = Instant::now();
-    let report = explorer.check_invariant_from(vec![start], |s| e9_observer(s).is_safe());
+    let report = search(threads);
+    let search_time = t0.elapsed();
     stall(sleep_micros);
     let elapsed = t0.elapsed();
     assert!(report.holds(), "deep: ABP crash-free safety must hold");
@@ -206,12 +226,44 @@ pub fn explore_deep_n(
     ledger.gauge("states_per_sec", report.states_visited as f64 / secs);
     ledger.gauge("edges_per_sec", report.edges_expanded() as f64 / secs);
     ledger.gauge("duration_micros", elapsed.as_secs_f64() * 1e6);
+
+    let t0 = Instant::now();
+    let two = search(2);
+    let two_time = t0.elapsed();
+    let two_ledger = two.to_ledger("deep");
+    let without_threads = |l: &RunLedger| {
+        let mut counters = l.counters.clone();
+        counters.remove("threads");
+        counters
+    };
+    assert_eq!(
+        without_threads(&two_ledger),
+        without_threads(&ledger),
+        "deep: the 2-thread leg's counters diverged from the main pass"
+    );
+    assert_eq!(
+        two_ledger.histograms, ledger.histograms,
+        "deep: the 2-thread leg's layer histograms diverged from the main pass"
+    );
+    ledger.gauge(
+        "speedup_2t",
+        search_time.as_secs_f64() / two_time.as_secs_f64().max(1e-9),
+    );
+    ledger.gauge(
+        "barrier_share_2t",
+        two.barrier_nanos as f64 / (two.duration.as_nanos() as f64).max(1.0),
+    );
+    ledger.gauge(
+        "available_parallelism",
+        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get) as f64,
+    );
     ledger
 }
 
 /// E11 (runner side): a monitored ABP run over nondeterministically-lossy
 /// channels delivering 50 messages, online conformance on — the monitor
-/// span plus verdict-latency cost lands in the ledger.
+/// span plus verdict-latency cost lands in the ledger. The gauges time
+/// the fastest of [`TIMING_REPS`] runs, each on a fresh runner.
 ///
 /// # Panics
 ///
@@ -225,12 +277,14 @@ pub fn sim_e11(sleep_micros: u64) -> RunLedger {
         LossyFifoChannel::new(Dir::TR, LossMode::Nondet),
         LossyFifoChannel::new(Dir::RT, LossMode::Nondet),
     );
-    let mut runner =
-        Runner::new(7, 2_000_000).with_online_conformance(ConformancePolicy::default());
+    let (report, run_time) = fastest_of(|| {
+        Runner::new(7, 2_000_000)
+            .with_online_conformance(ConformancePolicy::default())
+            .run(&sys, &Script::deliver_n(50))
+    });
     let t0 = Instant::now();
-    let report = runner.run(&sys, &Script::deliver_n(50));
     stall(sleep_micros);
-    let elapsed = t0.elapsed();
+    let elapsed = run_time + t0.elapsed();
     assert!(report.quiescent, "E11: monitored ABP run must quiesce");
     assert_eq!(report.metrics.msgs_received, 50, "E11: short delivery");
     report.to_ledger("e11", elapsed)

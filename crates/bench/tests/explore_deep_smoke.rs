@@ -16,6 +16,11 @@ fn scaled_deep_run_is_thread_count_independent() {
     assert_eq!(oracle.counters["violation"], 0);
     assert_eq!(oracle.counters["truncated"], 0);
     assert!(oracle.counters["arena_bytes"] > 0);
+    // The run's own 2-thread leg agreed with its main pass, or it would
+    // have panicked; its gauges ride along ungated.
+    assert!(oracle.gauges["speedup_2t"] > 0.0);
+    assert!((0.0..1.0).contains(&oracle.gauges["barrier_share_2t"]));
+    assert!(oracle.gauges["available_parallelism"] >= 1.0);
 
     for threads in [2, 4] {
         let run = explore_deep_n(5, 3, 9_000, threads, 0);

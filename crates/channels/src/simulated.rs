@@ -42,12 +42,30 @@ pub enum LossMode {
 
 /// State shared by the simulated channels: packets in flight plus a send
 /// counter (for deterministic loss).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
+#[derive(Debug, PartialEq, Eq, Hash, Default)]
 pub struct FlightState {
     /// Packets currently in flight, in send order.
     pub in_flight: Vec<Packet>,
     /// Total `send_pkt` events seen.
     pub sends: u64,
+}
+
+/// Field-wise, so `clone_from` reuses the flight's buffer (a derived
+/// `Clone` would allocate a fresh one).
+impl Clone for FlightState {
+    #[inline]
+    fn clone(&self) -> Self {
+        FlightState {
+            in_flight: self.in_flight.clone(),
+            sends: self.sends,
+        }
+    }
+
+    #[inline]
+    fn clone_from(&mut self, source: &Self) {
+        self.in_flight.clone_from(&source.in_flight);
+        self.sends = source.sends;
+    }
 }
 
 impl PackedCodec for FlightState {
@@ -60,6 +78,10 @@ impl PackedCodec for FlightState {
             in_flight: Vec::<Packet>::decode(input),
             sends: u64::decode(input),
         }
+    }
+    fn decode_into(&mut self, input: &mut &[u8]) {
+        self.in_flight.decode_into(input);
+        self.sends = u64::decode(input);
     }
 }
 
@@ -104,48 +126,59 @@ fn send_successors(
     }
 }
 
-/// Visitor twin of [`send_successors`]: same states, same order, no `Vec`.
-fn try_send_successors(
-    s: &FlightState,
+/// The number of `send_pkt` successors under `mode`: a kept and a
+/// dropped one under nondeterministic loss, one otherwise. A send into a
+/// full channel still has two under `Nondet`, both the unchanged state.
+fn send_count(mode: LossMode) -> usize {
+    if mode == LossMode::Nondet {
+        2
+    } else {
+        1
+    }
+}
+
+/// Moves `s` to its `pick`-th `send_pkt(p)` successor in
+/// [`send_successors`] order — under `Nondet`, pick 0 keeps the packet
+/// and pick 1 drops it — and returns `true`. A pick at or beyond
+/// [`send_count`] returns `false` and leaves `s` untouched.
+fn send_in_place(
+    s: &mut FlightState,
     p: &Packet,
     mode: LossMode,
     capacity: Option<usize>,
+    pick: usize,
+) -> bool {
+    let keep = match (mode, pick) {
+        (LossMode::None | LossMode::Nondet, 0) => true,
+        (LossMode::Nondet, 1) => false,
+        (LossMode::EveryNth(n), 0) => {
+            debug_assert!(n >= 2, "EveryNth(n) requires n >= 2");
+            s.sends += 1;
+            !s.sends.is_multiple_of(n)
+        }
+        _ => return false,
+    };
+    if keep && capacity.is_none_or(|c| s.in_flight.len() < c) {
+        s.in_flight.push(*p);
+    }
+    true
+}
+
+/// A simulated channel's `try_for_each_successor`: each pick of its
+/// in-place pair, stepped on a clone of `s`, in order.
+fn for_each_pick(
+    ch: &impl Automaton<Action = DlAction, State = FlightState>,
+    s: &FlightState,
+    a: &DlAction,
     f: &mut dyn FnMut(FlightState) -> ControlFlow<()>,
 ) -> ControlFlow<()> {
-    let full = capacity.is_some_and(|c| s.in_flight.len() >= c);
-    let count = matches!(mode, LossMode::EveryNth(_));
-    let keep = |s: &FlightState| {
+    for pick in 0..ch.successor_count(s, a) {
         let mut t = s.clone();
-        if count {
-            t.sends += 1;
-        }
-        if !full {
-            t.in_flight.push(*p);
-        }
-        t
-    };
-    let drop = |s: &FlightState| {
-        let mut t = s.clone();
-        if count {
-            t.sends += 1;
-        }
-        t
-    };
-    match mode {
-        LossMode::None => f(keep(s)),
-        LossMode::Nondet => {
-            f(keep(s))?;
-            f(drop(s))
-        }
-        LossMode::EveryNth(n) => {
-            debug_assert!(n >= 2, "EveryNth(n) requires n >= 2");
-            if (s.sends + 1).is_multiple_of(n) {
-                f(drop(s))
-            } else {
-                f(keep(s))
-            }
-        }
+        let stepped = ch.step_in_place(&mut t, a, pick);
+        debug_assert!(stepped, "a counted pick must step");
+        f(t)?;
     }
+    ControlFlow::Continue(())
 }
 
 /// A lossy FIFO channel: solves `PL-FIFO` (delivers the head of the queue).
@@ -235,21 +268,40 @@ impl Automaton for LossyFifoChannel {
         a: &DlAction,
         f: &mut dyn FnMut(FlightState) -> ControlFlow<()>,
     ) -> ControlFlow<()> {
+        for_each_pick(self, s, a, f)
+    }
+
+    fn is_enabled(&self, s: &FlightState, a: &DlAction) -> bool {
+        self.successor_count(s, a) > 0
+    }
+
+    fn successor_count(&self, s: &FlightState, a: &DlAction) -> usize {
+        match a {
+            DlAction::SendPkt(d, _) if *d == self.dir => send_count(self.mode),
+            DlAction::ReceivePkt(d, p) if *d == self.dir => {
+                usize::from(s.in_flight.first() == Some(p))
+            }
+            DlAction::Wake(d) | DlAction::Fail(d) if *d == self.dir => 1,
+            DlAction::Crash(x) if *x == self.dir.sender() => 1,
+            _ => 0,
+        }
+    }
+
+    fn step_in_place(&self, s: &mut FlightState, a: &DlAction, pick: usize) -> bool {
         match a {
             DlAction::SendPkt(d, p) if *d == self.dir => {
-                try_send_successors(s, p, self.mode, self.capacity, f)
+                send_in_place(s, p, self.mode, self.capacity, pick)
             }
-            DlAction::ReceivePkt(d, p) if *d == self.dir => match s.in_flight.first() {
-                Some(q) if q == p => {
-                    let mut t = s.clone();
-                    t.in_flight.remove(0);
-                    f(t)
+            DlAction::ReceivePkt(d, p) if *d == self.dir => {
+                let fires = pick == 0 && s.in_flight.first() == Some(p);
+                if fires {
+                    s.in_flight.remove(0);
                 }
-                _ => ControlFlow::Continue(()),
-            },
-            DlAction::Wake(d) | DlAction::Fail(d) if *d == self.dir => f(s.clone()),
-            DlAction::Crash(x) if *x == self.dir.sender() => f(s.clone()),
-            _ => ControlFlow::Continue(()),
+                fires
+            }
+            DlAction::Wake(d) | DlAction::Fail(d) if *d == self.dir => pick == 0,
+            DlAction::Crash(x) if *x == self.dir.sender() => pick == 0,
+            _ => false,
         }
     }
 
@@ -364,23 +416,40 @@ impl Automaton for ReorderChannel {
         a: &DlAction,
         f: &mut dyn FnMut(FlightState) -> ControlFlow<()>,
     ) -> ControlFlow<()> {
+        for_each_pick(self, s, a, f)
+    }
+
+    fn is_enabled(&self, s: &FlightState, a: &DlAction) -> bool {
+        self.successor_count(s, a) > 0
+    }
+
+    fn successor_count(&self, s: &FlightState, a: &DlAction) -> usize {
+        match a {
+            DlAction::SendPkt(d, _) if *d == self.dir => send_count(self.mode),
+            DlAction::ReceivePkt(d, p) if *d == self.dir => usize::from(s.in_flight.contains(p)),
+            DlAction::Wake(d) | DlAction::Fail(d) if *d == self.dir => 1,
+            DlAction::Crash(x) if *x == self.dir.sender() => 1,
+            _ => 0,
+        }
+    }
+
+    fn step_in_place(&self, s: &mut FlightState, a: &DlAction, pick: usize) -> bool {
         match a {
             DlAction::SendPkt(d, p) if *d == self.dir => {
-                try_send_successors(s, p, self.mode, self.capacity, f)
+                send_in_place(s, p, self.mode, self.capacity, pick)
             }
             DlAction::ReceivePkt(d, p) if *d == self.dir => {
                 match s.in_flight.iter().position(|q| q == p) {
-                    Some(k) => {
-                        let mut t = s.clone();
-                        t.in_flight.remove(k);
-                        f(t)
+                    Some(k) if pick == 0 => {
+                        s.in_flight.remove(k);
+                        true
                     }
-                    None => ControlFlow::Continue(()),
+                    _ => false,
                 }
             }
-            DlAction::Wake(d) | DlAction::Fail(d) if *d == self.dir => f(s.clone()),
-            DlAction::Crash(x) if *x == self.dir.sender() => f(s.clone()),
-            _ => ControlFlow::Continue(()),
+            DlAction::Wake(d) | DlAction::Fail(d) if *d == self.dir => pick == 0,
+            DlAction::Crash(x) if *x == self.dir.sender() => pick == 0,
+            _ => false,
         }
     }
 

@@ -16,10 +16,10 @@
 //! `send_msg` as an input with the transmitter and takes the receiver's
 //! `receive_msg` output as input).
 
-use std::collections::BTreeSet;
+use std::fmt;
 
 use ioa::action::ActionClass;
-use ioa::automaton::{Automaton, TaskId};
+use ioa::automaton::{Automaton, Deterministic, TaskId};
 use ioa::intern::{read_delta_seq, write_delta_seq, PackedCodec};
 
 use crate::action::{DlAction, Msg};
@@ -33,15 +33,116 @@ pub enum SafetyFlag {
     Phantom(Msg),
 }
 
+/// A set of messages, kept as an ascending `Vec`.
+///
+/// Copying one onto another (`clone_from`) reuses the target's buffer,
+/// where a `BTreeSet` rebuilds its nodes; the explorer makes that copy
+/// once per edge. The sets stay small (a bounded model's alphabet), so
+/// the sorted insert is cheap. `Hash` writes the same bytes a
+/// `BTreeSet<Msg>` does (length, then the elements in order), and
+/// `Debug` prints the same `{..}` form.
+#[derive(PartialEq, Eq, Hash, Default)]
+pub struct MsgSet(Vec<Msg>);
+
+impl MsgSet {
+    /// Adds `m`; returns `false` if it was already present.
+    pub fn insert(&mut self, m: Msg) -> bool {
+        match self.0.binary_search(&m) {
+            Ok(_) => false,
+            Err(at) => {
+                self.0.insert(at, m);
+                true
+            }
+        }
+    }
+
+    /// `true` if `m` is in the set.
+    #[must_use]
+    pub fn contains(&self, m: &Msg) -> bool {
+        self.0.binary_search(m).is_ok()
+    }
+
+    /// Number of messages in the set.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// `true` if the set holds no message.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// The messages in ascending order.
+    pub fn iter(&self) -> std::slice::Iter<'_, Msg> {
+        self.0.iter()
+    }
+}
+
+/// Delta-coded like any sorted id set (ascending by construction).
+impl PackedCodec for MsgSet {
+    fn encode(&self, out: &mut Vec<u8>) {
+        write_delta_seq(out, self.0.len(), self.0.iter().map(|m| m.0));
+    }
+    fn decode(input: &mut &[u8]) -> Self {
+        let mut set = MsgSet::default();
+        set.decode_into(input);
+        set
+    }
+    fn decode_into(&mut self, input: &mut &[u8]) {
+        self.0.clear();
+        read_delta_seq(input, |v| self.0.push(Msg(v)));
+    }
+}
+
+impl Clone for MsgSet {
+    #[inline]
+    fn clone(&self) -> Self {
+        MsgSet(self.0.clone())
+    }
+
+    #[inline]
+    fn clone_from(&mut self, source: &Self) {
+        self.0.clone_from(&source.0);
+    }
+}
+
+impl fmt::Debug for MsgSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_set().entries(&self.0).finish()
+    }
+}
+
 /// Observer state: the messages seen so far plus the first violation.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
+#[derive(Debug, PartialEq, Eq, Hash, Default)]
 pub struct ObserverState {
     /// Messages handed to the data link so far.
-    pub sent: BTreeSet<Msg>,
+    pub sent: MsgSet,
     /// Messages delivered by the data link so far.
-    pub received: BTreeSet<Msg>,
+    pub received: MsgSet,
     /// First safety violation observed, if any (sticky).
     pub flag: Option<SafetyFlag>,
+}
+
+/// Field-wise, so `clone_from` reuses both sets' buffers (a derived
+/// `Clone` would allocate fresh ones).
+impl Clone for ObserverState {
+    #[inline]
+    fn clone(&self) -> Self {
+        ObserverState {
+            sent: self.sent.clone(),
+            received: self.received.clone(),
+            flag: self.flag,
+        }
+    }
+
+    #[inline]
+    fn clone_from(&mut self, source: &Self) {
+        self.sent.clone_from(&source.sent);
+        self.received.clone_from(&source.received);
+        self.flag = source.flag;
+    }
 }
 
 impl ObserverState {
@@ -78,30 +179,54 @@ impl PackedCodec for ObserverState {
     fn encode(&self, out: &mut Vec<u8>) {
         // The message sets are sorted by construction — exactly the
         // shape delta coding wants.
-        write_delta_seq(out, self.sent.len(), self.sent.iter().map(|m| m.0));
-        write_delta_seq(out, self.received.len(), self.received.iter().map(|m| m.0));
+        self.sent.encode(out);
+        self.received.encode(out);
         self.flag.encode(out);
     }
     fn decode(input: &mut &[u8]) -> Self {
-        let mut sent = BTreeSet::new();
-        read_delta_seq(input, |v| {
-            sent.insert(Msg(v));
-        });
-        let mut received = BTreeSet::new();
-        read_delta_seq(input, |v| {
-            received.insert(Msg(v));
-        });
         ObserverState {
-            sent,
-            received,
+            sent: MsgSet::decode(input),
+            received: MsgSet::decode(input),
             flag: Option::<SafetyFlag>::decode(input),
         }
+    }
+    fn decode_into(&mut self, input: &mut &[u8]) {
+        self.sent.decode_into(input);
+        self.received.decode_into(input);
+        self.flag = Option::<SafetyFlag>::decode(input);
     }
 }
 
 /// The WDL-safety observer automaton.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WdlObserver;
+
+/// The observer is deterministic: it takes every `send_msg` and
+/// `receive_msg` and records it in place.
+impl Deterministic for WdlObserver {
+    fn enabled(&self, _s: &ObserverState, a: &DlAction) -> bool {
+        matches!(a, DlAction::SendMsg(_) | DlAction::ReceiveMsg(_))
+    }
+
+    fn apply(&self, s: &mut ObserverState, a: &DlAction) {
+        match a {
+            DlAction::SendMsg(m) => {
+                s.sent.insert(*m);
+            }
+            DlAction::ReceiveMsg(m) => {
+                if s.flag.is_none() {
+                    if s.received.contains(m) {
+                        s.flag = Some(SafetyFlag::Duplicate(*m));
+                    } else if !s.sent.contains(m) {
+                        s.flag = Some(SafetyFlag::Phantom(*m));
+                    }
+                }
+                s.received.insert(*m);
+            }
+            _ => {}
+        }
+    }
+}
 
 impl Automaton for WdlObserver {
     type Action = DlAction;
@@ -118,26 +243,7 @@ impl Automaton for WdlObserver {
         }
     }
 
-    fn successors(&self, s: &ObserverState, a: &DlAction) -> Vec<ObserverState> {
-        let mut t = s.clone();
-        match a {
-            DlAction::SendMsg(m) => {
-                t.sent.insert(*m);
-            }
-            DlAction::ReceiveMsg(m) => {
-                if t.flag.is_none() {
-                    if t.received.contains(m) {
-                        t.flag = Some(SafetyFlag::Duplicate(*m));
-                    } else if !t.sent.contains(m) {
-                        t.flag = Some(SafetyFlag::Phantom(*m));
-                    }
-                }
-                t.received.insert(*m);
-            }
-            _ => return vec![],
-        }
-        vec![t]
-    }
+    ioa::deterministic_transitions!();
 
     fn enabled_local(&self, _s: &ObserverState) -> Vec<DlAction> {
         vec![]
@@ -216,5 +322,52 @@ mod tests {
             )
             .is_empty());
         assert!(o.enabled_local(&ObserverState::default()).is_empty());
+    }
+
+    #[test]
+    fn msg_set_hashes_and_prints_like_a_btree_set() {
+        /// Records every byte a `Hash` impl writes.
+        #[derive(Default)]
+        struct Recorder(Vec<u8>);
+        impl std::hash::Hasher for Recorder {
+            fn finish(&self) -> u64 {
+                0
+            }
+            fn write(&mut self, bytes: &[u8]) {
+                self.0.extend_from_slice(bytes);
+            }
+        }
+        fn stream(v: &impl std::hash::Hash) -> Vec<u8> {
+            let mut r = Recorder::default();
+            v.hash(&mut r);
+            r.0
+        }
+        let msgs = [Msg(7), Msg(2), Msg(300), Msg(2)];
+        let mut set = MsgSet::default();
+        let tree: std::collections::BTreeSet<Msg> = msgs.into_iter().collect();
+        for m in msgs {
+            set.insert(m);
+        }
+        assert_eq!(stream(&set), stream(&tree));
+        assert_eq!(format!("{set:?}"), format!("{tree:?}"));
+        assert!(set.iter().eq(tree.iter()));
+        assert_eq!(set.len(), 3);
+        assert!(set.contains(&Msg(300)) && !set.contains(&Msg(3)));
+    }
+
+    #[test]
+    fn clone_from_and_decode_into_overwrite_a_dirty_target() {
+        let clean = drive(&[DlAction::SendMsg(Msg(1)), DlAction::ReceiveMsg(Msg(1))]);
+        let dirty = || drive(&[DlAction::ReceiveMsg(Msg(4)), DlAction::SendMsg(Msg(9))]);
+        let mut t = dirty();
+        t.clone_from(&clean);
+        assert_eq!(t, clean);
+        let mut bytes = Vec::new();
+        clean.encode(&mut bytes);
+        let mut t = dirty();
+        let mut input = bytes.as_slice();
+        t.decode_into(&mut input);
+        assert_eq!(t, clean);
+        assert!(input.is_empty());
     }
 }

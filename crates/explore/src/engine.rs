@@ -5,14 +5,17 @@
 //! contiguous id range per layer) — carries dense `u32` ids. The store
 //! is frozen while workers expand a layer: membership for admitted
 //! states is a read-only store lookup, and intra-layer discoveries are
-//! coordinated through the lock-free [`LayerFilter`]. Workers enumerate
-//! transitions through the allocation-free [`Automaton`] callbacks and
-//! decide every claim on a borrowed view of the successor (on the packed
-//! backend, its encoding in one reused per-worker scratch buffer), so the
-//! duplicates that make up most edges never allocate: only a claim that
-//! wins a filter slot or overflows builds an owned representation, and
-//! that same worker evaluates the state properties on the successor it
-//! already holds. The store grows only at the layer barrier, where the
+//! coordinated through the lock-free [`LayerFilter`]. Workers build
+//! successors in place: each loads a frontier state once into a reused
+//! state, and for every action and every pick copies it onto a second
+//! reused state (`clone_from`) and steps that copy
+//! ([`Automaton::step_in_place`]). Every claim is decided on a borrowed
+//! view of the successor (on the packed backend, its encoding in one
+//! reused per-worker scratch buffer), so the duplicates that make up most
+//! edges never allocate: only a claim that wins a filter slot or
+//! overflows builds an owned representation, and that same worker
+//! evaluates the state properties on the successor it already holds.
+//! The store grows only at the layer barrier, where the
 //! engine merges worker-local overflow claims with the drained filter,
 //! sorts by minimal claim key, and admits in that deterministic order —
 //! reading each state's verdict off its claim, so the barrier decodes
@@ -233,7 +236,7 @@ where
         for state in starts {
             let (hash, view) = store.view(&state, &mut scratch);
             if store.lookup_view(hash, view).is_none() {
-                let repr = store.owned_repr(state, &scratch);
+                let repr = store.owned_repr(&state, &scratch);
                 store.intern_new(hash, repr);
                 parents.push(NO_LINK);
                 action_idx.push(NO_LINK);
@@ -434,11 +437,12 @@ where
     }
 
     /// One worker's share of a layer expansion: steal frontier chunks,
-    /// enumerate each state's actions and successors through the
-    /// allocation-free callbacks, dedup a borrowed view of each successor
-    /// against the frozen store, claim genuinely new discoveries in the
-    /// lock-free layer filter. Only a claim that wins a slot or overflows
-    /// takes ownership of the successor and evaluates `properties` on it;
+    /// load each state once into a reused `cur`, and for every action and
+    /// every pick step a copy of it in place in a reused `next`; dedup a
+    /// borrowed view of each successor against the frozen store, claim
+    /// genuinely new discoveries in the lock-free layer filter. Only a
+    /// claim that wins a slot or overflows copies the successor into an
+    /// owned representation and evaluates `properties` on it;
     /// overflowing claims go to the returned list, merged exactly at the
     /// barrier.
     fn expand_worker(
@@ -454,6 +458,10 @@ where
         let mut overflow = Vec::new();
         let mut actions: Vec<M::Action> = Vec::new();
         let mut scratch: <B::Store as StateStore<M::State>>::Scratch = Default::default();
+        // The reused states: a layer is expanded only when the store holds
+        // at least one state, so state 0 seeds both.
+        let mut cur = store.load(0).into_owned();
+        let mut next = cur.clone();
         loop {
             let begin = counter.fetch_add(chunk, Ordering::Relaxed);
             if begin >= layer_end {
@@ -461,47 +469,49 @@ where
             }
             let end = (begin + chunk).min(layer_end);
             for idx in begin..end {
-                let state = store.load(idx as u32);
-                self.enumerate_actions(&state, &mut actions);
+                store.load_into(idx as u32, &mut cur);
+                self.enumerate_actions(&cur, &mut actions);
                 if actions.is_empty() {
                     stats.quiescent += 1;
                     continue;
                 }
                 for (ai, action) in actions.iter().enumerate() {
-                    let mut si = 0u32;
-                    let _ = self
-                        .automaton
-                        .try_for_each_successor(&state, action, &mut |succ| {
-                            stats.edges += 1;
-                            let key = ClaimKey {
-                                parent: idx as u32,
-                                action: ai as u32,
-                                succ: si,
-                            };
-                            si += 1;
-                            let (hash, view) = store.view(&succ, &mut scratch);
-                            if store.lookup_view(hash, view).is_some() {
-                                stats.duplicates += 1;
-                                return ControlFlow::Continue(());
+                    for pick in 0..self.automaton.successor_count(&cur, action) {
+                        next.clone_from(&cur);
+                        // A refused pick would leave `next == cur` and
+                        // admit it as a phantom self-loop.
+                        assert!(
+                            self.automaton.step_in_place(&mut next, action, pick),
+                            "counted pick {pick} of {action:?} did not step"
+                        );
+                        stats.edges += 1;
+                        let key = ClaimKey {
+                            parent: idx as u32,
+                            action: ai as u32,
+                            succ: pick as u32,
+                        };
+                        let (hash, view) = store.view(&next, &mut scratch);
+                        if store.lookup_view(hash, view).is_some() {
+                            stats.duplicates += 1;
+                            continue;
+                        }
+                        match filter.claim(hash, key, view) {
+                            Claimed::Duplicate => stats.duplicates += 1,
+                            Claimed::New(won) => {
+                                let verdict = first_violation(properties, &next);
+                                won.publish(store.owned_repr(&next, &scratch), verdict);
                             }
-                            match filter.claim(hash, key, view) {
-                                Claimed::Duplicate => stats.duplicates += 1,
-                                Claimed::New(won) => {
-                                    let verdict = first_violation(properties, &succ);
-                                    won.publish(store.owned_repr(succ, &scratch), verdict);
-                                }
-                                Claimed::Overflow => {
-                                    let verdict = first_violation(properties, &succ);
-                                    overflow.push(PendingState {
-                                        key,
-                                        hash,
-                                        repr: store.owned_repr(succ, &scratch),
-                                        verdict,
-                                    });
-                                }
+                            Claimed::Overflow => {
+                                let verdict = first_violation(properties, &next);
+                                overflow.push(PendingState {
+                                    key,
+                                    hash,
+                                    repr: store.owned_repr(&next, &scratch),
+                                    verdict,
+                                });
                             }
-                            ControlFlow::Continue(())
-                        });
+                        }
+                    }
                 }
             }
         }

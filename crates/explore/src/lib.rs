@@ -10,6 +10,12 @@
 //! * the breadth-first frontier is expanded one depth layer at a time by a
 //!   pool of scoped worker threads ([`std::thread::scope`] — no external
 //!   dependencies);
+//! * successors are built **in place**: a worker loads each frontier
+//!   state once into a reused state, and for every action and every pick
+//!   `clone_from`s it onto a second reused state and steps that with
+//!   [`ioa::Automaton::step_in_place`], picks counted by
+//!   `successor_count` in `successors` order — so an edge allocates
+//!   nothing once the reused states' buffers have grown;
 //! * admitted states live in a frozen, read-only arena during expansion,
 //!   and intra-layer discoveries go through a **lock-free claim filter**
 //!   sharded by state hash: slots are claimed by compare-and-swap on a

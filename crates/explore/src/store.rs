@@ -8,18 +8,22 @@
 //! instead of walking a struct, and the arena footprint drops
 //! several-fold for queue-heavy zoo states.
 //!
-//! Both backends expose the same claim-time contract. A worker turns each
-//! successor into a hash and a borrowed [`View`] with [`view`] — the
-//! state itself for plain storage, its encoding in the worker's reused
-//! [`Scratch`] buffer for packed storage — and dedups the view against
-//! admitted states with the read-only [`lookup_view`] and against the
-//! layer's claim filter, all without allocating. Only a claim that wins a
-//! filter slot or overflows it turns the successor into an owned
-//! [`Repr`] with [`owned_repr`]; the barrier then interns those in
-//! deterministic sorted order via [`intern_new`] — so plain and packed
-//! runs admit the same states with the same dense ids and differ only in
-//! `arena_bytes`. [`absorb`] and [`lookup`] are the owned-representation
-//! forms of the same steps, provided on top of them for callers that
+//! Both backends expose the same claim-time contract. A worker loads
+//! each frontier state into one reused state with [`load_into`] — a
+//! `clone_from` of the arena slot for plain storage, a
+//! [`PackedCodec::decode_into`] for packed storage — and steps copies of
+//! it in place. It turns each successor into a hash and a borrowed
+//! [`View`] with [`view`] — the state itself for plain storage, its
+//! encoding in the worker's reused [`Scratch`] buffer for packed storage
+//! — and dedups the view against admitted states with the read-only
+//! [`lookup_view`] and against the layer's claim filter, all without
+//! allocating. Only a claim that wins a filter slot or overflows it
+//! copies the successor into an owned [`Repr`] with [`owned_repr`]; the
+//! barrier then interns those in deterministic sorted order via
+//! [`intern_new`] — so plain and packed runs admit the same states with
+//! the same dense ids and differ only in `arena_bytes`. [`absorb`] and
+//! [`lookup`] are the owned-representation forms of the same steps, and
+//! [`load`] the owned form of [`load_into`], provided for callers that
 //! drive a store directly.
 //!
 //! [`View`]: StateStore::View
@@ -31,6 +35,8 @@
 //! [`intern_new`]: StateStore::intern_new
 //! [`absorb`]: StateStore::absorb
 //! [`lookup`]: StateStore::lookup
+//! [`load`]: StateStore::load
+//! [`load_into`]: StateStore::load_into
 
 use std::borrow::{Borrow, Cow};
 use std::hash::{BuildHasher, Hash};
@@ -71,10 +77,11 @@ pub trait StateStore<S: Clone>: Sync {
     fn view<'a>(&self, state: &'a S, scratch: &'a mut Self::Scratch) -> (u64, &'a Self::View);
 
     /// The owned representation of `state`, whose view the preceding
-    /// [`view`](Self::view) call on the same `scratch` produced. Called
-    /// only for the claims that must keep the state: filter winners and
-    /// overflows.
-    fn owned_repr(&self, state: S, scratch: &Self::Scratch) -> Self::Repr;
+    /// [`view`](Self::view) call on the same `scratch` produced: a clone
+    /// for plain storage, the boxed scratch bytes for packed storage.
+    /// Called only for the claims that must keep the state: filter
+    /// winners and overflows.
+    fn owned_repr(&self, state: &S, scratch: &Self::Scratch) -> Self::Repr;
 
     /// Hashes `state` and converts it to its claim representation: a
     /// [`view`](Self::view) into fresh scratch, then
@@ -82,7 +89,7 @@ pub trait StateStore<S: Clone>: Sync {
     fn absorb(&self, state: S) -> (u64, Self::Repr) {
         let mut scratch = Self::Scratch::default();
         let hash = self.view(&state, &mut scratch).0;
-        (hash, self.owned_repr(state, &scratch))
+        (hash, self.owned_repr(&state, &scratch))
     }
 
     /// Dense id of an already-admitted state with this view, if any.
@@ -102,6 +109,11 @@ pub trait StateStore<S: Clone>: Sync {
     /// Loads admitted state `idx` — borrowed from the arena for plain
     /// storage, decoded on the fly for packed storage.
     fn load(&self, idx: u32) -> Cow<'_, S>;
+
+    /// Overwrites `state` with admitted state `idx`, reusing the buffers
+    /// `state` owns: `clone_from` of the arena slot for plain storage,
+    /// [`PackedCodec::decode_into`] for packed storage.
+    fn load_into(&self, idx: u32, state: &mut S);
 
     /// Number of admitted states.
     fn len(&self) -> usize;
@@ -163,8 +175,8 @@ where
         (self.hasher.hash_one(state), state)
     }
 
-    fn owned_repr(&self, state: S, _scratch: &()) -> S {
-        state
+    fn owned_repr(&self, state: &S, _scratch: &()) -> S {
+        state.clone()
     }
 
     fn lookup_view(&self, hash: u64, view: &S) -> Option<u32> {
@@ -179,6 +191,10 @@ where
 
     fn load(&self, idx: u32) -> Cow<'_, S> {
         Cow::Borrowed(self.table.get(StateId(idx)))
+    }
+
+    fn load_into(&self, idx: u32, state: &mut S) {
+        state.clone_from(self.table.get(StateId(idx)));
     }
 
     fn len(&self) -> usize {
@@ -237,7 +253,7 @@ where
         (self.table.hash_bytes(scratch), scratch)
     }
 
-    fn owned_repr(&self, _state: S, scratch: &Vec<u8>) -> Box<[u8]> {
+    fn owned_repr(&self, _state: &S, scratch: &Vec<u8>) -> Box<[u8]> {
         scratch.as_slice().into()
     }
 
@@ -253,6 +269,10 @@ where
 
     fn load(&self, idx: u32) -> Cow<'_, S> {
         Cow::Owned(self.table.decode(idx))
+    }
+
+    fn load_into(&self, idx: u32, state: &mut S) {
+        self.table.decode_into(idx, state);
     }
 
     fn len(&self) -> usize {
@@ -282,10 +302,13 @@ mod tests {
             assert_eq!(store.lookup_view(view_hash, view), None);
             assert_eq!(store.intern_new(hash, repr), id as u32);
         }
+        let mut loaded = u64::MAX;
         for (id, &state) in states.iter().enumerate() {
             let (hash, repr) = store.absorb(state);
             assert_eq!(store.lookup(hash, &repr), Some(id as u32));
             assert_eq!(*store.load(id as u32), state);
+            store.load_into(id as u32, &mut loaded);
+            assert_eq!(loaded, state);
         }
         assert_eq!(store.len(), states.len());
     }

@@ -367,9 +367,9 @@ impl<A: Automaton + ?Sized> Automaton for &A {
 /// An automaton implements this pair and writes
 /// [`deterministic_transitions!`](crate::deterministic_transitions) inside
 /// its `impl Automaton` block. The macro derives every transition method
-/// from the pair, so the by-value path (guard, clone, apply) that the
-/// explorer takes and the in-place path that a session takes run the same
-/// transition code.
+/// from the pair, so the by-value path (guard, clone, apply) behind
+/// `successors` and the in-place path that sessions and the explorer take
+/// run the same transition code.
 pub trait Deterministic: Automaton {
     /// `true` if `action` has a successor from `state`. Inputs must
     /// answer `true` in every state (input-enabledness).

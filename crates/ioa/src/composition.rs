@@ -19,12 +19,31 @@ use crate::execution::Execution;
 /// A plain pair with readable `Debug` output; fields are public because the
 /// impossibility engines inspect and splice component states, mirroring the
 /// paper's `s[i]` notation.
-#[derive(Clone, PartialEq, Eq, Hash)]
+#[derive(PartialEq, Eq, Hash)]
 pub struct Pair<S, T> {
     /// State of the left component.
     pub left: S,
     /// State of the right component.
     pub right: T,
+}
+
+/// Written out because a derived `Clone` does not forward `clone_from`:
+/// the explorer copies each frontier state onto a reused successor per
+/// edge, and only a field-wise `clone_from` reuses the halves' buffers.
+impl<S: Clone, T: Clone> Clone for Pair<S, T> {
+    #[inline]
+    fn clone(&self) -> Self {
+        Pair {
+            left: self.left.clone(),
+            right: self.right.clone(),
+        }
+    }
+
+    #[inline]
+    fn clone_from(&mut self, source: &Self) {
+        self.left.clone_from(&source.left);
+        self.right.clone_from(&source.right);
+    }
 }
 
 impl<S, T> Pair<S, T> {
@@ -52,6 +71,10 @@ impl<S: crate::intern::PackedCodec, T: crate::intern::PackedCodec> crate::intern
             left: S::decode(input),
             right: T::decode(input),
         }
+    }
+    fn decode_into(&mut self, input: &mut &[u8]) {
+        self.left.decode_into(input);
+        self.right.decode_into(input);
     }
 }
 

@@ -380,12 +380,26 @@ impl<S: std::fmt::Debug, H> std::fmt::Debug for StateTable<S, H> {
 ///
 /// `decode` may panic on malformed input: encodings never leave the
 /// process, so corruption is a logic error, not an input error.
+///
+/// [`decode_into`](PackedCodec::decode_into) is `decode` onto an existing
+/// value: the explorer decodes every frontier state into one reused
+/// state, so a type that owns heap buffers overrides it to refill them in
+/// place. Whatever the target held before, the result must equal
+/// `decode`'s — an override that forgets to clear a buffer or to
+/// overwrite a field leaks the previous state into the next.
 pub trait PackedCodec: Sized {
     /// Appends the canonical encoding of `self` to `out`.
     fn encode(&self, out: &mut Vec<u8>);
     /// Reconstructs a value, consuming its encoding from the front of
     /// `input`.
     fn decode(input: &mut &[u8]) -> Self;
+    /// Overwrites `self` with the decoded value, consuming its encoding
+    /// from the front of `input` exactly as [`decode`](Self::decode)
+    /// does. Same panics as `decode`.
+    #[inline]
+    fn decode_into(&mut self, input: &mut &[u8]) {
+        *self = Self::decode(input);
+    }
 }
 
 /// Appends `v` to `out` as a LEB128 varint (7 bits per byte, low first).
@@ -555,6 +569,12 @@ impl<T: PackedCodec> PackedCodec for Vec<T> {
         let len = read_varint(input) as usize;
         (0..len).map(|_| T::decode(input)).collect()
     }
+    /// Refills the buffer in place: no allocation once it has grown.
+    fn decode_into(&mut self, input: &mut &[u8]) {
+        let len = read_varint(input) as usize;
+        self.clear();
+        self.extend((0..len).map(|_| T::decode(input)));
+    }
 }
 
 impl<T: PackedCodec> PackedCodec for VecDeque<T> {
@@ -567,6 +587,12 @@ impl<T: PackedCodec> PackedCodec for VecDeque<T> {
     fn decode(input: &mut &[u8]) -> Self {
         let len = read_varint(input) as usize;
         (0..len).map(|_| T::decode(input)).collect()
+    }
+    /// Refills the ring buffer in place: no allocation once it has grown.
+    fn decode_into(&mut self, input: &mut &[u8]) {
+        let len = read_varint(input) as usize;
+        self.clear();
+        self.extend((0..len).map(|_| T::decode(input)));
     }
 }
 
@@ -758,6 +784,14 @@ impl<H: BuildHasher> PackedTable<H> {
         let s = S::decode(&mut b);
         debug_assert!(b.is_empty(), "encoding not fully consumed");
         s
+    }
+
+    /// Decodes state `idx` onto `state` ([`PackedCodec::decode_into`]),
+    /// reusing the buffers it already owns.
+    pub fn decode_into<S: PackedCodec>(&self, idx: u32, state: &mut S) {
+        let mut b = self.encoding(idx);
+        state.decode_into(&mut b);
+        debug_assert!(b.is_empty(), "encoding not fully consumed");
     }
 
     /// Resident bytes: byte arena, offsets, cached hashes, and index
@@ -1130,6 +1164,22 @@ mod tests {
     }
 
     #[test]
+    fn decode_into_overwrites_dirty_targets() {
+        fn onto<T: PackedCodec + PartialEq + std::fmt::Debug>(v: T, mut dirty: T) {
+            let mut out = Vec::new();
+            v.encode(&mut out);
+            let mut r = out.as_slice();
+            dirty.decode_into(&mut r);
+            assert_eq!(dirty, v);
+            assert!(r.is_empty(), "decode_into must consume what decode does");
+        }
+        onto(vec![1u32, 2], vec![7, 8, 9]);
+        onto(Vec::<u64>::new(), vec![5]);
+        onto(VecDeque::from([true]), VecDeque::from([false, false]));
+        onto((Some(3u8), vec![4u64]), (None, vec![1, 2]));
+    }
+
+    #[test]
     fn packed_table_dedups_and_decodes() {
         let mut t = PackedTable::new();
         let mut enc = Vec::new();
@@ -1142,6 +1192,9 @@ mod tests {
         assert_eq!(a, a2);
         assert_eq!(t.lookup(h, &enc), Some(a));
         assert_eq!(t.decode::<Vec<u64>>(a), vec![1, 2, 3]);
+        let mut back = vec![9u64; 5];
+        t.decode_into(a, &mut back);
+        assert_eq!(back, vec![1, 2, 3]);
         assert_eq!(t.len(), 1);
         assert!(t.approx_bytes() > 0);
     }

@@ -32,7 +32,7 @@ use dl_core::protocol::{
 use ioa::intern::PackedCodec;
 
 /// State of the ABP transmitter.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
+#[derive(Debug, PartialEq, Eq, Hash, Default)]
 pub struct AbpTxState {
     /// `true` while the `t → r` medium is active.
     pub active: bool,
@@ -41,6 +41,26 @@ pub struct AbpTxState {
     /// Unacknowledged messages in submission order; the front is the one
     /// currently being transmitted.
     pub queue: VecDeque<Msg>,
+}
+
+/// Field-wise, so `clone_from` reuses the queue's buffer (a derived
+/// `Clone` would allocate a fresh one).
+impl Clone for AbpTxState {
+    #[inline]
+    fn clone(&self) -> Self {
+        AbpTxState {
+            active: self.active,
+            bit: self.bit,
+            queue: self.queue.clone(),
+        }
+    }
+
+    #[inline]
+    fn clone_from(&mut self, source: &Self) {
+        self.active = source.active;
+        self.bit = source.bit;
+        self.queue.clone_from(&source.queue);
+    }
 }
 
 /// The ABP transmitting automaton.
@@ -166,7 +186,7 @@ impl MessageIndependent for AbpTransmitter {
 }
 
 /// State of the ABP receiver.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
+#[derive(Debug, PartialEq, Eq, Hash, Default)]
 pub struct AbpRxState {
     /// `true` while the `r → t` medium is active.
     pub active: bool,
@@ -176,6 +196,27 @@ pub struct AbpRxState {
     pub deliver: VecDeque<Msg>,
     /// Acknowledgement bits owed to the transmitter.
     pub acks: VecDeque<bool>,
+}
+
+/// Field-wise, so `clone_from` reuses both queues' buffers.
+impl Clone for AbpRxState {
+    #[inline]
+    fn clone(&self) -> Self {
+        AbpRxState {
+            active: self.active,
+            expected: self.expected,
+            deliver: self.deliver.clone(),
+            acks: self.acks.clone(),
+        }
+    }
+
+    #[inline]
+    fn clone_from(&mut self, source: &Self) {
+        self.active = source.active;
+        self.expected = source.expected;
+        self.deliver.clone_from(&source.deliver);
+        self.acks.clone_from(&source.acks);
+    }
 }
 
 /// The ABP receiving automaton.
@@ -344,6 +385,11 @@ impl PackedCodec for AbpTxState {
             queue: std::collections::VecDeque::<Msg>::decode(input),
         }
     }
+    fn decode_into(&mut self, input: &mut &[u8]) {
+        self.active = bool::decode(input);
+        self.bit = bool::decode(input);
+        self.queue.decode_into(input);
+    }
 }
 
 impl PackedCodec for AbpRxState {
@@ -360,6 +406,12 @@ impl PackedCodec for AbpRxState {
             deliver: std::collections::VecDeque::<Msg>::decode(input),
             acks: std::collections::VecDeque::<bool>::decode(input),
         }
+    }
+    fn decode_into(&mut self, input: &mut &[u8]) {
+        self.active = bool::decode(input);
+        self.expected = bool::decode(input);
+        self.deliver.decode_into(input);
+        self.acks.decode_into(input);
     }
 }
 

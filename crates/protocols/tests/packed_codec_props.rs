@@ -10,7 +10,11 @@
 //! * **injective** — distinct reachable states along one trajectory
 //!   produce distinct byte strings (byte equality IS state equality,
 //!   which is what lets the packed exploration arena skip `Eq` on
-//!   decoded values entirely).
+//!   decoded values entirely);
+//! * **in place** — `decode_into` onto a value that holds another state
+//!   (the previously visited one) gives exactly what `decode` gives, as
+//!   the explorer relies on when it decodes every frontier state into one
+//!   reused state.
 
 use proptest::prelude::*;
 
@@ -43,8 +47,9 @@ fn rx_input_strategy() -> impl Strategy<Value = DlAction> {
 }
 
 /// Checks the full codec contract along one input-driven trajectory:
-/// every visited state roundtrips, re-encodes canonically, and encodings
-/// collide only for equal states.
+/// every visited state roundtrips, decodes in place onto the state
+/// visited before it, re-encodes canonically, and encodings collide only
+/// for equal states.
 fn check_codec<M>(aut: &M, inputs: &[DlAction]) -> Result<(), TestCaseError>
 where
     M: Automaton<Action = DlAction>,
@@ -60,6 +65,14 @@ where
         let back = M::State::decode(&mut cursor);
         prop_assert!(cursor.is_empty(), "encoding is not self-delimiting");
         prop_assert_eq!(&back, s, "decode(encode(s)) != s");
+        // In place, onto a dirty target: the previously visited state.
+        if let Some((prev, _)) = visited.last() {
+            let mut onto = prev.clone();
+            let mut cursor = &bytes[..];
+            onto.decode_into(&mut cursor);
+            prop_assert!(cursor.is_empty(), "decode_into consumed a different length");
+            prop_assert_eq!(&onto, &back, "decode_into differs from decode");
+        }
         // Canonical: re-encoding the decoded value reproduces the bytes.
         let mut again = Vec::new();
         back.encode(&mut again);

@@ -4,11 +4,13 @@
 //! methods — `try_for_each_successor`, `for_each_enabled_local`, and the
 //! derived `is_enabled`/`step_first`/`has_enabled_local` — agreeing
 //! **exactly** (same elements, same order) with the legacy Vec-returning
-//! `successors`/`enabled_local` they shadow. Sessions step through two
-//! more, `successor_count` and `step_in_place`, which must count the same
-//! successors and move a state to exactly the one at the picked position.
-//! Executors pick successors by position, so even a reordering would
-//! silently change schedules.
+//! `successors`/`enabled_local` they shadow. Sessions and the explorer
+//! step through two more, `successor_count` and `step_in_place`, which
+//! must count the same successors and move a state to exactly the one at
+//! the picked position. Executors pick successors by position, so even a
+//! reordering would silently change schedules. The explorer also copies
+//! each state onto a reused one (`clone_from`) before every pick, so the
+//! picks here are stepped the same way.
 //!
 //! This suite walks the full composed `link_system` (Hide ∘ Compose2 ∘
 //! protocol stations ∘ channels) for every protocol of the zoo — over
@@ -53,6 +55,11 @@ where
     assert_eq!(legacy_enabled, cb_enabled, "enabled_local order differs");
     assert_eq!(auto.has_enabled_local(s), !legacy_enabled.is_empty());
 
+    // One reused state, copied onto with `clone_from` before each pick as
+    // the explorer does; it still holds the previous action's last
+    // successor, so a `clone_from` that leaves part of a dirty target
+    // behind shows up as a wrong state.
+    let mut t = s.clone();
     for a in actions.iter().chain(legacy_enabled.iter()) {
         let legacy = auto.successors(s, a);
         let mut cb = Vec::new();
@@ -69,20 +76,20 @@ where
 
         let n = auto.successor_count(s, a);
         assert_eq!(n, legacy.len(), "successor_count differs for {a:?}");
+        t.clone_from(s);
+        assert!(
+            !auto.step_in_place(&mut t, a, n),
+            "a pick equal to the count stepped {a:?}"
+        );
+        assert_eq!(&t, s, "a refused step_in_place moved the state for {a:?}");
         for (k, want) in legacy.iter().enumerate() {
-            let mut t = s.clone();
+            t.clone_from(s);
             assert!(
                 auto.step_in_place(&mut t, a, k),
                 "pick {k} refused for {a:?}"
             );
             assert_eq!(&t, want, "step_in_place pick {k} differs for {a:?}");
         }
-        let mut t = s.clone();
-        assert!(
-            !auto.step_in_place(&mut t, a, n),
-            "a pick equal to the count stepped {a:?}"
-        );
-        assert_eq!(&t, s, "a refused step_in_place moved the state for {a:?}");
     }
 }
 
@@ -278,11 +285,16 @@ fn stabilizing_over_corrupt_channels_matches_legacy() {
 
 /// The simulated channels (nondeterministic loss, reordering, burst) get
 /// their own walk: they are the only automata with multi-successor
-/// transitions besides composition cross-products.
+/// transitions besides composition cross-products. The walk includes the
+/// explorer's exact channel setups — capacity-bounded `Nondet` channels
+/// as in E9/E15/E16, and the lossless bounded channel of the crash pump,
+/// whose sends into a full queue are dropped — and the WDL observer that
+/// E9 and E15 compose in.
 #[test]
 fn simulated_channels_interned_apis_match_legacy() {
     use datalink::channels::{BurstLossChannel, LossMode, LossyFifoChannel, ReorderChannel};
     use datalink::core::action::Packet;
+    use datalink::core::observer::WdlObserver;
 
     let mut inputs: Vec<DlAction> = Vec::new();
     for d in [Dir::TR, Dir::RT] {
@@ -300,6 +312,11 @@ fn simulated_channels_interned_apis_match_legacy() {
     }
     inputs.push(DlAction::Crash(Station::T));
     inputs.push(DlAction::Crash(Station::R));
+    // The observer's inputs; phantom and duplicate deliveries set its flag.
+    for n in 0..4 {
+        inputs.push(DlAction::SendMsg(Msg(n)));
+        inputs.push(DlAction::ReceiveMsg(Msg(n)));
+    }
 
     fn drive<A>(auto: &A, inputs: &[DlAction], seed: u64)
     where
@@ -334,11 +351,24 @@ fn simulated_channels_interned_apis_match_legacy() {
             &inputs,
             seed,
         );
+        for mode in [LossMode::Nondet, LossMode::None] {
+            drive(
+                &LossyFifoChannel::with_capacity(Dir::TR, mode, 2),
+                &inputs,
+                seed,
+            );
+        }
         drive(
             &ReorderChannel::new(Dir::RT, LossMode::Nondet),
             &inputs,
             seed,
         );
+        drive(
+            &ReorderChannel::with_capacity(Dir::RT, LossMode::Nondet, 2),
+            &inputs,
+            seed,
+        );
         drive(&BurstLossChannel::new(Dir::TR, 2, 2), &inputs, seed);
+        drive(&WdlObserver, &inputs, seed);
     }
 }
