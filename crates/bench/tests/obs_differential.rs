@@ -67,10 +67,11 @@ fn sim_run_is_pinned_across_feature_configs() {
     assert_eq!(report.metrics.msgs_received, 5);
     assert_eq!(report.metrics.steps, 60);
     assert_eq!(report.schedule().len(), 60);
-    // One warm-up growth each of the two scratch buffers, the enabled set
-    // and the task-class filter. Steps count successors and move to the
-    // picked one in place, so no successor buffer exists to grow.
-    assert_eq!(report.scratch_refills, 2);
+    // One warm-up growth of the one scratch buffer, the scheduled task
+    // class, which a single walk of the enabled set fills. Steps count
+    // successors and move to the picked one in place, so no successor
+    // buffer exists to grow.
+    assert_eq!(report.scratch_refills, 1);
 }
 
 /// The fleet traffic engine: per-session verdicts, fleet counters, and

@@ -40,6 +40,15 @@
 //!   ended now". Querying is `O(sends)` for DL7/DL8 and `O(1)` for the
 //!   rest; observing stays `O(1)`.
 //!
+//! # Data-link-only posture
+//!
+//! [`TraceMonitor::data_link_only`] builds a monitor for runs that judge
+//! only the data link (the simulator's `monitor_pl = false` posture, which
+//! the fleet and the fuzzer run). Packet actions only advance its trace
+//! index, so every violation's `at` still points into the full schedule,
+//! and its packet tables stay empty; its physical-layer queries panic
+//! rather than answer from them.
+//!
 //! Duplicate-send semantics (see `spec::physical::check_pl5` /
 //! `spec::datalink::check_dl6`): a duplicate packet (resp. message) send
 //! *poisons* the FIFO checker — PL2 (resp. DL3) already makes the module
@@ -585,6 +594,9 @@ pub struct TraceMonitor {
     next_index: usize,
     saw_wake: bool,
     saw_fail_or_crash: bool,
+    /// Packet actions only advance `next_index` (see
+    /// [`TraceMonitor::data_link_only`]).
+    data_link_only: bool,
     /// Physical-layer state, indexed by `Dir::BOTH` order (TR, RT).
     dirs: [PlState; 2],
     dl: DlState,
@@ -630,6 +642,25 @@ impl TraceMonitor {
     #[must_use]
     pub fn new() -> Self {
         TraceMonitor::default()
+    }
+
+    /// A monitor that has observed the empty trace and judges only the
+    /// data link: packet actions advance the trace index and nothing else.
+    ///
+    /// Data-link, well-formedness and bookkeeping queries
+    /// ([`dl_verdict`](Self::dl_verdict),
+    /// [`online_dl_violation`](Self::online_dl_violation), `dl*_violation`,
+    /// [`wellformedness_violation`](Self::wellformedness_violation),
+    /// [`actions_observed`](Self::actions_observed),
+    /// [`approx_bytes`](Self::approx_bytes)) answer exactly as on a
+    /// [`new`](Self::new) monitor fed the same trace. The physical-layer
+    /// queries panic.
+    #[must_use]
+    pub fn data_link_only() -> Self {
+        TraceMonitor {
+            data_link_only: true,
+            ..TraceMonitor::default()
+        }
     }
 
     /// A monitor that has observed all of `trace`, in order.
@@ -681,7 +712,7 @@ impl TraceMonitor {
             }
         }
         for (k, d) in self.dirs.iter_mut().enumerate() {
-            if pkts[k] > 0 {
+            if pkts[k] > 0 && !self.data_link_only {
                 d.values.reserve(pkts[k]);
                 d.vals.reserve(pkts[k]);
                 d.transit.reserve(pkts[k]);
@@ -717,6 +748,7 @@ impl TraceMonitor {
                     self.dl.on_tx_down();
                 }
             }
+            DlAction::SendPkt(..) | DlAction::ReceivePkt(..) if self.data_link_only => {}
             DlAction::SendPkt(d, p) => self.dirs[dir_index(*d)].send(i, *d, p),
             DlAction::ReceivePkt(d, p) => self.dirs[dir_index(*d)].receive(i, p),
             DlAction::SendMsg(m) => {
@@ -750,10 +782,21 @@ impl TraceMonitor {
     /// interners, per-value columns, transit arena, and interval lists.
     /// Bounded by distinct observed values plus **peak live** in-transit
     /// packets — independent of trace length (the allocation-ceiling
-    /// regression test pins this).
+    /// regression test pins this). A data-link-only monitor's packet
+    /// tables stay empty, so only distinct messages count.
     #[must_use]
     pub fn approx_bytes(&self) -> usize {
         self.dirs.iter().map(PlState::approx_bytes).sum::<usize>() + self.dl.approx_bytes()
+    }
+
+    /// Panics on a [`data_link_only`](Self::data_link_only) monitor, whose
+    /// packet tables are empty.
+    fn assert_physical(&self, query: &str) {
+        assert!(
+            !self.data_link_only,
+            "TraceMonitor::{query} needs packet state, but this monitor is data-link-only \
+             (built for the `monitor_pl = false` posture)"
+        );
     }
 
     /// First well-formedness violation for `dir`, if any.
@@ -765,8 +808,13 @@ impl TraceMonitor {
     /// First violation of the given PL property (1–5) for `dir` on the
     /// observed prefix. PL1–PL4 are exact; PL5 is judged under the
     /// duplicate-poisoning semantics documented on the module.
+    ///
+    /// # Panics
+    ///
+    /// On a [`data_link_only`](Self::data_link_only) monitor.
     #[must_use]
     pub fn pl_violation(&self, dir: Dir, property: u8) -> Option<&Violation> {
+        self.assert_physical("pl_violation");
         let d = &self.dirs[dir_index(dir)];
         match property {
             1 => d.pl1.as_ref(),
@@ -880,15 +928,25 @@ impl TraceMonitor {
     /// Allocates a fresh `Vec`; on hot paths prefer
     /// [`in_transit_iter`](Self::in_transit_iter) or
     /// [`in_transit_count`](Self::in_transit_count).
+    ///
+    /// # Panics
+    ///
+    /// On a [`data_link_only`](Self::data_link_only) monitor.
     #[must_use]
     pub fn in_transit(&self, dir: Dir) -> Vec<Packet> {
+        self.assert_physical("in_transit");
         self.in_transit_iter(dir).collect()
     }
 
     /// Iterates the in-transit packets of `dir` in send order without
     /// allocating.
+    ///
+    /// # Panics
+    ///
+    /// On a [`data_link_only`](Self::data_link_only) monitor.
     #[must_use]
     pub fn in_transit_iter(&self, dir: Dir) -> InTransit<'_> {
+        self.assert_physical("in_transit_iter");
         let pl = &self.dirs[dir_index(dir)];
         InTransit {
             pl,
@@ -897,16 +955,26 @@ impl TraceMonitor {
     }
 
     /// How many packets are currently in transit on `dir`. `O(1)`.
+    ///
+    /// # Panics
+    ///
+    /// On a [`data_link_only`](Self::data_link_only) monitor.
     #[must_use]
     pub fn in_transit_count(&self, dir: Dir) -> usize {
+        self.assert_physical("in_transit_count");
         self.dirs[dir_index(dir)].transit.live as usize
     }
 
     /// The physical-layer module verdict (`PL^{dir}` or `PL-FIFO^{dir}`)
     /// on the observed prefix. Identical to
     /// [`crate::spec::physical::PlModule::check`].
+    ///
+    /// # Panics
+    ///
+    /// On a [`data_link_only`](Self::data_link_only) monitor.
     #[must_use]
     pub fn pl_verdict(&self, dir: Dir, fifo: bool) -> Verdict {
+        self.assert_physical("pl_verdict");
         let d = &self.dirs[dir_index(dir)];
         // Hypotheses: well-formedness, PL1, PL2.
         if let Some(v) = d.status.violation() {
@@ -990,8 +1058,13 @@ impl TraceMonitor {
     /// never reported online: they can only be judged once the trace is
     /// complete, and the post-run batch verdict covers them. `O(1)` and
     /// allocation-free — it runs after every simulated action.
+    ///
+    /// # Panics
+    ///
+    /// On a [`data_link_only`](Self::data_link_only) monitor.
     #[must_use]
     pub fn online_violation(&self, full_dl: bool, fifo: bool) -> Option<&Violation> {
+        self.assert_physical("online_violation");
         let mut best: Option<&Violation> = None;
         for d in &self.dirs {
             if d.status.error.is_some() || d.pl1.is_some() || d.pl2.is_some() {
@@ -1260,6 +1333,41 @@ mod tests {
         assert_eq!(mon.in_transit_count(Dir::TR), 2);
         mon.observe(&ReceivePkt(Dir::TR, b));
         assert_eq!(mon.in_transit(Dir::TR), vec![c]);
+    }
+
+    #[test]
+    fn data_link_only_refuses_physical_queries() {
+        let mut mon = TraceMonitor::data_link_only();
+        mon.observe_all(&[
+            Wake(Dir::TR),
+            SendPkt(Dir::TR, pkt(0, 1)),
+            ReceivePkt(Dir::TR, pkt(0, 1)),
+        ]);
+        type Query = dyn Fn(&TraceMonitor) -> usize;
+        let queries: [(&str, &Query); 6] = [
+            ("pl_violation", &|m| {
+                usize::from(m.pl_violation(Dir::TR, 3).is_some())
+            }),
+            ("pl_verdict", &|m| {
+                usize::from(m.pl_verdict(Dir::TR, true).is_allowed())
+            }),
+            ("online_violation", &|m| {
+                usize::from(m.online_violation(true, true).is_some())
+            }),
+            ("in_transit", &|m| m.in_transit(Dir::TR).len()),
+            ("in_transit_iter", &|m| m.in_transit_iter(Dir::TR).count()),
+            ("in_transit_count", &|m| m.in_transit_count(Dir::TR)),
+        ];
+        for (name, query) in queries {
+            let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| query(&mon)))
+                .expect_err(name);
+            let msg = payload.downcast_ref::<String>().expect("formatted panic");
+            assert!(
+                msg.contains(&format!("TraceMonitor::{name} "))
+                    && msg.contains("monitor_pl = false"),
+                "{name}: {msg}"
+            );
+        }
     }
 
     #[test]

@@ -5,9 +5,10 @@
 //! moves the state in place, and the stations and channels answer
 //! enabledness without building a successor. What allocation remains
 //! comes from growth — a station queue or a monitor's value tables
-//! (the online monitor, or the stabilizing kind's suffix monitor)
-//! meeting a new high-water mark — and from crashes, which reset a
-//! station to a fresh state. This test pins allocations per action for
+//! (the online monitor's message tables, or the stabilizing kind's
+//! suffix monitor) meeting a new high-water mark — and from crashes,
+//! which reset a station to a fresh state. The online monitor is
+//! data-link-only (`monitor_pl = false`), so packets cost it nothing. This test pins allocations per action for
 //! every zoo kind under a ceiling about 1.5× the measured value, so a
 //! step path that starts cloning or recording states again fails here.
 //!
@@ -102,19 +103,23 @@ fn allocs_per_action(kind: ProtocolKind) -> (f64, u64) {
 }
 
 /// Per-kind ceilings, about 1.5× the measured allocations per action
-/// (seed 7, 500 sessions, default fleet spec). A step that clones the
-/// session state costs several allocations per action on its own.
+/// (seed 7, 500 sessions, default fleet spec, debug build): abp 0.473,
+/// go-back-2 0.368, go-back-8 0.120, selective-repeat-4 0.189,
+/// fragmenting 0.322, parity 0.390, stenning 0.080, nonvolatile 0.438,
+/// quirky 0.472, stabilizing 0.161. A step that clones the session state
+/// costs several allocations per action on its own, and a monitor that
+/// interns packets about one more per action for the classic kinds.
 const CEILINGS: [(ProtocolKind, f64); 10] = [
-    (ProtocolKind::Abp, 2.3),
-    (ProtocolKind::GoBack2, 1.9),
-    (ProtocolKind::GoBack8, 0.75),
-    (ProtocolKind::SelectiveRepeat4, 0.75),
-    (ProtocolKind::Fragmenting, 1.85),
-    (ProtocolKind::Parity, 2.1),
-    (ProtocolKind::Stenning, 0.45),
-    (ProtocolKind::Nonvolatile, 2.2),
-    (ProtocolKind::Quirky, 2.3),
-    (ProtocolKind::Stabilizing, 0.26),
+    (ProtocolKind::Abp, 0.71),
+    (ProtocolKind::GoBack2, 0.55),
+    (ProtocolKind::GoBack8, 0.18),
+    (ProtocolKind::SelectiveRepeat4, 0.28),
+    (ProtocolKind::Fragmenting, 0.48),
+    (ProtocolKind::Parity, 0.59),
+    (ProtocolKind::Stenning, 0.12),
+    (ProtocolKind::Nonvolatile, 0.66),
+    (ProtocolKind::Quirky, 0.71),
+    (ProtocolKind::Stabilizing, 0.24),
 ];
 
 #[test]

@@ -19,8 +19,9 @@
 //! against DL8, so step-budget exhaustion cannot fabricate liveness
 //! violations. Every violation's `at` indexes the execution's schedule.
 
-use std::hash::{BuildHasher, BuildHasherDefault, Hash};
+use std::hash::{BuildHasher, Hash};
 
+use ioa::intern::FxBuildHasher;
 use ioa::schedule_module::{TraceKind, Verdict, Violation};
 use ioa::{ActionClass, Automaton};
 
@@ -257,7 +258,9 @@ where
 /// Coverage: one key per step, hashing the composed post-state, a
 /// log-bucketed progress digest (the monitor-visible counters), and the
 /// action class — the `(protocol state, monitor state, action class)`
-/// tuple, collapsed to 64 bits.
+/// tuple, collapsed to 64 bits. The post-state is hashed with the
+/// workspace's deterministic [`FxBuildHasher`]: the states are generated
+/// by the program, and coverage only counts distinct keys.
 fn drive<M>(
     session: &mut SessionStep<M, &M>,
     mut watch: impl FnMut(&DlAction),
@@ -266,14 +269,13 @@ where
     M: Automaton<Action = DlAction>,
     M::State: Hash,
 {
-    let hasher = BuildHasherDefault::<std::collections::hash_map::DefaultHasher>::default();
     let mut coverage = Vec::new();
     let mut schedule = Vec::new();
     while let Some(action) = session.step() {
         let m = session.metrics();
         let digest = bucket(m.msgs_sent) | bucket(m.msgs_received) << 4 | m.crashes.min(15) << 8;
         coverage.push(mix3(
-            hasher.hash_one(session.state()),
+            FxBuildHasher.hash_one(session.state()),
             digest,
             action_class(&action),
         ));

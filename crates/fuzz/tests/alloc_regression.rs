@@ -5,10 +5,11 @@
 //! it still cloned the composed state per step to record the execution,
 //! rebuilt the behavior, and re-scanned it to judge liveness. A target
 //! now drives a lean session: one live state stepped in place, coverage
-//! hashed from it after each step, DL8 read from the online monitor. What
-//! remains is per-run set-up (the decoded plan, the composed system, the
-//! start state), growth of the output vectors, the monitor's value tables
-//! and the scratch buffers, and a crash's station reset. This test pins
+//! hashed from it after each step, DL8 read from the online monitor,
+//! which is data-link-only and never interns a packet. What remains is
+//! per-run set-up (the decoded plan, the composed system, the start
+//! state), growth of the output vectors, the monitor's message tables
+//! and the scratch buffer, and a crash's station reset. This test pins
 //! that residue with a counting global allocator so a change that quietly
 //! reintroduces per-step cloning or recording fails loudly here rather
 //! than as a silent throughput loss in the benches.
@@ -96,15 +97,16 @@ fn fuzz_exec_allocations_stay_bounded() {
     };
     let cfg = ExecConfig::default();
 
-    // Measured on the lean path (debug build): abp 104 allocations over
-    // 74 steps; go-back-8 172 and selective-repeat-4 180 over the full
+    // Measured on the lean path (debug build): abp 51 allocations over
+    // 74 steps; go-back-8 56 and selective-repeat-4 64 over the full
     // 800-step budget — well under one per step once set-up is paid. The
-    // ceilings are about 1.5× those counts; the recording path took
+    // ceilings are about 1.5× those counts; with a monitor that interned
+    // packets the lean path took 104 / 172 / 180, and the recording path
     // 361 / 2,948 / 2,979.
     for (name, ceiling) in [
-        ("abp", 160u64),
-        ("go-back-8", 260),
-        ("selective-repeat-4", 270),
+        ("abp", 77u64),
+        ("go-back-8", 84),
+        ("selective-repeat-4", 96),
     ] {
         let (allocs, steps) = allocs_for_one_exec(name, &genome, &cfg);
         eprintln!("{name}: {allocs} allocations over {steps} steps");
@@ -120,10 +122,11 @@ fn fuzz_exec_allocations_stay_bounded() {
         );
         // Also bound the per-step rate: the clone-based executor sat at
         // dozens per step, the recording path at about 3.7–4.9, the lean
-        // path at 0.2–1.4 (abp's short run is mostly set-up).
+        // path at 0.2–1.4 with a packet-interning monitor and at
+        // 0.07–0.69 without (abp's short run is mostly set-up).
         let per_step = allocs as f64 / steps as f64;
         assert!(
-            per_step < 2.1,
+            per_step < 1.05,
             "{name}: {per_step:.1} allocations per step ({allocs}/{steps})"
         );
     }

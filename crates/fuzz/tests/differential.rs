@@ -14,11 +14,12 @@
 //! A second test pins what a violation's `at` means: the index of the
 //! offending action in the execution's schedule.
 
-use std::hash::{BuildHasher, BuildHasherDefault, Hash};
+use std::hash::{BuildHasher, Hash};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use ioa::intern::FxBuildHasher;
 use ioa::schedule_module::{ScheduleModule, TraceKind, Verdict, Violation};
 use ioa::{ActionClass, Automaton};
 
@@ -90,7 +91,6 @@ fn recorded_coverage<S>(report: &RunReport<S>) -> Vec<u64>
 where
     S: Hash + Clone + Eq + std::fmt::Debug,
 {
-    let hasher = BuildHasherDefault::<std::collections::hash_map::DefaultHasher>::default();
     let (mut sent, mut delivered, mut crashes) = (0u64, 0u64, 0u64);
     report
         .execution
@@ -104,7 +104,7 @@ where
             }
             let digest = bucket(sent) | bucket(delivered) << 4 | crashes.min(15) << 8;
             mix3(
-                hasher.hash_one(&step.post),
+                FxBuildHasher.hash_one(&step.post),
                 digest,
                 action_class(&step.action),
             )

@@ -116,7 +116,11 @@ impl<A: fmt::Debug> std::error::Error for CompatibilityError<A> {}
 /// Strong compatibility is **checked per action on demand** (the action
 /// universe may be infinite): [`Compose2::check_compatible`] validates a
 /// sample of actions, and every `classify` call asserts compatibility for
-/// the action it sees in debug builds.
+/// the action it sees in debug builds. Debug builds of
+/// [`for_each_enabled_local`](Automaton::for_each_enabled_local) likewise
+/// assert that the other side takes every action one side enables
+/// (input enabledness, §2.2); [`enabled_local`](Automaton::enabled_local)
+/// filters such actions out instead.
 #[derive(Clone)]
 pub struct Compose2<L, R> {
     left: L,
@@ -404,24 +408,27 @@ where
         state: &Self::State,
         f: &mut dyn FnMut(A) -> ControlFlow<()>,
     ) -> ControlFlow<()> {
-        // Same order as `enabled_local`: left's enabled actions (filtered
-        // by the defensive other-side check), then right's. The Vec path
-        // also dedups right-side actions against the left's — a case strong
-        // compatibility makes unreachable (an action locally controlled on
-        // one side is at most an *input* on the other, and `enabled_local`
-        // returns locally-controlled actions only), so the callback form
-        // omits it.
+        // Same order as `enabled_local`: left's enabled actions, then
+        // right's. Strong compatibility (§2.5.1) makes an action one side
+        // controls at most an *input* of the other, and inputs are enabled
+        // in every state (§2.2), so the other side never refuses one: the
+        // check `enabled_local` makes defensively is a debug assertion
+        // here, like `classify`'s compatibility check. The same argument
+        // makes `enabled_local`'s dedup of right-side actions against the
+        // left's unreachable, so this form omits it.
         self.left.for_each_enabled_local(&state.left, &mut |a| {
-            if !self.right.in_signature(&a) || self.right.is_enabled(&state.right, &a) {
-                f(a)?;
-            }
-            ControlFlow::Continue(())
+            debug_assert!(
+                !self.right.in_signature(&a) || self.right.is_enabled(&state.right, &a),
+                "input enabledness violated: {a:?} is enabled on the left but refused on the right"
+            );
+            f(a)
         })?;
         self.right.for_each_enabled_local(&state.right, &mut |a| {
-            if !self.left.in_signature(&a) || self.left.is_enabled(&state.left, &a) {
-                f(a)?;
-            }
-            ControlFlow::Continue(())
+            debug_assert!(
+                !self.left.in_signature(&a) || self.left.is_enabled(&state.left, &a),
+                "input enabledness violated: {a:?} is enabled on the right but refused on the left"
+            );
+            f(a)
         })
     }
 
@@ -672,6 +679,61 @@ mod tests {
         assert!(c.enabled_local(&s0).is_empty());
         let s1 = c.step_first(&s0, &Act::Go).unwrap();
         assert_eq!(c.enabled_local(&s1), vec![Act::Mid(7)]);
+    }
+
+    /// A consumer that refuses `Mid` while it holds a value: not input
+    /// enabled, so composing it breaks the contract the callback walk
+    /// asserts.
+    #[derive(Clone)]
+    struct Picky;
+    impl Automaton for Picky {
+        type Action = Act;
+        type State = Option<u8>;
+
+        fn start_states(&self) -> Vec<Self::State> {
+            vec![None]
+        }
+        fn classify(&self, a: &Act) -> Option<ActionClass> {
+            Consumer.classify(a)
+        }
+        fn successors(&self, s: &Self::State, a: &Act) -> Vec<Self::State> {
+            match a {
+                Act::Mid(_) if s.is_some() => vec![],
+                _ => Consumer.successors(s, a),
+            }
+        }
+        fn enabled_local(&self, s: &Self::State) -> Vec<Act> {
+            Consumer.enabled_local(s)
+        }
+        fn task_of(&self, _a: &Act) -> TaskId {
+            TaskId(0)
+        }
+        fn task_count(&self) -> usize {
+            1
+        }
+    }
+
+    #[test]
+    fn enabled_local_filters_a_refused_input() {
+        let c = Compose2::new(Producer, Picky);
+        assert_eq!(
+            c.enabled_local(&Pair::new(Some(7), None)),
+            vec![Act::Mid(7)]
+        );
+        assert_eq!(
+            c.enabled_local(&Pair::new(Some(7), Some(3))),
+            vec![Act::Out(3)]
+        );
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "input enabledness violated")]
+    fn enabled_walk_asserts_input_enabledness() {
+        let c = Compose2::new(Producer, Picky);
+        let _ = c.for_each_enabled_local(&Pair::new(Some(7), Some(3)), &mut |_| {
+            ControlFlow::Continue(())
+        });
     }
 
     #[test]

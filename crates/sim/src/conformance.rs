@@ -33,7 +33,12 @@ pub struct ConformancePolicy {
     /// `dl-channels`' `FaultyChannel` violates PL3 on purpose — so the
     /// online monitor aborts only on data-link violations of the protocol
     /// under test. Only [`crate::Runner::with_online_conformance`] reads
-    /// this; the batch [`judge`] always reports both layers.
+    /// this, and `false` also makes that online monitor a
+    /// [`TraceMonitor::data_link_only`] one, which skips packet actions
+    /// (its physical-layer queries panic); the batch [`judge`] always
+    /// reports both layers.
+    ///
+    /// [`TraceMonitor::data_link_only`]: dl_core::spec::monitor::TraceMonitor::data_link_only
     pub monitor_pl: bool,
     /// Patience for the liveness monitors; `None` disables them.
     pub patience: Option<usize>,

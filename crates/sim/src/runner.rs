@@ -6,7 +6,7 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 use ioa::action::ActionClass;
-use ioa::automaton::{Automaton, TaskId};
+use ioa::automaton::Automaton;
 use ioa::execution::Execution;
 use ioa::schedule_module::Violation;
 
@@ -168,9 +168,9 @@ pub struct RunReport<S> {
     /// Always 0 unless the `obs` feature is enabled (and the runner was
     /// built with [`Runner::with_online_conformance`]).
     pub monitor_nanos: u64,
-    /// How many times a reusable scratch buffer (the enabled set or the
-    /// task-class filter) outgrew its capacity and reallocated — the
-    /// steady-state target is a handful of warm-up growths and then zero.
+    /// How many times the reusable scratch buffer (the scheduled task
+    /// class) outgrew its capacity and reallocated — the steady-state
+    /// target is a handful of warm-up growths and then zero.
     pub scratch_refills: u64,
 }
 
@@ -246,19 +246,17 @@ pub struct Runner {
     taken: Vec<Decision>,
 }
 
-/// Reusable per-run buffers: the enabled-action set and the
-/// per-task-class filter are refilled in place every step, so a
-/// steady-state run allocates only when a buffer grows past its
-/// high-water mark. Successors need no buffer: a step counts them and
-/// then moves the state to the picked one in place
+/// Reusable per-run buffer: the scheduled task class is refilled in
+/// place every step, so a steady-state run allocates only when it grows
+/// past its high-water mark. Successors need no buffer: a step counts
+/// them and then moves the state to the picked one in place
 /// ([`Automaton::step_in_place`]).
 #[derive(Default)]
 struct Scratch {
-    enabled: Vec<DlAction>,
     in_class: Vec<DlAction>,
-    /// Capacity-growth events across both buffers; deterministic for a
-    /// fixed run (Vec growth is), so it lands in the ledger as a counter
-    /// rather than a gauge.
+    /// Capacity-growth events of the buffer; deterministic for a fixed
+    /// run (Vec growth is), so it lands in the ledger as a counter rather
+    /// than a gauge.
     refills: u64,
 }
 
@@ -620,9 +618,14 @@ where
         // Decision indexing (for overrides/replay) restarts with each run.
         runner.decision_index = 0;
         runner.taken.clear();
+        // A run that judges only the data link never reads packet state.
         let online = runner.conformance.map(|policy| OnlineConformance {
             policy,
-            monitor: TraceMonitor::new(),
+            monitor: if policy.monitor_pl {
+                TraceMonitor::new()
+            } else {
+                TraceMonitor::data_link_only()
+            },
             violation: None,
             nanos: 0,
         });
@@ -853,7 +856,9 @@ where
     /// The streaming trace monitor, when the session's runner was built
     /// with [`Runner::with_online_conformance`] — the fleet reads final
     /// complete-trace verdicts (DL8) from here without retaining the
-    /// trace.
+    /// trace. Under a policy with `monitor_pl = false` it is a
+    /// [`TraceMonitor::data_link_only`] monitor, whose physical-layer
+    /// queries panic.
     #[must_use]
     pub fn monitor(&self) -> Option<&TraceMonitor> {
         self.online.as_ref().map(|o| &o.monitor)
@@ -888,8 +893,7 @@ where
     #[must_use]
     pub fn resident_bytes(&self) -> u64 {
         use std::mem::size_of;
-        let scratch = (self.scratch.enabled.capacity() + self.scratch.in_class.capacity())
-            * size_of::<DlAction>();
+        let scratch = self.scratch.in_class.capacity() * size_of::<DlAction>();
         let script = std::mem::size_of_val(self.script.steps());
         let metrics = self.metrics.latencies.capacity() * size_of::<u64>()
             + self.metrics.send_step.len() * (size_of::<dl_core::action::Msg>() + 32)
@@ -908,6 +912,8 @@ where
     /// runs unmonitored. Distinct-value tables grow with the observed
     /// trace (PL2 obliges the monitor to remember every sent value);
     /// the transit arena is bounded by *peak live* in-transit packets.
+    /// A data-link-only monitor (`monitor_pl = false`) keeps no packet
+    /// tables, so only distinct messages count.
     #[must_use]
     pub fn monitor_bytes(&self) -> u64 {
         self.online
@@ -957,6 +963,12 @@ where
 /// Takes one fair locally-controlled step and returns the action taken;
 /// `None` if none is enabled. Free-standing so [`SessionStep::step`] can
 /// borrow its fields disjointly.
+///
+/// Round-robin fairness: the scheduled class is the enabled actions of the
+/// first task, scanning from `next_task`, that has any. One walk of the
+/// enabled set finds it: each action's offset from `next_task` is taken
+/// once, and the buffer keeps the actions of the smallest offset seen so
+/// far, in enumeration order.
 #[allow(clippy::too_many_arguments)]
 fn fair_local_step<M>(
     runner: &mut Runner,
@@ -971,40 +983,35 @@ fn fair_local_step<M>(
 where
     M: Automaton<Action = DlAction>,
 {
-    scratch.enabled.clear();
-    let cap = scratch.enabled.capacity();
+    let tasks = system.task_count().max(1);
+    let start = *next_task;
+    let mut best = tasks;
+    scratch.in_class.clear();
+    let cap = scratch.in_class.capacity();
     let _ = system.for_each_enabled_local(trace.last_state(), &mut |a| {
-        scratch.enabled.push(a);
+        let t = system.task_of(&a).0;
+        if t < tasks {
+            let offset = (t + tasks - start) % tasks;
+            if offset < best {
+                best = offset;
+                scratch.in_class.clear();
+            }
+            if offset == best {
+                scratch.in_class.push(a);
+            }
+        }
         std::ops::ControlFlow::Continue(())
     });
-    scratch.refills += u64::from(scratch.enabled.capacity() != cap);
-    if scratch.enabled.is_empty() {
+    scratch.refills += u64::from(scratch.in_class.capacity() != cap);
+    if scratch.in_class.is_empty() {
         return None;
     }
-    let tasks = system.task_count().max(1);
-    for offset in 0..tasks {
-        let t = TaskId((*next_task + offset) % tasks);
-        scratch.in_class.clear();
-        let cap = scratch.in_class.capacity();
-        scratch.in_class.extend(
-            scratch
-                .enabled
-                .iter()
-                .filter(|a| system.task_of(a) == t)
-                .copied(),
-        );
-        scratch.refills += u64::from(scratch.in_class.capacity() != cap);
-        if scratch.in_class.is_empty() {
-            continue;
-        }
-        let pick = runner.decide(DecisionPoint::Action, scratch.in_class.len());
-        let action = scratch.in_class[pick];
-        let took = take(runner, system, trace, digest, action, metrics, online);
-        debug_assert!(took.is_some(), "enabled_local returned a disabled action");
-        *next_task = (*next_task + offset + 1) % tasks;
-        return took;
-    }
-    None
+    let pick = runner.decide(DecisionPoint::Action, scratch.in_class.len());
+    let action = scratch.in_class[pick];
+    let took = take(runner, system, trace, digest, action, metrics, online);
+    debug_assert!(took.is_some(), "enabled_local returned a disabled action");
+    *next_task = (start + best + 1) % tasks;
+    took
 }
 
 /// Takes `action`, stamping a fresh uid if it is an unstamped `send_pkt`,
@@ -1051,6 +1058,7 @@ mod tests {
     use dl_channels::simulated::{LossMode, LossyFifoChannel};
     use dl_core::spec::datalink::DlModule;
     use dl_core::spec::physical::PlModule;
+    use ioa::automaton::TaskId;
     use ioa::schedule_module::{ScheduleModule, TraceKind, Verdict};
 
     fn abp_system(

@@ -10,6 +10,12 @@
 //! combination, the per-direction in-transit multisets, and the
 //! footprint estimate (batching may pre-reserve, so footprints are
 //! compared only between equal chunkings; verdicts never differ).
+//!
+//! The same schedules also pin the data-link-only posture: a
+//! [`TraceMonitor::data_link_only`] monitor, which skips packet actions,
+//! must agree with a full monitor on the online data-link check after
+//! every action and on every data-link query at the end, fed one action
+//! at a time, in chunks, or in one call.
 
 use proptest::prelude::*;
 
@@ -19,7 +25,7 @@ use dl_core::protocol::DataLinkProtocol;
 use dl_core::spec::monitor::TraceMonitor;
 use dl_sim::{link_system, Runner, Scenario, Script};
 use ioa::automaton::Automaton;
-use ioa::schedule_module::TraceKind;
+use ioa::schedule_module::{TraceKind, Verdict, Violation};
 
 fn zoo_schedule_for<T, R>(
     protocol: DataLinkProtocol<T, R>,
@@ -136,6 +142,73 @@ fn observables(mon: &TraceMonitor) -> Observables {
     }
 }
 
+/// Everything a data-link-only monitor answers.
+#[derive(Debug, PartialEq)]
+struct DlObservables {
+    actions: usize,
+    verdicts: Vec<Verdict>,
+    end_of_trace: [Option<Violation>; 3],
+    wellformedness: [Option<Violation>; 2],
+    online: [Option<Violation>; 2],
+}
+
+fn dl_observables(mon: &TraceMonitor) -> DlObservables {
+    let mut verdicts = Vec::new();
+    for weak in [false, true] {
+        for kind in [TraceKind::Prefix, TraceKind::Complete] {
+            verdicts.push(mon.dl_verdict(weak, kind));
+        }
+    }
+    DlObservables {
+        actions: mon.actions_observed(),
+        verdicts,
+        end_of_trace: [
+            mon.dl1_violation(),
+            mon.dl7_violation(),
+            mon.dl8_violation(),
+        ],
+        wellformedness: Dir::BOTH.map(|d| mon.wellformedness_violation(d)),
+        online: [false, true].map(|full_dl| mon.online_dl_violation(full_dl).cloned()),
+    }
+}
+
+/// Feeds `schedule` to a full and a data-link-only monitor side by side,
+/// comparing the online data-link check after every action and every
+/// data-link query at the end; data-link-only monitors fed in chunks and
+/// in one call must end the same.
+fn check_data_link_only(schedule: &[DlAction], chunk: usize) -> Result<(), TestCaseError> {
+    let mut full = TraceMonitor::new();
+    let mut lean = TraceMonitor::data_link_only();
+    for (i, a) in schedule.iter().enumerate() {
+        full.observe(a);
+        lean.observe(a);
+        for full_dl in [false, true] {
+            prop_assert_eq!(
+                lean.online_dl_violation(full_dl),
+                full.online_dl_violation(full_dl),
+                "after action {}",
+                i
+            );
+        }
+    }
+    let mut chunked = TraceMonitor::data_link_only();
+    for slice in schedule.chunks(chunk) {
+        chunked.observe_all(slice);
+    }
+    let mut whole = TraceMonitor::data_link_only();
+    whole.observe_all(schedule);
+    let reference = dl_observables(&full);
+    prop_assert_eq!(&dl_observables(&lean), &reference, "one action at a time");
+    prop_assert_eq!(
+        &dl_observables(&chunked),
+        &reference,
+        "chunk size {}",
+        chunk
+    );
+    prop_assert_eq!(&dl_observables(&whole), &reference, "one call");
+    Ok(())
+}
+
 fn fault_spec(loss: u8, dup: u8, reorder: u8, salt: u64) -> FaultSpec {
     FaultSpec {
         loss,
@@ -190,6 +263,7 @@ proptest! {
         let reference = observables(&one);
         prop_assert_eq!(&observables(&batched), &reference, "chunk size {}", chunk);
         prop_assert_eq!(&observables(&scanned), &reference, "one-shot scan");
+        check_data_link_only(&schedule, chunk)?;
     }
 
     /// The multiset view itself is chunking-independent at every prefix,
@@ -228,6 +302,7 @@ proptest! {
             }
         }
         prop_assert_eq!(&observables(&one), &observables(&batched));
+        check_data_link_only(&schedule, chunk)?;
     }
 
     /// Reorder-dense traces: wide reorder windows on the windowed
@@ -268,5 +343,6 @@ proptest! {
         let reference = observables(&streaming);
         prop_assert_eq!(&observables(&batched), &reference, "chunk size {}", chunk);
         prop_assert_eq!(&observables(&whole), &reference, "one-shot scan");
+        check_data_link_only(&schedule, chunk)?;
     }
 }

@@ -143,8 +143,23 @@ stage_bench_smoke() {
 stage_perfbench() {
   # The repo benchmark (perfbench/, its own workspace and lockfile)
   # builds against the engines' current public API, and its pin
-  # self-tests pass. Nothing under perfbench/ is run as a benchmark here.
+  # self-tests pass. Then one pinned unit of each workload runs through
+  # the benchmark's own runner, which compares the engines' outputs with
+  # its pins (schedule digests, coverage folds, E15 counts); the stage
+  # fails when the result line reports a failed operation. Nothing under
+  # perfbench/ is edited here.
   cargo test -q --locked --manifest-path perfbench/Cargo.toml
+  local workload result
+  for workload in explore-deep fleet-mixed fuzz-hunt; do
+    result=$(python3 perfbench/run.py --workload "$workload" --seed 0 --seconds 1 --trace 0 | tail -n 1)
+    python3 -c 'import json, sys
+r = json.loads(sys.argv[1])
+print("    %s: %d operations, %d failed" % (sys.argv[2], r["attempted"], r["failed"]))
+sys.exit(r["failed"] != 0 or r["attempted"] == 0)' "$result" "$workload" || {
+      echo "perfbench: ${workload} failed its pinned outputs: ${result}" >&2
+      return 1
+    }
+  done
 }
 
 list_stages() {
