@@ -7,9 +7,9 @@
 //! per-session quantity derives from `(seed, id)`, so per-session
 //! outcomes — and every fold over them (counters, histograms, peak
 //! bytes) — are worker-count-independent *by construction*: the merge
-//! sorts outcomes by id and all aggregates are commutative.
+//! concatenates the workers' ranges in id order and all aggregates are
+//! commutative. A one-worker fleet runs on the calling thread.
 
-use std::sync::Mutex;
 use std::time::Instant;
 
 use dl_obs::Histogram;
@@ -22,7 +22,6 @@ use crate::verdicts::VerdictShard;
 /// One worker's fold: outcomes for its contiguous id range plus the
 /// commutatively-mergeable histograms and verdict shard.
 struct WorkerYield {
-    first_id: u64,
     outcomes: Vec<SessionOutcome>,
     steps_hist: Histogram,
     latency_hist: Histogram,
@@ -33,8 +32,8 @@ struct WorkerYield {
 ///
 /// # Panics
 ///
-/// Panics if the spec's protocol mix is empty, or if a worker thread
-/// panics (a session hit an internal invariant failure).
+/// Panics if the spec's protocol mix is empty, or if a worker panics (a
+/// session hit an internal invariant failure).
 #[must_use]
 pub fn run_fleet(spec: &FleetSpec) -> FleetReport {
     assert!(
@@ -49,65 +48,34 @@ pub fn run_fleet(spec: &FleetSpec) -> FleetReport {
     let chunk = spec.chunk.max(1) as u64;
     let batch = spec.batch.max(1);
 
-    // Contiguous ranges: worker w owns [bounds[w], bounds[w + 1]).
-    let per = spec.sessions / workers as u64;
-    let extra = spec.sessions % workers as u64;
-    let bounds: Vec<u64> = (0..=workers as u64)
-        .map(|w| w * per + w.min(extra))
-        .collect();
+    // One worker runs on the calling thread: a spawned thread would gain
+    // nothing, and its allocator arena and stack, torn down after the
+    // scope has already returned, would make the process footprint
+    // depend on when the previous fleet's thread finished exiting.
+    let yields: Vec<WorkerYield> = if workers == 1 {
+        vec![run_worker(spec, 0, spec.sessions, chunk, batch)]
+    } else {
+        // Contiguous ranges: worker w owns [bounds[w], bounds[w + 1]).
+        let per = spec.sessions / workers as u64;
+        let extra = spec.sessions % workers as u64;
+        let bounds: Vec<u64> = (0..=workers as u64)
+            .map(|w| w * per + w.min(extra))
+            .collect();
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = bounds
+                .windows(2)
+                .map(|r| {
+                    let (lo, hi) = (r[0], r[1]);
+                    scope.spawn(move || run_worker(spec, lo, hi, chunk, batch))
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("fleet worker panicked"))
+                .collect()
+        })
+    };
 
-    let yields: Mutex<Vec<WorkerYield>> = Mutex::new(Vec::with_capacity(workers));
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            let (lo, hi) = (bounds[w], bounds[w + 1]);
-            let yields = &yields;
-            scope.spawn(move || {
-                let mut fold = WorkerYield {
-                    first_id: lo,
-                    outcomes: Vec::with_capacity((hi - lo) as usize),
-                    steps_hist: Histogram::new(),
-                    latency_hist: Histogram::new(),
-                    verdicts: VerdictShard::new(),
-                };
-                let mut chunk_lo = lo;
-                while chunk_lo < hi {
-                    let chunk_hi = (chunk_lo + chunk).min(hi);
-                    let mut live: Vec<_> = (chunk_lo..chunk_hi)
-                        .map(|id| {
-                            let cfg = session_config(spec, id);
-                            let session = build_session(&cfg, spec);
-                            (cfg, session)
-                        })
-                        .collect();
-                    loop {
-                        let mut progressed = false;
-                        for (_, session) in &mut live {
-                            progressed |= session.advance_batch(batch) > 0;
-                        }
-                        if !progressed {
-                            break;
-                        }
-                    }
-                    for (cfg, session) in live {
-                        debug_assert!(session.is_done());
-                        let outcome =
-                            session.finish(&cfg, &mut fold.steps_hist, &mut fold.latency_hist);
-                        fold.verdicts
-                            .record(outcome.id, outcome.violation, outcome.convergence);
-                        fold.outcomes.push(outcome);
-                    }
-                    chunk_lo = chunk_hi;
-                }
-                yields
-                    .lock()
-                    .expect("fleet yields lock poisoned")
-                    .push(fold);
-            });
-        }
-    });
-
-    let mut yields = yields.into_inner().expect("fleet yields lock poisoned");
-    yields.sort_by_key(|y| y.first_id);
     let mut outcomes = Vec::with_capacity(spec.sessions as usize);
     let mut steps_hist = Histogram::new();
     let mut latency_hist = Histogram::new();
@@ -134,6 +102,46 @@ pub fn run_fleet(spec: &FleetSpec) -> FleetReport {
         verdicts,
         t0.elapsed(),
     )
+}
+
+/// Steps sessions `lo..hi` of `spec` chunk by chunk, round-robin
+/// `batch` actions per turn, and folds their outcomes.
+fn run_worker(spec: &FleetSpec, lo: u64, hi: u64, chunk: u64, batch: usize) -> WorkerYield {
+    let mut fold = WorkerYield {
+        outcomes: Vec::with_capacity((hi - lo) as usize),
+        steps_hist: Histogram::new(),
+        latency_hist: Histogram::new(),
+        verdicts: VerdictShard::new(),
+    };
+    let mut chunk_lo = lo;
+    while chunk_lo < hi {
+        let chunk_hi = (chunk_lo + chunk).min(hi);
+        let mut live: Vec<_> = (chunk_lo..chunk_hi)
+            .map(|id| {
+                let cfg = session_config(spec, id);
+                let session = build_session(&cfg, spec);
+                (cfg, session)
+            })
+            .collect();
+        loop {
+            let mut progressed = false;
+            for (_, session) in &mut live {
+                progressed |= session.advance_batch(batch) > 0;
+            }
+            if !progressed {
+                break;
+            }
+        }
+        for (cfg, session) in live {
+            debug_assert!(session.is_done());
+            let outcome = session.finish(&cfg, &mut fold.steps_hist, &mut fold.latency_hist);
+            fold.verdicts
+                .record(outcome.id, outcome.violation, outcome.convergence);
+            fold.outcomes.push(outcome);
+        }
+        chunk_lo = chunk_hi;
+    }
+    fold
 }
 
 #[cfg(test)]

@@ -18,7 +18,7 @@ use crate::verdicts::{property_slug, VerdictShard};
 pub struct FleetReport {
     /// Per-session outcomes, sorted by session id.
     pub outcomes: Vec<SessionOutcome>,
-    /// Worker threads actually used.
+    /// Workers actually used (one runs on the calling thread).
     pub workers: usize,
     /// Total actions taken across the fleet.
     pub actions: u64,

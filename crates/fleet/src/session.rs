@@ -9,6 +9,10 @@
 //! [`SessionStep`], built **lean** so no execution trace is retained.
 //! A session's resident cost is therefore a few hundred bytes
 //! (see [`SessionOutcome::resident_bytes`]) no matter how long it runs.
+//! The session only steps: the fleet folds each action it takes into
+//! the two things a [`SessionOutcome`] reports and the session does not
+//! keep, the rolling schedule digest ([`digest_action`]) and the
+//! [`Metrics`].
 //!
 //! Monitoring posture mirrors `dl-fuzz`: `monitor_pl = false` (the
 //! duplication fault knob violates PL3 *by design*), `full_dl = false`,
@@ -30,7 +34,9 @@ use dl_core::action::{Dir, DlAction};
 use dl_core::protocol::DataLinkProtocol;
 use dl_core::spec::stabilize::SuffixMonitor;
 use dl_obs::Histogram;
-use dl_sim::{link_system, ConformancePolicy, LinkSystem, Runner, SessionStep};
+use dl_sim::{
+    digest_action, link_system, ConformancePolicy, LinkSystem, Metrics, Runner, SessionStep,
+};
 use ioa::automaton::Automaton;
 
 use crate::spec::{FleetSpec, ProtocolKind, SessionConfig};
@@ -49,9 +55,20 @@ pub type StabilizeSystem = LinkSystem<
 
 type Step<T, R> = SessionStep<FleetSystem<T, R>>;
 
-/// A live session of any protocol in the zoo, monomorphized per kind so
-/// the hot stepping loop is static-dispatched.
-pub enum ZooSession {
+/// A live session of any protocol in the zoo: the per-kind lean session
+/// plus the digest and [`Metrics`] the fleet folds over the actions it
+/// takes.
+pub struct ZooSession {
+    kind: Kind,
+    /// [`digest_action`] folded over every action taken so far.
+    digest: u64,
+    /// [`Metrics::record`] folded over every action taken so far.
+    metrics: Metrics,
+}
+
+/// The lean session of one zoo kind, monomorphized per kind so the hot
+/// stepping loop is static-dispatched.
+enum Kind {
     /// Alternating bit.
     Abp(Step<dl_protocols::AbpTransmitter, dl_protocols::AbpReceiver>),
     /// Go-back-N sliding window (any window).
@@ -81,17 +98,17 @@ pub enum ZooSession {
 /// Runs `$body` with `$s` bound to the inner [`SessionStep`], whatever
 /// the protocol.
 macro_rules! with_session {
-    ($self:expr, $s:ident => $body:expr) => {
-        match $self {
-            ZooSession::Abp($s) => $body,
-            ZooSession::SlidingWindow($s) => $body,
-            ZooSession::SelectiveRepeat($s) => $body,
-            ZooSession::Fragmenting($s) => $body,
-            ZooSession::Parity($s) => $body,
-            ZooSession::Stenning($s) => $body,
-            ZooSession::Nonvolatile($s) => $body,
-            ZooSession::Quirky($s) => $body,
-            ZooSession::Stabilizing($s, _) => $body,
+    ($kind:expr, $s:ident => $body:expr) => {
+        match $kind {
+            Kind::Abp($s) => $body,
+            Kind::SlidingWindow($s) => $body,
+            Kind::SelectiveRepeat($s) => $body,
+            Kind::Fragmenting($s) => $body,
+            Kind::Parity($s) => $body,
+            Kind::Stenning($s) => $body,
+            Kind::Nonvolatile($s) => $body,
+            Kind::Quirky($s) => $body,
+            Kind::Stabilizing($s, _) => $body,
         }
     };
 }
@@ -133,37 +150,37 @@ where
 /// Builds session `cfg` as a lean, incrementally-steppable [`ZooSession`].
 #[must_use]
 pub fn build_session(cfg: &SessionConfig, spec: &FleetSpec) -> ZooSession {
-    match cfg.protocol {
-        ProtocolKind::Abp => ZooSession::Abp(lean_step(dl_protocols::abp::protocol(), cfg, spec)),
-        ProtocolKind::GoBack2 => ZooSession::SlidingWindow(lean_step(
+    let kind = match cfg.protocol {
+        ProtocolKind::Abp => Kind::Abp(lean_step(dl_protocols::abp::protocol(), cfg, spec)),
+        ProtocolKind::GoBack2 => Kind::SlidingWindow(lean_step(
             dl_protocols::sliding_window::protocol(2),
             cfg,
             spec,
         )),
-        ProtocolKind::GoBack8 => ZooSession::SlidingWindow(lean_step(
+        ProtocolKind::GoBack8 => Kind::SlidingWindow(lean_step(
             dl_protocols::sliding_window::protocol(8),
             cfg,
             spec,
         )),
-        ProtocolKind::SelectiveRepeat4 => ZooSession::SelectiveRepeat(lean_step(
+        ProtocolKind::SelectiveRepeat4 => Kind::SelectiveRepeat(lean_step(
             dl_protocols::selective_repeat::protocol(4),
             cfg,
             spec,
         )),
         ProtocolKind::Fragmenting => {
-            ZooSession::Fragmenting(lean_step(dl_protocols::fragmenting::protocol(), cfg, spec))
+            Kind::Fragmenting(lean_step(dl_protocols::fragmenting::protocol(), cfg, spec))
         }
         ProtocolKind::Parity => {
-            ZooSession::Parity(lean_step(dl_protocols::parity::protocol(), cfg, spec))
+            Kind::Parity(lean_step(dl_protocols::parity::protocol(), cfg, spec))
         }
         ProtocolKind::Stenning => {
-            ZooSession::Stenning(lean_step(dl_protocols::stenning::protocol(), cfg, spec))
+            Kind::Stenning(lean_step(dl_protocols::stenning::protocol(), cfg, spec))
         }
         ProtocolKind::Nonvolatile => {
-            ZooSession::Nonvolatile(lean_step(dl_protocols::nonvolatile::protocol(), cfg, spec))
+            Kind::Nonvolatile(lean_step(dl_protocols::nonvolatile::protocol(), cfg, spec))
         }
         ProtocolKind::Quirky => {
-            ZooSession::Quirky(lean_step(dl_protocols::quirky::protocol(), cfg, spec))
+            Kind::Quirky(lean_step(dl_protocols::quirky::protocol(), cfg, spec))
         }
         ProtocolKind::Stabilizing => {
             let corruption = cfg
@@ -183,38 +200,65 @@ pub fn build_session(cfg: &SessionConfig, spec: &FleetSpec) -> ZooSession {
                 CorruptChannel::new(Dir::TR, corruption.channels[0]),
                 CorruptChannel::new(Dir::RT, corruption.channels[1]),
             );
-            ZooSession::Stabilizing(
+            Kind::Stabilizing(
                 SessionStep::lean(runner, system, cfg.script.clone()),
                 Box::new(SuffixMonitor::new(false)),
             )
         }
+    };
+    ZooSession {
+        kind,
+        digest: 0,
+        metrics: Metrics::default(),
     }
+}
+
+/// Takes up to `budget` actions of `s`; returns how many were taken.
+/// Each action is fed to `suffix` (the stabilizing kind's sidecar) when
+/// it is external, then folded into `digest` and `metrics`.
+fn step_batch<M: Automaton<Action = DlAction>>(
+    s: &mut SessionStep<M>,
+    mut suffix: Option<&mut SuffixMonitor>,
+    budget: usize,
+    digest: &mut u64,
+    metrics: &mut Metrics,
+) -> usize {
+    let mut taken = 0;
+    while taken < budget {
+        let Some(a) = s.step() else { break };
+        if let Some(suffix) = suffix.as_deref_mut() {
+            if s.system()
+                .classify(&a)
+                .is_some_and(ActionClass::is_external)
+            {
+                suffix.observe(&a);
+            }
+        }
+        *digest = digest_action(*digest, &a);
+        metrics.record(&a);
+        taken += 1;
+    }
+    taken
 }
 
 impl ZooSession {
     /// Takes up to `budget` actions; returns how many were taken.
     pub fn advance_batch(&mut self, budget: usize) -> usize {
-        if let ZooSession::Stabilizing(s, suffix) = self {
-            let mut taken = 0;
-            while taken < budget {
-                let Some(a) = s.step() else { break };
-                if s.system()
-                    .classify(&a)
-                    .is_some_and(ActionClass::is_external)
-                {
-                    suffix.observe(&a);
-                }
-                taken += 1;
-            }
-            return taken;
+        let ZooSession {
+            kind,
+            digest,
+            metrics,
+        } = self;
+        if let Kind::Stabilizing(s, suffix) = kind {
+            return step_batch(s, Some(suffix), budget, digest, metrics);
         }
-        with_session!(self, s => s.advance_batch(budget))
+        with_session!(kind, s => step_batch(s, None, budget, digest, metrics))
     }
 
     /// `true` once the session's run is over.
     #[must_use]
     pub fn is_done(&self) -> bool {
-        with_session!(self, s => s.is_done())
+        with_session!(&self.kind, s => s.is_done())
     }
 
     /// Tears the finished session down into its compact outcome, folding
@@ -227,10 +271,19 @@ impl ZooSession {
         steps_hist: &mut Histogram,
         latency_hist: &mut Histogram,
     ) -> SessionOutcome {
-        if let ZooSession::Stabilizing(s, suffix) = self {
-            return finish_stabilizing(&s, &suffix, cfg, steps_hist, latency_hist);
+        let ZooSession {
+            kind,
+            digest,
+            metrics,
+        } = self;
+        steps_hist.record(metrics.steps);
+        for latency in &metrics.latencies {
+            latency_hist.record(*latency);
         }
-        with_session!(self, s => {
+        if let Kind::Stabilizing(s, suffix) = kind {
+            return finish_stabilizing(&s, &suffix, digest, &metrics, cfg);
+        }
+        with_session!(kind, s => {
             let quiescent = s.quiescent();
             // Online safety conclusion first; quiescent crash-free runs
             // additionally get the complete-trace WDL verdict (adds DL8)
@@ -243,22 +296,17 @@ impl ZooSession {
                     }
                 }
             }
-            let metrics = s.metrics();
-            steps_hist.record(metrics.steps);
-            for latency in &metrics.latencies {
-                latency_hist.record(*latency);
-            }
             SessionOutcome {
                 id: cfg.id,
                 protocol: cfg.protocol,
                 steps: metrics.steps,
-                digest: s.digest(),
+                digest,
                 quiescent,
                 crashed: cfg.crashed,
                 violation,
                 msgs_sent: metrics.msgs_sent,
                 msgs_delivered: metrics.msgs_received,
-                resident_bytes: s.resident_bytes(),
+                resident_bytes: s.resident_bytes() + folded_bytes(&metrics),
                 monitor_bytes: s.monitor_bytes(),
                 convergence: None,
             }
@@ -275,19 +323,14 @@ impl ZooSession {
 fn finish_stabilizing(
     s: &SessionStep<StabilizeSystem>,
     suffix: &SuffixMonitor,
+    digest: u64,
+    metrics: &Metrics,
     cfg: &SessionConfig,
-    steps_hist: &mut Histogram,
-    latency_hist: &mut Histogram,
 ) -> SessionOutcome {
     let corruption = cfg
         .corruption
         .expect("stabilizing session configs carry a corruption spec");
     let quiescent = s.quiescent();
-    let metrics = s.metrics();
-    steps_hist.record(metrics.steps);
-    for latency in &metrics.latencies {
-        latency_hist.record(*latency);
-    }
     let mut violation = None;
     let mut convergence = None;
     if quiescent {
@@ -305,16 +348,24 @@ fn finish_stabilizing(
         id: cfg.id,
         protocol: cfg.protocol,
         steps: metrics.steps,
-        digest: s.digest(),
+        digest,
         quiescent,
         crashed: cfg.crashed,
         violation,
         msgs_sent: metrics.msgs_sent,
         msgs_delivered: metrics.msgs_received,
-        resident_bytes: s.resident_bytes() + std::mem::size_of::<SuffixMonitor>() as u64,
+        resident_bytes: s.resident_bytes()
+            + std::mem::size_of::<SuffixMonitor>() as u64
+            + folded_bytes(metrics),
         monitor_bytes: suffix.approx_bytes() as u64,
         convergence,
     }
+}
+
+/// The fleet's footprint on top of a lean session's: the folded digest
+/// and [`Metrics`] struct, plus the metrics' heap.
+fn folded_bytes(metrics: &Metrics) -> u64 {
+    (std::mem::size_of::<u64>() + std::mem::size_of::<Metrics>()) as u64 + metrics.heap_bytes()
 }
 
 /// What one session left behind: a compact, `Copy` record (tens of
@@ -340,9 +391,11 @@ pub struct SessionOutcome {
     pub msgs_sent: u64,
     /// `receive_msg` events.
     pub msgs_delivered: u64,
-    /// Resident-footprint estimate at teardown (see
-    /// [`SessionStep::resident_bytes`]; a stabilizing session adds its
-    /// [`SuffixMonitor`] struct).
+    /// Resident-footprint estimate at teardown: the lean session's
+    /// [`SessionStep::resident_bytes`], plus the digest and [`Metrics`]
+    /// the fleet folds beside it and the metrics' heap
+    /// ([`Metrics::heap_bytes`]); a stabilizing session adds its
+    /// [`SuffixMonitor`] struct.
     pub resident_bytes: u64,
     /// The monitor's footprint at teardown: the online monitor's (see
     /// [`SessionStep::monitor_bytes`]; 0 when unmonitored), or for a

@@ -129,7 +129,8 @@ pub struct FleetSpec {
     pub monitor: bool,
     /// Global step bound per session.
     pub max_steps: usize,
-    /// Worker threads; per-session results and fleet counters are
+    /// Workers, one thread each (a single worker runs on the calling
+    /// thread); per-session results and fleet counters are
     /// worker-count-independent by construction.
     pub workers: usize,
     /// Sessions resident per worker at a time — bounds peak memory, so a

@@ -14,8 +14,8 @@
 //!
 //! Sessions are built with `build_session` and driven round-robin with
 //! `advance_batch` on the test thread, as the fleet engine's worker loop
-//! does (`run_fleet` would step them on worker threads this counter does
-//! not see). The count is kept per thread: the test harness runs tests
+//! does (`run_fleet` with several workers would step them on threads this
+//! counter does not see). The count is kept per thread: the test harness runs tests
 //! on parallel threads, and a process-wide counter would charge one
 //! test's allocations to another's window.
 

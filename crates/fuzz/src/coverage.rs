@@ -6,15 +6,22 @@
 //! lower bits), and concurrent workers contend only when two observations
 //! land in the same shard at the same instant. A relaxed atomic mirrors
 //! the total size so progress reporting never takes a lock.
+//!
+//! The shards hash with the workspace's [`FxBuildHasher`] rather than
+//! SipHash: the keys are generated by the program, not read from outside
+//! input, and novelty is set membership, so the hasher changes no
+//! campaign.
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
+use ioa::intern::FxBuildHasher;
+
 /// A sharded set of novel coverage keys.
 #[derive(Debug)]
 pub struct ShardedCoverage {
-    shards: Vec<Mutex<HashSet<u64>>>,
+    shards: Vec<Mutex<HashSet<u64, FxBuildHasher>>>,
     mask: usize,
     count: AtomicUsize,
 }
@@ -25,7 +32,9 @@ impl ShardedCoverage {
     pub fn new(shards: usize) -> Self {
         let n = shards.max(1).next_power_of_two();
         ShardedCoverage {
-            shards: (0..n).map(|_| Mutex::new(HashSet::new())).collect(),
+            shards: (0..n)
+                .map(|_| Mutex::new(HashSet::with_hasher(FxBuildHasher)))
+                .collect(),
             mask: n - 1,
             count: AtomicUsize::new(0),
         }

@@ -1,4 +1,5 @@
-//! The worker fleet: multi-threaded coverage-guided fuzzing loop.
+//! The worker fleet: the coverage-guided fuzzing loop, on one thread per
+//! worker (a single worker runs on the calling thread).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -21,7 +22,8 @@ use crate::target::{ExecConfig, Target};
 pub struct FuzzConfig {
     /// Base seed; worker `w` derives its stream from `seed` and `w`.
     pub seed: u64,
-    /// Worker threads. With `1`, the whole campaign (executions performed,
+    /// Workers, one thread each (a single worker runs on the calling
+    /// thread). With `1`, the whole campaign (executions performed,
     /// corpus order, counterexamples) is a pure function of the
     /// configuration; with more, the found *set* is seed-determined per
     /// worker but admission interleaving and total executions may vary.
@@ -102,69 +104,73 @@ pub fn fuzz(target: &Target, cfg: &FuzzConfig) -> FuzzReport {
     let curve: Mutex<Vec<(u64, usize)>> = Mutex::new(Vec::new());
     let findings: Mutex<Vec<RawFinding>> = Mutex::new(Vec::new());
 
-    std::thread::scope(|scope| {
-        for w in 0..cfg.workers.max(1) {
-            let coverage = &coverage;
-            let corpus = &corpus;
-            let executions = &executions;
-            let stop = &stop;
-            let curve = &curve;
-            let findings = &findings;
-            scope.spawn(move || {
-                let mut rng = StdRng::seed_from_u64(worker_seed(cfg.seed, w));
-                loop {
-                    if stop.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let n = executions.fetch_add(1, Ordering::Relaxed);
-                    if n >= cfg.max_execs {
-                        executions.fetch_sub(1, Ordering::Relaxed);
-                        break;
-                    }
-                    if deadline.is_some_and(|d| Instant::now() >= d) {
-                        executions.fetch_sub(1, Ordering::Relaxed);
-                        break;
-                    }
-                    let corrupt = target.corrupting || cfg.corrupt_starts;
-                    let genome = if !corpus.is_empty() && rng.random_range(0u32..4) != 0 {
-                        match corpus.pick(&mut rng) {
-                            Some(parent) => parent.mutate(&mut rng, cfg.max_genes, corrupt),
-                            None => Genome::random(&mut rng, cfg.max_genes, corrupt),
-                        }
-                    } else {
-                        Genome::random(&mut rng, cfg.max_genes, corrupt)
-                    };
-                    let outcome = (target.run)(&genome, &exec_cfg);
-                    let novel = coverage.observe(&outcome.coverage);
-                    if novel > 0 {
-                        corpus.add(CorpusEntry {
-                            genome: genome.clone(),
-                            novelty: novel,
-                            steps: outcome.steps,
-                        });
-                        curve
-                            .lock()
-                            .expect("curve lock poisoned")
-                            .push((n + 1, coverage.len()));
-                    }
-                    if let Some(violation) = outcome.violation {
-                        findings
-                            .lock()
-                            .expect("findings lock poisoned")
-                            .push(RawFinding {
-                                genome,
-                                violation,
-                                at_exec: n + 1,
-                            });
-                        if cfg.stop_on_violation {
-                            stop.store(true, Ordering::Relaxed);
-                            break;
-                        }
-                    }
+    let work = |w: usize| {
+        let mut rng = StdRng::seed_from_u64(worker_seed(cfg.seed, w));
+        loop {
+            if stop.load(Ordering::Relaxed) {
+                break;
+            }
+            let n = executions.fetch_add(1, Ordering::Relaxed);
+            if n >= cfg.max_execs {
+                executions.fetch_sub(1, Ordering::Relaxed);
+                break;
+            }
+            if deadline.is_some_and(|d| Instant::now() >= d) {
+                executions.fetch_sub(1, Ordering::Relaxed);
+                break;
+            }
+            let corrupt = target.corrupting || cfg.corrupt_starts;
+            let genome = if !corpus.is_empty() && rng.random_range(0u32..4) != 0 {
+                match corpus.pick(&mut rng) {
+                    Some(parent) => parent.mutate(&mut rng, cfg.max_genes, corrupt),
+                    None => Genome::random(&mut rng, cfg.max_genes, corrupt),
                 }
-            });
+            } else {
+                Genome::random(&mut rng, cfg.max_genes, corrupt)
+            };
+            let outcome = (target.run)(&genome, &exec_cfg);
+            let novel = coverage.observe(&outcome.coverage);
+            if novel > 0 {
+                corpus.add(CorpusEntry {
+                    genome: genome.clone(),
+                    novelty: novel,
+                    steps: outcome.steps,
+                });
+                curve
+                    .lock()
+                    .expect("curve lock poisoned")
+                    .push((n + 1, coverage.len()));
+            }
+            if let Some(violation) = outcome.violation {
+                findings
+                    .lock()
+                    .expect("findings lock poisoned")
+                    .push(RawFinding {
+                        genome,
+                        violation,
+                        at_exec: n + 1,
+                    });
+                if cfg.stop_on_violation {
+                    stop.store(true, Ordering::Relaxed);
+                    break;
+                }
+            }
         }
-    });
+    };
+    let workers = cfg.workers.max(1);
+    if workers == 1 {
+        // One worker runs on the calling thread, so a campaign leaves no
+        // thread behind whose allocator arena and stack are still being
+        // torn down after it returns.
+        work(0);
+    } else {
+        std::thread::scope(|scope| {
+            for w in 0..workers {
+                let work = &work;
+                scope.spawn(move || work(w));
+            }
+        });
+    }
 
     // Earliest finding per property, shrunk and replay-verified.
     let mut raw = findings.into_inner().expect("findings lock poisoned");

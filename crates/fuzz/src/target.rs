@@ -5,8 +5,9 @@
 //! that builds the §5.2 composition `hide_Φ(protocol ∥ FaultyChannel²)`
 //! and runs the genome's plan as a lean [`SessionStep`]: one live state
 //! stepped in place, nothing recorded but the schedule. The target watches
-//! the session one action at a time, hashing each step's coverage key from
-//! the live post-state right after the step.
+//! the session one action at a time, counting the three counters it reads
+//! (`send_msg`, `receive_msg`, `crash`) and hashing each step's coverage
+//! key from the live post-state right after the step.
 //!
 //! Monitoring posture: executions run with `monitor_pl = false` (the
 //! duplication fault knob violates PL3 *by design*, and aborting on the
@@ -177,6 +178,33 @@ fn bucket(n: u64) -> u64 {
     u64::from(64 - n.leading_zeros()).min(15)
 }
 
+/// The monitor-visible counters a coverage key's progress digest reads,
+/// and all that [`run_stabilizing`]'s corruption budget reads: `drive`
+/// counts them from the actions it watches.
+#[derive(Debug, Default)]
+struct Progress {
+    msgs_sent: u64,
+    msgs_received: u64,
+    crashes: u64,
+}
+
+impl Progress {
+    fn record(&mut self, a: &DlAction) {
+        match a {
+            DlAction::SendMsg(_) => self.msgs_sent += 1,
+            DlAction::ReceiveMsg(_) => self.msgs_received += 1,
+            DlAction::Crash(_) => self.crashes += 1,
+            _ => {}
+        }
+    }
+
+    /// The progress digest: message counts log-bucketed and crashes
+    /// capped at 15.
+    fn digest(&self) -> u64 {
+        bucket(self.msgs_sent) | bucket(self.msgs_received) << 4 | self.crashes.min(15) << 8
+    }
+}
+
 fn mix3(a: u64, b: u64, c: u64) -> u64 {
     let mut z = a ^ b.rotate_left(21) ^ c.rotate_left(42);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -229,7 +257,7 @@ where
         .with_online_conformance(policy)
         .with_decision_overrides(plan.overrides);
     let mut session = SessionStep::lean(runner, &system, plan.script);
-    let (coverage, schedule) = drive(&mut session, |_| {});
+    let (coverage, schedule, _) = drive(&mut session, |_| {});
 
     // Online safety conclusion first; a quiescent run is then judged as a
     // complete trace by the same monitor, which adds DL8.
@@ -252,8 +280,9 @@ where
     }
 }
 
-/// Drives a lean session to its end and returns its coverage keys and
-/// schedule; `watch` sees every action as it is taken.
+/// Drives a lean session to its end and returns its coverage keys,
+/// schedule and [`Progress`] counters; `watch` sees every action as it is
+/// taken.
 ///
 /// Coverage: one key per step, hashing the composed post-state, a
 /// log-bucketed progress digest (the monitor-visible counters), and the
@@ -264,25 +293,25 @@ where
 fn drive<M>(
     session: &mut SessionStep<M, &M>,
     mut watch: impl FnMut(&DlAction),
-) -> (Vec<u64>, Vec<DlAction>)
+) -> (Vec<u64>, Vec<DlAction>, Progress)
 where
     M: Automaton<Action = DlAction>,
     M::State: Hash,
 {
     let mut coverage = Vec::new();
     let mut schedule = Vec::new();
+    let mut progress = Progress::default();
     while let Some(action) = session.step() {
-        let m = session.metrics();
-        let digest = bucket(m.msgs_sent) | bucket(m.msgs_received) << 4 | m.crashes.min(15) << 8;
+        progress.record(&action);
         coverage.push(mix3(
             FxBuildHasher.hash_one(session.state()),
-            digest,
+            progress.digest(),
             action_class(&action),
         ));
         watch(&action);
         schedule.push(action);
     }
-    (coverage, schedule)
+    (coverage, schedule, progress)
 }
 
 /// `true` for the system's external actions — its behavior.
@@ -334,14 +363,13 @@ fn run_stabilizing(genome: &Genome, cfg: &ExecConfig) -> ExecOutcome {
     let runner = Runner::new(genome.seed, cfg.max_steps).with_decision_overrides(plan.overrides);
     let mut session = SessionStep::lean(runner, &system, plan.script);
     let mut monitor = SuffixMonitor::new(cfg.full_dl);
-    let (coverage, schedule) = drive(&mut session, |a| {
+    let (coverage, schedule, m) = drive(&mut session, |a| {
         if is_external(&system, a) {
             monitor.observe(a);
         }
     });
 
     let quiescent = session.quiescent();
-    let m = session.metrics();
     let mut violation = None;
     if quiescent && m.crashes == 0 {
         let suffix = monitor.finish(TraceKind::Complete);

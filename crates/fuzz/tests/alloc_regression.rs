@@ -6,10 +6,12 @@
 //! rebuilt the behavior, and re-scanned it to judge liveness. A target
 //! now drives a lean session: one live state stepped in place, coverage
 //! hashed from it after each step, DL8 read from the online monitor,
-//! which is data-link-only and never interns a packet. What remains is
-//! per-run set-up (the decoded plan, the composed system, the start
-//! state), growth of the output vectors, the monitor's message tables
-//! and the scratch buffer, and a crash's station reset. This test pins
+//! which is data-link-only and never interns a packet. The session keeps
+//! no `Metrics` (no latency queues, no header set): the target counts the
+//! three counters it reads. What remains is per-run set-up (the decoded
+//! plan, the composed system, the start state), growth of the output
+//! vectors, the monitor's message tables and the scratch buffer, and a
+//! crash's station reset. This test pins
 //! that residue with a counting global allocator so a change that quietly
 //! reintroduces per-step cloning or recording fails loudly here rather
 //! than as a silent throughput loss in the benches.
@@ -97,16 +99,17 @@ fn fuzz_exec_allocations_stay_bounded() {
     };
     let cfg = ExecConfig::default();
 
-    // Measured on the lean path (debug build): abp 51 allocations over
-    // 74 steps; go-back-8 56 and selective-repeat-4 64 over the full
+    // Measured on the lean path (debug build): abp 40 allocations over
+    // 74 steps; go-back-8 46 and selective-repeat-4 54 over the full
     // 800-step budget — well under one per step once set-up is paid. The
-    // ceilings are about 1.5× those counts; with a monitor that interned
-    // packets the lean path took 104 / 172 / 180, and the recording path
-    // 361 / 2,948 / 2,979.
+    // ceilings (1.19–1.28× those counts) are the counts while the session
+    // still kept `Metrics`, 51 / 56 / 64, so that path fails here; with a
+    // monitor that interned packets the lean path took 104 / 172 / 180,
+    // and the recording path 361 / 2,948 / 2,979.
     for (name, ceiling) in [
-        ("abp", 77u64),
-        ("go-back-8", 84),
-        ("selective-repeat-4", 96),
+        ("abp", 51u64),
+        ("go-back-8", 56),
+        ("selective-repeat-4", 64),
     ] {
         let (allocs, steps) = allocs_for_one_exec(name, &genome, &cfg);
         eprintln!("{name}: {allocs} allocations over {steps} steps");
@@ -117,16 +120,17 @@ fn fuzz_exec_allocations_stay_bounded() {
         assert!(
             allocs < ceiling,
             "{name}: {allocs} allocations in one exec ({steps} steps) — \
-             above the pinned ceiling {ceiling}; did per-step cloning sneak \
-             back into the runner?"
+             not below the pinned ceiling {ceiling}; did per-step cloning or \
+             per-action counters sneak back into the session?"
         );
         // Also bound the per-step rate: the clone-based executor sat at
         // dozens per step, the recording path at about 3.7–4.9, the lean
-        // path at 0.2–1.4 with a packet-interning monitor and at
-        // 0.07–0.69 without (abp's short run is mostly set-up).
+        // path at 0.2–1.4 with a packet-interning monitor, at 0.07–0.69
+        // without, and at 0.06–0.54 without `Metrics` (abp's short run
+        // is mostly set-up).
         let per_step = allocs as f64 / steps as f64;
         assert!(
-            per_step < 1.05,
+            per_step < 0.68,
             "{name}: {per_step:.1} allocations per step ({allocs}/{steps})"
         );
     }

@@ -38,7 +38,8 @@ pub mod system;
 
 pub use conformance::{judge, ConformancePolicy, ConformanceReport};
 pub use runner::{
-    schedule_digest, Decision, DecisionPoint, Metrics, RunReport, Runner, SessionStep,
+    digest_action, schedule_digest, Decision, DecisionPoint, Metrics, RunReport, Runner,
+    SessionStep,
 };
 pub use scenario::Scenario;
 pub use script::{Script, ScriptStep};

@@ -51,7 +51,13 @@ pub struct Metrics {
 }
 
 impl Metrics {
-    fn record(&mut self, a: &DlAction) {
+    /// Counts one taken action: `steps` is its 1-based index, and a
+    /// `receive_msg` is matched to the earliest unmatched `send_msg` of
+    /// its value for the latency sample. Folded over a schedule, this is
+    /// [`RunReport::metrics`]; a lean session keeps no `Metrics`, so an
+    /// engine that reads them folds this over the actions
+    /// [`SessionStep::step`] returns.
+    pub fn record(&mut self, a: &DlAction) {
         self.steps += 1;
         match a {
             DlAction::SendMsg(m) => {
@@ -112,6 +118,17 @@ impl Metrics {
     #[must_use]
     pub fn pending_messages(&self) -> usize {
         self.send_step.values().map(VecDeque::len).sum()
+    }
+
+    /// An estimate of the heap bytes behind these counters: latency
+    /// sample capacity, one entry per in-flight message value, and one
+    /// per distinct header. Excludes `size_of::<Metrics>()` itself.
+    #[must_use]
+    pub fn heap_bytes(&self) -> u64 {
+        use std::mem::size_of;
+        (self.latencies.capacity() * size_of::<u64>()
+            + self.send_step.len() * (size_of::<dl_core::action::Msg>() + 32)
+            + self.headers_used.len() * size_of::<Header>()) as u64
     }
 }
 
@@ -444,9 +461,10 @@ impl Runner {
 /// post-state) and can produce a [`RunReport`]; a lean session keeps only
 /// the last state and a running length, which is what lets a fleet of
 /// many thousands of sessions cost hundreds of bytes each instead of a
-/// trace allocation storm. Both modes feed the same rolling schedule
-/// digest, so lean runs remain comparable action-for-action against
-/// recorded ones.
+/// trace allocation storm. Neither keeps a digest or [`Metrics`]: a
+/// recording session folds its report from the execution, and a lean
+/// session's caller folds what it reads over the actions
+/// [`SessionStep::step`] returns.
 enum Trace<S> {
     /// Full execution retained (the [`Runner::run`] path).
     Full(Execution<DlAction, S>),
@@ -492,14 +510,17 @@ impl<S: Clone + Eq + std::fmt::Debug> Trace<S> {
     }
 }
 
-/// Mixes one action into a rolling schedule digest.
+/// Mixes one action into a rolling schedule digest (start from 0).
 ///
 /// The per-action hash comes from the std `DefaultHasher` with its fixed
 /// default keys, so digests are deterministic across processes of the
 /// same build — two sessions have equal digests iff they took the same
 /// action sequence (up to 64-bit collision), which is the comparison the
-/// fleet-vs-runners differential suite rests on.
-fn digest_action(digest: u64, action: &DlAction) -> u64 {
+/// fleet-vs-runners differential suite rests on. `dl-fleet` folds it over
+/// the actions a lean session takes; [`schedule_digest`] folds it over a
+/// recorded schedule.
+#[must_use]
+pub fn digest_action(digest: u64, action: &DlAction) -> u64 {
     use std::hash::BuildHasher;
     let hasher =
         std::hash::BuildHasherDefault::<std::collections::hash_map::DefaultHasher>::default();
@@ -509,11 +530,10 @@ fn digest_action(digest: u64, action: &DlAction) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Folds a complete schedule into the same rolling digest a
-/// [`SessionStep`] maintains incrementally — the bridge the
-/// fleet-vs-independent-runners differential suite uses to compare a lean
-/// fleet session (which keeps only the digest) against a full
-/// [`RunReport::schedule`].
+/// Folds a complete schedule into the rolling digest: [`digest_action`]
+/// from 0 — the bridge the fleet-vs-independent-runners differential
+/// suite uses to compare a lean fleet session (whose digest the fleet
+/// folds as it steps) against a full [`RunReport::schedule`].
 #[must_use]
 pub fn schedule_digest<'a, I>(actions: I) -> u64
 where
@@ -541,7 +561,7 @@ enum Cursor {
 ///
 /// A `SessionStep` owns everything mutable about a run — the seeded
 /// [`Runner`] (RNG stream, uid counter, decision log), the current state,
-/// the script cursor, scratch buffers, metrics, and the optional online
+/// the script cursor, scratch buffers, and the optional online
 /// conformance monitor — while the system itself is accessed through
 /// [`Borrow`](std::borrow::Borrow), so callers can either lend a shared
 /// system (`B = &M`, the [`Runner::run_from`] and `dl-fuzz` path) or move
@@ -554,6 +574,12 @@ enum Cursor {
 /// that — so interleaving many sessions action-by-action (what a fleet
 /// does) cannot perturb any individual run: sessions share no mutable
 /// state, and each consumes only its own RNG stream.
+///
+/// A session only steps. It keeps no schedule digest and no [`Metrics`]:
+/// each engine folds what it reads over the actions [`SessionStep::step`]
+/// returns ([`digest_action`] and [`Metrics::record`] in `dl-fleet`, three
+/// counters in `dl-fuzz`), and [`SessionStep::into_report`] folds
+/// [`RunReport::metrics`] from the recorded execution.
 pub struct SessionStep<M, B = M>
 where
     M: Automaton<Action = DlAction>,
@@ -564,8 +590,6 @@ where
     script: crate::Script,
     cursor: Cursor,
     trace: Trace<M::State>,
-    digest: u64,
-    metrics: Metrics,
     online: Option<OnlineConformance>,
     scratch: Scratch,
     next_task: usize,
@@ -588,10 +612,9 @@ where
     /// A lean session from the system's first start state: only the
     /// current state is retained (no execution, no behavior), which is
     /// how the fleet and the fuzzer run sessions — per-session cost stays
-    /// in the hundreds of bytes regardless of run length. Verdicts still flow
-    /// from the online monitor and the [`Metrics`]; the rolling
-    /// [`SessionStep::digest`] stands in for the schedule, and a caller
-    /// that wants more of the run watches it one action at a time
+    /// in the hundreds of bytes regardless of run length. Verdicts still
+    /// flow from the online monitor; a caller that wants more of the run
+    /// (a digest, counters, coverage) watches it one action at a time
     /// through [`SessionStep::step`] and [`SessionStep::state`].
     ///
     /// # Panics
@@ -646,8 +669,6 @@ where
                 local_left: None,
             },
             trace,
-            digest: 0,
-            metrics: Metrics::default(),
             online,
             scratch: Scratch::default(),
             next_task: 0,
@@ -671,9 +692,9 @@ where
     /// Takes exactly one action, as [`SessionStep::advance`] does, and
     /// returns it as taken (a `send_pkt` carries its stamped uid); `None`
     /// once the run is over. Right after the call, [`SessionStep::state`]
-    /// is that action's post-state and [`SessionStep::metrics`] and the
-    /// online monitor have counted it, so an engine can watch a lean
-    /// session action by action without recording it.
+    /// is that action's post-state and the online monitor has judged it,
+    /// so an engine can watch a lean session action by action without
+    /// recording it.
     ///
     /// # Panics
     ///
@@ -695,8 +716,6 @@ where
                 runner,
                 system,
                 trace,
-                digest,
-                metrics,
                 online,
                 scratch,
                 next_task,
@@ -718,7 +737,7 @@ where
                         self.cursor = Cursor::Halted;
                         return None;
                     }
-                    let taken = take(runner, system, trace, digest, a, metrics, online);
+                    let taken = take(runner, system, trace, a, online);
                     assert!(
                         taken.is_some(),
                         "input {a} was not enabled: system is not input-enabled"
@@ -738,9 +757,7 @@ where
                     let taken = if left == 0 || trace.len() >= runner.max_steps {
                         None
                     } else {
-                        fair_local_step(
-                            runner, system, trace, digest, next_task, metrics, online, scratch,
-                        )
+                        fair_local_step(runner, system, trace, next_task, online, scratch)
                     };
                     if taken.is_none() {
                         self.cursor = Cursor::At {
@@ -768,9 +785,7 @@ where
                         };
                         continue;
                     }
-                    let taken = fair_local_step(
-                        runner, system, trace, digest, next_task, metrics, online, scratch,
-                    );
+                    let taken = fair_local_step(runner, system, trace, next_task, online, scratch);
                     if taken.is_none() {
                         self.cursor = Cursor::At {
                             step: step + 1,
@@ -786,17 +801,6 @@ where
                 }
             }
         }
-    }
-
-    /// Takes up to `budget` actions; returns how many were actually taken
-    /// (fewer when the run ends first). The fleet's round-robin batch
-    /// quantum.
-    pub fn advance_batch(&mut self, budget: usize) -> usize {
-        let mut taken = 0;
-        while taken < budget && self.advance() {
-            taken += 1;
-        }
-        taken
     }
 
     /// Drives the session to completion.
@@ -831,20 +835,6 @@ where
     #[must_use]
     pub fn system(&self) -> &M {
         self.system.borrow()
-    }
-
-    /// The rolling schedule digest: a deterministic 64-bit fold of every
-    /// taken action, equal across two sessions iff they took the same
-    /// action sequence (modulo hash collisions).
-    #[must_use]
-    pub fn digest(&self) -> u64 {
-        self.digest
-    }
-
-    /// Counters so far.
-    #[must_use]
-    pub fn metrics(&self) -> &Metrics {
-        &self.metrics
     }
 
     /// First online conformance violation, when monitoring is on.
@@ -885,7 +875,7 @@ where
 
     /// An estimate of this session's resident footprint in bytes: the
     /// struct itself plus every reachable heap buffer (scratch
-    /// capacities, script steps, metrics queues, decision log). The
+    /// capacity, script steps, decision log, a recorded trace). The
     /// conformance monitor's tables are accounted separately by
     /// [`SessionStep::monitor_bytes`] — they scale with the *observed
     /// trace's* value population, not with the session core, and the
@@ -895,15 +885,12 @@ where
         use std::mem::size_of;
         let scratch = self.scratch.in_class.capacity() * size_of::<DlAction>();
         let script = std::mem::size_of_val(self.script.steps());
-        let metrics = self.metrics.latencies.capacity() * size_of::<u64>()
-            + self.metrics.send_step.len() * (size_of::<dl_core::action::Msg>() + 32)
-            + self.metrics.headers_used.len() * size_of::<Header>();
         let decisions = self.runner.taken.capacity() * size_of::<Decision>();
         let trace = match &self.trace {
             Trace::Full(e) => e.len() * (size_of::<DlAction>() + size_of::<M::State>()),
             Trace::Tail { .. } => 0,
         };
-        (size_of::<Self>() + scratch + script + metrics + decisions + trace) as u64
+        (size_of::<Self>() + scratch + script + decisions + trace) as u64
     }
 
     /// The online conformance monitor's estimated footprint in bytes
@@ -922,14 +909,15 @@ where
     }
 
     /// Tears a *recording* session down into its runner and the standard
-    /// [`RunReport`].
+    /// [`RunReport`], whose [`Metrics`] are [`Metrics::record`] folded over
+    /// the recorded schedule.
     ///
     /// # Panics
     ///
     /// Panics on a lean session — there is no retained execution to
-    /// report. Use the accessor methods
-    /// ([`SessionStep::metrics`], [`SessionStep::online_violation`],
-    /// [`SessionStep::digest`], …) instead.
+    /// report. Fold what you need over [`SessionStep::step`] and read
+    /// the accessor methods ([`SessionStep::online_violation`],
+    /// [`SessionStep::quiescent`], …) instead.
     #[must_use]
     pub fn into_report(self) -> (Runner, RunReport<M::State>) {
         let quiescent = self.quiescent();
@@ -937,13 +925,18 @@ where
             Trace::Full(e) => e,
             Trace::Tail { .. } => panic!("lean sessions retain no execution to report"),
         };
-        let behavior = ioa::execution::behavior_of_schedule(self.system.borrow(), &exec.schedule());
+        let schedule = exec.schedule();
+        let mut metrics = Metrics::default();
+        for a in &schedule {
+            metrics.record(a);
+        }
+        let behavior = ioa::execution::behavior_of_schedule(self.system.borrow(), &schedule);
         let mut runner = self.runner;
         let report = RunReport {
             execution: exec,
             behavior,
             quiescent,
-            metrics: self.metrics,
+            metrics,
             online_violation: self.online.as_ref().and_then(|o| o.violation.clone()),
             decisions: runner.record.then(|| std::mem::take(&mut runner.taken)),
             monitor_nanos: self.online.map_or(0, |o| o.nanos),
@@ -969,14 +962,11 @@ where
 /// enabled set finds it: each action's offset from `next_task` is taken
 /// once, and the buffer keeps the actions of the smallest offset seen so
 /// far, in enumeration order.
-#[allow(clippy::too_many_arguments)]
 fn fair_local_step<M>(
     runner: &mut Runner,
     system: &M,
     trace: &mut Trace<M::State>,
-    digest: &mut u64,
     next_task: &mut usize,
-    metrics: &mut Metrics,
     online: &mut Option<OnlineConformance>,
     scratch: &mut Scratch,
 ) -> Option<DlAction>
@@ -1008,7 +998,7 @@ where
     }
     let pick = runner.decide(DecisionPoint::Action, scratch.in_class.len());
     let action = scratch.in_class[pick];
-    let took = take(runner, system, trace, digest, action, metrics, online);
+    let took = take(runner, system, trace, action, online);
     debug_assert!(took.is_some(), "enabled_local returned a disabled action");
     *next_task = (start + best + 1) % tasks;
     took
@@ -1022,9 +1012,7 @@ fn take<M>(
     runner: &mut Runner,
     system: &M,
     trace: &mut Trace<M::State>,
-    digest: &mut u64,
     mut action: DlAction,
-    metrics: &mut Metrics,
     online: &mut Option<OnlineConformance>,
 ) -> Option<DlAction>
 where
@@ -1041,11 +1029,9 @@ where
         return None;
     }
     let pick = runner.decide(DecisionPoint::Successor, n);
-    metrics.record(&action);
     if let Some(o) = online {
         o.observe(&action);
     }
-    *digest = digest_action(*digest, &action);
     trace.step(system, action, pick);
     Some(action)
 }
@@ -1385,20 +1371,30 @@ mod tests {
     fn stepping_a_lean_session_walks_the_recorded_execution() {
         // `step` returns each action as taken and leaves `state` at its
         // post-state, so watching a lean session action by action sees
-        // exactly what a recording run keeps.
+        // exactly what a recording run keeps — and folding the digest
+        // step and `Metrics::record` over those actions, as the fleet
+        // does, gives the recording run's digest and metrics.
         let sys = abp_system(LossMode::Nondet);
         let script = Script::deliver_n(4);
         let recorded = Runner::new(9, 10_000).run(&sys, &script);
         let mut session: SessionStep<_, &_> =
             SessionStep::lean(Runner::new(9, 10_000), &sys, script);
         let mut i = 0;
+        let mut digest = 0;
+        let mut metrics = Metrics::default();
         while let Some(a) = session.step() {
             assert_eq!(a, *recorded.execution.action(i));
             assert_eq!(session.state(), recorded.execution.state(i + 1));
+            digest = digest_action(digest, &a);
+            metrics.record(&a);
             i += 1;
         }
         assert!(i > 0);
         assert_eq!(i, recorded.execution.len());
+        assert_eq!(digest, schedule_digest(&recorded.schedule()));
+        assert_eq!(metrics, recorded.metrics);
+        assert_eq!(metrics.steps, i as u64);
+        assert!(metrics.msgs_received > 0 && !metrics.latencies.is_empty());
         assert_eq!(session.quiescent(), recorded.quiescent);
         assert!(std::ptr::eq(session.system(), &sys));
     }

@@ -143,12 +143,21 @@ stage_bench_smoke() {
 stage_perfbench() {
   # The repo benchmark (perfbench/, its own workspace and lockfile)
   # builds against the engines' current public API, and its pin
-  # self-tests pass. Then one pinned unit of each workload runs through
-  # the benchmark's own runner, which compares the engines' outputs with
-  # its pins (schedule digests, coverage folds, E15 counts); the stage
-  # fails when the result line reports a failed operation. Nothing under
-  # perfbench/ is edited here.
+  # self-tests pass. Every pinned cycle (all fleet and fuzz cycles at
+  # both pinned seeds) is regenerated with --print-pins, formatted as the
+  # committed table is, and must equal perfbench/src/pinned.rs byte for
+  # byte, so a moved schedule digest or fuzz fold fails here. Then one
+  # pinned unit of each workload runs through the benchmark's own runner,
+  # which compares the engines' outputs with its pins (schedule digests,
+  # coverage folds, E15 counts); the stage fails when the result line
+  # reports a failed operation. Nothing under perfbench/ is edited here.
   cargo test -q --locked --manifest-path perfbench/Cargo.toml
+  cargo run -q --release --locked --manifest-path perfbench/Cargo.toml -- --print-pins |
+    rustfmt --edition 2021 | diff - perfbench/src/pinned.rs || {
+    echo "perfbench: --print-pins differs from perfbench/src/pinned.rs" >&2
+    return 1
+  }
+  echo "    print-pins: identical to perfbench/src/pinned.rs"
   local workload result
   for workload in explore-deep fleet-mixed fuzz-hunt; do
     result=$(python3 perfbench/run.py --workload "$workload" --seed 0 --seconds 1 --trace 0 | tail -n 1)
