@@ -36,6 +36,4 @@ pub use corrupt::{CorruptChannel, CorruptSpec};
 pub use delivery_set::{DeliverySet, DeliverySetError};
 pub use faulty::{FaultSpec, FaultyChannel, GhostSpec};
 pub use permissive::{ChannelState, PermissiveChannel, SurgeryError};
-pub use simulated::{
-    BurstLossChannel, BurstState, FlightState, LossMode, LossyFifoChannel, ReorderChannel,
-};
+pub use simulated::{FlightState, LossMode, LossyFifoChannel, ReorderChannel};

@@ -489,160 +489,6 @@ impl Automaton for ReorderChannel {
     }
 }
 
-/// State of a [`BurstLossChannel`]: the FIFO flight plus the position in
-/// the deterministic good/bad cycle.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
-pub struct BurstState {
-    /// Packets in flight, in send order.
-    pub in_flight: Vec<Packet>,
-    /// Position within the `good_len + bad_len` cycle.
-    pub phase: u64,
-}
-
-/// A burst-loss FIFO channel: a deterministic Gilbert–Elliott-style model
-/// that alternates a loss-free *good* stretch with a drop-everything *bad*
-/// stretch, each measured in `send_pkt` events.
-///
-/// Burst loss is the signature failure mode of real radio and power-line
-/// media; ARQ protocols see consecutive losses rather than independent
-/// ones. The cycle is deterministic (part of the state), so runs stay
-/// reproducible and the automaton solves `PL-FIFO` like its uniform-loss
-/// sibling.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BurstLossChannel {
-    dir: Dir,
-    good_len: u64,
-    bad_len: u64,
-}
-
-impl BurstLossChannel {
-    /// A channel that delivers `good_len` consecutive sends, then drops
-    /// `bad_len` consecutive sends, repeating.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `good_len == 0` (the channel would drop everything and
-    /// could not satisfy any liveness expectation).
-    #[must_use]
-    pub fn new(dir: Dir, good_len: u64, bad_len: u64) -> Self {
-        assert!(good_len > 0, "good stretch must be non-empty");
-        BurstLossChannel {
-            dir,
-            good_len,
-            bad_len,
-        }
-    }
-
-    /// This channel's direction.
-    #[must_use]
-    pub fn dir(&self) -> Dir {
-        self.dir
-    }
-
-    /// `(good_len, bad_len)`.
-    #[must_use]
-    pub fn cycle(&self) -> (u64, u64) {
-        (self.good_len, self.bad_len)
-    }
-
-    fn in_bad_stretch(&self, phase: u64) -> bool {
-        phase % (self.good_len + self.bad_len) >= self.good_len
-    }
-}
-
-impl Automaton for BurstLossChannel {
-    type Action = DlAction;
-    type State = BurstState;
-
-    fn start_states(&self) -> Vec<BurstState> {
-        vec![BurstState::default()]
-    }
-
-    fn classify(&self, a: &DlAction) -> Option<ActionClass> {
-        channel_classify(self.dir, a)
-    }
-
-    fn successors(&self, s: &BurstState, a: &DlAction) -> Vec<BurstState> {
-        match a {
-            DlAction::SendPkt(d, p) if *d == self.dir => {
-                let mut t = s.clone();
-                if !self.in_bad_stretch(s.phase) {
-                    t.in_flight.push(*p);
-                }
-                t.phase = (t.phase + 1) % (self.good_len + self.bad_len);
-                vec![t]
-            }
-            DlAction::ReceivePkt(d, p) if *d == self.dir => match s.in_flight.first() {
-                Some(q) if q == p => {
-                    let mut t = s.clone();
-                    t.in_flight.remove(0);
-                    vec![t]
-                }
-                _ => vec![],
-            },
-            DlAction::Wake(d) | DlAction::Fail(d) if *d == self.dir => vec![s.clone()],
-            DlAction::Crash(x) if *x == self.dir.sender() => vec![s.clone()],
-            _ => vec![],
-        }
-    }
-
-    fn try_for_each_successor(
-        &self,
-        s: &BurstState,
-        a: &DlAction,
-        f: &mut dyn FnMut(BurstState) -> ControlFlow<()>,
-    ) -> ControlFlow<()> {
-        match a {
-            DlAction::SendPkt(d, p) if *d == self.dir => {
-                let mut t = s.clone();
-                if !self.in_bad_stretch(s.phase) {
-                    t.in_flight.push(*p);
-                }
-                t.phase = (t.phase + 1) % (self.good_len + self.bad_len);
-                f(t)
-            }
-            DlAction::ReceivePkt(d, p) if *d == self.dir => match s.in_flight.first() {
-                Some(q) if q == p => {
-                    let mut t = s.clone();
-                    t.in_flight.remove(0);
-                    f(t)
-                }
-                _ => ControlFlow::Continue(()),
-            },
-            DlAction::Wake(d) | DlAction::Fail(d) if *d == self.dir => f(s.clone()),
-            DlAction::Crash(x) if *x == self.dir.sender() => f(s.clone()),
-            _ => ControlFlow::Continue(()),
-        }
-    }
-
-    fn enabled_local(&self, s: &BurstState) -> Vec<DlAction> {
-        s.in_flight
-            .first()
-            .map(|p| DlAction::ReceivePkt(self.dir, *p))
-            .into_iter()
-            .collect()
-    }
-
-    fn for_each_enabled_local(
-        &self,
-        s: &BurstState,
-        f: &mut dyn FnMut(DlAction) -> ControlFlow<()>,
-    ) -> ControlFlow<()> {
-        if let Some(p) = s.in_flight.first() {
-            f(DlAction::ReceivePkt(self.dir, *p))?;
-        }
-        ControlFlow::Continue(())
-    }
-
-    fn task_of(&self, _a: &DlAction) -> TaskId {
-        TaskId(0)
-    }
-
-    fn task_count(&self) -> usize {
-        1
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -758,42 +604,5 @@ mod tests {
         assert_eq!(ch.dir(), Dir::TR);
         assert_eq!(ch.mode(), LossMode::EveryNth(4));
         assert_eq!(ReorderChannel::lossless(Dir::RT).dir(), Dir::RT);
-    }
-
-    #[test]
-    fn burst_channel_drops_in_stretches() {
-        let ch = BurstLossChannel::new(Dir::TR, 2, 2);
-        let mut s = ch.start_states().remove(0);
-        for n in 0..8 {
-            s = ch
-                .step_first(&s, &DlAction::SendPkt(Dir::TR, pkt(n)))
-                .unwrap();
-        }
-        // Cycle of 4: sends 0,1 kept; 2,3 dropped; 4,5 kept; 6,7 dropped.
-        let kept: Vec<u64> = s.in_flight.iter().map(|p| p.header.seq).collect();
-        assert_eq!(kept, vec![0, 1, 4, 5]);
-        // Delivery is FIFO.
-        let a = DlAction::ReceivePkt(Dir::TR, pkt(0));
-        assert_eq!(ch.enabled_local(&s), vec![a]);
-    }
-
-    #[test]
-    fn burst_channel_lossless_when_bad_is_zero() {
-        let ch = BurstLossChannel::new(Dir::TR, 3, 0);
-        let mut s = ch.start_states().remove(0);
-        for n in 0..6 {
-            s = ch
-                .step_first(&s, &DlAction::SendPkt(Dir::TR, pkt(n)))
-                .unwrap();
-        }
-        assert_eq!(s.in_flight.len(), 6);
-        assert_eq!(ch.cycle(), (3, 0));
-        assert_eq!(ch.dir(), Dir::TR);
-    }
-
-    #[test]
-    #[should_panic(expected = "good stretch")]
-    fn burst_channel_rejects_empty_good_stretch() {
-        let _ = BurstLossChannel::new(Dir::TR, 0, 2);
     }
 }

@@ -36,14 +36,15 @@ use ioa::schedule_module::{ScheduleModule, TraceKind, Verdict, Violation};
 use ioa::InternedSeq;
 
 use dl_channels::permissive::SurgeryError;
-use dl_core::action::{DlAction, Msg, Packet, Station};
+use dl_core::action::{Dir, DlAction, Msg, Packet, Station};
 use dl_core::equivalence::{
     action_matches_under, actions_equivalent, packets_equivalent, MsgRenaming,
 };
 use dl_core::protocol::owning_station;
 use dl_core::spec::datalink::DlModule;
+use dl_sim::system::LinkStateExt;
 
-use crate::driver::{behavior_of, Driver, DriverError, ProtocolAutomaton, RunEnd, Scheduling};
+use crate::driver::{Driver, DriverError, ProtocolAutomaton, RunEnd, Scheduling, SystemState};
 
 /// Errors from the crash engine. Several of these are *informative*: they
 /// identify which hypothesis of Theorem 7.5 the protocol escapes through
@@ -181,7 +182,7 @@ pub struct Reference<TS, RS> {
     /// Receiver states `s₀ … sₙ` (projected, interned).
     pub r_states: InternedSeq<RS>,
     /// The end-of-`α` system state, channels cleaned (Lemma 6.3).
-    pub end: crate::driver::SystemState<TS, RS>,
+    pub end: SystemState<TS, RS>,
     /// The message delivered in `α`.
     pub msg: Msg,
 }
@@ -257,8 +258,8 @@ where
     R: ProtocolAutomaton,
 {
     let mut d = Driver::new(tx.clone(), rx.clone(), true, msg.0 + 1);
-    d.apply(DlAction::Wake(dl_core::action::Dir::TR))?;
-    d.apply(DlAction::Wake(dl_core::action::Dir::RT))?;
+    d.apply(DlAction::Wake(Dir::TR))?;
+    d.apply(DlAction::Wake(Dir::RT))?;
     d.apply(DlAction::SendMsg(msg))?;
     let end = d.run_until(Scheduling::Priority, bound, |_| false)?;
     if end != RunEnd::Quiescent {
@@ -267,8 +268,8 @@ where
         )));
     }
     let expected = vec![
-        DlAction::Wake(dl_core::action::Dir::TR),
-        DlAction::Wake(dl_core::action::Dir::RT),
+        DlAction::Wake(Dir::TR),
+        DlAction::Wake(Dir::RT),
         DlAction::SendMsg(msg),
         DlAction::ReceiveMsg(msg),
     ];
@@ -281,14 +282,12 @@ where
 
     let t_states = states_along(tx, &d.trace)?;
     let r_states = states_along(rx, &d.trace)?;
-    let mut end_state = d.state.clone();
-    end_state.tr.make_clean();
-    end_state.rt.make_clean();
+    d.clean_channels();
     Ok(Reference {
         actions: d.trace,
         t_states,
         r_states,
-        end: end_state,
+        end: d.state,
         msg,
     })
 }
@@ -514,10 +513,7 @@ where
                 }
             }
         }
-        let ch = match x.receives_on() {
-            dl_core::action::Dir::TR => &mut self.driver.state.tr,
-            dl_core::action::Dir::RT => &mut self.driver.state.rt,
-        };
+        let ch = self.driver.channel_mut(x.receives_on());
         if ch.waiting().len() != from.len() {
             return Err(CrashError::InTransit(format!(
                 "waiting sequence has length {} but reference out-sequence has {}",
@@ -564,14 +560,14 @@ where
                 }
                 DlAction::ReceivePkt(d, p) => {
                     debug_assert_eq!(d.receiver(), x);
-                    let next = match d {
-                        dl_core::action::Dir::TR => self.driver.state.tr.next_delivery(),
-                        dl_core::action::Dir::RT => self.driver.state.rt.next_delivery(),
-                    }
-                    .copied()
-                    .ok_or_else(|| {
-                        CrashError::InTransit(format!("no packet waiting for replayed {phi}"))
-                    })?;
+                    let next = self
+                        .driver
+                        .channel(*d)
+                        .next_delivery()
+                        .copied()
+                        .ok_or_else(|| {
+                            CrashError::InTransit(format!("no packet waiting for replayed {phi}"))
+                        })?;
                     if !packets_equivalent(&next, p) {
                         return Err(CrashError::InTransit(format!(
                             "waiting packet {next} not equivalent to reference {p}"
@@ -586,8 +582,7 @@ where
                 // Locally-controlled actions of x: find the enabled action
                 // matching the renamed reference action.
                 local => {
-                    let enabled = self.station_enabled(x);
-                    let found = enabled
+                    let found = station_enabled(&self.driver, x)
                         .into_iter()
                         .find(|a| action_matches_under(local, a, &rho))
                         .ok_or_else(|| {
@@ -610,32 +605,23 @@ where
         // The replayed sends are the most recent `sends_made` packets on
         // x's outgoing channel; make exactly those the waiting sequence
         // (Lemma 6.5).
-        let (fifo, ch_state) = match x.sends_on() {
-            dl_core::action::Dir::TR => (self.driver.ch_tr().is_fifo(), &mut self.driver.state.tr),
-            dl_core::action::Dir::RT => (self.driver.ch_rt().is_fifo(), &mut self.driver.state.rt),
-        };
+        let fifo = self.driver.is_fifo();
+        let ch_state = self.driver.channel_mut(x.sends_on());
         let c1 = ch_state.counter1();
         let indices: Vec<u64> = (c1 - sends_made + 1..=c1).collect();
         ch_state.set_waiting(&indices, fifo)?;
         Ok(rho)
     }
 
-    fn station_enabled(&self, x: Station) -> Vec<DlAction> {
-        match x {
-            Station::T => self.driver.tx().enabled_local(&self.driver.state.t),
-            Station::R => self.driver.rx().enabled_local(&self.driver.state.r),
-        }
-    }
-
     fn check_crashed_to_start(&self, x: Station) -> Result<(), CrashError> {
         let ok = match x {
             Station::T => {
                 let starts = self.driver.tx().start_states();
-                starts.len() == 1 && self.driver.state.t == starts[0]
+                starts.len() == 1 && *self.driver.state.transmitter() == starts[0]
             }
             Station::R => {
                 let starts = self.driver.rx().start_states();
-                starts.len() == 1 && self.driver.state.r == starts[0]
+                starts.len() == 1 && *self.driver.state.receiver() == starts[0]
             }
         };
         if ok {
@@ -657,14 +643,14 @@ where
                     .driver
                     .tx()
                     .relabel_state(&self.reference.t_states[k], rho);
-                expect == self.driver.state.t
+                expect == *self.driver.state.transmitter()
             }
             Station::R => {
                 let expect = self
                     .driver
                     .rx()
                     .relabel_state(&self.reference.r_states[k], rho);
-                expect == self.driver.state.r
+                expect == *self.driver.state.receiver()
             }
         };
         if ok {
@@ -695,12 +681,7 @@ where
         for a in suffix {
             match a {
                 DlAction::ReceivePkt(d, p) => {
-                    let next = match d {
-                        dl_core::action::Dir::TR => alpha.state.tr.next_delivery(),
-                        dl_core::action::Dir::RT => alpha.state.rt.next_delivery(),
-                    }
-                    .copied()
-                    .ok_or_else(|| {
+                    let next = alpha.channel(*d).next_delivery().copied().ok_or_else(|| {
                         CrashError::InTransit(format!(
                             "α-context channel has nothing waiting for transplanted {a}"
                         ))
@@ -721,12 +702,7 @@ where
                     )))
                 }
                 local => {
-                    let x = owning_station(local);
-                    let enabled = match x {
-                        Station::T => alpha.tx().enabled_local(&alpha.state.t),
-                        Station::R => alpha.rx().enabled_local(&alpha.state.r),
-                    };
-                    let found = enabled
+                    let found = station_enabled(&alpha, owning_station(local))
                         .into_iter()
                         .find(|cand| actions_equivalent(cand, local))
                         .ok_or_else(|| {
@@ -748,7 +724,7 @@ where
             ));
         }
 
-        let behavior = behavior_of(&alpha.trace);
+        let behavior = alpha.behavior();
         match DlModule::weak().check(&behavior, TraceKind::Prefix) {
             Verdict::Violated(violation) => Ok(CrashCounterexample {
                 trace: alpha.trace,
@@ -759,6 +735,18 @@ where
             }),
             other => Err(CrashError::NotViolating(format!("{other:?}"))),
         }
+    }
+}
+
+/// The locally-controlled actions station `x` enables in the driver's
+/// current state.
+fn station_enabled<T: ProtocolAutomaton, R: ProtocolAutomaton>(
+    d: &Driver<T, R>,
+    x: Station,
+) -> Vec<DlAction> {
+    match x {
+        Station::T => d.tx().enabled_local(d.state.transmitter()),
+        Station::R => d.rx().enabled_local(d.state.receiver()),
     }
 }
 
@@ -799,7 +787,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dl_core::action::Dir;
 
     #[test]
     fn reference_for_abp() {
@@ -828,8 +815,8 @@ mod tests {
         assert_eq!(r.in_pkts(Station::R, 8).len(), 1);
         assert_eq!(r.out_pkts(Station::R, 8).len(), 1);
         // End state is clean.
-        assert!(r.end.tr.is_clean());
-        assert!(r.end.rt.is_clean());
+        assert!(r.end.channel_tr().is_clean());
+        assert!(r.end.channel_rt().is_clean());
     }
 
     #[test]

@@ -4,18 +4,25 @@
 //! The proof engines need finer control than the `dl-sim` runner offers:
 //! they choose *specific* successors, perform channel state surgery between
 //! steps, snapshot and restore whole system states, and replay recorded
-//! action sequences verbatim. The [`Driver`] keeps the four component
-//! states separately (rather than behind the composition operator) so that
-//! the engines can do all of that while every step is still validated
-//! against the real automata.
+//! action sequences verbatim. The [`Driver`] steps the composed automaton
+//! the other engines run, `dl_sim::link_system` over two
+//! [`PermissiveChannel`]s, and adds only what the proofs need around it: a
+//! scheduler, fresh message and uid names, and access to the channel states
+//! for delivery-set surgery. Every step is a step of that composition, so
+//! every schedule the engines build is a schedule of `D̂'(A)` / `D̄'(A)`.
 
 use std::fmt;
+use std::ops::ControlFlow;
 
 use ioa::automaton::Automaton;
+use ioa::composition::Pair;
+use ioa::execution::behavior_of_schedule;
 
 use dl_channels::permissive::{ChannelState, PermissiveChannel};
-use dl_core::action::{Dir, DlAction, Msg, Packet};
-use dl_core::protocol::{MessageIndependent, StationAutomaton};
+use dl_core::action::{Dir, DlAction, Msg, Packet, Station};
+use dl_core::protocol::{owning_station, MessageIndependent, StationAutomaton};
+use dl_sim::system::LinkStateExt;
+use dl_sim::{link_system, LinkSystem};
 
 /// Everything the engines demand of a protocol automaton: the data-link
 /// action universe, a station, message-independence, and cloneability.
@@ -35,28 +42,19 @@ impl<X> ProtocolAutomaton for X where
 {
 }
 
-/// The four component states of a data link implementation.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct SystemState<TS, RS> {
-    /// Transmitter state.
-    pub t: TS,
-    /// Receiver state.
-    pub r: RS,
-    /// State of the `t → r` physical channel.
-    pub tr: ChannelState,
-    /// State of the `r → t` physical channel.
-    pub rt: ChannelState,
-}
+/// The state of the composed system: `((transmitter, receiver), (channel
+/// t→r, channel r→t))`, read through [`LinkStateExt`].
+pub type SystemState<TS, RS> = Pair<Pair<TS, RS>, Pair<ChannelState, ChannelState>>;
 
 /// Errors from driving the composed system.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DriverError {
     /// An action was applied that some in-signature component does not
-    /// enable.
+    /// enable, or that no component has in its signature.
     NotEnabled {
         /// The rejected action.
         action: DlAction,
-        /// Which component rejected it.
+        /// Which component rejected it (`"system"` if none has it).
         component: &'static str,
     },
 }
@@ -96,15 +94,31 @@ pub enum RunEnd {
     BoundHit,
 }
 
+/// The component that controls a locally-controlled action, numbered in
+/// [`Scheduling::Priority`] order: 0 = channel `t→r`, 1 = receiver,
+/// 2 = channel `r→t`, 3 = transmitter.
+fn component_of(a: &DlAction) -> usize {
+    match a {
+        DlAction::ReceivePkt(Dir::TR, _) => 0,
+        DlAction::ReceivePkt(Dir::RT, _) => 2,
+        _ => match owning_station(a) {
+            Station::R => 1,
+            Station::T => 3,
+        },
+    }
+}
+
+/// `true` if `a` is in `aut`'s signature but has no transition from `s`.
+fn refuses<M: Automaton<Action = DlAction>>(aut: &M, s: &M::State, a: &DlAction) -> bool {
+    aut.in_signature(a) && !aut.is_enabled(s, a)
+}
+
 /// The composed system `protocol + two permissive channels`, driven one
 /// explicit step at a time.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct Driver<T: ProtocolAutomaton, R: ProtocolAutomaton> {
-    tx: T,
-    rx: R,
-    ch_tr: PermissiveChannel,
-    ch_rt: PermissiveChannel,
-    /// Current component states.
+    system: LinkSystem<T, R, PermissiveChannel, PermissiveChannel>,
+    /// Current state of the composed system.
     pub state: SystemState<T::State, R::State>,
     /// The schedule so far (every action, packet actions included).
     pub trace: Vec<DlAction>,
@@ -121,27 +135,15 @@ impl<T: ProtocolAutomaton, R: ProtocolAutomaton> Driver<T, R> {
     /// `first_msg` seeds the fresh-message counter; pass a value above any
     /// message the surrounding construction uses.
     pub fn new(tx: T, rx: R, fifo: bool, first_msg: u64) -> Self {
-        let ch_tr = if fifo {
-            PermissiveChannel::fifo(Dir::TR)
+        let channel = if fifo {
+            PermissiveChannel::fifo
         } else {
-            PermissiveChannel::universal(Dir::TR)
+            PermissiveChannel::universal
         };
-        let ch_rt = if fifo {
-            PermissiveChannel::fifo(Dir::RT)
-        } else {
-            PermissiveChannel::universal(Dir::RT)
-        };
-        let state = SystemState {
-            t: tx.start_states().remove(0),
-            r: rx.start_states().remove(0),
-            tr: ch_tr.start_states().remove(0),
-            rt: ch_rt.start_states().remove(0),
-        };
+        let system = link_system(tx, rx, channel(Dir::TR), channel(Dir::RT));
+        let state = system.start_states().remove(0);
         Driver {
-            tx,
-            rx,
-            ch_tr,
-            ch_rt,
+            system,
             state,
             trace: Vec::new(),
             next_uid: 1,
@@ -153,22 +155,35 @@ impl<T: ProtocolAutomaton, R: ProtocolAutomaton> Driver<T, R> {
 
     /// The transmitter automaton.
     pub fn tx(&self) -> &T {
-        &self.tx
+        self.system.inner().left().left()
     }
 
     /// The receiver automaton.
     pub fn rx(&self) -> &R {
-        &self.rx
+        self.system.inner().left().right()
     }
 
-    /// The `t → r` channel automaton.
-    pub fn ch_tr(&self) -> &PermissiveChannel {
-        &self.ch_tr
+    /// `true` if the channels are the FIFO `Ĉ`, whose surgery must keep
+    /// delivery sets monotone.
+    pub fn is_fifo(&self) -> bool {
+        self.system.inner().right().left().is_fifo()
     }
 
-    /// The `r → t` channel automaton.
-    pub fn ch_rt(&self) -> &PermissiveChannel {
-        &self.ch_rt
+    /// The state of the channel in direction `dir`.
+    pub fn channel(&self, dir: Dir) -> &ChannelState {
+        match dir {
+            Dir::TR => &self.state.right.left,
+            Dir::RT => &self.state.right.right,
+        }
+    }
+
+    /// The state of the channel in direction `dir`, for delivery-set
+    /// surgery.
+    pub fn channel_mut(&mut self, dir: Dir) -> &mut ChannelState {
+        match dir {
+            Dir::TR => &mut self.state.right.left,
+            Dir::RT => &mut self.state.right.right,
+        }
     }
 
     /// A message that has not appeared anywhere in this construction.
@@ -213,68 +228,41 @@ impl<T: ProtocolAutomaton, R: ProtocolAutomaton> Driver<T, R> {
         self.next_uid
     }
 
-    /// Applies an action verbatim: every component whose signature contains
-    /// it must step (deterministically).
+    /// Applies an action verbatim as one step of the composed system:
+    /// every component whose signature contains it steps
+    /// (deterministically, to its first successor).
     ///
     /// # Errors
     ///
     /// [`DriverError::NotEnabled`] if some in-signature component has no
-    /// transition; the system state is unchanged in that case.
+    /// transition; the system state and the trace are unchanged in that
+    /// case, because the composition counts every component's successors
+    /// before any of them moves.
     pub fn apply(&mut self, a: DlAction) -> Result<(), DriverError> {
-        let mut t = None;
-        let mut r = None;
-        let mut tr = None;
-        let mut rt = None;
-        if self.tx.in_signature(&a) {
-            t = Some(
-                self.tx
-                    .step_first(&self.state.t, &a)
-                    .ok_or(DriverError::NotEnabled {
-                        action: a,
-                        component: "transmitter",
-                    })?,
-            );
-        }
-        if self.rx.in_signature(&a) {
-            r = Some(
-                self.rx
-                    .step_first(&self.state.r, &a)
-                    .ok_or(DriverError::NotEnabled {
-                        action: a,
-                        component: "receiver",
-                    })?,
-            );
-        }
-        if self.ch_tr.in_signature(&a) {
-            tr = Some(self.ch_tr.step_first(&self.state.tr, &a).ok_or(
-                DriverError::NotEnabled {
-                    action: a,
-                    component: "channel t→r",
-                },
-            )?);
-        }
-        if self.ch_rt.in_signature(&a) {
-            rt = Some(self.ch_rt.step_first(&self.state.rt, &a).ok_or(
-                DriverError::NotEnabled {
-                    action: a,
-                    component: "channel r→t",
-                },
-            )?);
-        }
-        if let Some(s) = t {
-            self.state.t = s;
-        }
-        if let Some(s) = r {
-            self.state.r = s;
-        }
-        if let Some(s) = tr {
-            self.state.tr = s;
-        }
-        if let Some(s) = rt {
-            self.state.rt = s;
+        if !self.system.step_in_place(&mut self.state, &a, 0) {
+            return Err(DriverError::NotEnabled {
+                action: a,
+                component: self.refusing_component(&a),
+            });
         }
         self.trace.push(a);
         Ok(())
+    }
+
+    /// The first component, in the order transmitter, receiver, `t→r`,
+    /// `r→t`, that has `a` in its signature but no transition for it.
+    fn refusing_component(&self, a: &DlAction) -> &'static str {
+        let channels = self.system.inner().right();
+        let s = &self.state;
+        [
+            ("transmitter", refuses(self.tx(), s.transmitter(), a)),
+            ("receiver", refuses(self.rx(), s.receiver(), a)),
+            ("channel t→r", refuses(channels.left(), s.channel_tr(), a)),
+            ("channel r→t", refuses(channels.right(), s.channel_rt(), a)),
+        ]
+        .into_iter()
+        .find_map(|(name, refused)| refused.then_some(name))
+        .unwrap_or("system")
     }
 
     /// Applies a locally-controlled action, stamping a fresh uid if it is
@@ -294,26 +282,6 @@ impl<T: ProtocolAutomaton, R: ProtocolAutomaton> Driver<T, R> {
         Ok(a)
     }
 
-    /// All locally-controlled actions enabled in the current state, tagged
-    /// by component index (0 = channel `t→r`, 1 = receiver, 2 = channel
-    /// `r→t`, 3 = transmitter — the priority order).
-    pub fn enabled_local(&self) -> Vec<(usize, DlAction)> {
-        let mut out = Vec::new();
-        for a in self.ch_tr.enabled_local(&self.state.tr) {
-            out.push((0, a));
-        }
-        for a in self.rx.enabled_local(&self.state.r) {
-            out.push((1, a));
-        }
-        for a in self.ch_rt.enabled_local(&self.state.rt) {
-            out.push((2, a));
-        }
-        for a in self.tx.enabled_local(&self.state.t) {
-            out.push((3, a));
-        }
-        out
-    }
-
     /// Takes one locally-controlled step under the given scheduling.
     /// Returns the action taken, or `None` if the system is quiescent.
     ///
@@ -322,39 +290,35 @@ impl<T: ProtocolAutomaton, R: ProtocolAutomaton> Driver<T, R> {
     /// Propagates [`DriverError::NotEnabled`] (an automaton whose
     /// `enabled_local` lies).
     pub fn fair_step(&mut self, sched: Scheduling) -> Result<Option<DlAction>, DriverError> {
-        let enabled = self.enabled_local();
-        if enabled.is_empty() {
-            return Ok(None);
-        }
+        // The composition enumerates the transmitter's, the receiver's,
+        // then each channel's actions; file each under the component that
+        // controls it, in that component's own order.
+        let mut enabled: [Vec<DlAction>; 4] = Default::default();
+        let _ = self.system.for_each_enabled_local(&self.state, &mut |a| {
+            enabled[component_of(&a)].push(a);
+            ControlFlow::Continue(())
+        });
         // Choose the component first (fixed priority order, or rotating),
         // then rotate over the actions *within* that component with a
         // per-component counter — so an automaton offering several actions
         // (e.g. two fragments of a message) starves none of them.
-        let component = match sched {
-            Scheduling::Priority => enabled[0].0,
-            Scheduling::RoundRobin => {
-                let mut chosen = None;
-                for offset in 0..4 {
-                    let c = (self.rr + offset) % 4;
-                    if enabled.iter().any(|(i, _)| *i == c) {
-                        chosen = Some(c);
-                        self.rr = (c + 1) % 4;
-                        break;
-                    }
-                }
-                chosen.expect("enabled list was non-empty")
-            }
+        let first = match sched {
+            Scheduling::Priority => 0,
+            Scheduling::RoundRobin => self.rr,
         };
-        let in_c: Vec<&DlAction> = enabled
-            .iter()
-            .filter(|(i, _)| *i == component)
-            .map(|(_, a)| a)
-            .collect();
+        let Some(component) = (0..4)
+            .map(|offset| (first + offset) % 4)
+            .find(|&c| !enabled[c].is_empty())
+        else {
+            return Ok(None);
+        };
+        if sched == Scheduling::RoundRobin {
+            self.rr = (component + 1) % 4;
+        }
+        let in_c = &enabled[component];
         let pick = (self.comp_counters[component] as usize) % in_c.len();
         self.comp_counters[component] += 1;
-        let action = *in_c[pick];
-        let taken = self.take(action)?;
-        Ok(Some(taken))
+        self.take(in_c[pick]).map(Some)
     }
 
     /// Runs locally-controlled steps until `pred` matches the action just
@@ -385,40 +349,35 @@ impl<T: ProtocolAutomaton, R: ProtocolAutomaton> Driver<T, R> {
     /// Makes both channels clean (Lemma 6.3): everything pending is lost,
     /// the future is loss-free FIFO.
     pub fn clean_channels(&mut self) {
-        self.state.tr.make_clean();
-        self.state.rt.make_clean();
+        for dir in Dir::BOTH {
+            self.channel_mut(dir).make_clean();
+        }
     }
 
-    /// The behavior of the trace so far: its data-link-layer actions (the
-    /// external actions after hiding packet actions, §5.2).
+    /// The behavior of the trace so far: its external actions under the
+    /// composed system's signature, which hides the packet actions (§5.2).
     pub fn behavior(&self) -> Vec<DlAction> {
-        self.trace
-            .iter()
-            .filter(|a| !a.is_packet_action() && !matches!(a, DlAction::Internal(..)))
-            .copied()
-            .collect()
+        behavior_of_schedule(&self.system, &self.trace)
     }
-}
-
-/// Extracts the data-link behavior from any schedule (hiding packet and
-/// internal actions).
-pub fn behavior_of(trace: &[DlAction]) -> Vec<DlAction> {
-    trace
-        .iter()
-        .filter(|a| !a.is_packet_action() && !matches!(a, DlAction::Internal(..)))
-        .copied()
-        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dl_core::action::Station;
     use dl_protocols::abp;
 
     fn driver() -> Driver<dl_protocols::AbpTransmitter, dl_protocols::AbpReceiver> {
         let p = abp::protocol();
         Driver::new(p.transmitter, p.receiver, true, 1000)
+    }
+
+    /// The transmitter's enabled `send_pkt`.
+    fn transmitter_send<T: ProtocolAutomaton, R: ProtocolAutomaton>(d: &Driver<T, R>) -> DlAction {
+        d.tx()
+            .enabled_local(d.state.transmitter())
+            .into_iter()
+            .find(|a| matches!(a, DlAction::SendPkt(..)))
+            .expect("transmitter has a send enabled")
     }
 
     #[test]
@@ -441,8 +400,8 @@ mod tests {
         // Priority scheduling yields the minimal 8-step cycle.
         assert_eq!(d.trace.len(), 8);
         // Channels drained and clean-able.
-        assert!(d.state.tr.waiting().is_empty());
-        assert!(d.state.rt.waiting().is_empty());
+        assert!(d.channel(Dir::TR).waiting().is_empty());
+        assert!(d.channel(Dir::RT).waiting().is_empty());
     }
 
     #[test]
@@ -487,23 +446,20 @@ mod tests {
         let mut d = driver();
         d.apply(DlAction::Wake(Dir::TR)).unwrap();
         d.apply(DlAction::SendMsg(Msg(1))).unwrap();
-        let enabled = d.enabled_local();
-        let (_, send) = enabled
-            .iter()
-            .find(|(c, _)| *c == 3)
-            .expect("transmitter has a send enabled");
-        let taken = d.take(*send).unwrap();
+        let send = transmitter_send(&d);
+        let taken = d.take(send).unwrap();
         let DlAction::SendPkt(_, p) = taken else {
             panic!("expected send_pkt")
         };
         assert_ne!(p.uid, Packet::UNSTAMPED);
         // The channel recorded the stamped packet.
-        assert_eq!(d.state.tr.waiting(), vec![p]);
+        assert_eq!(d.channel(Dir::TR).waiting(), vec![p]);
     }
 
     #[test]
     fn apply_rejects_disabled_actions() {
         let mut d = driver();
+        let before = d.state.clone();
         let err = d
             .apply(DlAction::ReceivePkt(Dir::TR, Packet::data(0, Msg(1))))
             .unwrap_err();
@@ -514,8 +470,9 @@ mod tests {
                 ..
             }
         ));
-        // Failed applies leave the trace unchanged.
+        // Failed applies leave the trace and the state unchanged.
         assert!(d.trace.is_empty());
+        assert_eq!(d.state, before);
     }
 
     #[test]
@@ -524,7 +481,7 @@ mod tests {
         d.apply(DlAction::Wake(Dir::TR)).unwrap();
         d.apply(DlAction::SendMsg(Msg(1))).unwrap();
         d.apply(DlAction::Crash(Station::T)).unwrap();
-        assert_eq!(d.state.t, d.tx().start_states().remove(0));
+        assert_eq!(*d.state.transmitter(), d.tx().start_states().remove(0));
     }
 
     #[test]
@@ -564,20 +521,51 @@ mod tests {
         c.apply(DlAction::SendMsg(Msg(1))).unwrap();
         assert_eq!(d.trace.len(), 1);
         assert_eq!(c.trace.len(), 2);
-        assert!(d.state.t.queue.is_empty());
+        assert!(d.state.transmitter().queue.is_empty());
     }
 
     #[test]
     fn behavior_hides_packet_and_internal_actions() {
-        let trace = vec![
+        let mut d = driver();
+        d.trace = vec![
             DlAction::Wake(Dir::TR),
             DlAction::SendPkt(Dir::TR, Packet::data(0, Msg(1))),
             DlAction::Internal(Station::T, 0),
             DlAction::SendMsg(Msg(1)),
         ];
         assert_eq!(
-            behavior_of(&trace),
+            d.behavior(),
             vec![DlAction::Wake(Dir::TR), DlAction::SendMsg(Msg(1))]
         );
+    }
+
+    #[test]
+    fn clean_channels_empties_both_directions() {
+        let mut d = driver();
+        d.apply(DlAction::Wake(Dir::TR)).unwrap();
+        d.apply(DlAction::Wake(Dir::RT)).unwrap();
+        d.apply(DlAction::SendMsg(Msg(1))).unwrap();
+        // Send the data packet twice and deliver the first copy: the
+        // retransmission waits on t→r, the receiver's ack on r→t.
+        let DlAction::SendPkt(_, p) = d.take(transmitter_send(&d)).unwrap() else {
+            panic!("expected send_pkt")
+        };
+        d.take(transmitter_send(&d)).unwrap();
+        d.apply(DlAction::ReceivePkt(Dir::TR, p)).unwrap();
+        let ack = d
+            .rx()
+            .enabled_local(d.state.receiver())
+            .into_iter()
+            .find(|a| matches!(a, DlAction::SendPkt(..)))
+            .expect("receiver has an ack enabled");
+        d.take(ack).unwrap();
+        for dir in Dir::BOTH {
+            assert_eq!(d.channel(dir).waiting().len(), 1, "{dir}");
+        }
+        d.clean_channels();
+        for dir in Dir::BOTH {
+            assert!(d.channel(dir).waiting().is_empty(), "{dir}");
+            assert!(d.channel(dir).is_clean(), "{dir}");
+        }
     }
 }

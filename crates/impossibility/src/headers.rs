@@ -34,8 +34,9 @@ use dl_core::action::{Dir, DlAction, Packet, Station};
 use dl_core::equivalence::{actions_equivalent, packets_equivalent};
 use dl_core::protocol::owning_station;
 use dl_core::spec::datalink::DlModule;
+use dl_sim::system::LinkStateExt;
 
-use crate::driver::{behavior_of, Driver, DriverError, ProtocolAutomaton, RunEnd, Scheduling};
+use crate::driver::{Driver, DriverError, ProtocolAutomaton, RunEnd, Scheduling};
 
 /// Errors from the header engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -213,13 +214,11 @@ where
                 .collect();
 
             // The in-transit pool T (sent on t→r, never received).
-            let transit: Vec<(u64, Packet)> = self
-                .driver
-                .state
-                .tr
+            let tr = self.driver.channel(Dir::TR);
+            let transit: Vec<(u64, Packet)> = tr
                 .in_transit_indices()
                 .into_iter()
-                .map(|i| (i, *self.driver.state.tr.packet(i).expect("index was sent")))
+                .map(|i| (i, *tr.packet(i).expect("index was sent")))
                 .collect();
 
             if let Some(assignment) = match_into_transit(&packet_set, &transit) {
@@ -260,10 +259,11 @@ where
             }
         }
 
-        let transit = self.driver.state.tr.in_transit_indices();
+        let tr = self.driver.channel(Dir::TR);
+        let transit = tr.in_transit_indices();
         let mut classes: Vec<Packet> = Vec::new();
         for i in &transit {
-            let p = *self.driver.state.tr.packet(*i).expect("sent");
+            let p = *tr.packet(*i).expect("sent");
             if !classes.iter().any(|q| packets_equivalent(q, &p)) {
                 classes.push(p);
             }
@@ -286,7 +286,9 @@ where
         rounds: usize,
     ) -> Result<HeaderCounterexample, HeaderError> {
         let indices: Vec<u64> = assignment.iter().map(|(i, _)| *i).collect();
-        self.driver.state.tr.set_waiting(&indices, false)?;
+        self.driver
+            .channel_mut(Dir::TR)
+            .set_waiting(&indices, false)?;
 
         let mut delivered = false;
         for a in gamma {
@@ -297,8 +299,7 @@ where
                 DlAction::ReceivePkt(Dir::TR, p) => {
                     let next = self
                         .driver
-                        .state
-                        .tr
+                        .channel(Dir::TR)
                         .next_delivery()
                         .copied()
                         .ok_or_else(|| {
@@ -319,7 +320,7 @@ where
                     )))
                 }
                 local => {
-                    let enabled = self.driver.rx().enabled_local(&self.driver.state.r);
+                    let enabled = self.driver.rx().enabled_local(self.driver.state.receiver());
                     let found = enabled
                         .into_iter()
                         .find(|cand| actions_equivalent(cand, local))
@@ -342,7 +343,7 @@ where
             ));
         }
 
-        let behavior = behavior_of(&self.driver.trace);
+        let behavior = self.driver.behavior();
         match DlModule::weak().check(&behavior, TraceKind::Prefix) {
             Verdict::Violated(violation) => Ok(HeaderCounterexample {
                 trace: self.driver.trace.clone(),

@@ -23,6 +23,13 @@
 //!   (Stenning's) escape with measurably linear header growth —
 //!   reproducing the §9 discussion.
 //!
+//! Both engines build on [`driver::Driver`], which steps
+//! `dl_sim::link_system` over two permissive channels: the composition the
+//! simulator, fuzzer and fleet run. Every constructed execution is
+//! therefore a schedule of `D̂'(A)` or `D̄'(A)`, and the workspace's
+//! `tests/impossibility_theorems.rs` replays each one over the explorer's
+//! lossy channels and judges it with the frozen reference checkers.
+//!
 //! # Example
 //!
 //! ```

@@ -10,7 +10,8 @@
 use proptest::prelude::*;
 
 use datalink::channels::{
-    BurstLossChannel, DeliverySet, LossMode, LossyFifoChannel, PermissiveChannel, ReorderChannel,
+    DeliverySet, FaultSpec, FaultyChannel, LossMode, LossyFifoChannel, PermissiveChannel,
+    ReorderChannel,
 };
 use datalink::core::action::{Dir, DlAction, Msg, Packet};
 use datalink::core::spec::physical::PlModule;
@@ -114,15 +115,17 @@ proptest! {
         prop_assert!(verdict.is_allowed(), "{verdict}");
     }
 
-    /// The burst-loss substitute solves PL-FIFO for every cycle shape.
+    /// Burst loss (`FaultSpec` burst windows) solves PL-FIFO for every
+    /// cycle shape with a non-empty good stretch.
     #[test]
     fn burst_loss_solves_pl_fifo(
         bursts in prop::collection::vec((1usize..6, any::<bool>()), 1..5),
         seed in any::<u64>(),
-        good in 1u64..5,
-        bad in 0u64..5,
+        good in 1u16..5,
+        bad in 0u16..5,
     ) {
-        let ch = BurstLossChannel::new(Dir::TR, good, bad);
+        let spec = FaultSpec { burst_good: good, burst_bad: bad, ..FaultSpec::none() };
+        let ch = FaultyChannel::new(Dir::TR, spec);
         let (sched, quiescent) = run_channel(&ch, env_script(&bursts), seed);
         prop_assert!(quiescent);
         let verdict = PlModule::pl_fifo(Dir::TR).check(&sched, TraceKind::Complete);

@@ -1,19 +1,24 @@
 //! Integration tests: the full theorem pipelines, end to end, with
 //! independent certification of every emitted counterexample.
 
-use datalink::core::action::{DlAction, Msg, Station};
+use datalink::channels::{FlightState, LossMode, LossyFifoChannel, ReorderChannel};
+use datalink::core::action::{Dir, DlAction, Msg, Station};
+use datalink::core::protocol::DataLinkProtocol;
 use datalink::core::spec::datalink as dlspec;
 use datalink::core::spec::datalink::DlModule;
-use datalink::core::spec::wellformed;
+use datalink::core::spec::{reference, wellformed};
 use datalink::impossibility::crash::{
     build_reference, refute_crash_tolerance, refute_protocol, CounterexampleFlavor, CrashConfig,
-    CrashEngine, CrashError,
+    CrashCounterexample, CrashEngine, CrashError,
 };
 use datalink::impossibility::driver::ProtocolAutomaton;
 use datalink::impossibility::headers::{
-    refute_bounded_headers, HeaderConfig, HeaderEngine, HeaderOutcome,
+    refute_bounded_headers, HeaderConfig, HeaderCounterexample, HeaderEngine, HeaderOutcome,
 };
-use datalink::ioa::schedule_module::{ScheduleModule, TraceKind};
+use datalink::ioa::schedule_module::{ScheduleModule, TraceKind, Verdict};
+use datalink::ioa::Automaton;
+use datalink::sim::link_system;
+use datalink::sim::system::LinkStateExt;
 
 /// A counterexample is only a counterexample if the *hypotheses* hold and
 /// a *conclusion* fails. Check both, independently of the engine.
@@ -44,6 +49,144 @@ fn kind_for(flavor: CounterexampleFlavor) -> TraceKind {
     }
 }
 
+/// The explorer's lossy FIFO channel: the schedules Theorem 7.5 builds
+/// over `Ĉ` must be schedules over it.
+fn lossy_fifo(dir: Dir) -> LossyFifoChannel {
+    LossyFifoChannel::new(dir, LossMode::Nondet)
+}
+
+/// The explorer's lossy reordering channel: the schedules Theorem 8.5
+/// builds over `C̄` must be schedules over it.
+fn lossy_reorder(dir: Dir) -> ReorderChannel {
+    ReorderChannel::new(dir, LossMode::Nondet)
+}
+
+/// Replays `trace` as a schedule of `link_system(tx, rx, C, C)` through
+/// the allocating `successors` API, with `channel` building each
+/// direction's `C`. At each `send_pkt` the channel keeps the packet if the
+/// trace later receives it and drops it otherwise; every other step must
+/// have exactly one successor. Returns whether the last state is
+/// quiescent, or the first step the composed system refuses.
+fn replay_schedule<T, R, C>(
+    tx: &T,
+    rx: &R,
+    channel: fn(Dir) -> C,
+    trace: &[DlAction],
+) -> Result<bool, String>
+where
+    T: ProtocolAutomaton,
+    R: ProtocolAutomaton,
+    C: Automaton<Action = DlAction, State = FlightState>,
+{
+    let sys = link_system(tx.clone(), rx.clone(), channel(Dir::TR), channel(Dir::RT));
+    let mut s = sys.start_states().remove(0);
+    for (i, a) in trace.iter().enumerate() {
+        let succs = sys.successors(&s, a);
+        let next = match a {
+            DlAction::SendPkt(d, p) => {
+                let kept = trace[i + 1..].contains(&DlAction::ReceivePkt(*d, *p));
+                succs.into_iter().find(|t| {
+                    let flight = match d {
+                        Dir::TR => t.channel_tr(),
+                        Dir::RT => t.channel_rt(),
+                    };
+                    flight.in_flight.contains(p) == kept
+                })
+            }
+            _ if succs.len() > 1 => {
+                return Err(format!("step {i} ({a}) has {} successors", succs.len()))
+            }
+            _ => succs.into_iter().next(),
+        };
+        s = next.ok_or_else(|| format!("step {i} ({a}) is not a step of the composed system"))?;
+    }
+    Ok(!sys.has_enabled_local(&s))
+}
+
+/// The frozen reference checker must flag `behavior` with the property
+/// the engine reported.
+fn reference_agrees(name: &str, behavior: &[DlAction], property: &str, kind: TraceKind) {
+    match reference::dl_check(behavior, true, kind) {
+        Verdict::Violated(v) => assert_eq!(v.property, property, "{name}: reference verdict"),
+        other => panic!("{name}: the reference checker does not flag the behavior: {other:?}"),
+    }
+}
+
+/// Fresh station automata accept every step of `trace` they take part
+/// in, and no channel delivers a packet twice or one never sent.
+fn replay_stations<T, R>(name: &str, tx: &T, rx: &R, trace: &[DlAction])
+where
+    T: ProtocolAutomaton,
+    R: ProtocolAutomaton,
+{
+    replay_component(tx, trace);
+    replay_component(rx, trace);
+    for dir in Dir::BOTH {
+        assert!(
+            reference::check_pl3(trace, dir).is_none(),
+            "{name}: {dir} delivers a packet twice"
+        );
+        assert!(
+            reference::check_pl4(trace, dir).is_none(),
+            "{name}: {dir} delivers a never-sent packet"
+        );
+    }
+}
+
+/// Certifies a Theorem 7.5 counterexample without the driver that built
+/// it: today's `WDL` verdict, the reference checker's, fresh-automata
+/// replays, and the whole trace as a schedule over lossy FIFO channels.
+/// A complete (DL8) trace must end quiescent there too.
+fn certify_crash<T, R>(name: &str, tx: &T, rx: &R, cx: &CrashCounterexample)
+where
+    T: ProtocolAutomaton,
+    R: ProtocolAutomaton,
+{
+    let kind = kind_for(cx.flavor);
+    certify_wdl_violation(&cx.behavior, kind);
+    reference_agrees(name, &cx.behavior, cx.violation.property, kind);
+    replay_stations(name, tx, rx, &cx.trace);
+    let quiescent =
+        replay_schedule(tx, rx, lossy_fifo, &cx.trace).unwrap_or_else(|e| panic!("{name}: {e}"));
+    assert!(
+        kind == TraceKind::Prefix || quiescent,
+        "{name}: the complete trace does not end quiescent"
+    );
+}
+
+/// Certifies a Theorem 8.5 counterexample like [`certify_crash`], over
+/// lossy reordering channels. The impersonation works only by
+/// reordering, so lossy FIFO channels must refuse the same trace.
+fn certify_header<T, R>(name: &str, tx: &T, rx: &R, cx: &HeaderCounterexample)
+where
+    T: ProtocolAutomaton,
+    R: ProtocolAutomaton,
+{
+    certify_wdl_violation(&cx.behavior, TraceKind::Prefix);
+    reference_agrees(name, &cx.behavior, cx.violation.property, TraceKind::Prefix);
+    replay_stations(name, tx, rx, &cx.trace);
+    replay_schedule(tx, rx, lossy_reorder, &cx.trace).unwrap_or_else(|e| panic!("{name}: {e}"));
+    assert!(
+        replay_schedule(tx, rx, lossy_fifo, &cx.trace).is_err(),
+        "{name}: the trace is also a schedule over FIFO channels"
+    );
+}
+
+/// Refutes a bounded-header protocol and certifies the counterexample.
+fn refute_header_victim<T, R>(name: &str, p: DataLinkProtocol<T, R>) -> HeaderCounterexample
+where
+    T: ProtocolAutomaton,
+    R: ProtocolAutomaton,
+{
+    let (tx, rx) = (p.transmitter.clone(), p.receiver.clone());
+    let outcome = refute_bounded_headers(p).unwrap_or_else(|e| panic!("{name}: {e}"));
+    let HeaderOutcome::Violation(cx) = outcome else {
+        panic!("{name} not refuted: {outcome:?}");
+    };
+    certify_header(name, &tx, &rx, &cx);
+    *cx
+}
+
 /// Refutes one crashing protocol and pins the E4/E5 shape every victim
 /// shares: the 8-step reference α, 3 pumps, a 16-event counterexample
 /// trace, and DL8 on the complete fair trace.
@@ -52,11 +195,11 @@ where
     T: ProtocolAutomaton,
     R: ProtocolAutomaton,
 {
-    let engine =
-        CrashEngine::new(tx, rx, CrashConfig::default()).unwrap_or_else(|e| panic!("{name}: {e}"));
+    let engine = CrashEngine::new(tx.clone(), rx.clone(), CrashConfig::default())
+        .unwrap_or_else(|e| panic!("{name}: {e}"));
     assert_eq!(engine.reference().len(), 8, "{name}: |α|");
     let cx = engine.run().unwrap_or_else(|e| panic!("{name}: {e}"));
-    certify_wdl_violation(&cx.behavior, kind_for(cx.flavor));
+    certify_crash(name, &tx, &rx, &cx);
     assert_eq!(cx.pumps, 3, "{name}: pumps");
     assert_eq!(cx.trace.len(), 16, "{name}: trace length");
     assert_eq!(cx.violation.property, "DL8", "{name}: violation");
@@ -253,13 +396,9 @@ fn theorem_8_5_all_bounded_header_victims() {
         let p = datalink::protocols::sliding_window::protocol(w);
         assert_eq!(p.info.header_bound, Some(headers), "window {w}: |H|");
         let bound = headers as usize * p.info.k_bound.unwrap();
-        let outcome = refute_bounded_headers(p).unwrap();
-        let HeaderOutcome::Violation(cx) = outcome else {
-            panic!("window {w} not refuted: {outcome:?}");
-        };
+        let cx = refute_header_victim(&format!("go-back-{w}"), p);
         assert_eq!(cx.rounds, rounds, "window {w}: pump rounds");
         assert!(cx.rounds <= bound, "window {w}: rounds over k·|H|");
-        certify_wdl_violation(&cx.behavior, TraceKind::Prefix);
         // The impersonation used genuinely distinct packet identities.
         for (fresh, old) in &cx.matched {
             assert_ne!(fresh.uid, old.uid);
@@ -272,11 +411,7 @@ fn theorem_8_5_all_bounded_header_victims() {
 fn theorem_8_5_refutes_selective_repeat() {
     for w in [1, 2, 3] {
         let p = datalink::protocols::selective_repeat::protocol(w);
-        let outcome = refute_bounded_headers(p).unwrap();
-        let HeaderOutcome::Violation(cx) = outcome else {
-            panic!("selective-repeat {w} not refuted: {outcome:?}");
-        };
-        certify_wdl_violation(&cx.behavior, TraceKind::Prefix);
+        refute_header_victim(&format!("selective-repeat-{w}"), p);
     }
 }
 
@@ -286,11 +421,7 @@ fn theorem_8_5_refutes_the_2_bounded_fragmenting_protocol() {
     // before the Lemma 8.4 match exists.
     let p = datalink::protocols::fragmenting::protocol();
     let bound = p.info.header_bound.unwrap() as usize * p.info.k_bound.unwrap();
-    let outcome = refute_bounded_headers(p).unwrap();
-    let HeaderOutcome::Violation(cx) = outcome else {
-        panic!("fragmenting protocol not refuted: {outcome:?}");
-    };
-    certify_wdl_violation(&cx.behavior, TraceKind::Prefix);
+    let cx = refute_header_victim("fragmenting", p);
     // Two packets impersonated: one per fragment class.
     assert_eq!(cx.matched.len(), 2);
     assert_eq!(cx.rounds, 4, "the E6 table's fragmenting row");
@@ -308,15 +439,15 @@ fn section_9_extension_refutes_the_parity_protocol() {
     // the reference message's parity class; `refute_protocol` reads the
     // declared modulus and succeeds.
     let p = datalink::protocols::parity::protocol();
+    let (tx, rx) = (p.transmitter, p.receiver);
     let cx = refute_protocol(p).unwrap();
-    certify_wdl_violation(&cx.behavior, kind_for(cx.flavor));
+    certify_crash("parity", &tx, &rx, &cx);
 
     // With an odd reference message and class-aware freshness it works
     // equally (the odd class is infinite too).
-    let p = datalink::protocols::parity::protocol();
     let cx = CrashEngine::new(
-        p.transmitter,
-        p.receiver,
+        tx,
+        rx,
         CrashConfig {
             reference_msg: Msg(1),
             msg_class_modulus: Some(2),
@@ -326,7 +457,7 @@ fn section_9_extension_refutes_the_parity_protocol() {
     .unwrap()
     .run()
     .unwrap();
-    certify_wdl_violation(&cx.behavior, kind_for(cx.flavor));
+    certify_crash("parity, odd reference message", &tx, &rx, &cx);
 }
 
 #[test]
@@ -357,7 +488,7 @@ fn section_9_extension_class_blind_pump_diverges() {
 fn theorem_7_5_refutes_the_fragmenting_protocol() {
     let p = datalink::protocols::fragmenting::protocol();
     let cx = refute_crash_tolerance(p.transmitter, p.receiver).unwrap();
-    certify_wdl_violation(&cx.behavior, kind_for(cx.flavor));
+    certify_crash("fragmenting", &p.transmitter, &p.receiver, &cx);
     // The E5 table's fragmenting row (the single-packet victims need 3
     // pumps and a 16-event trace).
     assert_eq!((cx.pumps, cx.trace.len()), (5, 26));
@@ -369,11 +500,7 @@ fn theorem_8_5_refutes_the_parity_protocol() {
     // The header pump needs no class machinery: it measures each round's
     // packet_set directly, and the receiver replay compares headers only.
     let p = datalink::protocols::parity::protocol();
-    let outcome = refute_bounded_headers(p).unwrap();
-    let HeaderOutcome::Violation(cx) = outcome else {
-        panic!("parity protocol not refuted: {outcome:?}");
-    };
-    certify_wdl_violation(&cx.behavior, TraceKind::Prefix);
+    refute_header_victim("parity", p);
 }
 
 #[test]
@@ -381,10 +508,7 @@ fn theorem_8_5_round_bound_matches_paper() {
     // The paper bounds the pump chain by k·|H|. With ABP (|H| = 4 but only
     // 2 data classes matter, k = 1) the engine needs very few rounds.
     let p = datalink::protocols::abp::protocol();
-    let outcome = refute_bounded_headers(p).unwrap();
-    let HeaderOutcome::Violation(cx) = outcome else {
-        panic!("expected violation");
-    };
+    let cx = refute_header_victim("abp", p);
     assert!(cx.rounds <= 4, "took {} rounds", cx.rounds);
     assert_eq!(cx.rounds, 2, "the E6 table's alternating-bit row");
 }

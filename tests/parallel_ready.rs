@@ -9,7 +9,7 @@
 //! pointing at the parallel-exploration contract — not deep inside a
 //! `thread::scope` bound in someone's experiment.
 
-use datalink::channels::{BurstLossChannel, LossyFifoChannel, PermissiveChannel, ReorderChannel};
+use datalink::channels::{FaultyChannel, LossyFifoChannel, PermissiveChannel, ReorderChannel};
 use datalink::core::observer::WdlObserver;
 use datalink::ioa::composition::Compose2;
 use datalink::ioa::Automaton;
@@ -55,7 +55,7 @@ fn protocol_zoo_is_parallel_explorable() {
 fn channels_and_observer_are_parallel_explorable() {
     assert_parallel_explorable::<LossyFifoChannel>();
     assert_parallel_explorable::<ReorderChannel>();
-    assert_parallel_explorable::<BurstLossChannel>();
+    assert_parallel_explorable::<FaultyChannel>();
     assert_parallel_explorable::<PermissiveChannel>();
     assert_parallel_explorable::<WdlObserver>();
 }

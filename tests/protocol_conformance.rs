@@ -180,14 +180,22 @@ proptest! {
 /// failure mode) just as it does from uniform loss.
 #[test]
 fn arq_survives_burst_loss() {
-    use datalink::channels::BurstLossChannel;
+    use datalink::channels::{FaultSpec, FaultyChannel};
+    let burst = |dir, good, bad| {
+        let spec = FaultSpec {
+            burst_good: good,
+            burst_bad: bad,
+            ..FaultSpec::none()
+        };
+        FaultyChannel::new(dir, spec)
+    };
     for w in [1u64, 3] {
         let p = datalink::protocols::sliding_window::protocol(w);
         let sys = link_system(
             p.transmitter,
             p.receiver,
-            BurstLossChannel::new(Dir::TR, 3, 2),
-            BurstLossChannel::new(Dir::RT, 4, 1),
+            burst(Dir::TR, 3, 2),
+            burst(Dir::RT, 4, 1),
         );
         let mut runner = Runner::new(17, 3_000_000);
         let report = runner.run(&sys, &Script::deliver_n(15));

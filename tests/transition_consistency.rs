@@ -283,7 +283,7 @@ fn stabilizing_over_corrupt_channels_matches_legacy() {
     }
 }
 
-/// The simulated channels (nondeterministic loss, reordering, burst) get
+/// The simulated channels (nondeterministic loss, reordering) get
 /// their own walk: they are the only automata with multi-successor
 /// transitions besides composition cross-products. The walk includes the
 /// explorer's exact channel setups — capacity-bounded `Nondet` channels
@@ -292,7 +292,7 @@ fn stabilizing_over_corrupt_channels_matches_legacy() {
 /// E9 and E15 compose in.
 #[test]
 fn simulated_channels_interned_apis_match_legacy() {
-    use datalink::channels::{BurstLossChannel, LossMode, LossyFifoChannel, ReorderChannel};
+    use datalink::channels::{LossMode, LossyFifoChannel, ReorderChannel};
     use datalink::core::action::Packet;
     use datalink::core::observer::WdlObserver;
 
@@ -368,7 +368,6 @@ fn simulated_channels_interned_apis_match_legacy() {
             &inputs,
             seed,
         );
-        drive(&BurstLossChannel::new(Dir::TR, 2, 2), &inputs, seed);
         drive(&WdlObserver, &inputs, seed);
     }
 }
