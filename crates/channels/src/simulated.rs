@@ -164,8 +164,8 @@ fn send_in_place(
     true
 }
 
-/// A simulated channel's `try_for_each_successor`: each pick of its
-/// in-place pair, stepped on a clone of `s`, in order.
+/// A simulated channel's `try_for_each_successor`: each pick its
+/// `successor_count` counts, stepped in place on a clone of `s`, in order.
 fn for_each_pick(
     ch: &impl Automaton<Action = DlAction, State = FlightState>,
     s: &FlightState,
@@ -287,20 +287,26 @@ impl Automaton for LossyFifoChannel {
         }
     }
 
-    fn step_in_place(&self, s: &mut FlightState, a: &DlAction, pick: usize) -> bool {
+    fn step_chosen(
+        &self,
+        s: &mut FlightState,
+        a: &DlAction,
+        choose: &mut dyn FnMut(usize) -> usize,
+    ) -> bool {
         match a {
             DlAction::SendPkt(d, p) if *d == self.dir => {
+                let pick = choose(send_count(self.mode));
                 send_in_place(s, p, self.mode, self.capacity, pick)
             }
-            DlAction::ReceivePkt(d, p) if *d == self.dir => {
-                let fires = pick == 0 && s.in_flight.first() == Some(p);
+            DlAction::ReceivePkt(d, p) if *d == self.dir && s.in_flight.first() == Some(p) => {
+                let fires = choose(1) == 0;
                 if fires {
                     s.in_flight.remove(0);
                 }
                 fires
             }
-            DlAction::Wake(d) | DlAction::Fail(d) if *d == self.dir => pick == 0,
-            DlAction::Crash(x) if *x == self.dir.sender() => pick == 0,
+            DlAction::Wake(d) | DlAction::Fail(d) if *d == self.dir => choose(1) == 0,
+            DlAction::Crash(x) if *x == self.dir.sender() => choose(1) == 0,
             _ => false,
         }
     }
@@ -433,22 +439,28 @@ impl Automaton for ReorderChannel {
         }
     }
 
-    fn step_in_place(&self, s: &mut FlightState, a: &DlAction, pick: usize) -> bool {
+    fn step_chosen(
+        &self,
+        s: &mut FlightState,
+        a: &DlAction,
+        choose: &mut dyn FnMut(usize) -> usize,
+    ) -> bool {
         match a {
             DlAction::SendPkt(d, p) if *d == self.dir => {
+                let pick = choose(send_count(self.mode));
                 send_in_place(s, p, self.mode, self.capacity, pick)
             }
             DlAction::ReceivePkt(d, p) if *d == self.dir => {
                 match s.in_flight.iter().position(|q| q == p) {
-                    Some(k) if pick == 0 => {
+                    Some(k) if choose(1) == 0 => {
                         s.in_flight.remove(k);
                         true
                     }
                     _ => false,
                 }
             }
-            DlAction::Wake(d) | DlAction::Fail(d) if *d == self.dir => pick == 0,
-            DlAction::Crash(x) if *x == self.dir.sender() => pick == 0,
+            DlAction::Wake(d) | DlAction::Fail(d) if *d == self.dir => choose(1) == 0,
+            DlAction::Crash(x) if *x == self.dir.sender() => choose(1) == 0,
             _ => false,
         }
     }

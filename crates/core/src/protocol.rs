@@ -198,6 +198,14 @@ impl<A: StationAutomaton> Automaton for CorruptedStart<A> {
     ) -> std::ops::ControlFlow<()> {
         self.inner.for_each_enabled_local(s, f)
     }
+    fn for_each_enabled_of_task(
+        &self,
+        s: &A::State,
+        task: ioa::automaton::TaskId,
+        f: &mut dyn FnMut(DlAction) -> std::ops::ControlFlow<()>,
+    ) -> std::ops::ControlFlow<()> {
+        self.inner.for_each_enabled_of_task(s, task, f)
+    }
     fn has_enabled_local(&self, s: &A::State) -> bool {
         self.inner.has_enabled_local(s)
     }
@@ -210,8 +218,13 @@ impl<A: StationAutomaton> Automaton for CorruptedStart<A> {
     fn successor_count(&self, s: &A::State, a: &DlAction) -> usize {
         self.inner.successor_count(s, a)
     }
-    fn step_in_place(&self, s: &mut A::State, a: &DlAction, pick: usize) -> bool {
-        self.inner.step_in_place(s, a, pick)
+    fn step_chosen(
+        &self,
+        s: &mut A::State,
+        a: &DlAction,
+        choose: &mut dyn FnMut(usize) -> usize,
+    ) -> bool {
+        self.inner.step_chosen(s, a, choose)
     }
 }
 

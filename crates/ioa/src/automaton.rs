@@ -88,10 +88,12 @@ pub trait Automaton {
     /// [`is_enabled`](Automaton::is_enabled),
     /// [`step_first`](Automaton::step_first),
     /// [`successor_count`](Automaton::successor_count) and
-    /// [`step_in_place`](Automaton::step_in_place). Those defaults build
-    /// successor states to answer, so an automaton on a hot path overrides
-    /// them too: deterministic automata derive all six from a guard and an
-    /// in-place update through [`Deterministic`] and
+    /// [`step_chosen`](Automaton::step_chosen) (and through it
+    /// [`step_in_place`](Automaton::step_in_place), which is never
+    /// overridden). Those defaults build successor states to answer, so an
+    /// automaton on a hot path overrides them too: deterministic automata
+    /// derive all six from a guard and an in-place update through
+    /// [`Deterministic`] and
     /// [`deterministic_transitions!`](crate::deterministic_transitions),
     /// and [`Compose2`](crate::composition::Compose2) touches only the
     /// components whose signature holds the action. Overrides must
@@ -141,6 +143,30 @@ pub trait Automaton {
         ControlFlow::Continue(())
     }
 
+    /// Visits the enabled locally-controlled actions of task class `task`
+    /// only, in [`for_each_enabled_local`](Automaton::for_each_enabled_local)
+    /// order, stopping early when `f` breaks — one fair turn's candidates
+    /// (§2.2) without classifying every enabled action.
+    ///
+    /// The default filters `for_each_enabled_local` by
+    /// [`task_of`](Automaton::task_of);
+    /// [`Compose2`](crate::composition::Compose2) asks only the component
+    /// that owns the class.
+    fn for_each_enabled_of_task(
+        &self,
+        state: &Self::State,
+        task: TaskId,
+        f: &mut dyn FnMut(Self::Action) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        self.for_each_enabled_local(state, &mut |a| {
+            if self.task_of(&a) == task {
+                f(a)
+            } else {
+                ControlFlow::Continue(())
+            }
+        })
+    }
+
     /// Convenience: `true` if some locally-controlled action is enabled —
     /// the quiescence test, without materializing the enabled set.
     fn has_enabled_local(&self, state: &Self::State) -> bool {
@@ -188,16 +214,29 @@ pub trait Automaton {
         n
     }
 
-    /// Replaces `state` by its `pick`-th successor under `action` (the
-    /// position in [`successors`](Automaton::successors)) and returns
-    /// `true`. A `pick` at or beyond
-    /// [`successor_count`](Automaton::successor_count) returns `false` and
-    /// leaves `state` untouched.
+    /// Counts the successors of `(state, action)` once, asks `choose` for
+    /// a position among those `n` (exactly once, and only when `n > 0`),
+    /// replaces `state` by the successor at that position in
+    /// [`successors`](Automaton::successors) order, and returns `true`.
+    /// Returns `false`, leaving `state` untouched, when the action is not
+    /// enabled or the pick is `≥ n`.
     ///
     /// This is how a session that owns only its current state takes a
-    /// step: overrides update the state where it lies instead of building
-    /// a new one.
-    fn step_in_place(&self, state: &mut Self::State, action: &Self::Action, pick: usize) -> bool {
+    /// step, and the transition method a hot-path automaton overrides:
+    /// overrides update the state where it lies instead of building a new
+    /// one, and a composition routes the action to its components once for
+    /// both the count and the step.
+    fn step_chosen(
+        &self,
+        state: &mut Self::State,
+        action: &Self::Action,
+        choose: &mut dyn FnMut(usize) -> usize,
+    ) -> bool {
+        let n = self.successor_count(state, action);
+        if n == 0 {
+            return false;
+        }
+        let pick = choose(n);
         let mut k = 0;
         let mut chosen = None;
         let _ = self.try_for_each_successor(state, action, &mut |s| {
@@ -215,6 +254,18 @@ pub trait Automaton {
             }
             None => false,
         }
+    }
+
+    /// Replaces `state` by its `pick`-th successor under `action` (the
+    /// position in [`successors`](Automaton::successors)) and returns
+    /// `true`. A `pick` at or beyond
+    /// [`successor_count`](Automaton::successor_count) returns `false` and
+    /// leaves `state` untouched.
+    ///
+    /// [`step_chosen`](Automaton::step_chosen) with a fixed pick; override
+    /// that method instead.
+    fn step_in_place(&self, state: &mut Self::State, action: &Self::Action, pick: usize) -> bool {
+        self.step_chosen(state, action, &mut |_| pick)
     }
 
     /// Spot-checks determinism: a unique start state and at most one
@@ -340,6 +391,14 @@ impl<A: Automaton + ?Sized> Automaton for &A {
     ) -> ControlFlow<()> {
         (**self).for_each_enabled_local(state, f)
     }
+    fn for_each_enabled_of_task(
+        &self,
+        state: &Self::State,
+        task: TaskId,
+        f: &mut dyn FnMut(Self::Action) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        (**self).for_each_enabled_of_task(state, task, f)
+    }
     fn has_enabled_local(&self, state: &Self::State) -> bool {
         (**self).has_enabled_local(state)
     }
@@ -352,8 +411,13 @@ impl<A: Automaton + ?Sized> Automaton for &A {
     fn successor_count(&self, state: &Self::State, action: &Self::Action) -> usize {
         (**self).successor_count(state, action)
     }
-    fn step_in_place(&self, state: &mut Self::State, action: &Self::Action, pick: usize) -> bool {
-        (**self).step_in_place(state, action, pick)
+    fn step_chosen(
+        &self,
+        state: &mut Self::State,
+        action: &Self::Action,
+        choose: &mut dyn FnMut(usize) -> usize,
+    ) -> bool {
+        (**self).step_chosen(state, action, choose)
     }
     fn in_signature(&self, action: &Self::Action) -> bool {
         (**self).in_signature(action)
@@ -382,7 +446,7 @@ pub trait Deterministic: Automaton {
 
 /// Emits, inside an `impl Automaton` block, the six transition methods of
 /// a [`Deterministic`] automaton: `successors`, `try_for_each_successor`,
-/// `step_first`, `is_enabled`, `successor_count` and `step_in_place`.
+/// `step_first`, `is_enabled`, `successor_count` and `step_chosen`.
 ///
 /// ```
 /// use ioa::{deterministic_transitions, ActionClass, Automaton, Deterministic, TaskId};
@@ -415,7 +479,7 @@ pub trait Deterministic: Automaton {
 ///
 /// let mut s = 2;
 /// assert_eq!(Counter.successors(&s, &Act::Tick), vec![0]);
-/// assert!(Counter.step_in_place(&mut s, &Act::Tick, 0));
+/// assert!(Counter.step_chosen(&mut s, &Act::Tick, &mut |n| n - 1));
 /// assert_eq!(s, 0);
 /// assert!(!Counter.step_in_place(&mut s, &Act::Tick, 1));
 /// ```
@@ -466,13 +530,14 @@ macro_rules! deterministic_transitions {
             ))
         }
 
-        fn step_in_place(
+        fn step_chosen(
             &self,
             state: &mut Self::State,
             action: &Self::Action,
-            pick: usize,
+            choose: &mut dyn FnMut(usize) -> usize,
         ) -> bool {
-            let fires = pick == 0 && $crate::automaton::Deterministic::enabled(self, state, action);
+            let fires =
+                $crate::automaton::Deterministic::enabled(self, state, action) && choose(1) == 0;
             if fires {
                 $crate::automaton::Deterministic::apply(self, state, action);
             }
@@ -573,6 +638,12 @@ mod tests {
         let mut s = 2;
         assert!(r.step_in_place(&mut s, &Act::Tick, 0));
         assert_eq!(s, 0);
+        let mut seen = Vec::new();
+        let _ = r.for_each_enabled_of_task(&0, TaskId(0), &mut |a| {
+            seen.push(a);
+            ControlFlow::Continue(())
+        });
+        assert_eq!(seen, vec![Act::Tick]);
     }
 
     #[test]
@@ -621,6 +692,56 @@ mod tests {
         let mut s = 5;
         assert!(!Coin.step_in_place(&mut s, &Act::Reset, 2));
         assert_eq!(s, 5, "an out-of-range pick leaves the state untouched");
+
+        // The default `step_chosen` asks its chooser once, with the count.
+        let mut asked = Vec::new();
+        let mut s = 5;
+        assert!(Coin.step_chosen(&mut s, &Act::Reset, &mut |n| {
+            asked.push(n);
+            n - 1
+        }));
+        assert_eq!((s, asked), (1, vec![2]));
+    }
+
+    #[test]
+    fn default_task_walk_filters_by_task() {
+        /// Two tasks: `Tick` in class 1, `Reset` (locally controlled
+        /// here) in class 0, enabled in the order `Tick, Reset, Tick`.
+        #[derive(Clone)]
+        struct TwoTask;
+        impl Automaton for TwoTask {
+            type Action = Act;
+            type State = u8;
+            fn start_states(&self) -> Vec<u8> {
+                vec![0]
+            }
+            fn classify(&self, _a: &Act) -> Option<ActionClass> {
+                Some(ActionClass::Output)
+            }
+            fn successors(&self, s: &u8, _a: &Act) -> Vec<u8> {
+                vec![*s]
+            }
+            fn enabled_local(&self, _s: &u8) -> Vec<Act> {
+                vec![Act::Tick, Act::Reset, Act::Tick]
+            }
+            fn task_of(&self, a: &Act) -> TaskId {
+                TaskId(usize::from(*a == Act::Tick))
+            }
+            fn task_count(&self) -> usize {
+                2
+            }
+        }
+        let of_task = |t| {
+            let mut seen = Vec::new();
+            let _ = TwoTask.for_each_enabled_of_task(&0, TaskId(t), &mut |a| {
+                seen.push(a);
+                ControlFlow::Continue(())
+            });
+            seen
+        };
+        assert_eq!(of_task(0), vec![Act::Reset]);
+        assert_eq!(of_task(1), vec![Act::Tick, Act::Tick]);
+        assert_eq!(of_task(2), vec![]);
     }
 
     #[test]

@@ -117,8 +117,9 @@ impl<A: fmt::Debug> std::error::Error for CompatibilityError<A> {}
 /// universe may be infinite): [`Compose2::check_compatible`] validates a
 /// sample of actions, and every `classify` call asserts compatibility for
 /// the action it sees in debug builds. Debug builds of
-/// [`for_each_enabled_local`](Automaton::for_each_enabled_local) likewise
-/// assert that the other side takes every action one side enables
+/// [`for_each_enabled_local`](Automaton::for_each_enabled_local) and
+/// [`for_each_enabled_of_task`](Automaton::for_each_enabled_of_task)
+/// likewise assert that the other side takes every action one side enables
 /// (input enabledness, §2.2); [`enabled_local`](Automaton::enabled_local)
 /// filters such actions out instead.
 #[derive(Clone)]
@@ -202,6 +203,17 @@ where
         }
         out
     }
+}
+
+/// The input-enabledness check (§2.2) of a composition's enabled walks,
+/// in debug builds: `other`, in `state`, takes the action `a` that the
+/// composition's `side` component enables, unless `a` is outside its
+/// signature.
+fn debug_assert_takes<O: Automaton>(other: &O, state: &O::State, a: &O::Action, side: &str) {
+    debug_assert!(
+        !other.in_signature(a) || other.is_enabled(state, a),
+        "input enabledness violated: {a:?} is enabled on the {side} but refused on the other side"
+    );
 }
 
 impl<L, R, A> Automaton for Compose2<L, R>
@@ -373,33 +385,70 @@ where
         }
     }
 
-    fn step_in_place(&self, state: &mut Self::State, action: &A, pick: usize) -> bool {
+    fn step_chosen(
+        &self,
+        state: &mut Self::State,
+        action: &A,
+        choose: &mut dyn FnMut(usize) -> usize,
+    ) -> bool {
         // Only the components whose signature holds the action step; the
-        // other keeps its state untouched (§2.5). A shared action's pick
-        // splits in the enumeration's order, left outer and right inner,
-        // with both counts taken before either side moves.
+        // other keeps its state untouched (§2.5). A one-sided action hands
+        // the chooser down. A shared action draws one pick over the product
+        // of both counts, split left outer and right inner as the
+        // enumeration orders it: the left's chooser lets the right count
+        // and step under that draw, then returns the left's share. A zero
+        // count or an out-of-range pick on either side moves neither.
         let in_l = self.left.in_signature(action);
         let in_r = self.right.in_signature(action);
+        let Pair { left, right } = state;
         match (in_l, in_r) {
             (false, false) => false,
-            (true, false) => self.left.step_in_place(&mut state.left, action, pick),
-            (false, true) => self.right.step_in_place(&mut state.right, action, pick),
+            (true, false) => self.left.step_chosen(left, action, choose),
+            (false, true) => self.right.step_chosen(right, action, choose),
             (true, true) => {
-                let nl = self.left.successor_count(&state.left, action);
-                if nl == 0 {
-                    return false;
-                }
-                let nr = self.right.successor_count(&state.right, action);
-                if pick >= nl * nr {
-                    return false;
-                }
-                let stepped = self.left.step_in_place(&mut state.left, action, pick / nr)
-                    && self
-                        .right
-                        .step_in_place(&mut state.right, action, pick % nr);
-                debug_assert!(stepped, "a counted successor must step");
-                stepped
+                let mut right_stepped = false;
+                let left_stepped = self.left.step_chosen(left, action, &mut |nl| {
+                    let mut left_pick = nl;
+                    right_stepped = self.right.step_chosen(right, action, &mut |nr| {
+                        let pick = choose(nl * nr);
+                        if pick >= nl * nr {
+                            return nr;
+                        }
+                        left_pick = pick / nr;
+                        pick % nr
+                    });
+                    left_pick
+                });
+                debug_assert_eq!(left_stepped, right_stepped, "a counted successor must step");
+                left_stepped
             }
+        }
+    }
+
+    fn for_each_enabled_of_task(
+        &self,
+        state: &Self::State,
+        task: TaskId,
+        f: &mut dyn FnMut(A) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        // The composite partition is the disjoint union of the
+        // components' (`task_of`), so one component owns the class; the
+        // other is asked nothing beyond the debug input-enabledness check
+        // `for_each_enabled_local` makes.
+        let split = self.left.task_count();
+        if task.0 < split {
+            self.left
+                .for_each_enabled_of_task(&state.left, task, &mut |a| {
+                    debug_assert_takes(&self.right, &state.right, &a, "left");
+                    f(a)
+                })
+        } else {
+            let task = TaskId(task.0 - split);
+            self.right
+                .for_each_enabled_of_task(&state.right, task, &mut |a| {
+                    debug_assert_takes(&self.left, &state.left, &a, "right");
+                    f(a)
+                })
         }
     }
 
@@ -417,17 +466,11 @@ where
         // makes `enabled_local`'s dedup of right-side actions against the
         // left's unreachable, so this form omits it.
         self.left.for_each_enabled_local(&state.left, &mut |a| {
-            debug_assert!(
-                !self.right.in_signature(&a) || self.right.is_enabled(&state.right, &a),
-                "input enabledness violated: {a:?} is enabled on the left but refused on the right"
-            );
+            debug_assert_takes(&self.right, &state.right, &a, "left");
             f(a)
         })?;
         self.right.for_each_enabled_local(&state.right, &mut |a| {
-            debug_assert!(
-                !self.left.in_signature(&a) || self.left.is_enabled(&state.left, &a),
-                "input enabledness violated: {a:?} is enabled on the right but refused on the left"
-            );
+            debug_assert_takes(&self.left, &state.left, &a, "right");
             f(a)
         })
     }
@@ -659,16 +702,38 @@ mod tests {
                 assert_eq!((flow, calls), (ControlFlow::Break(()), k));
             }
             // In place, pick k lands on the k-th product; a pick equal to
-            // the count is refused and leaves the state alone.
+            // the count is refused and leaves the state alone. The chooser
+            // is asked once, with the product count, and never for an
+            // empty fan.
             assert_eq!(c.successor_count(&s, &mid), legacy.len());
+            let chosen = |pick: usize| {
+                let mut t = s.clone();
+                let mut asked = Vec::new();
+                let stepped = c.step_chosen(&mut t, &mid, &mut |n| {
+                    asked.push(n);
+                    pick
+                });
+                (stepped, t, asked)
+            };
+            let asked = if legacy.is_empty() {
+                vec![]
+            } else {
+                vec![legacy.len()]
+            };
             for (k, want) in legacy.iter().enumerate() {
                 let mut t = s.clone();
                 assert!(c.step_in_place(&mut t, &mid, k), "fan {lf}x{rf} pick {k}");
                 assert_eq!(&t, want, "fan {lf}x{rf} pick {k}");
+                assert_eq!(
+                    chosen(k),
+                    (true, want.clone(), asked.clone()),
+                    "fan {lf}x{rf} chosen pick {k}"
+                );
             }
             let mut t = s.clone();
             assert!(!c.step_in_place(&mut t, &mid, legacy.len()));
             assert_eq!(t, s);
+            assert_eq!(chosen(legacy.len()), (false, s.clone(), asked));
         }
     }
 
@@ -736,12 +801,35 @@ mod tests {
         });
     }
 
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "input enabledness violated")]
+    fn task_walk_asserts_input_enabledness() {
+        let c = Compose2::new(Producer, Picky);
+        let _ = c.for_each_enabled_of_task(&Pair::new(Some(7), Some(3)), TaskId(0), &mut |_| {
+            ControlFlow::Continue(())
+        });
+    }
+
     #[test]
     fn task_ids_shift() {
         let c = pipeline();
         assert_eq!(c.task_count(), 2);
         assert_eq!(c.task_of(&Act::Mid(0)), TaskId(0));
         assert_eq!(c.task_of(&Act::Out(0)), TaskId(1));
+
+        // Each class's walk asks only its owner, under the shifted id.
+        let s = Pair::new(Some(7), Some(3));
+        let of_task = |t| {
+            let mut seen = Vec::new();
+            let _ = c.for_each_enabled_of_task(&s, TaskId(t), &mut |a| {
+                seen.push(a);
+                ControlFlow::Continue(())
+            });
+            seen
+        };
+        assert_eq!(of_task(0), vec![Act::Mid(7)]);
+        assert_eq!(of_task(1), vec![Act::Out(3)]);
     }
 
     #[test]

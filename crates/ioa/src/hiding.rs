@@ -105,6 +105,15 @@ where
         self.inner.for_each_enabled_local(state, f)
     }
 
+    fn for_each_enabled_of_task(
+        &self,
+        state: &Self::State,
+        task: TaskId,
+        f: &mut dyn FnMut(Self::Action) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        self.inner.for_each_enabled_of_task(state, task, f)
+    }
+
     fn has_enabled_local(&self, state: &Self::State) -> bool {
         self.inner.has_enabled_local(state)
     }
@@ -121,8 +130,13 @@ where
         self.inner.successor_count(state, action)
     }
 
-    fn step_in_place(&self, state: &mut Self::State, action: &Self::Action, pick: usize) -> bool {
-        self.inner.step_in_place(state, action, pick)
+    fn step_chosen(
+        &self,
+        state: &mut Self::State,
+        action: &Self::Action,
+        choose: &mut dyn FnMut(usize) -> usize,
+    ) -> bool {
+        self.inner.step_chosen(state, action, choose)
     }
 }
 

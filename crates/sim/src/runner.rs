@@ -6,7 +6,7 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 use ioa::action::ActionClass;
-use ioa::automaton::Automaton;
+use ioa::automaton::{Automaton, TaskId};
 use ioa::execution::Execution;
 use ioa::schedule_module::Violation;
 
@@ -266,8 +266,8 @@ pub struct Runner {
 /// Reusable per-run buffer: the scheduled task class is refilled in
 /// place every step, so a steady-state run allocates only when it grows
 /// past its high-water mark. Successors need no buffer: a step counts
-/// them and then moves the state to the picked one in place
-/// ([`Automaton::step_in_place`]).
+/// them and moves the state to the picked one in place
+/// ([`Automaton::step_chosen`]).
 #[derive(Default)]
 struct Scratch {
     in_class: Vec<DlAction>,
@@ -486,28 +486,6 @@ impl<S: Clone + Eq + std::fmt::Debug> Trace<S> {
             Trace::Tail { last, .. } => last,
         }
     }
-
-    /// Takes `action` with successor `pick`, which the caller has counted.
-    /// A lean trace moves its one live state in place; a recording trace
-    /// steps a clone of its last state and appends it.
-    fn step<M>(&mut self, system: &M, action: DlAction, pick: usize)
-    where
-        M: Automaton<Action = DlAction, State = S>,
-    {
-        let stepped = match self {
-            Trace::Full(e) => {
-                let mut post = e.last_state().clone();
-                let stepped = system.step_in_place(&mut post, &action, pick);
-                e.push_unchecked(action, post);
-                stepped
-            }
-            Trace::Tail { last, len } => {
-                *len += 1;
-                system.step_in_place(last, &action, pick)
-            }
-        };
-        assert!(stepped, "successor {pick} of a counted step must exist");
-    }
 }
 
 /// Mixes one action into a rolling schedule digest (start from 0).
@@ -521,13 +499,39 @@ impl<S: Clone + Eq + std::fmt::Debug> Trace<S> {
 /// recorded schedule.
 #[must_use]
 pub fn digest_action(digest: u64, action: &DlAction) -> u64 {
-    use std::hash::BuildHasher;
-    let hasher =
-        std::hash::BuildHasherDefault::<std::collections::hash_map::DefaultHasher>::default();
-    let h = hasher.hash_one(action);
+    use std::hash::{Hash, Hasher};
+    let mut bytes = HashBytes {
+        buf: [0; 64],
+        len: 0,
+    };
+    action.hash(&mut bytes);
+    let mut hasher = std::collections::hash_map::DefaultHasher::new();
+    hasher.write(&bytes.buf[..bytes.len]);
+    let h = hasher.finish();
     let mut z = digest.rotate_left(17) ^ h.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z ^ (z >> 31)
+}
+
+/// The bytes `DlAction::hash` feeds its hasher, collected on the stack.
+/// SipHash digests a byte stream however it is split into writes, so one
+/// `write` of these bytes hashes as the per-field writes do, minus the
+/// per-write overhead. 64 bytes hold the largest action: a `send_pkt`
+/// hashes seven 8-byte words.
+struct HashBytes {
+    buf: [u8; 64],
+    len: usize,
+}
+
+impl std::hash::Hasher for HashBytes {
+    fn write(&mut self, bytes: &[u8]) {
+        self.buf[self.len..self.len + bytes.len()].copy_from_slice(bytes);
+        self.len += bytes.len();
+    }
+
+    fn finish(&self) -> u64 {
+        unreachable!("HashBytes only collects bytes for another hasher")
+    }
 }
 
 /// Folds a complete schedule into the rolling digest: [`digest_action`]
@@ -958,10 +962,11 @@ where
 /// borrow its fields disjointly.
 ///
 /// Round-robin fairness: the scheduled class is the enabled actions of the
-/// first task, scanning from `next_task`, that has any. One walk of the
-/// enabled set finds it: each action's offset from `next_task` is taken
-/// once, and the buffer keeps the actions of the smallest offset seen so
-/// far, in enumeration order.
+/// first task, probing `next_task, next_task + 1, …` (mod `task_count`),
+/// that has any. Each probe asks the system for that one task's enabled
+/// actions ([`Automaton::for_each_enabled_of_task`]), so no action is
+/// enumerated outside the class it is found in, and no action's task is
+/// looked up.
 fn fair_local_step<M>(
     runner: &mut Runner,
     system: &M,
@@ -974,40 +979,35 @@ where
     M: Automaton<Action = DlAction>,
 {
     let tasks = system.task_count().max(1);
-    let start = *next_task;
-    let mut best = tasks;
-    scratch.in_class.clear();
     let cap = scratch.in_class.capacity();
-    let _ = system.for_each_enabled_local(trace.last_state(), &mut |a| {
-        let t = system.task_of(&a).0;
-        if t < tasks {
-            let offset = (t + tasks - start) % tasks;
-            if offset < best {
-                best = offset;
-                scratch.in_class.clear();
-            }
-            if offset == best {
-                scratch.in_class.push(a);
-            }
-        }
-        std::ops::ControlFlow::Continue(())
+    scratch.in_class.clear();
+    let state = trace.last_state();
+    let scheduled = (0..tasks).map(|i| (*next_task + i) % tasks).find(|&t| {
+        let _ = system.for_each_enabled_of_task(state, TaskId(t), &mut |a| {
+            scratch.in_class.push(a);
+            std::ops::ControlFlow::Continue(())
+        });
+        !scratch.in_class.is_empty()
     });
     scratch.refills += u64::from(scratch.in_class.capacity() != cap);
-    if scratch.in_class.is_empty() {
-        return None;
-    }
+    let task = scheduled?;
     let pick = runner.decide(DecisionPoint::Action, scratch.in_class.len());
     let action = scratch.in_class[pick];
     let took = take(runner, system, trace, action, online);
-    debug_assert!(took.is_some(), "enabled_local returned a disabled action");
-    *next_task = (start + best + 1) % tasks;
+    debug_assert!(
+        took.is_some(),
+        "an enabled task walk returned a disabled action"
+    );
+    *next_task = (task + 1) % tasks;
     took
 }
 
 /// Takes `action`, stamping a fresh uid if it is an unstamped `send_pkt`,
-/// and resolving successor nondeterminism with the seeded RNG: count the
-/// successors, draw one, step to it in place. Returns the action as
-/// taken, or `None` if it has no successor.
+/// and resolving successor nondeterminism with the seeded RNG in one
+/// [`Automaton::step_chosen`] call: the system counts the successors, the
+/// runner draws one, and the live state moves to it in place (a recording
+/// trace steps a clone of its last state and appends it). Returns the
+/// action as taken, or `None` if it has no successor.
 fn take<M>(
     runner: &mut Runner,
     system: &M,
@@ -1024,15 +1024,28 @@ where
             runner.next_uid += 1;
         }
     }
-    let n = system.successor_count(trace.last_state(), &action);
-    if n == 0 {
+    let mut choose = |n| runner.decide(DecisionPoint::Successor, n);
+    let stepped = match trace {
+        Trace::Full(e) => {
+            let mut post = e.last_state().clone();
+            let stepped = system.step_chosen(&mut post, &action, &mut choose);
+            if stepped {
+                e.push_unchecked(action, post);
+            }
+            stepped
+        }
+        Trace::Tail { last, len } => {
+            let stepped = system.step_chosen(last, &action, &mut choose);
+            *len += usize::from(stepped);
+            stepped
+        }
+    };
+    if !stepped {
         return None;
     }
-    let pick = runner.decide(DecisionPoint::Successor, n);
     if let Some(o) = online {
         o.observe(&action);
     }
-    trace.step(system, action, pick);
     Some(action)
 }
 
@@ -1044,7 +1057,6 @@ mod tests {
     use dl_channels::simulated::{LossMode, LossyFifoChannel};
     use dl_core::spec::datalink::DlModule;
     use dl_core::spec::physical::PlModule;
-    use ioa::automaton::TaskId;
     use ioa::schedule_module::{ScheduleModule, TraceKind, Verdict};
 
     fn abp_system(
@@ -1365,6 +1377,56 @@ mod tests {
             DlModule::weak().check(&sched, TraceKind::Prefix),
             Verdict::Violated(v.clone())
         );
+    }
+
+    /// The digest step as first defined: SipHash fed field by field
+    /// through `hash_one`, then the same mix.
+    fn per_field_digest(digest: u64, action: &DlAction) -> u64 {
+        use std::hash::BuildHasher;
+        let hasher =
+            std::hash::BuildHasherDefault::<std::collections::hash_map::DefaultHasher>::default();
+        let h = hasher.hash_one(action);
+        let mut z = digest.rotate_left(17) ^ h.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn digest_action_matches_the_per_field_hash_on_every_shape() {
+        use dl_core::action::{Header, Msg, Station, Tag};
+        let mut shapes = Vec::new();
+        for m in [Msg(0), Msg(42), Msg(u64::MAX)] {
+            shapes.extend([DlAction::SendMsg(m), DlAction::ReceiveMsg(m)]);
+        }
+        for d in Dir::BOTH {
+            shapes.extend([DlAction::Wake(d), DlAction::Fail(d)]);
+            for tag in [Tag::Data, Tag::Ack, Tag::Init, Tag::InitAck] {
+                for uid in [Packet::UNSTAMPED, 0, 9] {
+                    for payload in [None, Some(Msg(0)), Some(Msg(7))] {
+                        let p = Packet {
+                            uid,
+                            header: Header::new(tag, 3),
+                            payload,
+                        };
+                        shapes.extend([DlAction::SendPkt(d, p), DlAction::ReceivePkt(d, p)]);
+                    }
+                }
+            }
+        }
+        for x in [Station::T, Station::R] {
+            shapes.push(DlAction::Crash(x));
+            for code in [0, 5, u64::MAX] {
+                shapes.push(DlAction::Internal(x, code));
+            }
+        }
+        let (mut digest, mut reference) = (0, 0);
+        for a in &shapes {
+            assert_eq!(digest_action(0, a), per_field_digest(0, a), "{a:?}");
+            digest = digest_action(digest, a);
+            reference = per_field_digest(reference, a);
+        }
+        assert_eq!(digest, reference);
+        assert_eq!(schedule_digest(&shapes), reference);
     }
 
     #[test]

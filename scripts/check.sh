@@ -120,8 +120,12 @@ stage_alloc() {
 
 stage_differential() {
   # Scratch-buffer runner byte-identical to the frozen clone-based
-  # executor.
+  # executor; and, in release, the trait-method contracts the session
+  # step rests on (per-task enabled walks, counted-and-chosen steps,
+  # in-place picks) against `successors`/`enabled_local` on every zoo
+  # composition.
   cargo test -q -p dl-sim --test interned_runner_differential
+  cargo test --release -q --test transition_consistency
 }
 
 stage_cross_check() {

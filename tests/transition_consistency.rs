@@ -4,13 +4,17 @@
 //! methods — `try_for_each_successor`, `for_each_enabled_local`, and the
 //! derived `is_enabled`/`step_first`/`has_enabled_local` — agreeing
 //! **exactly** (same elements, same order) with the legacy Vec-returning
-//! `successors`/`enabled_local` they shadow. Sessions and the explorer
-//! step through two more, `successor_count` and `step_in_place`, which
-//! must count the same successors and move a state to exactly the one at
-//! the picked position. Executors pick successors by position, so even a
-//! reordering would silently change schedules. The explorer also copies
-//! each state onto a reused one (`clone_from`) before every pick, so the
-//! picks here are stepped the same way.
+//! `successors`/`enabled_local` they shadow. The explorer steps through
+//! `successor_count` and `step_in_place`, and sessions through
+//! `for_each_enabled_of_task` and `step_chosen`: a task walk must yield
+//! exactly the enabled actions of that task class in enumeration order,
+//! and a step must count the same successors (asking its chooser once,
+//! with that count, and never for a disabled action) and move a state to
+//! exactly the one at the picked position. Executors pick actions and
+//! successors by position, so even a reordering would silently change
+//! schedules. The explorer also copies each state onto a reused one
+//! (`clone_from`) before every pick, so the picks here are stepped the
+//! same way.
 //!
 //! This suite walks the full composed `link_system` (Hide ∘ Compose2 ∘
 //! protocol stations ∘ channels) for every protocol of the zoo — over
@@ -25,7 +29,7 @@ use std::ops::ControlFlow;
 use datalink::channels::{CorruptChannel, CorruptSpec, FaultSpec, FaultyChannel, GhostSpec};
 use datalink::core::action::{Dir, DlAction, Msg, Station};
 use datalink::core::protocol::{action_sample, CorruptedStart, DataLinkProtocol, StationAutomaton};
-use datalink::ioa::Automaton;
+use datalink::ioa::{Automaton, TaskId};
 use datalink::sim::link_system;
 
 /// Deterministic splitmix64 step for the walk's choices.
@@ -55,6 +59,23 @@ where
     assert_eq!(legacy_enabled, cb_enabled, "enabled_local order differs");
     assert_eq!(auto.has_enabled_local(s), !legacy_enabled.is_empty());
 
+    // for_each_enabled_of_task == enabled_local filtered by task_of,
+    // same order, for every class.
+    for t in 0..auto.task_count() {
+        let want: Vec<_> = legacy_enabled
+            .iter()
+            .filter(|a| auto.task_of(a) == TaskId(t))
+            .cloned()
+            .collect();
+        let mut got = Vec::new();
+        let flow = auto.for_each_enabled_of_task(s, TaskId(t), &mut |a| {
+            got.push(a);
+            ControlFlow::Continue(())
+        });
+        assert_eq!(flow, ControlFlow::Continue(()));
+        assert_eq!(got, want, "task {t}'s enabled walk differs");
+    }
+
     // One reused state, copied onto with `clone_from` before each pick as
     // the explorer does; it still holds the previous action's last
     // successor, so a `clone_from` that leaves part of a dirty target
@@ -76,6 +97,20 @@ where
 
         let n = auto.successor_count(s, a);
         assert_eq!(n, legacy.len(), "successor_count differs for {a:?}");
+        // step_chosen asks its chooser exactly once, with the count, and
+        // not at all for a disabled action.
+        let asked_once = if n == 0 { vec![] } else { vec![n] };
+        t.clone_from(s);
+        let mut asked = Vec::new();
+        assert!(
+            !auto.step_chosen(&mut t, a, &mut |m| {
+                asked.push(m);
+                m
+            }),
+            "a pick equal to the count stepped {a:?}"
+        );
+        assert_eq!(&t, s, "a refused step_chosen moved the state for {a:?}");
+        assert_eq!(asked, asked_once, "chooser calls differ for {a:?}");
         t.clone_from(s);
         assert!(
             !auto.step_in_place(&mut t, a, n),
@@ -83,6 +118,17 @@ where
         );
         assert_eq!(&t, s, "a refused step_in_place moved the state for {a:?}");
         for (k, want) in legacy.iter().enumerate() {
+            t.clone_from(s);
+            let mut asked = Vec::new();
+            assert!(
+                auto.step_chosen(&mut t, a, &mut |m| {
+                    asked.push(m);
+                    k
+                }),
+                "pick {k} refused for {a:?}"
+            );
+            assert_eq!(&t, want, "step_chosen pick {k} differs for {a:?}");
+            assert_eq!(asked, asked_once, "chooser calls differ for {a:?}");
             t.clone_from(s);
             assert!(
                 auto.step_in_place(&mut t, a, k),
@@ -288,8 +334,9 @@ fn stabilizing_over_corrupt_channels_matches_legacy() {
 /// transitions besides composition cross-products. The walk includes the
 /// explorer's exact channel setups — capacity-bounded `Nondet` channels
 /// as in E9/E15/E16, and the lossless bounded channel of the crash pump,
-/// whose sends into a full queue are dropped — and the WDL observer that
-/// E9 and E15 compose in.
+/// whose sends into a full queue are dropped — the WDL observer that
+/// E9 and E15 compose in, and the ABP link over bounded nondeterministic
+/// channels.
 #[test]
 fn simulated_channels_interned_apis_match_legacy() {
     use datalink::channels::{LossMode, LossyFifoChannel, ReorderChannel};
@@ -369,5 +416,16 @@ fn simulated_channels_interned_apis_match_legacy() {
             seed,
         );
         drive(&WdlObserver, &inputs, seed);
+        // Composed, a nondeterministic send is a shared action with one
+        // station successor and two channel successors, so the walk
+        // checks how `Compose2` splits a pick between its sides.
+        let p = datalink::protocols::abp::protocol();
+        let sys = link_system(
+            p.transmitter,
+            p.receiver,
+            LossyFifoChannel::with_capacity(Dir::TR, LossMode::Nondet, 2),
+            ReorderChannel::with_capacity(Dir::RT, LossMode::Nondet, 2),
+        );
+        walk_and_check(&sys, 160, seed);
     }
 }
