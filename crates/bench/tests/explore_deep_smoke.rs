@@ -1,9 +1,9 @@
 //! Release smoke for the `explore/deep` workload: a scaled-down instance
 //! (channel capacity 5, 3 messages — 9129 states in well under a second)
 //! goes through the exact `explore_deep_n` path the published ≥10⁶-state
-//! `explore/deep` ledger entry uses, pinning the packed backend's counts
-//! and the lock-free visited set's thread-count independence without the
-//! full run's wall-clock cost.
+//! `explore/deep` ledger entry uses, pinning the packed backend's counts,
+//! its exact `arena_bytes`, and the lock-free visited set's thread-count
+//! independence without the full run's wall-clock cost.
 
 use dl_bench::ledger_runs::explore_deep_n;
 
@@ -15,7 +15,11 @@ fn scaled_deep_run_is_thread_count_independent() {
     assert_eq!(oracle.counters["states"], 9129);
     assert_eq!(oracle.counters["violation"], 0);
     assert_eq!(oracle.counters["truncated"], 0);
-    assert!(oracle.counters["arena_bytes"] > 0);
+    // Allocated capacity, exact: ten encoding chunks of 512 bytes doubling
+    // to 256 KiB (523,776 bytes), 16,368 16-byte records in 10 segments,
+    // and a 16,384-slot index. Chunk or segment sizes, the record layout,
+    // or a codec change moves it.
+    assert_eq!(oracle.counters["arena_bytes"], 851_200);
     // The run's own 2-thread leg agreed with its main pass, or it would
     // have panicked; its gauges ride along ungated.
     assert!(oracle.gauges["speedup_2t"] > 0.0);

@@ -26,6 +26,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use dl_obs::Stopwatch;
+use ioa::intern::SegVec;
 use ioa::Automaton;
 
 use crate::property::{Invariant, Property, TraceProperty};
@@ -224,13 +225,14 @@ where
         // Spanning-tree links, parallel to the arena: `parents[i]` /
         // `action_idx[i]` name the minimal claim that admitted state `i`
         // (`NO_LINK` for roots). Actions are never stored — the index
-        // resolves against the parent's deterministic action list.
-        let mut parents: Vec<u32> = Vec::new();
-        let mut action_idx: Vec<u32> = Vec::new();
+        // resolves against the parent's deterministic action list. Like
+        // the store, these columns grow by segments and never move.
+        let mut parents: SegVec<u32> = SegVec::new();
+        let mut action_idx: SegVec<u32> = SegVec::new();
         // Trace-monitor states, parallel to the arena. Stepping happens
         // at admission time (single-threaded, between layers), so workers
         // never touch this.
-        let mut tstates: Vec<TP::State> = Vec::new();
+        let mut tstates: SegVec<TP::State> = SegVec::new();
 
         let mut scratch: <B::Store as StateStore<M::State>>::Scratch = Default::default();
         for state in starts {
@@ -538,8 +540,8 @@ where
     fn reconstruct_path(
         &self,
         store: &B::Store,
-        parents: &[u32],
-        action_idx: &[u32],
+        parents: &SegVec<u32>,
+        action_idx: &SegVec<u32>,
         mut idx: usize,
     ) -> Vec<M::Action> {
         let mut path = Vec::new();

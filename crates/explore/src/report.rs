@@ -62,11 +62,12 @@ pub struct ExploreReport<A, S> {
     pub layers: Vec<LayerStats>,
     /// Worker threads the engine actually used.
     pub threads: usize,
-    /// Resident bytes of the state arena (interned states, cached hashes,
-    /// index slots) when the search finished. A lower bound on footprint:
-    /// heap data owned *by* the states is not traversed. With the interned
-    /// core each state is stored once — the legacy engine's second copy in
-    /// the visited map is gone.
+    /// Allocated bytes of the state store when the search finished
+    /// ([`StateStore::approx_bytes`](crate::StateStore::approx_bytes)):
+    /// capacity, not resident pages, so never-touched capacity counts
+    /// and the process's resident set can be smaller. It leaves out the
+    /// engine's spanning-tree links (8 bytes per state) and heap data
+    /// owned *by* plain-backend states, which is not traversed.
     pub arena_bytes: usize,
     /// Wall-clock duration of the search.
     pub duration: Duration,

@@ -123,7 +123,10 @@ pub trait StateStore<S: Clone>: Sync {
         self.len() == 0
     }
 
-    /// Resident footprint of the arena in bytes.
+    /// Allocated bytes of the store — its arena, per-state hashes and
+    /// locations, and index — as capacity, not resident pages. It leaves
+    /// out the engine's spanning-tree links and heap data owned by
+    /// stored states (plain storage does not traverse them).
     fn approx_bytes(&self) -> usize;
 }
 
@@ -207,7 +210,8 @@ where
 }
 
 /// Packed-encoding backend: states live as canonical [`PackedCodec`]
-/// byte strings in a [`PackedTable`].
+/// byte strings in a [`PackedTable`], which never moves a stored
+/// encoding or record once admitted.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PackedBackend;
 

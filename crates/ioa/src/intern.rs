@@ -650,24 +650,183 @@ impl PackedCodec for std::collections::BTreeSet<u64> {
     }
 }
 
+/// Segment 0 of a [`SegVec`] holds `1 << SEG_FIRST_SHIFT` entries.
+const SEG_FIRST_SHIFT: u32 = 4;
+/// Segments double up to `1 << SEG_MAX_SHIFT` entries, then stay there.
+const SEG_MAX_SHIFT: u32 = 16;
+/// Entries held by the doubling segments, `0..=SEG_MAX_SHIFT - SEG_FIRST_SHIFT`.
+const SEG_GEOMETRIC: usize = (1 << (SEG_MAX_SHIFT + 1)) - (1 << SEG_FIRST_SHIFT);
+
+/// An append-only column that never moves what it holds.
+///
+/// A `Vec` that grows by doubling copies every entry to a new block and
+/// frees the old one; in a long-lived process whose allocator serves
+/// such blocks from the heap, each copy leaves a resident hole. A
+/// `SegVec` instead appends a segment, allocated once at its final size:
+/// segments double from 16 entries up to 65,536 and then stay at that
+/// size, so a small column stays small, a large one wastes at most one
+/// segment, and an index resolves to its segment and offset by
+/// arithmetic. An entry's address is fixed from its `push` on.
+pub struct SegVec<T> {
+    segs: Vec<Vec<T>>,
+    len: usize,
+}
+
+impl<T> Default for SegVec<T> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<T> SegVec<T> {
+    /// An empty column; it allocates nothing until the first `push`.
+    #[must_use]
+    pub const fn new() -> Self {
+        SegVec {
+            segs: Vec::new(),
+            len: 0,
+        }
+    }
+
+    /// Number of entries.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// `true` if nothing has been pushed.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Appends `value` at index `len()`. Starts a new segment when the
+    /// last one is full; nothing already stored moves.
+    pub fn push(&mut self, value: T) {
+        let (seg, off) = seg_locate(self.len);
+        if off == 0 {
+            debug_assert_eq!(seg, self.segs.len());
+            self.segs.push(Vec::with_capacity(seg_len(seg)));
+        }
+        let last = self.segs.last_mut().expect("a segment with room");
+        debug_assert!(last.len() < last.capacity(), "a segment never grows");
+        last.push(value);
+        self.len += 1;
+    }
+
+    /// The entry at `index`, if any.
+    #[inline]
+    #[must_use]
+    pub fn get(&self, index: usize) -> Option<&T> {
+        // Segments fill in order, so an index past the end lands past the
+        // last segment or past the filled part of the last one.
+        let (seg, off) = seg_locate(index);
+        self.segs.get(seg)?.get(off)
+    }
+
+    /// The entries in index order.
+    pub fn iter(&self) -> impl Iterator<Item = &T> {
+        self.segs.iter().flatten()
+    }
+
+    /// Allocated bytes of the segments (capacity, not resident pages).
+    #[must_use]
+    pub fn approx_bytes(&self) -> usize {
+        self.segs.iter().map(Vec::capacity).sum::<usize>() * std::mem::size_of::<T>()
+    }
+}
+
+impl<T> std::ops::Index<usize> for SegVec<T> {
+    type Output = T;
+
+    #[inline]
+    fn index(&self, index: usize) -> &T {
+        match self.get(index) {
+            Some(v) => v,
+            None => panic!("index {index} out of bounds for a SegVec of {}", self.len),
+        }
+    }
+}
+
+/// Entries in segment `seg` of a [`SegVec`].
+#[inline]
+fn seg_len(seg: usize) -> usize {
+    let shift = (SEG_FIRST_SHIFT as usize + seg).min(SEG_MAX_SHIFT as usize);
+    1 << shift
+}
+
+/// The segment and offset of index `index` in a [`SegVec`].
+#[inline]
+fn seg_locate(index: usize) -> (usize, usize) {
+    if index < SEG_GEOMETRIC {
+        // Segment k starts at 2^(F+k) - 2^F: shifting by 2^F turns the
+        // index into a number whose top bit names the segment.
+        let shifted = index + (1 << SEG_FIRST_SHIFT);
+        let top = shifted.ilog2();
+        ((top - SEG_FIRST_SHIFT) as usize, shifted - (1 << top))
+    } else {
+        let past = index - SEG_GEOMETRIC;
+        let seg = (SEG_MAX_SHIFT - SEG_FIRST_SHIFT + 1) as usize + (past >> SEG_MAX_SHIFT);
+        (seg, past & ((1 << SEG_MAX_SHIFT) - 1))
+    }
+}
+
+/// The first byte chunk of a [`PackedTable`] holds `1 << CHUNK_FIRST_SHIFT` bytes.
+const CHUNK_FIRST_SHIFT: u32 = 9;
+/// Chunk sizes double up to `1 << CHUNK_MAX_SHIFT` bytes. Few, large
+/// chunks matter: on each large request glibc first merges every freed
+/// small block it keeps for quick reuse, such as the claim boxes freed
+/// at admission, and with 64 KiB chunks a single-threaded BFS that boxes
+/// every claim (perfbench's traced run) admitted 3× slower.
+const CHUNK_MAX_SHIFT: u32 = 20;
+
+/// Where a [`PackedTable`] keeps one state: its cached hash and the
+/// location of its encoding, in one 16-byte record so that a probe reads
+/// a single entry before it compares bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Record {
+    hash: u64,
+    chunk: u16,
+    start: u32,
+    len: u16,
+}
+
+/// `value` converted to a narrower record field, or a panic naming the
+/// field: a location or length that does not fit must fail loudly, never
+/// wrap into another state's bytes.
+fn narrow<T: TryFrom<usize>>(value: usize, field: &str) -> T {
+    match T::try_from(value) {
+        Ok(v) => v,
+        Err(_) => panic!(
+            "packed arena: {field} {value} does not fit its {}-byte field",
+            std::mem::size_of::<T>()
+        ),
+    }
+}
+
 /// An append-only interner over **packed byte encodings**: the
 /// [`PackedCodec`] twin of [`StateTable`].
 ///
-/// States are stored as concatenated encodings in one contiguous byte
-/// arena plus an end-offset per state; the open-addressing index maps
+/// Encodings are stored back to back in byte chunks, each allocated
+/// once: chunk sizes double from 512 bytes up to 1 MiB, and an encoding
+/// that does not fit the rest of the last chunk starts the next one, so
+/// no encoding straddles two chunks. Each state's hash and location sit
+/// in one 16-byte record in a [`SegVec`]; the open-addressing index maps
 /// byte-string hashes to ids and dedups by byte equality (canonical
-/// encodings make that state equality). Per-state overhead is
-/// `bytes + 8 (end) + 8 (hash) + ~4.6 (index)` — for zoo states whose
-/// structs run 50–150 bytes plus queue allocations, the packed arena is
-/// several times smaller and the hasher touches a handful of bytes
-/// instead of walking a struct.
+/// encodings make that state equality). Only the index grows by doubling,
+/// rebuilt from the cached hashes: nothing admitted is ever moved. Per-state
+/// overhead is `bytes + 16 (record) + ~4.6 (index)` — for zoo states
+/// whose structs run 50–150 bytes plus queue allocations, the packed
+/// arena is several times smaller and the hasher touches a handful of
+/// bytes instead of walking a struct.
+///
+/// An encoding must be at most `u16::MAX` bytes long; a longer one
+/// panics on admission.
 pub struct PackedTable<H = FxBuildHasher> {
-    /// Every state's encoding, concatenated in id order.
-    bytes: Vec<u8>,
-    /// End offset of each state's encoding in `bytes`.
-    ends: Vec<u64>,
-    /// Cached byte-string hash per state.
-    hashes: Vec<u64>,
+    /// Encodings in id order, spread over chunks that never reallocate.
+    chunks: Vec<Vec<u8>>,
+    /// Hash and location per state, in id order.
+    records: SegVec<Record>,
     /// Open-addressing index; `EMPTY` marks a free slot.
     table: Vec<u32>,
     hasher: H,
@@ -691,9 +850,8 @@ impl<H: BuildHasher> PackedTable<H> {
     /// An empty packed arena using `hasher` for byte-string hashes.
     pub fn with_hasher(hasher: H) -> Self {
         PackedTable {
-            bytes: Vec::new(),
-            ends: Vec::new(),
-            hashes: Vec::new(),
+            chunks: Vec::new(),
+            records: SegVec::new(),
             table: Vec::new(),
             hasher,
         }
@@ -702,13 +860,13 @@ impl<H: BuildHasher> PackedTable<H> {
     /// Number of distinct states interned.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.ends.len()
+        self.records.len()
     }
 
     /// `true` if nothing has been interned.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.ends.is_empty()
+        self.records.is_empty()
     }
 
     /// The hash this table assigns to an encoding (for claim-time
@@ -734,13 +892,13 @@ impl<H: BuildHasher> PackedTable<H> {
         let mask = self.table.len() - 1;
         let mut i = (hash as usize) & mask;
         loop {
-            let slot = self.table[i];
-            if slot == EMPTY {
+            let id = self.table[i];
+            if id == EMPTY {
                 return None;
             }
-            let idx = slot as usize;
-            if self.hashes[idx] == hash && self.encoding(slot) == encoded {
-                return Some(slot);
+            let rec = &self.records[id as usize];
+            if rec.hash == hash && self.bytes_of(rec) == encoded {
+                return Some(id);
             }
             i = (i + 1) & mask;
         }
@@ -760,16 +918,37 @@ impl<H: BuildHasher> PackedTable<H> {
     /// that already deduplicated (the explorer's layer barrier). Same
     /// `hash` contract as [`lookup`](Self::lookup); appending a duplicate
     /// breaks the one-id-per-state invariant (debug builds assert it).
+    ///
+    /// # Panics
+    ///
+    /// If `encoded` is longer than `u16::MAX` bytes, or the table would
+    /// exceed `u32` ids.
     pub fn append(&mut self, hash: u64, encoded: &[u8]) -> u32 {
         debug_assert!(
             self.lookup(hash, encoded).is_none(),
             "append called on an interned encoding"
         );
-        let id = u32::try_from(self.ends.len()).expect("packed arena overflowed u32 ids");
-        self.bytes.extend_from_slice(encoded);
-        self.ends.push(self.bytes.len() as u64);
-        self.hashes.push(hash);
-        if self.table.is_empty() || (self.ends.len() + 1) * 8 > self.table.len() * 7 {
+        let id = u32::try_from(self.records.len()).expect("packed arena overflowed u32 ids");
+        let len = narrow(encoded.len(), "encoding length");
+        // A full chunk is never grown: the encoding starts the next one.
+        let room = self.chunks.last().map_or(0, |c| c.capacity() - c.len());
+        if room < encoded.len().max(1) {
+            let nominal =
+                1 << (CHUNK_FIRST_SHIFT as usize + self.chunks.len()).min(CHUNK_MAX_SHIFT as usize);
+            self.chunks
+                .push(Vec::with_capacity(encoded.len().max(nominal)));
+        }
+        let chunk = self.chunks.len() - 1;
+        let bytes = &mut self.chunks[chunk];
+        let start = narrow(bytes.len(), "encoding offset");
+        bytes.extend_from_slice(encoded);
+        self.records.push(Record {
+            hash,
+            chunk: narrow(chunk, "chunk index"),
+            start,
+            len,
+        });
+        if self.table.is_empty() || (self.records.len() + 1) * 8 > self.table.len() * 7 {
             self.grow();
         } else {
             Self::place_in(&mut self.table, hash, id);
@@ -794,21 +973,24 @@ impl<H: BuildHasher> PackedTable<H> {
         debug_assert!(b.is_empty(), "encoding not fully consumed");
     }
 
-    /// Resident bytes: byte arena, offsets, cached hashes, and index
-    /// slots.
+    /// Allocated bytes (capacity, not resident pages): byte chunks,
+    /// per-state records, and index slots.
     #[must_use]
     pub fn approx_bytes(&self) -> usize {
-        self.bytes.capacity()
-            + self.ends.capacity() * std::mem::size_of::<u64>()
-            + self.hashes.capacity() * std::mem::size_of::<u64>()
+        self.chunks.iter().map(Vec::capacity).sum::<usize>()
+            + self.records.approx_bytes()
             + self.table.capacity() * std::mem::size_of::<u32>()
     }
 
     /// The stored encoding of state `idx`.
     fn encoding(&self, idx: u32) -> &[u8] {
-        let i = idx as usize;
-        let start = if i == 0 { 0 } else { self.ends[i - 1] };
-        &self.bytes[start as usize..self.ends[i] as usize]
+        self.bytes_of(&self.records[idx as usize])
+    }
+
+    /// The bytes a record locates.
+    fn bytes_of(&self, rec: &Record) -> &[u8] {
+        let start = usize::try_from(rec.start).expect("u32 offsets fit usize");
+        &self.chunks[usize::from(rec.chunk)][start..start + usize::from(rec.len)]
     }
 
     fn place_in(table: &mut [u32], hash: u64, id: u32) {
@@ -824,8 +1006,8 @@ impl<H: BuildHasher> PackedTable<H> {
         let cap = (self.table.len() * 2).max(16);
         self.table.clear();
         self.table.resize(cap, EMPTY);
-        for (idx, &hash) in self.hashes.iter().enumerate() {
-            Self::place_in(&mut self.table, hash, idx as u32);
+        for (id, rec) in self.records.iter().enumerate() {
+            Self::place_in(&mut self.table, rec.hash, id as u32);
         }
     }
 }
@@ -833,8 +1015,8 @@ impl<H: BuildHasher> PackedTable<H> {
 impl<H> std::fmt::Debug for PackedTable<H> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PackedTable")
-            .field("len", &self.ends.len())
-            .field("bytes", &self.bytes.len())
+            .field("len", &self.records.len())
+            .field("chunks", &self.chunks.len())
             .finish_non_exhaustive()
     }
 }
@@ -1250,5 +1432,154 @@ mod tests {
         let (early, _) = t.intern(1);
         t.reserve(5000);
         assert_eq!(t.lookup(&1), Some(early));
+    }
+
+    /// Appends to push into a [`SegVec`] or [`PackedTable`]: past the
+    /// doubling segments (131,056 entries) into several full-size ones.
+    const MANY: usize = 200_000;
+
+    /// The first index of every [`SegVec`] segment holding `len` entries,
+    /// summed from `seg_len` independently of `seg_locate`.
+    fn segment_starts(len: usize) -> Vec<usize> {
+        let mut starts = vec![0];
+        while *starts.last().unwrap() + seg_len(starts.len() - 1) < len {
+            starts.push(starts.last().unwrap() + seg_len(starts.len() - 1));
+        }
+        starts
+    }
+
+    #[test]
+    fn seg_vec_entries_never_move() {
+        let mut col = SegVec::new();
+        let mut early = Vec::new();
+        for n in 0..MANY as u64 {
+            col.push(n * 3);
+            if n < 1_000 {
+                early.push(std::ptr::from_ref(&col[n as usize]));
+            }
+            if (n + 1) % 1_000 == 0 {
+                for (i, &ptr) in early.iter().enumerate() {
+                    assert_eq!(std::ptr::from_ref(&col[i]), ptr, "entry {i} moved");
+                    assert_eq!(col[i], i as u64 * 3);
+                }
+            }
+        }
+        assert_eq!(col.len(), MANY);
+        let reference: Vec<u64> = (0..MANY as u64).map(|n| n * 3).collect();
+        assert!(col.iter().eq(reference.iter()));
+        assert_eq!(col.get(MANY), None);
+    }
+
+    #[test]
+    fn seg_vec_fills_segments_in_order_and_locates_their_ends() {
+        let mut col = SegVec::new();
+        for n in 0..MANY {
+            col.push(n);
+        }
+        let starts = segment_starts(MANY);
+        assert!(starts.len() > 14, "only {} segments", starts.len());
+        assert_eq!(col.segs.len(), starts.len());
+        for (seg, &first) in starts.iter().enumerate() {
+            let last = (first + seg_len(seg)).min(MANY) - 1;
+            assert_eq!(seg_locate(first), (seg, 0), "first index of segment {seg}");
+            assert_eq!(seg_locate(last), (seg, last - first), "last index of {seg}");
+            assert_eq!((col[first], col[last]), (first, last));
+            // Every segment but the last is full, and none grew.
+            let full = seg + 1 < starts.len();
+            assert_eq!(col.segs[seg].len() == seg_len(seg), full, "segment {seg}");
+            assert_eq!(col.segs[seg].capacity(), seg_len(seg), "segment {seg}");
+        }
+        let entries: usize = starts.iter().enumerate().map(|(k, _)| seg_len(k)).sum();
+        assert_eq!(col.approx_bytes(), entries * std::mem::size_of::<usize>());
+    }
+
+    /// Encoding of record `n`: 2 to 194 bytes, so chunks fill unevenly.
+    fn varied(n: u64, out: &mut Vec<u8>) {
+        out.clear();
+        (n, vec![(n % 5) as u8; (n % 191) as usize]).encode(out);
+    }
+
+    #[test]
+    fn packed_table_never_moves_an_admitted_encoding() {
+        let mut t = PackedTable::new();
+        let mut enc = Vec::new();
+        let mut early = Vec::new();
+        for n in 0..MANY as u64 {
+            varied(n, &mut enc);
+            let id = t.append(t.hash_bytes(&enc), &enc);
+            if n < 1_000 {
+                let rec = &t.records[id as usize];
+                early.push((t.encoding(id).as_ptr(), std::ptr::from_ref(rec), *rec));
+            }
+            if (n + 1) % 1_000 == 0 {
+                for (id, &(bytes, rec_ptr, rec)) in early.iter().enumerate() {
+                    let now = &t.records[id];
+                    assert_eq!(t.encoding(id as u32).as_ptr(), bytes, "encoding {id} moved");
+                    assert_eq!(std::ptr::from_ref(now), rec_ptr, "record {id} moved");
+                    assert_eq!(*now, rec, "record {id} changed");
+                }
+            }
+        }
+        assert!(t.chunks.len() > 25, "only {} chunks", t.chunks.len());
+        for chunk in &t.chunks {
+            let nominal_max = 1 << CHUNK_MAX_SHIFT;
+            assert!(chunk.capacity() <= nominal_max, "a chunk grew");
+        }
+    }
+
+    #[test]
+    fn packed_table_matches_a_plain_reference_at_every_boundary() {
+        let mut t = PackedTable::new();
+        let mut reference: Vec<Vec<u8>> = Vec::new();
+        let mut enc = Vec::new();
+        for n in 0..MANY as u64 {
+            varied(n, &mut enc);
+            let (id, fresh) = t.intern(t.hash_bytes(&enc), &enc);
+            assert!(fresh);
+            assert_eq!(id as usize, reference.len(), "ids are insertion-dense");
+            reference.push(enc.clone());
+        }
+        // The first and last id of every record segment and every chunk.
+        let mut ends: Vec<usize> = segment_starts(MANY)
+            .iter()
+            .flat_map(|&first| [first.saturating_sub(1), first])
+            .collect();
+        let mut prev_chunk = 0;
+        for id in 0..MANY {
+            let chunk = t.records[id].chunk;
+            if chunk != prev_chunk {
+                ends.extend([id - 1, id]);
+                prev_chunk = chunk;
+            }
+        }
+        ends.push(MANY - 1);
+        assert!(ends.len() > 80, "only {} boundary ids", ends.len());
+        let mut into = (0u64, vec![9u8; 40]);
+        for id in ends {
+            let bytes = &reference[id];
+            let want = <(u64, Vec<u8>)>::decode(&mut bytes.as_slice());
+            let hash = t.hash_bytes(bytes);
+            assert_eq!(t.encoding(id as u32), &bytes[..], "id {id}");
+            assert_eq!(t.lookup(hash, bytes), Some(id as u32), "id {id}");
+            assert_eq!(t.intern(hash, bytes), (id as u32, false), "id {id}");
+            assert_eq!(t.decode::<(u64, Vec<u8>)>(id as u32), want, "id {id}");
+            t.decode_into(id as u32, &mut into);
+            assert_eq!(into, want, "id {id}");
+        }
+        assert_eq!(t.len(), MANY);
+    }
+
+    #[test]
+    #[should_panic(expected = "chunk index 65536 does not fit its 2-byte field")]
+    fn an_oversized_field_fails_loudly() {
+        let _: u16 = narrow(65_536, "chunk index");
+    }
+
+    #[test]
+    #[should_panic(expected = "encoding length 65536 does not fit its 2-byte field")]
+    fn an_encoding_longer_than_its_length_field_is_refused() {
+        let mut t = PackedTable::new();
+        let long = vec![7u8; 65_536];
+        t.append(t.hash_bytes(&long), &long);
     }
 }

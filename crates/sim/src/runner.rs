@@ -409,6 +409,11 @@ impl Runner {
 
     /// Runs `system` from its first start state under `script`.
     ///
+    /// A recording run keeps every post-state, so its memory grows with
+    /// its length times its states' size; a long run belongs in a lean
+    /// [`SessionStep`] ([`SessionStep::lean`]), watched through
+    /// [`SessionStep::step`].
+    ///
     /// # Panics
     ///
     /// Panics if a scripted injection is not an input of the system, or is

@@ -2,13 +2,21 @@
 //! seed — byte-identical across repeated runs and across host threads —
 //! and the vendored `StdRng` stream itself is pinned so a silent change
 //! to the generator cannot drift every recorded seed in the repo.
+//!
+//! The 100,000-step runs here are lean [`SessionStep`]s: the tests compare
+//! schedules, behaviors and quiescence, which the actions `step()` returns
+//! and the live state give, so no run keeps its post-states. A scheduler
+//! bug that lets a queue grow each step then costs one state's memory,
+//! not 100,000 of them.
 
 use rand::rngs::StdRng;
 use rand::{RngCore, RngExt, SeedableRng};
 
 use dl_channels::{FaultSpec, FaultyChannel, LossMode, LossyFifoChannel};
 use dl_core::action::{Dir, DlAction};
-use dl_sim::{link_system, Runner, Scenario, Script};
+use dl_sim::{link_system, Runner, Scenario, Script, SessionStep};
+use ioa::execution::behavior_of_schedule;
+use ioa::Automaton;
 
 /// The vendored splitmix64-based `StdRng` stream, pinned. Every seed in
 /// the test suite, the explorer, and the fuzzer's recorded genomes
@@ -27,6 +35,20 @@ fn vendored_stdrng_stream_is_pinned() {
     assert_eq!(picks, [5, 1, 2, 3, 2, 0, 2, 2]);
 }
 
+/// `script` run on `system` from its first start state for at most
+/// 100,000 steps, as a lean session: its schedule, behavior, and whether
+/// it ended quiescent — what `Runner::run`'s report would say.
+fn lean_run<M>(seed: u64, system: &M, script: Script) -> (Vec<DlAction>, Vec<DlAction>, bool)
+where
+    M: Automaton<Action = DlAction>,
+{
+    let mut session: SessionStep<M, &M> =
+        SessionStep::lean(Runner::new(seed, 100_000), system, script);
+    let schedule: Vec<DlAction> = std::iter::from_fn(|| session.step()).collect();
+    let behavior = behavior_of_schedule(system, &schedule);
+    (schedule, behavior, session.quiescent())
+}
+
 fn run_once(seed: u64) -> (Vec<DlAction>, Vec<DlAction>, bool) {
     let p = dl_protocols::abp::protocol();
     let sys = link_system(
@@ -40,8 +62,7 @@ fn run_once(seed: u64) -> (Vec<DlAction>, Vec<DlAction>, bool) {
         crashes: 2,
     }
     .script();
-    let report = Runner::new(seed, 100_000).run(&sys, &script);
-    (report.schedule(), report.behavior.clone(), report.quiescent)
+    lean_run(seed, &sys, script)
 }
 
 #[test]
@@ -85,8 +106,8 @@ fn run_faulty(seed: u64) -> (Vec<DlAction>, bool) {
         FaultyChannel::new(Dir::RT, FaultSpec::none()),
     );
     let script = Script::new().wake_both().send_msgs(0, 6).settle();
-    let report = Runner::new(seed, 100_000).run(&sys, &script);
-    (report.schedule(), report.quiescent)
+    let (schedule, _, quiescent) = lean_run(seed, &sys, script);
+    (schedule, quiescent)
 }
 
 #[test]

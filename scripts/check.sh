@@ -65,8 +65,11 @@ stage_explore_deep() {
   # Scaled-down `explore/deep` leg, release: the packed backend and the
   # lock-free visited set reproduce identical counters and layer
   # histograms at 1/2/4 threads (the full ≥10⁶-state run lives in
-  # `scripts/bench.sh` / bench/baseline.json).
+  # `scripts/bench.sh` / bench/baseline.json). Plus the packed store's
+  # chunk, segment and offset arithmetic in release, where an overflow
+  # wraps silently and `debug_assert!`s are compiled out.
   cargo test --release -q -p dl-bench --test explore_deep_smoke
+  cargo test --release -q -p ioa intern
 }
 
 stage_monitor_smoke() {
