@@ -16,10 +16,11 @@ fn scaled_deep_run_is_thread_count_independent() {
     assert_eq!(oracle.counters["violation"], 0);
     assert_eq!(oracle.counters["truncated"], 0);
     // Allocated capacity, exact: ten encoding chunks of 512 bytes doubling
-    // to 256 KiB (523,776 bytes), 16,368 16-byte records in 10 segments,
-    // and a 16,384-slot index. Chunk or segment sizes, the record layout,
-    // or a codec change moves it.
-    assert_eq!(oracle.counters["arena_bytes"], 851_200);
+    // to 256 KiB (523,776 bytes), 16,368 8-byte records in 10 segments
+    // (130,944), and a 16,384-slot index of 8-byte tagged slots (131,072).
+    // Chunk or segment sizes, the record or slot layout, or a codec change
+    // moves it.
+    assert_eq!(oracle.counters["arena_bytes"], 785_792);
     // The run's own 2-thread leg agreed with its main pass, or it would
     // have panicked; its gauges ride along ungated.
     assert!(oracle.gauges["speedup_2t"] > 0.0);

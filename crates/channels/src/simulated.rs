@@ -69,16 +69,19 @@ impl Clone for FlightState {
 }
 
 impl PackedCodec for FlightState {
+    #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
         self.in_flight.encode(out);
         self.sends.encode(out);
     }
+    #[inline]
     fn decode(input: &mut &[u8]) -> Self {
         FlightState {
             in_flight: Vec::<Packet>::decode(input),
             sends: u64::decode(input),
         }
     }
+    #[inline]
     fn decode_into(&mut self, input: &mut &[u8]) {
         self.in_flight.decode_into(input);
         self.sends = u64::decode(input);

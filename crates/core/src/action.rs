@@ -118,9 +118,11 @@ impl fmt::Display for Msg {
 }
 
 impl PackedCodec for Msg {
+    #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
         write_varint(out, self.0);
     }
+    #[inline]
     fn decode(input: &mut &[u8]) -> Self {
         Msg(read_varint(input))
     }
@@ -153,6 +155,7 @@ impl fmt::Display for Tag {
 }
 
 impl PackedCodec for Tag {
+    #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
         out.push(match self {
             Tag::Data => 0,
@@ -161,6 +164,7 @@ impl PackedCodec for Tag {
             Tag::InitAck => 3,
         });
     }
+    #[inline]
     fn decode(input: &mut &[u8]) -> Self {
         match u8::decode(input) {
             0 => Tag::Data,
@@ -214,10 +218,12 @@ impl fmt::Display for Header {
 }
 
 impl PackedCodec for Header {
+    #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
         self.tag.encode(out);
         write_varint(out, self.seq);
     }
+    #[inline]
     fn decode(input: &mut &[u8]) -> Self {
         Header {
             tag: Tag::decode(input),
@@ -292,6 +298,7 @@ impl Packet {
 }
 
 impl PackedCodec for Packet {
+    #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
         // Unstamped packets are the common case in explorer states; the
         // +1 wrap folds `UNSTAMPED` (u64::MAX) to a one-byte varint.
@@ -299,6 +306,7 @@ impl PackedCodec for Packet {
         self.header.encode(out);
         self.payload.encode(out);
     }
+    #[inline]
     fn decode(input: &mut &[u8]) -> Self {
         Packet {
             uid: read_varint(input).wrapping_sub(1),

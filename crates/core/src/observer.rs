@@ -82,14 +82,17 @@ impl MsgSet {
 
 /// Delta-coded like any sorted id set (ascending by construction).
 impl PackedCodec for MsgSet {
+    #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
         write_delta_seq(out, self.0.len(), self.0.iter().map(|m| m.0));
     }
+    #[inline]
     fn decode(input: &mut &[u8]) -> Self {
         let mut set = MsgSet::default();
         set.decode_into(input);
         set
     }
+    #[inline]
     fn decode_into(&mut self, input: &mut &[u8]) {
         self.0.clear();
         read_delta_seq(input, |v| self.0.push(Msg(v)));
@@ -154,6 +157,7 @@ impl ObserverState {
 }
 
 impl PackedCodec for SafetyFlag {
+    #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
             SafetyFlag::Duplicate(m) => {
@@ -166,6 +170,7 @@ impl PackedCodec for SafetyFlag {
             }
         }
     }
+    #[inline]
     fn decode(input: &mut &[u8]) -> Self {
         match u8::decode(input) {
             0 => SafetyFlag::Duplicate(Msg::decode(input)),
@@ -176,6 +181,7 @@ impl PackedCodec for SafetyFlag {
 }
 
 impl PackedCodec for ObserverState {
+    #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
         // The message sets are sorted by construction — exactly the
         // shape delta coding wants.
@@ -183,6 +189,7 @@ impl PackedCodec for ObserverState {
         self.received.encode(out);
         self.flag.encode(out);
     }
+    #[inline]
     fn decode(input: &mut &[u8]) -> Self {
         ObserverState {
             sent: MsgSet::decode(input),
@@ -190,6 +197,7 @@ impl PackedCodec for ObserverState {
             flag: Option::<SafetyFlag>::decode(input),
         }
     }
+    #[inline]
     fn decode_into(&mut self, input: &mut &[u8]) {
         self.sent.decode_into(input);
         self.received.decode_into(input);

@@ -6,16 +6,19 @@
 //! is frozen while workers expand a layer: membership for admitted
 //! states is a read-only store lookup, and intra-layer discoveries are
 //! coordinated through the lock-free [`LayerFilter`]. Workers build
-//! successors in place: each loads a frontier state once into a reused
-//! state, and for every action and every pick copies it onto a second
-//! reused state (`clone_from`) and steps that copy
-//! ([`Automaton::step_in_place`]). Every claim is decided on a borrowed
-//! view of the successor (on the packed backend, its encoding in one
-//! reused per-worker scratch buffer), so the duplicates that make up most
-//! edges never allocate: only a claim that wins a filter slot or
-//! overflows builds an owned representation, and that same worker
-//! evaluates the state properties on the successor it already holds.
-//! The store grows only at the layer barrier, where the
+//! successors in place and claim them in batches: each loads a frontier
+//! state once into a reused state, and for every action and every pick
+//! copies it onto a reused successor state (`clone_from`), steps that copy
+//! ([`Automaton::step_in_place`]) and appends its borrowed view (on the
+//! packed backend, its encoding) to the worker's reused view batch. The
+//! worker then probes the store for the whole batch in one loop, so
+//! independent probes overlap their cache misses, and claims the misses
+//! in the filter. The duplicates that make up most edges never allocate:
+//! only a claim that wins a filter slot or overflows builds an owned
+//! representation, and that same worker evaluates the state properties
+//! on the successor it already holds. Each worker's buffers live for the
+//! whole search, on cache lines of their own. The store grows only at
+//! the layer barrier, where the
 //! engine merges worker-local overflow claims with the drained filter,
 //! sorts by minimal claim key, and admits in that deterministic order —
 //! reading each state's verdict off its claim, so the barrier decodes
@@ -46,10 +49,63 @@ const MAX_STATE_BUDGET: usize = u32::MAX as usize;
 /// The claim representation a backend's store circulates.
 type ReprOf<B, S> = <<B as ExploreBackend<S>>::Store as StateStore<S>>::Repr;
 
+/// The view batch a backend's store fills.
+type ViewsOf<B, S> = <<B as ExploreBackend<S>>::Store as StateStore<S>>::Views;
+
+/// The worker buffers for automaton `M` on backend `B`.
+type WorkerOf<M, B> =
+    Worker<<M as Automaton>::State, <M as Automaton>::Action, ViewsOf<B, <M as Automaton>::State>>;
+
 /// What one worker hands back from a layer expansion: its local stats
 /// and the claims the lock-free filter could not decide (merged at the
 /// barrier).
 type WorkerOutcome<R> = (WorkerStats, Vec<PendingState<R>>);
+
+/// One worker's reused buffers, kept for the whole search. The
+/// alignment puts each worker's buffer headers, which it writes on every
+/// edge, on cache lines of their own, so workers on other cores do not
+/// steal each other's lines.
+#[repr(align(128))]
+struct Worker<S, A, V> {
+    /// The frontier state being expanded.
+    cur: S,
+    /// Its successors, one per (action, pick), stepped in place; entries
+    /// past the current batch are kept for reuse.
+    succs: Vec<S>,
+    /// `cur`'s deterministic action list.
+    actions: Vec<A>,
+    /// The successors' views, in `succs` order.
+    views: V,
+    /// The successors' hashes, in `succs` order.
+    hashes: Vec<u64>,
+    /// The successors' claim keys, in `succs` order.
+    keys: Vec<ClaimKey>,
+    /// Batch indices of the successors the store does not hold.
+    fresh: Vec<usize>,
+}
+
+impl<S, A, V: Default> Worker<S, A, V> {
+    fn new(cur: S) -> Self {
+        Worker {
+            cur,
+            succs: Vec::new(),
+            actions: Vec::new(),
+            views: V::default(),
+            hashes: Vec::new(),
+            keys: Vec::new(),
+            fresh: Vec::new(),
+        }
+    }
+}
+
+/// What a layer's workers share: the frontier `[.., end)` handed out in
+/// `chunk`-sized pieces from `next`, and the claim filter.
+struct LayerWork<R> {
+    next: AtomicUsize,
+    end: usize,
+    chunk: usize,
+    filter: LayerFilter<R>,
+}
 
 #[derive(Default, Clone, Copy)]
 struct WorkerStats {
@@ -234,11 +290,19 @@ where
         // never touch this.
         let mut tstates: SegVec<TP::State> = SegVec::new();
 
-        let mut scratch: <B::Store as StateStore<M::State>>::Scratch = Default::default();
-        for state in starts {
-            let (hash, view) = store.view(&state, &mut scratch);
-            if store.lookup_view(hash, view).is_none() {
-                let repr = store.owned_repr(&state, &scratch);
+        // The start states are one batch; each is looked up after the
+        // ones before it are admitted, so a repeated start is admitted once.
+        let mut views = ViewsOf::<B, M::State>::default();
+        let hashes: Vec<u64> = starts
+            .iter()
+            .map(|state| store.push_view(state, &mut views))
+            .collect();
+        for (i, &hash) in hashes.iter().enumerate() {
+            if store
+                .lookup_view(hash, store.view(&views, &starts, i))
+                .is_none()
+            {
+                let repr = store.owned_repr(&views, &starts, i);
                 store.intern_new(hash, repr);
                 parents.push(NO_LINK);
                 action_idx.push(NO_LINK);
@@ -286,6 +350,16 @@ where
         // layers (claims are sorted, so one rebuild per distinct parent).
         let mut cached_parent: u32;
         let mut parent_actions: Vec<M::Action> = Vec::new();
+        // A layer is expanded only when the store holds a state, so state
+        // 0 seeds every worker's reused state.
+        let mut workers: Vec<WorkerOf<M, B>> = if store.is_empty() {
+            Vec::new()
+        } else {
+            let seed = store.load(0);
+            (0..threads)
+                .map(|_| Worker::new(M::State::clone(&seed)))
+                .collect()
+        };
 
         loop {
             let layer_end = store.len();
@@ -304,8 +378,6 @@ where
             // exceed the expansion work, and expansion order is
             // irrelevant to the result either way.
             let fan_out = if frontier < threads * 4 { 1 } else { threads };
-            let counter = AtomicUsize::new(layer_start);
-            let chunk = (frontier / (fan_out * 8)).max(1);
             // Fresh claim filter per layer, sized to twice the expected
             // discoveries: the frontier times the last layer's growth.
             // Undersizing is safe (claims overflow, the barrier merge
@@ -314,21 +386,23 @@ where
             let expected = layers.last().map_or(frontier, |last| {
                 frontier.saturating_mul(last.discovered) / last.frontier
             });
-            let filter: LayerFilter<ReprOf<B, M::State>> =
-                LayerFilter::new(expected.saturating_mul(2), self.shards);
+            let work: LayerWork<ReprOf<B, M::State>> = LayerWork {
+                next: AtomicUsize::new(layer_start),
+                end: layer_end,
+                chunk: (frontier / (fan_out * 8)).max(1),
+                filter: LayerFilter::new(expected.saturating_mul(2), self.shards),
+            };
             barrier_nanos += setup.elapsed_nanos();
 
             let (stats, overflow) = if fan_out == 1 {
-                self.expand_worker(&store, properties, layer_end, chunk, &counter, &filter)
+                self.expand_worker(&mut workers[0], &store, properties, &work)
             } else {
+                let (store, work) = (&store, &work);
                 std::thread::scope(|scope| {
-                    let handles: Vec<_> = (0..fan_out)
-                        .map(|_| {
-                            scope.spawn(|| {
-                                self.expand_worker(
-                                    &store, properties, layer_end, chunk, &counter, &filter,
-                                )
-                            })
+                    let handles: Vec<_> = workers[..fan_out]
+                        .iter_mut()
+                        .map(|worker| {
+                            scope.spawn(move || self.expand_worker(worker, store, properties, work))
                         })
                         .collect();
                     let mut stats = WorkerStats::default();
@@ -344,7 +418,7 @@ where
             quiescent += stats.quiescent;
 
             let barrier_sw = Stopwatch::start();
-            let mut entries = filter.drain();
+            let mut entries = work.filter.drain();
             let merged_dups = merge_overflow(&mut entries, overflow);
             // Claim keys are unique (one entry per distinct state, and
             // distinct states that share a parent differ in action or
@@ -438,81 +512,87 @@ where
         }
     }
 
-    /// One worker's share of a layer expansion: steal frontier chunks,
-    /// load each state once into a reused `cur`, and for every action and
-    /// every pick step a copy of it in place in a reused `next`; dedup a
-    /// borrowed view of each successor against the frozen store, claim
-    /// genuinely new discoveries in the lock-free layer filter. Only a
-    /// claim that wins a slot or overflows copies the successor into an
-    /// owned representation and evaluates `properties` on it;
-    /// overflowing claims go to the returned list, merged exactly at the
-    /// barrier.
+    /// One worker's share of a layer expansion: steal frontier chunks and
+    /// expand each state as one batch. Load it once into the worker's
+    /// reused `cur`; for every action and every pick step a copy of it in
+    /// place in a reused successor state and append its view to the
+    /// batch; probe the frozen store for every view in one loop; claim
+    /// the misses in the lock-free layer filter. Only a claim that wins a
+    /// slot or overflows copies its entry into an owned representation
+    /// and evaluates `properties` on the successor; overflowing claims go
+    /// to the returned list, merged exactly at the barrier.
     fn expand_worker(
         &self,
+        w: &mut WorkerOf<M, B>,
         store: &B::Store,
         properties: &[&dyn Property<M::State>],
-        layer_end: usize,
-        chunk: usize,
-        counter: &AtomicUsize,
-        filter: &LayerFilter<ReprOf<B, M::State>>,
+        work: &LayerWork<ReprOf<B, M::State>>,
     ) -> WorkerOutcome<ReprOf<B, M::State>> {
         let mut stats = WorkerStats::default();
         let mut overflow = Vec::new();
-        let mut actions: Vec<M::Action> = Vec::new();
-        let mut scratch: <B::Store as StateStore<M::State>>::Scratch = Default::default();
-        // The reused states: a layer is expanded only when the store holds
-        // at least one state, so state 0 seeds both.
-        let mut cur = store.load(0).into_owned();
-        let mut next = cur.clone();
         loop {
-            let begin = counter.fetch_add(chunk, Ordering::Relaxed);
-            if begin >= layer_end {
+            let begin = work.next.fetch_add(work.chunk, Ordering::Relaxed);
+            if begin >= work.end {
                 break;
             }
-            let end = (begin + chunk).min(layer_end);
-            for idx in begin..end {
-                store.load_into(idx as u32, &mut cur);
-                self.enumerate_actions(&cur, &mut actions);
-                if actions.is_empty() {
+            for idx in begin..(begin + work.chunk).min(work.end) {
+                store.load_into(idx as u32, &mut w.cur);
+                self.enumerate_actions(&w.cur, &mut w.actions);
+                if w.actions.is_empty() {
                     stats.quiescent += 1;
                     continue;
                 }
-                for (ai, action) in actions.iter().enumerate() {
-                    for pick in 0..self.automaton.successor_count(&cur, action) {
-                        next.clone_from(&cur);
-                        // A refused pick would leave `next == cur` and
-                        // admit it as a phantom self-loop.
+                store.clear_views(&mut w.views);
+                w.hashes.clear();
+                w.keys.clear();
+                for (ai, action) in w.actions.iter().enumerate() {
+                    for pick in 0..self.automaton.successor_count(&w.cur, action) {
+                        let n = w.hashes.len();
+                        if n == w.succs.len() {
+                            w.succs.push(w.cur.clone());
+                        } else {
+                            w.succs[n].clone_from(&w.cur);
+                        }
+                        // A refused pick would leave the successor equal
+                        // to `cur` and admit it as a phantom self-loop.
                         assert!(
-                            self.automaton.step_in_place(&mut next, action, pick),
+                            self.automaton.step_in_place(&mut w.succs[n], action, pick),
                             "counted pick {pick} of {action:?} did not step"
                         );
-                        stats.edges += 1;
-                        let key = ClaimKey {
+                        w.hashes.push(store.push_view(&w.succs[n], &mut w.views));
+                        w.keys.push(ClaimKey {
                             parent: idx as u32,
                             action: ai as u32,
                             succ: pick as u32,
-                        };
-                        let (hash, view) = store.view(&next, &mut scratch);
-                        if store.lookup_view(hash, view).is_some() {
-                            stats.duplicates += 1;
-                            continue;
+                        });
+                    }
+                }
+                let succs = &w.succs[..w.hashes.len()];
+                stats.edges += succs.len() as u64;
+                w.fresh.clear();
+                for (k, &hash) in w.hashes.iter().enumerate() {
+                    if store
+                        .lookup_view(hash, store.view(&w.views, succs, k))
+                        .is_none()
+                    {
+                        w.fresh.push(k);
+                    }
+                }
+                stats.duplicates += (succs.len() - w.fresh.len()) as u64;
+                for &k in &w.fresh {
+                    let (hash, key) = (w.hashes[k], w.keys[k]);
+                    match work.filter.claim(hash, key, store.view(&w.views, succs, k)) {
+                        Claimed::Duplicate => stats.duplicates += 1,
+                        Claimed::New(won) => {
+                            let verdict = first_violation(properties, &succs[k]);
+                            won.publish(store.owned_repr(&w.views, succs, k), verdict);
                         }
-                        match filter.claim(hash, key, view) {
-                            Claimed::Duplicate => stats.duplicates += 1,
-                            Claimed::New(won) => {
-                                let verdict = first_violation(properties, &next);
-                                won.publish(store.owned_repr(&next, &scratch), verdict);
-                            }
-                            Claimed::Overflow => {
-                                let verdict = first_violation(properties, &next);
-                                overflow.push(PendingState {
-                                    key,
-                                    hash,
-                                    repr: store.owned_repr(&next, &scratch),
-                                    verdict,
-                                });
-                            }
-                        }
+                        Claimed::Overflow => overflow.push(PendingState {
+                            key,
+                            hash,
+                            repr: store.owned_repr(&w.views, succs, k),
+                            verdict: first_violation(properties, &succs[k]),
+                        }),
                     }
                 }
             }

@@ -102,4 +102,6 @@ pub use engine::ParallelExplorer;
 pub use monitor::MonitorProperty;
 pub use property::{Invariant, Property, TraceProperty};
 pub use report::{ExploreReport, LayerStats, Truncation, Violation};
-pub use store::{ExploreBackend, PackedBackend, PackedStore, PlainBackend, PlainStore, StateStore};
+pub use store::{
+    ExploreBackend, PackedBackend, PackedStore, PackedViews, PlainBackend, PlainStore, StateStore,
+};

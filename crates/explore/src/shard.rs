@@ -9,7 +9,7 @@
 //! compare-and-swap instead of per-shard mutexes:
 //!
 //! * a worker **claims** a state with a *borrowed view* of it (the state
-//!   itself, or its encoding in the worker's reused scratch buffer) by
+//!   itself, or its encoding in the worker's reused view batch) by
 //!   CAS-ing a slot's tag from the empty sentinel to the state's hash;
 //! * only the single CAS winner builds an owned payload — the
 //!   representation plus the state's property verdict — and publishes it
@@ -442,7 +442,8 @@ mod tests {
     #[test]
     fn claims_compare_borrowed_views_against_owned_payloads() {
         // The packed backend's shape: boxed encodings in the slots, a
-        // borrowed byte slice (the worker's scratch buffer) per claim.
+        // borrowed byte slice (an entry of the worker's view batch) per
+        // claim.
         let filter: LayerFilter<Box<[u8]>> = LayerFilter::new(16, 1);
         let scratch = vec![1u8, 2, 3];
         match filter.claim(9, key(1, 0, 0), scratch.as_slice()) {

@@ -8,27 +8,32 @@
 //! instead of walking a struct, and the arena footprint drops
 //! several-fold for queue-heavy zoo states.
 //!
-//! Both backends expose the same claim-time contract. A worker loads
-//! each frontier state into one reused state with [`load_into`] — a
-//! `clone_from` of the arena slot for plain storage, a
-//! [`PackedCodec::decode_into`] for packed storage — and steps copies of
-//! it in place. It turns each successor into a hash and a borrowed
-//! [`View`] with [`view`] — the state itself for plain storage, its
-//! encoding in the worker's reused [`Scratch`] buffer for packed storage
-//! — and dedups the view against admitted states with the read-only
-//! [`lookup_view`] and against the layer's claim filter, all without
-//! allocating. Only a claim that wins a filter slot or overflows it
-//! copies the successor into an owned [`Repr`] with [`owned_repr`]; the
-//! barrier then interns those in deterministic sorted order via
-//! [`intern_new`] — so plain and packed runs admit the same states with
-//! the same dense ids and differ only in `arena_bytes`. [`absorb`] and
-//! [`lookup`] are the owned-representation forms of the same steps, and
-//! [`load`] the owned form of [`load_into`], provided for callers that
-//! drive a store directly.
+//! Both backends expose the same claim-time contract, in batches: a
+//! worker expands one frontier state at a time and claims all of its
+//! successors together. It loads the frontier state into one reused
+//! state with [`load_into`] — a `clone_from` of the arena slot for plain
+//! storage, a [`PackedCodec::decode_into`] for packed storage — and steps
+//! copies of it in place. As it steps each successor it appends the
+//! successor's claim-time [`View`] to the worker's reused [`Views`] batch
+//! with [`push_view`], which returns the view's hash: the state itself
+//! for plain storage, its encoding written back to back with the batch's
+//! other encodings for packed storage. It then probes the frozen store
+//! for every view of the batch with the read-only [`lookup_view`], in one
+//! loop so that independent probes overlap their cache misses, and
+//! claims the misses in the layer's claim filter, all without allocating.
+//! Only a claim that wins a filter slot or overflows it copies its entry
+//! into an owned [`Repr`] with [`owned_repr`]; the barrier then interns
+//! those in deterministic sorted order via [`intern_new`] — so plain and
+//! packed runs admit the same states with the same dense ids and differ
+//! only in `arena_bytes`. Start states are admitted through the same
+//! batch calls. [`absorb`] (a one-entry batch) and [`lookup`] are the
+//! owned-representation forms of the same steps, and [`load`] the owned
+//! form of [`load_into`], provided for callers that drive a store
+//! directly.
 //!
 //! [`View`]: StateStore::View
-//! [`view`]: StateStore::view
-//! [`Scratch`]: StateStore::Scratch
+//! [`Views`]: StateStore::Views
+//! [`push_view`]: StateStore::push_view
 //! [`lookup_view`]: StateStore::lookup_view
 //! [`Repr`]: StateStore::Repr
 //! [`owned_repr`]: StateStore::owned_repr
@@ -64,32 +69,41 @@ pub trait StateStore<S: Clone>: Sync {
     /// coincide with equality on states.
     type View: ?Sized + Eq;
 
-    /// Per-worker scratch space that [`view`](Self::view) reuses across
-    /// edges: nothing for plain storage, one encoding buffer for packed
-    /// storage.
-    type Scratch: Default;
+    /// A batch of claim-time views that one worker refills for every
+    /// frontier state it expands: nothing for plain storage, whose views
+    /// are the states themselves, and the encodings back to back in one
+    /// buffer for packed storage.
+    type Views: Default + Send;
 
-    /// Hashes `state` and returns its claim-time view, borrowed from
-    /// `state` or written into `scratch` — no allocation once `scratch`
-    /// has grown. The returned hash is the one
-    /// [`lookup_view`](Self::lookup_view) and
-    /// [`intern_new`](Self::intern_new) expect.
-    fn view<'a>(&self, state: &'a S, scratch: &'a mut Self::Scratch) -> (u64, &'a Self::View);
+    /// Empties `views` for the next batch, keeping its buffers.
+    fn clear_views(&self, views: &mut Self::Views);
 
-    /// The owned representation of `state`, whose view the preceding
-    /// [`view`](Self::view) call on the same `scratch` produced: a clone
-    /// for plain storage, the boxed scratch bytes for packed storage.
-    /// Called only for the claims that must keep the state: filter
-    /// winners and overflows.
-    fn owned_repr(&self, state: &S, scratch: &Self::Scratch) -> Self::Repr;
+    /// Appends `state`'s view to `views` as the batch's next entry and
+    /// returns its hash — the one [`lookup_view`](Self::lookup_view) and
+    /// [`intern_new`](Self::intern_new) expect. No allocation once
+    /// `views` has grown.
+    fn push_view(&self, state: &S, views: &mut Self::Views) -> u64;
+
+    /// Entry `i` of the batch, where `states[i]` is the state that was
+    /// pushed as that entry.
+    fn view<'a>(&self, views: &'a Self::Views, states: &'a [S], i: usize) -> &'a Self::View;
+
+    /// The owned representation of entry `i` of the batch (same
+    /// `states` as [`view`](Self::view)): a clone for plain storage, the
+    /// boxed encoding for packed storage. Called only for the claims that
+    /// must keep the state: filter winners and overflows.
+    fn owned_repr(&self, views: &Self::Views, states: &[S], i: usize) -> Self::Repr;
 
     /// Hashes `state` and converts it to its claim representation: a
-    /// [`view`](Self::view) into fresh scratch, then
+    /// one-entry batch's [`push_view`](Self::push_view), then
     /// [`owned_repr`](Self::owned_repr).
     fn absorb(&self, state: S) -> (u64, Self::Repr) {
-        let mut scratch = Self::Scratch::default();
-        let hash = self.view(&state, &mut scratch).0;
-        (hash, self.owned_repr(&state, &scratch))
+        let mut views = Self::Views::default();
+        let hash = self.push_view(&state, &mut views);
+        (
+            hash,
+            self.owned_repr(&views, std::slice::from_ref(&state), 0),
+        )
     }
 
     /// Dense id of an already-admitted state with this view, if any.
@@ -123,8 +137,9 @@ pub trait StateStore<S: Clone>: Sync {
         self.len() == 0
     }
 
-    /// Allocated bytes of the store — its arena, per-state hashes and
-    /// locations, and index — as capacity, not resident pages. It leaves
+    /// Allocated bytes of the store — its arena, per-state hashes
+    /// (plain) or locations (packed), and index — as capacity, not
+    /// resident pages. It leaves
     /// out the engine's spanning-tree links and heap data owned by
     /// stored states (plain storage does not traverse them).
     fn approx_bytes(&self) -> usize;
@@ -172,14 +187,20 @@ where
 {
     type Repr = S;
     type View = S;
-    type Scratch = ();
+    type Views = ();
 
-    fn view<'a>(&self, state: &'a S, _scratch: &'a mut ()) -> (u64, &'a S) {
-        (self.hasher.hash_one(state), state)
+    fn clear_views(&self, _views: &mut ()) {}
+
+    fn push_view(&self, state: &S, _views: &mut ()) -> u64 {
+        self.hasher.hash_one(state)
     }
 
-    fn owned_repr(&self, state: &S, _scratch: &()) -> S {
-        state.clone()
+    fn view<'a>(&self, _views: &'a (), states: &'a [S], i: usize) -> &'a S {
+        &states[i]
+    }
+
+    fn owned_repr(&self, _views: &(), states: &[S], i: usize) -> S {
+        states[i].clone()
     }
 
     fn lookup_view(&self, hash: u64, view: &S) -> Option<u32> {
@@ -223,6 +244,30 @@ impl PackedBackend {
     }
 }
 
+/// A batch of packed views: the encodings back to back in one buffer.
+/// Entry 0 starts at byte 0, the last entry ends at the buffer's end, and
+/// `starts` holds where each entry after the first starts, so a one-entry
+/// batch ([`StateStore::absorb`]) fills only the byte buffer.
+#[derive(Debug, Default)]
+pub struct PackedViews {
+    bytes: Vec<u8>,
+    starts: Vec<usize>,
+    len: usize,
+}
+
+impl PackedViews {
+    /// The encoding of entry `i`.
+    fn get(&self, i: usize) -> &[u8] {
+        let start = if i == 0 { 0 } else { self.starts[i - 1] };
+        let end = if i + 1 == self.len {
+            self.bytes.len()
+        } else {
+            self.starts[i]
+        };
+        &self.bytes[start..end]
+    }
+}
+
 /// Store built by [`PackedBackend`].
 pub struct PackedStore<S> {
     table: PackedTable,
@@ -249,16 +294,30 @@ where
 {
     type Repr = Box<[u8]>;
     type View = [u8];
-    type Scratch = Vec<u8>;
+    type Views = PackedViews;
 
-    fn view<'a>(&self, state: &'a S, scratch: &'a mut Vec<u8>) -> (u64, &'a [u8]) {
-        scratch.clear();
-        state.encode(scratch);
-        (self.table.hash_bytes(scratch), scratch)
+    fn clear_views(&self, views: &mut PackedViews) {
+        views.bytes.clear();
+        views.starts.clear();
+        views.len = 0;
     }
 
-    fn owned_repr(&self, _state: &S, scratch: &Vec<u8>) -> Box<[u8]> {
-        scratch.as_slice().into()
+    fn push_view(&self, state: &S, views: &mut PackedViews) -> u64 {
+        let start = views.bytes.len();
+        if views.len > 0 {
+            views.starts.push(start);
+        }
+        views.len += 1;
+        state.encode(&mut views.bytes);
+        self.table.hash_bytes(&views.bytes[start..])
+    }
+
+    fn view<'a>(&self, views: &'a PackedViews, _states: &'a [S], i: usize) -> &'a [u8] {
+        views.get(i)
+    }
+
+    fn owned_repr(&self, views: &PackedViews, _states: &[S], i: usize) -> Box<[u8]> {
+        views.get(i).into()
     }
 
     fn lookup_view(&self, hash: u64, view: &[u8]) -> Option<u32> {
@@ -293,23 +352,34 @@ mod tests {
     use super::*;
 
     /// `absorb` and `lookup` must hash and compare exactly as the
-    /// claim-time `view` / `lookup_view` path does, so callers that drive
-    /// a store directly admit the same states under the same ids.
+    /// claim-time batch path does, and a batch must keep every entry's view
+    /// apart, so callers that drive a store directly admit the same states
+    /// under the same ids.
     fn absorb_agrees_with_view<St: StateStore<u64>>(mut store: St) {
         let states = [0u64, 1, 300, 1 << 40, u64::MAX];
-        let mut scratch = St::Scratch::default();
+        let mut views = St::Views::default();
+        // A dirty batch is emptied before reuse.
+        store.push_view(&7, &mut views);
+        store.clear_views(&mut views);
+        let hashes: Vec<u64> = states
+            .iter()
+            .map(|s| store.push_view(s, &mut views))
+            .collect();
         for (id, &state) in states.iter().enumerate() {
             let (hash, repr) = store.absorb(state);
-            let (view_hash, view) = store.view(&state, &mut scratch);
-            assert_eq!(hash, view_hash);
+            let view = store.view(&views, &states, id);
+            assert_eq!(hash, hashes[id]);
             assert!(repr.borrow() == view);
-            assert_eq!(store.lookup_view(view_hash, view), None);
+            assert!(store.owned_repr(&views, &states, id) == repr);
+            assert_eq!(store.lookup_view(hash, view), None);
             assert_eq!(store.intern_new(hash, repr), id as u32);
         }
         let mut loaded = u64::MAX;
         for (id, &state) in states.iter().enumerate() {
             let (hash, repr) = store.absorb(state);
             assert_eq!(store.lookup(hash, &repr), Some(id as u32));
+            let view = store.view(&views, &states, id);
+            assert_eq!(store.lookup_view(hashes[id], view), Some(id as u32));
             assert_eq!(*store.load(id as u32), state);
             store.load_into(id as u32, &mut loaded);
             assert_eq!(loaded, state);

@@ -14,20 +14,22 @@
 //! `explore/deep`.
 //!
 //! Measured on the current engine (E9 at channel capacity 2, 594 states
-//! / 3042 edges, one worker; debug and release agree): packed 1,395
-//! allocations (≈2.35 per admitted state, ≈0.46 per edge — each admitted
+//! / 3042 edges, one worker; debug and release agree): packed 1,070
+//! allocations (≈1.80 per admitted state, ≈0.35 per edge — each admitted
 //! state boxes its canonical encoding once, each expanded state with a
 //! permitted input gets that input's `Vec` from the caller's closure, and
-//! the rest is per-layer set-up — the claim filter, the worker's reused
-//! buffers — plus one allocation per new encoding chunk, record segment
-//! and spanning-tree segment), plain 3,706 (≈1.2 per edge — each
-//! admitted state is cloned once into the arena, with its queue and set
-//! buffers). The packed ceiling sits just above its count: the store's
+//! the rest is set-up — the claim filter per layer, the worker's reused
+//! buffers once per search — plus one allocation per new encoding chunk,
+//! record segment and spanning-tree segment), plain 3,460 (≈1.14 per
+//! edge — each admitted state is cloned once into the arena, with its
+//! queue and set buffers). The packed ceiling sits just above its count:
+//! worker buffers rebuilt for every layer measured 1,395, and the store's
 //! and spanning tree's doubling columns, whose every growth was a
-//! reallocation, measured 1,409 and fail it. Building every successor by
+//! reallocation, 1,409; both fail it. Building every successor by
 //! value, as the engine once did, measured ≈ 23.9k packed and ≈ 20.2k
-//! plain (≈7 per edge). The other bounds are ~1.5× the measurements so
-//! only real regressions trip them, not allocator or libstd noise.
+//! plain (≈7 per edge). The other bounds sit 1.5–2× above the
+//! measurements so only real regressions trip them, not allocator or
+//! libstd noise.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -142,7 +144,7 @@ fn visited_set_allocations_stay_bounded() {
     // (backend, packed, total ceiling, per-edge bound, per-state bound)
     let bounds = [
         ("plain", false, 5_600u64, 1.8, None),
-        ("packed", true, 1_400u64, 0.7, Some(3.6)),
+        ("packed", true, 1_080u64, 0.7, Some(3.6)),
     ];
     for (name, packed, ceiling, edge_bound, state_bound) in bounds {
         let (allocs, states, edges) = allocs_for_one_run(packed);

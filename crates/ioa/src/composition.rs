@@ -62,16 +62,19 @@ impl<S: fmt::Debug, T: fmt::Debug> fmt::Debug for Pair<S, T> {
 impl<S: crate::intern::PackedCodec, T: crate::intern::PackedCodec> crate::intern::PackedCodec
     for Pair<S, T>
 {
+    #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
         self.left.encode(out);
         self.right.encode(out);
     }
+    #[inline]
     fn decode(input: &mut &[u8]) -> Self {
         Pair {
             left: S::decode(input),
             right: T::decode(input),
         }
     }
+    #[inline]
     fn decode_into(&mut self, input: &mut &[u8]) {
         self.left.decode_into(input);
         self.right.decode_into(input);

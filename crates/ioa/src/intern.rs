@@ -311,7 +311,7 @@ impl<S: Hash + Eq, H: BuildHasher> StateTable<S, H> {
     }
 
     fn insert_new(&mut self, hash: u64, state: S) -> StateId {
-        let id = u32::try_from(self.states.len()).expect("state arena overflowed u32 ids");
+        let id = entry_id(self.states.len(), "state table id");
         self.states.push(state);
         self.hashes.push(hash);
         // Grow at 7/8 load so probe chains stay short.
@@ -540,6 +540,7 @@ impl PackedCodec for bool {
 }
 
 impl<T: PackedCodec> PackedCodec for Option<T> {
+    #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
             None => out.push(0),
@@ -549,6 +550,7 @@ impl<T: PackedCodec> PackedCodec for Option<T> {
             }
         }
     }
+    #[inline]
     fn decode(input: &mut &[u8]) -> Self {
         if bool::decode(input) {
             Some(T::decode(input))
@@ -559,17 +561,20 @@ impl<T: PackedCodec> PackedCodec for Option<T> {
 }
 
 impl<T: PackedCodec> PackedCodec for Vec<T> {
+    #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
         write_varint(out, self.len() as u64);
         for v in self {
             v.encode(out);
         }
     }
+    #[inline]
     fn decode(input: &mut &[u8]) -> Self {
         let len = read_varint(input) as usize;
         (0..len).map(|_| T::decode(input)).collect()
     }
     /// Refills the buffer in place: no allocation once it has grown.
+    #[inline]
     fn decode_into(&mut self, input: &mut &[u8]) {
         let len = read_varint(input) as usize;
         self.clear();
@@ -578,17 +583,20 @@ impl<T: PackedCodec> PackedCodec for Vec<T> {
 }
 
 impl<T: PackedCodec> PackedCodec for VecDeque<T> {
+    #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
         write_varint(out, self.len() as u64);
         for v in self {
             v.encode(out);
         }
     }
+    #[inline]
     fn decode(input: &mut &[u8]) -> Self {
         let len = read_varint(input) as usize;
         (0..len).map(|_| T::decode(input)).collect()
     }
     /// Refills the ring buffer in place: no allocation once it has grown.
+    #[inline]
     fn decode_into(&mut self, input: &mut &[u8]) {
         let len = read_varint(input) as usize;
         self.clear();
@@ -597,21 +605,25 @@ impl<T: PackedCodec> PackedCodec for VecDeque<T> {
 }
 
 impl<A: PackedCodec, B: PackedCodec> PackedCodec for (A, B) {
+    #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
         self.0.encode(out);
         self.1.encode(out);
     }
+    #[inline]
     fn decode(input: &mut &[u8]) -> Self {
         (A::decode(input), B::decode(input))
     }
 }
 
 impl<T: PackedCodec, const N: usize> PackedCodec for [T; N] {
+    #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
         for v in self {
             v.encode(out);
         }
     }
+    #[inline]
     fn decode(input: &mut &[u8]) -> Self {
         // `from_fn` fills indices in order, matching the encode order.
         std::array::from_fn(|_| T::decode(input))
@@ -621,6 +633,7 @@ impl<T: PackedCodec, const N: usize> PackedCodec for [T; N] {
 /// Ordered maps encode as a length followed by `(key, value)` pairs in
 /// key order — canonical because iteration order is.
 impl<K: PackedCodec + Ord, V: PackedCodec> PackedCodec for std::collections::BTreeMap<K, V> {
+    #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
         write_varint(out, self.len() as u64);
         for (k, v) in self {
@@ -628,6 +641,7 @@ impl<K: PackedCodec + Ord, V: PackedCodec> PackedCodec for std::collections::BTr
             v.encode(out);
         }
     }
+    #[inline]
     fn decode(input: &mut &[u8]) -> Self {
         let len = read_varint(input);
         (0..len)
@@ -638,9 +652,11 @@ impl<K: PackedCodec + Ord, V: PackedCodec> PackedCodec for std::collections::BTr
 
 /// Sorted `u64` sets delta-encode like the message sets they usually are.
 impl PackedCodec for std::collections::BTreeSet<u64> {
+    #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
         write_delta_seq(out, self.len(), self.iter().copied());
     }
+    #[inline]
     fn decode(input: &mut &[u8]) -> Self {
         let mut set = std::collections::BTreeSet::new();
         read_delta_seq(input, |v| {
@@ -780,15 +796,44 @@ const CHUNK_FIRST_SHIFT: u32 = 9;
 /// every claim (perfbench's traced run) admitted 3× slower.
 const CHUNK_MAX_SHIFT: u32 = 20;
 
-/// Where a [`PackedTable`] keeps one state: its cached hash and the
-/// location of its encoding, in one 16-byte record so that a probe reads
-/// a single entry before it compares bytes.
+/// Where a [`PackedTable`] keeps one state's encoding, in 8 bytes: a
+/// probe reads it only once a slot's tag matches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Record {
-    hash: u64,
-    chunk: u16,
     start: u32,
+    chunk: u16,
     len: u16,
+}
+
+/// One [`PackedTable`] index slot: an id and the 32 bits of its hash that
+/// [`tag_of`] takes, so a probe compares tags without leaving the index.
+/// `id == EMPTY` marks a free slot.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    tag: u32,
+    id: u32,
+}
+
+/// An unoccupied index slot.
+const FREE: Slot = Slot { tag: 0, id: EMPTY };
+
+/// The 32 bits of a byte-string hash that a [`PackedTable`] slot stores
+/// and takes its home slot from: the upper half, which the fx multiply
+/// mixes best.
+#[inline]
+fn tag_of(hash: u64) -> u32 {
+    (hash >> 32) as u32
+}
+
+/// The id of the entry appended at index `len` of an arena, or a panic
+/// naming `field`: ids are `u32`, and `u32::MAX` is `EMPTY`, the index's
+/// free-slot marker, under which an entry would read as a free slot and
+/// its state would be lost.
+fn entry_id(len: usize, field: &str) -> u32 {
+    match u32::try_from(len) {
+        Ok(id) if id != EMPTY => id,
+        _ => panic!("{field} {len} does not fit below the empty-slot marker {EMPTY}"),
+    }
 }
 
 /// `value` converted to a narrower record field, or a panic naming the
@@ -810,25 +855,28 @@ fn narrow<T: TryFrom<usize>>(value: usize, field: &str) -> T {
 /// Encodings are stored back to back in byte chunks, each allocated
 /// once: chunk sizes double from 512 bytes up to 1 MiB, and an encoding
 /// that does not fit the rest of the last chunk starts the next one, so
-/// no encoding straddles two chunks. Each state's hash and location sit
-/// in one 16-byte record in a [`SegVec`]; the open-addressing index maps
-/// byte-string hashes to ids and dedups by byte equality (canonical
-/// encodings make that state equality). Only the index grows by doubling,
-/// rebuilt from the cached hashes: nothing admitted is ever moved. Per-state
-/// overhead is `bytes + 16 (record) + ~4.6 (index)` — for zoo states
-/// whose structs run 50–150 bytes plus queue allocations, the packed
-/// arena is several times smaller and the hasher touches a handful of
-/// bytes instead of walking a struct.
+/// no encoding straddles two chunks. Each state's location sits in one
+/// 8-byte record in a [`SegVec`]. Each slot of the open-addressing index
+/// holds an id and a 32-bit tag cut from its hash, the same bits that
+/// pick its home slot: a probe passes occupied slots by comparing tags
+/// and reads a record and its bytes only on a tag match, where byte
+/// equality decides (canonical encodings make that state equality). Only
+/// the index grows by doubling, re-placing its own slots by their tags:
+/// nothing admitted is ever moved, and growth reads no record. Per-state
+/// overhead is `bytes + 8 (record) + 9–18 (index, at 7/8 down to 7/16
+/// load)` — for zoo states whose structs run 50–150 bytes plus queue
+/// allocations, the packed arena is several times smaller and the hasher
+/// touches a handful of bytes instead of walking a struct.
 ///
 /// An encoding must be at most `u16::MAX` bytes long; a longer one
 /// panics on admission.
 pub struct PackedTable<H = FxBuildHasher> {
     /// Encodings in id order, spread over chunks that never reallocate.
     chunks: Vec<Vec<u8>>,
-    /// Hash and location per state, in id order.
+    /// Location per state, in id order.
     records: SegVec<Record>,
-    /// Open-addressing index; `EMPTY` marks a free slot.
-    table: Vec<u32>,
+    /// Open-addressing index of tagged ids; a power of two long.
+    table: Vec<Slot>,
     hasher: H,
 }
 
@@ -889,16 +937,16 @@ impl<H: BuildHasher> PackedTable<H> {
         if self.table.is_empty() {
             return None;
         }
+        let tag = tag_of(hash);
         let mask = self.table.len() - 1;
-        let mut i = (hash as usize) & mask;
+        let mut i = tag as usize & mask;
         loop {
-            let id = self.table[i];
-            if id == EMPTY {
+            let slot = self.table[i];
+            if slot.id == EMPTY {
                 return None;
             }
-            let rec = &self.records[id as usize];
-            if rec.hash == hash && self.bytes_of(rec) == encoded {
-                return Some(id);
+            if slot.tag == tag && self.encoding(slot.id) == encoded {
+                return Some(slot.id);
             }
             i = (i + 1) & mask;
         }
@@ -922,13 +970,13 @@ impl<H: BuildHasher> PackedTable<H> {
     /// # Panics
     ///
     /// If `encoded` is longer than `u16::MAX` bytes, or the table would
-    /// exceed `u32` ids.
+    /// exceed `u32::MAX - 1` ids (`u32::MAX` marks a free index slot).
     pub fn append(&mut self, hash: u64, encoded: &[u8]) -> u32 {
         debug_assert!(
             self.lookup(hash, encoded).is_none(),
             "append called on an interned encoding"
         );
-        let id = u32::try_from(self.records.len()).expect("packed arena overflowed u32 ids");
+        let id = entry_id(self.records.len(), "packed arena id");
         let len = narrow(encoded.len(), "encoding length");
         // A full chunk is never grown: the encoding starts the next one.
         let room = self.chunks.last().map_or(0, |c| c.capacity() - c.len());
@@ -943,16 +991,20 @@ impl<H: BuildHasher> PackedTable<H> {
         let start = narrow(bytes.len(), "encoding offset");
         bytes.extend_from_slice(encoded);
         self.records.push(Record {
-            hash,
-            chunk: narrow(chunk, "chunk index"),
             start,
+            chunk: narrow(chunk, "chunk index"),
             len,
         });
         if self.table.is_empty() || (self.records.len() + 1) * 8 > self.table.len() * 7 {
             self.grow();
-        } else {
-            Self::place_in(&mut self.table, hash, id);
         }
+        Self::place_in(
+            &mut self.table,
+            Slot {
+                tag: tag_of(hash),
+                id,
+            },
+        );
         id
     }
 
@@ -979,35 +1031,32 @@ impl<H: BuildHasher> PackedTable<H> {
     pub fn approx_bytes(&self) -> usize {
         self.chunks.iter().map(Vec::capacity).sum::<usize>()
             + self.records.approx_bytes()
-            + self.table.capacity() * std::mem::size_of::<u32>()
+            + self.table.capacity() * std::mem::size_of::<Slot>()
     }
 
     /// The stored encoding of state `idx`.
     fn encoding(&self, idx: u32) -> &[u8] {
-        self.bytes_of(&self.records[idx as usize])
-    }
-
-    /// The bytes a record locates.
-    fn bytes_of(&self, rec: &Record) -> &[u8] {
+        let rec = &self.records[idx as usize];
         let start = usize::try_from(rec.start).expect("u32 offsets fit usize");
         &self.chunks[usize::from(rec.chunk)][start..start + usize::from(rec.len)]
     }
 
-    fn place_in(table: &mut [u32], hash: u64, id: u32) {
+    /// Puts `slot` in the first free slot from its tag's home slot on.
+    fn place_in(table: &mut [Slot], slot: Slot) {
         let mask = table.len() - 1;
-        let mut i = (hash as usize) & mask;
-        while table[i] != EMPTY {
+        let mut i = slot.tag as usize & mask;
+        while table[i].id != EMPTY {
             i = (i + 1) & mask;
         }
-        table[i] = id;
+        table[i] = slot;
     }
 
+    /// Doubles the index, re-placing the old index's slots by their tags.
     fn grow(&mut self) {
         let cap = (self.table.len() * 2).max(16);
-        self.table.clear();
-        self.table.resize(cap, EMPTY);
-        for (id, rec) in self.records.iter().enumerate() {
-            Self::place_in(&mut self.table, rec.hash, id as u32);
+        let old = std::mem::replace(&mut self.table, vec![FREE; cap]);
+        for slot in old.into_iter().filter(|slot| slot.id != EMPTY) {
+            Self::place_in(&mut self.table, slot);
         }
     }
 }
@@ -1581,5 +1630,90 @@ mod tests {
         let mut t = PackedTable::new();
         let long = vec![7u8; 65_536];
         t.append(t.hash_bytes(&long), &long);
+    }
+
+    #[test]
+    fn the_last_id_below_the_empty_marker_is_accepted() {
+        assert_eq!(
+            entry_id(u32::MAX as usize - 1, "packed arena id"),
+            u32::MAX - 1
+        );
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "packed arena id 4294967295 does not fit below the empty-slot marker 4294967295"
+    )]
+    fn an_id_equal_to_the_empty_marker_is_refused() {
+        let _ = entry_id(u32::MAX as usize, "packed arena id");
+    }
+
+    /// The [`varied`] encodings below `MANY`, in pairs whose hashes share
+    /// the 32 bits a slot stores (and so a home slot).
+    fn tag_colliding_encodings() -> Vec<Vec<u8>> {
+        let t = PackedTable::new();
+        let mut first = std::collections::HashMap::new();
+        let mut pairs = Vec::new();
+        let mut enc = Vec::new();
+        for n in 0..MANY as u64 {
+            varied(n, &mut enc);
+            let tag = tag_of(t.hash_bytes(&enc));
+            if let Some(&m) = first.get(&tag) {
+                let mut earlier = Vec::new();
+                varied(m, &mut earlier);
+                pairs.extend([earlier, enc.clone()]);
+            } else {
+                first.insert(tag, n);
+            }
+        }
+        pairs
+    }
+
+    /// Asserts that every encoding resolves to its own id.
+    fn resolves_each(t: &mut PackedTable, encodings: &[Vec<u8>], ids: &[u32], when: &str) {
+        for (enc, &id) in encodings.iter().zip(ids) {
+            let want = <(u64, Vec<u8>)>::decode(&mut enc.as_slice());
+            let hash = t.hash_bytes(enc);
+            assert_eq!(t.lookup(hash, enc), Some(id), "lookup of id {id} {when}");
+            assert_eq!(t.intern(hash, enc), (id, false), "intern of id {id} {when}");
+            assert_eq!(t.decode::<(u64, Vec<u8>)>(id), want, "id {id} {when}");
+            let mut into = (u64::MAX, vec![9u8; 3]);
+            t.decode_into(id, &mut into);
+            assert_eq!(into, want, "id {id} {when}");
+        }
+    }
+
+    #[test]
+    fn tag_collisions_resolve_by_bytes() {
+        let encodings = tag_colliding_encodings();
+        assert!(
+            !encodings.is_empty(),
+            "no two of {MANY} encodings share a tag"
+        );
+        let mut t = PackedTable::new();
+        let mut ids = Vec::new();
+        for enc in &encodings {
+            // The second of a pair probes past the first's matching tag.
+            let hash = t.hash_bytes(enc);
+            assert_eq!(
+                t.lookup(hash, enc),
+                None,
+                "a tag match is not a state match"
+            );
+            let (id, fresh) = t.intern(hash, enc);
+            assert!(fresh, "encoding {id} deduplicated against another's tag");
+            ids.push(id);
+        }
+        resolves_each(&mut t, &encodings, &ids, "before a grow");
+        let slots = t.table.len();
+        let mut enc = Vec::new();
+        for n in MANY as u64.. {
+            if t.table.len() > slots {
+                break;
+            }
+            varied(n, &mut enc);
+            t.intern(t.hash_bytes(&enc), &enc);
+        }
+        resolves_each(&mut t, &encodings, &ids, "after a grow");
     }
 }

@@ -373,11 +373,13 @@ pub fn protocol() -> DataLinkProtocol<AbpTransmitter, AbpReceiver> {
 }
 
 impl PackedCodec for AbpTxState {
+    #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
         self.active.encode(out);
         self.bit.encode(out);
         self.queue.encode(out);
     }
+    #[inline]
     fn decode(input: &mut &[u8]) -> Self {
         AbpTxState {
             active: bool::decode(input),
@@ -385,6 +387,7 @@ impl PackedCodec for AbpTxState {
             queue: std::collections::VecDeque::<Msg>::decode(input),
         }
     }
+    #[inline]
     fn decode_into(&mut self, input: &mut &[u8]) {
         self.active = bool::decode(input);
         self.bit = bool::decode(input);
@@ -393,12 +396,14 @@ impl PackedCodec for AbpTxState {
 }
 
 impl PackedCodec for AbpRxState {
+    #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
         self.active.encode(out);
         self.expected.encode(out);
         self.deliver.encode(out);
         self.acks.encode(out);
     }
+    #[inline]
     fn decode(input: &mut &[u8]) -> Self {
         AbpRxState {
             active: bool::decode(input),
@@ -407,6 +412,7 @@ impl PackedCodec for AbpRxState {
             acks: std::collections::VecDeque::<bool>::decode(input),
         }
     }
+    #[inline]
     fn decode_into(&mut self, input: &mut &[u8]) {
         self.active = bool::decode(input);
         self.expected = bool::decode(input);

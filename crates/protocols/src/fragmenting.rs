@@ -362,11 +362,13 @@ pub fn protocol() -> DataLinkProtocol<FragTransmitter, FragReceiver> {
 }
 
 impl PackedCodec for FragTxState {
+    #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
         self.active.encode(out);
         self.bit.encode(out);
         self.queue.encode(out);
     }
+    #[inline]
     fn decode(input: &mut &[u8]) -> Self {
         FragTxState {
             active: bool::decode(input),
@@ -377,6 +379,7 @@ impl PackedCodec for FragTxState {
 }
 
 impl PackedCodec for FragRxState {
+    #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
         self.active.encode(out);
         self.expected.encode(out);
@@ -385,6 +388,7 @@ impl PackedCodec for FragRxState {
         self.deliver.encode(out);
         self.acks.encode(out);
     }
+    #[inline]
     fn decode(input: &mut &[u8]) -> Self {
         FragRxState {
             active: bool::decode(input),

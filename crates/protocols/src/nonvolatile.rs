@@ -373,12 +373,14 @@ pub fn protocol() -> DataLinkProtocol<NvTransmitter, NvReceiver> {
 }
 
 impl PackedCodec for NvTxState {
+    #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
         self.active.encode(out);
         self.epoch.encode(out);
         self.seq.encode(out);
         self.queue.encode(out);
     }
+    #[inline]
     fn decode(input: &mut &[u8]) -> Self {
         NvTxState {
             active: bool::decode(input),
@@ -390,6 +392,7 @@ impl PackedCodec for NvTxState {
 }
 
 impl PackedCodec for NvRxState {
+    #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
         self.active.encode(out);
         self.epoch.encode(out);
@@ -397,6 +400,7 @@ impl PackedCodec for NvRxState {
         self.deliver.encode(out);
         self.acks.encode(out);
     }
+    #[inline]
     fn decode(input: &mut &[u8]) -> Self {
         NvRxState {
             active: bool::decode(input),

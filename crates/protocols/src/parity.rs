@@ -397,11 +397,13 @@ pub fn protocol() -> DataLinkProtocol<ParityTransmitter, ParityReceiver> {
 }
 
 impl PackedCodec for ParityTxState {
+    #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
         self.active.encode(out);
         self.bit.encode(out);
         self.queue.encode(out);
     }
+    #[inline]
     fn decode(input: &mut &[u8]) -> Self {
         ParityTxState {
             active: bool::decode(input),
@@ -412,6 +414,7 @@ impl PackedCodec for ParityTxState {
 }
 
 impl PackedCodec for ParityRxState {
+    #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
         self.active.encode(out);
         self.expected.encode(out);
@@ -420,6 +423,7 @@ impl PackedCodec for ParityRxState {
         self.deliver.encode(out);
         self.acks.encode(out);
     }
+    #[inline]
     fn decode(input: &mut &[u8]) -> Self {
         ParityRxState {
             active: bool::decode(input),

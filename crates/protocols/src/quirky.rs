@@ -308,10 +308,12 @@ pub fn protocol() -> DataLinkProtocol<QuirkyTransmitter, QuirkyReceiver> {
 }
 
 impl PackedCodec for QuirkyTxState {
+    #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
         self.active.encode(out);
         self.queue.encode(out);
     }
+    #[inline]
     fn decode(input: &mut &[u8]) -> Self {
         QuirkyTxState {
             active: bool::decode(input),
@@ -321,12 +323,14 @@ impl PackedCodec for QuirkyTxState {
 }
 
 impl PackedCodec for QuirkyRxState {
+    #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
         self.active.encode(out);
         self.seen.encode(out);
         self.deliver.encode(out);
         self.acks.encode(out);
     }
+    #[inline]
     fn decode(input: &mut &[u8]) -> Self {
         QuirkyRxState {
             active: bool::decode(input),

@@ -450,12 +450,14 @@ pub fn protocol(window: u64) -> DataLinkProtocol<SrTransmitter, SrReceiver> {
 }
 
 impl PackedCodec for SrTxState {
+    #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
         self.active.encode(out);
         self.base.encode(out);
         self.queue.encode(out);
         self.acked.encode(out);
     }
+    #[inline]
     fn decode(input: &mut &[u8]) -> Self {
         SrTxState {
             active: bool::decode(input),
@@ -467,6 +469,7 @@ impl PackedCodec for SrTxState {
 }
 
 impl PackedCodec for SrRxState {
+    #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
         self.active.encode(out);
         self.expected.encode(out);
@@ -474,6 +477,7 @@ impl PackedCodec for SrRxState {
         self.deliver.encode(out);
         self.acks.encode(out);
     }
+    #[inline]
     fn decode(input: &mut &[u8]) -> Self {
         SrRxState {
             active: bool::decode(input),

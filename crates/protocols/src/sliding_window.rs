@@ -386,11 +386,13 @@ pub fn protocol(window: u64) -> DataLinkProtocol<SwTransmitter, SwReceiver> {
 }
 
 impl PackedCodec for SwTxState {
+    #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
         self.active.encode(out);
         self.base.encode(out);
         self.queue.encode(out);
     }
+    #[inline]
     fn decode(input: &mut &[u8]) -> Self {
         SwTxState {
             active: bool::decode(input),
@@ -401,12 +403,14 @@ impl PackedCodec for SwTxState {
 }
 
 impl PackedCodec for SwRxState {
+    #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
         self.active.encode(out);
         self.expected.encode(out);
         self.deliver.encode(out);
         self.acks.encode(out);
     }
+    #[inline]
     fn decode(input: &mut &[u8]) -> Self {
         SwRxState {
             active: bool::decode(input),

@@ -446,12 +446,14 @@ pub fn corrupted(
 }
 
 impl PackedCodec for StabTxState {
+    #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
         self.active.encode(out);
         self.seq.encode(out);
         self.acked.encode(out);
         self.queue.encode(out);
     }
+    #[inline]
     fn decode(input: &mut &[u8]) -> Self {
         StabTxState {
             active: bool::decode(input),
@@ -463,6 +465,7 @@ impl PackedCodec for StabTxState {
 }
 
 impl PackedCodec for StabRxState {
+    #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
         self.active.encode(out);
         self.expected.encode(out);
@@ -471,6 +474,7 @@ impl PackedCodec for StabRxState {
         self.deliver.encode(out);
         self.acks.encode(out);
     }
+    #[inline]
     fn decode(input: &mut &[u8]) -> Self {
         StabRxState {
             active: bool::decode(input),

@@ -313,11 +313,13 @@ pub fn protocol() -> DataLinkProtocol<StenningTransmitter, StenningReceiver> {
 }
 
 impl PackedCodec for StenningTxState {
+    #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
         self.active.encode(out);
         self.seq.encode(out);
         self.queue.encode(out);
     }
+    #[inline]
     fn decode(input: &mut &[u8]) -> Self {
         StenningTxState {
             active: bool::decode(input),
@@ -328,12 +330,14 @@ impl PackedCodec for StenningTxState {
 }
 
 impl PackedCodec for StenningRxState {
+    #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
         self.active.encode(out);
         self.expected.encode(out);
         self.deliver.encode(out);
         self.acks.encode(out);
     }
+    #[inline]
     fn decode(input: &mut &[u8]) -> Self {
         StenningRxState {
             active: bool::decode(input),

@@ -67,9 +67,12 @@ stage_explore_deep() {
   # histograms at 1/2/4 threads (the full ≥10⁶-state run lives in
   # `scripts/bench.sh` / bench/baseline.json). Plus the packed store's
   # chunk, segment and offset arithmetic in release, where an overflow
-  # wraps silently and `debug_assert!`s are compiled out.
+  # wraps silently and `debug_assert!`s are compiled out, and the
+  # engine's own tests (1/2/4 threads, zero- and one-segment claim
+  # filters, the overflow path) on the optimized batched worker loop.
   cargo test --release -q -p dl-bench --test explore_deep_smoke
   cargo test --release -q -p ioa intern
+  cargo test --release -q -p dl-explore
 }
 
 stage_monitor_smoke() {
