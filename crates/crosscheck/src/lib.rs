@@ -7,7 +7,7 @@
 //! backend) the interning codecs. A bug in any of those layers would
 //! bias *every* reported state count and counterexample the same way,
 //! and no test comparing the engine against itself could see it. This
-//! crate is its deliberately independent oracle, in three artifacts:
+//! crate is its deliberately independent oracle, in two artifacts:
 //!
 //! * **An independent checker** ([`CcChecker`]) in the style of an
 //!   actor-model explicit-state checker: its own model trait
@@ -16,12 +16,6 @@
 //!   and *zero* imports from `ioa`/`dl-explore` in the engine module.
 //!   The only shared code is the [`translate`] bridge, which compiles
 //!   an `Automaton` into a `CcModel` through the public allocating API.
-//! * **A TLA+ emitter** ([`tla`]) that renders the small-instance zoo —
-//!   ABP, go-back-N, and the self-stabilizing protocol over 2-slot
-//!   channels — as self-contained, deterministic TLA+ modules with an
-//!   invertible action-atom table. Goldens live in
-//!   `crates/crosscheck/tla/` and `scripts/check.sh` diffs them against
-//!   fresh emission.
 //! * **A differential harness** ([`diff`], [`zoo`]) asserting that both
 //!   engines agree *exactly* — reachable-state count, quiescent count,
 //!   diameter, per-layer statistics, and minimal counterexample traces
@@ -49,12 +43,10 @@
 pub mod checker;
 pub mod diff;
 pub mod model;
-pub mod tla;
 pub mod translate;
 pub mod zoo;
 
 pub use checker::{CcChecker, CcLayer, CcReport, CcTruncation, CcViolation};
 pub use diff::{disagreements, EngineSummary, LayerLine, ViolationLine, ZooOutcome};
 pub use model::{CcModel, CcProperty};
-pub use tla::{atom_name, golden_specs, parse_atom_name, TlaAtom, TlaSpec};
 pub use translate::Translated;

@@ -173,8 +173,7 @@ pub fn go_back_n_lossy(window: u64, capacity: usize, threads: usize) -> ZooOutco
 }
 
 /// The self-stabilizing protocol over non-FIFO (reordering) channels of
-/// the given capacity, crash-free, two messages — the zoo member whose
-/// channel model the TLA+ emission also covers.
+/// the given capacity, crash-free, two messages.
 pub fn stabilizing_reorder(capacity: usize, threads: usize) -> ZooOutcome {
     let p = dl_protocols::stabilizing::protocol_with(capacity as u64);
     run_both(

@@ -1,11 +1,12 @@
-//! Action classification and action signatures (paper §2.1).
+//! Action classification (paper §2.1).
 //!
 //! An *action signature* partitions a set of actions into pairwise-disjoint
 //! input, output, and internal sets. Because our automata work over a shared
-//! concrete action universe (an `enum` in practice), a signature here is a
-//! classification function: each action of the universe is either not in the
-//! signature at all ([`Signature::classify`] returns `None`) or belongs to
-//! exactly one [`ActionClass`].
+//! concrete action universe (an `enum` in practice), an automaton's
+//! signature is its classification function,
+//! [`Automaton::classify`](crate::Automaton::classify): each action of the
+//! universe is either not in the signature at all (`classify` returns
+//! `None`) or belongs to exactly one [`ActionClass`].
 
 use std::fmt;
 
@@ -37,8 +38,7 @@ impl ActionClass {
         matches!(self, ActionClass::Output | ActionClass::Internal)
     }
 
-    /// The class's canonical lowercase name, as rendered by `Display`
-    /// and emitted into the TLA+ action-atom tables.
+    /// The class's canonical lowercase name, as rendered by `Display`.
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
@@ -52,104 +52,6 @@ impl ActionClass {
 impl fmt::Display for ActionClass {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
-    }
-}
-
-/// Boxed classification function stored inside a [`Signature`].
-type ClassifyFn<A> = Box<dyn Fn(&A) -> Option<ActionClass> + Send + Sync>;
-
-/// A reified action signature: a classification function over a shared
-/// action universe `A`.
-///
-/// Most code interrogates an automaton's signature through
-/// [`crate::Automaton::classify`]; `Signature` exists for code that needs a
-/// signature *detached* from an automaton — e.g. the composition operator
-/// computes the composite signature (paper §2.5.1), and schedule modules
-/// carry a signature of their own (§2.3).
-pub struct Signature<A> {
-    classify: ClassifyFn<A>,
-}
-
-impl<A> Signature<A> {
-    /// Creates a signature from a classification function.
-    ///
-    /// The function must be a *partition*: for a fixed action it must always
-    /// return the same class. (This is trivially true for pure functions.)
-    pub fn new(classify: impl Fn(&A) -> Option<ActionClass> + Send + Sync + 'static) -> Self {
-        Signature {
-            classify: Box::new(classify),
-        }
-    }
-
-    /// Classifies an action, or returns `None` if the action is not in the
-    /// signature.
-    #[must_use]
-    pub fn classify(&self, action: &A) -> Option<ActionClass> {
-        (self.classify)(action)
-    }
-
-    /// Returns `true` if the action belongs to the signature.
-    #[must_use]
-    pub fn contains(&self, action: &A) -> bool {
-        self.classify(action).is_some()
-    }
-
-    /// Returns `true` if the action is an external (input or output) action
-    /// of this signature.
-    #[must_use]
-    pub fn is_external(&self, action: &A) -> bool {
-        self.classify(action).is_some_and(ActionClass::is_external)
-    }
-
-    /// The external action signature obtained by dropping internal actions
-    /// (used when a schedule module has "the same external action signature"
-    /// as an automaton, §2.4).
-    #[must_use]
-    pub fn external(self) -> Signature<A>
-    where
-        A: 'static,
-    {
-        let inner = self.classify;
-        Signature::new(move |a| match inner(a) {
-            Some(ActionClass::Internal) | None => None,
-            some => some,
-        })
-    }
-
-    /// Memoizes classification over a sampled action table.
-    ///
-    /// Detached signatures accrete boxed-closure layers (composition
-    /// chains, [`external`](Signature::external) wrappers, automaton
-    /// captures); on a per-action hot path that dispatch is pure overhead,
-    /// since for an enum universe the classes of the recurring actions are
-    /// a finite table. `memoized` evaluates the signature once for every
-    /// sampled action and answers subsequent `classify` calls for those
-    /// actions from the table; unsampled actions fall through to the
-    /// original classification chain, so the signature's meaning is
-    /// unchanged.
-    #[must_use]
-    pub fn memoized(self, sample: impl IntoIterator<Item = A>) -> Signature<A>
-    where
-        A: std::hash::Hash + Eq + Send + Sync + 'static,
-    {
-        let inner = self.classify;
-        let table: std::collections::HashMap<A, Option<ActionClass>> = sample
-            .into_iter()
-            .map(|a| {
-                let class = inner(&a);
-                (a, class)
-            })
-            .collect();
-        Signature::new(move |a| match table.get(a) {
-            Some(&class) => class,
-            None => inner(a),
-        })
-    }
-}
-
-impl<A> fmt::Debug for Signature<A> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Signature").finish_non_exhaustive()
     }
 }
 
@@ -172,66 +74,5 @@ mod tests {
         assert_eq!(ActionClass::Input.to_string(), "input");
         assert_eq!(ActionClass::Output.to_string(), "output");
         assert_eq!(ActionClass::Internal.to_string(), "internal");
-    }
-
-    #[test]
-    fn signature_classifies() {
-        let sig = Signature::new(|a: &i32| match a {
-            0 => Some(ActionClass::Input),
-            1 => Some(ActionClass::Output),
-            2 => Some(ActionClass::Internal),
-            _ => None,
-        });
-        assert_eq!(sig.classify(&0), Some(ActionClass::Input));
-        assert!(sig.contains(&1));
-        assert!(!sig.contains(&3));
-        assert!(sig.is_external(&1));
-        assert!(!sig.is_external(&2));
-        assert!(!sig.is_external(&3));
-    }
-
-    #[test]
-    fn memoized_signature_agrees_with_original_and_falls_through() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Arc;
-
-        let calls = Arc::new(AtomicUsize::new(0));
-        let counted = Arc::clone(&calls);
-        let sig = Signature::new(move |a: &i32| {
-            counted.fetch_add(1, Ordering::Relaxed);
-            match a {
-                0 => Some(ActionClass::Input),
-                1 => Some(ActionClass::Output),
-                2 => Some(ActionClass::Internal),
-                _ => None,
-            }
-        })
-        .memoized(0..=3);
-        let after_build = calls.load(Ordering::Relaxed);
-        assert_eq!(after_build, 4, "each sampled action classified once");
-
-        // Sampled actions (including a sampled non-member) answer from the
-        // table without re-entering the closure chain.
-        assert_eq!(sig.classify(&0), Some(ActionClass::Input));
-        assert_eq!(sig.classify(&1), Some(ActionClass::Output));
-        assert_eq!(sig.classify(&2), Some(ActionClass::Internal));
-        assert_eq!(sig.classify(&3), None);
-        assert_eq!(calls.load(Ordering::Relaxed), after_build);
-
-        // Unsampled actions fall through, preserving the signature.
-        assert_eq!(sig.classify(&42), None);
-        assert_eq!(calls.load(Ordering::Relaxed), after_build + 1);
-    }
-
-    #[test]
-    fn external_signature_drops_internals() {
-        let sig = Signature::new(|a: &i32| match a {
-            0 => Some(ActionClass::Input),
-            2 => Some(ActionClass::Internal),
-            _ => None,
-        })
-        .external();
-        assert_eq!(sig.classify(&0), Some(ActionClass::Input));
-        assert_eq!(sig.classify(&2), None);
     }
 }

@@ -4,7 +4,7 @@ use std::fmt::Debug;
 use std::hash::Hash;
 use std::ops::ControlFlow;
 
-use crate::action::{ActionClass, Signature};
+use crate::action::ActionClass;
 
 /// Identifier of an equivalence class of the task partition `part(A)`.
 ///
@@ -329,16 +329,6 @@ pub trait Automaton {
         }
         None
     }
-
-    /// This automaton's signature as a detached [`Signature`] value.
-    fn signature(&self) -> Signature<Self::Action>
-    where
-        Self: Sized + Clone + Send + Sync + 'static,
-        Self::Action: 'static,
-    {
-        let this = self.clone();
-        Signature::new(move |a| this.classify(a))
-    }
 }
 
 /// Blanket impl so `&A` can be used wherever an automaton is consumed by
@@ -560,7 +550,6 @@ mod tests {
     use super::*;
 
     /// Modulo-3 counter. Input `Reset`, output `Tick`.
-    #[derive(Clone)]
     struct Counter;
 
     #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -818,12 +807,5 @@ mod tests {
             2,
             "step_first must stop at the first successor"
         );
-    }
-
-    #[test]
-    fn detached_signature() {
-        let sig = Counter.signature();
-        assert_eq!(sig.classify(&Act::Reset), Some(ActionClass::Input));
-        assert!(sig.is_external(&Act::Tick));
     }
 }

@@ -5,8 +5,8 @@
 //! Impossibility Results*, Lynch–Mansour–Fekete, PODC 1988) as a small,
 //! dependency-light Rust kernel:
 //!
-//! * [`ActionClass`] / [`Signature`] — input, output, and internal action
-//!   classification (§2.1 of the paper);
+//! * [`ActionClass`] and [`Automaton::classify`] — input, output, and
+//!   internal action classification, the action signature of §2.1;
 //! * [`Automaton`] — explicit-state, nondeterministic automata that are
 //!   *input-enabled*: every input action is enabled in every state (§2.2);
 //! * [`Deterministic`] and [`deterministic_transitions!`] — a deterministic
@@ -86,7 +86,7 @@ pub mod hiding;
 pub mod intern;
 pub mod schedule_module;
 
-pub use action::{ActionClass, Signature};
+pub use action::ActionClass;
 pub use automaton::{Automaton, Deterministic, TaskId};
 pub use composition::{CompatibilityError, Compose2, Pair};
 pub use execution::{Execution, Step};

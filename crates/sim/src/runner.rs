@@ -827,12 +827,6 @@ where
         }
     }
 
-    /// Actions taken so far.
-    #[must_use]
-    pub fn steps_taken(&self) -> usize {
-        self.trace.len()
-    }
-
     /// The live state: the post-state of the last action taken (the
     /// start state before the first).
     #[must_use]
@@ -952,13 +946,6 @@ where
             scratch_refills: self.scratch.refills,
         };
         (runner, report)
-    }
-
-    /// Tears any session down into its runner (RNG stream and uid counter
-    /// intact, for reuse across runs).
-    #[must_use]
-    pub fn into_runner(self) -> Runner {
-        self.runner
     }
 }
 

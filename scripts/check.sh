@@ -139,10 +139,8 @@ stage_cross_check() {
   # (own hashing, own visited set, own BFS) agrees with the parallel
   # explorer field by field — state counts, diameters, per-layer stats,
   # and minimal counterexample traces — across the zoo, including the
-  # Lemma 7.2 crash pump; and the committed TLA+ goldens are
-  # byte-identical to fresh emission.
+  # Lemma 7.2 crash pump.
   cargo test --release -q -p dl-crosscheck
-  cargo run -q --release -p dl-crosscheck --bin emit_tla -- --check crates/crosscheck/tla
 }
 
 stage_bench_smoke() {

@@ -18,8 +18,8 @@
 //!   experiment E12;
 //! * [`fleet`] (`dl-fleet`) — the many-session traffic engine behind
 //!   experiment E13;
-//! * [`crosscheck`] (`dl-crosscheck`) — the independent checker, TLA+
-//!   emitter, and cross-formalism differential behind experiment E16.
+//! * [`crosscheck`] (`dl-crosscheck`) — the independent checker and
+//!   cross-formalism differential behind experiment E16.
 //!
 //! # Example: refute a protocol's crash tolerance
 //!

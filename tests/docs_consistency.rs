@@ -1,6 +1,7 @@
 //! Documentation consistency: the tests, examples, binaries, check
 //! stages and ledger runs the documentation points at actually exist, so
-//! EXPERIMENTS.md's "regenerate" lines never rot.
+//! EXPERIMENTS.md's "regenerate" lines and the commands the other docs
+//! show never rot.
 
 use std::fs;
 use std::path::Path;
@@ -81,15 +82,46 @@ fn committed_baseline() -> BenchFile {
     BenchFile::from_json(&text).unwrap()
 }
 
-/// The name following each `flag ` occurrence in `text`.
-fn flag_values<'a>(text: &'a str, flag: &'a str) -> impl Iterator<Item = &'a str> + 'a {
-    text.match_indices(flag).map(move |(idx, _)| {
-        let rest = &text[idx + flag.len()..];
-        let end = rest
-            .find(|c: char| !(c.is_alphanumeric() || c == '_' || c == '-'))
-            .unwrap_or(rest.len());
-        &rest[..end]
-    })
+/// Resolves every `--test X`, `--example X`, `--bin X` and `--stage X`
+/// in `text` (a flag followed by whitespace, a line break included):
+/// `--test` to a test file, `--example` / `--bin` to a registered
+/// target, `--stage` to a `scripts/check.sh` stage. Returns how many
+/// `text` holds, or the line (counted from 1 in `text`) of the first
+/// that does not resolve, with a message naming it.
+fn resolve_targets(text: &str) -> Result<usize, (usize, String)> {
+    let examples: Vec<String> = manifests()
+        .iter()
+        .flat_map(|m| declared_names(m, "[[example]]"))
+        .collect();
+    let stages = check_stages();
+    let mut uses = Vec::new();
+    for flag in ["--test", "--example", "--bin", "--stage"] {
+        for (idx, _) in text.match_indices(flag) {
+            let rest = &text[idx + flag.len()..];
+            if !rest.starts_with(char::is_whitespace) {
+                continue;
+            }
+            let rest = rest.trim_start();
+            let end = rest
+                .find(|c: char| !(c.is_alphanumeric() || c == '_' || c == '-'))
+                .unwrap_or(rest.len());
+            uses.push((idx, flag, &rest[..end]));
+        }
+    }
+    uses.sort_unstable();
+    for &(idx, flag, name) in &uses {
+        let resolves = match flag {
+            "--test" => test_file_exists(name),
+            "--example" => examples.iter().any(|e| e == name),
+            "--bin" => bin_exists(name),
+            _ => stages.iter().any(|s| s == name),
+        };
+        if !resolves {
+            let line = 1 + text[..idx].matches('\n').count();
+            return Err((line, format!("`{flag} {name}` names no such target")));
+        }
+    }
+    Ok(uses.len())
 }
 
 /// Every measurement is a ledger run that `bench/baseline.json` gates: no
@@ -141,11 +173,6 @@ fn experiments_bench_targets_exist() {
         !text.contains("cargo bench"),
         "EXPERIMENTS.md points at `cargo bench`, which runs nothing here"
     );
-    let examples: Vec<String> = manifests()
-        .iter()
-        .flat_map(|m| declared_names(m, "[[example]]"))
-        .collect();
-    let stages = check_stages();
     let baseline = committed_baseline();
 
     let lines: Vec<&str> = text.lines().collect();
@@ -160,36 +187,9 @@ fn experiments_bench_targets_exist() {
             .take_while(|l| !l.trim().is_empty())
             .copied()
             .collect::<Vec<_>>()
-            .join(" ");
-        let mut targets = 0;
-        for name in flag_values(&para, "--test ") {
-            assert!(
-                test_file_exists(name),
-                "line {}: no test file {name}.rs",
-                start + 1
-            );
-            targets += 1;
-        }
-        for name in flag_values(&para, "--example ") {
-            assert!(
-                examples.iter().any(|e| e == name),
-                "line {}: example {name} is not registered",
-                start + 1
-            );
-            targets += 1;
-        }
-        for name in flag_values(&para, "--bin ") {
-            assert!(bin_exists(name), "line {}: no binary {name}", start + 1);
-            targets += 1;
-        }
-        for name in flag_values(&para, "--stage ") {
-            assert!(
-                stages.iter().any(|s| s == name),
-                "line {}: check.sh has no stage {name}",
-                start + 1
-            );
-            targets += 1;
-        }
+            .join("\n");
+        let mut targets = resolve_targets(&para)
+            .unwrap_or_else(|(line, reason)| panic!("EXPERIMENTS.md:{}: {reason}", start + line));
         // Ledger entries: code spans of the form `engine/run_id`.
         for span in para.split('`').skip(1).step_by(2) {
             let mut parts = span.split('/');
@@ -222,6 +222,25 @@ fn experiments_bench_targets_exist() {
         paragraphs >= experiments,
         "{paragraphs} Regenerate paragraphs for {experiments} experiments"
     );
+}
+
+/// Every `--test X`, `--example X`, `--bin X` and `--stage X` that
+/// README.md, DESIGN.md, PAPER_MAP.md and the verify skill show
+/// resolves, so a command they print runs.
+#[test]
+fn doc_commands_resolve() {
+    let mut found = 0;
+    for doc in [
+        "README.md",
+        "DESIGN.md",
+        "PAPER_MAP.md",
+        ".claude/skills/verify/SKILL.md",
+    ] {
+        let text = fs::read_to_string(repo_root().join(doc)).unwrap();
+        found += resolve_targets(&text)
+            .unwrap_or_else(|(line, reason)| panic!("{doc}:{line}: {reason}"));
+    }
+    assert!(found > 0, "the docs name no test, example, binary or stage");
 }
 
 #[test]
