@@ -2,7 +2,7 @@
 //!
 //! One function per workload — E3 (ARQ overhead over lossy links), E9
 //! (exhaustive ABP model check), E15 (the same model pushed past 10⁶
-//! states on the packed backend), E11 (monitored simulation run, the
+//! states), E11 (monitored simulation run, the
 //! streaming monitor against the quadratic reference, and sharded
 //! monitor ingest), E12 (fuzz rediscovery), E13 (fleet traffic engine),
 //! E14 (self-stabilization from corrupted configurations), E16 (the
@@ -84,7 +84,7 @@ fn stall(sleep_micros: u64) {
 /// it reports the fastest, so one scheduler hiccup cannot fail the gate.
 const TIMING_REPS: usize = 5;
 
-/// Runs `pass` [`TIMING_REPS`] times; returns the first pass's result and
+/// Runs `pass` `TIMING_REPS` times; returns the first pass's result and
 /// the fastest pass's wall-clock time.
 fn fastest_of<T>(mut pass: impl FnMut() -> T) -> (T, Duration) {
     let t0 = Instant::now();
@@ -111,7 +111,7 @@ pub fn sleep_from_env() -> u64 {
 
 /// E9: exhaustive crash-free ABP verification at channel capacity 3
 /// (1178 reachable states, 2 messages), on `threads` worker threads.
-/// The gauges time the fastest of [`TIMING_REPS`] searches.
+/// The gauges time the fastest of `TIMING_REPS` searches.
 ///
 /// Counters are thread-count-independent by the engine's determinism
 /// contract; the round-trip test relies on that.
@@ -157,9 +157,9 @@ fn e9_inputs(msgs: u64) -> impl Fn(&<E9Sys as Automaton>::State) -> Vec<DlAction
 
 /// E15: the deep-exploration workload — the E9 system pushed three
 /// orders of magnitude past E9 (channel capacity 6, 16 messages,
-/// 1,172,809 reachable states) on the **packed** storage backend, so the
-/// ledger's `arena_bytes` counter is the packed-encoding ceiling the
-/// bench gate enforces (an alloc-ceiling rule: +25 % fails).
+/// 1,172,809 reachable states). The ledger's `arena_bytes` counter is
+/// the packed-encoding ceiling the bench gate enforces (an alloc-ceiling
+/// rule: +25 % fails).
 ///
 /// Counters are thread-count-independent by the engine's determinism
 /// contract, exactly as for E9.
@@ -202,7 +202,6 @@ pub fn explore_deep_n(
     let search = |threads: usize| {
         ParallelExplorer::new(&sys, e9_inputs(msgs), 16_000_000, 100_000)
             .threads(threads)
-            .packed()
             .check_invariant_from(vec![start.clone()], |s| e9_observer(s).is_safe())
     };
     let t0 = Instant::now();
@@ -263,7 +262,7 @@ pub fn explore_deep_n(
 /// E11 (runner side): a monitored ABP run over nondeterministically-lossy
 /// channels delivering 50 messages, online conformance on — the monitor
 /// span plus verdict-latency cost lands in the ledger. The gauges time
-/// the fastest of [`TIMING_REPS`] runs, each on a fresh runner.
+/// the fastest of `TIMING_REPS` runs, each on a fresh runner.
 ///
 /// # Panics
 ///
@@ -296,12 +295,12 @@ pub fn sim_e11(sleep_micros: u64) -> RunLedger {
 /// of the 21 cells becomes one counter, `data_pkts_<protocol>_<loss>`:
 /// the data packets sent `t → r` to deliver the batch, so a cell's
 /// overhead ratio is its counter over 20. The gauges time the fastest of
-/// [`TIMING_REPS`] sweeps over all 21 cells.
+/// `TIMING_REPS` sweeps over all 21 cells.
 ///
 /// # Panics
 ///
 /// Panics if a cell fails to quiesce or delivers short
-/// ([`deliver_n_over_fifo`](crate::deliver_n_over_fifo)).
+/// ([`deliver_n_over_fifo`]).
 #[must_use]
 pub fn sim_e3(sleep_micros: u64) -> RunLedger {
     const MSGS: u64 = 20;
@@ -708,7 +707,7 @@ pub fn monitor_ingest_n(actions: usize, sleep_micros: u64) -> RunLedger {
 /// [`TraceMonitor`] pass over a message-dense 10⁵-action trace, against
 /// the same verdicts from the frozen quadratic `spec::reference`
 /// checkers. `streaming_actions_per_sec` is the gated rate of the fastest
-/// of [`TIMING_REPS`] streaming passes; `speedup` reports the reference
+/// of `TIMING_REPS` streaming passes; `speedup` reports the reference
 /// pass's time over that pass's.
 ///
 /// # Panics

@@ -967,7 +967,8 @@ impl TraceMonitor {
 
     /// The physical-layer module verdict (`PL^{dir}` or `PL-FIFO^{dir}`)
     /// on the observed prefix. Identical to
-    /// [`crate::spec::physical::PlModule::check`].
+    /// [`PlModule`](crate::spec::physical::PlModule)'s
+    /// [`check`](ioa::schedule_module::ScheduleModule::check).
     ///
     /// # Panics
     ///
@@ -1003,7 +1004,8 @@ impl TraceMonitor {
 
     /// The data-link module verdict (`DL` when `weak == false`, `WDL` when
     /// `weak == true`) on the observed prefix. Identical to
-    /// [`crate::spec::datalink::DlModule::check`].
+    /// [`DlModule`](crate::spec::datalink::DlModule)'s
+    /// [`check`](ioa::schedule_module::ScheduleModule::check).
     #[must_use]
     pub fn dl_verdict(&self, weak: bool, kind: TraceKind) -> Verdict {
         // Hypotheses: well-formedness (transmitter direction preferred, as

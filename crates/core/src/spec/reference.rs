@@ -357,7 +357,8 @@ pub fn check_dl8(trace: &[DlAction], tx: &MediumTimeline) -> Option<Violation> {
 
 /// The reference physical-layer module verdict (`PL^{dir}` /
 /// `PL-FIFO^{dir}`), assembled exactly like
-/// [`crate::spec::physical::PlModule::check`].
+/// [`PlModule`](crate::spec::physical::PlModule)'s
+/// [`check`](ioa::schedule_module::ScheduleModule::check).
 #[must_use]
 pub fn pl_check(trace: &[DlAction], dir: Dir, fifo: bool) -> Verdict {
     let timeline = MediumTimeline::scan(trace, dir);
@@ -389,7 +390,8 @@ pub fn pl_check(trace: &[DlAction], dir: Dir, fifo: bool) -> Verdict {
 }
 
 /// The reference data-link module verdict (`DL` / `WDL`), assembled exactly
-/// like [`crate::spec::datalink::DlModule::check`].
+/// like [`DlModule`](crate::spec::datalink::DlModule)'s
+/// [`check`](ioa::schedule_module::ScheduleModule::check).
 #[must_use]
 pub fn dl_check(trace: &[DlAction], weak: bool, kind: TraceKind) -> Verdict {
     let (tx, rx) = scan_both(trace);

@@ -19,6 +19,7 @@ use dl_core::observer::{ObserverState, WdlObserver};
 use dl_explore::ParallelExplorer;
 use dl_protocols::abp::{AbpReceiver, AbpRxState, AbpTransmitter, AbpTxState};
 use ioa::composition::{Compose2, Pair};
+use ioa::intern::PackedCodec;
 use ioa::Automaton;
 
 use crate::diff::{EngineSummary, ZooOutcome};
@@ -110,10 +111,10 @@ where
     R: Automaton<Action = DlAction> + Sync,
     C1: Automaton<Action = DlAction> + Sync,
     C2: Automaton<Action = DlAction> + Sync,
-    T::State: Clone + Eq + Hash + Debug + Send + Sync,
-    R::State: Clone + Eq + Hash + Debug + Send + Sync,
-    C1::State: Clone + Eq + Hash + Debug + Send + Sync,
-    C2::State: Clone + Eq + Hash + Debug + Send + Sync,
+    T::State: Clone + Eq + Hash + Debug + PackedCodec + Send + Sync,
+    R::State: Clone + Eq + Hash + Debug + PackedCodec + Send + Sync,
+    C1::State: Clone + Eq + Hash + Debug + PackedCodec + Send + Sync,
+    C2::State: Clone + Eq + Hash + Debug + PackedCodec + Send + Sync,
     I: Fn(&SysState<T::State, R::State, C1::State, C2::State>) -> Vec<DlAction> + Sync,
 {
     let start = woken_start(&sys);

@@ -1,41 +1,53 @@
 //! The layer-synchronous parallel BFS engine.
 //!
-//! States are admitted once into a pluggable [`StateStore`] arena;
-//! everything else — the spanning-tree links, the frontier itself (a
-//! contiguous id range per layer) — carries dense `u32` ids. The store
-//! is frozen while workers expand a layer: membership for admitted
-//! states is a read-only store lookup, and intra-layer discoveries are
-//! coordinated through the lock-free [`LayerFilter`]. Workers build
-//! successors in place and claim them in batches: each loads a frontier
-//! state once into a reused state, and for every action and every pick
-//! copies it onto a reused successor state (`clone_from`), steps that copy
-//! ([`Automaton::step_in_place`]) and appends its borrowed view (on the
-//! packed backend, its encoding) to the worker's reused view batch. The
-//! worker then probes the store for the whole batch in one loop, so
-//! independent probes overlap their cache misses, and claims the misses
-//! in the filter. The duplicates that make up most edges never allocate:
-//! only a claim that wins a filter slot or overflows builds an owned
-//! representation, and that same worker evaluates the state properties
-//! on the successor it already holds. Each worker's buffers live for the
-//! whole search, on cache lines of their own. The store grows only at
-//! the layer barrier, where the
-//! engine merges worker-local overflow claims with the drained filter,
-//! sorts by minimal claim key, and admits in that deterministic order —
-//! reading each state's verdict off its claim, so the barrier decodes
-//! nothing but the one state it reports as a counterexample.
+//! States are admitted once into the [`PackedStore`] arena; everything
+//! else — the spanning-tree links, the frontier itself (a contiguous id
+//! range per layer) — carries dense `u32` ids. The store is frozen while
+//! workers expand a layer: membership for admitted states is a read-only
+//! store lookup, and intra-layer discoveries are coordinated through the
+//! lock-free [`LayerFilter`]. Workers build successors in place and claim
+//! them in batches: each loads a frontier state once into a reused state,
+//! and for every action and every pick copies it onto a reused successor
+//! state (`clone_from`), steps that copy ([`Automaton::step_in_place`])
+//! and appends its encoding to the worker's reused view batch. The worker
+//! then probes the store for the whole batch in one loop, so independent
+//! probes overlap their cache misses, and claims the misses in the
+//! filter. The duplicates that make up most edges never allocate: only a
+//! claim that wins a filter slot or overflows boxes its encoding, and
+//! that same worker evaluates the state properties on the successor it
+//! already holds. Each worker's buffers live for the whole search, on
+//! cache lines of their own.
+//!
+//! The workers are the coordinating thread and a [`Pool`] of
+//! `threads − 1` helpers, spawned by the first layer wide enough to fan
+//! out and parked between layers; thin layers stay on the coordinator.
+//! The store grows only at the layer barrier, which drains the filter,
+//! merges the worker-local overflow claims, sorts by minimal claim key and
+//! admits in that deterministic order — reading each state's verdict off
+//! its claim, so the barrier decodes nothing but the one state it reports
+//! as a counterexample. After the sort, entry `k` of a layer gets id
+//! `admitted_start + k`, so a wide layer's barrier is split without
+//! moving an id: a helper drains and sorts half of the filter while the
+//! coordinator does the other half, and the sorted runs are merged; then
+//! the helper grows the store's index once and places the layer's
+//! `(tag, id)` slots while the coordinator appends the encodings and
+//! records, steps the spanning-tree columns and builds the next layer's
+//! filter.
 
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
-use dl_obs::Stopwatch;
-use ioa::intern::SegVec;
+use dl_obs::{Spans, Stopwatch};
+use ioa::intern::{PackedCodec, PackedIndex, SegVec};
 use ioa::Automaton;
 
+use crate::pool::Pool;
 use crate::property::{Invariant, Property, TraceProperty};
 use crate::report::{ExploreReport, LayerStats, Truncation, Violation};
 use crate::shard::{merge_overflow, ClaimKey, Claimed, LayerFilter, PendingState};
-use crate::store::{ExploreBackend, PackedBackend, PlainBackend, StateStore};
+use crate::store::{PackedStore, PackedViews, StateStore};
 
 /// Root marker in the spanning-tree link arrays.
 const NO_LINK: u32 = u32::MAX;
@@ -46,27 +58,29 @@ const NO_LINK: u32 = u32::MAX;
 /// overflowing the id space.
 const MAX_STATE_BUDGET: usize = u32::MAX as usize;
 
-/// The claim representation a backend's store circulates.
-type ReprOf<B, S> = <<B as ExploreBackend<S>>::Store as StateStore<S>>::Repr;
+/// A layer fans out to the pool only when its frontier holds at least
+/// this many states per thread; a thinner one costs less on the
+/// coordinator alone than the wake-up and the chunk hand-off.
+const FAN_OUT_PER_THREAD: usize = 4;
 
-/// The view batch a backend's store fills.
-type ViewsOf<B, S> = <<B as ExploreBackend<S>>::Store as StateStore<S>>::Views;
+/// A barrier is split with a pool helper only for a claim filter of at
+/// least this many slots (the drain and sort) or a layer of at least
+/// this many new states (the admission); smaller ones cost less than the
+/// hand-off.
+const SPLIT_MIN: usize = 1 << 12;
 
-/// The worker buffers for automaton `M` on backend `B`.
-type WorkerOf<M, B> =
-    Worker<<M as Automaton>::State, <M as Automaton>::Action, ViewsOf<B, <M as Automaton>::State>>;
+/// A claimed state pending admission, its encoding boxed.
+type Pending = PendingState<Box<[u8]>>;
 
-/// What one worker hands back from a layer expansion: its local stats
-/// and the claims the lock-free filter could not decide (merged at the
-/// barrier).
-type WorkerOutcome<R> = (WorkerStats, Vec<PendingState<R>>);
+/// The worker buffers for automaton `M`.
+type WorkerOf<M> = Worker<<M as Automaton>::State, <M as Automaton>::Action>;
 
 /// One worker's reused buffers, kept for the whole search. The
 /// alignment puts each worker's buffer headers, which it writes on every
 /// edge, on cache lines of their own, so workers on other cores do not
 /// steal each other's lines.
 #[repr(align(128))]
-struct Worker<S, A, V> {
+struct Worker<S, A> {
     /// The frontier state being expanded.
     cur: S,
     /// Its successors, one per (action, pick), stepped in place; entries
@@ -74,8 +88,8 @@ struct Worker<S, A, V> {
     succs: Vec<S>,
     /// `cur`'s deterministic action list.
     actions: Vec<A>,
-    /// The successors' views, in `succs` order.
-    views: V,
+    /// The successors' encodings, in `succs` order.
+    views: PackedViews,
     /// The successors' hashes, in `succs` order.
     hashes: Vec<u64>,
     /// The successors' claim keys, in `succs` order.
@@ -84,13 +98,13 @@ struct Worker<S, A, V> {
     fresh: Vec<usize>,
 }
 
-impl<S, A, V: Default> Worker<S, A, V> {
+impl<S, A> Worker<S, A> {
     fn new(cur: S) -> Self {
         Worker {
             cur,
             succs: Vec::new(),
             actions: Vec::new(),
-            views: V::default(),
+            views: PackedViews::default(),
             hashes: Vec::new(),
             keys: Vec::new(),
             fresh: Vec::new(),
@@ -100,11 +114,150 @@ impl<S, A, V: Default> Worker<S, A, V> {
 
 /// What a layer's workers share: the frontier `[.., end)` handed out in
 /// `chunk`-sized pieces from `next`, and the claim filter.
-struct LayerWork<R> {
+struct LayerWork {
     next: AtomicUsize,
     end: usize,
     chunk: usize,
-    filter: LayerFilter<R>,
+    filter: LayerFilter<Box<[u8]>>,
+}
+
+/// A job for a pool helper.
+enum Job<S> {
+    /// Expand frontier chunks of the layer until none is left.
+    Expand(Arc<PackedStore<S>>, Arc<LayerWork>),
+    /// Drain this part of the layer's claim filter into the vector and
+    /// sort it by claim key.
+    Drain(LayerFilter<Box<[u8]>>, Vec<Pending>),
+    /// Move the index into `larger`, if given, and place each hash's
+    /// slot, ids counting up from `first`.
+    Place {
+        index: PackedIndex,
+        larger: Option<PackedIndex>,
+        hashes: Vec<u64>,
+        first: u32,
+    },
+}
+
+/// What a finished [`Job`] hands back, buffers included for reuse.
+enum Done {
+    Expanded(WorkerStats, Vec<Pending>),
+    Drained(Vec<Pending>),
+    Placed(PackedIndex, Vec<u64>),
+}
+
+/// The barrier's buffers, kept for the whole search.
+#[derive(Default)]
+struct Barrier {
+    /// The layer's claims, sorted by claim key for admission.
+    entries: Vec<Pending>,
+    /// Helper 0's half of a split drain.
+    drained: Vec<Pending>,
+    /// The hashes whose index slots helper 0 places.
+    placed: Vec<u64>,
+}
+
+impl Barrier {
+    /// Drains `filter` and merges `overflow` into `entries`, sorted by
+    /// claim key, and returns the overflow claims that were duplicates.
+    /// With `split`, helper 0 drains and sorts half of the filter while
+    /// the calling thread does the other half. The helper's buffer is
+    /// reserved here for half as many claims as its half has slots (a
+    /// filter is sized to twice the expected claims): grown on the
+    /// helper, it would come from that thread's malloc arena.
+    fn drain_sorted<S>(
+        &mut self,
+        pool: &Pool<Job<S>, Done>,
+        mut filter: LayerFilter<Box<[u8]>>,
+        overflow: Vec<Pending>,
+        split: bool,
+    ) -> u64 {
+        if split {
+            let half = filter.split_off();
+            self.drained.reserve(half.capacity() / 2);
+            pool.post(0, Job::Drain(half, std::mem::take(&mut self.drained)));
+        }
+        filter.drain_into(&mut self.entries);
+        if split {
+            self.entries.sort_unstable_by_key(|entry| entry.key);
+            pool.join(|done| {
+                if let Done::Drained(mut run) = done {
+                    self.entries.append(&mut run);
+                    self.drained = run;
+                }
+            });
+        }
+        let duplicates = merge_overflow(&mut self.entries, overflow);
+        // Claim keys are unique (one entry per distinct state, and
+        // distinct states that share a parent differ in action or
+        // successor index), so this order is total and deterministic. The
+        // stable sort merges a split drain's two sorted runs in one pass.
+        if split {
+            self.entries.sort_by_key(|entry| entry.key);
+        } else {
+            self.entries.sort_unstable_by_key(|entry| entry.key);
+        }
+        duplicates
+    }
+
+    /// Hands the store's index and the entries' hashes to helper 0, which
+    /// grows the index once and places the slots of ids `first..` while
+    /// the caller stores the encodings with `push_encoding`. The grown
+    /// table is allocated here, on the thread that owns the store.
+    fn start_placing<S>(
+        &mut self,
+        pool: &Pool<Job<S>, Done>,
+        store: &mut PackedStore<S>,
+        first: u32,
+    ) where
+        S: Clone + PackedCodec,
+    {
+        debug_assert!(
+            self.entries
+                .iter()
+                .all(|e| store.lookup(e.hash, &e.repr).is_none()),
+            "a claim admitted twice"
+        );
+        self.placed.clear();
+        self.placed
+            .extend(self.entries.iter().map(|entry| entry.hash));
+        let index = store.detach_index();
+        let larger = index.grown_for(first as usize + self.placed.len());
+        pool.post(
+            0,
+            Job::Place {
+                index,
+                larger,
+                hashes: std::mem::take(&mut self.placed),
+                first,
+            },
+        );
+    }
+
+    /// Waits for helper 0's slots and puts the index back in the store.
+    fn finish_placing<S>(&mut self, pool: &Pool<Job<S>, Done>, store: &mut PackedStore<S>) {
+        pool.join(|done| {
+            if let Done::Placed(index, hashes) = done {
+                store.attach_index(index);
+                self.placed = hashes;
+            }
+        });
+    }
+
+    /// Releases buffer capacity beyond twice what a layer of `size` new
+    /// states needs: layers widen and then narrow, and the widest layer's
+    /// buffers, kept to the end of the search, would add to its peak
+    /// memory.
+    fn fit(&mut self, size: usize) {
+        fn fit<T>(buffer: &mut Vec<T>, keep: usize) {
+            if buffer.capacity() > 2 * keep {
+                buffer.shrink_to(keep);
+            }
+        }
+        let keep = size.max(SPLIT_MIN);
+        fit(&mut self.entries, keep);
+        fit(&mut self.drained, keep);
+        fit(&mut self.placed, keep);
+    }
 }
 
 #[derive(Default, Clone, Copy)]
@@ -127,11 +280,12 @@ impl WorkerStats {
 /// Parallel breadth-first explorer over an automaton's reachable states.
 ///
 /// Built from an automaton, a permitted-inputs closure, and state and
-/// depth budgets, with a [`threads`](ParallelExplorer::threads) control,
-/// a [`packed`](ParallelExplorer::packed) switch from the struct arena to
-/// bit-packed encodings, and multi-property search via
+/// depth budgets, with a [`threads`](ParallelExplorer::threads) control
+/// and multi-property search via
 /// [`check_properties_from`](ParallelExplorer::check_properties_from).
-pub struct ParallelExplorer<M, I, B = PlainBackend> {
+/// States are stored as their [`PackedCodec`] encodings, so the state type
+/// needs a codec.
+pub struct ParallelExplorer<M, I> {
     automaton: M,
     /// Environment inputs permitted in a given state.
     inputs: I,
@@ -139,15 +293,14 @@ pub struct ParallelExplorer<M, I, B = PlainBackend> {
     max_depth: usize,
     threads: usize,
     shards: usize,
-    backend: B,
 }
 
-impl<M, I> ParallelExplorer<M, I, PlainBackend> {
-    /// Creates an explorer over the default plain (full-struct) storage.
-    /// `inputs(state)` returns the environment input actions to consider
-    /// from `state` (return an empty vector for a closed system). Thread
-    /// count defaults to the machine's available parallelism. State ids
-    /// are `u32`, so `max_states` is clamped to `u32::MAX`.
+impl<M, I> ParallelExplorer<M, I> {
+    /// Creates an explorer. `inputs(state)` returns the environment input
+    /// actions to consider from `state` (return an empty vector for a
+    /// closed system). Thread count defaults to the machine's available
+    /// parallelism. State ids are `u32`, so `max_states` is clamped to
+    /// `u32::MAX`.
     pub fn new(automaton: M, inputs: I, max_states: usize, max_depth: usize) -> Self {
         ParallelExplorer {
             automaton,
@@ -156,12 +309,9 @@ impl<M, I> ParallelExplorer<M, I, PlainBackend> {
             max_depth,
             threads: 0,
             shards: 64,
-            backend: PlainBackend,
         }
     }
-}
 
-impl<M, I, B> ParallelExplorer<M, I, B> {
     /// Sets the worker thread count; `0` means available parallelism.
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
@@ -184,19 +334,12 @@ impl<M, I, B> ParallelExplorer<M, I, B> {
         self.max_states
     }
 
-    /// Stores states as packed canonical encodings ([`PackedBackend`]):
-    /// same admitted states, same ids, same verdicts — a fraction of the
-    /// arena bytes. Requires `M::State: PackedCodec`.
-    pub fn packed(self) -> ParallelExplorer<M, I, PackedBackend> {
-        ParallelExplorer {
-            automaton: self.automaton,
-            inputs: self.inputs,
-            max_states: self.max_states,
-            max_depth: self.max_depth,
-            threads: self.threads,
-            shards: self.shards,
-            backend: PackedBackend::new(),
-        }
+    /// Returns the explorer unchanged: every search stores packed
+    /// encodings. Kept for callers written when a struct arena was the
+    /// default.
+    #[must_use]
+    pub fn packed(self) -> Self {
+        self
     }
 
     fn effective_threads(&self) -> usize {
@@ -206,15 +349,25 @@ impl<M, I, B> ParallelExplorer<M, I, B> {
             std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
         }
     }
+
+    /// The claim filter for a layer of `frontier` states, sized to twice
+    /// the expected discoveries: the frontier times the last layer's
+    /// growth. Undersizing is safe (claims overflow, the barrier merge
+    /// stays exact); oversizing costs set-up and drain.
+    fn layer_filter(&self, frontier: usize, last: Option<&LayerStats>) -> LayerFilter<Box<[u8]>> {
+        let expected = last.map_or(frontier, |last| {
+            frontier.saturating_mul(last.discovered) / last.frontier
+        });
+        LayerFilter::new(expected.saturating_mul(2), self.shards)
+    }
 }
 
-impl<M, I, B> ParallelExplorer<M, I, B>
+impl<M, I> ParallelExplorer<M, I>
 where
     M: Automaton + Sync,
-    M::State: Send + Sync,
+    M::State: PackedCodec + Send + Sync,
     M::Action: Send + Sync,
     I: Fn(&M::State) -> Vec<M::Action> + Sync,
-    B: ExploreBackend<M::State> + Sync,
 {
     /// Explores breadth-first from the automaton's start states, checking
     /// `invariant` on every admitted state (start states included).
@@ -266,6 +419,11 @@ where
     /// Trace violations found this way are genuine — the reported path
     /// replays them — but their *absence* is conclusive only for the
     /// spanning-tree paths, not all interleavings (see [`TraceProperty`]).
+    ///
+    /// # Panics
+    ///
+    /// A panic on any worker thread, in a property or in the automaton,
+    /// ends the search with that panic.
     pub fn check_traced_from<TP>(
         &self,
         starts: Vec<M::State>,
@@ -277,7 +435,7 @@ where
     {
         let t0 = Instant::now();
         let threads = self.effective_threads();
-        let mut store = self.backend.new_store();
+        let mut store: PackedStore<M::State> = PackedStore::default();
         // Spanning-tree links, parallel to the arena: `parents[i]` /
         // `action_idx[i]` name the minimal claim that admitted state `i`
         // (`NO_LINK` for roots). Actions are never stored — the index
@@ -286,217 +444,251 @@ where
         let mut parents: SegVec<u32> = SegVec::new();
         let mut action_idx: SegVec<u32> = SegVec::new();
         // Trace-monitor states, parallel to the arena. Stepping happens
-        // at admission time (single-threaded, between layers), so workers
-        // never touch this.
+        // at admission time, on the coordinating thread, so workers never
+        // touch this.
         let mut tstates: SegVec<TP::State> = SegVec::new();
+        let mut bytes_admitted = 0u64;
 
         // The start states are one batch; each is looked up after the
         // ones before it are admitted, so a repeated start is admitted once.
-        let mut views = ViewsOf::<B, M::State>::default();
+        let mut views = PackedViews::default();
         let hashes: Vec<u64> = starts
             .iter()
             .map(|state| store.push_view(state, &mut views))
             .collect();
         for (i, &hash) in hashes.iter().enumerate() {
-            if store
-                .lookup_view(hash, store.view(&views, &starts, i))
-                .is_none()
-            {
-                let repr = store.owned_repr(&views, &starts, i);
-                store.intern_new(hash, repr);
+            if store.lookup(hash, views.get(i)).is_none() {
+                bytes_admitted += views.get(i).len() as u64;
+                store.intern_new(hash, views.get(i).into());
                 parents.push(NO_LINK);
                 action_idx.push(NO_LINK);
                 tstates.push(trace.start());
             }
         }
 
-        // Check properties on start states first, in admission order.
+        // Check properties on start states first, in admission order; a
+        // violating start state ends the search before its first layer.
+        let mut violation: Option<Violation<M::Action, M::State>> = None;
         for (i, tstate) in tstates.iter().enumerate() {
             let state = store.load(i as u32);
-            let failed = first_violation(properties, &state)
+            violation = first_violation(properties, &state)
                 .map(|p| property_name(properties, p))
-                .or_else(|| trace_violation(trace, tstate));
-            if let Some(property) = failed {
-                return ExploreReport {
-                    states_visited: store.len(),
-                    truncation: None,
-                    violation: Some(Violation {
-                        path: vec![],
-                        state: state.into_owned(),
-                        property,
-                    }),
-                    quiescent_states: 0,
-                    layers: vec![],
-                    threads,
-                    arena_bytes: store.approx_bytes(),
-                    duration: t0.elapsed(),
-                    barrier_nanos: 0,
-                };
+                .or_else(|| trace_violation(trace, tstate))
+                .map(|property| Violation {
+                    path: vec![],
+                    state: state.into_owned(),
+                    property,
+                });
+            if violation.is_some() {
+                break;
             }
         }
 
         let mut layers: Vec<LayerStats> = Vec::new();
         let mut quiescent = 0usize;
-        // Wall-clock spent single-threaded between layers (building the
-        // claim filter, merging and admitting claims, reporting a
-        // violation, freeing the filter) — the stall the workers sit
-        // out. Zero (and free) without the `obs` feature.
+        // Wall-clock the coordinator spends between layers (building the
+        // claim filter, draining, merging and admitting claims,
+        // reporting a violation, freeing the filter) — the stall the
+        // helpers sit out. Zero (and free) without the `obs` feature,
+        // like its parts in `spans`.
         let mut barrier_nanos = 0u64;
+        let mut spans = Spans::new();
+        let mut filter_slots = 0u64;
         let mut truncation: Option<Truncation> = None;
-        let mut violation: Option<Violation<M::Action, M::State>> = None;
         let mut layer_start = 0usize;
         let mut depth = 0usize;
         // Scratch for admission-time action resolution, reused across
         // layers (claims are sorted, so one rebuild per distinct parent).
-        let mut cached_parent: u32;
         let mut parent_actions: Vec<M::Action> = Vec::new();
-        // A layer is expanded only when the store holds a state, so state
-        // 0 seeds every worker's reused state.
-        let mut workers: Vec<WorkerOf<M, B>> = if store.is_empty() {
-            Vec::new()
-        } else {
-            let seed = store.load(0);
-            (0..threads)
-                .map(|_| Worker::new(M::State::clone(&seed)))
-                .collect()
-        };
+        let mut barrier = Barrier::default();
+        // A split admission builds the next layer's filter while its
+        // helper places slots.
+        let mut next_filter: Option<LayerFilter<Box<[u8]>>> = None;
+        let mut store = Arc::new(store);
+        let pool: Pool<Job<M::State>, Done> = Pool::new(threads - 1);
+        let mut spawned = false;
 
-        loop {
-            let layer_end = store.len();
-            if layer_start == layer_end {
-                break;
-            }
-            if depth >= self.max_depth {
-                // A non-empty frontier at the depth budget means the
-                // verdict is inconclusive.
-                truncation = Some(Truncation::DepthBudget);
-                break;
-            }
-
-            let frontier = layer_end - layer_start;
-            // Thin layers are not worth fanning out: the spawn cost would
-            // exceed the expansion work, and expansion order is
-            // irrelevant to the result either way.
-            let fan_out = if frontier < threads * 4 { 1 } else { threads };
-            // Fresh claim filter per layer, sized to twice the expected
-            // discoveries: the frontier times the last layer's growth.
-            // Undersizing is safe (claims overflow, the barrier merge
-            // stays exact); oversizing costs serial set-up and drain.
-            let setup = Stopwatch::start();
-            let expected = layers.last().map_or(frontier, |last| {
-                frontier.saturating_mul(last.discovered) / last.frontier
-            });
-            let work: LayerWork<ReprOf<B, M::State>> = LayerWork {
-                next: AtomicUsize::new(layer_start),
-                end: layer_end,
-                chunk: (frontier / (fan_out * 8)).max(1),
-                filter: LayerFilter::new(expected.saturating_mul(2), self.shards),
-            };
-            barrier_nanos += setup.elapsed_nanos();
-
-            let (stats, overflow) = if fan_out == 1 {
-                self.expand_worker(&mut workers[0], &store, properties, &work)
-            } else {
-                let (store, work) = (&store, &work);
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = workers[..fan_out]
-                        .iter_mut()
-                        .map(|worker| {
-                            scope.spawn(move || self.expand_worker(worker, store, properties, work))
-                        })
-                        .collect();
-                    let mut stats = WorkerStats::default();
-                    let mut overflow = Vec::new();
-                    for handle in handles {
-                        let (s, mut o) = handle.join().expect("explore worker panicked");
-                        stats = stats.merge(s);
-                        overflow.append(&mut o);
+        // The search runs only from admitted, non-violating start states;
+        // state 0 seeds every worker's reused state.
+        let seed = (violation.is_none() && !store.is_empty()).then(|| store.load(0).into_owned());
+        if let Some(seed) = seed {
+            let mut coordinator: WorkerOf<M> = Worker::new(seed);
+            std::thread::scope(|scope| {
+                let _closer = pool.closer();
+                loop {
+                    let layer_end = store.len();
+                    if layer_start == layer_end {
+                        break;
                     }
-                    (stats, overflow)
-                })
-            };
-            quiescent += stats.quiescent;
-
-            let barrier_sw = Stopwatch::start();
-            let mut entries = work.filter.drain();
-            let merged_dups = merge_overflow(&mut entries, overflow);
-            // Claim keys are unique (one entry per distinct state, and
-            // distinct states that share a parent differ in action or
-            // successor index), so this order is total and deterministic.
-            entries.sort_unstable_by_key(|entry| entry.key);
-            let room = self.max_states.saturating_sub(store.len());
-            if entries.len() > room {
-                truncation = Some(Truncation::StateBudget);
-                // The filter dies with the layer, so dropped states are
-                // naturally rediscoverable later; their verdicts go with
-                // them.
-                entries.truncate(room);
-            }
-            layers.push(LayerStats {
-                depth,
-                frontier,
-                discovered: entries.len(),
-                edges: stats.edges,
-                duplicates: stats.duplicates + merged_dups,
-            });
-
-            // Admit in deterministic (claim-key) order. The first state
-            // whose claim carries a violated property — or, after the
-            // state properties, whose trace-monitor state is violating —
-            // is the counterexample for every thread count; the rest of
-            // the layer is still admitted, so counts stay
-            // thread-count-independent.
-            let admitted_start = store.len();
-            let mut first_failure: Option<(u32, String)> = None;
-            cached_parent = NO_LINK;
-            for PendingState {
-                key,
-                hash,
-                repr,
-                verdict,
-            } in entries
-            {
-                // Resolve the admitting action only when a real trace
-                // property needs it: rebuild the parent's deterministic
-                // action list once per parent (claims arrive
-                // parent-grouped) and index it.
-                let tstate = if trace.is_vacuous() {
-                    trace.start()
-                } else {
-                    if key.parent != cached_parent {
-                        cached_parent = key.parent;
-                        self.enumerate_actions(&store.load(key.parent), &mut parent_actions);
+                    if depth >= self.max_depth {
+                        // A non-empty frontier at the depth budget means the
+                        // verdict is inconclusive.
+                        truncation = Some(Truncation::DepthBudget);
+                        break;
                     }
-                    trace.step(
-                        &tstates[key.parent as usize],
-                        &parent_actions[key.action as usize],
-                    )
-                };
-                let idx = store.intern_new(hash, repr);
-                if first_failure.is_none() {
-                    first_failure = verdict
-                        .map(|p| property_name(properties, p))
-                        .or_else(|| trace_violation(trace, &tstate))
-                        .map(|property| (idx, property));
+
+                    let frontier = layer_end - layer_start;
+                    // Expansion order is irrelevant to the result, so a thin
+                    // layer stays on the coordinator.
+                    let fan_out = threads > 1 && frontier >= threads * FAN_OUT_PER_THREAD;
+                    let workers = if fan_out { threads } else { 1 };
+                    let setup = Stopwatch::start();
+                    let filter = next_filter
+                        .take()
+                        .unwrap_or_else(|| self.layer_filter(frontier, layers.last()));
+                    filter_slots += filter.capacity() as u64;
+                    let work = LayerWork {
+                        next: AtomicUsize::new(layer_start),
+                        end: layer_end,
+                        chunk: (frontier / (workers * 8)).max(1),
+                        filter,
+                    };
+                    let nanos = setup.elapsed_nanos();
+                    spans.add("filter", nanos);
+                    barrier_nanos += nanos;
+
+                    let (stats, overflow, filter) = if fan_out {
+                        if !spawned {
+                            spawned = true;
+                            for helper in 0..pool.helpers() {
+                                let (pool, seed) = (&pool, M::State::clone(&coordinator.cur));
+                                scope.spawn(move || {
+                                    let mut worker = Worker::new(seed);
+                                    pool.serve(helper, |job| {
+                                        self.run_job(&mut worker, properties, job)
+                                    });
+                                });
+                            }
+                        }
+                        let work = Arc::new(work);
+                        for helper in 0..pool.helpers() {
+                            pool.post(helper, Job::Expand(Arc::clone(&store), Arc::clone(&work)));
+                        }
+                        let (mut stats, mut overflow) =
+                            self.expand_worker(&mut coordinator, &store, properties, &work);
+                        pool.join(|done| {
+                            if let Done::Expanded(s, mut o) = done {
+                                stats = stats.merge(s);
+                                overflow.append(&mut o);
+                            }
+                        });
+                        let work = Arc::into_inner(work).expect("helpers hand the layer back");
+                        (stats, overflow, work.filter)
+                    } else {
+                        let (stats, overflow) =
+                            self.expand_worker(&mut coordinator, &store, properties, &work);
+                        (stats, overflow, work.filter)
+                    };
+                    quiescent += stats.quiescent;
+
+                    let barrier_sw = Stopwatch::start();
+                    let sw = Stopwatch::start();
+                    let split = spawned && filter.capacity() >= SPLIT_MIN;
+                    let merged_dups = barrier.drain_sorted(&pool, filter, overflow, split);
+                    spans.add("drain_sort", sw.elapsed_nanos());
+                    let room = self.max_states.saturating_sub(store.len());
+                    if barrier.entries.len() > room {
+                        truncation = Some(Truncation::StateBudget);
+                        // The filter dies with the layer, so dropped states are
+                        // naturally rediscoverable later; their verdicts go
+                        // with them.
+                        barrier.entries.truncate(room);
+                    }
+                    let discovered = barrier.entries.len();
+                    layers.push(LayerStats {
+                        depth,
+                        frontier,
+                        discovered,
+                        edges: stats.edges,
+                        duplicates: stats.duplicates + merged_dups,
+                    });
+
+                    // Admit in deterministic (claim-key) order. The first state
+                    // whose claim carries a violated property — or, after the
+                    // state properties, whose trace-monitor state is violating —
+                    // is the counterexample for every thread count; the rest of
+                    // the layer is still admitted, so counts stay
+                    // thread-count-independent.
+                    let sw = Stopwatch::start();
+                    let admitted_start = store.len();
+                    let store_mut = Arc::get_mut(&mut store).expect("helpers hand the store back");
+                    let split = spawned && discovered >= SPLIT_MIN;
+                    if split {
+                        barrier.start_placing(&pool, store_mut, admitted_start as u32);
+                    }
+                    let mut first_failure: Option<(u32, String)> = None;
+                    let mut cached_parent = NO_LINK;
+                    for PendingState {
+                        key,
+                        hash,
+                        repr,
+                        verdict,
+                    } in barrier.entries.drain(..)
+                    {
+                        // Resolve the admitting action only when a real trace
+                        // property needs it: rebuild the parent's deterministic
+                        // action list once per parent (claims arrive
+                        // parent-grouped) and index it.
+                        let tstate = if trace.is_vacuous() {
+                            trace.start()
+                        } else {
+                            if key.parent != cached_parent {
+                                cached_parent = key.parent;
+                                self.enumerate_actions(
+                                    &store_mut.load(key.parent),
+                                    &mut parent_actions,
+                                );
+                            }
+                            trace.step(
+                                &tstates[key.parent as usize],
+                                &parent_actions[key.action as usize],
+                            )
+                        };
+                        bytes_admitted += repr.len() as u64;
+                        let idx = if split {
+                            store_mut.push_encoding(&repr)
+                        } else {
+                            store_mut.intern_new(hash, repr)
+                        };
+                        if first_failure.is_none() {
+                            first_failure = verdict
+                                .map(|p| property_name(properties, p))
+                                .or_else(|| trace_violation(trace, &tstate))
+                                .map(|property| (idx, property));
+                        }
+                        parents.push(key.parent);
+                        action_idx.push(key.action);
+                        tstates.push(tstate);
+                    }
+                    if split {
+                        if first_failure.is_none() {
+                            next_filter = Some(self.layer_filter(discovered, layers.last()));
+                        }
+                        barrier.finish_placing(&pool, store_mut);
+                    }
+                    barrier.fit(discovered);
+                    if let Some((idx, property)) = first_failure {
+                        violation = Some(Violation {
+                            path: self.reconstruct_path(
+                                store_mut,
+                                &parents,
+                                &action_idx,
+                                idx as usize,
+                            ),
+                            state: store_mut.load(idx).into_owned(),
+                            property,
+                        });
+                    }
+                    spans.add("admit", sw.elapsed_nanos());
+                    barrier_nanos += barrier_sw.elapsed_nanos();
+                    if violation.is_some() {
+                        break;
+                    }
+
+                    layer_start = admitted_start;
+                    depth += 1;
                 }
-                parents.push(key.parent);
-                action_idx.push(key.action);
-                tstates.push(tstate);
-            }
-            if let Some((idx, property)) = first_failure {
-                violation = Some(Violation {
-                    path: self.reconstruct_path(&store, &parents, &action_idx, idx as usize),
-                    state: store.load(idx).into_owned(),
-                    property,
-                });
-            }
-            barrier_nanos += barrier_sw.elapsed_nanos();
-            if violation.is_some() {
-                break;
-            }
-
-            layer_start = admitted_start;
-            depth += 1;
+            });
         }
 
         ExploreReport {
@@ -507,27 +699,64 @@ where
             layers,
             threads,
             arena_bytes: store.approx_bytes(),
+            bytes_admitted,
+            filter_slots,
             duration: t0.elapsed(),
             barrier_nanos,
+            barrier_spans: spans,
+        }
+    }
+
+    /// A pool helper's side of a [`Job`].
+    fn run_job(
+        &self,
+        w: &mut WorkerOf<M>,
+        properties: &[&dyn Property<M::State>],
+        job: Job<M::State>,
+    ) -> Done {
+        match job {
+            Job::Expand(store, work) => {
+                let (stats, overflow) = self.expand_worker(w, &store, properties, &work);
+                Done::Expanded(stats, overflow)
+            }
+            Job::Drain(filter, mut run) => {
+                filter.drain_into(&mut run);
+                run.sort_unstable_by_key(|entry| entry.key);
+                Done::Drained(run)
+            }
+            Job::Place {
+                mut index,
+                larger,
+                hashes,
+                first,
+            } => {
+                if let Some(larger) = larger {
+                    index.move_into(larger);
+                }
+                for (id, &hash) in (first..).zip(&hashes) {
+                    index.place(hash, id);
+                }
+                Done::Placed(index, hashes)
+            }
         }
     }
 
     /// One worker's share of a layer expansion: steal frontier chunks and
     /// expand each state as one batch. Load it once into the worker's
     /// reused `cur`; for every action and every pick step a copy of it in
-    /// place in a reused successor state and append its view to the
-    /// batch; probe the frozen store for every view in one loop; claim
+    /// place in a reused successor state and append its encoding to the
+    /// batch; probe the frozen store for every encoding in one loop; claim
     /// the misses in the lock-free layer filter. Only a claim that wins a
-    /// slot or overflows copies its entry into an owned representation
-    /// and evaluates `properties` on the successor; overflowing claims go
-    /// to the returned list, merged exactly at the barrier.
+    /// slot or overflows boxes its encoding and evaluates `properties` on
+    /// the successor; overflowing claims go to the returned list, merged
+    /// exactly at the barrier.
     fn expand_worker(
         &self,
-        w: &mut WorkerOf<M, B>,
-        store: &B::Store,
+        w: &mut WorkerOf<M>,
+        store: &PackedStore<M::State>,
         properties: &[&dyn Property<M::State>],
-        work: &LayerWork<ReprOf<B, M::State>>,
-    ) -> WorkerOutcome<ReprOf<B, M::State>> {
+        work: &LayerWork,
+    ) -> (WorkerStats, Vec<Pending>) {
         let mut stats = WorkerStats::default();
         let mut overflow = Vec::new();
         loop {
@@ -542,7 +771,7 @@ where
                     stats.quiescent += 1;
                     continue;
                 }
-                store.clear_views(&mut w.views);
+                w.views.clear();
                 w.hashes.clear();
                 w.keys.clear();
                 for (ai, action) in w.actions.iter().enumerate() {
@@ -571,26 +800,23 @@ where
                 stats.edges += succs.len() as u64;
                 w.fresh.clear();
                 for (k, &hash) in w.hashes.iter().enumerate() {
-                    if store
-                        .lookup_view(hash, store.view(&w.views, succs, k))
-                        .is_none()
-                    {
+                    if store.lookup(hash, w.views.get(k)).is_none() {
                         w.fresh.push(k);
                     }
                 }
                 stats.duplicates += (succs.len() - w.fresh.len()) as u64;
                 for &k in &w.fresh {
                     let (hash, key) = (w.hashes[k], w.keys[k]);
-                    match work.filter.claim(hash, key, store.view(&w.views, succs, k)) {
+                    match work.filter.claim(hash, key, w.views.get(k)) {
                         Claimed::Duplicate => stats.duplicates += 1,
                         Claimed::New(won) => {
                             let verdict = first_violation(properties, &succs[k]);
-                            won.publish(store.owned_repr(&w.views, succs, k), verdict);
+                            won.publish(w.views.get(k).into(), verdict);
                         }
                         Claimed::Overflow => overflow.push(PendingState {
                             key,
                             hash,
-                            repr: store.owned_repr(&w.views, succs, k),
+                            repr: w.views.get(k).into(),
                             verdict: first_violation(properties, &succs[k]),
                         }),
                     }
@@ -619,7 +845,7 @@ where
     /// reported path, and identically to what the workers enumerated.
     fn reconstruct_path(
         &self,
-        store: &B::Store,
+        store: &PackedStore<M::State>,
         parents: &SegVec<u32>,
         action_idx: &SegVec<u32>,
         mut idx: usize,
@@ -958,40 +1184,32 @@ mod tests {
     }
 
     #[test]
-    fn packed_backend_matches_plain_verdicts_and_counts() {
-        let plain = ParallelExplorer::new(Counter { n: 10 }, bump, 1000, 100)
-            .threads(2)
-            .reachable_states();
-        for threads in [1, 2, 4] {
-            let packed = ParallelExplorer::new(Counter { n: 10 }, bump, 1000, 100)
-                .threads(threads)
-                .packed()
-                .reachable_states();
-            assert!(packed.holds() && packed.exhaustive());
-            assert_eq!(packed.states_visited, plain.states_visited);
-            assert_eq!(packed.quiescent_states, plain.quiescent_states);
-            assert_eq!(packed.dedup_hits(), plain.dedup_hits());
-            assert_eq!(packed.layers.len(), plain.layers.len());
-            for (p, q) in packed.layers.iter().zip(&plain.layers) {
-                assert_eq!(
-                    (p.frontier, p.discovered, p.edges),
-                    (q.frontier, q.discovered, q.edges)
-                );
+    fn layers_match_at_every_thread_count() {
+        // The thin counter stays on the calling thread; the wide `Spread`
+        // fans out to the pool and splits its barriers.
+        fn same<M, I>(search: impl Fn(usize) -> ExploreReport<M, I>) {
+            let reference = search(1);
+            for threads in [2, 4] {
+                let par = search(threads);
+                assert!(par.holds() && par.exhaustive());
+                assert_eq!(par.states_visited, reference.states_visited);
+                assert_eq!(par.quiescent_states, reference.quiescent_states);
+                assert_eq!(par.layers, reference.layers, "{threads} threads");
+                assert_eq!(par.arena_bytes, reference.arena_bytes);
+                assert_eq!(par.bytes_admitted, reference.bytes_admitted);
+                assert_eq!(par.filter_slots, reference.filter_slots);
             }
         }
-    }
-
-    #[test]
-    fn packed_backend_reports_identical_counterexamples() {
-        for threads in [1, 2, 4] {
-            let e = ParallelExplorer::new(Diamond, |_s: &u8| vec![], 100, 100)
+        same(|threads| {
+            ParallelExplorer::new(Counter { n: 10 }, bump, 1000, 100)
                 .threads(threads)
-                .packed();
-            let report = e.check_invariant(|s| *s != 3);
-            let v = report.violation.unwrap();
-            assert_eq!(v.path, vec![1, 3]);
-            assert_eq!(v.state, 3);
-        }
+                .reachable_states()
+        });
+        same(|threads| {
+            ParallelExplorer::new(Spread { n: 4000 }, |_: &u16| vec![], 10_000, 100)
+                .threads(threads)
+                .reachable_states()
+        });
     }
 
     #[test]
@@ -1052,40 +1270,33 @@ mod tests {
         }
     }
 
-    /// `check_invariant(|s| *s != bad)` on the plain or packed backend,
-    /// with `shards` claim-filter segments.
+    /// `check_invariant(|s| *s != bad)` with `shards` claim-filter
+    /// segments.
     fn search_for<M, I>(
         automaton: M,
         inputs: I,
-        (threads, packed, shards): (usize, bool, usize),
+        (threads, shards): (usize, usize),
         max_states: usize,
         bad: M::State,
     ) -> ExploreReport<M::Action, M::State>
     where
         M: Automaton + Sync,
-        M::State: ioa::intern::PackedCodec + Eq + std::hash::Hash + Send + Sync,
+        M::State: PackedCodec + Eq + Send + Sync,
         M::Action: Send + Sync,
         I: Fn(&M::State) -> Vec<M::Action> + Sync,
     {
-        let explorer = ParallelExplorer::new(automaton, inputs, max_states, 200)
+        ParallelExplorer::new(automaton, inputs, max_states, 200)
             .threads(threads)
-            .shards(shards);
-        let avoid = move |s: &M::State| *s != bad;
-        if packed {
-            explorer.packed().check_invariant(avoid)
-        } else {
-            explorer.check_invariant(avoid)
-        }
+            .shards(shards)
+            .check_invariant(move |s: &M::State| *s != bad)
     }
 
-    /// Thread count × backend × claim-filter segments (0: every claim
-    /// overflows; 64: the default filter).
-    fn claim_paths() -> impl Iterator<Item = (usize, bool, usize)> {
-        [1, 2, 4].into_iter().flat_map(|threads| {
-            [false, true]
-                .into_iter()
-                .flat_map(move |packed| [0, 64].map(|shards| (threads, packed, shards)))
-        })
+    /// Thread count × claim-filter segments (0: every claim overflows;
+    /// 64: the default filter).
+    fn claim_paths() -> impl Iterator<Item = (usize, usize)> {
+        [1, 2, 4]
+            .into_iter()
+            .flat_map(|threads| [0, 64].map(|shards| (threads, shards)))
     }
 
     /// Asserts `report` found the same violation (state, path, property)
@@ -1093,7 +1304,7 @@ mod tests {
     fn assert_same_violation<A, S>(
         report: &ExploreReport<A, S>,
         reference: &ExploreReport<A, S>,
-        config: (usize, bool, usize),
+        config: (usize, usize),
     ) where
         A: PartialEq + std::fmt::Debug,
         S: PartialEq + std::fmt::Debug,
@@ -1120,13 +1331,41 @@ mod tests {
         let counter = |config| search_for(Counter { n: 100 }, bump, config, 1000, 57);
         let spread =
             |config| search_for(Spread { n: 4000 }, |_: &u16| vec![], config, 10_000, 3999);
-        let (counter_ref, spread_ref) = (counter((1, false, 64)), spread((1, false, 64)));
+        let (counter_ref, spread_ref) = (counter((1, 64)), spread((1, 64)));
         assert_eq!(counter_ref.violation.as_ref().map(|v| v.state), Some(57));
         assert_eq!(spread_ref.violation.as_ref().map(|v| v.state), Some(3999));
         assert!(spread_ref.layers.iter().any(|l| l.frontier >= 4 * 4));
         for config in claim_paths() {
             assert_same_violation(&counter(config), &counter_ref, config);
             assert_same_violation(&spread(config), &spread_ref, config);
+        }
+    }
+
+    #[test]
+    fn split_barriers_keep_every_id_and_the_arena() {
+        // Layers of 4,096 and ~25,000 states: at 2 and 4 threads their
+        // barriers drain the filter in two halves and place the index on
+        // a helper while the coordinator stores the encodings. Ids show in
+        // the violation's path; the index capacity in `arena_bytes`.
+        let spread = |config| {
+            search_for(
+                Spread { n: 30_000 },
+                |_: &u16| vec![],
+                config,
+                100_000,
+                29_999,
+            )
+        };
+        let reference = spread((1, 64));
+        assert!(reference.layers.iter().any(|l| l.discovered >= SPLIT_MIN));
+        for config in claim_paths() {
+            let report = spread(config);
+            assert_same_violation(&report, &reference, config);
+            assert_eq!(report.arena_bytes, reference.arena_bytes, "{config:?}");
+            assert_eq!(
+                report.bytes_admitted, reference.bytes_admitted,
+                "{config:?}"
+            );
         }
     }
 
@@ -1144,7 +1383,7 @@ mod tests {
             assert!(report.safe_within_budget());
             assert_eq!(report.states_visited, 4);
         }
-        let roomy = search_for(Counter { n: 100 }, bump, (1, false, 64), 5, 3);
+        let roomy = search_for(Counter { n: 100 }, bump, (1, 64), 5, 3);
         assert_eq!(roomy.violation.map(|v| v.state), Some(3));
     }
 
@@ -1164,7 +1403,6 @@ mod tests {
     fn barrier_span_is_timed_only_with_obs() {
         let report = ParallelExplorer::new(Spread { n: 4000 }, |_: &u16| vec![], 10_000, 100)
             .threads(2)
-            .packed()
             .reachable_states();
         assert!(report.layers.len() > 1);
         if cfg!(feature = "obs") {

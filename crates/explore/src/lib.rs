@@ -7,9 +7,11 @@
 //! locally-controlled action and every environment input the caller
 //! permits:
 //!
-//! * the breadth-first frontier is expanded one depth layer at a time by a
-//!   pool of scoped worker threads ([`std::thread::scope`] — no external
-//!   dependencies);
+//! * the breadth-first frontier is expanded one depth layer at a time by
+//!   the calling thread and `threads − 1` helpers, spawned once per search
+//!   in a [`std::thread::scope`] (no external dependencies) and parked
+//!   between layers; thin layers stay on the calling thread, and a panic
+//!   on any thread ends the search with that panic;
 //! * successors are built **in place**: a worker loads each frontier
 //!   state once into a reused state, and for every action and every pick
 //!   `clone_from`s it onto a second reused state and steps that with
@@ -24,10 +26,13 @@
 //!   `fetch_min` on the packed claim key, and anything the filter cannot
 //!   decide overflows to worker-local lists that the layer barrier merges
 //!   exactly;
-//! * state storage is **pluggable**: the default [`PlainBackend`] interns
-//!   full structs, while [`PackedBackend`] interns canonical bit-packed
-//!   [`ioa::intern::PackedCodec`] encodings (same states, same ids, same
-//!   verdicts, a fraction of the arena bytes);
+//! * admitted states are stored as canonical bit-packed
+//!   [`ioa::intern::PackedCodec`] encodings in one [`PackedStore`], a
+//!   fraction of a struct arena's bytes; the state type needs a codec;
+//! * the layer barrier drains the filter, sorts the claims and admits
+//!   them; on a wide layer a helper drains and sorts half of the filter,
+//!   then places the index slots while the calling thread stores the
+//!   encodings, without moving any id;
 //! * every newly discovered state records the **minimal claim** that
 //!   reached it — the lexicographically least `(parent index, action
 //!   index, successor index)` triple — which makes state numbering,
@@ -93,6 +98,7 @@
 
 mod engine;
 mod monitor;
+mod pool;
 mod property;
 mod report;
 mod shard;
@@ -102,6 +108,4 @@ pub use engine::ParallelExplorer;
 pub use monitor::MonitorProperty;
 pub use property::{Invariant, Property, TraceProperty};
 pub use report::{ExploreReport, LayerStats, Truncation, Violation};
-pub use store::{
-    ExploreBackend, PackedBackend, PackedStore, PackedViews, PlainBackend, PlainStore, StateStore,
-};
+pub use store::{ExploreBackend, PackedBackend, PackedStore, PackedViews, StateStore};

@@ -3,7 +3,7 @@
 
 use std::time::Duration;
 
-use dl_obs::{Histogram, RunLedger};
+use dl_obs::{Histogram, RunLedger, Spans};
 
 /// Why the search stopped before exhausting the reachable state space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,9 +66,13 @@ pub struct ExploreReport<A, S> {
     /// ([`StateStore::approx_bytes`](crate::StateStore::approx_bytes)):
     /// capacity, not resident pages, so never-touched capacity counts
     /// and the process's resident set can be smaller. It leaves out the
-    /// engine's spanning-tree links (8 bytes per state) and heap data
-    /// owned *by* plain-backend states, which is not traversed.
+    /// engine's spanning-tree links (8 bytes per state).
     pub arena_bytes: usize,
+    /// Encoding bytes admitted to the store, start states included: the
+    /// bytes the barrier copied into the arena.
+    pub bytes_admitted: u64,
+    /// Claim-filter slots allocated, summed over the expanded layers.
+    pub filter_slots: u64,
     /// Wall-clock duration of the search.
     pub duration: Duration,
     /// Nanoseconds spent single-threaded between layers — building each
@@ -77,6 +81,13 @@ pub struct ExploreReport<A, S> {
     /// time the worker pool sits out. Always 0 unless the `obs` feature
     /// is enabled.
     pub barrier_nanos: u64,
+    /// The barrier's parts on the coordinating thread: `filter` (building
+    /// each layer's claim filter), `drain_sort` (draining the filter,
+    /// merging overflow claims and sorting) and `admit` (admitting the
+    /// layer, reporting a violation and, on a split barrier, building the
+    /// next filter and waiting for the index). Empty unless the `obs`
+    /// feature is enabled.
+    pub barrier_spans: Spans,
 }
 
 impl<A, S> ExploreReport<A, S> {
@@ -142,11 +153,13 @@ impl<A, S> ExploreReport<A, S> {
 
     /// Serializes the run into a [`RunLedger`] under the `explore` engine.
     ///
-    /// Counters (`states`, `edges`, `dedup_hits`, …) are pure functions of
-    /// the model, budgets, and thread count — the ledger round-trip tests
-    /// compare them exactly across re-runs. Gauges (`states_per_sec`,
-    /// `duration_micros`) and the `barrier` span are wall-clock-derived
-    /// and feed the regression gate only.
+    /// Counters (`states`, `edges`, `dedup_hits`, `bytes_admitted`,
+    /// `filter_slots`, …) are pure functions of the model and budgets
+    /// (`threads` aside, independent of the thread count) — the ledger
+    /// round-trip tests compare them exactly across re-runs. Gauges
+    /// (`states_per_sec`, `duration_micros`) and the `barrier` span and
+    /// its `barrier_*` parts are wall-clock-derived and feed the
+    /// regression gate only.
     #[must_use]
     pub fn to_ledger(&self, run_id: &str) -> RunLedger {
         let mut ledger = RunLedger::new("explore", run_id);
@@ -164,6 +177,8 @@ impl<A, S> ExploreReport<A, S> {
             self.violation.as_ref().map_or(0, |v| v.path.len() as u64),
         );
         ledger.counter("arena_bytes", self.arena_bytes as u64);
+        ledger.counter("bytes_admitted", self.bytes_admitted);
+        ledger.counter("filter_slots", self.filter_slots);
 
         let secs = self.duration.as_secs_f64().max(1e-9);
         ledger.gauge("states_per_sec", self.states_visited as f64 / secs);
@@ -180,6 +195,9 @@ impl<A, S> ExploreReport<A, S> {
         ledger.histogram("layer_discovered", &discovered);
 
         ledger.span("barrier", self.barrier_nanos);
+        for (part, nanos) in self.barrier_spans.totals() {
+            ledger.span(&format!("barrier_{part}"), nanos);
+        }
         ledger
     }
 }

@@ -36,16 +36,9 @@
 //! the lower bits, keeping the two choices independent.
 
 use std::borrow::Borrow;
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::BuildHasherDefault;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
-
-/// The hasher shared by the claim filter and the state store.
-/// `DefaultHasher` with default keys is deterministic, which keeps
-/// segment routing and cached hashes reproducible across runs.
-pub(crate) type SharedHasher = BuildHasherDefault<DefaultHasher>;
 
 /// The identity of one discovery of a state: which frontier slot, which
 /// of its actions, which nondeterministic successor. Lexicographic order
@@ -268,13 +261,29 @@ impl<R> LayerFilter<R> {
         Claimed::Overflow
     }
 
-    /// Drains every claimed slot and frees the filter. Called at the
-    /// layer barrier once all workers joined, so every claimed slot has
-    /// a published payload and a folded key. Slot order is scheduling
-    /// dependent — the engine sorts the merged entries by claim key
-    /// before admitting, which is what makes admission deterministic.
-    pub fn drain(self) -> Vec<PendingState<R>> {
-        let mut out = Vec::new();
+    /// Slots allocated across all segments.
+    pub fn capacity(&self) -> usize {
+        self.segments.iter().map(Vec::len).sum()
+    }
+
+    /// Splits off the second half of the segments as a filter of its
+    /// own, so that two workers can drain one filter. Called at the
+    /// barrier, once the layer's claims are in.
+    pub fn split_off(&mut self) -> LayerFilter<R> {
+        LayerFilter {
+            segments: self.segments.split_off(self.segments.len() / 2),
+            seg_mask: self.seg_mask,
+            slot_mask: self.slot_mask,
+        }
+    }
+
+    /// Moves every claimed slot into `out` and frees the filter. Called
+    /// at the layer barrier once all workers are done, so every claimed
+    /// slot has a published payload and a folded key. Slot order is
+    /// scheduling dependent — the engine sorts the merged entries by
+    /// claim key before admitting, which is what makes admission
+    /// deterministic.
+    pub fn drain_into(self, out: &mut Vec<PendingState<R>>) {
         for slot in self.segments.into_iter().flatten() {
             if slot.tag.into_inner() == 0 {
                 continue;
@@ -291,7 +300,6 @@ impl<R> LayerFilter<R> {
                 verdict,
             });
         }
-        out
     }
 }
 
@@ -300,27 +308,36 @@ impl<R> LayerFilter<R> {
 /// minimum and counts as a duplicate; a claim of a new state becomes an
 /// entry. Returns the duplicate count. The hash index is only ever
 /// *probed* (never iterated), and min/set-union are order-independent,
-/// so the merged entry set and keys do not depend on scheduling.
+/// so the merged entry set and keys do not depend on scheduling. The
+/// index maps a hash to its latest entry and chains each entry to the
+/// previous one with the same hash, so it allocates twice per call, not
+/// once per entry.
 pub(crate) fn merge_overflow<R: Eq>(
     entries: &mut Vec<PendingState<R>>,
     overflow: Vec<PendingState<R>>,
 ) -> u64 {
+    const END: usize = usize::MAX;
     if overflow.is_empty() {
         return 0;
     }
-    let mut index: HashMap<u64, Vec<usize>> = HashMap::with_capacity(entries.len());
+    let total = entries.len() + overflow.len();
+    let mut latest: HashMap<u64, usize> = HashMap::with_capacity(total);
+    let mut previous: Vec<usize> = Vec::with_capacity(total);
     for (i, entry) in entries.iter().enumerate() {
-        index.entry(entry.hash).or_default().push(i);
+        previous.push(latest.insert(entry.hash, i).unwrap_or(END));
     }
     let mut duplicates = 0;
     for pending in overflow {
-        let slots = index.entry(pending.hash).or_default();
-        if let Some(&i) = slots.iter().find(|&&i| entries[i].repr == pending.repr) {
+        let mut i = latest.get(&pending.hash).copied().unwrap_or(END);
+        while i != END && entries[i].repr != pending.repr {
+            i = previous[i];
+        }
+        if i == END {
+            previous.push(latest.insert(pending.hash, entries.len()).unwrap_or(END));
+            entries.push(pending);
+        } else {
             duplicates += 1;
             entries[i].key = entries[i].key.min(pending.key);
-        } else {
-            slots.push(entries.len());
-            entries.push(pending);
         }
     }
     duplicates
@@ -329,6 +346,12 @@ pub(crate) fn merge_overflow<R: Eq>(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn drained<R>(filter: LayerFilter<R>) -> Vec<PendingState<R>> {
+        let mut out = Vec::new();
+        filter.drain_into(&mut out);
+        out
+    }
 
     fn key(parent: u32, action: u32, succ: u32) -> ClaimKey {
         ClaimKey {
@@ -397,7 +420,7 @@ mod tests {
                 }
             }
             assert_eq!(news, 1);
-            let drained = filter.drain();
+            let drained = drained(filter);
             assert_eq!(drained.len(), 1);
             assert_eq!(drained[0].key, key(0, 0, 1));
             assert_eq!(drained[0].hash, 7);
@@ -418,7 +441,7 @@ mod tests {
             claim(&filter, 5, key(9, 0, 0), 20),
             Seen::Duplicate
         ));
-        let mut drained = filter.drain();
+        let mut drained = drained(filter);
         drained.sort_unstable_by_key(|p| p.key);
         assert_eq!(drained.len(), 2);
         assert_eq!((drained[0].repr, drained[1].repr), (10, 20));
@@ -435,7 +458,7 @@ mod tests {
             claim(&filter, 0, key(5, 0, 0), 1),
             Seen::Duplicate
         ));
-        let drained = filter.drain();
+        let drained = drained(filter);
         assert_eq!(drained.len(), 2);
     }
 
@@ -459,7 +482,7 @@ mod tests {
             Claimed::New(won) => won.publish(Box::new([1u8, 2]), None),
             _ => panic!("a distinct view must not deduplicate"),
         }
-        let mut drained = filter.drain();
+        let mut drained = drained(filter);
         drained.sort_unstable_by_key(|p| p.key);
         assert_eq!(drained.len(), 2);
         assert_eq!(
@@ -478,7 +501,7 @@ mod tests {
         let filter: LayerFilter<String> = LayerFilter::new(16, 1);
         let big = key(0, 1 << 20, 0);
         assert!(matches!(filter.claim(3, big, "payload"), Claimed::Overflow));
-        assert!(filter.drain().is_empty());
+        assert!(drained(filter).is_empty());
     }
 
     #[test]
@@ -495,7 +518,7 @@ mod tests {
                 Seen::Overflow(_)
             ));
         }
-        assert!(filter.drain().is_empty());
+        assert!(drained(filter).is_empty());
     }
 
     #[test]
@@ -518,7 +541,7 @@ mod tests {
         assert_eq!(news + overflows, 100);
         assert!(news <= 16);
         assert!(overflows >= 84);
-        assert_eq!(filter.drain().len(), news);
+        assert_eq!(drained(filter).len(), news);
     }
 
     #[test]
@@ -565,7 +588,7 @@ mod tests {
                 });
             }
         });
-        let mut merged = filter.drain();
+        let mut merged = drained(filter);
         merge_overflow(&mut merged, overflow.into_inner().unwrap());
         // After the merge every state survives exactly once, with the
         // overall minimal claim (action index 0 beats 1..4).

@@ -3,33 +3,36 @@
 //! Workers build successors in place — each frontier state is loaded
 //! once into a reused state, copied onto a second reused state with
 //! `clone_from` before every pick, and stepped with `step_in_place` —
-//! and decide every claim on a borrowed view of the successor in a
+//! and decide every claim on a borrowed encoding of the successor in a
 //! preallocated `LayerFilter`, so an edge allocates nothing and only a
 //! genuinely new state reaches the arena. This test pins that steady
-//! state with a counting global allocator, on both storage backends, so
-//! a change that quietly reintroduces per-edge cloning (a successor built
-//! by value, a derived `Clone` whose `clone_from` reallocates, a decode
-//! that allocates fresh buffers, or per-candidate boxing on the packed
-//! path) fails loudly here rather than as a silent throughput loss in
-//! `explore/deep`.
+//! state with a counting global allocator (every thread's allocations
+//! count), on one worker and on two, so a change that quietly
+//! reintroduces per-edge cloning (a successor built by value, a derived
+//! `Clone` whose `clone_from` reallocates, a decode that allocates fresh
+//! buffers, or per-candidate boxing), or threads spawned per layer, fails
+//! loudly here rather than as a silent throughput loss in `explore/deep`.
 //!
 //! Measured on the current engine (E9 at channel capacity 2, 594 states
-//! / 3042 edges, one worker; debug and release agree): packed 1,070
-//! allocations (≈1.80 per admitted state, ≈0.35 per edge — each admitted
-//! state boxes its canonical encoding once, each expanded state with a
-//! permitted input gets that input's `Vec` from the caller's closure, and
-//! the rest is set-up — the claim filter per layer, the worker's reused
-//! buffers once per search — plus one allocation per new encoding chunk,
-//! record segment and spanning-tree segment), plain 3,460 (≈1.14 per
-//! edge — each admitted state is cloned once into the arena, with its
-//! queue and set buffers). The packed ceiling sits just above its count:
-//! worker buffers rebuilt for every layer measured 1,395, and the store's
-//! and spanning tree's doubling columns, whose every growth was a
-//! reallocation, 1,409; both fail it. Building every successor by
-//! value, as the engine once did, measured ≈ 23.9k packed and ≈ 20.2k
-//! plain (≈7 per edge). The other bounds sit 1.5–2× above the
-//! measurements so only real regressions trip them, not allocator or
-//! libstd noise.
+//! / 3042 edges; debug and release agree): one worker 996 allocations
+//! (≈1.68 per admitted state, ≈0.33 per edge — each admitted state boxes
+//! its canonical encoding once, each expanded state with a permitted
+//! input gets that input's `Vec` from the caller's closure, and the rest
+//! is set-up — the claim filter per layer, the worker's reused buffers
+//! and the barrier's once per search — plus one allocation per new
+//! encoding chunk, record segment and spanning-tree segment); two
+//! workers 1,140–1,194 over 19 runs, the spread being the second
+//! worker's buffer growth, which depends on how chunks fall, and the
+//! claims that race into the overflow path. The one-worker ceiling sits
+//! just above its count: worker buffers rebuilt for every layer measured
+//! 1,395, and the store's and spanning tree's doubling columns, whose
+//! every growth was a reallocation, 1,409; an engine that reallocates
+//! its barrier's claim list every layer read 1,070. The two-worker
+//! ceiling fails an engine that spawns its workers per layer and indexes
+//! every pending claim in its own `Vec` to merge overflow (1,496–1,521).
+//! Building every successor by value, as the engine once did, measured
+//! ≈ 23.9k (≈7 per edge). The rate bounds sit 2× above the measurements
+//! so only real regressions trip them, not allocator or libstd noise.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -112,20 +115,16 @@ fn woken_start(sys: &Sys) -> SysState {
     sys.step_first(&s1, &DlAction::Wake(Dir::RT)).unwrap()
 }
 
-/// Runs one full single-worker exploration and returns its allocation
-/// count plus the (states, edges) it visited, with a warm-up run first
-/// so lazily-initialized runtime state is excluded.
-fn allocs_for_one_run(packed: bool) -> (u64, usize, u64) {
+/// Runs one full exploration on `threads` workers and returns its
+/// allocation count plus the (states, edges) it visited, with a warm-up
+/// run first so lazily-initialized runtime state is excluded.
+fn allocs_for_one_run(threads: usize) -> (u64, usize, u64) {
     let sys = small_e9();
     let start = woken_start(&sys);
     let explore = |start: SysState| {
-        let e = ParallelExplorer::new(&sys, inputs, 100_000, 10_000).threads(1);
-        if packed {
-            e.packed()
-                .check_invariant_from(vec![start], |s| observer_of(s).is_safe())
-        } else {
-            e.check_invariant_from(vec![start], |s| observer_of(s).is_safe())
-        }
+        ParallelExplorer::new(&sys, inputs, 100_000, 10_000)
+            .threads(threads)
+            .check_invariant_from(vec![start], |s| observer_of(s).is_safe())
     };
     let _ = explore(start.clone());
     let before = ALLOCS.load(Ordering::Relaxed);
@@ -141,37 +140,36 @@ fn allocs_for_one_run(packed: bool) -> (u64, usize, u64) {
 
 #[test]
 fn visited_set_allocations_stay_bounded() {
-    // (backend, packed, total ceiling, per-edge bound, per-state bound)
-    let bounds = [
-        ("plain", false, 5_600u64, 1.8, None),
-        ("packed", true, 1_080u64, 0.7, Some(3.6)),
-    ];
-    for (name, packed, ceiling, edge_bound, state_bound) in bounds {
-        let (allocs, states, edges) = allocs_for_one_run(packed);
-        eprintln!("{name}: {allocs} allocations over {states} states / {edges} edges");
-        assert_eq!(states, 594, "{name}: capacity-2 E9 state count moved");
+    // (threads, total ceiling, per-edge bound, per-state bound)
+    let bounds = [(1, 1_080u64, 0.7, 3.6), (2, 1_300u64, 0.7, 3.6)];
+    for (threads, ceiling, edge_bound, state_bound) in bounds {
+        let (allocs, states, edges) = allocs_for_one_run(threads);
+        eprintln!("{threads} threads: {allocs} allocations over {states} states / {edges} edges");
+        assert_eq!(
+            states, 594,
+            "{threads} threads: capacity-2 E9 state count moved"
+        );
         assert!(
             allocs < ceiling,
-            "{name}: {allocs} allocations in one exploration ({states} states, \
+            "{threads} threads: {allocs} allocations in one exploration ({states} states, \
              {edges} edges) — above the pinned ceiling {ceiling}; did per-edge \
-             cloning sneak back into successor generation or the visited set?"
+             cloning sneak back into successor generation or the visited set, \
+             or threads get spawned per layer?"
         );
         // Also bound the per-edge rate: an engine that builds, clones or
         // boxes every candidate would sit well above it.
         let per_edge = allocs as f64 / edges as f64;
         assert!(
             per_edge < edge_bound,
-            "{name}: {per_edge:.2} allocations per expanded edge ({allocs}/{edges}), \
-             bound {edge_bound}"
+            "{threads} threads: {per_edge:.2} allocations per expanded edge \
+             ({allocs}/{edges}), bound {edge_bound}"
         );
-        // A packed claim that wins needs about one allocation: its box.
-        if let Some(bound) = state_bound {
-            let per_state = allocs as f64 / states as f64;
-            assert!(
-                per_state < bound,
-                "{name}: {per_state:.2} allocations per admitted state \
-                 ({allocs}/{states}), bound {bound}"
-            );
-        }
+        // A claim that wins needs about one allocation: its box.
+        let per_state = allocs as f64 / states as f64;
+        assert!(
+            per_state < state_bound,
+            "{threads} threads: {per_state:.2} allocations per admitted state \
+             ({allocs}/{states}), bound {state_bound}"
+        );
     }
 }

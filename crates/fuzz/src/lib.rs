@@ -16,7 +16,7 @@
 //!   every remaining executor choice through `dl-sim`'s decision points.
 //!   Executions are **pure functions of the genome** — no hidden
 //!   randomness — so every result replays.
-//! * [`target`] — all ten protocols of the zoo, each composed with two
+//! * [`target`](mod@target) — all ten protocols of the zoo, each composed with two
 //!   [`FaultyChannel`](dl_channels::FaultyChannel)s and executed as a lean
 //!   `dl-sim` session (one live state stepped in place, nothing recorded
 //!   but the schedule) under an online conformance monitor
@@ -38,7 +38,7 @@
 //! * [`fleet`] — the multi-threaded campaign loop: [`fuzz`] spawns
 //!   workers, each mutating corpus picks or generating fresh genomes,
 //!   until an execution / wall-clock budget or the first violation.
-//! * [`shrink`] — ddmin over the gene sequence plus numeric
+//! * [`shrink`](mod@shrink) — ddmin over the gene sequence plus numeric
 //!   simplification, preserving the violated property; every emitted
 //!   [`Counterexample`] is replay-verified (two fresh executions,
 //!   byte-identical schedules).

@@ -875,9 +875,86 @@ pub struct PackedTable<H = FxBuildHasher> {
     chunks: Vec<Vec<u8>>,
     /// Location per state, in id order.
     records: SegVec<Record>,
-    /// Open-addressing index of tagged ids; a power of two long.
-    table: Vec<Slot>,
+    /// Open-addressing index of tagged ids.
+    index: PackedIndex,
     hasher: H,
+}
+
+/// The open-addressing index of a [`PackedTable`]: tagged ids, a power of
+/// two long (or empty), at most 7/8 full.
+///
+/// [`PackedTable::detach_index`] hands it out so that a batch's slots can
+/// be placed on one thread while [`PackedTable::push_encoding`] stores the
+/// same batch's encodings on another; slots are placed by tag alone and
+/// never read a record.
+#[derive(Debug, Default)]
+pub struct PackedIndex {
+    slots: Vec<Slot>,
+}
+
+impl PackedIndex {
+    /// Grows the index once, if needed, to the capacity that a table of
+    /// `len` states needs: the smallest power of two, at least 16, that
+    /// keeps `(len + 1) / capacity` at or below 7/8. Placing one slot at a
+    /// time and reserving before each placement reaches the same capacity.
+    pub fn reserve(&mut self, len: usize) {
+        if let Some(larger) = self.grown_for(len) {
+            self.move_into(larger);
+        }
+    }
+
+    /// The empty index that [`reserve`](Self::reserve)`(len)` would grow
+    /// this one into, or `None` when this one has room. Split from
+    /// [`move_into`](Self::move_into) so that the table is allocated on
+    /// the thread that owns the rest of the store: an index allocated on
+    /// a helper thread comes from that thread's malloc arena, which a
+    /// later search's store cannot reuse.
+    #[must_use]
+    pub fn grown_for(&self, len: usize) -> Option<PackedIndex> {
+        let mut cap = self.slots.len().max(16);
+        while (len + 1) * 8 > cap * 7 {
+            cap *= 2;
+        }
+        (cap != self.slots.len()).then(|| PackedIndex {
+            slots: vec![FREE; cap],
+        })
+    }
+
+    /// Re-places every slot of this index in `larger`, an empty index
+    /// from [`grown_for`](Self::grown_for), which then replaces it.
+    pub fn move_into(&mut self, larger: PackedIndex) {
+        debug_assert!(larger.slots.iter().all(|slot| slot.id == EMPTY));
+        let old = std::mem::replace(&mut self.slots, larger.slots);
+        for slot in old.into_iter().filter(|slot| slot.id != EMPTY) {
+            self.place_slot(slot);
+        }
+    }
+
+    /// Places state `id`, whose encoding hashes to `hash`, in the first
+    /// free slot from its tag's home slot on. The caller has
+    /// [`reserve`](Self::reserve)d room for it.
+    pub fn place(&mut self, hash: u64, id: u32) {
+        debug_assert!(id != EMPTY, "the free-slot marker is not an id");
+        self.place_slot(Slot {
+            tag: tag_of(hash),
+            id,
+        });
+    }
+
+    fn place_slot(&mut self, slot: Slot) {
+        let mask = self.slots.len() - 1;
+        let mut i = slot.tag as usize & mask;
+        while self.slots[i].id != EMPTY {
+            i = (i + 1) & mask;
+        }
+        self.slots[i] = slot;
+    }
+
+    /// Allocated bytes of the slots.
+    #[must_use]
+    pub fn approx_bytes(&self) -> usize {
+        self.slots.capacity() * std::mem::size_of::<Slot>()
+    }
 }
 
 impl Default for PackedTable {
@@ -900,7 +977,7 @@ impl<H: BuildHasher> PackedTable<H> {
         PackedTable {
             chunks: Vec::new(),
             records: SegVec::new(),
-            table: Vec::new(),
+            index: PackedIndex::default(),
             hasher,
         }
     }
@@ -934,14 +1011,15 @@ impl<H: BuildHasher> PackedTable<H> {
             self.hasher.hash_one(encoded),
             "prehashed hash mismatch"
         );
-        if self.table.is_empty() {
+        let slots = &self.index.slots;
+        if slots.is_empty() {
             return None;
         }
         let tag = tag_of(hash);
-        let mask = self.table.len() - 1;
+        let mask = slots.len() - 1;
         let mut i = tag as usize & mask;
         loop {
-            let slot = self.table[i];
+            let slot = slots[i];
             if slot.id == EMPTY {
                 return None;
             }
@@ -976,6 +1054,21 @@ impl<H: BuildHasher> PackedTable<H> {
             self.lookup(hash, encoded).is_none(),
             "append called on an interned encoding"
         );
+        let id = self.push_encoding(encoded);
+        self.index.reserve(self.records.len());
+        self.index.place(hash, id);
+        id
+    }
+
+    /// Stores an encoding and its record without an index slot, returning
+    /// its id: [`append`](Self::append) minus the index, for a caller that
+    /// places the slot itself in the [`PackedIndex`] it
+    /// [detached](Self::detach_index).
+    ///
+    /// # Panics
+    ///
+    /// As [`append`](Self::append).
+    pub fn push_encoding(&mut self, encoded: &[u8]) -> u32 {
         let id = entry_id(self.records.len(), "packed arena id");
         let len = narrow(encoded.len(), "encoding length");
         // A full chunk is never grown: the encoding starts the next one.
@@ -995,17 +1088,22 @@ impl<H: BuildHasher> PackedTable<H> {
             chunk: narrow(chunk, "chunk index"),
             len,
         });
-        if self.table.is_empty() || (self.records.len() + 1) * 8 > self.table.len() * 7 {
-            self.grow();
-        }
-        Self::place_in(
-            &mut self.table,
-            Slot {
-                tag: tag_of(hash),
-                id,
-            },
-        );
         id
+    }
+
+    /// Takes the index out of the table, leaving an empty one: until
+    /// [`attach_index`](Self::attach_index) puts it back, lookups find
+    /// nothing and only [`push_encoding`](Self::push_encoding) may add
+    /// states.
+    pub fn detach_index(&mut self) -> PackedIndex {
+        std::mem::take(&mut self.index)
+    }
+
+    /// Puts back an index taken by [`detach_index`](Self::detach_index),
+    /// which must by now hold a slot for every stored state.
+    pub fn attach_index(&mut self, index: PackedIndex) {
+        debug_assert!(self.index.slots.is_empty(), "an index is attached");
+        self.index = index;
     }
 
     /// Decodes state `idx`.
@@ -1031,7 +1129,7 @@ impl<H: BuildHasher> PackedTable<H> {
     pub fn approx_bytes(&self) -> usize {
         self.chunks.iter().map(Vec::capacity).sum::<usize>()
             + self.records.approx_bytes()
-            + self.table.capacity() * std::mem::size_of::<Slot>()
+            + self.index.approx_bytes()
     }
 
     /// The stored encoding of state `idx`.
@@ -1039,25 +1137,6 @@ impl<H: BuildHasher> PackedTable<H> {
         let rec = &self.records[idx as usize];
         let start = usize::try_from(rec.start).expect("u32 offsets fit usize");
         &self.chunks[usize::from(rec.chunk)][start..start + usize::from(rec.len)]
-    }
-
-    /// Puts `slot` in the first free slot from its tag's home slot on.
-    fn place_in(table: &mut [Slot], slot: Slot) {
-        let mask = table.len() - 1;
-        let mut i = slot.tag as usize & mask;
-        while table[i].id != EMPTY {
-            i = (i + 1) & mask;
-        }
-        table[i] = slot;
-    }
-
-    /// Doubles the index, re-placing the old index's slots by their tags.
-    fn grow(&mut self) {
-        let cap = (self.table.len() * 2).max(16);
-        let old = std::mem::replace(&mut self.table, vec![FREE; cap]);
-        for slot in old.into_iter().filter(|slot| slot.id != EMPTY) {
-            Self::place_in(&mut self.table, slot);
-        }
     }
 }
 
@@ -1619,6 +1698,44 @@ mod tests {
     }
 
     #[test]
+    fn a_detached_index_admits_batches_like_append() {
+        // Batches of 1 to 3,000 states: each reserved once, its slots
+        // placed in the detached index, its encodings pushed without one.
+        let (mut one, mut batched) = (PackedTable::new(), PackedTable::new());
+        let mut batch: Vec<(u64, Vec<u8>)> = Vec::new();
+        let (mut n, mut size) = (0u64, 1);
+        while n < MANY as u64 {
+            batch.clear();
+            for _ in 0..size {
+                let mut enc = Vec::new();
+                varied(n, &mut enc);
+                batch.push((one.hash_bytes(&enc), enc));
+                n += 1;
+            }
+            let mut index = batched.detach_index();
+            if let Some(larger) = index.grown_for(batched.len() + batch.len()) {
+                index.move_into(larger);
+            }
+            for (hash, enc) in &batch {
+                let id = batched.push_encoding(enc);
+                index.place(*hash, id);
+                assert_eq!(one.append(*hash, enc), id);
+            }
+            batched.attach_index(index);
+            assert_eq!(batched.approx_bytes(), one.approx_bytes(), "{n} states");
+            size = (size * 3).min(3_000);
+        }
+        let mut enc = Vec::new();
+        for id in (0..n).step_by(97) {
+            varied(id, &mut enc);
+            let hash = one.hash_bytes(&enc);
+            assert_eq!(batched.lookup(hash, &enc), Some(id as u32));
+        }
+        varied(n, &mut enc);
+        assert_eq!(batched.lookup(one.hash_bytes(&enc), &enc), None);
+    }
+
+    #[test]
     #[should_panic(expected = "chunk index 65536 does not fit its 2-byte field")]
     fn an_oversized_field_fails_loudly() {
         let _: u16 = narrow(65_536, "chunk index");
@@ -1705,10 +1822,10 @@ mod tests {
             ids.push(id);
         }
         resolves_each(&mut t, &encodings, &ids, "before a grow");
-        let slots = t.table.len();
+        let slots = t.index.slots.len();
         let mut enc = Vec::new();
         for n in MANY as u64.. {
-            if t.table.len() > slots {
+            if t.index.slots.len() > slots {
                 break;
             }
             varied(n, &mut enc);

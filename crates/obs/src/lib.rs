@@ -22,7 +22,7 @@
 //!   fuzz counterexamples stay byte-identical.
 //! * [`ledger`] — the [`RunLedger`] itself plus the [`BenchFile`]
 //!   container, serialized to a stable, versioned JSON schema by a
-//!   hand-rolled writer/parser ([`json`]); and [`gate`], the benchmark
+//!   hand-rolled writer/parser ([`json`]); and [`gate`](mod@gate), the benchmark
 //!   regression gate `scripts/bench.sh --gate` runs against the committed
 //!   `bench/baseline.json`.
 //!

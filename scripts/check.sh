@@ -11,7 +11,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-STAGES=(toolchain fmt clippy test obs scaling explore-deep monitor-smoke fuzz-smoke fleet-smoke stabilize-smoke alloc differential cross-check bench-smoke perfbench)
+STAGES=(toolchain fmt clippy docs test obs scaling explore-deep monitor-smoke fuzz-smoke fleet-smoke stabilize-smoke alloc differential cross-check bench-smoke perfbench)
 
 stage_toolchain() {
   # The container pins the toolchain by version, not by channel file
@@ -38,6 +38,18 @@ stage_fmt() {
 stage_clippy() {
   cargo clippy --workspace --all-targets -- -D warnings
   cargo clippy --workspace --all-targets --features dl-bench/obs -- -D warnings
+}
+
+stage_docs() {
+  # Every workspace crate's rustdoc, vendored shims included, with
+  # warnings (a broken or ambiguous intra-doc link) as errors.
+  local crates crate
+  crates=$(cargo metadata --no-deps --format-version 1 |
+    python3 -c 'import json, sys; print(" ".join(p["name"] for p in json.load(sys.stdin)["packages"]))')
+  for crate in $crates; do
+    RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps -p "$crate"
+  done
+  echo "    rustdoc clean: ${crates}"
 }
 
 stage_test() {
@@ -69,9 +81,14 @@ stage_explore_deep() {
   # chunk, segment and offset arithmetic in release, where an overflow
   # wraps silently and `debug_assert!`s are compiled out, and the
   # engine's own tests (1/2/4 threads, zero- and one-segment claim
-  # filters, the overflow path) on the optimized batched worker loop.
+  # filters, the overflow path, split barriers) on the optimized batched
+  # worker loop. The panic tests run under `timeout`: a panic on any
+  # worker must end the search, and a parked pool that never wakes would
+  # hang it instead.
   cargo test --release -q -p dl-bench --test explore_deep_smoke
   cargo test --release -q -p ioa intern
+  cargo test --release -q -p dl-explore --no-run
+  timeout 120 cargo test --release -q -p dl-explore --test panics
   cargo test --release -q -p dl-explore
 }
 
@@ -116,8 +133,8 @@ stage_stabilize_smoke() {
 }
 
 stage_alloc() {
-  # Counting allocator: allocs per fuzz exec, per explored edge (both
-  # visited-set backends) and per lean fleet-session action (every zoo
+  # Counting allocator: allocs per fuzz exec, per explored edge (one and
+  # two explorer workers) and per lean fleet-session action (every zoo
   # kind, stabilizing included) under the pinned ceilings.
   cargo test -q -p dl-fuzz --test alloc_regression
   cargo test -q -p dl-explore --test alloc_ceiling

@@ -209,8 +209,9 @@ fn differential_abp_crash_free_matches_sequential_at_1_2_4_threads() {
 
 /// Violating run (ABP with receiver crashes): both engines report the
 /// same minimal counterexample, action for action, with the same counts.
-/// The packed leg checks the claim path where workers dedup states by
-/// their encodings and carry each winner's verdict to the barrier.
+/// The direct leg runs the explorer outside the zoo harness, on the
+/// claim path where workers dedup states by their encodings and carry
+/// each winner's verdict to the barrier.
 #[test]
 fn differential_abp_crash_counterexample_matches_sequential_at_1_2_4_threads() {
     let sys = zoo::abp_crash_pump_system();
@@ -224,7 +225,6 @@ fn differential_abp_crash_counterexample_matches_sequential_at_1_2_4_threads() {
         );
         let packed = ParallelExplorer::new(&sys, zoo::abp_crash_pump_inputs, 2_000_000, 10_000)
             .threads(threads)
-            .packed()
             .check_invariant_from(vec![start.clone()], |s| observer_of(s).is_safe());
         ZooOutcome {
             name: format!("abp_crash_pump_packed_{threads}t"),
