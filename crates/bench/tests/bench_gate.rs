@@ -1,6 +1,6 @@
 //! The regression gate end-to-end: a clean re-run passes against its own
 //! baseline, a synthetic slowdown fails, and an allocation-ceiling breach
-//! fails.
+//! (the explorer's arena or its admitted encoding bytes) fails.
 //!
 //! The slowdown is injected through the same `sleep_micros` parameter
 //! the `ledger_run` binary wires to `DL_BENCH_SLEEP_US` (see
@@ -54,18 +54,19 @@ fn synthetic_slowdown_fails_the_gate() {
 #[test]
 fn alloc_ceiling_breach_fails_the_gate() {
     // One run, cloned: a second timed run could trip a timing rule
-    // before the ceiling does, so only `arena_bytes` may differ.
+    // before the ceiling does, so only the bloated counter may differ.
+    // Both byte counters of the explorer's store are ceilings.
     let baseline = file_of(vec![explore_e9(1, 0)]);
-    let mut bloated = baseline.clone();
-    let bytes = bloated.runs[0].counters["arena_bytes"];
-    bloated.runs[0]
-        .counters
-        .insert("arena_bytes".into(), bytes * 2);
-    let report = gate(&baseline, &bloated, &GateConfig::default());
-    assert!(!report.passed());
-    let failing = report.findings.iter().find(|f| !f.ok).expect("one failure");
-    assert_eq!(failing.rule, "alloc-ceiling");
-    assert_eq!(failing.key, "arena_bytes");
+    for key in ["arena_bytes", "admitted_bytes"] {
+        let mut bloated = baseline.clone();
+        let bytes = bloated.runs[0].counters[key];
+        bloated.runs[0].counters.insert(key.into(), bytes * 2);
+        let report = gate(&baseline, &bloated, &GateConfig::default());
+        assert!(!report.passed(), "doubling {key} must fail");
+        let failing = report.findings.iter().find(|f| !f.ok).expect("one failure");
+        assert_eq!(failing.rule, "alloc-ceiling");
+        assert_eq!(failing.key, key);
+    }
 }
 
 #[test]

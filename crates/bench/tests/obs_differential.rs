@@ -15,8 +15,8 @@ use dl_fuzz::{fuzz, target, FuzzConfig};
 use dl_sim::{ConformancePolicy, Runner, Script};
 
 /// E9 at capacity 3, 2 messages — the values the baseline and
-/// EXPERIMENTS.md publish: 1,178 states whose encodings take 39,833
-/// bytes, in a 97,664-byte packed arena, claimed through 3,440 filter
+/// EXPERIMENTS.md publish: 1,178 states whose encodings take 30,429
+/// bytes, in a 64,896-byte packed arena, claimed through 3,440 filter
 /// slots over the 28 layers.
 #[test]
 fn explore_counters_are_pinned_across_feature_configs() {
@@ -27,8 +27,8 @@ fn explore_counters_are_pinned_across_feature_configs() {
     assert_eq!(ledger.counters["dedup_hits"], 5090);
     assert_eq!(ledger.counters["layers"], 28);
     assert_eq!(ledger.counters["max_depth"], 27);
-    assert_eq!(ledger.counters["arena_bytes"], 97_664);
-    assert_eq!(ledger.counters["bytes_admitted"], 39_833);
+    assert_eq!(ledger.counters["arena_bytes"], 64_896);
+    assert_eq!(ledger.counters["admitted_bytes"], 30_429);
     assert_eq!(ledger.counters["filter_slots"], 3_440);
     assert_eq!(ledger.counters["violation"], 0);
     let frontier = &ledger.histograms["frontier_states"];

@@ -8,9 +8,10 @@
 //! action type [`DlAction`], which makes the composition operator of `ioa`
 //! directly applicable.
 
+use std::collections::VecDeque;
 use std::fmt;
 
-use ioa::intern::{read_varint, write_varint, PackedCodec};
+use ioa::intern::{read_runs, read_varint, write_runs, write_varint, PackedCodec};
 
 /// A station name: the transmitter `t` or the receiver `r`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -128,6 +129,34 @@ impl PackedCodec for Msg {
     }
 }
 
+impl Msg {
+    /// Appends a station's message queue as runs of consecutive messages
+    /// ([`write_runs`]): the explorer's models send messages in order, so
+    /// a queue is one run, three bytes long whatever its length. The
+    /// generic `VecDeque` codec would write every message.
+    #[inline]
+    pub fn encode_queue(queue: &VecDeque<Msg>, out: &mut Vec<u8>) {
+        write_runs(out, queue.iter().map(|m| m.0));
+    }
+
+    /// Inverse of [`encode_queue`](Self::encode_queue).
+    #[inline]
+    #[must_use]
+    pub fn decode_queue(input: &mut &[u8]) -> VecDeque<Msg> {
+        let mut queue = VecDeque::new();
+        Msg::decode_queue_into(&mut queue, input);
+        queue
+    }
+
+    /// [`decode_queue`](Self::decode_queue) into `queue`, reusing its
+    /// buffer: no allocation once it has grown.
+    #[inline]
+    pub fn decode_queue_into(queue: &mut VecDeque<Msg>, input: &mut &[u8]) {
+        queue.clear();
+        read_runs(input, |v| queue.push_back(Msg(v)));
+    }
+}
+
 /// The protocol-interpreted part of a packet header: its role.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Tag {
@@ -151,28 +180,6 @@ impl fmt::Display for Tag {
             Tag::InitAck => "INIT-ACK",
         };
         f.write_str(s)
-    }
-}
-
-impl PackedCodec for Tag {
-    #[inline]
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.push(match self {
-            Tag::Data => 0,
-            Tag::Ack => 1,
-            Tag::Init => 2,
-            Tag::InitAck => 3,
-        });
-    }
-    #[inline]
-    fn decode(input: &mut &[u8]) -> Self {
-        match u8::decode(input) {
-            0 => Tag::Data,
-            1 => Tag::Ack,
-            2 => Tag::Init,
-            3 => Tag::InitAck,
-            other => panic!("invalid Tag discriminant {other}"),
-        }
     }
 }
 
@@ -214,21 +221,6 @@ impl Header {
 impl fmt::Display for Header {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}#{}", self.tag, self.seq)
-    }
-}
-
-impl PackedCodec for Header {
-    #[inline]
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.tag.encode(out);
-        write_varint(out, self.seq);
-    }
-    #[inline]
-    fn decode(input: &mut &[u8]) -> Self {
-        Header {
-            tag: Tag::decode(input),
-            seq: read_varint(input),
-        }
     }
 }
 
@@ -297,21 +289,63 @@ impl Packet {
     }
 }
 
+/// `seq` values below this fit a packed packet's header byte; from it
+/// on, the byte holds it and `seq − SEQ_ESCAPE` follows as a varint.
+const SEQ_ESCAPE: u64 = 15;
+
+/// One header byte, then only the varints it announces: the uid if the
+/// packet is stamped, `seq − 15` if `seq` does not fit the byte, and the
+/// payload if there is one. The byte holds the tag in bits 0–1, a
+/// payload flag in bit 2, a stamped flag in bit 3 and `min(seq, 15)` in
+/// bits 4–7. A bounded-header protocol's unstamped packet, the common
+/// case in explorer states, takes 1 byte without a payload and 2 with
+/// a small one.
 impl PackedCodec for Packet {
     #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
-        // Unstamped packets are the common case in explorer states; the
-        // +1 wrap folds `UNSTAMPED` (u64::MAX) to a one-byte varint.
-        write_varint(out, self.uid.wrapping_add(1));
-        self.header.encode(out);
-        self.payload.encode(out);
+        let tag = match self.header.tag {
+            Tag::Data => 0,
+            Tag::Ack => 1,
+            Tag::Init => 2,
+            Tag::InitAck => 3,
+        };
+        let stamped = self.uid != Packet::UNSTAMPED;
+        let seq = self.header.seq.min(SEQ_ESCAPE) as u8;
+        out.push(tag | u8::from(self.payload.is_some()) << 2 | u8::from(stamped) << 3 | seq << 4);
+        if stamped {
+            write_varint(out, self.uid);
+        }
+        if self.header.seq >= SEQ_ESCAPE {
+            write_varint(out, self.header.seq - SEQ_ESCAPE);
+        }
+        if let Some(m) = self.payload {
+            write_varint(out, m.0);
+        }
     }
     #[inline]
     fn decode(input: &mut &[u8]) -> Self {
+        let (&byte, rest) = input.split_first().expect("truncated packet");
+        *input = rest;
+        let tag = match byte & 0b11 {
+            0 => Tag::Data,
+            1 => Tag::Ack,
+            2 => Tag::Init,
+            _ => Tag::InitAck,
+        };
+        let uid = if byte & 0b1000 != 0 {
+            read_varint(input)
+        } else {
+            Packet::UNSTAMPED
+        };
+        let mut seq = u64::from(byte >> 4);
+        if seq == SEQ_ESCAPE {
+            seq += read_varint(input);
+        }
+        let payload = (byte & 0b100 != 0).then(|| Msg(read_varint(input)));
         Packet {
-            uid: read_varint(input).wrapping_sub(1),
-            header: Header::decode(input),
-            payload: Option::<Msg>::decode(input),
+            uid,
+            header: Header { tag, seq },
+            payload,
         }
     }
 }
@@ -468,6 +502,21 @@ mod tests {
         let stamped = p.with_uid(17);
         assert_eq!(stamped.uid, 17);
         assert_eq!(stamped.content(), p);
+    }
+
+    #[test]
+    fn packed_packets_take_one_header_byte() {
+        let len = |p: Packet| {
+            let mut out = Vec::new();
+            p.encode(&mut out);
+            out.len()
+        };
+        assert_eq!(len(Packet::data(1, Msg(9))), 2);
+        assert_eq!(len(Packet::ack(0)), 1);
+        assert_eq!(len(Packet::new(Header::new(Tag::InitAck, 14), None)), 1);
+        // Past the byte: an escaped seq and a stamp each add a varint.
+        assert_eq!(len(Packet::ack(15)), 2);
+        assert_eq!(len(Packet::data(1, Msg(9)).with_uid(3)), 3);
     }
 
     #[test]

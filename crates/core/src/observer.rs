@@ -20,7 +20,7 @@ use std::fmt;
 
 use ioa::action::ActionClass;
 use ioa::automaton::{Automaton, Deterministic, TaskId};
-use ioa::intern::{read_delta_seq, write_delta_seq, PackedCodec};
+use ioa::intern::{read_runs, write_runs, PackedCodec};
 
 use crate::action::{DlAction, Msg};
 
@@ -80,11 +80,13 @@ impl MsgSet {
     }
 }
 
-/// Delta-coded like any sorted id set (ascending by construction).
+/// Run-coded ([`write_runs`]): the explorer's models send messages in
+/// order, so `sent` and `received` are prefixes `{0..k}`, three bytes
+/// each whatever `k` is.
 impl PackedCodec for MsgSet {
     #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
-        write_delta_seq(out, self.0.len(), self.0.iter().map(|m| m.0));
+        write_runs(out, self.0.iter().map(|m| m.0));
     }
     #[inline]
     fn decode(input: &mut &[u8]) -> Self {
@@ -95,7 +97,7 @@ impl PackedCodec for MsgSet {
     #[inline]
     fn decode_into(&mut self, input: &mut &[u8]) {
         self.0.clear();
-        read_delta_seq(input, |v| self.0.push(Msg(v)));
+        read_runs(input, |v| self.0.push(Msg(v)));
     }
 }
 
@@ -183,8 +185,6 @@ impl PackedCodec for SafetyFlag {
 impl PackedCodec for ObserverState {
     #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
-        // The message sets are sorted by construction — exactly the
-        // shape delta coding wants.
         self.sent.encode(out);
         self.received.encode(out);
         self.flag.encode(out);

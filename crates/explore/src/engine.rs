@@ -447,7 +447,7 @@ where
         // at admission time, on the coordinating thread, so workers never
         // touch this.
         let mut tstates: SegVec<TP::State> = SegVec::new();
-        let mut bytes_admitted = 0u64;
+        let mut admitted_bytes = 0u64;
 
         // The start states are one batch; each is looked up after the
         // ones before it are admitted, so a repeated start is admitted once.
@@ -458,7 +458,7 @@ where
             .collect();
         for (i, &hash) in hashes.iter().enumerate() {
             if store.lookup(hash, views.get(i)).is_none() {
-                bytes_admitted += views.get(i).len() as u64;
+                admitted_bytes += views.get(i).len() as u64;
                 store.intern_new(hash, views.get(i).into());
                 parents.push(NO_LINK);
                 action_idx.push(NO_LINK);
@@ -644,7 +644,7 @@ where
                                 &parent_actions[key.action as usize],
                             )
                         };
-                        bytes_admitted += repr.len() as u64;
+                        admitted_bytes += repr.len() as u64;
                         let idx = if split {
                             store_mut.push_encoding(&repr)
                         } else {
@@ -699,7 +699,7 @@ where
             layers,
             threads,
             arena_bytes: store.approx_bytes(),
-            bytes_admitted,
+            admitted_bytes,
             filter_slots,
             duration: t0.elapsed(),
             barrier_nanos,
@@ -1196,7 +1196,7 @@ mod tests {
                 assert_eq!(par.quiescent_states, reference.quiescent_states);
                 assert_eq!(par.layers, reference.layers, "{threads} threads");
                 assert_eq!(par.arena_bytes, reference.arena_bytes);
-                assert_eq!(par.bytes_admitted, reference.bytes_admitted);
+                assert_eq!(par.admitted_bytes, reference.admitted_bytes);
                 assert_eq!(par.filter_slots, reference.filter_slots);
             }
         }
@@ -1363,7 +1363,7 @@ mod tests {
             assert_same_violation(&report, &reference, config);
             assert_eq!(report.arena_bytes, reference.arena_bytes, "{config:?}");
             assert_eq!(
-                report.bytes_admitted, reference.bytes_admitted,
+                report.admitted_bytes, reference.admitted_bytes,
                 "{config:?}"
             );
         }

@@ -70,7 +70,7 @@ pub struct ExploreReport<A, S> {
     pub arena_bytes: usize,
     /// Encoding bytes admitted to the store, start states included: the
     /// bytes the barrier copied into the arena.
-    pub bytes_admitted: u64,
+    pub admitted_bytes: u64,
     /// Claim-filter slots allocated, summed over the expanded layers.
     pub filter_slots: u64,
     /// Wall-clock duration of the search.
@@ -153,7 +153,7 @@ impl<A, S> ExploreReport<A, S> {
 
     /// Serializes the run into a [`RunLedger`] under the `explore` engine.
     ///
-    /// Counters (`states`, `edges`, `dedup_hits`, `bytes_admitted`,
+    /// Counters (`states`, `edges`, `dedup_hits`, `admitted_bytes`,
     /// `filter_slots`, …) are pure functions of the model and budgets
     /// (`threads` aside, independent of the thread count) — the ledger
     /// round-trip tests compare them exactly across re-runs. Gauges
@@ -177,7 +177,7 @@ impl<A, S> ExploreReport<A, S> {
             self.violation.as_ref().map_or(0, |v| v.path.len() as u64),
         );
         ledger.counter("arena_bytes", self.arena_bytes as u64);
-        ledger.counter("bytes_admitted", self.bytes_admitted);
+        ledger.counter("admitted_bytes", self.admitted_bytes);
         ledger.counter("filter_slots", self.filter_slots);
 
         let secs = self.duration.as_secs_f64().max(1e-9);

@@ -368,8 +368,11 @@ impl<S: std::fmt::Debug, H> std::fmt::Debug for StateTable<S, H> {
 /// them as full structs wastes both cycles (padding, pointer-chased
 /// `VecDeque` buffers) and arena bytes (`size_of::<S>()` per state
 /// regardless of occupancy). A `PackedCodec` implementation flattens a
-/// state to a short varint/delta byte string instead; the packed arena
-/// ([`PackedTable`]) then hashes and dedups those bytes directly.
+/// state to a short byte string instead: counters as varints
+/// ([`write_varint`]), message sets and queues as runs of consecutive
+/// values ([`write_runs`]), and a packet as one header byte plus the
+/// varints it announces. The packed arena ([`PackedTable`]) then hashes
+/// and dedups those bytes directly.
 ///
 /// Contract: `encode` is **canonical** — equal states produce identical
 /// bytes, distinct states produce distinct bytes (the encoding is
@@ -450,42 +453,62 @@ pub fn unzigzag(u: u64) -> i64 {
     ((u >> 1) as i64) ^ -((u & 1) as i64)
 }
 
-/// Delta-encodes an ascending `u64` sequence: count, first value, then
-/// successive differences — the shape of sorted id sets
-/// (`BTreeSet<Msg>` contents, say), where deltas are tiny varints.
+/// Appends `vals` as maximal runs of consecutive values, each run as its
+/// length and its gap, then a zero length that ends the list.
+///
+/// A run is a stretch `v, v + 1, …, v + k − 1` (wrapping past
+/// `u64::MAX`). Its gap is the zigzag-folded distance from where the
+/// previous run would have continued, or from 0 for the first run, so a
+/// prefix `{0..k}` takes three bytes whatever its size: the message sets
+/// and queues of models that send messages in order are such runs. Any
+/// sequence decodes to itself, ascending or not: a repeated, descending
+/// or skipped value only starts a new run, with a negative or positive
+/// gap.
+pub fn write_runs(out: &mut Vec<u8>, vals: impl IntoIterator<Item = u64>) {
+    let mut vals = vals.into_iter();
+    if let Some(mut start) = vals.next() {
+        let mut len = 1u64;
+        let mut next = 0u64;
+        for v in vals {
+            if v == start.wrapping_add(len) {
+                len += 1;
+            } else {
+                write_run(out, &mut next, start, len);
+                start = v;
+                len = 1;
+            }
+        }
+        write_run(out, &mut next, start, len);
+    }
+    out.push(0);
+}
+
+/// One run of [`write_runs`]; `next` is where the previous run would have
+/// continued, and becomes where this one would.
+#[inline]
+fn write_run(out: &mut Vec<u8>, next: &mut u64, start: u64, len: u64) {
+    write_varint(out, len);
+    write_varint(out, zigzag(start.wrapping_sub(*next) as i64));
+    *next = start.wrapping_add(len);
+}
+
+/// Inverse of [`write_runs`]: calls `f` once per decoded value, in order.
 ///
 /// # Panics
 ///
-/// Debug-asserts that the sequence is ascending.
-pub fn write_delta_seq(out: &mut Vec<u8>, len: usize, vals: impl Iterator<Item = u64>) {
-    write_varint(out, len as u64);
-    let mut prev = 0u64;
-    let mut first = true;
-    for v in vals {
-        if first {
-            write_varint(out, v);
-            first = false;
-        } else {
-            debug_assert!(v >= prev, "delta sequence must be ascending");
-            write_varint(out, v - prev);
+/// On truncated input (a logic error; see [`PackedCodec`]).
+pub fn read_runs(input: &mut &[u8], mut f: impl FnMut(u64)) {
+    let mut next = 0u64;
+    loop {
+        let len = read_varint(input);
+        if len == 0 {
+            return;
         }
-        prev = v;
-    }
-}
-
-/// Inverse of [`write_delta_seq`]: calls `f` once per decoded value, in
-/// order.
-pub fn read_delta_seq(input: &mut &[u8], mut f: impl FnMut(u64)) {
-    let len = read_varint(input);
-    let mut prev = 0u64;
-    for i in 0..len {
-        let v = if i == 0 {
-            read_varint(input)
-        } else {
-            prev + read_varint(input)
-        };
-        f(v);
-        prev = v;
+        let start = next.wrapping_add(unzigzag(read_varint(input)) as u64);
+        for i in 0..len {
+            f(start.wrapping_add(i));
+        }
+        next = start.wrapping_add(len);
     }
 }
 
@@ -650,16 +673,17 @@ impl<K: PackedCodec + Ord, V: PackedCodec> PackedCodec for std::collections::BTr
     }
 }
 
-/// Sorted `u64` sets delta-encode like the message sets they usually are.
+/// Sorted `u64` sets run-code ([`write_runs`]) like the message sets
+/// they usually are.
 impl PackedCodec for std::collections::BTreeSet<u64> {
     #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
-        write_delta_seq(out, self.len(), self.iter().copied());
+        write_runs(out, self.iter().copied());
     }
     #[inline]
     fn decode(input: &mut &[u8]) -> Self {
         let mut set = std::collections::BTreeSet::new();
-        read_delta_seq(input, |v| {
+        read_runs(input, |v| {
             set.insert(v);
         });
         set
@@ -862,11 +886,12 @@ fn narrow<T: TryFrom<usize>>(value: usize, field: &str) -> T {
 /// and reads a record and its bytes only on a tag match, where byte
 /// equality decides (canonical encodings make that state equality). Only
 /// the index grows by doubling, re-placing its own slots by their tags:
-/// nothing admitted is ever moved, and growth reads no record. Per-state
-/// overhead is `bytes + 8 (record) + 9–18 (index, at 7/8 down to 7/16
-/// load)` — for zoo states whose structs run 50–150 bytes plus queue
-/// allocations, the packed arena is several times smaller and the hasher
-/// touches a handful of bytes instead of walking a struct.
+/// nothing admitted is ever moved, and growth reads no record. A state
+/// costs `bytes + 8 (record) + 9–18 (index, at 7/8 down to 7/16 load)`:
+/// an E15 state (ABP over two capacity-6 lossy channels, with the safety
+/// observer) is a 240-byte struct that owns seven heap buffers, but it
+/// encodes in 33 bytes on average and costs the table about 55, and the
+/// hasher reads those 33 bytes instead of walking the struct.
 ///
 /// An encoding must be at most `u16::MAX` bytes long; a longer one
 /// panics on admission.
@@ -1437,21 +1462,44 @@ mod tests {
     }
 
     #[test]
-    fn delta_seq_roundtrips_sorted_sets() {
-        let vals = [3u64, 9, 10, 500, 501];
+    fn runs_roundtrip_any_sequence() {
+        let cases: [&[u64]; 9] = [
+            &[],
+            &[0, 1, 2, 3],
+            &[3, 9, 10, 500, 501],
+            &[7],
+            &[5, 5, 5],
+            &[4, 3, 2, 1, 0],
+            &[u64::MAX - 1, u64::MAX, 0, 1],
+            &[u64::MAX, 0, u64::MAX],
+            &[0, u64::MAX, 1, u64::MAX - 1],
+        ];
+        for vals in cases {
+            let mut out = Vec::new();
+            write_runs(&mut out, vals.iter().copied());
+            let mut back = Vec::new();
+            let mut r = out.as_slice();
+            read_runs(&mut r, |v| back.push(v));
+            assert!(r.is_empty(), "{vals:?}: the runs are not self-delimiting");
+            assert_eq!(back, vals);
+        }
+    }
+
+    #[test]
+    fn runs_code_a_prefix_in_three_bytes() {
         let mut out = Vec::new();
-        write_delta_seq(&mut out, vals.len(), vals.iter().copied());
-        let mut back = Vec::new();
-        let mut r = out.as_slice();
-        read_delta_seq(&mut r, |v| back.push(v));
-        assert!(r.is_empty());
-        assert_eq!(back, vals);
-        // Empty sequence is fine too.
+        write_runs(&mut out, std::iter::empty());
+        assert_eq!(out, [0], "the empty sequence is its terminator");
+        for k in [1u64, 2, 16, 127] {
+            let mut out = Vec::new();
+            write_runs(&mut out, 0..k);
+            assert_eq!(out, [k as u8, 0, 0], "the prefix of {k}");
+        }
+        // Two runs: {0, 1, 2} and {5, 6}, the second 2 past where the
+        // first would have continued.
         let mut out = Vec::new();
-        write_delta_seq(&mut out, 0, std::iter::empty());
-        let mut r = out.as_slice();
-        read_delta_seq(&mut r, |_| panic!("no values expected"));
-        assert!(r.is_empty());
+        write_runs(&mut out, [0, 1, 2, 5, 6]);
+        assert_eq!(out, [3, 0, 2, zigzag(2) as u8, 0]);
     }
 
     #[test]

@@ -377,21 +377,21 @@ impl PackedCodec for AbpTxState {
     fn encode(&self, out: &mut Vec<u8>) {
         self.active.encode(out);
         self.bit.encode(out);
-        self.queue.encode(out);
+        Msg::encode_queue(&self.queue, out);
     }
     #[inline]
     fn decode(input: &mut &[u8]) -> Self {
         AbpTxState {
             active: bool::decode(input),
             bit: bool::decode(input),
-            queue: std::collections::VecDeque::<Msg>::decode(input),
+            queue: Msg::decode_queue(input),
         }
     }
     #[inline]
     fn decode_into(&mut self, input: &mut &[u8]) {
         self.active = bool::decode(input);
         self.bit = bool::decode(input);
-        self.queue.decode_into(input);
+        Msg::decode_queue_into(&mut self.queue, input);
     }
 }
 
@@ -400,7 +400,7 @@ impl PackedCodec for AbpRxState {
     fn encode(&self, out: &mut Vec<u8>) {
         self.active.encode(out);
         self.expected.encode(out);
-        self.deliver.encode(out);
+        Msg::encode_queue(&self.deliver, out);
         self.acks.encode(out);
     }
     #[inline]
@@ -408,7 +408,7 @@ impl PackedCodec for AbpRxState {
         AbpRxState {
             active: bool::decode(input),
             expected: bool::decode(input),
-            deliver: std::collections::VecDeque::<Msg>::decode(input),
+            deliver: Msg::decode_queue(input),
             acks: std::collections::VecDeque::<bool>::decode(input),
         }
     }
@@ -416,7 +416,7 @@ impl PackedCodec for AbpRxState {
     fn decode_into(&mut self, input: &mut &[u8]) {
         self.active = bool::decode(input);
         self.expected = bool::decode(input);
-        self.deliver.decode_into(input);
+        Msg::decode_queue_into(&mut self.deliver, input);
         self.acks.decode_into(input);
     }
 }

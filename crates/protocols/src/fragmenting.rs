@@ -366,14 +366,14 @@ impl PackedCodec for FragTxState {
     fn encode(&self, out: &mut Vec<u8>) {
         self.active.encode(out);
         self.bit.encode(out);
-        self.queue.encode(out);
+        Msg::encode_queue(&self.queue, out);
     }
     #[inline]
     fn decode(input: &mut &[u8]) -> Self {
         FragTxState {
             active: bool::decode(input),
             bit: bool::decode(input),
-            queue: std::collections::VecDeque::<Msg>::decode(input),
+            queue: Msg::decode_queue(input),
         }
     }
 }
@@ -385,7 +385,7 @@ impl PackedCodec for FragRxState {
         self.expected.encode(out);
         self.got.encode(out);
         self.pending.encode(out);
-        self.deliver.encode(out);
+        Msg::encode_queue(&self.deliver, out);
         self.acks.encode(out);
     }
     #[inline]
@@ -395,7 +395,7 @@ impl PackedCodec for FragRxState {
             expected: bool::decode(input),
             got: <[bool; 2]>::decode(input),
             pending: Option::<Msg>::decode(input),
-            deliver: std::collections::VecDeque::<Msg>::decode(input),
+            deliver: Msg::decode_queue(input),
             acks: std::collections::VecDeque::<bool>::decode(input),
         }
     }

@@ -378,7 +378,7 @@ impl PackedCodec for NvTxState {
         self.active.encode(out);
         self.epoch.encode(out);
         self.seq.encode(out);
-        self.queue.encode(out);
+        Msg::encode_queue(&self.queue, out);
     }
     #[inline]
     fn decode(input: &mut &[u8]) -> Self {
@@ -386,7 +386,7 @@ impl PackedCodec for NvTxState {
             active: bool::decode(input),
             epoch: u64::decode(input),
             seq: u64::decode(input),
-            queue: std::collections::VecDeque::<Msg>::decode(input),
+            queue: Msg::decode_queue(input),
         }
     }
 }
@@ -397,7 +397,7 @@ impl PackedCodec for NvRxState {
         self.active.encode(out);
         self.epoch.encode(out);
         self.expected.encode(out);
-        self.deliver.encode(out);
+        Msg::encode_queue(&self.deliver, out);
         self.acks.encode(out);
     }
     #[inline]
@@ -406,7 +406,7 @@ impl PackedCodec for NvRxState {
             active: bool::decode(input),
             epoch: u64::decode(input),
             expected: u64::decode(input),
-            deliver: std::collections::VecDeque::<Msg>::decode(input),
+            deliver: Msg::decode_queue(input),
             acks: std::collections::VecDeque::<u64>::decode(input),
         }
     }

@@ -401,14 +401,14 @@ impl PackedCodec for ParityTxState {
     fn encode(&self, out: &mut Vec<u8>) {
         self.active.encode(out);
         self.bit.encode(out);
-        self.queue.encode(out);
+        Msg::encode_queue(&self.queue, out);
     }
     #[inline]
     fn decode(input: &mut &[u8]) -> Self {
         ParityTxState {
             active: bool::decode(input),
             bit: bool::decode(input),
-            queue: std::collections::VecDeque::<Msg>::decode(input),
+            queue: Msg::decode_queue(input),
         }
     }
 }
@@ -420,7 +420,7 @@ impl PackedCodec for ParityRxState {
         self.expected.encode(out);
         self.got.encode(out);
         self.pending.encode(out);
-        self.deliver.encode(out);
+        Msg::encode_queue(&self.deliver, out);
         self.acks.encode(out);
     }
     #[inline]
@@ -430,7 +430,7 @@ impl PackedCodec for ParityRxState {
             expected: bool::decode(input),
             got: <[bool; 2]>::decode(input),
             pending: Option::<Msg>::decode(input),
-            deliver: std::collections::VecDeque::<Msg>::decode(input),
+            deliver: Msg::decode_queue(input),
             acks: std::collections::VecDeque::<bool>::decode(input),
         }
     }

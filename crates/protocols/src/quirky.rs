@@ -311,13 +311,13 @@ impl PackedCodec for QuirkyTxState {
     #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
         self.active.encode(out);
-        self.queue.encode(out);
+        Msg::encode_queue(&self.queue, out);
     }
     #[inline]
     fn decode(input: &mut &[u8]) -> Self {
         QuirkyTxState {
             active: bool::decode(input),
-            queue: std::collections::VecDeque::<Msg>::decode(input),
+            queue: Msg::decode_queue(input),
         }
     }
 }
@@ -327,7 +327,7 @@ impl PackedCodec for QuirkyRxState {
     fn encode(&self, out: &mut Vec<u8>) {
         self.active.encode(out);
         self.seen.encode(out);
-        self.deliver.encode(out);
+        Msg::encode_queue(&self.deliver, out);
         self.acks.encode(out);
     }
     #[inline]
@@ -335,7 +335,7 @@ impl PackedCodec for QuirkyRxState {
         QuirkyRxState {
             active: bool::decode(input),
             seen: std::collections::BTreeSet::<u64>::decode(input),
-            deliver: std::collections::VecDeque::<Msg>::decode(input),
+            deliver: Msg::decode_queue(input),
             acks: std::collections::VecDeque::<u64>::decode(input),
         }
     }

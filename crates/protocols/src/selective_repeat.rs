@@ -454,7 +454,7 @@ impl PackedCodec for SrTxState {
     fn encode(&self, out: &mut Vec<u8>) {
         self.active.encode(out);
         self.base.encode(out);
-        self.queue.encode(out);
+        Msg::encode_queue(&self.queue, out);
         self.acked.encode(out);
     }
     #[inline]
@@ -462,7 +462,7 @@ impl PackedCodec for SrTxState {
         SrTxState {
             active: bool::decode(input),
             base: u64::decode(input),
-            queue: std::collections::VecDeque::<Msg>::decode(input),
+            queue: Msg::decode_queue(input),
             acked: std::collections::BTreeSet::<u64>::decode(input),
         }
     }
@@ -474,7 +474,7 @@ impl PackedCodec for SrRxState {
         self.active.encode(out);
         self.expected.encode(out);
         self.buffer.encode(out);
-        self.deliver.encode(out);
+        Msg::encode_queue(&self.deliver, out);
         self.acks.encode(out);
     }
     #[inline]
@@ -483,7 +483,7 @@ impl PackedCodec for SrRxState {
             active: bool::decode(input),
             expected: u64::decode(input),
             buffer: std::collections::BTreeMap::<u64, Msg>::decode(input),
-            deliver: std::collections::VecDeque::<Msg>::decode(input),
+            deliver: Msg::decode_queue(input),
             acks: std::collections::VecDeque::<u64>::decode(input),
         }
     }

@@ -390,14 +390,14 @@ impl PackedCodec for SwTxState {
     fn encode(&self, out: &mut Vec<u8>) {
         self.active.encode(out);
         self.base.encode(out);
-        self.queue.encode(out);
+        Msg::encode_queue(&self.queue, out);
     }
     #[inline]
     fn decode(input: &mut &[u8]) -> Self {
         SwTxState {
             active: bool::decode(input),
             base: u64::decode(input),
-            queue: std::collections::VecDeque::<Msg>::decode(input),
+            queue: Msg::decode_queue(input),
         }
     }
 }
@@ -407,7 +407,7 @@ impl PackedCodec for SwRxState {
     fn encode(&self, out: &mut Vec<u8>) {
         self.active.encode(out);
         self.expected.encode(out);
-        self.deliver.encode(out);
+        Msg::encode_queue(&self.deliver, out);
         self.acks.encode(out);
     }
     #[inline]
@@ -415,7 +415,7 @@ impl PackedCodec for SwRxState {
         SwRxState {
             active: bool::decode(input),
             expected: u64::decode(input),
-            deliver: std::collections::VecDeque::<Msg>::decode(input),
+            deliver: Msg::decode_queue(input),
             acks: std::collections::VecDeque::<u64>::decode(input),
         }
     }

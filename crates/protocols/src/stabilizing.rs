@@ -451,7 +451,7 @@ impl PackedCodec for StabTxState {
         self.active.encode(out);
         self.seq.encode(out);
         self.acked.encode(out);
-        self.queue.encode(out);
+        Msg::encode_queue(&self.queue, out);
     }
     #[inline]
     fn decode(input: &mut &[u8]) -> Self {
@@ -459,7 +459,7 @@ impl PackedCodec for StabTxState {
             active: bool::decode(input),
             seq: u64::decode(input),
             acked: u64::decode(input),
-            queue: std::collections::VecDeque::<Msg>::decode(input),
+            queue: Msg::decode_queue(input),
         }
     }
 }
@@ -471,7 +471,7 @@ impl PackedCodec for StabRxState {
         self.expected.encode(out);
         self.candidate.encode(out);
         self.copies.encode(out);
-        self.deliver.encode(out);
+        Msg::encode_queue(&self.deliver, out);
         self.acks.encode(out);
     }
     #[inline]
@@ -481,7 +481,7 @@ impl PackedCodec for StabRxState {
             expected: u64::decode(input),
             candidate: Option::<(u64, Msg)>::decode(input),
             copies: u64::decode(input),
-            deliver: std::collections::VecDeque::<Msg>::decode(input),
+            deliver: Msg::decode_queue(input),
             acks: std::collections::VecDeque::<u64>::decode(input),
         }
     }

@@ -317,14 +317,14 @@ impl PackedCodec for StenningTxState {
     fn encode(&self, out: &mut Vec<u8>) {
         self.active.encode(out);
         self.seq.encode(out);
-        self.queue.encode(out);
+        Msg::encode_queue(&self.queue, out);
     }
     #[inline]
     fn decode(input: &mut &[u8]) -> Self {
         StenningTxState {
             active: bool::decode(input),
             seq: u64::decode(input),
-            queue: std::collections::VecDeque::<Msg>::decode(input),
+            queue: Msg::decode_queue(input),
         }
     }
 }
@@ -334,7 +334,7 @@ impl PackedCodec for StenningRxState {
     fn encode(&self, out: &mut Vec<u8>) {
         self.active.encode(out);
         self.expected.encode(out);
-        self.deliver.encode(out);
+        Msg::encode_queue(&self.deliver, out);
         self.acks.encode(out);
     }
     #[inline]
@@ -342,7 +342,7 @@ impl PackedCodec for StenningRxState {
         StenningRxState {
             active: bool::decode(input),
             expected: u64::decode(input),
-            deliver: std::collections::VecDeque::<Msg>::decode(input),
+            deliver: Msg::decode_queue(input),
             acks: std::collections::VecDeque::<u64>::decode(input),
         }
     }

@@ -169,7 +169,7 @@ fn e9_explore_matrix_body() {
 /// deleted plain backend), so the same E9 model must reproduce the plain
 /// era's pinned figures — the independent checker's states and layers,
 /// 6267 edges, 5090 dedup hits, 28 layers — at every thread count, in
-/// exactly the packed arena's 97,664 bytes, under the plain arena's
+/// exactly the packed arena's 64,896 bytes, under the plain arena's
 /// pinned 516,096.
 #[test]
 fn e9_packed_backend_matches_the_plain_matrix() {
@@ -197,7 +197,7 @@ fn e9_packed_matrix_body() {
         assert_eq!(par.dedup_hits(), 5090);
         assert_eq!(par.layers.len(), 28);
         assert_eq!(
-            par.arena_bytes, 97_664,
+            par.arena_bytes, 64_896,
             "packed arena at {threads} threads (the plain arena pinned 516096)"
         );
     }

@@ -1,8 +1,10 @@
 //! Documentation consistency: the tests, examples, binaries, check
 //! stages and ledger runs the documentation points at actually exist, so
 //! EXPERIMENTS.md's "regenerate" lines and the commands the other docs
-//! show never rot.
+//! show never rot, and EXPERIMENTS.md's ledger tables print the committed
+//! baseline's counters.
 
+use std::collections::BTreeMap;
 use std::fs;
 use std::path::Path;
 
@@ -124,6 +126,143 @@ fn resolve_targets(text: &str) -> Result<usize, (usize, String)> {
     Ok(uses.len())
 }
 
+/// `true` if `s` is a ledger engine or run id: lowercase ASCII words.
+fn ledger_word(s: &str) -> bool {
+    !s.is_empty()
+        && s.chars()
+            .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_')
+}
+
+/// Checks the `### engine/run` ledger tables of `text` (EXPERIMENTS.md)
+/// against `baseline`. A row whose first metric is a counter of its run
+/// must print every counter it names, exactly; any other row must name a
+/// gauge, a histogram or a `span:` of that run. A row may name several
+/// metrics as `a / b / c` with values `1 / 2 / 3`, where a name that is
+/// not a counter itself replaces the last `_` part of the first name
+/// (`data_pkts_abp_lossless / every4`). A three-column table names each
+/// row's run in its first column. Returns the counter rows checked per
+/// run, or `EXPERIMENTS.md:LINE: reason` for the first row that
+/// disagrees.
+fn check_ledger_tables(
+    text: &str,
+    baseline: &BenchFile,
+) -> Result<BTreeMap<(String, String), usize>, String> {
+    let mut counted = BTreeMap::new();
+    let mut heading = None;
+    for (idx, line) in text.lines().enumerate() {
+        let fail = |reason: String| format!("EXPERIMENTS.md:{}: {reason}", idx + 1);
+        if line.starts_with('#') {
+            heading = line
+                .strip_prefix("### ")
+                .and_then(|h| h.split_whitespace().next())
+                .and_then(|span| span.split_once('/'))
+                .filter(|(engine, run)| ledger_word(engine) && ledger_word(run));
+            continue;
+        }
+        let (Some((engine, heading_run)), Some(row)) = (heading, line.strip_prefix('|')) else {
+            continue;
+        };
+        let mut cells: Vec<&str> = row
+            .trim_end()
+            .trim_end_matches('|')
+            .split('|')
+            .map(str::trim)
+            .collect();
+        if matches!(cells[0], "metric" | "run") || cells[0].starts_with("---") {
+            continue;
+        }
+        let run_id = if cells.len() == 3 {
+            cells.remove(0)
+        } else {
+            heading_run
+        };
+        let run = baseline
+            .find(engine, run_id)
+            .ok_or_else(|| fail(format!("`{engine}/{run_id}` is not in bench/baseline.json")))?;
+        let [names, values] = cells[..] else {
+            return Err(fail("a ledger row has a metric and a value".into()));
+        };
+        let names: Vec<&str> = names.split(" / ").collect();
+        let first = names[0];
+        if !run.counters.contains_key(first) {
+            let known = run.gauges.contains_key(first)
+                || run.histograms.contains_key(first)
+                || first
+                    .strip_prefix("span:")
+                    .is_some_and(|span| run.spans.contains_key(span));
+            if known {
+                continue;
+            }
+            return Err(fail(format!(
+                "`{first}` is no counter, gauge, histogram or span of {engine}/{run_id}"
+            )));
+        }
+        let values: Vec<&str> = values.split(" / ").collect();
+        if values.len() != names.len() {
+            return Err(fail(format!(
+                "{} metrics but {} values",
+                names.len(),
+                values.len()
+            )));
+        }
+        let stem = first.rfind('_').map_or("", |i| &first[..=i]);
+        for (name, value) in names.into_iter().zip(values) {
+            let name = if run.counters.contains_key(name) {
+                name.to_string()
+            } else {
+                format!("{stem}{name}")
+            };
+            let Some(&expected) = run.counters.get(&name) else {
+                return Err(fail(format!("`{name}` is no counter of {engine}/{run_id}")));
+            };
+            if value.parse::<u64>() != Ok(expected) {
+                return Err(fail(format!(
+                    "{engine}/{run_id} `{name}` reads `{value}`, bench/baseline.json has {expected}"
+                )));
+            }
+        }
+        *counted
+            .entry((engine.to_string(), run_id.to_string()))
+            .or_insert(0) += 1;
+    }
+    Ok(counted)
+}
+
+/// Every counter that EXPERIMENTS.md's ledger tables print equals
+/// `bench/baseline.json`, and every baseline run has counter rows there.
+#[test]
+fn experiments_ledger_tables_match_the_baseline() {
+    let text = fs::read_to_string(repo_root().join("EXPERIMENTS.md")).unwrap();
+    let baseline = committed_baseline();
+    let counted = check_ledger_tables(&text, &baseline).unwrap_or_else(|reason| panic!("{reason}"));
+    for run in &baseline.runs {
+        assert!(
+            counted.contains_key(&(run.engine.clone(), run.run_id.clone())),
+            "EXPERIMENTS.md has no ledger table rows for {}/{}",
+            run.engine,
+            run.run_id
+        );
+    }
+}
+
+/// A wrong cell in a ledger table fails with its file and line.
+#[test]
+fn a_wrong_ledger_cell_fails_with_its_line() {
+    let text = fs::read_to_string(repo_root().join("EXPERIMENTS.md")).unwrap();
+    let baseline = committed_baseline();
+    let row = "| states | 1178 |";
+    let line = 1 + text
+        .lines()
+        .position(|l| l == row)
+        .expect("the explore/e9 states row");
+    let seeded = text.replacen(row, "| states | 1179 |", 1);
+    let reason = check_ledger_tables(&seeded, &baseline).expect_err("a wrong E9 cell must fail");
+    assert!(
+        reason.starts_with(&format!("EXPERIMENTS.md:{line}: explore/e9 `states`")),
+        "{reason}"
+    );
+}
+
 /// Every measurement is a ledger run that `bench/baseline.json` gates: no
 /// crate keeps a `benches/` directory, no manifest declares a `[[bench]]`
 /// target or depends on criterion, and no script runs `cargo bench`.
@@ -197,12 +336,7 @@ fn experiments_bench_targets_exist() {
             else {
                 continue;
             };
-            let word = |s: &str| {
-                !s.is_empty()
-                    && s.chars()
-                        .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_')
-            };
-            if word(engine) && word(run_id) {
+            if ledger_word(engine) && ledger_word(run_id) {
                 assert!(
                     baseline.find(engine, run_id).is_some(),
                     "line {}: `{span}` is not in bench/baseline.json",
