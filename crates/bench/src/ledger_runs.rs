@@ -962,14 +962,45 @@ pub fn all_runs(threads: usize, sleep_micros: u64) -> BenchFile {
 /// Counters (including the alloc ceilings) are left exact — they are
 /// deterministic.
 pub fn relax_into_baseline(file: &mut BenchFile) {
-    for run in &mut file.runs {
-        for (key, value) in &mut run.gauges {
-            if key.ends_with("_per_sec") {
-                *value *= 0.5;
-            } else if key.ends_with("_micros") {
-                *value *= 2.0;
-            }
+    file.runs.iter_mut().for_each(relax_gauges);
+}
+
+fn relax_gauges(run: &mut RunLedger) {
+    for (key, value) in &mut run.gauges {
+        if key.ends_with("_per_sec") {
+            *value *= 0.5;
+        } else if key.ends_with("_micros") {
+            *value *= 2.0;
         }
+    }
+}
+
+/// Re-pins `baseline`'s deterministic numbers from a fresh run: each run
+/// takes `fresh`'s counters and histograms and keeps `baseline`'s gauges
+/// and spans, so no wall-clock figure is re-recorded (and no throughput
+/// floor halved again) when only work counters moved. The result lists
+/// `fresh`'s runs under `baseline`'s `created` stamp; a run the baseline
+/// does not have yet is relaxed as [`relax_into_baseline`] would.
+#[must_use]
+pub fn repin_counters(baseline: &BenchFile, fresh: &BenchFile) -> BenchFile {
+    let runs = fresh
+        .runs
+        .iter()
+        .map(|run| {
+            let mut run = run.clone();
+            match baseline.find(&run.engine, &run.run_id) {
+                Some(pinned) => {
+                    run.gauges.clone_from(&pinned.gauges);
+                    run.spans.clone_from(&pinned.spans);
+                }
+                None => relax_gauges(&mut run),
+            }
+            run
+        })
+        .collect();
+    BenchFile {
+        created: baseline.created.clone(),
+        runs,
     }
 }
 

@@ -1,6 +1,7 @@
 //! The regression gate end-to-end: a clean re-run passes against its own
 //! baseline, a synthetic slowdown fails, and an allocation-ceiling breach
-//! (the explorer's arena or its admitted encoding bytes) fails.
+//! (the explorer's arena or its admitted encoding bytes) fails. Re-pinning
+//! the committed baseline's counters leaves every gauge byte-identical.
 //!
 //! The slowdown is injected through the same `sleep_micros` parameter
 //! the `ledger_run` binary wires to `DL_BENCH_SLEEP_US` (see
@@ -8,7 +9,7 @@
 //! identical, only the wall-clock gauges move, which is exactly the
 //! signal the gate rules consume.
 
-use dl_bench::ledger_runs::{explore_e9, relax_into_baseline, sim_e11};
+use dl_bench::ledger_runs::{explore_e9, relax_into_baseline, repin_counters, sim_e11};
 use dl_obs::{gate, BenchFile, GateConfig};
 
 fn file_of(runs: Vec<dl_obs::RunLedger>) -> BenchFile {
@@ -76,4 +77,57 @@ fn dropped_run_fails_the_gate() {
     let report = gate(&baseline, &partial, &GateConfig::default());
     assert!(!report.passed());
     assert_eq!(report.missing_runs, vec!["sim/e11".to_string()]);
+}
+
+/// `ledger_run --repin-counters`' core on the committed baseline: a fresh
+/// run whose every gauge and span was re-timed, with one counter and one
+/// histogram moved, re-pins into a file that differs from the committed
+/// text in exactly those two lines. A run the baseline lacks is relaxed.
+#[test]
+fn repin_rewrites_counters_and_keeps_every_gauge_byte_identical() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../bench/baseline.json");
+    let text = std::fs::read_to_string(path).unwrap();
+    let baseline = BenchFile::from_json(&text).unwrap();
+    assert_eq!(
+        baseline.to_json().trim_end(),
+        text.trim_end(),
+        "the committed baseline is in the writer's own format"
+    );
+
+    let mut fresh = baseline.clone();
+    fresh.created = "fresh".into();
+    for run in &mut fresh.runs {
+        run.gauges.values_mut().for_each(|v| *v *= 3.0);
+        run.spans.values_mut().for_each(|v| *v += 1);
+    }
+    let fleet = fresh.runs.iter_mut().find(|r| r.engine == "fleet").unwrap();
+    *fleet.counters.get_mut("peak_session_bytes").unwrap() -= 1;
+    fleet.histograms.get_mut("session_steps").unwrap().max += 1;
+
+    let repinned = repin_counters(&baseline, &fresh).to_json();
+    assert_eq!(repinned.lines().count(), text.lines().count());
+    let moved: Vec<&str> = text
+        .lines()
+        .zip(repinned.lines())
+        .filter(|(old, new)| old != new)
+        .map(|(_, new)| new.trim())
+        .collect();
+    assert_eq!(
+        moved.len(),
+        2,
+        "only the moved counter and histogram: {moved:?}"
+    );
+    assert!(moved[0].starts_with("\"peak_session_bytes\""), "{moved:?}");
+    assert!(moved[1].starts_with("\"max\""), "{moved:?}");
+
+    let mut new_run = explore_e9(1, 0);
+    new_run.run_id = "e9_new".into();
+    fresh.runs.push(new_run.clone());
+    let repinned = repin_counters(&baseline, &fresh);
+    let relaxed = repinned.find("explore", "e9_new").unwrap();
+    assert_eq!(
+        relaxed.gauges["states_per_sec"],
+        new_run.gauges["states_per_sec"] * 0.5,
+        "a run new to the baseline gets relaxed floors"
+    );
 }

@@ -211,10 +211,14 @@ impl Automaton for CorruptChannel {
     type State = FlightState;
 
     fn start_states(&self) -> Vec<FlightState> {
-        vec![FlightState {
+        vec![self.start_state()]
+    }
+
+    fn start_state(&self) -> FlightState {
+        FlightState {
             in_flight: self.spec.ghost_packets(self.dir),
             sends: 0,
-        }]
+        }
     }
 
     fn classify(&self, a: &DlAction) -> Option<ActionClass> {

@@ -318,11 +318,15 @@ impl Automaton for FaultyChannel {
     type State = FlightState;
 
     fn start_states(&self) -> Vec<FlightState> {
+        vec![self.start_state()]
+    }
+
+    fn start_state(&self) -> FlightState {
         let mut s = FlightState::default();
         for i in 0..self.ghosts.count {
             s.in_flight.push(self.ghosts.packet(i));
         }
-        vec![s]
+        s
     }
 
     fn classify(&self, a: &DlAction) -> Option<ActionClass> {

@@ -337,9 +337,13 @@ impl Automaton for PermissiveChannel {
     type State = ChannelState;
 
     fn start_states(&self) -> Vec<ChannelState> {
+        vec![self.start_state()]
+    }
+
+    fn start_state(&self) -> ChannelState {
         // Canonical representative; the full start set (all delivery sets)
         // is reachable through `initial_state`.
-        vec![ChannelState::default()]
+        ChannelState::default()
     }
 
     fn classify(&self, a: &DlAction) -> Option<ActionClass> {

@@ -239,7 +239,11 @@ impl Automaton for LossyFifoChannel {
     type State = FlightState;
 
     fn start_states(&self) -> Vec<FlightState> {
-        vec![FlightState::default()]
+        vec![self.start_state()]
+    }
+
+    fn start_state(&self) -> FlightState {
+        FlightState::default()
     }
 
     fn classify(&self, a: &DlAction) -> Option<ActionClass> {
@@ -391,7 +395,11 @@ impl Automaton for ReorderChannel {
     type State = FlightState;
 
     fn start_states(&self) -> Vec<FlightState> {
-        vec![FlightState::default()]
+        vec![self.start_state()]
+    }
+
+    fn start_state(&self) -> FlightState {
+        FlightState::default()
     }
 
     fn classify(&self, a: &DlAction) -> Option<ActionClass> {

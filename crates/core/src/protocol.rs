@@ -122,14 +122,11 @@ pub trait StationAutomaton: Automaton<Action = DlAction> {
     /// protocol counters skewed by `seq`. Protocols override this to map
     /// `seq` into whatever sequence/window/bit machinery they keep;
     /// the default is the honest start state, and every implementation
-    /// must satisfy `corrupted_start(0) == start_states()[0]` so that a
-    /// zero skew is indistinguishable from no corruption at all.
+    /// must satisfy `corrupted_start(0) == start_state()` so that a zero
+    /// skew is indistinguishable from no corruption at all.
     fn corrupted_start(&self, seq: u64) -> Self::State {
         let _ = seq;
-        self.start_states()
-            .into_iter()
-            .next()
-            .expect("station automata have a start state")
+        self.start_state()
     }
 }
 
@@ -159,7 +156,10 @@ impl<A: StationAutomaton> Automaton for CorruptedStart<A> {
     type State = A::State;
 
     fn start_states(&self) -> Vec<A::State> {
-        vec![self.inner.corrupted_start(self.seq)]
+        vec![self.start_state()]
+    }
+    fn start_state(&self) -> A::State {
+        self.inner.corrupted_start(self.seq)
     }
     fn classify(&self, a: &DlAction) -> Option<ActionClass> {
         self.inner.classify(a)

@@ -45,9 +45,13 @@
 //! [`TraceMonitor::data_link_only`] builds a monitor for runs that judge
 //! only the data link (the simulator's `monitor_pl = false` posture, which
 //! the fleet and the fuzzer run). Packet actions only advance its trace
-//! index, so every violation's `at` still points into the full schedule,
-//! and its packet tables stay empty; its physical-layer queries panic
-//! rather than answer from them.
+//! index, so every violation's `at` still points into the full schedule.
+//! It keeps each direction's well-formedness status inline, as every
+//! monitor does, but has no packet tables: the two directions' tables sit
+//! behind one box that only [`TraceMonitor::new`] fills, so a
+//! data-link-only monitor is a third the size and builds without
+//! allocating. Its physical-layer queries panic rather than answer
+//! without them.
 //!
 //! Duplicate-send semantics (see `spec::physical::check_pl5` /
 //! `spec::datalink::check_dl6`): a duplicate packet (resp. message) send
@@ -298,10 +302,11 @@ impl TransitState {
     }
 }
 
-/// Per-direction physical-layer monitor state (PL1–PL5 + in-transit).
+/// Per-direction physical-layer monitor state (PL1–PL5 + in-transit);
+/// the direction's well-formedness status lives beside it in
+/// [`TraceMonitor`].
 #[derive(Debug, Clone, Default)]
 struct PlState {
-    status: StatusState,
     /// Packet value interner: every send/receive pays one probe here and
     /// indexes the columns below with the resulting dense id.
     values: StateTable<Packet, FxBuildHasher>,
@@ -329,8 +334,9 @@ impl PlState {
         id.0
     }
 
-    fn send(&mut self, i: usize, dir: Dir, p: &Packet) {
-        if !self.status.up && self.pl1.is_none() {
+    /// A `send_pkt` at trace index `i`, with the medium `up` or not.
+    fn send(&mut self, i: usize, dir: Dir, p: &Packet, up: bool) {
+        if !up && self.pl1.is_none() {
             self.pl1 = Some(Violation {
                 property: "PL1",
                 at: Some(i),
@@ -589,17 +595,24 @@ fn earlier<'a>(best: Option<&'a Violation>, cand: Option<&'a Violation>) -> Opti
 /// }
 /// assert_eq!(mon.dl_verdict(true, TraceKind::Complete), Verdict::Satisfied);
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct TraceMonitor {
     next_index: usize,
     saw_wake: bool,
     saw_fail_or_crash: bool,
-    /// Packet actions only advance `next_index` (see
-    /// [`TraceMonitor::data_link_only`]).
-    data_link_only: bool,
-    /// Physical-layer state, indexed by `Dir::BOTH` order (TR, RT).
-    dirs: [PlState; 2],
+    /// Well-formedness status per direction, in `Dir::BOTH` order (TR, RT).
+    status: [StatusState; 2],
+    /// Physical-layer tables per direction, in the same order. `None` on a
+    /// [`data_link_only`](TraceMonitor::data_link_only) monitor, whose
+    /// packet actions only advance `next_index`.
+    pl: Option<Box<[PlState; 2]>>,
     dl: DlState,
+}
+
+impl Default for TraceMonitor {
+    fn default() -> Self {
+        TraceMonitor::new()
+    }
 }
 
 fn dir_index(dir: Dir) -> usize {
@@ -641,7 +654,10 @@ impl TraceMonitor {
     /// A monitor that has observed the empty trace.
     #[must_use]
     pub fn new() -> Self {
-        TraceMonitor::default()
+        TraceMonitor {
+            pl: Some(Box::default()),
+            ..TraceMonitor::data_link_only()
+        }
     }
 
     /// A monitor that has observed the empty trace and judges only the
@@ -654,12 +670,17 @@ impl TraceMonitor {
     /// [`actions_observed`](Self::actions_observed),
     /// [`approx_bytes`](Self::approx_bytes)) answer exactly as on a
     /// [`new`](Self::new) monitor fed the same trace. The physical-layer
-    /// queries panic.
+    /// queries panic. It has no packet tables, and building it allocates
+    /// nothing.
     #[must_use]
     pub fn data_link_only() -> Self {
         TraceMonitor {
-            data_link_only: true,
-            ..TraceMonitor::default()
+            next_index: 0,
+            saw_wake: false,
+            saw_fail_or_crash: false,
+            status: Default::default(),
+            pl: None,
+            dl: DlState::default(),
         }
     }
 
@@ -711,11 +732,13 @@ impl TraceMonitor {
                 _ => {}
             }
         }
-        for (k, d) in self.dirs.iter_mut().enumerate() {
-            if pkts[k] > 0 && !self.data_link_only {
-                d.values.reserve(pkts[k]);
-                d.vals.reserve(pkts[k]);
-                d.transit.reserve(pkts[k]);
+        if let Some(pl) = &mut self.pl {
+            for (d, n) in pl.iter_mut().zip(pkts) {
+                if n > 0 {
+                    d.values.reserve(n);
+                    d.vals.reserve(n);
+                    d.transit.reserve(n);
+                }
             }
         }
         if msgs > 0 {
@@ -729,30 +752,38 @@ impl TraceMonitor {
         match a {
             DlAction::Wake(d) => {
                 self.saw_wake = true;
-                self.dirs[dir_index(*d)].status.wake(i);
+                self.status[dir_index(*d)].wake(i);
                 if *d == Dir::TR {
                     self.dl.on_tx_wake();
                 }
             }
             DlAction::Fail(d) => {
                 self.saw_fail_or_crash = true;
-                self.dirs[dir_index(*d)].status.fail(i);
+                self.status[dir_index(*d)].fail(i);
                 if *d == Dir::TR {
                     self.dl.on_tx_down();
                 }
             }
             DlAction::Crash(s) => {
                 self.saw_fail_or_crash = true;
-                self.dirs[dir_index(s.sends_on())].status.crash();
+                self.status[dir_index(s.sends_on())].crash();
                 if s.sends_on() == Dir::TR {
                     self.dl.on_tx_down();
                 }
             }
-            DlAction::SendPkt(..) | DlAction::ReceivePkt(..) if self.data_link_only => {}
-            DlAction::SendPkt(d, p) => self.dirs[dir_index(*d)].send(i, *d, p),
-            DlAction::ReceivePkt(d, p) => self.dirs[dir_index(*d)].receive(i, p),
+            DlAction::SendPkt(d, p) => {
+                if let Some(pl) = &mut self.pl {
+                    let k = dir_index(*d);
+                    pl[k].send(i, *d, p, self.status[k].up);
+                }
+            }
+            DlAction::ReceivePkt(d, p) => {
+                if let Some(pl) = &mut self.pl {
+                    pl[dir_index(*d)].receive(i, p);
+                }
+            }
             DlAction::SendMsg(m) => {
-                let tx_up = self.dirs[0].status.up;
+                let tx_up = self.status[0].up;
                 self.dl.send(i, *m, tx_up);
             }
             DlAction::ReceiveMsg(m) => self.dl.receive(i, *m),
@@ -782,27 +813,36 @@ impl TraceMonitor {
     /// interners, per-value columns, transit arena, and interval lists.
     /// Bounded by distinct observed values plus **peak live** in-transit
     /// packets — independent of trace length (the allocation-ceiling
-    /// regression test pins this). A data-link-only monitor's packet
-    /// tables stay empty, so only distinct messages count.
+    /// regression test pins this). A data-link-only monitor has no packet
+    /// tables, so only distinct messages count.
     #[must_use]
     pub fn approx_bytes(&self) -> usize {
-        self.dirs.iter().map(PlState::approx_bytes).sum::<usize>() + self.dl.approx_bytes()
+        let pl = self
+            .pl
+            .as_ref()
+            .map_or(0, |pl| pl.iter().map(PlState::approx_bytes).sum());
+        pl + self.dl.approx_bytes()
     }
 
-    /// Panics on a [`data_link_only`](Self::data_link_only) monitor, whose
-    /// packet tables are empty.
-    fn assert_physical(&self, query: &str) {
-        assert!(
-            !self.data_link_only,
-            "TraceMonitor::{query} needs packet state, but this monitor is data-link-only \
-             (built for the `monitor_pl = false` posture)"
-        );
+    /// The packet tables, for a physical-layer query.
+    ///
+    /// # Panics
+    ///
+    /// On a [`data_link_only`](Self::data_link_only) monitor, which has
+    /// none.
+    fn physical(&self, query: &str) -> &[PlState; 2] {
+        self.pl.as_deref().unwrap_or_else(|| {
+            panic!(
+                "TraceMonitor::{query} needs packet state, but this monitor is data-link-only \
+                 (built for the `monitor_pl = false` posture)"
+            )
+        })
     }
 
     /// First well-formedness violation for `dir`, if any.
     #[must_use]
     pub fn wellformedness_violation(&self, dir: Dir) -> Option<Violation> {
-        self.dirs[dir_index(dir)].status.violation()
+        self.status[dir_index(dir)].violation()
     }
 
     /// First violation of the given PL property (1–5) for `dir` on the
@@ -814,8 +854,7 @@ impl TraceMonitor {
     /// On a [`data_link_only`](Self::data_link_only) monitor.
     #[must_use]
     pub fn pl_violation(&self, dir: Dir, property: u8) -> Option<&Violation> {
-        self.assert_physical("pl_violation");
-        let d = &self.dirs[dir_index(dir)];
+        let d = &self.physical("pl_violation")[dir_index(dir)];
         match property {
             1 => d.pl1.as_ref(),
             2 => d.pl2.as_ref(),
@@ -848,7 +887,7 @@ impl TraceMonitor {
     /// or both down).
     #[must_use]
     pub fn dl1_violation(&self) -> Option<Violation> {
-        match (self.dirs[0].status.up, self.dirs[1].status.up) {
+        match (self.status[0].up, self.status[1].up) {
             (true, false) => Some(Violation {
                 property: "DL1",
                 at: None,
@@ -903,7 +942,7 @@ impl TraceMonitor {
     /// received. `O(sends in that interval)`.
     #[must_use]
     pub fn dl8_violation(&self) -> Option<Violation> {
-        if !self.dirs[0].status.up {
+        if !self.status[0].up {
             return None;
         }
         for &(i, id) in &self.dl.open_interval_sends {
@@ -934,7 +973,8 @@ impl TraceMonitor {
     /// On a [`data_link_only`](Self::data_link_only) monitor.
     #[must_use]
     pub fn in_transit(&self, dir: Dir) -> Vec<Packet> {
-        self.assert_physical("in_transit");
+        // Checked here too, so the panic names this query.
+        let _ = self.physical("in_transit");
         self.in_transit_iter(dir).collect()
     }
 
@@ -946,8 +986,7 @@ impl TraceMonitor {
     /// On a [`data_link_only`](Self::data_link_only) monitor.
     #[must_use]
     pub fn in_transit_iter(&self, dir: Dir) -> InTransit<'_> {
-        self.assert_physical("in_transit_iter");
-        let pl = &self.dirs[dir_index(dir)];
+        let pl = &self.physical("in_transit_iter")[dir_index(dir)];
         InTransit {
             pl,
             slot: pl.transit.ord_head,
@@ -961,8 +1000,9 @@ impl TraceMonitor {
     /// On a [`data_link_only`](Self::data_link_only) monitor.
     #[must_use]
     pub fn in_transit_count(&self, dir: Dir) -> usize {
-        self.assert_physical("in_transit_count");
-        self.dirs[dir_index(dir)].transit.live as usize
+        self.physical("in_transit_count")[dir_index(dir)]
+            .transit
+            .live as usize
     }
 
     /// The physical-layer module verdict (`PL^{dir}` or `PL-FIFO^{dir}`)
@@ -975,10 +1015,9 @@ impl TraceMonitor {
     /// On a [`data_link_only`](Self::data_link_only) monitor.
     #[must_use]
     pub fn pl_verdict(&self, dir: Dir, fifo: bool) -> Verdict {
-        self.assert_physical("pl_verdict");
-        let d = &self.dirs[dir_index(dir)];
+        let d = &self.physical("pl_verdict")[dir_index(dir)];
         // Hypotheses: well-formedness, PL1, PL2.
-        if let Some(v) = d.status.violation() {
+        if let Some(v) = self.status[dir_index(dir)].violation() {
             return Verdict::Vacuous(v);
         }
         if let Some(v) = &d.pl1 {
@@ -1010,10 +1049,9 @@ impl TraceMonitor {
     pub fn dl_verdict(&self, weak: bool, kind: TraceKind) -> Verdict {
         // Hypotheses: well-formedness (transmitter direction preferred, as
         // in the batch module) and DL1–DL3.
-        if let Some(v) = self.dirs[0]
-            .status
+        if let Some(v) = self.status[0]
             .violation()
-            .or_else(|| self.dirs[1].status.violation())
+            .or_else(|| self.status[1].violation())
         {
             return Verdict::Vacuous(v);
         }
@@ -1066,10 +1104,9 @@ impl TraceMonitor {
     /// On a [`data_link_only`](Self::data_link_only) monitor.
     #[must_use]
     pub fn online_violation(&self, full_dl: bool, fifo: bool) -> Option<&Violation> {
-        self.assert_physical("online_violation");
         let mut best: Option<&Violation> = None;
-        for d in &self.dirs {
-            if d.status.error.is_some() || d.pl1.is_some() || d.pl2.is_some() {
+        for (d, status) in self.physical("online_violation").iter().zip(&self.status) {
+            if status.error.is_some() || d.pl1.is_some() || d.pl2.is_some() {
                 continue;
             }
             best = earlier(best, d.pl3.as_ref());
@@ -1096,8 +1133,8 @@ impl TraceMonitor {
     /// reported online.
     #[must_use]
     pub fn online_dl_violation(&self, full_dl: bool) -> Option<&Violation> {
-        let hypotheses_hold = self.dirs[0].status.error.is_none()
-            && self.dirs[1].status.error.is_none()
+        let hypotheses_hold = self.status[0].error.is_none()
+            && self.status[1].error.is_none()
             && self.dl.dl2.is_none()
             && self.dl.dl3.is_none();
         if !hypotheses_hold {
@@ -1335,6 +1372,17 @@ mod tests {
         assert_eq!(mon.in_transit_count(Dir::TR), 2);
         mon.observe(&ReceivePkt(Dir::TR, b));
         assert_eq!(mon.in_transit(Dir::TR), vec![c]);
+    }
+
+    #[test]
+    fn data_link_only_monitors_carry_no_packet_tables() {
+        // The status stays inline; both directions' packet tables sit
+        // behind the box a data-link-only monitor leaves empty.
+        assert!(std::mem::size_of::<TraceMonitor>() <= 600);
+        let mut mon = TraceMonitor::data_link_only();
+        mon.observe_all(&[Wake(Dir::TR), SendPkt(Dir::TR, pkt(0, 1))]);
+        assert!(mon.pl.is_none());
+        assert!(TraceMonitor::new().pl.is_some());
     }
 
     #[test]

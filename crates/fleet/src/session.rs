@@ -7,8 +7,12 @@
 //! tables, while everything mutable — the composed state, scratch
 //! buffers, RNG stream, script cursor, monitor — is owned by the
 //! [`SessionStep`], built **lean** so no execution trace is retained.
-//! A session's resident cost is therefore a few hundred bytes
-//! (see [`SessionOutcome::resident_bytes`]) no matter how long it runs.
+//! A classic session's resident cost is therefore about 2.3 KB (the
+//! `fleet/e13` ledger's peak [`SessionOutcome::resident_bytes`] is 2,344
+//! bytes) no matter how long it runs. Building one allocates only the
+//! script, which the session shares with its [`SessionConfig`]: the
+//! composed start state is paired in place and the data-link-only
+//! monitor has no packet tables.
 //! The session only steps: the fleet folds each action it takes into
 //! the two things a [`SessionOutcome`] reports and the session does not
 //! keep, the rolling schedule digest ([`digest_action`]) and the

@@ -9,7 +9,7 @@
 
 use dl_channels::{CorruptSpec, FaultSpec};
 use dl_core::action::Station;
-use dl_sim::Script;
+use dl_sim::{Script, ScriptStep};
 
 /// One protocol of the zoo, as a fleet-schedulable kind.
 ///
@@ -230,7 +230,8 @@ pub struct SessionConfig {
     /// the fleet seed via [`FaultSpec::derive`] with session ids `2·id`
     /// and `2·id + 1`.
     pub faults: [FaultSpec; 2],
-    /// The environment script (wake, sends, optional crash, settle).
+    /// The environment script (wake, sends, optional crash, settle),
+    /// shared with the session built from this config.
     pub script: Script,
     /// `true` if the script contains a crash (such sessions are judged
     /// for safety only, never DL8 liveness).
@@ -291,13 +292,15 @@ pub fn session_config(spec: &FleetSpec, id: u64) -> SessionConfig {
             Station::R
         };
         let before = msgs.div_ceil(2);
-        Script::new()
-            .wake_both()
-            .send_msgs(0, before)
-            .local(6)
-            .crash_and_rewake(station)
-            .send_msgs(before, msgs - before)
-            .settle()
+        // One chain of known length, so the script takes one allocation.
+        ScriptStep::WAKE_BOTH
+            .into_iter()
+            .chain(ScriptStep::sends(0..before))
+            .chain([ScriptStep::Local(6)])
+            .chain(ScriptStep::crash_and_rewake(station))
+            .chain(ScriptStep::sends(before..msgs))
+            .chain([ScriptStep::Settle])
+            .collect()
     } else {
         Script::deliver_n(msgs)
     };

@@ -18,10 +18,19 @@
 //! counter does not see). The count is kept per thread: the test harness runs tests
 //! on parallel threads, and a process-wide counter would charge one
 //! test's allocations to another's window.
+//!
+//! A second leg counts what building costs: `session_config`,
+//! `build_session` and the drop of both, session by session. A classic
+//! session's only allocation is its script, collected once and shared
+//! with the session; the start state is paired in place and the
+//! data-link-only monitor has no packet tables to allocate. A
+//! stabilizing session adds its boxed suffix monitor and the ghost
+//! packets its corrupted channels start with.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use dl_core::spec::stabilize::SuffixMonitor;
 use dl_fleet::{build_session, session_config, FleetSpec, ProtocolKind, ZooSession};
 
 /// Counts every allocation (and growth reallocation) made by the current
@@ -141,4 +150,86 @@ fn lean_sessions_stay_under_their_allocation_ceilings() {
         }
     }
     assert!(over.is_empty(), "allocation ceilings exceeded: {over:?}");
+}
+
+/// What building one session cost: allocations inside `session_config`,
+/// inside `build_session`, and how many of its channels start with ghost
+/// packets. Each session and its config are dropped inside the window too.
+struct Build {
+    config: u64,
+    build: u64,
+    ghost_lanes: u64,
+}
+
+/// [`Build`] for every session of a 500-session single-kind fleet, after
+/// one warm-up build outside the window.
+fn builds(kind: ProtocolKind) -> Vec<Build> {
+    let spec = FleetSpec {
+        seed: 7,
+        sessions: SESSIONS,
+        protocols: vec![kind],
+        ..FleetSpec::default()
+    };
+    drop(build_session(&session_config(&spec, 0), &spec));
+    (0..spec.sessions)
+        .map(|id| {
+            let a0 = allocs();
+            let cfg = session_config(&spec, id);
+            let a1 = allocs();
+            let session = build_session(&cfg, &spec);
+            let a2 = allocs();
+            drop(session);
+            let ghost_lanes = cfg.corruption.map_or(0, |c| {
+                c.channels.iter().filter(|ch| ch.ghost_count() > 0).count() as u64
+            });
+            drop(cfg);
+            Build {
+                config: a1 - a0,
+                build: a2 - a1,
+                ghost_lanes,
+            }
+        })
+        .collect()
+}
+
+/// A classic session's config and build take at most two allocations, all
+/// of them the script's, and the build alone none: the script is shared
+/// rather than cloned, the composed start state is paired without a
+/// `Vec`, and the data-link-only monitor has no packet tables. A
+/// stabilizing build adds only its boxed suffix monitor and one flight
+/// per channel that starts with ghost packets.
+#[test]
+fn building_a_session_allocates_only_its_script_and_sidecars() {
+    let a0 = allocs();
+    drop(Box::new(SuffixMonitor::new(false)));
+    let suffix = allocs() - a0;
+    let mut over = Vec::new();
+    for kind in ProtocolKind::ALL {
+        let builds = builds(kind);
+        let total: u64 = builds.iter().map(|b| b.config + b.build).sum();
+        eprintln!(
+            "{}: {:.2} allocations per session config and build",
+            kind.name(),
+            total as f64 / builds.len() as f64
+        );
+        for (id, b) in builds.iter().enumerate() {
+            let build_ceiling = if kind == ProtocolKind::Stabilizing {
+                suffix + b.ghost_lanes
+            } else {
+                0
+            };
+            if b.config > 2 || b.build > build_ceiling {
+                over.push(format!(
+                    "{} session {id}: config {} (ceiling 2), build {} (ceiling {build_ceiling})",
+                    kind.name(),
+                    b.config,
+                    b.build
+                ));
+            }
+        }
+    }
+    assert!(
+        over.is_empty(),
+        "session builds allocate too much: {over:?}"
+    );
 }

@@ -36,8 +36,8 @@ fn mixed_fleet_completes_and_replays() {
     // sessions crash.
     assert!(report.crash_sessions > 0);
     assert!(report.quiescent_sessions > 0);
-    // Sessions stay lean: hundreds of bytes, not a trace allocation
-    // storm (the bound is generous; typical sessions are far smaller).
+    // Sessions stay lean: a few KB, not a trace allocation storm (the
+    // bound is generous; typical sessions are far smaller).
     assert!(
         report.peak_session_bytes < 64 * 1024,
         "peak session bytes blew up: {}",
@@ -99,4 +99,32 @@ fn stabilizing_sessions_report_their_suffix_monitor() {
         );
     }
     assert!(report.peak_monitor_bytes > 0);
+}
+
+/// A lean session core stays small for every zoo kind: the online
+/// monitor is data-link-only and carries no packet tables, so a
+/// `SessionStep` is about 1.2 KB (it was about 2.4 KB while both
+/// directions' packet tables sat inline in every monitor).
+#[test]
+fn lean_session_cores_are_small() {
+    use dl_fleet::{FleetSystem, StabilizeSystem};
+    use dl_protocols as p;
+    use dl_sim::SessionStep;
+    use std::mem::size_of;
+
+    let sizes = [
+        size_of::<SessionStep<FleetSystem<p::AbpTransmitter, p::AbpReceiver>>>(),
+        size_of::<SessionStep<FleetSystem<p::SwTransmitter, p::SwReceiver>>>(),
+        size_of::<SessionStep<FleetSystem<p::SrTransmitter, p::SrReceiver>>>(),
+        size_of::<SessionStep<FleetSystem<p::FragTransmitter, p::FragReceiver>>>(),
+        size_of::<SessionStep<FleetSystem<p::ParityTransmitter, p::ParityReceiver>>>(),
+        size_of::<SessionStep<FleetSystem<p::StenningTransmitter, p::StenningReceiver>>>(),
+        size_of::<SessionStep<FleetSystem<p::NvTransmitter, p::NvReceiver>>>(),
+        size_of::<SessionStep<FleetSystem<p::QuirkyTransmitter, p::QuirkyReceiver>>>(),
+        size_of::<SessionStep<StabilizeSystem>>(),
+    ];
+    assert!(
+        sizes.iter().all(|&s| s <= 1_300),
+        "session cores grew: {sizes:?} bytes"
+    );
 }

@@ -15,7 +15,7 @@ use rand::{RngCore, RngExt};
 
 use dl_channels::FaultSpec;
 use dl_core::action::{Dir, DlAction, Station};
-use dl_sim::Script;
+use dl_sim::{Script, ScriptStep};
 
 /// One heritable unit of a fuzzed run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -107,7 +107,9 @@ impl Genome {
     /// Decodes the genes into a runnable [`Plan`].
     #[must_use]
     pub fn decode(&self) -> Plan {
-        let mut script = Script::new().wake_both();
+        // A gene adds at most two steps, so the buffer never grows.
+        let mut steps = Vec::with_capacity(2 * self.genes.len() + 3);
+        steps.extend(ScriptStep::WAKE_BOTH);
         let mut faults = [FaultSpec::none(), FaultSpec::none()];
         let mut overrides = BTreeMap::new();
         let mut messages = 0u64;
@@ -115,17 +117,16 @@ impl Genome {
         for gene in &self.genes {
             match gene {
                 Gene::Send => {
-                    script = script.send_msgs(messages, 1);
+                    steps.extend(ScriptStep::sends(messages..messages + 1));
                     messages += 1;
                 }
-                Gene::Steps(n) => script = script.local((*n).max(1) as usize),
-                Gene::Settle => script = script.settle(),
-                Gene::Crash(station) => script = script.crash_and_rewake(*station),
-                Gene::Flap(dir) => {
-                    script = script
-                        .inject(DlAction::Fail(*dir))
-                        .inject(DlAction::Wake(*dir));
-                }
+                Gene::Steps(n) => steps.push(ScriptStep::Local((*n).max(1) as usize)),
+                Gene::Settle => steps.push(ScriptStep::Settle),
+                Gene::Crash(station) => steps.extend(ScriptStep::crash_and_rewake(*station)),
+                Gene::Flap(dir) => steps.extend([
+                    ScriptStep::Inject(DlAction::Fail(*dir)),
+                    ScriptStep::Inject(DlAction::Wake(*dir)),
+                ]),
                 Gene::FaultsTr(spec) => faults[0] = *spec,
                 Gene::FaultsRt(spec) => faults[1] = *spec,
                 Gene::Sched { index, value } => {
@@ -134,8 +135,9 @@ impl Genome {
                 Gene::Corrupt(c) => corruption = Some(*c),
             }
         }
+        steps.push(ScriptStep::Settle);
         Plan {
-            script: script.settle(),
+            script: steps.into_iter().collect(),
             faults,
             overrides,
             messages,
@@ -261,7 +263,7 @@ mod tests {
             .steps()
             .iter()
             .filter_map(|s| match s {
-                dl_sim::ScriptStep::Inject(DlAction::SendMsg(m)) => Some(*m),
+                ScriptStep::Inject(DlAction::SendMsg(m)) => Some(*m),
                 _ => None,
             })
             .collect();
@@ -294,7 +296,7 @@ mod tests {
         // Script ends with the implicit settle.
         assert!(matches!(
             plan.script.steps().last(),
-            Some(dl_sim::ScriptStep::Settle)
+            Some(ScriptStep::Settle)
         ));
     }
 

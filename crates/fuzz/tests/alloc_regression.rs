@@ -9,7 +9,8 @@
 //! which is data-link-only and never interns a packet. The session keeps
 //! no `Metrics` (no latency queues, no header set): the target counts the
 //! three counters it reads. What remains is per-run set-up (the decoded
-//! plan, the composed system, the start state), growth of the output
+//! plan and its script; the composed start state allocates nothing of its
+//! own), growth of the output
 //! vectors, the monitor's message tables and the scratch buffer, and a
 //! crash's station reset. This test pins
 //! that residue with a counting global allocator so a change that quietly
@@ -99,17 +100,19 @@ fn fuzz_exec_allocations_stay_bounded() {
     };
     let cfg = ExecConfig::default();
 
-    // Measured on the lean path (debug build): abp 40 allocations over
-    // 74 steps; go-back-8 46 and selective-repeat-4 54 over the full
+    // Measured on the lean path (debug build): abp 32 allocations over
+    // 74 steps; go-back-8 38 and selective-repeat-4 46 over the full
     // 800-step budget — well under one per step once set-up is paid. The
-    // ceilings (1.19–1.28× those counts) are the counts while the session
-    // still kept `Metrics`, 51 / 56 / 64, so that path fails here; with a
-    // monitor that interned packets the lean path took 104 / 172 / 180,
-    // and the recording path 361 / 2,948 / 2,979.
+    // ceilings sit three above those counts. A start state collected
+    // through per-component `Vec`s (seven of them) and a script grown
+    // push by push took 40 / 46 / 54, so that path fails here; a session
+    // that still kept `Metrics` took 51 / 56 / 64, a monitor that
+    // interned packets 104 / 172 / 180, and the recording path
+    // 361 / 2,948 / 2,979.
     for (name, ceiling) in [
-        ("abp", 51u64),
-        ("go-back-8", 56),
-        ("selective-repeat-4", 64),
+        ("abp", 35u64),
+        ("go-back-8", 41),
+        ("selective-repeat-4", 49),
     ] {
         let (allocs, steps) = allocs_for_one_exec(name, &genome, &cfg);
         eprintln!("{name}: {allocs} allocations over {steps} steps");

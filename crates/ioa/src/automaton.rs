@@ -21,7 +21,8 @@ pub struct TaskId(pub usize);
 ///
 /// 1. the action signature, via [`classify`](Automaton::classify);
 /// 2. the (implicit) state set, the associated type [`State`](Automaton::State);
-/// 3. the start states, [`start_states`](Automaton::start_states);
+/// 3. the start states, [`start_states`](Automaton::start_states) (and the
+///    start state, [`start_state`](Automaton::start_state));
 /// 4. the transition relation, [`successors`](Automaton::successors);
 /// 5. the task partition, [`task_of`](Automaton::task_of) /
 ///    [`task_count`](Automaton::task_count).
@@ -52,6 +53,23 @@ pub trait Automaton {
 
     /// The set `start(A)` of start states; must be non-empty.
     fn start_states(&self) -> Vec<Self::State>;
+
+    /// The first state of [`start_states`](Automaton::start_states) — the
+    /// start state, for an automaton with one (every automaton in this
+    /// workspace has exactly one).
+    ///
+    /// The default collects the set and keeps its head. The automata a
+    /// session composes per run override it to build the state without a
+    /// `Vec`: a leaf returns its state, and
+    /// [`Compose2`](crate::composition::Compose2) pairs its components'
+    /// start states, so a composed start state costs no allocation of its
+    /// own.
+    fn start_state(&self) -> Self::State {
+        self.start_states()
+            .into_iter()
+            .next()
+            .expect("start(A) is non-empty")
+    }
 
     /// Classifies `action` within this automaton's signature, or `None` if
     /// the action is not in the signature at all.
@@ -340,6 +358,9 @@ impl<A: Automaton + ?Sized> Automaton for &A {
     fn start_states(&self) -> Vec<Self::State> {
         (**self).start_states()
     }
+    fn start_state(&self) -> Self::State {
+        (**self).start_state()
+    }
     fn classify(&self, action: &Self::Action) -> Option<ActionClass> {
         (**self).classify(action)
     }
@@ -618,6 +639,7 @@ mod tests {
         let c = Counter;
         let r = &c;
         assert_eq!(r.start_states(), vec![0]);
+        assert_eq!(r.start_state(), 0);
         assert_eq!(r.task_count(), 1);
         assert_eq!(r.step_first(&0, &Act::Tick), Some(1));
         assert_eq!(r.classify(&Act::Tick), Some(ActionClass::Output));

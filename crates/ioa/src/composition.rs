@@ -237,6 +237,10 @@ where
             .collect()
     }
 
+    fn start_state(&self) -> Self::State {
+        Pair::new(self.left.start_state(), self.right.start_state())
+    }
+
     fn classify(&self, action: &A) -> Option<ActionClass> {
         let l = self.left.classify(action);
         let r = self.right.classify(action);
@@ -607,6 +611,11 @@ mod tests {
     fn shared_action_steps_both() {
         let c = pipeline();
         let s0 = c.start_states().remove(0);
+        assert_eq!(
+            c.start_state(),
+            s0,
+            "the paired start state heads the product set"
+        );
         let s1 = c.step_first(&s0, &Act::Go).unwrap();
         assert_eq!(s1.left, Some(7));
         assert_eq!(s1.right, None);

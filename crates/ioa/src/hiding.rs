@@ -53,6 +53,10 @@ where
         self.inner.start_states()
     }
 
+    fn start_state(&self) -> Self::State {
+        self.inner.start_state()
+    }
+
     fn classify(&self, action: &Self::Action) -> Option<ActionClass> {
         match self.inner.classify(action) {
             Some(ActionClass::Output) if (self.hidden)(action) => Some(ActionClass::Internal),
@@ -200,6 +204,7 @@ mod tests {
     fn dynamics_unchanged() {
         let h = Hide::new(M, |a: &Act| matches!(a, Act::OutA));
         assert_eq!(h.start_states(), vec![0]);
+        assert_eq!(h.start_state(), 0);
         assert_eq!(h.successors(&0, &Act::OutA), vec![0]);
         assert_eq!(h.enabled_local(&0), vec![Act::OutA, Act::OutB]);
         assert_eq!(h.task_count(), 1);

@@ -120,7 +120,11 @@ impl Automaton for AbpTransmitter {
     type State = AbpTxState;
 
     fn start_states(&self) -> Vec<AbpTxState> {
-        vec![AbpTxState::default()]
+        vec![self.start_state()]
+    }
+
+    fn start_state(&self) -> AbpTxState {
+        AbpTxState::default()
     }
 
     fn classify(&self, a: &DlAction) -> Option<ActionClass> {
@@ -281,7 +285,11 @@ impl Automaton for AbpReceiver {
     type State = AbpRxState;
 
     fn start_states(&self) -> Vec<AbpRxState> {
-        vec![AbpRxState::default()]
+        vec![self.start_state()]
+    }
+
+    fn start_state(&self) -> AbpRxState {
+        AbpRxState::default()
     }
 
     fn classify(&self, a: &DlAction) -> Option<ActionClass> {

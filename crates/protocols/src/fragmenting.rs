@@ -118,7 +118,11 @@ impl Automaton for FragTransmitter {
     type State = FragTxState;
 
     fn start_states(&self) -> Vec<FragTxState> {
-        vec![FragTxState::default()]
+        vec![self.start_state()]
+    }
+
+    fn start_state(&self) -> FragTxState {
+        FragTxState::default()
     }
 
     fn classify(&self, a: &DlAction) -> Option<ActionClass> {
@@ -268,7 +272,11 @@ impl Automaton for FragReceiver {
     type State = FragRxState;
 
     fn start_states(&self) -> Vec<FragRxState> {
-        vec![FragRxState::default()]
+        vec![self.start_state()]
+    }
+
+    fn start_state(&self) -> FragRxState {
+        FragRxState::default()
     }
 
     fn classify(&self, a: &DlAction) -> Option<ActionClass> {

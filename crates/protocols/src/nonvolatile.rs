@@ -120,7 +120,11 @@ impl Automaton for NvTransmitter {
     type State = NvTxState;
 
     fn start_states(&self) -> Vec<NvTxState> {
-        vec![NvTxState::default()]
+        vec![self.start_state()]
+    }
+
+    fn start_state(&self) -> NvTxState {
+        NvTxState::default()
     }
 
     fn classify(&self, a: &DlAction) -> Option<ActionClass> {
@@ -280,7 +284,11 @@ impl Automaton for NvReceiver {
     type State = NvRxState;
 
     fn start_states(&self) -> Vec<NvRxState> {
-        vec![NvRxState::default()]
+        vec![self.start_state()]
+    }
+
+    fn start_state(&self) -> NvRxState {
+        NvRxState::default()
     }
 
     fn classify(&self, a: &DlAction) -> Option<ActionClass> {

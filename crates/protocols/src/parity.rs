@@ -129,7 +129,11 @@ impl Automaton for ParityTransmitter {
     type State = ParityTxState;
 
     fn start_states(&self) -> Vec<ParityTxState> {
-        vec![ParityTxState::default()]
+        vec![self.start_state()]
+    }
+
+    fn start_state(&self) -> ParityTxState {
+        ParityTxState::default()
     }
 
     fn classify(&self, a: &DlAction) -> Option<ActionClass> {
@@ -302,7 +306,11 @@ impl Automaton for ParityReceiver {
     type State = ParityRxState;
 
     fn start_states(&self) -> Vec<ParityRxState> {
-        vec![ParityRxState::default()]
+        vec![self.start_state()]
+    }
+
+    fn start_state(&self) -> ParityRxState {
+        ParityRxState::default()
     }
 
     fn classify(&self, a: &DlAction) -> Option<ActionClass> {

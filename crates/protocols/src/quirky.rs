@@ -89,7 +89,11 @@ impl Automaton for QuirkyTransmitter {
     type State = QuirkyTxState;
 
     fn start_states(&self) -> Vec<QuirkyTxState> {
-        vec![QuirkyTxState::default()]
+        vec![self.start_state()]
+    }
+
+    fn start_state(&self) -> QuirkyTxState {
+        QuirkyTxState::default()
     }
 
     fn classify(&self, a: &DlAction) -> Option<ActionClass> {
@@ -213,7 +217,11 @@ impl Automaton for QuirkyReceiver {
     type State = QuirkyRxState;
 
     fn start_states(&self) -> Vec<QuirkyRxState> {
-        vec![QuirkyRxState::default()]
+        vec![self.start_state()]
+    }
+
+    fn start_state(&self) -> QuirkyRxState {
+        QuirkyRxState::default()
     }
 
     fn classify(&self, a: &DlAction) -> Option<ActionClass> {

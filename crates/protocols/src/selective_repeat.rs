@@ -175,7 +175,11 @@ impl Automaton for SrTransmitter {
     type State = SrTxState;
 
     fn start_states(&self) -> Vec<SrTxState> {
-        vec![SrTxState::default()]
+        vec![self.start_state()]
+    }
+
+    fn start_state(&self) -> SrTxState {
+        SrTxState::default()
     }
 
     fn classify(&self, a: &DlAction) -> Option<ActionClass> {
@@ -357,7 +361,11 @@ impl Automaton for SrReceiver {
     type State = SrRxState;
 
     fn start_states(&self) -> Vec<SrRxState> {
-        vec![SrRxState::default()]
+        vec![self.start_state()]
+    }
+
+    fn start_state(&self) -> SrRxState {
+        SrRxState::default()
     }
 
     fn classify(&self, a: &DlAction) -> Option<ActionClass> {

@@ -131,7 +131,11 @@ impl Automaton for SwTransmitter {
     type State = SwTxState;
 
     fn start_states(&self) -> Vec<SwTxState> {
-        vec![SwTxState::default()]
+        vec![self.start_state()]
+    }
+
+    fn start_state(&self) -> SwTxState {
+        SwTxState::default()
     }
 
     fn classify(&self, a: &DlAction) -> Option<ActionClass> {
@@ -293,7 +297,11 @@ impl Automaton for SwReceiver {
     type State = SwRxState;
 
     fn start_states(&self) -> Vec<SwRxState> {
-        vec![SwRxState::default()]
+        vec![self.start_state()]
+    }
+
+    fn start_state(&self) -> SwRxState {
+        SwRxState::default()
     }
 
     fn classify(&self, a: &DlAction) -> Option<ActionClass> {

@@ -128,10 +128,14 @@ impl Automaton for StabTransmitter {
     type State = StabTxState;
 
     fn start_states(&self) -> Vec<StabTxState> {
-        vec![StabTxState {
+        vec![self.start_state()]
+    }
+
+    fn start_state(&self) -> StabTxState {
+        StabTxState {
             seq: self.init_seq,
             ..StabTxState::default()
-        }]
+        }
     }
 
     fn classify(&self, a: &DlAction) -> Option<ActionClass> {
@@ -300,10 +304,14 @@ impl Automaton for StabReceiver {
     type State = StabRxState;
 
     fn start_states(&self) -> Vec<StabRxState> {
-        vec![StabRxState {
+        vec![self.start_state()]
+    }
+
+    fn start_state(&self) -> StabRxState {
+        StabRxState {
             expected: self.init_expected,
             ..StabRxState::default()
-        }]
+        }
     }
 
     fn classify(&self, a: &DlAction) -> Option<ActionClass> {

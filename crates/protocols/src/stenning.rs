@@ -80,7 +80,11 @@ impl Automaton for StenningTransmitter {
     type State = StenningTxState;
 
     fn start_states(&self) -> Vec<StenningTxState> {
-        vec![StenningTxState::default()]
+        vec![self.start_state()]
+    }
+
+    fn start_state(&self) -> StenningTxState {
+        StenningTxState::default()
     }
 
     fn classify(&self, a: &DlAction) -> Option<ActionClass> {
@@ -221,7 +225,11 @@ impl Automaton for StenningReceiver {
     type State = StenningRxState;
 
     fn start_states(&self) -> Vec<StenningRxState> {
-        vec![StenningRxState::default()]
+        vec![self.start_state()]
+    }
+
+    fn start_state(&self) -> StenningRxState {
+        StenningRxState::default()
     }
 
     fn classify(&self, a: &DlAction) -> Option<ActionClass> {

@@ -407,7 +407,7 @@ impl Runner {
         pick
     }
 
-    /// Runs `system` from its first start state under `script`.
+    /// Runs `system` from its start state under `script`.
     ///
     /// A recording run keeps every post-state, so its memory grows with
     /// its length times its states' size; a long run belongs in a lean
@@ -422,12 +422,7 @@ impl Runner {
     where
         M: Automaton<Action = DlAction>,
     {
-        let start = system
-            .start_states()
-            .into_iter()
-            .next()
-            .expect("automaton has a start state");
-        self.run_from(system, start, script)
+        self.run_from(system, system.start_state(), script)
     }
 
     /// Runs `system` from an explicit start state under `script`.
@@ -465,11 +460,11 @@ impl Runner {
 /// A recording session keeps the full [`Execution`] (every action and
 /// post-state) and can produce a [`RunReport`]; a lean session keeps only
 /// the last state and a running length, which is what lets a fleet of
-/// many thousands of sessions cost hundreds of bytes each instead of a
-/// trace allocation storm. Neither keeps a digest or [`Metrics`]: a
-/// recording session folds its report from the execution, and a lean
-/// session's caller folds what it reads over the actions
-/// [`SessionStep::step`] returns.
+/// many thousands of sessions cost about 2.3 KB each (the `dl-fleet`
+/// ledger's measured peak) instead of a trace allocation storm. Neither
+/// keeps a digest or [`Metrics`]: a recording session folds its report
+/// from the execution, and a lean session's caller folds what it reads
+/// over the actions [`SessionStep::step`] returns.
 enum Trace<S> {
     /// Full execution retained (the [`Runner::run`] path).
     Full(Execution<DlAction, S>),
@@ -618,25 +613,26 @@ where
         Self::build(runner, system, start, script, true)
     }
 
-    /// A lean session from the system's first start state: only the
-    /// current state is retained (no execution, no behavior), which is
-    /// how the fleet and the fuzzer run sessions — per-session cost stays
-    /// in the hundreds of bytes regardless of run length. Verdicts still
-    /// flow from the online monitor; a caller that wants more of the run
-    /// (a digest, counters, coverage) watches it one action at a time
-    /// through [`SessionStep::step`] and [`SessionStep::state`].
+    /// A lean session from the system's start state: only the current
+    /// state is retained (no execution, no behavior), which is how the
+    /// fleet and the fuzzer run sessions — per-session cost stays near
+    /// 2.3 KB (a fleet session's measured peak) regardless of run length.
+    /// Verdicts still flow from the online monitor; a caller that wants
+    /// more of the run (a digest, counters, coverage) watches it one
+    /// action at a time through [`SessionStep::step`] and
+    /// [`SessionStep::state`].
+    ///
+    /// Building allocates nothing when the system's
+    /// [`start_state`](Automaton::start_state) allocates nothing and the
+    /// online monitor, if any, is data-link-only: the script is shared,
+    /// not copied.
     ///
     /// # Panics
     ///
     /// Panics if the system has no start state.
     #[must_use]
     pub fn lean(runner: Runner, system: B, script: crate::Script) -> Self {
-        let start = system
-            .borrow()
-            .start_states()
-            .into_iter()
-            .next()
-            .expect("automaton has a start state");
+        let start = system.borrow().start_state();
         Self::build(runner, system, start, script, false)
     }
 

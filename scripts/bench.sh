@@ -9,6 +9,8 @@
 #   scripts/bench.sh                  run workloads, write bench/out/BENCH_<date>.json
 #   scripts/bench.sh --gate           ...and fail on regression vs baseline
 #   scripts/bench.sh --update-baseline  rewrite bench/baseline.json (relaxed)
+#   scripts/bench.sh --repin-counters   re-pin bench/baseline.json's counters and
+#                                       histograms from one run; gauges stay as committed
 #
 # Gate rules (dl_obs::gate): throughput gauges (*_per_sec) must not drop
 # more than 25 % below baseline; latency gauges (*_micros) and allocation
@@ -27,8 +29,9 @@ case "${1:-}" in
   "") ;;
   --gate) MODE=gate ;;
   --update-baseline) MODE=update ;;
+  --repin-counters) MODE=repin ;;
   *)
-    echo "usage: bench.sh [--gate | --update-baseline]" >&2
+    echo "usage: bench.sh [--gate | --update-baseline | --repin-counters]" >&2
     exit 2
     ;;
 esac
@@ -39,6 +42,13 @@ cargo build -q --release -p dl-bench --features obs --bin ledger_run --bin bench
 if [[ $MODE == update ]]; then
   echo "==> rewriting bench/baseline.json (relaxed tolerances)"
   ./target/release/ledger_run --relax-baseline --out bench/baseline.json
+  echo "    review the diff and commit it together with the change that moved the numbers"
+  exit 0
+fi
+
+if [[ $MODE == repin ]]; then
+  echo "==> re-pinning bench/baseline.json's counters and histograms (gauges unchanged)"
+  ./target/release/ledger_run --repin-counters bench/baseline.json --out bench/baseline.json
   echo "    review the diff and commit it together with the change that moved the numbers"
   exit 0
 fi
