@@ -25,7 +25,6 @@ use std::time::{Duration, Instant};
 
 use dl_channels::{LossMode, LossyFifoChannel};
 use dl_core::action::{Dir, DlAction, Msg, Packet};
-use dl_core::observer::{ObserverState, WdlObserver};
 use dl_core::spec::monitor::TraceMonitor;
 use dl_core::spec::reference;
 use dl_crosscheck::zoo;
@@ -37,42 +36,9 @@ use dl_impossibility::headers::HeaderConfig;
 use dl_impossibility::{crash_ledger, header_ledger};
 use dl_obs::{BenchFile, RunLedger};
 use dl_sim::{link_system, ConformancePolicy, Runner, Script};
-use ioa::composition::Compose2;
 use ioa::schedule_module::{TraceKind, Verdict};
-use ioa::Automaton;
 
 use crate::deliver_n_over_fifo;
-
-/// The E9 system: ABP over capacity-bounded nondeterministically-lossy
-/// channels, composed with the WDL-safety observer (closed and finite).
-type E9Sys = Compose2<
-    Compose2<dl_protocols::AbpTransmitter, dl_protocols::AbpReceiver>,
-    Compose2<Compose2<LossyFifoChannel, LossyFifoChannel>, WdlObserver>,
->;
-
-fn e9_system(cap: usize) -> E9Sys {
-    let p = dl_protocols::abp::protocol();
-    Compose2::new(
-        Compose2::new(p.transmitter, p.receiver),
-        Compose2::new(
-            Compose2::new(
-                LossyFifoChannel::with_capacity(Dir::TR, LossMode::Nondet, cap),
-                LossyFifoChannel::with_capacity(Dir::RT, LossMode::Nondet, cap),
-            ),
-            WdlObserver,
-        ),
-    )
-}
-
-fn e9_observer(s: &<E9Sys as Automaton>::State) -> &ObserverState {
-    &s.right.right
-}
-
-fn e9_woken(sys: &E9Sys) -> <E9Sys as Automaton>::State {
-    let s0 = sys.start_states().remove(0);
-    let s1 = sys.step_first(&s0, &DlAction::Wake(Dir::TR)).unwrap();
-    sys.step_first(&s1, &DlAction::Wake(Dir::RT)).unwrap()
-}
 
 fn stall(sleep_micros: u64) {
     if sleep_micros > 0 {
@@ -122,11 +88,12 @@ pub fn sleep_from_env() -> u64 {
 /// bench must not silently measure a broken model.
 #[must_use]
 pub fn explore_e9(threads: usize, sleep_micros: u64) -> RunLedger {
-    let sys = e9_system(3);
-    let start = e9_woken(&sys);
-    let explorer = ParallelExplorer::new(&sys, e9_inputs(2), 4_000_000, 100_000).threads(threads);
+    let sys = zoo::abp_lossy_system(3);
+    let start = zoo::woken_start(&sys);
+    let explorer =
+        ParallelExplorer::new(&sys, zoo::crash_free_inputs(2), 4_000_000, 100_000).threads(threads);
     let (report, search_time) = fastest_of(|| {
-        explorer.check_invariant_from(vec![start.clone()], |s| e9_observer(s).is_safe())
+        explorer.check_invariant_from(vec![start.clone()], |s| zoo::observer_of(s).is_safe())
     });
     let t0 = Instant::now();
     stall(sleep_micros);
@@ -139,20 +106,6 @@ pub fn explore_e9(threads: usize, sleep_micros: u64) -> RunLedger {
     ledger.gauge("edges_per_sec", report.edges_expanded() as f64 / secs);
     ledger.gauge("duration_micros", elapsed.as_secs_f64() * 1e6);
     ledger
-}
-
-/// The deep-exploration inputs closure: sends the first message in
-/// `0..msgs` the observer has not seen yet.
-fn e9_inputs(msgs: u64) -> impl Fn(&<E9Sys as Automaton>::State) -> Vec<DlAction> + Sync {
-    move |s: &<E9Sys as Automaton>::State| {
-        let obs = e9_observer(s);
-        (0..msgs)
-            .map(Msg)
-            .find(|m| !obs.sent.contains(m))
-            .map(DlAction::SendMsg)
-            .into_iter()
-            .collect()
-    }
 }
 
 /// E15: the deep-exploration workload — the E9 system pushed three
@@ -197,12 +150,12 @@ pub fn explore_deep_n(
     threads: usize,
     sleep_micros: u64,
 ) -> RunLedger {
-    let sys = e9_system(cap);
-    let start = e9_woken(&sys);
+    let sys = zoo::abp_lossy_system(cap);
+    let start = zoo::woken_start(&sys);
     let search = |threads: usize| {
-        ParallelExplorer::new(&sys, e9_inputs(msgs), 16_000_000, 100_000)
+        ParallelExplorer::new(&sys, zoo::crash_free_inputs(msgs), 16_000_000, 100_000)
             .threads(threads)
-            .check_invariant_from(vec![start.clone()], |s| e9_observer(s).is_safe())
+            .check_invariant_from(vec![start.clone()], |s| zoo::observer_of(s).is_safe())
     };
     let t0 = Instant::now();
     let report = search(threads);

@@ -32,19 +32,8 @@ use ioa::automaton::{Automaton, Deterministic, TaskId};
 use dl_core::action::{Dir, DlAction, Msg, Packet};
 use dl_core::protocol::channel_classify;
 
+use crate::faulty::mix;
 use crate::simulated::FlightState;
-
-/// Deterministic splitmix64-style mix (same family as
-/// [`crate::faulty::FaultSpec`] fate decisions).
-fn mix(salt: u64, n: u64) -> u64 {
-    let mut z = salt
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(n.wrapping_mul(0xBF58_476D_1CE4_E5B9))
-        .wrapping_add(0x94D0_49BB_1331_11EB);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// Ghost uids live far above any uid a runner will ever stamp, so a
 /// ghost never cancels a genuine send in the monitor's transit multiset.

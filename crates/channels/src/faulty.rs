@@ -36,8 +36,10 @@ use dl_core::protocol::channel_classify;
 
 use crate::simulated::FlightState;
 
-/// Deterministic splitmix64-style mix of the fault salt and a send index.
-fn mix(salt: u64, n: u64) -> u64 {
+/// Deterministic splitmix64-style mix of a salt and an index: the fate
+/// and ghost decisions of both fault channels, [`FaultyChannel`] and
+/// [`CorruptChannel`](crate::CorruptChannel).
+pub(crate) fn mix(salt: u64, n: u64) -> u64 {
     let mut z = salt
         .wrapping_mul(0x9E37_79B9_7F4A_7C15)
         .wrapping_add(n.wrapping_mul(0xBF58_476D_1CE4_E5B9))

@@ -7,7 +7,9 @@
 //! [`SuffixMonitor`] makes that contract checkable in one streaming
 //! pass:
 //!
-//! * it feeds every action to an inner [`TraceMonitor`];
+//! * it feeds every action to an inner, data-link-only [`TraceMonitor`]
+//!   (it asks only data-link queries, so the inner monitor keeps no
+//!   packet tables);
 //! * whenever the inner monitor concludes a data-link violation (or one
 //!   of the DL hypotheses is poisoned), the offense is attributed to the
 //!   divergent prefix: the candidate convergence point moves past the
@@ -30,6 +32,9 @@
 //! converges at index 0 with 0 resets, so suffix-mode conformance of a
 //! from-initial-state-correct protocol degenerates to ordinary
 //! conformance — the monitors agree on the zoo's classic members.
+//! [`SuffixReport::against_budget`] then judges a stabilizing run from a
+//! corrupted start: it may lose the messages its skewed counters entitle
+//! the convergence climb to consume, and no more.
 //!
 //! Hypothesis: environment messages are pairwise distinct (the DL3
 //! hypothesis the batch modules already impose).
@@ -92,11 +97,54 @@ impl SuffixReport {
         self.violation.is_none()
     }
 
-    /// The stabilization time in actions — an alias for
-    /// [`SuffixReport::convergence_index`], named for what it measures.
+    /// Judges a quiescent, complete run against its corruption budget.
+    ///
+    /// A corrupted receiver expecting sequence `e` against a transmitter
+    /// at sequence `s < e` is entitled to consume `budget = e − s`
+    /// messages while the counters climb into agreement. So `lost`
+    /// messages (sent, never delivered) beyond the budget fail liveness
+    /// whether or not the suffix monitor concluded `DL8`; a suffix `DL8`
+    /// within the budget counts as converged; and any other property
+    /// still violated in the final suffix fails safety.
     #[must_use]
-    pub fn stabilization_actions(&self) -> usize {
-        self.convergence_index
+    pub fn against_budget(&self, lost: u64, budget: u64) -> BudgetVerdict {
+        match self.violation {
+            Some("DL8") | None if lost > budget => BudgetVerdict::OverBudget { lost, budget },
+            Some(property) if property != "DL8" => BudgetVerdict::Unconverged(property),
+            _ => BudgetVerdict::Converged(self.convergence_index),
+        }
+    }
+}
+
+/// The corruption-budget verdict on a stabilizing run
+/// ([`SuffixReport::against_budget`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BudgetVerdict {
+    /// The run converged; its conforming suffix begins at this behavior
+    /// index (the stabilization time in actions).
+    Converged(usize),
+    /// `DL8`: more messages were lost than the corrupted counters entitle
+    /// the convergence climb to consume.
+    OverBudget {
+        /// Messages sent and never delivered.
+        lost: u64,
+        /// Messages the climb may consume.
+        budget: u64,
+    },
+    /// This safety property survives past every candidate convergence
+    /// point: the run has no conforming suffix.
+    Unconverged(&'static str),
+}
+
+impl BudgetVerdict {
+    /// The property the run violates, if it failed to stabilize.
+    #[must_use]
+    pub fn violation(self) -> Option<&'static str> {
+        match self {
+            BudgetVerdict::Converged(_) => None,
+            BudgetVerdict::OverBudget { .. } => Some("DL8"),
+            BudgetVerdict::Unconverged(property) => Some(property),
+        }
     }
 }
 
@@ -113,7 +161,7 @@ impl SuffixMonitor {
     #[must_use]
     pub fn new(full_dl: bool) -> Self {
         SuffixMonitor {
-            inner: TraceMonitor::new(),
+            inner: TraceMonitor::data_link_only(),
             full_dl,
             observed: 0,
             suffix_start: 0,
@@ -171,7 +219,7 @@ impl SuffixMonitor {
     fn reset(&mut self) {
         self.resets += 1;
         self.suffix_start = self.observed;
-        self.inner = TraceMonitor::new();
+        self.inner = TraceMonitor::data_link_only();
         // Prime the configuration at the convergence candidate: media
         // status first (so DL1/DL2 judge the suffix, not a vacuum), then
         // the messages still owed to the receiver, inside a transmitter
@@ -205,26 +253,6 @@ impl SuffixMonitor {
     #[must_use]
     pub fn approx_bytes(&self) -> usize {
         self.inner.approx_bytes() + self.pending.capacity() * std::mem::size_of::<(Msg, usize)>()
-    }
-
-    /// The current candidate convergence index: the global trace index
-    /// where the present violation-free suffix begins.
-    #[must_use]
-    pub fn convergence_index(&self) -> usize {
-        self.suffix_start
-    }
-
-    /// Monitor restarts so far.
-    #[must_use]
-    pub fn resets(&self) -> u64 {
-        self.resets
-    }
-
-    /// The inner monitor judging the current suffix (verdict indices are
-    /// suffix-local, offset by the priming stub).
-    #[must_use]
-    pub fn suffix_monitor(&self) -> &TraceMonitor {
-        &self.inner
     }
 
     /// Concludes suffix-mode conformance.
@@ -296,7 +324,6 @@ mod tests {
             }
         );
         assert!(report.converged());
-        assert_eq!(report.stabilization_actions(), 0);
     }
 
     #[test]
@@ -428,11 +455,49 @@ mod tests {
     fn approx_bytes_counts_the_inner_tables_and_pending_list() {
         let mut mon = SuffixMonitor::new(false);
         assert_eq!(mon.approx_bytes(), 0, "a new monitor allocates nothing");
-        for a in wake_both() {
-            mon.observe(&a);
+        // A data-link-only monitor fed the same trace has the inner
+        // monitor's tables; the suffix monitor adds its pending list.
+        let mut inner = TraceMonitor::data_link_only();
+        let mut trace = wake_both();
+        trace.push(SendMsg(Msg(1)));
+        for a in &trace {
+            mon.observe(a);
+            inner.observe(a);
         }
-        mon.observe(&SendMsg(Msg(1)));
-        assert!(mon.approx_bytes() > mon.suffix_monitor().approx_bytes());
+        assert!(inner.approx_bytes() > 0);
+        assert!(mon.approx_bytes() > inner.approx_bytes());
+    }
+
+    #[test]
+    fn the_budget_verdict_has_three_outcomes() {
+        let report = |violation| SuffixReport {
+            convergence_index: 7,
+            resets: 1,
+            violation,
+        };
+        // Losses up to the budget are the climb's; a suffix DL8 within it
+        // still converges.
+        for violation in [None, Some("DL8")] {
+            assert_eq!(
+                report(violation).against_budget(3, 3),
+                BudgetVerdict::Converged(7)
+            );
+            assert_eq!(
+                report(violation).against_budget(4, 3),
+                BudgetVerdict::OverBudget { lost: 4, budget: 3 }
+            );
+        }
+        // A surviving safety violation fails whatever was lost.
+        for lost in [0, 9] {
+            let verdict = report(Some("DL4")).against_budget(lost, 3);
+            assert_eq!(verdict, BudgetVerdict::Unconverged("DL4"));
+            assert_eq!(verdict.violation(), Some("DL4"));
+        }
+        assert_eq!(BudgetVerdict::Converged(0).violation(), None);
+        assert_eq!(
+            BudgetVerdict::OverBudget { lost: 1, budget: 0 }.violation(),
+            Some("DL8")
+        );
     }
 
     #[test]

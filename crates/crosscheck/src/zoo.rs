@@ -143,17 +143,25 @@ where
 /// is the E9 system, whose published 1178-state count both engines must
 /// reproduce.
 pub fn abp_lossy(capacity: usize, threads: usize) -> ZooOutcome {
-    let p = dl_protocols::abp::protocol();
     run_both(
         format!("abp_lossy_cap{capacity}"),
         threads,
-        checked_system(
-            p.transmitter,
-            p.receiver,
-            LossyFifoChannel::with_capacity(Dir::TR, LossMode::Nondet, capacity),
-            LossyFifoChannel::with_capacity(Dir::RT, LossMode::Nondet, capacity),
-        ),
+        abp_lossy_system(capacity),
         crash_free_inputs(2),
+    )
+}
+
+/// ABP over nondeterministically lossy FIFO channels of the given
+/// capacity: the E9 system at capacity 3, and E15's at capacity 6.
+pub fn abp_lossy_system(
+    capacity: usize,
+) -> Sys<AbpTransmitter, AbpReceiver, LossyFifoChannel, LossyFifoChannel> {
+    let p = dl_protocols::abp::protocol();
+    checked_system(
+        p.transmitter,
+        p.receiver,
+        LossyFifoChannel::with_capacity(Dir::TR, LossMode::Nondet, capacity),
+        LossyFifoChannel::with_capacity(Dir::RT, LossMode::Nondet, capacity),
     )
 }
 

@@ -2,10 +2,10 @@
 //!
 //! `dl-sim` runs exactly one composed protocol instance per
 //! [`Runner`](dl_sim::Runner); this crate runs *fleets* — thousands to a
-//! million independent data link sessions, any mix of the nine zoo
-//! protocols, each over its own pair of fault-injected channels — the
-//! regime the paper's crash-reset results and real link layers care
-//! about.
+//! million independent data link sessions, any mix of the ten zoo
+//! protocols ([`ProtocolKind`]), each over its own pair of fault-injected
+//! channels — the regime the paper's crash-reset results and real link
+//! layers care about.
 //!
 //! # Architecture
 //!

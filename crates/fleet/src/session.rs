@@ -36,7 +36,7 @@ use ioa::ActionClass;
 use dl_channels::{CorruptChannel, FaultyChannel};
 use dl_core::action::{Dir, DlAction};
 use dl_core::protocol::DataLinkProtocol;
-use dl_core::spec::stabilize::SuffixMonitor;
+use dl_core::spec::stabilize::{BudgetVerdict, SuffixMonitor};
 use dl_obs::Histogram;
 use dl_sim::{
     digest_action, link_system, ConformancePolicy, LinkSystem, Metrics, Runner, SessionStep,
@@ -70,33 +70,44 @@ pub struct ZooSession {
     metrics: Metrics,
 }
 
-/// The lean session of one zoo kind, monomorphized per kind so the hot
-/// stepping loop is static-dispatched.
-enum Kind {
-    /// Alternating bit.
-    Abp(Step<dl_protocols::AbpTransmitter, dl_protocols::AbpReceiver>),
-    /// Go-back-N sliding window (any window).
-    SlidingWindow(Step<dl_protocols::SwTransmitter, dl_protocols::SwReceiver>),
-    /// Selective repeat.
-    SelectiveRepeat(Step<dl_protocols::SrTransmitter, dl_protocols::SrReceiver>),
-    /// Fragmenting.
-    Fragmenting(Step<dl_protocols::FragTransmitter, dl_protocols::FragReceiver>),
-    /// Parity.
-    Parity(Step<dl_protocols::ParityTransmitter, dl_protocols::ParityReceiver>),
-    /// Stenning.
-    Stenning(Step<dl_protocols::StenningTransmitter, dl_protocols::StenningReceiver>),
-    /// Non-volatile epoch protocol.
-    Nonvolatile(Step<dl_protocols::NvTransmitter, dl_protocols::NvReceiver>),
-    /// The deliberately message-dependent negative control.
-    Quirky(Step<dl_protocols::QuirkyTransmitter, dl_protocols::QuirkyReceiver>),
-    /// The self-stabilizing protocol, possibly from a corrupted initial
-    /// configuration: a lean session with no online monitor (a corrupted
-    /// start is supposed to misbehave for a prefix), plus the
-    /// [`SuffixMonitor`] that [`ZooSession::advance_batch`] feeds every
-    /// external action as it is taken, judged in suffix mode at teardown.
-    /// The monitor is boxed so this variant is no larger than the others:
-    /// every live session of a chunk is sized by the largest variant.
-    Stabilizing(SessionStep<StabilizeSystem>, Box<SuffixMonitor>),
+/// Declares [`Kind`] with one variant per station pair of the classic
+/// zoo, and the `From` conversion that lets [`build_session`] wrap
+/// whichever lean session the zoo's dispatch macro built.
+macro_rules! kinds {
+    ($($kind:ident($tx:ident, $rx:ident),)*) => {
+        /// The lean session of one zoo kind, monomorphized per station
+        /// pair so the hot stepping loop is static-dispatched (go-back-2
+        /// and go-back-8 share `SlidingWindow`).
+        enum Kind {
+            $($kind(Step<dl_protocols::$tx, dl_protocols::$rx>),)*
+            /// The self-stabilizing protocol, possibly from a corrupted
+            /// initial configuration: a lean session with no online monitor
+            /// (a corrupted start is supposed to misbehave for a prefix),
+            /// plus the [`SuffixMonitor`] that [`ZooSession::advance_batch`]
+            /// feeds every external action as it is taken, judged in suffix
+            /// mode at teardown. The monitor is boxed so this variant is no
+            /// larger than the others: every live session of a chunk is
+            /// sized by the largest variant.
+            Stabilizing(SessionStep<StabilizeSystem>, Box<SuffixMonitor>),
+        }
+
+        $(impl From<Step<dl_protocols::$tx, dl_protocols::$rx>> for Kind {
+            fn from(s: Step<dl_protocols::$tx, dl_protocols::$rx>) -> Self {
+                Kind::$kind(s)
+            }
+        })*
+    };
+}
+
+kinds! {
+    Abp(AbpTransmitter, AbpReceiver),
+    SlidingWindow(SwTransmitter, SwReceiver),
+    SelectiveRepeat(SrTransmitter, SrReceiver),
+    Fragmenting(FragTransmitter, FragReceiver),
+    Parity(ParityTransmitter, ParityReceiver),
+    Stenning(StenningTransmitter, StenningReceiver),
+    Nonvolatile(NvTransmitter, NvReceiver),
+    Quirky(QuirkyTransmitter, QuirkyReceiver),
 }
 
 /// Runs `$body` with `$s` bound to the inner [`SessionStep`], whatever
@@ -154,39 +165,10 @@ where
 /// Builds session `cfg` as a lean, incrementally-steppable [`ZooSession`].
 #[must_use]
 pub fn build_session(cfg: &SessionConfig, spec: &FleetSpec) -> ZooSession {
-    let kind = match cfg.protocol {
-        ProtocolKind::Abp => Kind::Abp(lean_step(dl_protocols::abp::protocol(), cfg, spec)),
-        ProtocolKind::GoBack2 => Kind::SlidingWindow(lean_step(
-            dl_protocols::sliding_window::protocol(2),
-            cfg,
-            spec,
-        )),
-        ProtocolKind::GoBack8 => Kind::SlidingWindow(lean_step(
-            dl_protocols::sliding_window::protocol(8),
-            cfg,
-            spec,
-        )),
-        ProtocolKind::SelectiveRepeat4 => Kind::SelectiveRepeat(lean_step(
-            dl_protocols::selective_repeat::protocol(4),
-            cfg,
-            spec,
-        )),
-        ProtocolKind::Fragmenting => {
-            Kind::Fragmenting(lean_step(dl_protocols::fragmenting::protocol(), cfg, spec))
-        }
-        ProtocolKind::Parity => {
-            Kind::Parity(lean_step(dl_protocols::parity::protocol(), cfg, spec))
-        }
-        ProtocolKind::Stenning => {
-            Kind::Stenning(lean_step(dl_protocols::stenning::protocol(), cfg, spec))
-        }
-        ProtocolKind::Nonvolatile => {
-            Kind::Nonvolatile(lean_step(dl_protocols::nonvolatile::protocol(), cfg, spec))
-        }
-        ProtocolKind::Quirky => {
-            Kind::Quirky(lean_step(dl_protocols::quirky::protocol(), cfg, spec))
-        }
-        ProtocolKind::Stabilizing => {
+    let kind = dl_protocols::with_zoo_member!(
+        cfg.protocol,
+        protocol => Kind::from(lean_step(protocol, cfg, spec)),
+        stabilizing => {
             let corruption = cfg
                 .corruption
                 .expect("stabilizing session configs carry a corruption spec");
@@ -208,8 +190,8 @@ pub fn build_session(cfg: &SessionConfig, spec: &FleetSpec) -> ZooSession {
                 SessionStep::lean(runner, system, cfg.script.clone()),
                 Box::new(SuffixMonitor::new(false)),
             )
-        }
-    };
+        },
+    );
     ZooSession {
         kind,
         digest: 0,
@@ -318,12 +300,14 @@ impl ZooSession {
     }
 }
 
-/// Tears a stabilizing session down: suffix-mode conformance from the
-/// sidecar that watched its behavior, plus the corruption-budget liveness
-/// check (the convergence climb may consume [`CorruptionSpec::budget`]
-/// messages — losing one more means the protocol failed to stabilize).
+/// Tears a stabilizing session down: the sidecar that watched its
+/// behavior concludes suffix-mode conformance, judged against the
+/// corruption budget by [`SuffixReport::against_budget`] (the convergence
+/// climb may consume [`CorruptionSpec::budget`] messages — losing one
+/// more means the protocol failed to stabilize).
 ///
 /// [`CorruptionSpec::budget`]: crate::spec::CorruptionSpec::budget
+/// [`SuffixReport::against_budget`]: dl_core::spec::stabilize::SuffixReport::against_budget
 fn finish_stabilizing(
     s: &SessionStep<StabilizeSystem>,
     suffix: &SuffixMonitor,
@@ -335,19 +319,16 @@ fn finish_stabilizing(
         .corruption
         .expect("stabilizing session configs carry a corruption spec");
     let quiescent = s.quiescent();
-    let mut violation = None;
-    let mut convergence = None;
-    if quiescent {
-        let report = suffix.finish(TraceKind::Complete);
+    let verdict = quiescent.then(|| {
         let lost = metrics.msgs_sent.saturating_sub(metrics.msgs_received);
-        match report.violation {
-            Some("DL8") | None if lost > corruption.budget() => {
-                violation = Some("DL8");
-            }
-            Some(property) if property != "DL8" => violation = Some(property),
-            _ => convergence = Some(report.convergence_index as u64),
-        }
-    }
+        suffix
+            .finish(TraceKind::Complete)
+            .against_budget(lost, corruption.budget())
+    });
+    let convergence = match verdict {
+        Some(BudgetVerdict::Converged(at)) => Some(at as u64),
+        _ => None,
+    };
     SessionOutcome {
         id: cfg.id,
         protocol: cfg.protocol,
@@ -355,7 +336,7 @@ fn finish_stabilizing(
         digest,
         quiescent,
         crashed: cfg.crashed,
-        violation,
+        violation: verdict.and_then(BudgetVerdict::violation),
         msgs_sent: metrics.msgs_sent,
         msgs_delivered: metrics.msgs_received,
         resident_bytes: s.resident_bytes()

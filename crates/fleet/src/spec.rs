@@ -11,90 +11,10 @@ use dl_channels::{CorruptSpec, FaultSpec};
 use dl_core::action::Station;
 use dl_sim::{Script, ScriptStep};
 
-/// One protocol of the zoo, as a fleet-schedulable kind.
-///
-/// Names match the `dl-fuzz` target registry so specs read the same
-/// across tools.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ProtocolKind {
-    /// Alternating bit protocol.
-    Abp,
-    /// Go-back-N sliding window, window 2.
-    GoBack2,
-    /// Go-back-N sliding window, window 8.
-    GoBack8,
-    /// Selective repeat, window 4.
-    SelectiveRepeat4,
-    /// Two packets per message.
-    Fragmenting,
-    /// Packet count depends on message parity.
-    Parity,
-    /// Stenning's protocol (unbounded headers, reorder-tolerant).
-    Stenning,
-    /// Epoch protocol with non-volatile memory (crash-tolerant).
-    Nonvolatile,
-    /// The deliberately message-dependent negative control.
-    Quirky,
-    /// The self-stabilizing repetition/counting protocol over bounded
-    /// non-FIFO channels; its sessions may start from a derived corrupted
-    /// configuration and are judged in suffix mode.
-    Stabilizing,
-}
-
-impl ProtocolKind {
-    /// Every kind, in registry order.
-    pub const ALL: [ProtocolKind; 10] = [
-        ProtocolKind::Abp,
-        ProtocolKind::GoBack2,
-        ProtocolKind::GoBack8,
-        ProtocolKind::SelectiveRepeat4,
-        ProtocolKind::Fragmenting,
-        ProtocolKind::Parity,
-        ProtocolKind::Stenning,
-        ProtocolKind::Nonvolatile,
-        ProtocolKind::Quirky,
-        ProtocolKind::Stabilizing,
-    ];
-
-    /// The classic from-a-clean-start mix — everything except
-    /// [`ProtocolKind::Stabilizing`]. This is the default fleet mix, and
-    /// keeping it frozen keeps the pinned default-fleet ledgers
-    /// byte-identical as the zoo grows.
-    pub const CLASSIC: [ProtocolKind; 9] = [
-        ProtocolKind::Abp,
-        ProtocolKind::GoBack2,
-        ProtocolKind::GoBack8,
-        ProtocolKind::SelectiveRepeat4,
-        ProtocolKind::Fragmenting,
-        ProtocolKind::Parity,
-        ProtocolKind::Stenning,
-        ProtocolKind::Nonvolatile,
-        ProtocolKind::Quirky,
-    ];
-
-    /// The stable name, identical to the `dl-fuzz` target name.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            ProtocolKind::Abp => "abp",
-            ProtocolKind::GoBack2 => "go-back-2",
-            ProtocolKind::GoBack8 => "go-back-8",
-            ProtocolKind::SelectiveRepeat4 => "selective-repeat-4",
-            ProtocolKind::Fragmenting => "fragmenting",
-            ProtocolKind::Parity => "parity",
-            ProtocolKind::Stenning => "stenning",
-            ProtocolKind::Nonvolatile => "nonvolatile",
-            ProtocolKind::Quirky => "quirky",
-            ProtocolKind::Stabilizing => "stabilizing",
-        }
-    }
-
-    /// Looks a kind up by its stable name.
-    #[must_use]
-    pub fn from_name(name: &str) -> Option<Self> {
-        Self::ALL.into_iter().find(|k| k.name() == name)
-    }
-}
+/// One protocol of the zoo, as a fleet-schedulable kind: the zoo
+/// registry itself, so fleet specs, fuzz targets and ledgers share its
+/// stable names.
+pub use dl_protocols::Zoo as ProtocolKind;
 
 /// The whole fleet, as configuration: `(seed, spec)` replays exactly.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -320,14 +240,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn names_round_trip() {
-        for kind in ProtocolKind::ALL {
-            assert_eq!(ProtocolKind::from_name(kind.name()), Some(kind));
-        }
-        assert_eq!(ProtocolKind::from_name("no-such"), None);
-    }
-
-    #[test]
     fn session_configs_are_stable_and_decorrelated() {
         let spec = FleetSpec::default();
         let a = session_config(&spec, 17);
@@ -371,8 +283,6 @@ mod tests {
     #[test]
     fn the_default_mix_is_the_frozen_classic_nine() {
         assert_eq!(FleetSpec::default().protocols, ProtocolKind::CLASSIC);
-        assert_eq!(ProtocolKind::ALL.len(), ProtocolKind::CLASSIC.len() + 1);
-        assert!(!ProtocolKind::CLASSIC.contains(&ProtocolKind::Stabilizing));
     }
 
     #[test]

@@ -196,13 +196,18 @@ fn builds(kind: ProtocolKind) -> Vec<Build> {
 /// of them the script's, and the build alone none: the script is shared
 /// rather than cloned, the composed start state is paired without a
 /// `Vec`, and the data-link-only monitor has no packet tables. A
-/// stabilizing build adds only its boxed suffix monitor and one flight
-/// per channel that starts with ghost packets.
+/// stabilizing build adds only its boxed suffix monitor, one allocation
+/// because the monitor inside is data-link-only too, and one flight per
+/// channel that starts with ghost packets.
 #[test]
 fn building_a_session_allocates_only_its_script_and_sidecars() {
     let a0 = allocs();
     drop(Box::new(SuffixMonitor::new(false)));
     let suffix = allocs() - a0;
+    assert_eq!(
+        suffix, 1,
+        "a boxed suffix monitor is one allocation: its inner monitor has no packet tables"
+    );
     let mut over = Vec::new();
     for kind in ProtocolKind::ALL {
         let builds = builds(kind);

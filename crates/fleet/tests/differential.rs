@@ -120,34 +120,11 @@ fn run_independent_stabilizing(cfg: &SessionConfig, spec: &FleetSpec) -> Indepen
 }
 
 fn run_independent(cfg: &SessionConfig, spec: &FleetSpec) -> Independent {
-    match cfg.protocol {
-        ProtocolKind::Abp => run_independent_protocol(dl_protocols::abp::protocol(), cfg, spec),
-        ProtocolKind::GoBack2 => {
-            run_independent_protocol(dl_protocols::sliding_window::protocol(2), cfg, spec)
-        }
-        ProtocolKind::GoBack8 => {
-            run_independent_protocol(dl_protocols::sliding_window::protocol(8), cfg, spec)
-        }
-        ProtocolKind::SelectiveRepeat4 => {
-            run_independent_protocol(dl_protocols::selective_repeat::protocol(4), cfg, spec)
-        }
-        ProtocolKind::Fragmenting => {
-            run_independent_protocol(dl_protocols::fragmenting::protocol(), cfg, spec)
-        }
-        ProtocolKind::Parity => {
-            run_independent_protocol(dl_protocols::parity::protocol(), cfg, spec)
-        }
-        ProtocolKind::Stenning => {
-            run_independent_protocol(dl_protocols::stenning::protocol(), cfg, spec)
-        }
-        ProtocolKind::Nonvolatile => {
-            run_independent_protocol(dl_protocols::nonvolatile::protocol(), cfg, spec)
-        }
-        ProtocolKind::Quirky => {
-            run_independent_protocol(dl_protocols::quirky::protocol(), cfg, spec)
-        }
-        ProtocolKind::Stabilizing => run_independent_stabilizing(cfg, spec),
-    }
+    dl_protocols::with_zoo_member!(
+        cfg.protocol,
+        protocol => run_independent_protocol(protocol, cfg, spec),
+        stabilizing => run_independent_stabilizing(cfg, spec),
+    )
 }
 
 fn differential_spec() -> FleetSpec {

@@ -29,7 +29,8 @@ use ioa::{ActionClass, Automaton};
 use dl_channels::{CorruptChannel, CorruptSpec, FaultyChannel, GhostSpec};
 use dl_core::action::{Dir, DlAction, Station};
 use dl_core::protocol::{CorruptedStart, DataLinkProtocol, StationAutomaton};
-use dl_core::spec::stabilize::SuffixMonitor;
+use dl_core::spec::stabilize::{BudgetVerdict, SuffixMonitor};
+use dl_protocols::Zoo;
 use dl_sim::{link_system, ConformancePolicy, Runner, SessionStep};
 
 use crate::genome::Genome;
@@ -87,7 +88,8 @@ pub struct Target {
     pub corrupting: bool,
 }
 
-/// The full target registry: all ten protocols of the zoo.
+/// The full target registry: all ten protocols of the zoo, in
+/// [`Zoo::ALL`] order and under their [`Zoo::name`]s.
 #[must_use]
 pub fn all_targets() -> &'static [Target] {
     &TARGETS
@@ -99,58 +101,40 @@ pub fn target(name: &str) -> Option<&'static Target> {
     TARGETS.iter().find(|t| t.name == name)
 }
 
-static TARGETS: [Target; 10] = [
-    Target {
-        name: "abp",
-        run: |g, c| run_protocol(dl_protocols::abp::protocol(), g, c),
-        corrupting: false,
-    },
-    Target {
-        name: "go-back-2",
-        run: |g, c| run_protocol(dl_protocols::sliding_window::protocol(2), g, c),
-        corrupting: false,
-    },
-    Target {
-        name: "go-back-8",
-        run: |g, c| run_protocol(dl_protocols::sliding_window::protocol(8), g, c),
-        corrupting: false,
-    },
-    Target {
-        name: "selective-repeat-4",
-        run: |g, c| run_protocol(dl_protocols::selective_repeat::protocol(4), g, c),
-        corrupting: false,
-    },
-    Target {
-        name: "fragmenting",
-        run: |g, c| run_protocol(dl_protocols::fragmenting::protocol(), g, c),
-        corrupting: false,
-    },
-    Target {
-        name: "parity",
-        run: |g, c| run_protocol(dl_protocols::parity::protocol(), g, c),
-        corrupting: false,
-    },
-    Target {
-        name: "stenning",
-        run: |g, c| run_protocol(dl_protocols::stenning::protocol(), g, c),
-        corrupting: false,
-    },
-    Target {
-        name: "nonvolatile",
-        run: |g, c| run_protocol(dl_protocols::nonvolatile::protocol(), g, c),
-        corrupting: false,
-    },
-    Target {
-        name: "quirky",
-        run: |g, c| run_protocol(dl_protocols::quirky::protocol(), g, c),
-        corrupting: false,
-    },
-    Target {
-        name: "stabilizing",
-        run: run_stabilizing,
-        corrupting: true,
-    },
+/// One target per zoo member: entry `I` takes its name and its `run` from
+/// the same member, `Zoo::ALL[I]`.
+static TARGETS: [Target; Zoo::ALL.len()] = [
+    target_of::<0>(),
+    target_of::<1>(),
+    target_of::<2>(),
+    target_of::<3>(),
+    target_of::<4>(),
+    target_of::<5>(),
+    target_of::<6>(),
+    target_of::<7>(),
+    target_of::<8>(),
+    target_of::<9>(),
 ];
+
+/// The target of zoo member `Zoo::ALL[I]`. Only the stabilizing member
+/// generates corruption genes by default.
+const fn target_of<const I: usize>() -> Target {
+    let member = Zoo::ALL[I];
+    Target {
+        name: member.name(),
+        run: run_member::<I>,
+        corrupting: matches!(member, Zoo::Stabilizing),
+    }
+}
+
+/// Executes one genome against zoo member `Zoo::ALL[I]`.
+fn run_member<const I: usize>(genome: &Genome, cfg: &ExecConfig) -> ExecOutcome {
+    dl_protocols::with_zoo_member!(
+        Zoo::ALL[I],
+        protocol => run_protocol(protocol, genome, cfg),
+        stabilizing => run_stabilizing(genome, cfg),
+    )
+}
 
 /// Coarse action-class code for coverage keys: which kind of action fired,
 /// and on which side/direction.
@@ -327,16 +311,17 @@ fn is_external<M: Automaton<Action = DlAction>>(system: &M, a: &DlAction) -> boo
 /// Judged in **suffix mode**: the execution runs with no online
 /// conformance at all (a corrupted start is *supposed* to misbehave for a
 /// finite prefix); a [`SuffixMonitor`] watches its behavior as it runs,
-/// and quiescent complete runs are judged by it plus a **corruption
-/// budget**: a corrupted receiver expecting sequence `e` against a
-/// transmitter at sequence `s < e` is entitled to consume up to `e − s`
-/// messages while the counters climb into agreement, so only losses
-/// *beyond* that budget — or a suffix safety violation surviving every
-/// candidate convergence point — count as counterexamples. Crashy runs are not judged for liveness at all:
-/// the stabilizing protocol's memory is volatile, crash-loss is outside
-/// its claim (Theorem 7.5 territory, not arXiv 1011.3632's). A
-/// violation's `at` is the schedule position where the candidate
-/// conforming suffix begins.
+/// and quiescent complete runs are judged against the **corruption
+/// budget** by [`against_budget`]: only losses *beyond* the messages the
+/// corrupted counters entitle the convergence climb to consume — or a
+/// suffix safety violation surviving every candidate convergence point —
+/// count as counterexamples. Crashy runs are not judged at all: the
+/// stabilizing protocol's memory is volatile, crash-loss is outside its
+/// claim (Theorem 7.5 territory, not arXiv 1011.3632's). A violation's
+/// `at` is the schedule position where the candidate conforming suffix
+/// begins.
+///
+/// [`against_budget`]: dl_core::spec::stabilize::SuffixReport::against_budget
 fn run_stabilizing(genome: &Genome, cfg: &ExecConfig) -> ExecOutcome {
     let plan = genome.decode();
     let c = plan.corruption.unwrap_or_default();
@@ -375,47 +360,42 @@ fn run_stabilizing(genome: &Genome, cfg: &ExecConfig) -> ExecOutcome {
         let suffix = monitor.finish(TraceKind::Complete);
         let budget = u64::from(c.rx_expected.saturating_sub(c.tx_seq));
         let lost = m.msgs_sent.saturating_sub(m.msgs_received);
-        // The convergence index counts behavior actions; the violation
-        // points at the schedule action where that suffix begins.
-        let at = || {
-            schedule
+        let resets = suffix.resets;
+        let failure = match suffix.against_budget(lost, budget) {
+            BudgetVerdict::Converged(_) => None,
+            BudgetVerdict::OverBudget { lost, budget } => Some((
+                "DL8",
+                format!(
+                    "{lost} messages lost exceeds the corruption budget {budget} \
+                     ({resets} resets)"
+                ),
+            )),
+            // None is reachable from the current protocol (the monitor
+            // resets absorb prefix noise), but a counting-discipline
+            // regression would land here.
+            BudgetVerdict::Unconverged(property) => Some((
+                property,
+                format!(
+                    "no conforming suffix: {property} survives past every candidate \
+                     convergence point ({resets} resets)"
+                ),
+            )),
+        };
+        violation = failure.map(|(property, reason)| {
+            // The convergence index counts behavior actions; the violation
+            // points at the schedule action where that suffix begins.
+            let at = schedule
                 .iter()
                 .enumerate()
                 .filter(|(_, a)| is_external(&system, a))
                 .nth(suffix.convergence_index)
-                .map_or(schedule.len(), |(i, _)| i)
-        };
-        match suffix.violation {
-            // Liveness: the climb may consume `budget` messages; one more
-            // lost is a genuine failure to stabilize.
-            Some("DL8") | None if lost > budget => {
-                violation = Some(Violation {
-                    property: "DL8",
-                    at: Some(at()),
-                    reason: format!(
-                        "{lost} messages lost exceeds the corruption budget {budget} \
-                         ({} resets)",
-                        suffix.resets
-                    ),
-                });
+                .map_or(schedule.len(), |(i, _)| i);
+            Violation {
+                property,
+                at: Some(at),
+                reason,
             }
-            // Safety violations surviving every candidate convergence
-            // point (none are reachable from the current protocol — the
-            // monitor resets absorb prefix noise — but a counting-
-            // discipline regression would land here).
-            Some(property) if property != "DL8" => {
-                violation = Some(Violation {
-                    property,
-                    at: Some(at()),
-                    reason: format!(
-                        "no conforming suffix: {property} survives past every candidate \
-                         convergence point ({} resets)",
-                        suffix.resets
-                    ),
-                });
-            }
-            _ => {}
-        }
+        });
     }
     ExecOutcome {
         violation,
@@ -438,7 +418,7 @@ mod tests {
     #[test]
     fn registry_names_are_unique_and_resolvable() {
         let mut names: Vec<_> = all_targets().iter().map(|t| t.name).collect();
-        assert_eq!(names.len(), 10);
+        assert_eq!(names, Zoo::ALL.map(Zoo::name), "targets follow the zoo");
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), 10, "duplicate target names");

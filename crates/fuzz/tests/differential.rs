@@ -29,6 +29,7 @@ use dl_core::protocol::{CorruptedStart, DataLinkProtocol, StationAutomaton};
 use dl_core::spec::datalink::DlModule;
 use dl_core::spec::stabilize::SuffixMonitor;
 use dl_fuzz::{all_targets, ExecConfig, ExecOutcome, Genome, Target};
+use dl_protocols::Zoo;
 use dl_sim::{link_system, ConformancePolicy, RunReport, Runner};
 
 /// Genomes per target and corruption setting.
@@ -277,20 +278,12 @@ fn reference_stabilizing(genome: &Genome) -> Reference {
 }
 
 fn reference(target: &Target, genome: &Genome) -> Reference {
-    use dl_protocols as p;
-    match target.name {
-        "abp" => reference_protocol(p::abp::protocol(), genome),
-        "go-back-2" => reference_protocol(p::sliding_window::protocol(2), genome),
-        "go-back-8" => reference_protocol(p::sliding_window::protocol(8), genome),
-        "selective-repeat-4" => reference_protocol(p::selective_repeat::protocol(4), genome),
-        "fragmenting" => reference_protocol(p::fragmenting::protocol(), genome),
-        "parity" => reference_protocol(p::parity::protocol(), genome),
-        "stenning" => reference_protocol(p::stenning::protocol(), genome),
-        "nonvolatile" => reference_protocol(p::nonvolatile::protocol(), genome),
-        "quirky" => reference_protocol(p::quirky::protocol(), genome),
-        "stabilizing" => reference_stabilizing(genome),
-        other => panic!("no reference for target {other}"),
-    }
+    let member = Zoo::from_name(target.name).expect("every target is a zoo member");
+    dl_protocols::with_zoo_member!(
+        member,
+        protocol => reference_protocol(protocol, genome),
+        stabilizing => reference_stabilizing(genome),
+    )
 }
 
 #[test]

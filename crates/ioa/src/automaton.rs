@@ -557,15 +557,6 @@ macro_rules! deterministic_transitions {
     };
 }
 
-/// A state paired with a hash requirement, for algorithms that deduplicate
-/// states (reachability searches in tests).
-pub trait HashState: Automaton
-where
-    Self::State: Hash,
-{
-}
-impl<A: Automaton> HashState for A where A::State: Hash {}
-
 #[cfg(test)]
 mod tests {
     use super::*;

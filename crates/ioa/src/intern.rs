@@ -195,12 +195,6 @@ impl<S: Hash + Eq, H: BuildHasher> StateTable<S, H> {
         &self.states[id.index()]
     }
 
-    /// The interned states in id order.
-    #[must_use]
-    pub fn states(&self) -> &[S] {
-        &self.states
-    }
-
     /// The id of `state` if it is already interned.
     #[must_use]
     pub fn lookup(&self, state: &S) -> Option<StateId> {
@@ -217,51 +211,6 @@ impl<S: Hash + Eq, H: BuildHasher> StateTable<S, H> {
             return (id, false);
         }
         (self.insert_new(hash, state), true)
-    }
-
-    /// Interns a state whose hash under this table's hasher the caller
-    /// already knows (a sharded front-end sharing the hasher computed it
-    /// at claim time). `hash` **must** equal `hasher.hash_one(&state)`;
-    /// a wrong hash silently corrupts the index.
-    pub fn intern_prehashed(&mut self, hash: u64, state: S) -> (StateId, bool) {
-        debug_assert_eq!(
-            hash,
-            self.hasher.hash_one(&state),
-            "prehashed hash mismatch"
-        );
-        if let Some(id) = self.find(hash, &state) {
-            return (id, false);
-        }
-        (self.insert_new(hash, state), true)
-    }
-
-    /// The id of `state` when its hash under this table's hasher is
-    /// already known (a front-end sharing the hasher computed it at claim
-    /// time). `hash` **must** equal `hasher.hash_one(state)`.
-    #[must_use]
-    pub fn lookup_prehashed(&self, hash: u64, state: &S) -> Option<StateId> {
-        debug_assert_eq!(hash, self.hasher.hash_one(state), "prehashed hash mismatch");
-        self.find(hash, state)
-    }
-
-    /// Interns by reference, cloning only on a miss.
-    pub fn intern_ref(&mut self, state: &S) -> (StateId, bool)
-    where
-        S: Clone,
-    {
-        let hash = self.hasher.hash_one(state);
-        if let Some(id) = self.find(hash, state) {
-            return (id, false);
-        }
-        (self.insert_new(hash, state.clone()), true)
-    }
-
-    /// Absorbs another table (a per-shard arena, at a merge barrier) into
-    /// this one, returning the remap `other id index -> id in self`.
-    /// States already present keep their existing ids — merging is
-    /// idempotent and never perturbs ids handed out earlier.
-    pub fn absorb<H2: BuildHasher>(&mut self, other: StateTable<S, H2>) -> Vec<StateId> {
-        other.states.into_iter().map(|s| self.intern(s).0).collect()
     }
 
     /// Reserves room for at least `additional` more distinct states:
@@ -1306,17 +1255,6 @@ mod tests {
     }
 
     #[test]
-    fn intern_ref_clones_only_on_miss() {
-        let mut t = StateTable::new();
-        let s = vec![1u8, 2, 3];
-        let (id, fresh) = t.intern_ref(&s);
-        assert!(fresh);
-        let (id2, fresh2) = t.intern_ref(&s);
-        assert!(!fresh2);
-        assert_eq!(id, id2);
-    }
-
-    #[test]
     fn survives_growth_past_initial_capacity() {
         let mut t = StateTable::new();
         let ids: Vec<StateId> = (0..10_000u64).map(|n| t.intern(n).0).collect();
@@ -1327,23 +1265,6 @@ mod tests {
         }
         // Ids are insertion-dense.
         assert!(ids.iter().enumerate().all(|(i, id)| id.index() == i));
-    }
-
-    #[test]
-    fn absorb_remaps_and_preserves_existing_ids() {
-        let mut base = StateTable::new();
-        let (a, _) = base.intern("a".to_string());
-        let (b, _) = base.intern("b".to_string());
-
-        let mut shard = StateTable::new();
-        shard.intern("b".to_string());
-        shard.intern("c".to_string());
-
-        let remap = base.absorb(shard);
-        assert_eq!(remap[0], b, "duplicate keeps the pre-existing id");
-        assert_eq!(remap[1].index(), 2, "fresh state appended");
-        assert_eq!(base.get(a), "a");
-        assert_eq!(base.len(), 3);
     }
 
     #[test]

@@ -13,6 +13,9 @@
 //! | [`quirky`] — deliberately message-dependent | unbounded | yes | FIFO, no crashes | negative control: engines detect its false independence claim |
 //! | [`stabilizing`] — repetition/counting self-stabilizing link (arXiv 1011.3632) | unbounded | yes | **non-FIFO, arbitrary initial configuration** (eventual) | the Theorem 8.5 boundary revisited: unbounded headers + counting make even corrupted starts converge |
 //!
+//! [`Zoo`] lists these ten members once, with the stable names the
+//! engines share, and [`with_zoo_member!`] builds a member's protocol.
+//!
 //! Every protocol implements the `dl-core` traits ([`ioa::Automaton`],
 //! `StationAutomaton`, `MessageIndependent`) and follows the §5.1
 //! signatures; each module's tests drive the protocol end-to-end over the
@@ -43,6 +46,7 @@ pub mod selective_repeat;
 pub mod sliding_window;
 pub mod stabilizing;
 pub mod stenning;
+pub mod zoo;
 
 pub use abp::{AbpReceiver, AbpTransmitter};
 pub use fragmenting::{FragReceiver, FragTransmitter};
@@ -53,3 +57,4 @@ pub use selective_repeat::{SrReceiver, SrTransmitter};
 pub use sliding_window::{SwReceiver, SwTransmitter};
 pub use stabilizing::{StabReceiver, StabTransmitter};
 pub use stenning::{StenningReceiver, StenningTransmitter};
+pub use zoo::Zoo;

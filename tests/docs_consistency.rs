@@ -439,6 +439,9 @@ struct Names {
     types: BTreeMap<String, BTreeSet<String>>,
     /// Test and example file stems → every function the file declares.
     test_files: BTreeMap<String, BTreeSet<String>>,
+    /// `(alias, original)` for every `pub use … original as alias`: the
+    /// alias names the original's members too.
+    aliases: Vec<(String, String)>,
 }
 
 /// First segments of the `std` paths the docs may name.
@@ -589,6 +592,10 @@ impl Names {
                 names.index_file(&krate, module, &text);
             }
         }
+        for (alias, original) in std::mem::take(&mut names.aliases) {
+            let members = names.types.get(&original).cloned().unwrap_or_default();
+            names.types.entry(alias).or_default().extend(members);
+        }
         names
     }
 
@@ -727,11 +734,13 @@ impl Names {
         let body = statement
             .trim_start_matches("pub use ")
             .trim_end_matches(';');
-        let exported = self.module_names(&path);
         for group in body.split([',', '{', '}']) {
-            let last = group.split([':', ' ']).rfind(|w| !w.is_empty());
-            if let Some(name) = last.filter(|n| !matches!(*n, "self" | "*")) {
-                exported.insert(name.to_string());
+            let words: Vec<&str> = group.split([':', ' ']).filter(|w| !w.is_empty()).collect();
+            if let [.., original, "as", alias] = words[..] {
+                self.aliases.push((alias.to_string(), original.to_string()));
+            }
+            if let Some(name) = words.last().filter(|n| !matches!(**n, "self" | "*")) {
+                self.module_names(&path).insert(name.to_string());
             }
         }
     }
