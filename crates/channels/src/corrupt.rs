@@ -199,10 +199,6 @@ impl Automaton for CorruptChannel {
     type Action = DlAction;
     type State = FlightState;
 
-    fn start_states(&self) -> Vec<FlightState> {
-        vec![self.start_state()]
-    }
-
     fn start_state(&self) -> FlightState {
         FlightState {
             in_flight: self.spec.ghost_packets(self.dir),
@@ -216,25 +212,14 @@ impl Automaton for CorruptChannel {
 
     ioa::deterministic_transitions!();
 
-    fn enabled_local(&self, s: &FlightState) -> Vec<DlAction> {
-        let mut out = Vec::with_capacity(s.in_flight.len());
-        for p in &s.in_flight {
-            let a = DlAction::ReceivePkt(self.dir, *p);
-            if !out.contains(&a) {
-                out.push(a);
-            }
-        }
-        out
-    }
-
     fn for_each_enabled_local(
         &self,
         s: &FlightState,
         f: &mut dyn FnMut(DlAction) -> ControlFlow<()>,
     ) -> ControlFlow<()> {
-        // First-occurrence dedup without a scratch Vec: in-flight
-        // populations are capacity-bounded (≤ 255), so the quadratic
-        // scan is cheaper than an allocation.
+        // Each distinct in-flight packet once, at its first occurrence.
+        // In-flight populations are capacity-bounded (≤ 255), so the
+        // quadratic scan is cheaper than a scratch set.
         for (i, p) in s.in_flight.iter().enumerate() {
             if s.in_flight[..i].iter().any(|q| q == p) {
                 continue;

@@ -319,10 +319,6 @@ impl Automaton for FaultyChannel {
     type Action = DlAction;
     type State = FlightState;
 
-    fn start_states(&self) -> Vec<FlightState> {
-        vec![self.start_state()]
-    }
-
     fn start_state(&self) -> FlightState {
         let mut s = FlightState::default();
         for i in 0..self.ghosts.count {
@@ -337,26 +333,14 @@ impl Automaton for FaultyChannel {
 
     ioa::deterministic_transitions!();
 
-    fn enabled_local(&self, s: &FlightState) -> Vec<DlAction> {
-        let window = self.spec.window().min(s.in_flight.len());
-        let mut out = Vec::with_capacity(window);
-        for p in &s.in_flight[..window] {
-            let a = DlAction::ReceivePkt(self.dir, *p);
-            if !out.contains(&a) {
-                out.push(a);
-            }
-        }
-        out
-    }
-
     fn for_each_enabled_local(
         &self,
         s: &FlightState,
         f: &mut dyn FnMut(DlAction) -> ControlFlow<()>,
     ) -> ControlFlow<()> {
-        // Same first-occurrence dedup as `enabled_local`, without the
-        // scratch Vec: windows are tiny (≤ 255), the quadratic scan is
-        // cheaper than an allocation.
+        // Each distinct packet of the delivery window once, at its first
+        // occurrence. Windows are tiny (≤ 255), so the quadratic scan is
+        // cheaper than a scratch set.
         let window = self.spec.window().min(s.in_flight.len());
         let eligible = &s.in_flight[..window];
         for (i, p) in eligible.iter().enumerate() {

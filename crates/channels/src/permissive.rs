@@ -18,6 +18,8 @@
 //! `S`. Each returns a state the same schedule "can leave the channel in",
 //! which is precisely how the impossibility proofs use the channels.
 
+use std::ops::ControlFlow;
+
 use ioa::action::ActionClass;
 use ioa::automaton::{Automaton, TaskId};
 
@@ -336,10 +338,6 @@ impl Automaton for PermissiveChannel {
     type Action = DlAction;
     type State = ChannelState;
 
-    fn start_states(&self) -> Vec<ChannelState> {
-        vec![self.start_state()]
-    }
-
     fn start_state(&self) -> ChannelState {
         // Canonical representative; the full start set (all delivery sets)
         // is reachable through `initial_state`.
@@ -374,11 +372,15 @@ impl Automaton for PermissiveChannel {
         }
     }
 
-    fn enabled_local(&self, s: &ChannelState) -> Vec<DlAction> {
-        s.next_delivery()
-            .map(|p| DlAction::ReceivePkt(self.dir, *p))
-            .into_iter()
-            .collect()
+    fn for_each_enabled_local(
+        &self,
+        s: &ChannelState,
+        f: &mut dyn FnMut(DlAction) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        match s.next_delivery() {
+            Some(p) => f(DlAction::ReceivePkt(self.dir, *p)),
+            None => ControlFlow::Continue(()),
+        }
     }
 
     fn task_of(&self, _a: &DlAction) -> TaskId {

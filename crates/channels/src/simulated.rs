@@ -238,10 +238,6 @@ impl Automaton for LossyFifoChannel {
     type Action = DlAction;
     type State = FlightState;
 
-    fn start_states(&self) -> Vec<FlightState> {
-        vec![self.start_state()]
-    }
-
     fn start_state(&self) -> FlightState {
         FlightState::default()
     }
@@ -318,14 +314,6 @@ impl Automaton for LossyFifoChannel {
         }
     }
 
-    fn enabled_local(&self, s: &FlightState) -> Vec<DlAction> {
-        s.in_flight
-            .first()
-            .map(|p| DlAction::ReceivePkt(self.dir, *p))
-            .into_iter()
-            .collect()
-    }
-
     fn for_each_enabled_local(
         &self,
         s: &FlightState,
@@ -393,10 +381,6 @@ impl ReorderChannel {
 impl Automaton for ReorderChannel {
     type Action = DlAction;
     type State = FlightState;
-
-    fn start_states(&self) -> Vec<FlightState> {
-        vec![self.start_state()]
-    }
 
     fn start_state(&self) -> FlightState {
         FlightState::default()
@@ -476,24 +460,13 @@ impl Automaton for ReorderChannel {
         }
     }
 
-    fn enabled_local(&self, s: &FlightState) -> Vec<DlAction> {
-        let mut out = Vec::new();
-        for p in &s.in_flight {
-            let a = DlAction::ReceivePkt(self.dir, *p);
-            if !out.contains(&a) {
-                out.push(a);
-            }
-        }
-        out
-    }
-
     fn for_each_enabled_local(
         &self,
         s: &FlightState,
         f: &mut dyn FnMut(DlAction) -> ControlFlow<()>,
     ) -> ControlFlow<()> {
-        // Same first-occurrence dedup as `enabled_local`, without the
-        // scratch Vec: flights are short, so the quadratic scan is cheap.
+        // Each distinct in-flight packet once, at its first occurrence.
+        // Flights are short, so the quadratic scan is cheap.
         for (i, p) in s.in_flight.iter().enumerate() {
             if s.in_flight[..i].iter().any(|q| q == p) {
                 continue;

@@ -17,6 +17,7 @@
 //! `receive_msg` output as input).
 
 use std::fmt;
+use std::ops::ControlFlow;
 
 use ioa::action::ActionClass;
 use ioa::automaton::{Automaton, Deterministic, TaskId};
@@ -240,8 +241,8 @@ impl Automaton for WdlObserver {
     type Action = DlAction;
     type State = ObserverState;
 
-    fn start_states(&self) -> Vec<ObserverState> {
-        vec![ObserverState::default()]
+    fn start_state(&self) -> ObserverState {
+        ObserverState::default()
     }
 
     fn classify(&self, a: &DlAction) -> Option<ActionClass> {
@@ -253,8 +254,13 @@ impl Automaton for WdlObserver {
 
     ioa::deterministic_transitions!();
 
-    fn enabled_local(&self, _s: &ObserverState) -> Vec<DlAction> {
-        vec![]
+    /// Inputs only: nothing is ever enabled locally.
+    fn for_each_enabled_local(
+        &self,
+        _s: &ObserverState,
+        _f: &mut dyn FnMut(DlAction) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        ControlFlow::Continue(())
     }
 
     fn task_of(&self, _a: &DlAction) -> TaskId {
@@ -272,7 +278,7 @@ mod tests {
 
     fn drive(actions: &[DlAction]) -> ObserverState {
         let o = WdlObserver;
-        let mut s = o.start_states().remove(0);
+        let mut s = o.start_state();
         for a in actions {
             s = o.step_first(&s, a).unwrap();
         }

@@ -155,9 +155,6 @@ impl<A: StationAutomaton> Automaton for CorruptedStart<A> {
     type Action = DlAction;
     type State = A::State;
 
-    fn start_states(&self) -> Vec<A::State> {
-        vec![self.start_state()]
-    }
     fn start_state(&self) -> A::State {
         self.inner.corrupted_start(self.seq)
     }
@@ -166,9 +163,6 @@ impl<A: StationAutomaton> Automaton for CorruptedStart<A> {
     }
     fn successors(&self, s: &A::State, a: &DlAction) -> Vec<A::State> {
         self.inner.successors(s, a)
-    }
-    fn enabled_local(&self, s: &A::State) -> Vec<DlAction> {
-        self.inner.enabled_local(s)
     }
     fn task_of(&self, a: &DlAction) -> ioa::automaton::TaskId {
         self.inner.task_of(a)
@@ -354,9 +348,9 @@ where
     Ok(())
 }
 
-/// Audits the *crashing* property (§5.3.2) on a sample of states: the
-/// automaton must have a unique start state, and `crash` from every sample
-/// state must step exactly to it.
+/// Audits the *crashing* property (§5.3.2) on a sample of states: `crash`
+/// from every sample state must step exactly to the automaton's (unique)
+/// start state.
 ///
 /// # Errors
 ///
@@ -365,18 +359,11 @@ pub fn check_crashing<M>(automaton: &M, sample: &[M::State]) -> Result<(), Strin
 where
     M: StationAutomaton,
 {
-    let starts = automaton.start_states();
-    if starts.len() != 1 {
-        return Err(format!(
-            "crashing requires a unique start state; found {}",
-            starts.len()
-        ));
-    }
-    let q0 = &starts[0];
+    let q0 = automaton.start_state();
     let crash = DlAction::Crash(automaton.station());
     for s in sample {
         let succs = automaton.successors(s, &crash);
-        if succs.as_slice() != std::slice::from_ref(q0) {
+        if succs.as_slice() != std::slice::from_ref(&q0) {
             return Err(format!(
                 "crash from state {s:?} yields {succs:?}, expected exactly the start state {q0:?}"
             ));
@@ -412,6 +399,8 @@ pub fn action_sample() -> Vec<DlAction> {
 
 #[cfg(test)]
 mod tests {
+    use std::ops::ControlFlow;
+
     use super::*;
     use crate::action::{Msg, Packet};
     use ioa::automaton::TaskId;
@@ -529,8 +518,8 @@ mod tests {
         type Action = DlAction;
         type State = u8;
 
-        fn start_states(&self) -> Vec<u8> {
-            vec![0]
+        fn start_state(&self) -> u8 {
+            0
         }
         fn classify(&self, a: &DlAction) -> Option<ActionClass> {
             transmitter_classify(a)
@@ -547,8 +536,12 @@ mod tests {
                 _ => vec![],
             }
         }
-        fn enabled_local(&self, _s: &u8) -> Vec<DlAction> {
-            vec![]
+        fn for_each_enabled_local(
+            &self,
+            _s: &u8,
+            _f: &mut dyn FnMut(DlAction) -> ControlFlow<()>,
+        ) -> ControlFlow<()> {
+            ControlFlow::Continue(())
         }
         fn task_of(&self, _a: &DlAction) -> TaskId {
             TaskId(0)
@@ -569,8 +562,8 @@ mod tests {
         type Action = DlAction;
         type State = u8;
 
-        fn start_states(&self) -> Vec<u8> {
-            vec![0]
+        fn start_state(&self) -> u8 {
+            0
         }
         fn classify(&self, a: &DlAction) -> Option<ActionClass> {
             receiver_classify(a)
@@ -587,8 +580,12 @@ mod tests {
                 _ => vec![],
             }
         }
-        fn enabled_local(&self, _s: &u8) -> Vec<DlAction> {
-            vec![]
+        fn for_each_enabled_local(
+            &self,
+            _s: &u8,
+            _f: &mut dyn FnMut(DlAction) -> ControlFlow<()>,
+        ) -> ControlFlow<()> {
+            ControlFlow::Continue(())
         }
         fn task_of(&self, _a: &DlAction) -> TaskId {
             TaskId(0)

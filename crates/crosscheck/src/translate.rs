@@ -4,12 +4,14 @@
 //!
 //! The bridge deliberately consumes the *allocating* `Automaton` API
 //! family — [`Automaton::successors`] and [`Automaton::enabled_local`]
-//! — while `dl-explore` drives the streaming callbacks
-//! (`try_for_each_successor` / `for_each_enabled_local`). The trait
-//! contract says both families enumerate identically, so the
-//! differential also cross-checks that contract on every composed
-//! automaton it touches: an override whose callback order drifted from
-//! its `Vec` order would show up as a count or trace disagreement.
+//! — while `dl-explore` drives the in-place and callback forms
+//! (`step_in_place` / `for_each_enabled_local`). Every leaf writes its
+//! enabled actions once, as the walk `enabled_local` collects, so that
+//! half is model code both checkers share (with `Compose2`'s defensive
+//! filter on top). The successor half still cross-checks the trait
+//! contract on every composed automaton it touches: an in-place override
+//! whose order drifted from `successors` would show up as a count or
+//! trace disagreement.
 
 use std::fmt::Debug;
 use std::hash::Hash;
@@ -97,8 +99,8 @@ mod tests {
         type State = u8;
         type Action = Act;
 
-        fn start_states(&self) -> Vec<u8> {
-            vec![0]
+        fn start_state(&self) -> u8 {
+            0
         }
         fn classify(&self, a: &Act) -> Option<ActionClass> {
             Some(match a {
@@ -112,8 +114,12 @@ mod tests {
                 Act::Reset => vec![0],
             }
         }
-        fn enabled_local(&self, _s: &u8) -> Vec<Act> {
-            vec![Act::Tick]
+        fn for_each_enabled_local(
+            &self,
+            _s: &u8,
+            f: &mut dyn FnMut(Act) -> std::ops::ControlFlow<()>,
+        ) -> std::ops::ControlFlow<()> {
+            f(Act::Tick)
         }
         fn task_of(&self, _a: &Act) -> TaskId {
             TaskId(0)

@@ -59,7 +59,7 @@ pub fn observer_of<TS, RS, CS1, CS2>(s: &SysState<TS, RS, CS1, CS2>) -> &Observe
 
 /// The canonical exploration start: both media woken once.
 pub fn woken_start<M: Automaton<Action = DlAction>>(sys: &M) -> M::State {
-    let s0 = sys.start_states().remove(0);
+    let s0 = sys.start_state();
     let s1 = sys.step_first(&s0, &DlAction::Wake(Dir::TR)).unwrap();
     sys.step_first(&s1, &DlAction::Wake(Dir::RT)).unwrap()
 }

@@ -6,6 +6,7 @@
 //! must also agree with each other exactly.
 
 use std::collections::HashSet;
+use std::ops::ControlFlow;
 
 use proptest::prelude::*;
 
@@ -31,8 +32,8 @@ impl Automaton for Table {
     type Action = Act;
     type State = u8;
 
-    fn start_states(&self) -> Vec<u8> {
-        vec![0]
+    fn start_state(&self) -> u8 {
+        0
     }
     fn classify(&self, a: &Act) -> Option<ActionClass> {
         Some(match a {
@@ -49,8 +50,15 @@ impl Automaton for Table {
             Act::Teleport => vec![1 % self.table.len() as u8],
         }
     }
-    fn enabled_local(&self, s: &u8) -> Vec<Act> {
-        (0..self.table[*s as usize].len()).map(Act::Step).collect()
+    fn for_each_enabled_local(
+        &self,
+        s: &u8,
+        f: &mut dyn FnMut(Act) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        for k in 0..self.table[*s as usize].len() {
+            f(Act::Step(k))?;
+        }
+        ControlFlow::Continue(())
     }
     fn task_of(&self, _a: &Act) -> TaskId {
         TaskId(0)

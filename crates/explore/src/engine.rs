@@ -906,8 +906,8 @@ mod tests {
         type Action = Act;
         type State = u8;
 
-        fn start_states(&self) -> Vec<u8> {
-            vec![0]
+        fn start_state(&self) -> u8 {
+            0
         }
         fn classify(&self, a: &Act) -> Option<ActionClass> {
             Some(match a {
@@ -927,11 +927,15 @@ mod tests {
                 }
             }
         }
-        fn enabled_local(&self, s: &u8) -> Vec<Act> {
+        fn for_each_enabled_local(
+            &self,
+            s: &u8,
+            f: &mut dyn FnMut(Act) -> ControlFlow<()>,
+        ) -> ControlFlow<()> {
             if s.is_multiple_of(2) {
-                vec![Act::Tick]
+                f(Act::Tick)
             } else {
-                vec![]
+                ControlFlow::Continue(())
             }
         }
         fn task_of(&self, _a: &Act) -> TaskId {
@@ -1055,8 +1059,8 @@ mod tests {
         type Action = u8;
         type State = u8;
 
-        fn start_states(&self) -> Vec<u8> {
-            vec![0]
+        fn start_state(&self) -> u8 {
+            0
         }
         fn classify(&self, _a: &u8) -> Option<ActionClass> {
             Some(ActionClass::Output)
@@ -1069,13 +1073,21 @@ mod tests {
                 _ => vec![],
             }
         }
-        fn enabled_local(&self, s: &u8) -> Vec<u8> {
-            match s {
-                0 => vec![1, 2],
-                1 => vec![3],
-                2 => vec![4],
-                _ => vec![],
+        fn for_each_enabled_local(
+            &self,
+            s: &u8,
+            f: &mut dyn FnMut(u8) -> ControlFlow<()>,
+        ) -> ControlFlow<()> {
+            let enabled: &[u8] = match s {
+                0 => &[1, 2],
+                1 => &[3],
+                2 => &[4],
+                _ => &[],
+            };
+            for &a in enabled {
+                f(a)?;
             }
+            ControlFlow::Continue(())
         }
         fn task_of(&self, _a: &u8) -> TaskId {
             TaskId(0)
@@ -1249,8 +1261,8 @@ mod tests {
         type Action = u8;
         type State = u16;
 
-        fn start_states(&self) -> Vec<u16> {
-            vec![0]
+        fn start_state(&self) -> u16 {
+            0
         }
         fn classify(&self, _a: &u8) -> Option<ActionClass> {
             Some(ActionClass::Output)
@@ -1259,8 +1271,12 @@ mod tests {
             let next = (u32::from(*s) * 8 + u32::from(*a) + 1) % u32::from(self.n);
             vec![next as u16]
         }
-        fn enabled_local(&self, _s: &u16) -> Vec<u8> {
-            (0..8).collect()
+        fn for_each_enabled_local(
+            &self,
+            _s: &u16,
+            f: &mut dyn FnMut(u8) -> ControlFlow<()>,
+        ) -> ControlFlow<()> {
+            (0..8).try_for_each(f)
         }
         fn task_of(&self, _a: &u8) -> TaskId {
             TaskId(0)

@@ -69,6 +69,8 @@
 //! # Example
 //!
 //! ```
+//! use std::ops::ControlFlow;
+//!
 //! use ioa::{ActionClass, Automaton, TaskId};
 //! use dl_explore::ParallelExplorer;
 //!
@@ -78,10 +80,16 @@
 //! impl Automaton for C {
 //!     type Action = ();
 //!     type State = u8;
-//!     fn start_states(&self) -> Vec<u8> { vec![0] }
+//!     fn start_state(&self) -> u8 { 0 }
 //!     fn classify(&self, _: &()) -> Option<ActionClass> { Some(ActionClass::Output) }
 //!     fn successors(&self, s: &u8, _: &()) -> Vec<u8> { vec![(s + 1) % 4] }
-//!     fn enabled_local(&self, _: &u8) -> Vec<()> { vec![()] }
+//!     fn for_each_enabled_local(
+//!         &self,
+//!         _: &u8,
+//!         f: &mut dyn FnMut(()) -> ControlFlow<()>,
+//!     ) -> ControlFlow<()> {
+//!         f(())
+//!     }
 //!     fn task_of(&self, _: &()) -> TaskId { TaskId(0) }
 //!     fn task_count(&self) -> usize { 1 }
 //! }

@@ -5,6 +5,7 @@
 //! worker claims the state. check.sh runs this file under `timeout`, so a
 //! hang fails the stage.
 
+use std::ops::ControlFlow;
 use std::panic::{self, AssertUnwindSafe};
 
 use dl_explore::{Invariant, ParallelExplorer};
@@ -23,8 +24,8 @@ impl Automaton for Spread {
     type Action = u8;
     type State = u16;
 
-    fn start_states(&self) -> Vec<u16> {
-        vec![0]
+    fn start_state(&self) -> u16 {
+        0
     }
     fn classify(&self, _a: &u8) -> Option<ActionClass> {
         Some(ActionClass::Output)
@@ -36,8 +37,12 @@ impl Automaton for Spread {
         let next = (u32::from(*s) * 8 + u32::from(*a) + 1) % u32::from(self.n);
         vec![next as u16]
     }
-    fn enabled_local(&self, _s: &u16) -> Vec<u8> {
-        (0..8).collect()
+    fn for_each_enabled_local(
+        &self,
+        _s: &u16,
+        f: &mut dyn FnMut(u8) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        (0..8).try_for_each(f)
     }
     fn successor_count(&self, _s: &u16, _a: &u8) -> usize {
         1

@@ -301,12 +301,7 @@ fn states_along<M: ProtocolAutomaton>(
     trace: &[DlAction],
 ) -> Result<InternedSeq<M::State>, CrashError> {
     let mut out = InternedSeq::new();
-    out.push(
-        aut.start_states()
-            .into_iter()
-            .next()
-            .expect("protocol automata have a start state"),
-    );
+    out.push(aut.start_state());
     for a in trace {
         if aut.in_signature(a) {
             let cur = out.last().expect("non-empty");
@@ -615,14 +610,8 @@ where
 
     fn check_crashed_to_start(&self, x: Station) -> Result<(), CrashError> {
         let ok = match x {
-            Station::T => {
-                let starts = self.driver.tx().start_states();
-                starts.len() == 1 && *self.driver.state.transmitter() == starts[0]
-            }
-            Station::R => {
-                let starts = self.driver.rx().start_states();
-                starts.len() == 1 && *self.driver.state.receiver() == starts[0]
-            }
+            Station::T => *self.driver.state.transmitter() == self.driver.tx().start_state(),
+            Station::R => *self.driver.state.receiver() == self.driver.rx().start_state(),
         };
         if ok {
             Ok(())

@@ -141,7 +141,7 @@ impl<T: ProtocolAutomaton, R: ProtocolAutomaton> Driver<T, R> {
             PermissiveChannel::universal
         };
         let system = link_system(tx, rx, channel(Dir::TR), channel(Dir::RT));
-        let state = system.start_states().remove(0);
+        let state = system.start_state();
         Driver {
             system,
             state,
@@ -287,8 +287,8 @@ impl<T: ProtocolAutomaton, R: ProtocolAutomaton> Driver<T, R> {
     ///
     /// # Errors
     ///
-    /// Propagates [`DriverError::NotEnabled`] (an automaton whose
-    /// `enabled_local` lies).
+    /// Propagates [`DriverError::NotEnabled`] (an automaton whose enabled
+    /// walk yields an action it refuses).
     pub fn fair_step(&mut self, sched: Scheduling) -> Result<Option<DlAction>, DriverError> {
         // The composition enumerates the transmitter's, the receiver's,
         // then each channel's actions; file each under the component that

@@ -21,11 +21,20 @@ pub struct TaskId(pub usize);
 ///
 /// 1. the action signature, via [`classify`](Automaton::classify);
 /// 2. the (implicit) state set, the associated type [`State`](Automaton::State);
-/// 3. the start states, [`start_states`](Automaton::start_states) (and the
-///    start state, [`start_state`](Automaton::start_state));
-/// 4. the transition relation, [`successors`](Automaton::successors);
+/// 3. the start state, [`start_state`](Automaton::start_state) (and the
+///    set `start(A)` it forms, [`start_states`](Automaton::start_states));
+/// 4. the transition relation, [`successors`](Automaton::successors), and
+///    the enabled locally-controlled actions,
+///    [`for_each_enabled_local`](Automaton::for_each_enabled_local);
 /// 5. the task partition, [`task_of`](Automaton::task_of) /
 ///    [`task_count`](Automaton::task_count).
+///
+/// Those six methods are the ones an implementation writes (`successors`
+/// through [`deterministic_transitions!`](crate::deterministic_transitions)
+/// for a [`Deterministic`] automaton). Every other method is derived from
+/// them: the `Vec` forms [`start_states`](Automaton::start_states) and
+/// [`enabled_local`](Automaton::enabled_local) collect the start state and
+/// the enabled walk, so an automaton defines each only once.
 ///
 /// # Input-enabledness
 ///
@@ -51,24 +60,20 @@ pub trait Automaton {
     /// states instead of storing copies.
     type State: Clone + Eq + Hash + Debug;
 
-    /// The set `start(A)` of start states; must be non-empty.
-    fn start_states(&self) -> Vec<Self::State>;
-
-    /// The first state of [`start_states`](Automaton::start_states) — the
-    /// start state, for an automaton with one (every automaton in this
-    /// workspace has exactly one).
+    /// The start state. Every automaton in this workspace has exactly one;
+    /// a search from other states takes them explicitly (the explorer's
+    /// `check_invariant_from`, the permissive channels' `initial_state`).
     ///
-    /// The default collects the set and keeps its head. The automata a
-    /// session composes per run override it to build the state without a
-    /// `Vec`: a leaf returns its state, and
+    /// Built without a `Vec`: a leaf returns its state, and
     /// [`Compose2`](crate::composition::Compose2) pairs its components'
     /// start states, so a composed start state costs no allocation of its
     /// own.
-    fn start_state(&self) -> Self::State {
-        self.start_states()
-            .into_iter()
-            .next()
-            .expect("start(A) is non-empty")
+    fn start_state(&self) -> Self::State;
+
+    /// The set `start(A)` of start states: the one
+    /// [`start_state`](Automaton::start_state), in a `Vec`.
+    fn start_states(&self) -> Vec<Self::State> {
+        vec![self.start_state()]
     }
 
     /// Classifies `action` within this automaton's signature, or `None` if
@@ -81,11 +86,20 @@ pub trait Automaton {
     /// permitted for locally-controlled actions (inputs are always enabled).
     fn successors(&self, state: &Self::State, action: &Self::Action) -> Vec<Self::State>;
 
-    /// The locally-controlled actions enabled in `state`.
+    /// Visits every locally-controlled action enabled in `state`, stopping
+    /// early when `f` breaks. Returns whatever the last `f` call returned.
     ///
-    /// Every action returned must classify as output or internal and have at
-    /// least one successor from `state`.
-    fn enabled_local(&self, state: &Self::State) -> Vec<Self::Action>;
+    /// Every action visited must classify as output or internal and have at
+    /// least one successor from `state`. This walk is the automaton's one
+    /// definition of its enabled actions: the sessions, the fuzzer and the
+    /// explorer step it, and [`enabled_local`](Automaton::enabled_local)
+    /// collects it for the proof engines and `dl-crosscheck`. The order is
+    /// part of the contract, since executors pick actions by position.
+    fn for_each_enabled_local(
+        &self,
+        state: &Self::State,
+        f: &mut dyn FnMut(Self::Action) -> ControlFlow<()>,
+    ) -> ControlFlow<()>;
 
     /// The task-partition class of a locally-controlled action.
     ///
@@ -146,19 +160,18 @@ pub trait Automaton {
         });
     }
 
-    /// Visits every enabled locally-controlled action in the same order
-    /// [`enabled_local`](Automaton::enabled_local) would return them,
-    /// stopping early when `f` breaks — the allocation-free form of
-    /// `enabled_local` for automata that override it.
-    fn for_each_enabled_local(
-        &self,
-        state: &Self::State,
-        f: &mut dyn FnMut(Self::Action) -> ControlFlow<()>,
-    ) -> ControlFlow<()> {
-        for a in self.enabled_local(state) {
-            f(a)?;
-        }
-        ControlFlow::Continue(())
+    /// The locally-controlled actions enabled in `state`: the
+    /// [`for_each_enabled_local`](Automaton::for_each_enabled_local) walk,
+    /// collected in its order. [`Compose2`](crate::composition::Compose2)
+    /// overrides it to drop an action the other component refuses, which
+    /// its walk only asserts against in debug builds.
+    fn enabled_local(&self, state: &Self::State) -> Vec<Self::Action> {
+        let mut out = Vec::new();
+        let _ = self.for_each_enabled_local(state, &mut |a| {
+            out.push(a);
+            ControlFlow::Continue(())
+        });
+        out
     }
 
     /// Visits the enabled locally-controlled actions of task class `task`
@@ -355,9 +368,6 @@ impl<A: Automaton + ?Sized> Automaton for &A {
     type Action = A::Action;
     type State = A::State;
 
-    fn start_states(&self) -> Vec<Self::State> {
-        (**self).start_states()
-    }
     fn start_state(&self) -> Self::State {
         (**self).start_state()
     }
@@ -367,6 +377,8 @@ impl<A: Automaton + ?Sized> Automaton for &A {
     fn successors(&self, state: &Self::State, action: &Self::Action) -> Vec<Self::State> {
         (**self).successors(state, action)
     }
+    // Forwarded so a composition's filtered `enabled_local` survives the
+    // reference.
     fn enabled_local(&self, state: &Self::State) -> Vec<Self::Action> {
         (**self).enabled_local(state)
     }
@@ -460,6 +472,8 @@ pub trait Deterministic: Automaton {
 /// `step_first`, `is_enabled`, `successor_count` and `step_chosen`.
 ///
 /// ```
+/// use std::ops::ControlFlow;
+///
 /// use ioa::{deterministic_transitions, ActionClass, Automaton, Deterministic, TaskId};
 ///
 /// /// Counts `Tick`s modulo 3; `Reset` is an input.
@@ -478,12 +492,18 @@ pub trait Deterministic: Automaton {
 /// impl Automaton for Counter {
 ///     type Action = Act;
 ///     type State = u8;
-///     fn start_states(&self) -> Vec<u8> { vec![0] }
+///     fn start_state(&self) -> u8 { 0 }
 ///     fn classify(&self, a: &Act) -> Option<ActionClass> {
 ///         Some(match a { Act::Reset => ActionClass::Input, Act::Tick => ActionClass::Output })
 ///     }
 ///     deterministic_transitions!();
-///     fn enabled_local(&self, _s: &u8) -> Vec<Act> { vec![Act::Tick] }
+///     fn for_each_enabled_local(
+///         &self,
+///         _s: &u8,
+///         f: &mut dyn FnMut(Act) -> ControlFlow<()>,
+///     ) -> ControlFlow<()> {
+///         f(Act::Tick)
+///     }
 ///     fn task_of(&self, _a: &Act) -> TaskId { TaskId(0) }
 ///     fn task_count(&self) -> usize { 1 }
 /// }
@@ -493,6 +513,7 @@ pub trait Deterministic: Automaton {
 /// assert!(Counter.step_chosen(&mut s, &Act::Tick, &mut |n| n - 1));
 /// assert_eq!(s, 0);
 /// assert!(!Counter.step_in_place(&mut s, &Act::Tick, 1));
+/// assert_eq!(Counter.enabled_local(&s), vec![Act::Tick]);
 /// ```
 #[macro_export]
 macro_rules! deterministic_transitions {
@@ -574,8 +595,8 @@ mod tests {
         type Action = Act;
         type State = u8;
 
-        fn start_states(&self) -> Vec<u8> {
-            vec![0]
+        fn start_state(&self) -> u8 {
+            0
         }
         fn classify(&self, a: &Act) -> Option<ActionClass> {
             Some(match a {
@@ -589,8 +610,12 @@ mod tests {
                 Act::Tick => vec![(s + 1) % 3],
             }
         }
-        fn enabled_local(&self, _s: &u8) -> Vec<Act> {
-            vec![Act::Tick]
+        fn for_each_enabled_local(
+            &self,
+            _s: &u8,
+            f: &mut dyn FnMut(Act) -> ControlFlow<()>,
+        ) -> ControlFlow<()> {
+            f(Act::Tick)
         }
         fn task_of(&self, _a: &Act) -> TaskId {
             TaskId(0)
@@ -662,8 +687,8 @@ mod tests {
         impl Automaton for Coin {
             type Action = Act;
             type State = u8;
-            fn start_states(&self) -> Vec<u8> {
-                vec![0]
+            fn start_state(&self) -> u8 {
+                0
             }
             fn classify(&self, _a: &Act) -> Option<ActionClass> {
                 Some(ActionClass::Input)
@@ -671,8 +696,12 @@ mod tests {
             fn successors(&self, _s: &u8, _a: &Act) -> Vec<u8> {
                 vec![0, 1]
             }
-            fn enabled_local(&self, _s: &u8) -> Vec<Act> {
-                vec![]
+            fn for_each_enabled_local(
+                &self,
+                _s: &u8,
+                _f: &mut dyn FnMut(Act) -> ControlFlow<()>,
+            ) -> ControlFlow<()> {
+                ControlFlow::Continue(())
             }
             fn task_of(&self, _a: &Act) -> TaskId {
                 TaskId(0)
@@ -714,8 +743,8 @@ mod tests {
         impl Automaton for TwoTask {
             type Action = Act;
             type State = u8;
-            fn start_states(&self) -> Vec<u8> {
-                vec![0]
+            fn start_state(&self) -> u8 {
+                0
             }
             fn classify(&self, _a: &Act) -> Option<ActionClass> {
                 Some(ActionClass::Output)
@@ -723,8 +752,15 @@ mod tests {
             fn successors(&self, s: &u8, _a: &Act) -> Vec<u8> {
                 vec![*s]
             }
-            fn enabled_local(&self, _s: &u8) -> Vec<Act> {
-                vec![Act::Tick, Act::Reset, Act::Tick]
+            fn for_each_enabled_local(
+                &self,
+                _s: &u8,
+                f: &mut dyn FnMut(Act) -> ControlFlow<()>,
+            ) -> ControlFlow<()> {
+                for a in [Act::Tick, Act::Reset, Act::Tick] {
+                    f(a)?;
+                }
+                ControlFlow::Continue(())
             }
             fn task_of(&self, a: &Act) -> TaskId {
                 TaskId(usize::from(*a == Act::Tick))
@@ -774,8 +810,8 @@ mod tests {
         impl Automaton for Pair2 {
             type Action = Act;
             type State = u8;
-            fn start_states(&self) -> Vec<u8> {
-                vec![0]
+            fn start_state(&self) -> u8 {
+                0
             }
             fn classify(&self, _a: &Act) -> Option<ActionClass> {
                 Some(ActionClass::Input)
@@ -795,8 +831,12 @@ mod tests {
                 }
                 ControlFlow::Continue(())
             }
-            fn enabled_local(&self, _s: &u8) -> Vec<Act> {
-                vec![]
+            fn for_each_enabled_local(
+                &self,
+                _s: &u8,
+                _f: &mut dyn FnMut(Act) -> ControlFlow<()>,
+            ) -> ControlFlow<()> {
+                ControlFlow::Continue(())
             }
             fn task_of(&self, _a: &Act) -> TaskId {
                 TaskId(0)

@@ -228,15 +228,6 @@ where
     type Action = A;
     type State = Pair<L::State, R::State>;
 
-    fn start_states(&self) -> Vec<Self::State> {
-        let rs = self.right.start_states();
-        self.left
-            .start_states()
-            .into_iter()
-            .flat_map(|l| rs.iter().map(move |r| Pair::new(l.clone(), r.clone())))
-            .collect()
-    }
-
     fn start_state(&self) -> Self::State {
         Pair::new(self.left.start_state(), self.right.start_state())
     }
@@ -518,8 +509,8 @@ mod tests {
         type Action = Act;
         type State = Option<u8>;
 
-        fn start_states(&self) -> Vec<Self::State> {
-            vec![None]
+        fn start_state(&self) -> Self::State {
+            None
         }
         fn classify(&self, a: &Act) -> Option<ActionClass> {
             match a {
@@ -535,8 +526,15 @@ mod tests {
                 _ => vec![],
             }
         }
-        fn enabled_local(&self, s: &Self::State) -> Vec<Act> {
-            s.iter().map(|n| Act::Mid(*n)).collect()
+        fn for_each_enabled_local(
+            &self,
+            s: &Self::State,
+            f: &mut dyn FnMut(Act) -> ControlFlow<()>,
+        ) -> ControlFlow<()> {
+            match s {
+                Some(n) => f(Act::Mid(*n)),
+                None => ControlFlow::Continue(()),
+            }
         }
         fn task_of(&self, _a: &Act) -> TaskId {
             TaskId(0)
@@ -552,8 +550,8 @@ mod tests {
         type Action = Act;
         type State = Option<u8>;
 
-        fn start_states(&self) -> Vec<Self::State> {
-            vec![None]
+        fn start_state(&self) -> Self::State {
+            None
         }
         fn classify(&self, a: &Act) -> Option<ActionClass> {
             match a {
@@ -569,8 +567,15 @@ mod tests {
                 _ => vec![],
             }
         }
-        fn enabled_local(&self, s: &Self::State) -> Vec<Act> {
-            s.iter().map(|n| Act::Out(*n)).collect()
+        fn for_each_enabled_local(
+            &self,
+            s: &Self::State,
+            f: &mut dyn FnMut(Act) -> ControlFlow<()>,
+        ) -> ControlFlow<()> {
+            match s {
+                Some(n) => f(Act::Out(*n)),
+                None => ControlFlow::Continue(()),
+            }
         }
         fn task_of(&self, _a: &Act) -> TaskId {
             TaskId(0)
@@ -610,11 +615,11 @@ mod tests {
     #[test]
     fn shared_action_steps_both() {
         let c = pipeline();
-        let s0 = c.start_states().remove(0);
+        let s0 = c.start_state();
         assert_eq!(
-            c.start_state(),
-            s0,
-            "the paired start state heads the product set"
+            c.start_states(),
+            vec![s0.clone()],
+            "the start set is the paired start state"
         );
         let s1 = c.step_first(&s0, &Act::Go).unwrap();
         assert_eq!(s1.left, Some(7));
@@ -645,8 +650,8 @@ mod tests {
         type Action = Act;
         type State = u8;
 
-        fn start_states(&self) -> Vec<u8> {
-            vec![0]
+        fn start_state(&self) -> u8 {
+            0
         }
         fn classify(&self, a: &Act) -> Option<ActionClass> {
             match a {
@@ -661,11 +666,15 @@ mod tests {
                 _ => vec![],
             }
         }
-        fn enabled_local(&self, _s: &u8) -> Vec<Act> {
+        fn for_each_enabled_local(
+            &self,
+            _s: &u8,
+            f: &mut dyn FnMut(Act) -> ControlFlow<()>,
+        ) -> ControlFlow<()> {
             if self.output {
-                vec![Act::Mid(0)]
+                f(Act::Mid(0))
             } else {
-                vec![]
+                ControlFlow::Continue(())
             }
         }
         fn task_of(&self, _a: &Act) -> TaskId {
@@ -752,7 +761,7 @@ mod tests {
     #[test]
     fn enabled_local_unions_components() {
         let c = pipeline();
-        let s0 = c.start_states().remove(0);
+        let s0 = c.start_state();
         assert!(c.enabled_local(&s0).is_empty());
         let s1 = c.step_first(&s0, &Act::Go).unwrap();
         assert_eq!(c.enabled_local(&s1), vec![Act::Mid(7)]);
@@ -767,8 +776,8 @@ mod tests {
         type Action = Act;
         type State = Option<u8>;
 
-        fn start_states(&self) -> Vec<Self::State> {
-            vec![None]
+        fn start_state(&self) -> Self::State {
+            None
         }
         fn classify(&self, a: &Act) -> Option<ActionClass> {
             Consumer.classify(a)
@@ -779,8 +788,12 @@ mod tests {
                 _ => Consumer.successors(s, a),
             }
         }
-        fn enabled_local(&self, s: &Self::State) -> Vec<Act> {
-            Consumer.enabled_local(s)
+        fn for_each_enabled_local(
+            &self,
+            s: &Self::State,
+            f: &mut dyn FnMut(Act) -> ControlFlow<()>,
+        ) -> ControlFlow<()> {
+            Consumer.for_each_enabled_local(s, f)
         }
         fn task_of(&self, _a: &Act) -> TaskId {
             TaskId(0)
@@ -847,7 +860,7 @@ mod tests {
     #[test]
     fn projection_yields_component_executions() {
         let c = pipeline();
-        let mut e = Execution::new(c.start_states().remove(0));
+        let mut e = Execution::new(c.start_state());
         assert!(e.push(&c, Act::Go, 0));
         assert!(e.push(&c, Act::Mid(7), 0));
         assert!(e.push(&c, Act::Out(7), 0));

@@ -146,21 +146,6 @@ where
         }
     }
 
-    /// Appends a step with an explicitly chosen post-state, verifying it is
-    /// a legal successor. Returns `false` if `(last, action, post)` is not a
-    /// step of the automaton.
-    pub fn push_to<M>(&mut self, automaton: &M, action: A, post: S) -> bool
-    where
-        M: Automaton<Action = A, State = S>,
-    {
-        if is_successor(automaton, self.last_state(), &action, &post) {
-            self.steps.push(Step { action, post });
-            true
-        } else {
-            false
-        }
-    }
-
     /// Appends a step **without** validating it against an automaton.
     ///
     /// Used when pasting projections back together (Lemma 2.3), where
@@ -190,9 +175,9 @@ where
     }
 
     /// Checks that every recorded step is a step of `automaton` and that the
-    /// first state is a start state (i.e. this is an execution, not just a
+    /// first state is its start state (i.e. this is an execution, not just a
     /// fragment). Returns the index of the first bad step, or `Err(None)` if
-    /// the first state is not a start state.
+    /// the first state is not the start state.
     ///
     /// # Errors
     ///
@@ -202,70 +187,17 @@ where
     where
         M: Automaton<Action = A, State = S>,
     {
-        if !automaton.start_states().contains(&self.first) {
+        if automaton.start_state() != self.first {
             return Err(None);
         }
-        self.validate_fragment(automaton).map_err(Some)
-    }
-
-    /// Like [`validate`](Execution::validate) but does not require the first
-    /// state to be a start state (checks an execution *fragment*).
-    ///
-    /// # Errors
-    ///
-    /// Returns the index of the first step that is not in `steps(A)`.
-    pub fn validate_fragment<M>(&self, automaton: &M) -> Result<(), usize>
-    where
-        M: Automaton<Action = A, State = S>,
-    {
         let mut cur = &self.first;
         for (i, step) in self.steps.iter().enumerate() {
             if !is_successor(automaton, cur, &step.action, &step.post) {
-                return Err(i);
+                return Err(Some(i));
             }
             cur = &step.post;
         }
         Ok(())
-    }
-
-    /// Concatenates another fragment onto this one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `other`'s first state differs from this fragment's last
-    /// state.
-    pub fn extend_with(&mut self, other: Execution<A, S>) {
-        assert_eq!(
-            self.last_state(),
-            other.first_state(),
-            "execution fragments do not compose: last state != first state"
-        );
-        self.steps.extend(other.steps);
-    }
-
-    /// The suffix of this execution after its first `n` steps, as a
-    /// fragment starting at state `n`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n > len()`.
-    pub fn suffix_from(&self, n: usize) -> Execution<A, S> {
-        Execution {
-            first: self.state(n).clone(),
-            steps: self.steps[n..].to_vec(),
-        }
-    }
-
-    /// The prefix consisting of the first `n` steps.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n > len()`.
-    pub fn prefix(&self, n: usize) -> Execution<A, S> {
-        Execution {
-            first: self.first.clone(),
-            steps: self.steps[..n].to_vec(),
-        }
     }
 }
 
@@ -308,8 +240,8 @@ mod tests {
         type Action = Act;
         type State = bool;
 
-        fn start_states(&self) -> Vec<bool> {
-            vec![false]
+        fn start_state(&self) -> bool {
+            false
         }
         fn classify(&self, a: &Act) -> Option<ActionClass> {
             Some(match a {
@@ -326,8 +258,13 @@ mod tests {
                 Act::Obs(_) => vec![],
             }
         }
-        fn enabled_local(&self, s: &bool) -> Vec<Act> {
-            vec![Act::Obs(*s), Act::Silent]
+        fn for_each_enabled_local(
+            &self,
+            s: &bool,
+            f: &mut dyn FnMut(Act) -> ControlFlow<()>,
+        ) -> ControlFlow<()> {
+            f(Act::Obs(*s))?;
+            f(Act::Silent)
         }
         fn task_of(&self, _a: &Act) -> TaskId {
             TaskId(0)
@@ -366,15 +303,6 @@ mod tests {
     }
 
     #[test]
-    fn push_to_validates_successor() {
-        let t = Toggle;
-        let mut e = Execution::new(false);
-        assert!(e.push_to(&t, Act::Flip, true));
-        assert!(!e.push_to(&t, Act::Flip, true)); // flip from true goes to false
-        assert_eq!(e.len(), 1);
-    }
-
-    #[test]
     fn schedule_and_behavior() {
         let e = sample();
         assert_eq!(e.schedule(), vec![Act::Flip, Act::Obs(true), Act::Silent]);
@@ -391,7 +319,6 @@ mod tests {
         let mut e = Execution::new(true);
         e.push_unchecked(Act::Flip, false);
         assert_eq!(e.validate(&Toggle), Err(None));
-        assert_eq!(e.validate_fragment(&Toggle), Ok(()));
     }
 
     #[test]
@@ -399,25 +326,6 @@ mod tests {
         let mut e = sample();
         e.push_unchecked(Act::Obs(false), true); // Obs(false) disabled in state true
         assert_eq!(e.validate(&Toggle), Err(Some(3)));
-    }
-
-    #[test]
-    fn prefix_suffix_roundtrip() {
-        let e = sample();
-        let mut p = e.prefix(1);
-        let s = e.suffix_from(1);
-        assert_eq!(p.len(), 1);
-        assert_eq!(s.len(), 2);
-        p.extend_with(s);
-        assert_eq!(p, e);
-    }
-
-    #[test]
-    #[should_panic(expected = "do not compose")]
-    fn extend_with_mismatched_states_panics() {
-        let mut a = Execution::<Act, bool>::new(false);
-        let b = Execution::<Act, bool>::new(true);
-        a.extend_with(b);
     }
 
     #[test]

@@ -212,6 +212,8 @@ impl FairExecutor {
 
 #[cfg(test)]
 mod tests {
+    use std::ops::ControlFlow;
+
     use super::*;
     use crate::action::ActionClass;
 
@@ -229,8 +231,8 @@ mod tests {
         type Action = Act;
         type State = [u8; 2];
 
-        fn start_states(&self) -> Vec<Self::State> {
-            vec![[3, 3]]
+        fn start_state(&self) -> Self::State {
+            [3, 3]
         }
         fn classify(&self, a: &Act) -> Option<ActionClass> {
             Some(match a {
@@ -253,11 +255,15 @@ mod tests {
                 }
             }
         }
-        fn enabled_local(&self, s: &Self::State) -> Vec<Act> {
-            (0..2u8)
-                .filter(|i| s[*i as usize] > 0)
-                .map(Act::Fire)
-                .collect()
+        fn for_each_enabled_local(
+            &self,
+            s: &Self::State,
+            f: &mut dyn FnMut(Act) -> ControlFlow<()>,
+        ) -> ControlFlow<()> {
+            for i in (0..2u8).filter(|i| s[*i as usize] > 0) {
+                f(Act::Fire(i))?;
+            }
+            ControlFlow::Continue(())
         }
         fn task_of(&self, a: &Act) -> TaskId {
             match a {

@@ -49,10 +49,6 @@ where
     type Action = M::Action;
     type State = M::State;
 
-    fn start_states(&self) -> Vec<Self::State> {
-        self.inner.start_states()
-    }
-
     fn start_state(&self) -> Self::State {
         self.inner.start_state()
     }
@@ -68,6 +64,8 @@ where
         self.inner.successors(state, action)
     }
 
+    // Forwarded so a composition's filtered `enabled_local` survives the
+    // wrapper.
     fn enabled_local(&self, state: &Self::State) -> Vec<Self::Action> {
         self.inner.enabled_local(state)
     }
@@ -161,8 +159,8 @@ mod tests {
         type Action = Act;
         type State = u8;
 
-        fn start_states(&self) -> Vec<u8> {
-            vec![0]
+        fn start_state(&self) -> u8 {
+            0
         }
         fn classify(&self, a: &Act) -> Option<ActionClass> {
             Some(match a {
@@ -173,8 +171,13 @@ mod tests {
         fn successors(&self, s: &u8, _a: &Act) -> Vec<u8> {
             vec![*s]
         }
-        fn enabled_local(&self, _s: &u8) -> Vec<Act> {
-            vec![Act::OutA, Act::OutB]
+        fn for_each_enabled_local(
+            &self,
+            _s: &u8,
+            f: &mut dyn FnMut(Act) -> ControlFlow<()>,
+        ) -> ControlFlow<()> {
+            f(Act::OutA)?;
+            f(Act::OutB)
         }
         fn task_of(&self, _a: &Act) -> TaskId {
             TaskId(0)

@@ -195,15 +195,6 @@ impl<S: Hash + Eq, H: BuildHasher> StateTable<S, H> {
         &self.states[id.index()]
     }
 
-    /// The id of `state` if it is already interned.
-    #[must_use]
-    pub fn lookup(&self, state: &S) -> Option<StateId> {
-        if self.table.is_empty() {
-            return None;
-        }
-        self.find(self.hasher.hash_one(state), state)
-    }
-
     /// Interns a state, returning its id and whether it was new.
     pub fn intern(&mut self, state: S) -> (StateId, bool) {
         let hash = self.hasher.hash_one(&state);
@@ -1246,23 +1237,15 @@ mod tests {
     }
 
     #[test]
-    fn lookup_without_insertion() {
-        let mut t = StateTable::new();
-        assert_eq!(t.lookup(&7u64), None);
-        let (id, _) = t.intern(7u64);
-        assert_eq!(t.lookup(&7u64), Some(id));
-        assert_eq!(t.lookup(&8u64), None);
-    }
-
-    #[test]
     fn survives_growth_past_initial_capacity() {
         let mut t = StateTable::new();
         let ids: Vec<StateId> = (0..10_000u64).map(|n| t.intern(n).0).collect();
         assert_eq!(t.len(), 10_000);
         for (n, id) in ids.iter().enumerate() {
             assert_eq!(*t.get(*id), n as u64);
-            assert_eq!(t.lookup(&(n as u64)), Some(*id));
+            assert_eq!(t.intern(n as u64), (*id, false));
         }
+        assert_eq!(t.len(), 10_000, "a repeat adds nothing");
         // Ids are insertion-dense.
         assert!(ids.iter().enumerate().all(|(i, id)| id.index() == i));
     }
@@ -1332,7 +1315,8 @@ mod tests {
             assert_eq!(a.intern(n * 17), b.intern(n * 17));
         }
         assert_eq!(a.len(), 1000);
-        assert!((0..1000u64).all(|n| a.lookup(&(n * 17)) == b.lookup(&(n * 17))));
+        assert!((0..1000u64).all(|n| a.intern(n * 17) == b.intern(n * 17)));
+        assert!((0..1000u32).all(|n| a.get(StateId(n)) == b.get(StateId(n))));
     }
 
     #[test]
@@ -1346,7 +1330,7 @@ mod tests {
         c.intern(6);
         assert_eq!(c.len(), 2);
         assert_eq!(t.len(), 1, "clone growth must not touch the original");
-        assert_eq!(t.lookup(&6), None);
+        assert_eq!(t.intern(6), (StateId(1), true));
     }
 
     #[test]
@@ -1528,7 +1512,8 @@ mod tests {
         let mut t: StateTable<u64, FxBuildHasher> = StateTable::default();
         let (early, _) = t.intern(1);
         t.reserve(5000);
-        assert_eq!(t.lookup(&1), Some(early));
+        assert_eq!(t.intern(1), (early, false));
+        assert_eq!(*t.get(early), 1);
     }
 
     /// Appends to push into a [`SegVec`] or [`PackedTable`]: past the

@@ -31,6 +31,8 @@
 //! # Example
 //!
 //! ```
+//! use std::ops::ControlFlow;
+//!
 //! use ioa::{ActionClass, Automaton, TaskId};
 //!
 //! /// A one-place buffer: inputs `Put(n)`, outputs `Get(n)`.
@@ -43,7 +45,7 @@
 //!     type Action = Act;
 //!     type State = Option<u32>;
 //!
-//!     fn start_states(&self) -> Vec<Self::State> { vec![None] }
+//!     fn start_state(&self) -> Self::State { None }
 //!
 //!     fn classify(&self, a: &Act) -> Option<ActionClass> {
 //!         Some(match a {
@@ -60,8 +62,15 @@
 //!         }
 //!     }
 //!
-//!     fn enabled_local(&self, s: &Self::State) -> Vec<Act> {
-//!         s.iter().map(|n| Act::Get(*n)).collect()
+//!     fn for_each_enabled_local(
+//!         &self,
+//!         s: &Self::State,
+//!         f: &mut dyn FnMut(Act) -> ControlFlow<()>,
+//!     ) -> ControlFlow<()> {
+//!         match s {
+//!             Some(n) => f(Act::Get(*n)),
+//!             None => ControlFlow::Continue(()),
+//!         }
 //!     }
 //!
 //!     fn task_of(&self, _a: &Act) -> TaskId { TaskId(0) }
@@ -69,7 +78,7 @@
 //! }
 //!
 //! let b = Buffer;
-//! let s0 = b.start_states()[0];
+//! let s0 = b.start_state();
 //! let s1 = b.successors(&s0, &Act::Put(7))[0];
 //! assert_eq!(b.enabled_local(&s1), vec![Act::Get(7)]);
 //! ```

@@ -5,6 +5,8 @@
 //! cell 1 via `Hop(v)` (output of 0, input of 1); each cell can also
 //! consume a held token (`Eat(i)`). Inputs `Feed(v)` give cell 0 a token.
 
+use std::ops::ControlFlow;
+
 use proptest::prelude::*;
 
 use ioa::action::ActionClass;
@@ -30,8 +32,8 @@ impl Automaton for Cell {
     type Action = Act;
     type State = Option<u8>;
 
-    fn start_states(&self) -> Vec<Option<u8>> {
-        vec![None]
+    fn start_state(&self) -> Option<u8> {
+        None
     }
 
     fn classify(&self, a: &Act) -> Option<ActionClass> {
@@ -66,15 +68,18 @@ impl Automaton for Cell {
         }
     }
 
-    fn enabled_local(&self, s: &Option<u8>) -> Vec<Act> {
-        let mut out = Vec::new();
+    fn for_each_enabled_local(
+        &self,
+        s: &Option<u8>,
+        f: &mut dyn FnMut(Act) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
         if let Some(v) = s {
             if self.index == 0 {
-                out.push(Act::Hop(*v));
+                f(Act::Hop(*v))?;
             }
-            out.push(Act::Eat(self.index));
+            f(Act::Eat(self.index))?;
         }
-        out
+        ControlFlow::Continue(())
     }
 
     fn task_of(&self, a: &Act) -> TaskId {

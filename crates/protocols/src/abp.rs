@@ -119,10 +119,6 @@ impl Automaton for AbpTransmitter {
     type Action = DlAction;
     type State = AbpTxState;
 
-    fn start_states(&self) -> Vec<AbpTxState> {
-        vec![self.start_state()]
-    }
-
     fn start_state(&self) -> AbpTxState {
         AbpTxState::default()
     }
@@ -132,16 +128,6 @@ impl Automaton for AbpTransmitter {
     }
 
     ioa::deterministic_transitions!();
-
-    fn enabled_local(&self, s: &AbpTxState) -> Vec<DlAction> {
-        if !s.active {
-            return vec![];
-        }
-        Self::current_packet(s)
-            .map(|p| DlAction::SendPkt(Dir::TR, p))
-            .into_iter()
-            .collect()
-    }
 
     fn for_each_enabled_local(
         &self,
@@ -284,10 +270,6 @@ impl Automaton for AbpReceiver {
     type Action = DlAction;
     type State = AbpRxState;
 
-    fn start_states(&self) -> Vec<AbpRxState> {
-        vec![self.start_state()]
-    }
-
     fn start_state(&self) -> AbpRxState {
         AbpRxState::default()
     }
@@ -297,19 +279,6 @@ impl Automaton for AbpReceiver {
     }
 
     ioa::deterministic_transitions!();
-
-    fn enabled_local(&self, s: &AbpRxState) -> Vec<DlAction> {
-        let mut out = Vec::new();
-        if let Some(&b) = s.acks.front() {
-            if s.active {
-                out.push(DlAction::SendPkt(Dir::RT, Packet::ack(u64::from(b))));
-            }
-        }
-        if let Some(m) = s.deliver.front() {
-            out.push(DlAction::ReceiveMsg(*m));
-        }
-        out
-    }
 
     fn for_each_enabled_local(
         &self,

@@ -65,11 +65,7 @@ pub struct FragTxState {
 pub struct FragTransmitter;
 
 impl FragTransmitter {
-    fn fragments(s: &FragTxState) -> Vec<Packet> {
-        (0..2).filter_map(|i| Self::nth_fragment(s, i)).collect()
-    }
-
-    /// Fragment `i` of the front message, without materializing the list.
+    /// Fragment `i` (0 or 1) of the front message.
     fn nth_fragment(s: &FragTxState, i: u8) -> Option<Packet> {
         let m = *s.queue.front()?;
         (i < 2).then(|| Packet::data(frag_seq(s.bit, i), m))
@@ -117,10 +113,6 @@ impl Automaton for FragTransmitter {
     type Action = DlAction;
     type State = FragTxState;
 
-    fn start_states(&self) -> Vec<FragTxState> {
-        vec![self.start_state()]
-    }
-
     fn start_state(&self) -> FragTxState {
         FragTxState::default()
     }
@@ -130,16 +122,6 @@ impl Automaton for FragTransmitter {
     }
 
     ioa::deterministic_transitions!();
-
-    fn enabled_local(&self, s: &FragTxState) -> Vec<DlAction> {
-        if !s.active {
-            return vec![];
-        }
-        Self::fragments(s)
-            .into_iter()
-            .map(|p| DlAction::SendPkt(Dir::TR, p))
-            .collect()
-    }
 
     fn for_each_enabled_local(
         &self,
@@ -271,10 +253,6 @@ impl Automaton for FragReceiver {
     type Action = DlAction;
     type State = FragRxState;
 
-    fn start_states(&self) -> Vec<FragRxState> {
-        vec![self.start_state()]
-    }
-
     fn start_state(&self) -> FragRxState {
         FragRxState::default()
     }
@@ -284,19 +262,6 @@ impl Automaton for FragReceiver {
     }
 
     ioa::deterministic_transitions!();
-
-    fn enabled_local(&self, s: &FragRxState) -> Vec<DlAction> {
-        let mut out = Vec::new();
-        if let Some(&b) = s.acks.front() {
-            if s.active {
-                out.push(DlAction::SendPkt(Dir::RT, Packet::ack(u64::from(b))));
-            }
-        }
-        if let Some(m) = s.deliver.front() {
-            out.push(DlAction::ReceiveMsg(*m));
-        }
-        out
-    }
 
     fn for_each_enabled_local(
         &self,

@@ -119,10 +119,6 @@ impl Automaton for NvTransmitter {
     type Action = DlAction;
     type State = NvTxState;
 
-    fn start_states(&self) -> Vec<NvTxState> {
-        vec![self.start_state()]
-    }
-
     fn start_state(&self) -> NvTxState {
         NvTxState::default()
     }
@@ -132,17 +128,6 @@ impl Automaton for NvTransmitter {
     }
 
     ioa::deterministic_transitions!();
-
-    fn enabled_local(&self, s: &NvTxState) -> Vec<DlAction> {
-        if !s.active {
-            return vec![];
-        }
-        s.queue
-            .front()
-            .map(|m| DlAction::SendPkt(Dir::TR, Packet::data(pack(s.epoch, s.seq), *m)))
-            .into_iter()
-            .collect()
-    }
 
     fn for_each_enabled_local(
         &self,
@@ -283,10 +268,6 @@ impl Automaton for NvReceiver {
     type Action = DlAction;
     type State = NvRxState;
 
-    fn start_states(&self) -> Vec<NvRxState> {
-        vec![self.start_state()]
-    }
-
     fn start_state(&self) -> NvRxState {
         NvRxState::default()
     }
@@ -296,19 +277,6 @@ impl Automaton for NvReceiver {
     }
 
     ioa::deterministic_transitions!();
-
-    fn enabled_local(&self, s: &NvRxState) -> Vec<DlAction> {
-        let mut out = Vec::new();
-        if let Some(&seq) = s.acks.front() {
-            if s.active {
-                out.push(DlAction::SendPkt(Dir::RT, Packet::ack(seq)));
-            }
-        }
-        if let Some(m) = s.deliver.front() {
-            out.push(DlAction::ReceiveMsg(*m));
-        }
-        out
-    }
 
     fn for_each_enabled_local(
         &self,

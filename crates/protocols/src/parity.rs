@@ -71,13 +71,8 @@ pub struct ParityTxState {
 pub struct ParityTransmitter;
 
 impl ParityTransmitter {
-    fn packets(s: &ParityTxState) -> Vec<Packet> {
-        (0..2).filter_map(|i| Self::nth_packet(s, i)).collect()
-    }
-
-    /// The `i`-th packet the front message enables, without materializing
-    /// the whole list: one `WHOLE` packet for even messages, two `PART`
-    /// fragments for odd ones.
+    /// The `i`-th packet the front message enables: one `WHOLE` packet for
+    /// even messages, two `PART` fragments for odd ones.
     fn nth_packet(s: &ParityTxState, i: u8) -> Option<Packet> {
         let m = *s.queue.front()?;
         if is_whole_class(m) {
@@ -128,10 +123,6 @@ impl Automaton for ParityTransmitter {
     type Action = DlAction;
     type State = ParityTxState;
 
-    fn start_states(&self) -> Vec<ParityTxState> {
-        vec![self.start_state()]
-    }
-
     fn start_state(&self) -> ParityTxState {
         ParityTxState::default()
     }
@@ -141,16 +132,6 @@ impl Automaton for ParityTransmitter {
     }
 
     ioa::deterministic_transitions!();
-
-    fn enabled_local(&self, s: &ParityTxState) -> Vec<DlAction> {
-        if !s.active {
-            return vec![];
-        }
-        Self::packets(s)
-            .into_iter()
-            .map(|p| DlAction::SendPkt(Dir::TR, p))
-            .collect()
-    }
 
     fn for_each_enabled_local(
         &self,
@@ -305,10 +286,6 @@ impl Automaton for ParityReceiver {
     type Action = DlAction;
     type State = ParityRxState;
 
-    fn start_states(&self) -> Vec<ParityRxState> {
-        vec![self.start_state()]
-    }
-
     fn start_state(&self) -> ParityRxState {
         ParityRxState::default()
     }
@@ -318,19 +295,6 @@ impl Automaton for ParityReceiver {
     }
 
     ioa::deterministic_transitions!();
-
-    fn enabled_local(&self, s: &ParityRxState) -> Vec<DlAction> {
-        let mut out = Vec::new();
-        if let Some(&b) = s.acks.front() {
-            if s.active {
-                out.push(DlAction::SendPkt(Dir::RT, Packet::ack(u64::from(b))));
-            }
-        }
-        if let Some(m) = s.deliver.front() {
-            out.push(DlAction::ReceiveMsg(*m));
-        }
-        out
-    }
 
     fn for_each_enabled_local(
         &self,

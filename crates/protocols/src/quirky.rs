@@ -88,10 +88,6 @@ impl Automaton for QuirkyTransmitter {
     type Action = DlAction;
     type State = QuirkyTxState;
 
-    fn start_states(&self) -> Vec<QuirkyTxState> {
-        vec![self.start_state()]
-    }
-
     fn start_state(&self) -> QuirkyTxState {
         QuirkyTxState::default()
     }
@@ -101,16 +97,6 @@ impl Automaton for QuirkyTransmitter {
     }
 
     ioa::deterministic_transitions!();
-
-    fn enabled_local(&self, s: &QuirkyTxState) -> Vec<DlAction> {
-        if !s.active {
-            return vec![];
-        }
-        Self::current_packet(s)
-            .map(|p| DlAction::SendPkt(Dir::TR, p))
-            .into_iter()
-            .collect()
-    }
 
     fn for_each_enabled_local(
         &self,
@@ -216,10 +202,6 @@ impl Automaton for QuirkyReceiver {
     type Action = DlAction;
     type State = QuirkyRxState;
 
-    fn start_states(&self) -> Vec<QuirkyRxState> {
-        vec![self.start_state()]
-    }
-
     fn start_state(&self) -> QuirkyRxState {
         QuirkyRxState::default()
     }
@@ -229,19 +211,6 @@ impl Automaton for QuirkyReceiver {
     }
 
     ioa::deterministic_transitions!();
-
-    fn enabled_local(&self, s: &QuirkyRxState) -> Vec<DlAction> {
-        let mut out = Vec::new();
-        if let Some(&seq) = s.acks.front() {
-            if s.active {
-                out.push(DlAction::SendPkt(Dir::RT, Packet::ack(seq)));
-            }
-        }
-        if let Some(m) = s.deliver.front() {
-            out.push(DlAction::ReceiveMsg(*m));
-        }
-        out
-    }
 
     fn for_each_enabled_local(
         &self,

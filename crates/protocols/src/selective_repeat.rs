@@ -94,14 +94,6 @@ impl SrTransmitter {
         2 * self.window
     }
 
-    fn outstanding_packets(&self, s: &SrTxState) -> Vec<Packet> {
-        let n = (self.window as usize).min(s.queue.len());
-        (0..n as u64)
-            .filter(|k| !s.acked.contains(k))
-            .map(|k| self.outstanding_packet(s, k))
-            .collect()
-    }
-
     /// The data packet at window offset `k` (callers bound and filter `k`).
     fn outstanding_packet(&self, s: &SrTxState, k: u64) -> Packet {
         Packet::data((s.base + k) % self.modulus(), s.queue[k as usize])
@@ -174,10 +166,6 @@ impl Automaton for SrTransmitter {
     type Action = DlAction;
     type State = SrTxState;
 
-    fn start_states(&self) -> Vec<SrTxState> {
-        vec![self.start_state()]
-    }
-
     fn start_state(&self) -> SrTxState {
         SrTxState::default()
     }
@@ -187,16 +175,6 @@ impl Automaton for SrTransmitter {
     }
 
     ioa::deterministic_transitions!();
-
-    fn enabled_local(&self, s: &SrTxState) -> Vec<DlAction> {
-        if !s.active {
-            return vec![];
-        }
-        self.outstanding_packets(s)
-            .into_iter()
-            .map(|p| DlAction::SendPkt(Dir::TR, p))
-            .collect()
-    }
 
     fn for_each_enabled_local(
         &self,
@@ -360,10 +338,6 @@ impl Automaton for SrReceiver {
     type Action = DlAction;
     type State = SrRxState;
 
-    fn start_states(&self) -> Vec<SrRxState> {
-        vec![self.start_state()]
-    }
-
     fn start_state(&self) -> SrRxState {
         SrRxState::default()
     }
@@ -373,19 +347,6 @@ impl Automaton for SrReceiver {
     }
 
     ioa::deterministic_transitions!();
-
-    fn enabled_local(&self, s: &SrRxState) -> Vec<DlAction> {
-        let mut out = Vec::new();
-        if let Some(&seq) = s.acks.front() {
-            if s.active {
-                out.push(DlAction::SendPkt(Dir::RT, Packet::ack(seq)));
-            }
-        }
-        if let Some(m) = s.deliver.front() {
-            out.push(DlAction::ReceiveMsg(*m));
-        }
-        out
-    }
 
     fn for_each_enabled_local(
         &self,

@@ -71,11 +71,6 @@ impl SwTransmitter {
         self.window + 1
     }
 
-    fn in_window_packets(&self, s: &SwTxState) -> Vec<Packet> {
-        let n = (self.window as usize).min(s.queue.len());
-        (0..n).map(|i| self.window_packet(s, i)).collect()
-    }
-
     /// The `i`-th in-window packet (callers bound `i` by the window).
     fn window_packet(&self, s: &SwTxState, i: usize) -> Packet {
         Packet::data((s.base + i as u64) % self.modulus(), s.queue[i])
@@ -130,10 +125,6 @@ impl Automaton for SwTransmitter {
     type Action = DlAction;
     type State = SwTxState;
 
-    fn start_states(&self) -> Vec<SwTxState> {
-        vec![self.start_state()]
-    }
-
     fn start_state(&self) -> SwTxState {
         SwTxState::default()
     }
@@ -143,16 +134,6 @@ impl Automaton for SwTransmitter {
     }
 
     ioa::deterministic_transitions!();
-
-    fn enabled_local(&self, s: &SwTxState) -> Vec<DlAction> {
-        if !s.active {
-            return vec![];
-        }
-        self.in_window_packets(s)
-            .into_iter()
-            .map(|p| DlAction::SendPkt(Dir::TR, p))
-            .collect()
-    }
 
     fn for_each_enabled_local(
         &self,
@@ -296,10 +277,6 @@ impl Automaton for SwReceiver {
     type Action = DlAction;
     type State = SwRxState;
 
-    fn start_states(&self) -> Vec<SwRxState> {
-        vec![self.start_state()]
-    }
-
     fn start_state(&self) -> SwRxState {
         SwRxState::default()
     }
@@ -309,19 +286,6 @@ impl Automaton for SwReceiver {
     }
 
     ioa::deterministic_transitions!();
-
-    fn enabled_local(&self, s: &SwRxState) -> Vec<DlAction> {
-        let mut out = Vec::new();
-        if let Some(&seq) = s.acks.front() {
-            if s.active {
-                out.push(DlAction::SendPkt(Dir::RT, Packet::ack(seq)));
-            }
-        }
-        if let Some(m) = s.deliver.front() {
-            out.push(DlAction::ReceiveMsg(*m));
-        }
-        out
-    }
 
     fn for_each_enabled_local(
         &self,

@@ -127,10 +127,6 @@ impl Automaton for StabTransmitter {
     type Action = DlAction;
     type State = StabTxState;
 
-    fn start_states(&self) -> Vec<StabTxState> {
-        vec![self.start_state()]
-    }
-
     fn start_state(&self) -> StabTxState {
         StabTxState {
             seq: self.init_seq,
@@ -143,17 +139,6 @@ impl Automaton for StabTransmitter {
     }
 
     ioa::deterministic_transitions!();
-
-    fn enabled_local(&self, s: &StabTxState) -> Vec<DlAction> {
-        if !s.active {
-            return vec![];
-        }
-        s.queue
-            .front()
-            .map(|m| DlAction::SendPkt(Dir::TR, Packet::data(s.seq, *m)))
-            .into_iter()
-            .collect()
-    }
 
     fn for_each_enabled_local(
         &self,
@@ -303,10 +288,6 @@ impl Automaton for StabReceiver {
     type Action = DlAction;
     type State = StabRxState;
 
-    fn start_states(&self) -> Vec<StabRxState> {
-        vec![self.start_state()]
-    }
-
     fn start_state(&self) -> StabRxState {
         StabRxState {
             expected: self.init_expected,
@@ -319,19 +300,6 @@ impl Automaton for StabReceiver {
     }
 
     ioa::deterministic_transitions!();
-
-    fn enabled_local(&self, s: &StabRxState) -> Vec<DlAction> {
-        let mut out = Vec::new();
-        if let Some(&seq) = s.acks.front() {
-            if s.active {
-                out.push(DlAction::SendPkt(Dir::RT, Packet::ack(seq)));
-            }
-        }
-        if let Some(m) = s.deliver.front() {
-            out.push(DlAction::ReceiveMsg(*m));
-        }
-        out
-    }
 
     fn for_each_enabled_local(
         &self,

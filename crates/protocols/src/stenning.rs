@@ -79,10 +79,6 @@ impl Automaton for StenningTransmitter {
     type Action = DlAction;
     type State = StenningTxState;
 
-    fn start_states(&self) -> Vec<StenningTxState> {
-        vec![self.start_state()]
-    }
-
     fn start_state(&self) -> StenningTxState {
         StenningTxState::default()
     }
@@ -92,17 +88,6 @@ impl Automaton for StenningTransmitter {
     }
 
     ioa::deterministic_transitions!();
-
-    fn enabled_local(&self, s: &StenningTxState) -> Vec<DlAction> {
-        if !s.active {
-            return vec![];
-        }
-        s.queue
-            .front()
-            .map(|m| DlAction::SendPkt(Dir::TR, Packet::data(s.seq, *m)))
-            .into_iter()
-            .collect()
-    }
 
     fn for_each_enabled_local(
         &self,
@@ -224,10 +209,6 @@ impl Automaton for StenningReceiver {
     type Action = DlAction;
     type State = StenningRxState;
 
-    fn start_states(&self) -> Vec<StenningRxState> {
-        vec![self.start_state()]
-    }
-
     fn start_state(&self) -> StenningRxState {
         StenningRxState::default()
     }
@@ -237,19 +218,6 @@ impl Automaton for StenningReceiver {
     }
 
     ioa::deterministic_transitions!();
-
-    fn enabled_local(&self, s: &StenningRxState) -> Vec<DlAction> {
-        let mut out = Vec::new();
-        if let Some(&seq) = s.acks.front() {
-            if s.active {
-                out.push(DlAction::SendPkt(Dir::RT, Packet::ack(seq)));
-            }
-        }
-        if let Some(m) = s.deliver.front() {
-            out.push(DlAction::ReceiveMsg(*m));
-        }
-        out
-    }
 
     fn for_each_enabled_local(
         &self,

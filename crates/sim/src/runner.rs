@@ -1291,8 +1291,8 @@ mod tests {
         type Action = DlAction;
         type State = DoubleDeliverState;
 
-        fn start_states(&self) -> Vec<Self::State> {
-            vec![(None, 0)]
+        fn start_state(&self) -> Self::State {
+            (None, 0)
         }
 
         fn classify(&self, action: &DlAction) -> Option<ActionClass> {
@@ -1315,10 +1315,14 @@ mod tests {
             }
         }
 
-        fn enabled_local(&self, state: &Self::State) -> Vec<DlAction> {
+        fn for_each_enabled_local(
+            &self,
+            state: &Self::State,
+            f: &mut dyn FnMut(DlAction) -> std::ops::ControlFlow<()>,
+        ) -> std::ops::ControlFlow<()> {
             match state {
-                (Some(m), n) if *n < 2 => vec![DlAction::ReceiveMsg(*m)],
-                _ => vec![],
+                (Some(m), n) if *n < 2 => f(DlAction::ReceiveMsg(*m)),
+                _ => std::ops::ControlFlow::Continue(()),
             }
         }
 

@@ -42,7 +42,7 @@ fn main() {
     // Part 1: crash-free, all interleavings of 2 messages over lossy
     // bounded channels — exhaustively safe.
     let sys = system(2);
-    let s0 = sys.start_states().remove(0);
+    let s0 = sys.start_state();
     let s1 = sys.step_first(&s0, &DlAction::Wake(Dir::TR)).unwrap();
     let start = sys.step_first(&s1, &DlAction::Wake(Dir::RT)).unwrap();
 

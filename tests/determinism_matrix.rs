@@ -12,9 +12,11 @@
 //! count (1178) is the same figure the bench baseline and EXPERIMENTS.md
 //! publish.
 
-use datalink::channels::{LossMode, LossyFifoChannel};
-use datalink::core::action::{Dir, DlAction};
-use datalink::crosscheck::zoo::{checked_system, crash_free_inputs, observer_of, woken_start, Sys};
+use datalink::channels::LossyFifoChannel;
+use datalink::core::action::DlAction;
+use datalink::crosscheck::zoo::{
+    abp_lossy_system, crash_free_inputs, observer_of, woken_start, Sys,
+};
 use datalink::crosscheck::{disagreements, CcChecker, CcProperty, EngineSummary, Translated};
 use datalink::explore::{ExploreReport, ParallelExplorer};
 use datalink::ioa::Automaton;
@@ -26,16 +28,6 @@ type SysState = <E9 as Automaton>::State;
 
 const MAX_STATES: usize = 4_000_000;
 const MAX_DEPTH: usize = 100_000;
-
-fn e9_system() -> E9 {
-    let p = datalink::protocols::abp::protocol();
-    checked_system(
-        p.transmitter,
-        p.receiver,
-        LossyFifoChannel::with_capacity(Dir::TR, LossMode::Nondet, 3),
-        LossyFifoChannel::with_capacity(Dir::RT, LossMode::Nondet, 3),
-    )
-}
 
 fn safe(s: &SysState) -> bool {
     observer_of(s).is_safe()
@@ -121,7 +113,7 @@ fn e9_explore_is_deterministic_across_thread_counts() {
 }
 
 fn e9_explore_matrix_body() {
-    let sys = e9_system();
+    let sys = abp_lossy_system(3);
     let start = woken_start(&sys);
     let inputs = crash_free_inputs(2);
     let oracle = oracle(&sys, &start);
@@ -177,7 +169,7 @@ fn e9_packed_backend_matches_the_plain_matrix() {
 }
 
 fn e9_packed_matrix_body() {
-    let sys = e9_system();
+    let sys = abp_lossy_system(3);
     let start = woken_start(&sys);
     let inputs = crash_free_inputs(2);
     let oracle = oracle(&sys, &start);

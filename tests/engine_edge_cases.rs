@@ -2,6 +2,8 @@
 //! preconditions do not hold — budgets too small, protocols that never
 //! deliver, degenerate configurations.
 
+use std::ops::ControlFlow;
+
 use datalink::core::action::{DlAction, Msg, Station};
 use datalink::core::equivalence::MsgRenaming;
 use datalink::core::protocol::{
@@ -21,8 +23,8 @@ impl Automaton for MuteTransmitter {
     type Action = DlAction;
     type State = u8;
 
-    fn start_states(&self) -> Vec<u8> {
-        vec![0]
+    fn start_state(&self) -> u8 {
+        0
     }
     fn classify(&self, a: &DlAction) -> Option<ActionClass> {
         transmitter_classify(a)
@@ -33,8 +35,12 @@ impl Automaton for MuteTransmitter {
             _ => vec![],
         }
     }
-    fn enabled_local(&self, _s: &u8) -> Vec<DlAction> {
-        vec![]
+    fn for_each_enabled_local(
+        &self,
+        _s: &u8,
+        _f: &mut dyn FnMut(DlAction) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        ControlFlow::Continue(())
     }
     fn task_of(&self, _a: &DlAction) -> TaskId {
         TaskId(0)
@@ -64,8 +70,8 @@ impl Automaton for MuteReceiver {
     type Action = DlAction;
     type State = u8;
 
-    fn start_states(&self) -> Vec<u8> {
-        vec![0]
+    fn start_state(&self) -> u8 {
+        0
     }
     fn classify(&self, a: &DlAction) -> Option<ActionClass> {
         receiver_classify(a)
@@ -76,8 +82,12 @@ impl Automaton for MuteReceiver {
             _ => vec![],
         }
     }
-    fn enabled_local(&self, _s: &u8) -> Vec<DlAction> {
-        vec![]
+    fn for_each_enabled_local(
+        &self,
+        _s: &u8,
+        _f: &mut dyn FnMut(DlAction) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        ControlFlow::Continue(())
     }
     fn task_of(&self, _a: &DlAction) -> TaskId {
         TaskId(0)

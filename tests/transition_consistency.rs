@@ -1,28 +1,33 @@
 //! Differential audit of the allocation-free transition APIs.
 //!
-//! The interned execution core relies on three callback-based trait
-//! methods — `try_for_each_successor`, `for_each_enabled_local`, and the
-//! derived `is_enabled`/`step_first`/`has_enabled_local` — agreeing
-//! **exactly** (same elements, same order) with the legacy Vec-returning
-//! `successors`/`enabled_local` they shadow. The explorer steps through
-//! `successor_count` and `step_in_place`, and sessions through
-//! `for_each_enabled_of_task` and `step_chosen`: a task walk must yield
-//! exactly the enabled actions of that task class in enumeration order,
-//! and a step must count the same successors (asking its chooser once,
-//! with that count, and never for a disabled action) and move a state to
-//! exactly the one at the picked position. Executors pick actions and
-//! successors by position, so even a reordering would silently change
-//! schedules. The explorer also copies each state onto a reused one
-//! (`clone_from`) before every pick, so the picks here are stepped the
-//! same way.
+//! Every leaf automaton writes its transition relation once — as
+//! `successors`, or as a `Deterministic` guard and update — and its
+//! enabled actions once, as the `for_each_enabled_local` walk; the `Vec`
+//! form `enabled_local` is that walk, collected. Everything else is
+//! derived or hand-optimized from those, and must agree with them
+//! **exactly** (same elements, same order): `try_for_each_successor`,
+//! `successors_into`, `is_enabled`, `step_first` and `has_enabled_local`,
+//! and `Compose2`'s two enabled forms — the walk every engine steps and
+//! the filtered by-value `enabled_local` the proof engines and
+//! `dl-crosscheck` read. The explorer steps through `successor_count`
+//! and `step_in_place`, and sessions through `for_each_enabled_of_task`
+//! and `step_chosen`: a task walk must yield exactly the enabled actions
+//! of that task class in enumeration order, and a step must count the
+//! same successors (asking its chooser once, with that count, and never
+//! for a disabled action) and move a state to exactly the one at the
+//! picked position. Executors pick actions and successors by position,
+//! so even a reordering would silently change schedules. The explorer
+//! also copies each state onto a reused one (`clone_from`) before every
+//! pick, so the picks here are stepped the same way.
 //!
 //! This suite walks the full composed `link_system` (Hide ∘ Compose2 ∘
 //! protocol stations ∘ channels) for every protocol of the zoo — over
 //! fault-injecting channels, over ghost-loaded channels with corrupted
-//! station starts (the fuzz targets' shape), and for the stabilizing
-//! protocol over corrupted non-FIFO channels — and checks the agreement
-//! at every visited state, over every locally controlled action and a
-//! dense sample of environment inputs.
+//! station starts (the fuzz targets' shape), for the stabilizing
+//! protocol over corrupted non-FIFO channels, and for the proof engines'
+//! systems over permissive channels — and checks the agreement at every
+//! visited state, over every locally controlled action and a dense
+//! sample of environment inputs.
 
 use std::ops::ControlFlow;
 
@@ -40,15 +45,16 @@ fn mix(z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Asserts every callback-based API agrees with its Vec-based twin at
-/// state `s`, for each action in `actions`.
+/// Asserts every derived and in-place API agrees with `successors` and
+/// the enabled walk at state `s`, for each action in `actions`.
 fn check_state<A>(auto: &A, s: &A::State, actions: &[A::Action])
 where
     A: Automaton,
     A::State: Clone + PartialEq + std::fmt::Debug,
     A::Action: Clone + PartialEq + std::fmt::Debug,
 {
-    // enabled_local == collect(for_each_enabled_local), same order.
+    // enabled_local == collect(for_each_enabled_local), same order (a
+    // real comparison for a composition, whose by-value form filters).
     let legacy_enabled = auto.enabled_local(s);
     let mut cb_enabled = Vec::new();
     let flow = auto.for_each_enabled_local(s, &mut |a| {
@@ -58,6 +64,13 @@ where
     assert_eq!(flow, ControlFlow::Continue(()));
     assert_eq!(legacy_enabled, cb_enabled, "enabled_local order differs");
     assert_eq!(auto.has_enabled_local(s), !legacy_enabled.is_empty());
+    // Every action the walk yields has a successor (the trait contract).
+    for a in &cb_enabled {
+        assert!(
+            auto.is_enabled(s, a),
+            "the enabled walk yields {a:?}, which is disabled"
+        );
+    }
 
     // for_each_enabled_of_task == enabled_local filtered by task_of,
     // same order, for every class.
@@ -139,9 +152,20 @@ where
     }
 }
 
-/// Walks `auto` for `steps` transitions, checking consistency at every
-/// state. Inputs offered: the dense action sample plus fresh messages.
+/// Walks `auto` from its start state for `steps` transitions, checking
+/// consistency at every state.
 fn walk_and_check<A>(auto: &A, steps: usize, seed: u64)
+where
+    A: Automaton<Action = DlAction>,
+    A::State: Clone + PartialEq + std::fmt::Debug,
+{
+    walk_and_check_from(auto, auto.start_state(), steps, seed);
+}
+
+/// Walks `auto` from `start` for `steps` transitions, checking
+/// consistency at every state. Inputs offered: the dense action sample
+/// plus fresh messages.
+fn walk_and_check_from<A>(auto: &A, start: A::State, steps: usize, seed: u64)
 where
     A: Automaton<Action = DlAction>,
     A::State: Clone + PartialEq + std::fmt::Debug,
@@ -155,7 +179,7 @@ where
         inputs.push(DlAction::Fail(d));
     }
 
-    let mut s = auto.start_states().remove(0);
+    let mut s = start;
     let mut rng = seed;
     for _ in 0..steps {
         check_state(auto, &s, &inputs);
@@ -327,6 +351,52 @@ fn stabilizing_over_corrupt_channels_matches_legacy() {
         );
         walk_and_check(&sys, 160, seed);
     }
+}
+
+/// The proof engines' systems: `dl-impossibility`'s `Driver` steps a
+/// protocol over two permissive channels, `Ĉ` (`PermissiveChannel::fifo`)
+/// for Theorem 7.5 and `C̄` (`PermissiveChannel::universal`) for Theorem
+/// 8.5. The channel writes only `successors` and its enabled walk, so
+/// every step method here is a default derived from those two. `C̄` also
+/// starts from a delivery set that reorders and loses, as the engines'
+/// surgery leaves one: its walk then offers packets out of send order
+/// and skips lost ones.
+#[test]
+fn proof_engine_systems_over_permissive_channels_match() {
+    use datalink::channels::{DeliverySet, PermissiveChannel};
+
+    fn check<T, R>(p: &DataLinkProtocol<T, R>)
+    where
+        T: StationAutomaton + Clone,
+        R: StationAutomaton + Clone,
+    {
+        for seed in [1u64, 99, 2026] {
+            for channel in [PermissiveChannel::fifo, PermissiveChannel::universal] {
+                let sys = link_system(
+                    p.transmitter.clone(),
+                    p.receiver.clone(),
+                    channel(Dir::TR),
+                    channel(Dir::RT),
+                );
+                walk_and_check(&sys, 160, seed);
+            }
+            let (tr, rt) = (
+                PermissiveChannel::universal(Dir::TR),
+                PermissiveChannel::universal(Dir::RT),
+            );
+            let sys = link_system(p.transmitter.clone(), p.receiver.clone(), tr, rt);
+            let mut start = sys.start_state();
+            // t→r delivers packet 2, then 1, then 4 (3 is lost), then FIFO
+            // from 5; r→t delivers 3 first, then 1 (2 is lost), then 4, ….
+            let set = |explicit: Vec<u64>, tail| DeliverySet::new(explicit, tail).unwrap();
+            start.right.left = tr.initial_state(set(vec![2, 1, 4], 4));
+            start.right.right = rt.initial_state(set(vec![3, 1], 3));
+            walk_and_check_from(&sys, start, 160, seed);
+        }
+    }
+
+    check(&datalink::protocols::abp::protocol());
+    check(&datalink::protocols::sliding_window::protocol(2));
 }
 
 /// The simulated channels (nondeterministic loss, reordering) get
