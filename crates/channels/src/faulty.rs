@@ -175,12 +175,6 @@ impl GhostSpec {
         GhostSpec { count: 0, seed: 0 }
     }
 
-    /// `true` when no ghosts are preloaded.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
     /// The `i`-th ghost packet: tag, sequence number, and payload message
     /// are all drawn from the avalanche mix of `(seed, i)`; the uid is
     /// `u64::MAX - 1 - i`, far above any uid a run-stamping monitor
@@ -205,6 +199,17 @@ impl GhostSpec {
             payload,
         }
     }
+
+    /// The flight of a channel that starts from this corrupted
+    /// configuration: the ghosts in generation order, none sent yet.
+    /// Any channel whose state is a [`FlightState`] starts from it.
+    #[must_use]
+    pub fn flight(&self) -> FlightState {
+        FlightState {
+            in_flight: (0..self.count).map(|i| self.packet(i)).collect(),
+            sends: 0,
+        }
+    }
 }
 
 impl Default for GhostSpec {
@@ -221,38 +226,19 @@ impl Default for GhostSpec {
 /// executor, all fault variation from the spec. That keeps composed runs
 /// reproducible from the runner seed and the spec alone.
 ///
-/// An optional [`GhostSpec`] preloads the start state with in-flight ghost
-/// packets, modeling the channel part of a corrupted configuration.
+/// A run from a corrupted configuration starts the channel from a
+/// [`GhostSpec::flight`] instead of its empty start state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultyChannel {
     dir: Dir,
     spec: FaultSpec,
-    ghosts: GhostSpec,
 }
 
 impl FaultyChannel {
-    /// A channel in `dir` with the given fault knobs and no ghosts.
+    /// A channel in `dir` with the given fault knobs.
     #[must_use]
     pub fn new(dir: Dir, spec: FaultSpec) -> Self {
-        FaultyChannel {
-            dir,
-            spec,
-            ghosts: GhostSpec::none(),
-        }
-    }
-
-    /// The same channel starting from a corrupted configuration: `ghosts`
-    /// are already in flight when the run begins.
-    #[must_use]
-    pub fn with_ghosts(mut self, ghosts: GhostSpec) -> Self {
-        self.ghosts = ghosts;
-        self
-    }
-
-    /// This channel's ghost preload.
-    #[must_use]
-    pub fn ghosts(&self) -> GhostSpec {
-        self.ghosts
+        FaultyChannel { dir, spec }
     }
 
     /// A fault-free (perfect FIFO) channel.
@@ -320,11 +306,7 @@ impl Automaton for FaultyChannel {
     type State = FlightState;
 
     fn start_state(&self) -> FlightState {
-        let mut s = FlightState::default();
-        for i in 0..self.ghosts.count {
-            s.in_flight.push(self.ghosts.packet(i));
-        }
-        s
+        FlightState::default()
     }
 
     fn classify(&self, a: &DlAction) -> Option<ActionClass> {
@@ -553,10 +535,10 @@ mod tests {
     #[test]
     fn ghost_preload_models_a_corrupted_configuration() {
         let ghosts = GhostSpec { count: 3, seed: 9 };
-        let ch = FaultyChannel::perfect(Dir::TR).with_ghosts(ghosts);
-        let s = ch.start_states().remove(0);
+        let ch = FaultyChannel::perfect(Dir::TR);
+        let s = ghosts.flight();
         // Deterministic, replayable from the spec alone.
-        assert_eq!(s, ch.start_states().remove(0));
+        assert_eq!(s, ghosts.flight());
         assert_eq!(s.in_flight.len(), 3);
         assert_eq!(s.sends, 0);
         // Ghost uids sit in their reserved band, away from UNSTAMPED.
@@ -564,15 +546,9 @@ mod tests {
             assert!(p.uid >= u64::MAX - 3 && p.uid != Packet::UNSTAMPED);
         }
         // Seeds decorrelate ghost streams.
-        let other = FaultyChannel::perfect(Dir::TR).with_ghosts(GhostSpec { count: 3, seed: 10 });
-        assert_ne!(other.start_states(), ch.start_states());
+        assert_ne!(GhostSpec { count: 3, seed: 10 }.flight(), s);
         // No ghosts ≡ the honest start.
-        assert_eq!(
-            FaultyChannel::perfect(Dir::TR)
-                .with_ghosts(GhostSpec::none())
-                .start_states(),
-            FaultyChannel::perfect(Dir::TR).start_states()
-        );
+        assert_eq!(GhostSpec::none().flight(), ch.start_state());
         // Ghosts are genuine in-flight packets: the head is deliverable.
         let head = s.in_flight[0];
         let t = ch

@@ -63,4 +63,4 @@ pub mod spec;
 pub use action::{Dir, DlAction, Header, Msg, Packet, Station, Tag};
 pub use equivalence::MsgRenaming;
 pub use observer::WdlObserver;
-pub use protocol::{CorruptedStart, DataLinkProtocol, ProtocolInfo};
+pub use protocol::{DataLinkProtocol, ProtocolInfo};

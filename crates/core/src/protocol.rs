@@ -130,113 +130,6 @@ pub trait StationAutomaton: Automaton<Action = DlAction> {
     }
 }
 
-/// An adapter placing a station automaton in a corrupted initial
-/// configuration: identical to the inner automaton except that its unique
-/// start state is [`StationAutomaton::corrupted_start`] of `seq`.
-///
-/// With `seq == 0` the adapter is behaviorally identical to the inner
-/// automaton (see the `corrupted_start` contract), which is what lets the
-/// fuzz targets wrap stations unconditionally without perturbing
-/// corruption-free runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CorruptedStart<A> {
-    inner: A,
-    seq: u64,
-}
-
-impl<A> CorruptedStart<A> {
-    /// Wraps `inner` with its start state skewed by `seq`.
-    pub fn new(inner: A, seq: u64) -> Self {
-        CorruptedStart { inner, seq }
-    }
-}
-
-impl<A: StationAutomaton> Automaton for CorruptedStart<A> {
-    type Action = DlAction;
-    type State = A::State;
-
-    fn start_state(&self) -> A::State {
-        self.inner.corrupted_start(self.seq)
-    }
-    fn classify(&self, a: &DlAction) -> Option<ActionClass> {
-        self.inner.classify(a)
-    }
-    fn successors(&self, s: &A::State, a: &DlAction) -> Vec<A::State> {
-        self.inner.successors(s, a)
-    }
-    fn task_of(&self, a: &DlAction) -> ioa::automaton::TaskId {
-        self.inner.task_of(a)
-    }
-    fn task_count(&self) -> usize {
-        self.inner.task_count()
-    }
-
-    // Only the start state differs; the transition structure — and
-    // therefore every hot-path method — delegates, so the inner
-    // station's clone-free overrides survive the wrapper.
-    fn try_for_each_successor(
-        &self,
-        s: &A::State,
-        a: &DlAction,
-        f: &mut dyn FnMut(A::State) -> std::ops::ControlFlow<()>,
-    ) -> std::ops::ControlFlow<()> {
-        self.inner.try_for_each_successor(s, a, f)
-    }
-    fn successors_into(&self, s: &A::State, a: &DlAction, out: &mut Vec<A::State>) {
-        self.inner.successors_into(s, a, out);
-    }
-    fn for_each_enabled_local(
-        &self,
-        s: &A::State,
-        f: &mut dyn FnMut(DlAction) -> std::ops::ControlFlow<()>,
-    ) -> std::ops::ControlFlow<()> {
-        self.inner.for_each_enabled_local(s, f)
-    }
-    fn for_each_enabled_of_task(
-        &self,
-        s: &A::State,
-        task: ioa::automaton::TaskId,
-        f: &mut dyn FnMut(DlAction) -> std::ops::ControlFlow<()>,
-    ) -> std::ops::ControlFlow<()> {
-        self.inner.for_each_enabled_of_task(s, task, f)
-    }
-    fn has_enabled_local(&self, s: &A::State) -> bool {
-        self.inner.has_enabled_local(s)
-    }
-    fn is_enabled(&self, s: &A::State, a: &DlAction) -> bool {
-        self.inner.is_enabled(s, a)
-    }
-    fn step_first(&self, s: &A::State, a: &DlAction) -> Option<A::State> {
-        self.inner.step_first(s, a)
-    }
-    fn successor_count(&self, s: &A::State, a: &DlAction) -> usize {
-        self.inner.successor_count(s, a)
-    }
-    fn step_chosen(
-        &self,
-        s: &mut A::State,
-        a: &DlAction,
-        choose: &mut dyn FnMut(usize) -> usize,
-    ) -> bool {
-        self.inner.step_chosen(s, a, choose)
-    }
-}
-
-impl<A: StationAutomaton> StationAutomaton for CorruptedStart<A> {
-    fn station(&self) -> Station {
-        self.inner.station()
-    }
-    fn corrupted_start(&self, seq: u64) -> Self::State {
-        self.inner.corrupted_start(seq)
-    }
-}
-
-impl<A: StationAutomaton + MessageIndependent> MessageIndependent for CorruptedStart<A> {
-    fn relabel_state(&self, state: &Self::State, renaming: &MsgRenaming) -> Self::State {
-        self.inner.relabel_state(state, renaming)
-    }
-}
-
 /// Message-independence (§5.3.1) as an executable capability: applying a
 /// message renaming to a state substitutes every stored message and touches
 /// nothing else.

@@ -71,7 +71,16 @@ where
     }
 
     fn actions(&self, state: &M::State, out: &mut Vec<M::Action>) {
+        let walked = out.len();
         out.extend(self.automaton.enabled_local(state));
+        // The enabled walk yields only enabled actions; one it yields with
+        // no successor would vanish from the check.
+        for a in &out[walked..] {
+            debug_assert!(
+                self.automaton.is_enabled(state, a),
+                "walked action {a:?} has no successor"
+            );
+        }
         out.extend((self.inputs)(state));
     }
 

@@ -3,6 +3,8 @@
 //! counts, quiescent counts, diameter, per-layer statistics, and (for
 //! the crash pump) the minimal DL4 counterexample action for action.
 
+use dl_channels::{LossMode, LossyFifoChannel};
+use dl_core::action::Dir;
 use dl_crosscheck::zoo;
 
 #[test]
@@ -47,6 +49,24 @@ fn go_back_n_agrees() {
     let outcome = zoo::go_back_n_lossy(2, 2, 2);
     outcome.assert_agree();
     assert!(outcome.explorer.violation.is_none());
+
+    // One message more than the window: the transmitter's queue
+    // outgrows the window, where its enabled walk must stop.
+    let p = dl_protocols::sliding_window::protocol(2);
+    let sys = zoo::checked_system(
+        p.transmitter,
+        p.receiver,
+        LossyFifoChannel::with_capacity(Dir::TR, LossMode::Nondet, 1),
+        LossyFifoChannel::with_capacity(Dir::RT, LossMode::Nondet, 1),
+    );
+    let outcome = zoo::run_both(
+        "go_back_2_cap1_3msgs".into(),
+        2,
+        sys,
+        zoo::crash_free_inputs(3),
+    );
+    outcome.assert_agree();
+    assert!(!outcome.explorer.truncated && outcome.explorer.violation.is_none());
 }
 
 #[test]

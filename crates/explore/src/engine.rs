@@ -766,7 +766,7 @@ where
             }
             for idx in begin..(begin + work.chunk).min(work.end) {
                 store.load_into(idx as u32, &mut w.cur);
-                self.enumerate_actions(&w.cur, &mut w.actions);
+                let walked = self.enumerate_actions(&w.cur, &mut w.actions);
                 if w.actions.is_empty() {
                     stats.quiescent += 1;
                     continue;
@@ -775,7 +775,14 @@ where
                 w.hashes.clear();
                 w.keys.clear();
                 for (ai, action) in w.actions.iter().enumerate() {
-                    for pick in 0..self.automaton.successor_count(&w.cur, action) {
+                    let count = self.automaton.successor_count(&w.cur, action);
+                    // The enabled walk yields only enabled actions; one it
+                    // yields with no successor would vanish from the search.
+                    debug_assert!(
+                        count > 0 || ai >= walked,
+                        "walked action {action:?} has no successor"
+                    );
+                    for pick in 0..count {
                         let n = w.hashes.len();
                         if n == w.succs.len() {
                             w.succs.push(w.cur.clone());
@@ -829,14 +836,17 @@ where
     /// Fills `into` with `state`'s deterministic action list: the enabled
     /// locally controlled actions, then the permitted environment inputs.
     /// Claim keys, admission-time trace labels, and lazy counterexample
-    /// reconstruction all index this one list.
-    fn enumerate_actions(&self, state: &M::State, into: &mut Vec<M::Action>) {
+    /// reconstruction all index this one list. Returns how many of its
+    /// actions the enabled walk yielded.
+    fn enumerate_actions(&self, state: &M::State, into: &mut Vec<M::Action>) -> usize {
         into.clear();
         let _ = self.automaton.for_each_enabled_local(state, &mut |a| {
             into.push(a);
             ControlFlow::Continue(())
         });
+        let walked = into.len();
         into.extend((self.inputs)(state));
+        walked
     }
 
     /// Follows spanning-tree links from `idx` back to a root, resolving

@@ -16,14 +16,14 @@
 //!   [`session_config`]. Any session can be rebuilt in isolation.
 //! * [`session`] — one live session: a zoo protocol composed with two
 //!   [`FaultyChannel`](dl_channels::FaultyChannel)s, driven through
-//!   `dl-sim`'s resumable [`SessionStep`](dl_sim::SessionStep) built
-//!   **lean** (no retained trace), with an optional online
+//!   `dl-sim`'s resumable [`SessionStep`](dl_sim::SessionStep), which
+//!   keeps one live state and no trace, with an optional online
 //!   `TraceMonitor` sidecar for first-violation abort and per-session
 //!   complete-trace verdicts — or, for the stabilizing protocol, a
 //!   `SuffixMonitor` sidecar fed as the session runs. Immutable
 //!   protocol/channel tables are separated from per-session mutable
 //!   state, so a classic session costs about 2.3 KB (the `fleet/e13`
-//!   ledger's peak is 2,344 bytes), and building one allocates only its
+//!   ledger's peak is 2,256 bytes), and building one allocates only its
 //!   script, which it shares with its config.
 //! * [`engine`] — [`run_fleet`]: contiguous per-worker id ranges,
 //!   chunked materialization (peak memory is bounded by

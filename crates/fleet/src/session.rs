@@ -6,12 +6,12 @@
 //! values (protocol machines, channel configurations) are small immutable
 //! tables, while everything mutable — the composed state, scratch
 //! buffers, RNG stream, script cursor, monitor — is owned by the
-//! [`SessionStep`], built **lean** so no execution trace is retained.
+//! [`SessionStep`], which keeps one live state and no execution trace.
 //! A classic session's resident cost is therefore about 2.3 KB (the
-//! `fleet/e13` ledger's peak [`SessionOutcome::resident_bytes`] is 2,344
-//! bytes) no matter how long it runs. Building one allocates only the
-//! script, which the session shares with its [`SessionConfig`]: the
-//! composed start state is paired in place and the data-link-only
+//! `fleet/e13` ledger's peak [`SessionOutcome::resident_bytes`] is
+//! 2,256 bytes) no matter how long it runs. Building one allocates
+//! only the script, which the session shares with its [`SessionConfig`]:
+//! the composed start state is paired in place and the data-link-only
 //! monitor has no packet tables.
 //! The session only steps: the fleet folds each action it takes into
 //! the two things a [`SessionOutcome`] reports and the session does not
@@ -24,7 +24,7 @@
 //! quiesce crash-free with the script fully consumed — a complete-trace
 //! `WDL` verdict from the streaming monitor, which adds DL8 liveness
 //! without ever materializing the trace. The stabilizing variant runs
-//! the same lean session without the online monitor (a corrupted start
+//! the same kind of session without the online monitor (a corrupted start
 //! is supposed to misbehave for a prefix) and instead feeds each
 //! external action, as it is taken, to a [`SuffixMonitor`] sidecar,
 //! which judges it in suffix mode at teardown; the sidecar's tables are
@@ -59,7 +59,7 @@ pub type StabilizeSystem = LinkSystem<
 
 type Step<T, R> = SessionStep<FleetSystem<T, R>>;
 
-/// A live session of any protocol in the zoo: the per-kind lean session
+/// A live session of any protocol in the zoo: the per-kind session
 /// plus the digest and [`Metrics`] the fleet folds over the actions it
 /// takes.
 pub struct ZooSession {
@@ -72,16 +72,16 @@ pub struct ZooSession {
 
 /// Declares [`Kind`] with one variant per station pair of the classic
 /// zoo, and the `From` conversion that lets [`build_session`] wrap
-/// whichever lean session the zoo's dispatch macro built.
+/// whichever session the zoo's dispatch macro built.
 macro_rules! kinds {
     ($($kind:ident($tx:ident, $rx:ident),)*) => {
-        /// The lean session of one zoo kind, monomorphized per station
+        /// The session of one zoo kind, monomorphized per station
         /// pair so the hot stepping loop is static-dispatched (go-back-2
         /// and go-back-8 share `SlidingWindow`).
         enum Kind {
             $($kind(Step<dl_protocols::$tx, dl_protocols::$rx>),)*
             /// The self-stabilizing protocol, possibly from a corrupted
-            /// initial configuration: a lean session with no online monitor
+            /// initial configuration: a session with no online monitor
             /// (a corrupted start is supposed to misbehave for a prefix),
             /// plus the [`SuffixMonitor`] that [`ZooSession::advance_batch`]
             /// feeds every external action as it is taken, judged in suffix
@@ -133,14 +133,12 @@ macro_rules! with_session {
 pub fn fleet_policy() -> ConformancePolicy {
     ConformancePolicy {
         full_dl: false,
-        complete: false,
         fifo_channels: false,
         monitor_pl: false,
-        patience: None,
     }
 }
 
-fn lean_step<T, R>(
+fn classic_step<T, R>(
     protocol: DataLinkProtocol<T, R>,
     cfg: &SessionConfig,
     spec: &FleetSpec,
@@ -159,15 +157,16 @@ where
         FaultyChannel::new(Dir::TR, cfg.faults[0]),
         FaultyChannel::new(Dir::RT, cfg.faults[1]),
     );
-    SessionStep::lean(runner, system, cfg.script.clone())
+    let start = system.start_state();
+    SessionStep::new(runner, system, start, cfg.script.clone())
 }
 
-/// Builds session `cfg` as a lean, incrementally-steppable [`ZooSession`].
+/// Builds session `cfg` as an incrementally-steppable [`ZooSession`].
 #[must_use]
 pub fn build_session(cfg: &SessionConfig, spec: &FleetSpec) -> ZooSession {
     let kind = dl_protocols::with_zoo_member!(
         cfg.protocol,
-        protocol => Kind::from(lean_step(protocol, cfg, spec)),
+        protocol => Kind::from(classic_step(protocol, cfg, spec)),
         stabilizing => {
             let corruption = cfg
                 .corruption
@@ -186,8 +185,9 @@ pub fn build_session(cfg: &SessionConfig, spec: &FleetSpec) -> ZooSession {
                 CorruptChannel::new(Dir::TR, corruption.channels[0]),
                 CorruptChannel::new(Dir::RT, corruption.channels[1]),
             );
+            let start = system.start_state();
             Kind::Stabilizing(
-                SessionStep::lean(runner, system, cfg.script.clone()),
+                SessionStep::new(runner, system, start, cfg.script.clone()),
                 Box::new(SuffixMonitor::new(false)),
             )
         },
@@ -347,7 +347,7 @@ fn finish_stabilizing(
     }
 }
 
-/// The fleet's footprint on top of a lean session's: the folded digest
+/// The fleet's footprint on top of a session's: the folded digest
 /// and [`Metrics`] struct, plus the metrics' heap.
 fn folded_bytes(metrics: &Metrics) -> u64 {
     (std::mem::size_of::<u64>() + std::mem::size_of::<Metrics>()) as u64 + metrics.heap_bytes()
@@ -376,7 +376,7 @@ pub struct SessionOutcome {
     pub msgs_sent: u64,
     /// `receive_msg` events.
     pub msgs_delivered: u64,
-    /// Resident-footprint estimate at teardown: the lean session's
+    /// Resident-footprint estimate at teardown: the session's
     /// [`SessionStep::resident_bytes`], plus the digest and [`Metrics`]
     /// the fleet folds beside it and the metrics' heap
     /// ([`Metrics::heap_bytes`]); a stabilizing session adds its

@@ -103,7 +103,7 @@ fn stabilizing_sessions_report_their_suffix_monitor() {
 
 /// A lean session core stays small for every zoo kind: the online
 /// monitor is data-link-only and carries no packet tables, so a
-/// `SessionStep` is about 1.2 KB (it was about 2.4 KB while both
+/// `SessionStep` is about 1.1 KB (it was about 2.4 KB while both
 /// directions' packet tables sat inline in every monitor).
 #[test]
 fn lean_session_cores_are_small() {

@@ -17,9 +17,10 @@
 //!   Executions are **pure functions of the genome** — no hidden
 //!   randomness — so every result replays.
 //! * [`target`](mod@target) — all ten protocols of the zoo, each composed with two
-//!   [`FaultyChannel`](dl_channels::FaultyChannel)s and executed as a lean
-//!   `dl-sim` session (one live state stepped in place, nothing recorded
-//!   but the schedule) under an online conformance monitor
+//!   [`FaultyChannel`](dl_channels::FaultyChannel)s and executed as a
+//!   `dl-sim` session (one live state stepped in place from the start
+//!   state the genome decodes to, nothing recorded but the schedule)
+//!   under an online conformance monitor
 //!   (`monitor_pl = false`: the fault knobs violate the physical layer on
 //!   purpose; the quarry is data-link violations of the protocol under
 //!   test). Coverage keys are hashed from the live state after each step,

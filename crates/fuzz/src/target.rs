@@ -3,11 +3,12 @@
 //!
 //! Each target is a monomorphized `fn(&Genome, &ExecConfig) -> ExecOutcome`
 //! that builds the §5.2 composition `hide_Φ(protocol ∥ FaultyChannel²)`
-//! and runs the genome's plan as a lean [`SessionStep`]: one live state
-//! stepped in place, nothing recorded but the schedule. The target watches
-//! the session one action at a time, counting the three counters it reads
-//! (`send_msg`, `receive_msg`, `crash`) and hashing each step's coverage
-//! key from the live post-state right after the step.
+//! and runs the genome's plan as a [`SessionStep`] from the start state
+//! the genome decodes to: one live state stepped in place, nothing
+//! recorded but the schedule. The target watches the session one action
+//! at a time, counting the three counters it reads (`send_msg`,
+//! `receive_msg`, `crash`) and hashing each step's coverage key from the
+//! live post-state right after the step.
 //!
 //! Monitoring posture: executions run with `monitor_pl = false` (the
 //! duplication fault knob violates PL3 *by design*, and aborting on the
@@ -28,10 +29,10 @@ use ioa::{ActionClass, Automaton};
 
 use dl_channels::{CorruptChannel, CorruptSpec, FaultyChannel, GhostSpec};
 use dl_core::action::{Dir, DlAction, Station};
-use dl_core::protocol::{CorruptedStart, DataLinkProtocol, StationAutomaton};
+use dl_core::protocol::{DataLinkProtocol, StationAutomaton};
 use dl_core::spec::stabilize::{BudgetVerdict, SuffixMonitor};
 use dl_protocols::Zoo;
-use dl_sim::{link_system, ConformancePolicy, Runner, SessionStep};
+use dl_sim::{link_state, link_system, ConformancePolicy, Runner, SessionStep};
 
 use crate::genome::Genome;
 
@@ -199,14 +200,14 @@ fn mix3(a: u64, b: u64, c: u64) -> u64 {
 /// Runs one genome against one protocol over fault-injected channels.
 ///
 /// Any [`Corruption`](crate::genome::Corruption) gene is decoded into a
-/// corrupted initial configuration for the *classic* zoo too: the
-/// stations start with their counters skewed ([`CorruptedStart`], via
-/// each protocol's `corrupted_start` mapping) and the channels start
-/// with ghost packets already in flight ([`GhostSpec`]). A missing or
-/// all-zero corruption gene decodes to the honest start (`seq == 0`
-/// wrappers and empty ghost preloads are behaviorally identity), so
-/// corruption-free genomes execute byte-identically to before the fault
-/// class reached these targets.
+/// corrupted initial configuration for the *classic* zoo too: the run
+/// starts with each station's counters skewed (its
+/// [`StationAutomaton::corrupted_start`]) and each channel's ghost
+/// packets already in flight ([`GhostSpec::flight`]). A missing or
+/// all-zero corruption gene decodes to the honest start
+/// (`corrupted_start(0)` is the start state and an empty ghost flight is
+/// an empty channel), so corruption-free genomes execute byte-identically
+/// to before the fault class reached these targets.
 pub fn run_protocol<T, R>(
     protocol: DataLinkProtocol<T, R>,
     genome: &Genome,
@@ -224,23 +225,27 @@ where
         count,
         seed: c.seed ^ lane,
     };
+    let start = link_state(
+        protocol.transmitter.corrupted_start(u64::from(c.tx_seq)),
+        protocol.receiver.corrupted_start(u64::from(c.rx_expected)),
+        ghosts(c.ghosts_tr, 0x7121).flight(),
+        ghosts(c.ghosts_rt, 0x1217).flight(),
+    );
     let system = link_system(
-        CorruptedStart::new(protocol.transmitter, u64::from(c.tx_seq)),
-        CorruptedStart::new(protocol.receiver, u64::from(c.rx_expected)),
-        FaultyChannel::new(Dir::TR, plan.faults[0]).with_ghosts(ghosts(c.ghosts_tr, 0x7121)),
-        FaultyChannel::new(Dir::RT, plan.faults[1]).with_ghosts(ghosts(c.ghosts_rt, 0x1217)),
+        protocol.transmitter,
+        protocol.receiver,
+        FaultyChannel::new(Dir::TR, plan.faults[0]),
+        FaultyChannel::new(Dir::RT, plan.faults[1]),
     );
     let policy = ConformancePolicy {
         full_dl: cfg.full_dl,
-        complete: false,
         fifo_channels: false,
         monitor_pl: false,
-        ..ConformancePolicy::default()
     };
     let runner = Runner::new(genome.seed, cfg.max_steps)
         .with_online_conformance(policy)
         .with_decision_overrides(plan.overrides);
-    let mut session = SessionStep::lean(runner, &system, plan.script);
+    let mut session = SessionStep::new(runner, &system, start, plan.script);
     let (coverage, schedule, _) = drive(&mut session, |_| {});
 
     // Online safety conclusion first; a quiescent run is then judged as a
@@ -264,7 +269,7 @@ where
     }
 }
 
-/// Drives a lean session to its end and returns its coverage keys,
+/// Drives a session to its end and returns its coverage keys,
 /// schedule and [`Progress`] counters; `watch` sees every action as it is
 /// taken.
 ///
@@ -346,7 +351,7 @@ fn run_stabilizing(genome: &Genome, cfg: &ExecConfig) -> ExecOutcome {
         CorruptChannel::new(Dir::RT, spec(c.ghosts_rt, plan.faults[1].loss, 0x1217)),
     );
     let runner = Runner::new(genome.seed, cfg.max_steps).with_decision_overrides(plan.overrides);
-    let mut session = SessionStep::lean(runner, &system, plan.script);
+    let mut session = SessionStep::new(runner, &system, system.start_state(), plan.script);
     let mut monitor = SuffixMonitor::new(cfg.full_dl);
     let (coverage, schedule, m) = drive(&mut session, |a| {
         if is_external(&system, a) {

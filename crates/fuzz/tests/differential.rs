@@ -25,12 +25,12 @@ use ioa::{ActionClass, Automaton};
 
 use dl_channels::{CorruptChannel, CorruptSpec, FaultyChannel, GhostSpec};
 use dl_core::action::{Dir, DlAction, Station};
-use dl_core::protocol::{CorruptedStart, DataLinkProtocol, StationAutomaton};
+use dl_core::protocol::{DataLinkProtocol, StationAutomaton};
 use dl_core::spec::datalink::DlModule;
 use dl_core::spec::stabilize::SuffixMonitor;
 use dl_fuzz::{all_targets, ExecConfig, ExecOutcome, Genome, Target};
 use dl_protocols::Zoo;
-use dl_sim::{link_system, ConformancePolicy, RunReport, Runner};
+use dl_sim::{link_state, link_system, ConformancePolicy, RunReport, Runner};
 
 /// Genomes per target and corruption setting.
 const GENOMES: u64 = 200;
@@ -147,23 +147,27 @@ where
         count,
         seed: c.seed ^ lane,
     };
+    let start = link_state(
+        protocol.transmitter.corrupted_start(u64::from(c.tx_seq)),
+        protocol.receiver.corrupted_start(u64::from(c.rx_expected)),
+        ghosts(c.ghosts_tr, 0x7121).flight(),
+        ghosts(c.ghosts_rt, 0x1217).flight(),
+    );
     let system = link_system(
-        CorruptedStart::new(protocol.transmitter, u64::from(c.tx_seq)),
-        CorruptedStart::new(protocol.receiver, u64::from(c.rx_expected)),
-        FaultyChannel::new(Dir::TR, plan.faults[0]).with_ghosts(ghosts(c.ghosts_tr, 0x7121)),
-        FaultyChannel::new(Dir::RT, plan.faults[1]).with_ghosts(ghosts(c.ghosts_rt, 0x1217)),
+        protocol.transmitter,
+        protocol.receiver,
+        FaultyChannel::new(Dir::TR, plan.faults[0]),
+        FaultyChannel::new(Dir::RT, plan.faults[1]),
     );
     let policy = ConformancePolicy {
         full_dl: cfg.full_dl,
-        complete: false,
         fifo_channels: false,
         monitor_pl: false,
-        ..ConformancePolicy::default()
     };
     let report = Runner::new(genome.seed, cfg.max_steps)
         .with_online_conformance(policy)
         .with_decision_overrides(plan.overrides.clone())
-        .run(&system, &plan.script);
+        .run_from(&system, start, &plan.script);
     let schedule = report.schedule();
 
     // An online violation indexes the schedule already; a batch verdict

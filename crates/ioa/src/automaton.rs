@@ -299,50 +299,6 @@ pub trait Automaton {
         self.step_chosen(state, action, &mut |_| pick)
     }
 
-    /// Spot-checks determinism: a unique start state and at most one
-    /// successor for every `(state, action)` pair in the given samples.
-    /// Returns the first nondeterministic pair found, or `Err(())` if the
-    /// start state is not unique.
-    ///
-    /// The impossibility engines assume deterministic protocols (they
-    /// replay recorded executions); this audit lets callers fail early
-    /// with a clear message instead of diverging mid-replay.
-    ///
-    /// # Errors
-    ///
-    /// `Err(())` when `start_states().len() != 1`.
-    #[allow(clippy::result_unit_err, clippy::type_complexity)]
-    fn check_deterministic<'a>(
-        &self,
-        states: &'a [Self::State],
-        actions: &'a [Self::Action],
-    ) -> Result<Option<(&'a Self::State, &'a Self::Action)>, ()> {
-        if self.start_states().len() != 1 {
-            return Err(());
-        }
-        for s in states {
-            for a in actions {
-                // Stop enumerating at the second successor — the audit
-                // only needs to know whether more than one exists.
-                let mut seen = 0u32;
-                let two = self
-                    .try_for_each_successor(s, a, &mut |_| {
-                        seen += 1;
-                        if seen > 1 {
-                            ControlFlow::Break(())
-                        } else {
-                            ControlFlow::Continue(())
-                        }
-                    })
-                    .is_break();
-                if two {
-                    return Ok(Some((s, a)));
-                }
-            }
-        }
-        Ok(None)
-    }
-
     /// Spot-checks input-enabledness: every action of `inputs` that
     /// classifies as an input must be enabled in every state of `states`.
     /// Returns the first violation as `(state, action)`.
@@ -675,12 +631,6 @@ mod tests {
 
     #[test]
     fn determinism_audit() {
-        let c = Counter;
-        assert_eq!(
-            c.check_deterministic(&[0, 1, 2], &[Act::Reset, Act::Tick]),
-            Ok(None)
-        );
-
         /// Coin: two successors for Flip.
         #[derive(Clone)]
         struct Coin;
@@ -710,9 +660,6 @@ mod tests {
                 1
             }
         }
-        let found = Coin.check_deterministic(&[0], &[Act::Reset]).unwrap();
-        assert!(found.is_some());
-
         // The in-place defaults follow the `successors` positions.
         assert_eq!(Coin.successor_count(&5, &Act::Reset), 2);
         for (k, want) in [0u8, 1].into_iter().enumerate() {

@@ -7,6 +7,13 @@
 //! scripted environment ([`Runner`], [`Script`]), and reports what happened
 //! ([`RunReport`], [`Metrics`]).
 //!
+//! A run is a [`SessionStep`]: one live state, stepped in place from a
+//! start state the caller gives — the composed start state, or any other
+//! state of the system, such as a corrupted configuration built with
+//! [`link_state`]. The fleet and the fuzzer watch their sessions one
+//! action at a time; [`Runner::run_from`] is the one recorder, watching a
+//! session into a [`RunReport`].
+//!
 //! The runner adds two services on top of `ioa`'s fair executor:
 //!
 //! * **uid stamping** — protocol automata emit packets with
@@ -36,11 +43,11 @@ pub mod scenario;
 pub mod script;
 pub mod system;
 
-pub use conformance::{judge, ConformancePolicy, ConformanceReport};
+pub use conformance::ConformancePolicy;
 pub use runner::{
     digest_action, schedule_digest, Decision, DecisionPoint, Metrics, RunReport, Runner,
     SessionStep,
 };
 pub use scenario::Scenario;
 pub use script::{Script, ScriptStep};
-pub use system::{link_system, LinkState, LinkSystem};
+pub use system::{link_state, link_system, LinkState, LinkSystem};

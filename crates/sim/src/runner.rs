@@ -54,7 +54,7 @@ impl Metrics {
     /// Counts one taken action: `steps` is its 1-based index, and a
     /// `receive_msg` is matched to the earliest unmatched `send_msg` of
     /// its value for the latency sample. Folded over a schedule, this is
-    /// [`RunReport::metrics`]; a lean session keeps no `Metrics`, so an
+    /// [`RunReport::metrics`]; a session keeps no `Metrics`, so an
     /// engine that reads them folds this over the actions
     /// [`SessionStep::step`] returns.
     pub fn record(&mut self, a: &DlAction) {
@@ -332,9 +332,7 @@ impl Runner {
     /// the offending prefix in the report. Hypothesis failures
     /// (well-formedness, PL1/PL2, DL1–DL3) make the specification vacuous
     /// rather than violated, and end-of-trace properties (DL7, DL8) cannot
-    /// be judged mid-run, so neither aborts; `policy.complete` and
-    /// `policy.patience` are ignored online — judge the finished report
-    /// with [`crate::conformance::judge`] for those.
+    /// be judged mid-run, so neither aborts.
     ///
     /// The monitor watches the full schedule (packet actions included), so
     /// a reported violation's `at` indexes into [`RunReport::schedule`].
@@ -410,9 +408,8 @@ impl Runner {
     /// Runs `system` from its start state under `script`.
     ///
     /// A recording run keeps every post-state, so its memory grows with
-    /// its length times its states' size; a long run belongs in a lean
-    /// [`SessionStep`] ([`SessionStep::lean`]), watched through
-    /// [`SessionStep::step`].
+    /// its length times its states' size; a long run belongs in a
+    /// [`SessionStep`], watched through [`SessionStep::step`].
     ///
     /// # Panics
     ///
@@ -425,13 +422,14 @@ impl Runner {
         self.run_from(system, system.start_state(), script)
     }
 
-    /// Runs `system` from an explicit start state under `script`.
+    /// Runs `system` from an explicit start state under `script`, and
+    /// records it.
     ///
-    /// Implemented on top of [`SessionStep`]: the runner is threaded
-    /// through an incremental session which is driven to completion in
-    /// one go, so a `run_from` call and an externally-stepped session are
-    /// the same execution by construction (the interned-runner
-    /// differential suite pins this byte-identically).
+    /// The run is a [`SessionStep`] driven to its end: the recorder
+    /// watches each action [`SessionStep::step`] takes and the
+    /// [`SessionStep::state`] it leaves, so a `run_from` call and an
+    /// externally-stepped session are the same execution by construction
+    /// (the interned-runner differential suite pins this byte-identically).
     ///
     /// # Panics
     ///
@@ -446,45 +444,37 @@ impl Runner {
         M: Automaton<Action = DlAction>,
     {
         let runner = std::mem::replace(self, Runner::new(0, 0));
+        let mut execution = Execution::new(start.clone());
+        let mut behavior = Vec::new();
+        let mut metrics = Metrics::default();
         let mut session: SessionStep<M, &M> =
-            SessionStep::from_state(runner, system, start, script.clone());
-        session.run_to_end();
-        let (runner, report) = session.into_report();
+            SessionStep::new(runner, system, start, script.clone());
+        while let Some(a) = session.step() {
+            metrics.record(&a);
+            if system.classify(&a).is_some_and(ActionClass::is_external) {
+                behavior.push(a);
+            }
+            execution.push_unchecked(a, session.state().clone());
+        }
+        let quiescent = session.quiescent();
+        let SessionStep {
+            mut runner,
+            online,
+            scratch,
+            ..
+        } = session;
+        let report = RunReport {
+            execution,
+            behavior,
+            quiescent,
+            metrics,
+            online_violation: online.as_ref().and_then(|o| o.violation.clone()),
+            decisions: runner.record.then(|| std::mem::take(&mut runner.taken)),
+            monitor_nanos: online.map_or(0, |o| o.nanos),
+            scratch_refills: scratch.refills,
+        };
         *self = runner;
         report
-    }
-}
-
-/// How much of an execution a session retains.
-///
-/// A recording session keeps the full [`Execution`] (every action and
-/// post-state) and can produce a [`RunReport`]; a lean session keeps only
-/// the last state and a running length, which is what lets a fleet of
-/// many thousands of sessions cost about 2.3 KB each (the `dl-fleet`
-/// ledger's measured peak) instead of a trace allocation storm. Neither
-/// keeps a digest or [`Metrics`]: a recording session folds its report
-/// from the execution, and a lean session's caller folds what it reads
-/// over the actions [`SessionStep::step`] returns.
-enum Trace<S> {
-    /// Full execution retained (the [`Runner::run`] path).
-    Full(Execution<DlAction, S>),
-    /// Only the frontier: current state plus the number of steps taken.
-    Tail { last: S, len: usize },
-}
-
-impl<S: Clone + Eq + std::fmt::Debug> Trace<S> {
-    fn len(&self) -> usize {
-        match self {
-            Trace::Full(e) => e.len(),
-            Trace::Tail { len, .. } => *len,
-        }
-    }
-
-    fn last_state(&self) -> &S {
-        match self {
-            Trace::Full(e) => e.last_state(),
-            Trace::Tail { last, .. } => last,
-        }
     }
 }
 
@@ -495,7 +485,7 @@ impl<S: Clone + Eq + std::fmt::Debug> Trace<S> {
 /// same build — two sessions have equal digests iff they took the same
 /// action sequence (up to 64-bit collision), which is the comparison the
 /// fleet-vs-runners differential suite rests on. `dl-fleet` folds it over
-/// the actions a lean session takes; [`schedule_digest`] folds it over a
+/// the actions a session takes; [`schedule_digest`] folds it over a
 /// recorded schedule.
 #[must_use]
 pub fn digest_action(digest: u64, action: &DlAction) -> u64 {
@@ -536,7 +526,7 @@ impl std::hash::Hasher for HashBytes {
 
 /// Folds a complete schedule into the rolling digest: [`digest_action`]
 /// from 0 — the bridge the fleet-vs-independent-runners differential
-/// suite uses to compare a lean fleet session (whose digest the fleet
+/// suite uses to compare a fleet session (whose digest the fleet
 /// folds as it steps) against a full [`RunReport::schedule`].
 #[must_use]
 pub fn schedule_digest<'a, I>(actions: I) -> u64
@@ -560,30 +550,28 @@ enum Cursor {
     Halted,
 }
 
-/// One resumable scripted run: the reusable session-stepping entry point
-/// the fleet engine and the fuzzer drive.
+/// One resumable scripted run: the session-stepping entry point the
+/// fleet engine, the fuzzer and [`Runner::run_from`] drive.
 ///
 /// A `SessionStep` owns everything mutable about a run — the seeded
-/// [`Runner`] (RNG stream, uid counter, decision log), the current state,
-/// the script cursor, scratch buffers, and the optional online
-/// conformance monitor — while the system itself is accessed through
-/// [`Borrow`](std::borrow::Borrow), so callers can either lend a shared
-/// system (`B = &M`, the [`Runner::run_from`] and `dl-fuzz` path) or move
-/// a per-session copy in (`B = M`, the `dl-fleet` path, where each
-/// session's channels carry session-derived fault salts).
+/// [`Runner`] (RNG stream, uid counter, decision log), the live state
+/// and a step count, the script cursor, scratch buffers, and the
+/// optional online conformance monitor — while the system itself is
+/// accessed through [`Borrow`](std::borrow::Borrow), so callers can either
+/// lend a shared system (`B = &M`, the [`Runner::run_from`] and `dl-fuzz`
+/// path) or move a per-session copy in (`B = M`, the `dl-fleet` path,
+/// where each session's channels carry session-derived fault salts).
 ///
-/// Driving a session to completion with [`SessionStep::run_to_end`] is
-/// *the same execution* as `Runner::run_from` with the same runner,
-/// system, start state, and script — `run_from` is implemented as exactly
-/// that — so interleaving many sessions action-by-action (what a fleet
-/// does) cannot perturb any individual run: sessions share no mutable
-/// state, and each consumes only its own RNG stream.
-///
-/// A session only steps. It keeps no schedule digest and no [`Metrics`]:
-/// each engine folds what it reads over the actions [`SessionStep::step`]
-/// returns ([`digest_action`] and [`Metrics::record`] in `dl-fleet`, three
-/// counters in `dl-fuzz`), and [`SessionStep::into_report`] folds
-/// [`RunReport::metrics`] from the recorded execution.
+/// A session keeps one live state, stepped in place, and nothing of the
+/// run behind it, which is what lets a fleet of many thousands of
+/// sessions cost about 2.3 KB each (the `dl-fleet` ledger's measured
+/// peak). It keeps no schedule digest and no [`Metrics`] either: each
+/// engine folds what it reads over the actions [`SessionStep::step`]
+/// returns ([`digest_action`] and [`Metrics::record`] in `dl-fleet`,
+/// three counters in `dl-fuzz`, the whole [`RunReport`] in
+/// [`Runner::run_from`]). Interleaving many sessions action by action
+/// (what a fleet does) cannot perturb any individual run: sessions share
+/// no mutable state, and each consumes only its own RNG stream.
 pub struct SessionStep<M, B = M>
 where
     M: Automaton<Action = DlAction>,
@@ -593,7 +581,11 @@ where
     system: B,
     script: crate::Script,
     cursor: Cursor,
-    trace: Trace<M::State>,
+    /// The post-state of the last action taken (the start state before
+    /// the first).
+    state: M::State,
+    /// Actions taken so far.
+    len: usize,
     online: Option<OnlineConformance>,
     scratch: Scratch,
     next_task: usize,
@@ -605,44 +597,15 @@ where
     M: Automaton<Action = DlAction>,
     B: std::borrow::Borrow<M>,
 {
-    /// A recording session from an explicit start state: the full
-    /// execution is retained and [`SessionStep::into_report`] produces
-    /// the usual [`RunReport`] (the [`Runner::run_from`] path).
+    /// A session of `system` from `start` under `script`. The start state
+    /// is the caller's: [`Automaton::start_state`] for an honest run, or
+    /// any other state of the system, such as a corrupted configuration.
+    ///
+    /// Building allocates nothing when `start` is built without
+    /// allocating and the online monitor, if any, is data-link-only: the
+    /// script is shared, not copied.
     #[must_use]
-    pub fn from_state(runner: Runner, system: B, start: M::State, script: crate::Script) -> Self {
-        Self::build(runner, system, start, script, true)
-    }
-
-    /// A lean session from the system's start state: only the current
-    /// state is retained (no execution, no behavior), which is how the
-    /// fleet and the fuzzer run sessions — per-session cost stays near
-    /// 2.3 KB (a fleet session's measured peak) regardless of run length.
-    /// Verdicts still flow from the online monitor; a caller that wants
-    /// more of the run (a digest, counters, coverage) watches it one
-    /// action at a time through [`SessionStep::step`] and
-    /// [`SessionStep::state`].
-    ///
-    /// Building allocates nothing when the system's
-    /// [`start_state`](Automaton::start_state) allocates nothing and the
-    /// online monitor, if any, is data-link-only: the script is shared,
-    /// not copied.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the system has no start state.
-    #[must_use]
-    pub fn lean(runner: Runner, system: B, script: crate::Script) -> Self {
-        let start = system.borrow().start_state();
-        Self::build(runner, system, start, script, false)
-    }
-
-    fn build(
-        mut runner: Runner,
-        system: B,
-        start: M::State,
-        script: crate::Script,
-        retain: bool,
-    ) -> Self {
+    pub fn new(mut runner: Runner, system: B, start: M::State, script: crate::Script) -> Self {
         // Decision indexing (for overrides/replay) restarts with each run.
         runner.decision_index = 0;
         runner.taken.clear();
@@ -657,14 +620,6 @@ where
             violation: None,
             nanos: 0,
         });
-        let trace = if retain {
-            Trace::Full(Execution::new(start))
-        } else {
-            Trace::Tail {
-                last: start,
-                len: 0,
-            }
-        };
         SessionStep {
             runner,
             system,
@@ -673,7 +628,8 @@ where
                 step: 0,
                 local_left: None,
             },
-            trace,
+            state: start,
+            len: 0,
             online,
             scratch: Scratch::default(),
             next_task: 0,
@@ -681,25 +637,13 @@ where
         }
     }
 
-    /// Advances the session by exactly one taken action (skipping over
-    /// script bookkeeping as needed); returns `false` once the run is
-    /// over — script consumed, budget exhausted, or monitor-aborted.
-    /// A wrapper over [`SessionStep::step`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if a scripted injection is not an enabled input of the
-    /// system, exactly as [`Runner::run_from`] does.
-    pub fn advance(&mut self) -> bool {
-        self.step().is_some()
-    }
-
-    /// Takes exactly one action, as [`SessionStep::advance`] does, and
-    /// returns it as taken (a `send_pkt` carries its stamped uid); `None`
-    /// once the run is over. Right after the call, [`SessionStep::state`]
-    /// is that action's post-state and the online monitor has judged it,
-    /// so an engine can watch a lean session action by action without
-    /// recording it.
+    /// Takes exactly one action (skipping over script bookkeeping as
+    /// needed) and returns it as taken (a `send_pkt` carries its stamped
+    /// uid); `None` once the run is over — script consumed, budget
+    /// exhausted, or monitor-aborted. Right after the call,
+    /// [`SessionStep::state`] is that action's post-state and the online
+    /// monitor has judged it, so an engine watches a session action by
+    /// action.
     ///
     /// # Panics
     ///
@@ -720,7 +664,8 @@ where
             let Self {
                 runner,
                 system,
-                trace,
+                state,
+                len,
                 online,
                 scratch,
                 next_task,
@@ -737,12 +682,12 @@ where
                         Some(ActionClass::Input),
                         "scripted action {a} is not an input of the system"
                     );
-                    if trace.len() >= runner.max_steps {
+                    if *len >= runner.max_steps {
                         self.fully_ran = false;
                         self.cursor = Cursor::Halted;
                         return None;
                     }
-                    let taken = take(runner, system, trace, a, online);
+                    let taken = take(runner, system, state, len, a, online);
                     assert!(
                         taken.is_some(),
                         "input {a} was not enabled: system is not input-enabled"
@@ -759,10 +704,10 @@ where
                 }
                 crate::ScriptStep::Local(n) => {
                     let left = local_left.unwrap_or(n);
-                    let taken = if left == 0 || trace.len() >= runner.max_steps {
+                    let taken = if left == 0 || *len >= runner.max_steps {
                         None
                     } else {
-                        fair_local_step(runner, system, trace, next_task, online, scratch)
+                        fair_local_step(runner, system, state, len, next_task, online, scratch)
                     };
                     if taken.is_none() {
                         self.cursor = Cursor::At {
@@ -782,7 +727,7 @@ where
                     return taken;
                 }
                 crate::ScriptStep::Settle => {
-                    if trace.len() >= runner.max_steps {
+                    if *len >= runner.max_steps {
                         self.fully_ran = false;
                         self.cursor = Cursor::At {
                             step: step + 1,
@@ -790,7 +735,8 @@ where
                         };
                         continue;
                     }
-                    let taken = fair_local_step(runner, system, trace, next_task, online, scratch);
+                    let taken =
+                        fair_local_step(runner, system, state, len, next_task, online, scratch);
                     if taken.is_none() {
                         self.cursor = Cursor::At {
                             step: step + 1,
@@ -808,12 +754,7 @@ where
         }
     }
 
-    /// Drives the session to completion.
-    pub fn run_to_end(&mut self) {
-        while self.advance() {}
-    }
-
-    /// `true` once the run is over (no further [`SessionStep::advance`]
+    /// `true` once the run is over (no further [`SessionStep::step`]
     /// will take an action).
     #[must_use]
     pub fn is_done(&self) -> bool {
@@ -827,7 +768,7 @@ where
     /// start state before the first).
     #[must_use]
     pub fn state(&self) -> &M::State {
-        self.trace.last_state()
+        &self.state
     }
 
     /// The system this session runs.
@@ -865,16 +806,12 @@ where
     /// the prefix so far.
     #[must_use]
     pub fn quiescent(&self) -> bool {
-        self.fully_ran
-            && !self
-                .system
-                .borrow()
-                .has_enabled_local(self.trace.last_state())
+        self.fully_ran && !self.system.borrow().has_enabled_local(&self.state)
     }
 
     /// An estimate of this session's resident footprint in bytes: the
     /// struct itself plus every reachable heap buffer (scratch
-    /// capacity, script steps, decision log, a recorded trace). The
+    /// capacity, script steps, decision log). The
     /// conformance monitor's tables are accounted separately by
     /// [`SessionStep::monitor_bytes`] — they scale with the *observed
     /// trace's* value population, not with the session core, and the
@@ -885,11 +822,7 @@ where
         let scratch = self.scratch.in_class.capacity() * size_of::<DlAction>();
         let script = std::mem::size_of_val(self.script.steps());
         let decisions = self.runner.taken.capacity() * size_of::<Decision>();
-        let trace = match &self.trace {
-            Trace::Full(e) => e.len() * (size_of::<DlAction>() + size_of::<M::State>()),
-            Trace::Tail { .. } => 0,
-        };
-        (size_of::<Self>() + scratch + script + decisions + trace) as u64
+        (size_of::<Self>() + scratch + script + decisions) as u64
     }
 
     /// The online conformance monitor's estimated footprint in bytes
@@ -906,43 +839,6 @@ where
             .as_ref()
             .map_or(0, |o| o.monitor.approx_bytes() as u64)
     }
-
-    /// Tears a *recording* session down into its runner and the standard
-    /// [`RunReport`], whose [`Metrics`] are [`Metrics::record`] folded over
-    /// the recorded schedule.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a lean session — there is no retained execution to
-    /// report. Fold what you need over [`SessionStep::step`] and read
-    /// the accessor methods ([`SessionStep::online_violation`],
-    /// [`SessionStep::quiescent`], …) instead.
-    #[must_use]
-    pub fn into_report(self) -> (Runner, RunReport<M::State>) {
-        let quiescent = self.quiescent();
-        let exec = match self.trace {
-            Trace::Full(e) => e,
-            Trace::Tail { .. } => panic!("lean sessions retain no execution to report"),
-        };
-        let schedule = exec.schedule();
-        let mut metrics = Metrics::default();
-        for a in &schedule {
-            metrics.record(a);
-        }
-        let behavior = ioa::execution::behavior_of_schedule(self.system.borrow(), &schedule);
-        let mut runner = self.runner;
-        let report = RunReport {
-            execution: exec,
-            behavior,
-            quiescent,
-            metrics,
-            online_violation: self.online.as_ref().and_then(|o| o.violation.clone()),
-            decisions: runner.record.then(|| std::mem::take(&mut runner.taken)),
-            monitor_nanos: self.online.map_or(0, |o| o.nanos),
-            scratch_refills: self.scratch.refills,
-        };
-        (runner, report)
-    }
 }
 
 /// Takes one fair locally-controlled step and returns the action taken;
@@ -958,7 +854,8 @@ where
 fn fair_local_step<M>(
     runner: &mut Runner,
     system: &M,
-    trace: &mut Trace<M::State>,
+    state: &mut M::State,
+    len: &mut usize,
     next_task: &mut usize,
     online: &mut Option<OnlineConformance>,
     scratch: &mut Scratch,
@@ -969,7 +866,6 @@ where
     let tasks = system.task_count().max(1);
     let cap = scratch.in_class.capacity();
     scratch.in_class.clear();
-    let state = trace.last_state();
     let scheduled = (0..tasks).map(|i| (*next_task + i) % tasks).find(|&t| {
         let _ = system.for_each_enabled_of_task(state, TaskId(t), &mut |a| {
             scratch.in_class.push(a);
@@ -981,7 +877,7 @@ where
     let task = scheduled?;
     let pick = runner.decide(DecisionPoint::Action, scratch.in_class.len());
     let action = scratch.in_class[pick];
-    let took = take(runner, system, trace, action, online);
+    let took = take(runner, system, state, len, action, online);
     debug_assert!(
         took.is_some(),
         "an enabled task walk returned a disabled action"
@@ -993,13 +889,13 @@ where
 /// Takes `action`, stamping a fresh uid if it is an unstamped `send_pkt`,
 /// and resolving successor nondeterminism with the seeded RNG in one
 /// [`Automaton::step_chosen`] call: the system counts the successors, the
-/// runner draws one, and the live state moves to it in place (a recording
-/// trace steps a clone of its last state and appends it). Returns the
+/// runner draws one, and the live state moves to it in place. Returns the
 /// action as taken, or `None` if it has no successor.
 fn take<M>(
     runner: &mut Runner,
     system: &M,
-    trace: &mut Trace<M::State>,
+    state: &mut M::State,
+    len: &mut usize,
     mut action: DlAction,
     online: &mut Option<OnlineConformance>,
 ) -> Option<DlAction>
@@ -1013,24 +909,10 @@ where
         }
     }
     let mut choose = |n| runner.decide(DecisionPoint::Successor, n);
-    let stepped = match trace {
-        Trace::Full(e) => {
-            let mut post = e.last_state().clone();
-            let stepped = system.step_chosen(&mut post, &action, &mut choose);
-            if stepped {
-                e.push_unchecked(action, post);
-            }
-            stepped
-        }
-        Trace::Tail { last, len } => {
-            let stepped = system.step_chosen(last, &action, &mut choose);
-            *len += usize::from(stepped);
-            stepped
-        }
-    };
-    if !stepped {
+    if !system.step_chosen(state, &action, &mut choose) {
         return None;
     }
+    *len += 1;
     if let Some(o) = online {
         o.observe(&action);
     }
@@ -1107,6 +989,55 @@ mod tests {
                 matches!(v, Verdict::Satisfied),
                 "PL-FIFO^{dir} verdict: {v:?}"
             );
+        }
+    }
+
+    #[test]
+    fn clean_run_is_conformant() {
+        let sys = abp_system(LossMode::EveryNth(3));
+        let report = Runner::new(4, 1_000_000).run(&sys, &Script::deliver_n(6));
+        let sched = report.schedule();
+        let v = DlModule::full().check(&report.behavior, TraceKind::Complete);
+        assert!(v.is_allowed(), "data link: {v:?}");
+        for dir in Dir::BOTH {
+            let v = PlModule::pl_fifo(dir).check(&sched, TraceKind::Complete);
+            assert!(v.is_allowed(), "physical {dir}: {v:?}");
+        }
+
+        // Liveness monitors with generous patience stay quiet.
+        use dl_core::spec::liveness::{dl8_monitor, pl6_monitor};
+        assert_eq!(dl8_monitor(&report.behavior, 10_000), None);
+        for dir in Dir::BOTH {
+            assert_eq!(pl6_monitor(&sched, dir, 10_000), None, "{dir}");
+        }
+    }
+
+    #[test]
+    fn reordering_channels_need_the_weaker_pl_policy() {
+        let p = dl_protocols::stenning::protocol();
+        let sys = link_system(
+            p.transmitter,
+            p.receiver,
+            dl_channels::ReorderChannel::lossless(Dir::TR),
+            dl_channels::ReorderChannel::lossless(Dir::RT),
+        );
+        let report = Runner::new(8, 1_000_000).run(&sys, &Script::deliver_n(6));
+        let sched = report.schedule();
+        // Stenning's behavior is fine either way, and the schedule solves
+        // the weaker `PL`...
+        let v = DlModule::full().check(&report.behavior, TraceKind::Complete);
+        assert!(v.is_allowed(), "data link: {v:?}");
+        for dir in Dir::BOTH {
+            let v = PlModule::pl(dir).check(&sched, TraceKind::Complete);
+            assert!(v.is_allowed(), "physical {dir}: {v:?}");
+        }
+        // ...while `PL-FIFO` may legitimately flag the reordering medium
+        // itself (if a reorder actually happened); nothing else can.
+        for dir in Dir::BOTH {
+            let v = PlModule::pl_fifo(dir).check(&sched, TraceKind::Complete);
+            if let Some(v) = v.violation() {
+                assert!(v.property.starts_with("PL5"), "physical {dir}: {v}");
+            }
         }
     }
 
@@ -1424,7 +1355,7 @@ mod tests {
     #[test]
     fn stepping_a_lean_session_walks_the_recorded_execution() {
         // `step` returns each action as taken and leaves `state` at its
-        // post-state, so watching a lean session action by action sees
+        // post-state, so watching a session action by action sees
         // exactly what a recording run keeps — and folding the digest
         // step and `Metrics::record` over those actions, as the fleet
         // does, gives the recording run's digest and metrics.
@@ -1432,7 +1363,7 @@ mod tests {
         let script = Script::deliver_n(4);
         let recorded = Runner::new(9, 10_000).run(&sys, &script);
         let mut session: SessionStep<_, &_> =
-            SessionStep::lean(Runner::new(9, 10_000), &sys, script);
+            SessionStep::new(Runner::new(9, 10_000), &sys, sys.start_state(), script);
         let mut i = 0;
         let mut digest = 0;
         let mut metrics = Metrics::default();

@@ -51,6 +51,22 @@ where
     )
 }
 
+/// A state of a [`link_system`] from its four component states, in
+/// [`link_system`]'s argument order: a session's start state when it is
+/// not the composed [`Automaton::start_state`], such as a corrupted
+/// configuration.
+pub fn link_state<TS, RS, C1S, C2S>(
+    transmitter: TS,
+    receiver: RS,
+    channel_tr: C1S,
+    channel_rt: C2S,
+) -> Pair<Pair<TS, RS>, Pair<C1S, C2S>> {
+    Pair::new(
+        Pair::new(transmitter, receiver),
+        Pair::new(channel_tr, channel_rt),
+    )
+}
+
 /// Convenience accessors into a [`LinkState`].
 pub trait LinkStateExt<TS, RS, C1S, C2S> {
     /// The transmitter's component state.

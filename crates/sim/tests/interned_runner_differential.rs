@@ -247,10 +247,8 @@ fn diff_one<T, R>(
     // violates PL3 by design; `full_dl: false` judges weak DL.
     let policy = ConformancePolicy {
         full_dl: false,
-        complete: false,
         fifo_channels: false,
         monitor_pl: false,
-        ..ConformancePolicy::default()
     };
     let mreport = Runner::new(seed, max_steps)
         .with_online_conformance(policy)

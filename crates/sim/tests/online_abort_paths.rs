@@ -11,10 +11,8 @@ use dl_sim::{link_system, ConformancePolicy, Runner, Script};
 fn online_policy(monitor_pl: bool) -> ConformancePolicy {
     ConformancePolicy {
         full_dl: false,
-        complete: false,
         fifo_channels: false,
         monitor_pl,
-        patience: None,
     }
 }
 

@@ -42,8 +42,12 @@ fn lean_run<M>(seed: u64, system: &M, script: Script) -> (Vec<DlAction>, Vec<DlA
 where
     M: Automaton<Action = DlAction>,
 {
-    let mut session: SessionStep<M, &M> =
-        SessionStep::lean(Runner::new(seed, 100_000), system, script);
+    let mut session: SessionStep<M, &M> = SessionStep::new(
+        Runner::new(seed, 100_000),
+        system,
+        system.start_state(),
+        script,
+    );
     let schedule: Vec<DlAction> = std::iter::from_fn(|| session.step()).collect();
     let behavior = behavior_of_schedule(system, &schedule);
     (schedule, behavior, session.quiescent())

@@ -53,17 +53,26 @@ fn abp_crash_free_safety_is_exhaustive() {
 
 #[test]
 fn go_back_2_crash_free_safety_is_exhaustive() {
-    let p = datalink::protocols::sliding_window::protocol(2);
-    let sys = checked_system(
-        p.transmitter,
-        p.receiver,
-        LossyFifoChannel::with_capacity(Dir::TR, LossMode::Nondet, 2),
-        LossyFifoChannel::with_capacity(Dir::RT, LossMode::Nondet, 2),
-    );
-    let start = woken_start(&sys);
-    let explorer = ParallelExplorer::new(&sys, crash_free_inputs(2), 2_000_000, 10_000);
-    let report = explorer.check_invariant_from(vec![start], |s| observer_of(s).is_safe());
-    assert!(report.holds(), "visited {}", report.states_visited);
+    // Two messages over capacity-2 channels, and three over capacity-1
+    // ones: the third outgrows the window, where the transmitter's
+    // enabled walk must stop.
+    for (capacity, msgs) in [(2, 2), (1, 3)] {
+        let p = datalink::protocols::sliding_window::protocol(2);
+        let sys = checked_system(
+            p.transmitter,
+            p.receiver,
+            LossyFifoChannel::with_capacity(Dir::TR, LossMode::Nondet, capacity),
+            LossyFifoChannel::with_capacity(Dir::RT, LossMode::Nondet, capacity),
+        );
+        let start = woken_start(&sys);
+        let explorer = ParallelExplorer::new(&sys, crash_free_inputs(msgs), 2_000_000, 10_000);
+        let report = explorer.check_invariant_from(vec![start], |s| observer_of(s).is_safe());
+        assert!(
+            report.holds(),
+            "{msgs} messages: visited {}",
+            report.states_visited
+        );
+    }
 }
 
 #[test]

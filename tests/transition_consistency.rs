@@ -33,9 +33,9 @@ use std::ops::ControlFlow;
 
 use datalink::channels::{CorruptChannel, CorruptSpec, FaultSpec, FaultyChannel, GhostSpec};
 use datalink::core::action::{Dir, DlAction, Msg, Station};
-use datalink::core::protocol::{action_sample, CorruptedStart, DataLinkProtocol, StationAutomaton};
+use datalink::core::protocol::{action_sample, DataLinkProtocol, StationAutomaton};
 use datalink::ioa::{Automaton, TaskId};
-use datalink::sim::link_system;
+use datalink::sim::{link_state, link_system};
 
 /// Deterministic splitmix64 step for the walk's choices.
 fn mix(z: u64) -> u64 {
@@ -294,8 +294,8 @@ consistency_test!(
 );
 
 /// The fuzz targets' shape: every classic station starts from a corrupted
-/// configuration ([`CorruptedStart`]) over fault-injecting channels that
-/// start with ghost packets in flight.
+/// configuration (its `corrupted_start`) over fault-injecting channels
+/// that start with ghost packets in flight.
 fn check_fuzz_shape<T, R>(p: &DataLinkProtocol<T, R>)
 where
     T: StationAutomaton + Clone,
@@ -307,13 +307,14 @@ where
             count: 3,
             seed: seed ^ lane,
         };
-        let sys = link_system(
-            CorruptedStart::new(p.transmitter.clone(), seed % 7),
-            CorruptedStart::new(p.receiver.clone(), seed % 5),
-            ch1.with_ghosts(ghosts(0x7121)),
-            ch2.with_ghosts(ghosts(0x1217)),
+        let start = link_state(
+            p.transmitter.corrupted_start(seed % 7),
+            p.receiver.corrupted_start(seed % 5),
+            ghosts(0x7121).flight(),
+            ghosts(0x1217).flight(),
         );
-        walk_and_check(&sys, 160, seed);
+        let sys = link_system(p.transmitter.clone(), p.receiver.clone(), ch1, ch2);
+        walk_and_check_from(&sys, start, 160, seed);
     }
 }
 
