@@ -38,7 +38,8 @@ pub enum SafetyFlag {
 ///
 /// Copying one onto another (`clone_from`) reuses the target's buffer,
 /// where a `BTreeSet` rebuilds its nodes; the explorer makes that copy
-/// once per edge. The sets stay small (a bounded model's alphabet), so
+/// on every edge whose action the observer takes. The sets stay small
+/// (a bounded model's alphabet), so
 /// the sorted insert is cheap. `Hash` writes the same bytes a
 /// `BTreeSet<Msg>` does (length, then the elements in order), and
 /// `Debug` prints the same `{..}` form.

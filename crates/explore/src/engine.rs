@@ -5,18 +5,27 @@
 //! range per layer) — carries dense `u32` ids. The store is frozen while
 //! workers expand a layer: membership for admitted states is a read-only
 //! store lookup, and intra-layer discoveries are coordinated through the
-//! lock-free [`LayerFilter`]. Workers build successors in place and claim
-//! them in batches: each loads a frontier state once into a reused state,
-//! and for every action and every pick copies it onto a reused successor
-//! state (`clone_from`), steps that copy ([`Automaton::step_in_place`])
-//! and appends its encoding to the worker's reused view batch. The worker
+//! lock-free [`LayerFilter`]. Workers build successors part by part and
+//! claim them in batches. A *part* is one leaf component of the
+//! composition ([`Automaton::parts`]), and a step changes only the parts
+//! whose signature holds the action (§2.5;
+//! [`Automaton::touched_parts`]): a station and a channel, or a station
+//! and the observer. Each worker decodes a frontier state once into a
+//! reused state, with where each part of its encoding ends, and keeps one
+//! scratch successor equal to it between steps. For every action and
+//! every pick it steps the scratch in place
+//! ([`Automaton::step_in_place`]), appends the successor's encoding to its
+//! reused view batch — the touched parts encoded anew, every run of
+//! untouched parts copied from the parent's stored bytes
+//! ([`PackedCodec::encode_spliced`]) — and restores the touched parts
+//! from the frontier state ([`Automaton::restore_parts`]). The worker
 //! then probes the store for the whole batch in one loop, so independent
 //! probes overlap their cache misses, and claims the misses in the
 //! filter. The duplicates that make up most edges never allocate: only a
 //! claim that wins a filter slot or overflows boxes its encoding, and
-//! that same worker evaluates the state properties on the successor it
-//! already holds. Each worker's buffers live for the whole search, on
-//! cache lines of their own.
+//! that same worker re-steps its pick to evaluate the state properties.
+//! Each worker's buffers live for the whole search, on cache lines of
+//! their own.
 //!
 //! The workers are the coordinating thread and a [`Pool`] of
 //! `threads − 1` helpers, spawned by the first layer wide enough to fan
@@ -83,26 +92,30 @@ type WorkerOf<M> = Worker<<M as Automaton>::State, <M as Automaton>::Action>;
 struct Worker<S, A> {
     /// The frontier state being expanded.
     cur: S,
-    /// Its successors, one per (action, pick), stepped in place; entries
-    /// past the current batch are kept for reuse.
-    succs: Vec<S>,
+    /// The scratch successor: equal to `cur` between steps. Each (action,
+    /// pick) steps it in place, and the parts the action touched are then
+    /// restored from `cur`.
+    next: S,
+    /// Where each part of `cur`'s encoding ends.
+    ends: Vec<usize>,
     /// `cur`'s deterministic action list.
     actions: Vec<A>,
-    /// The successors' encodings, in `succs` order.
+    /// The successors' encodings, one per (action, pick).
     views: PackedViews,
-    /// The successors' hashes, in `succs` order.
+    /// The successors' hashes, in `views` order.
     hashes: Vec<u64>,
-    /// The successors' claim keys, in `succs` order.
+    /// The successors' claim keys, in `views` order.
     keys: Vec<ClaimKey>,
     /// Batch indices of the successors the store does not hold.
     fresh: Vec<usize>,
 }
 
-impl<S, A> Worker<S, A> {
+impl<S: Clone, A> Worker<S, A> {
     fn new(cur: S) -> Self {
         Worker {
+            next: cur.clone(),
             cur,
-            succs: Vec::new(),
+            ends: Vec::new(),
             actions: Vec::new(),
             views: PackedViews::default(),
             hashes: Vec::new(),
@@ -265,6 +278,10 @@ struct WorkerStats {
     quiescent: usize,
     edges: u64,
     duplicates: u64,
+    /// Successor encoding bytes encoded from touched parts.
+    encoded_bytes: u64,
+    /// Successor encoding bytes copied from parents' untouched parts.
+    copied_bytes: u64,
 }
 
 impl WorkerStats {
@@ -273,6 +290,8 @@ impl WorkerStats {
             quiescent: self.quiescent + other.quiescent,
             edges: self.edges + other.edges,
             duplicates: self.duplicates + other.duplicates,
+            encoded_bytes: self.encoded_bytes + other.encoded_bytes,
+            copied_bytes: self.copied_bytes + other.copied_bytes,
         }
     }
 }
@@ -486,6 +505,7 @@ where
 
         let mut layers: Vec<LayerStats> = Vec::new();
         let mut quiescent = 0usize;
+        let (mut encoded_bytes, mut copied_bytes) = (0u64, 0u64);
         // Wall-clock the coordinator spends between layers (building the
         // claim filter, draining, merging and admitting claims,
         // reporting a violation, freeing the filter) — the stall the
@@ -580,6 +600,8 @@ where
                         (stats, overflow, work.filter)
                     };
                     quiescent += stats.quiescent;
+                    encoded_bytes += stats.encoded_bytes;
+                    copied_bytes += stats.copied_bytes;
 
                     let barrier_sw = Stopwatch::start();
                     let sw = Stopwatch::start();
@@ -700,6 +722,8 @@ where
             threads,
             arena_bytes: store.approx_bytes(),
             admitted_bytes,
+            encoded_bytes,
+            copied_bytes,
             filter_slots,
             duration: t0.elapsed(),
             barrier_nanos,
@@ -742,14 +766,23 @@ where
     }
 
     /// One worker's share of a layer expansion: steal frontier chunks and
-    /// expand each state as one batch. Load it once into the worker's
-    /// reused `cur`; for every action and every pick step a copy of it in
-    /// place in a reused successor state and append its encoding to the
-    /// batch; probe the frozen store for every encoding in one loop; claim
-    /// the misses in the lock-free layer filter. Only a claim that wins a
-    /// slot or overflows boxes its encoding and evaluates `properties` on
-    /// the successor; overflowing claims go to the returned list, merged
-    /// exactly at the barrier.
+    /// expand each state as one batch. Decode it once into the worker's
+    /// `cur`, with where each part of its encoding ends, and start the
+    /// scratch successor `next` equal to it. For every action and every
+    /// pick step `next` in place, append its encoding spliced from the
+    /// parent's (the parts the action touches encoded anew, the rest
+    /// copied) to the batch, and restore the touched parts from `cur`.
+    /// Then probe the frozen store for every encoding in one loop and
+    /// claim the misses in the lock-free layer filter. Only a claim that
+    /// wins a slot or overflows boxes its encoding, and re-steps its pick
+    /// to evaluate `properties` on the successor when there are any;
+    /// overflowing claims go to the returned list, merged exactly at the
+    /// barrier.
+    ///
+    /// # Panics
+    ///
+    /// When the state codec's parts are not the automaton's
+    /// ([`Automaton::parts`]).
     fn expand_worker(
         &self,
         w: &mut WorkerOf<M>,
@@ -759,21 +792,30 @@ where
     ) -> (WorkerStats, Vec<Pending>) {
         let mut stats = WorkerStats::default();
         let mut overflow = Vec::new();
+        let parts = self.automaton.parts();
         loop {
             let begin = work.next.fetch_add(work.chunk, Ordering::Relaxed);
             if begin >= work.end {
                 break;
             }
             for idx in begin..(begin + work.chunk).min(work.end) {
-                store.load_into(idx as u32, &mut w.cur);
+                let parent = store.load_parts_into(idx as u32, &mut w.cur, &mut w.ends);
+                assert!(
+                    w.ends.len() == parts,
+                    "{}: the automaton has {parts} part(s), its state's codec {}",
+                    std::any::type_name::<M>(),
+                    w.ends.len()
+                );
                 let walked = self.enumerate_actions(&w.cur, &mut w.actions);
                 if w.actions.is_empty() {
                     stats.quiescent += 1;
                     continue;
                 }
+                w.next.clone_from(&w.cur);
                 w.views.clear();
                 w.hashes.clear();
                 w.keys.clear();
+                let mut copied = 0;
                 for (ai, action) in w.actions.iter().enumerate() {
                     let count = self.automaton.successor_count(&w.cur, action);
                     // The enabled walk yields only enabled actions; one it
@@ -782,55 +824,81 @@ where
                         count > 0 || ai >= walked,
                         "walked action {action:?} has no successor"
                     );
+                    let touched = self.automaton.touched_parts(action);
                     for pick in 0..count {
-                        let n = w.hashes.len();
-                        if n == w.succs.len() {
-                            w.succs.push(w.cur.clone());
-                        } else {
-                            w.succs[n].clone_from(&w.cur);
-                        }
                         // A refused pick would leave the successor equal
                         // to `cur` and admit it as a phantom self-loop.
                         assert!(
-                            self.automaton.step_in_place(&mut w.succs[n], action, pick),
+                            self.automaton.step_in_place(&mut w.next, action, pick),
                             "counted pick {pick} of {action:?} did not step"
                         );
-                        w.hashes.push(store.push_view(&w.succs[n], &mut w.views));
+                        let (hash, c) =
+                            store.push_spliced(&w.next, touched, parent, &w.ends, &mut w.views);
+                        copied += c;
+                        w.hashes.push(hash);
                         w.keys.push(ClaimKey {
                             parent: idx as u32,
                             action: ai as u32,
                             succ: pick as u32,
                         });
+                        self.automaton.restore_parts(&mut w.next, &w.cur, touched);
                     }
                 }
-                let succs = &w.succs[..w.hashes.len()];
-                stats.edges += succs.len() as u64;
+                let edges = w.hashes.len();
+                stats.edges += edges as u64;
+                stats.copied_bytes += copied as u64;
+                stats.encoded_bytes += (w.views.byte_len() - copied) as u64;
                 w.fresh.clear();
                 for (k, &hash) in w.hashes.iter().enumerate() {
                     if store.lookup(hash, w.views.get(k)).is_none() {
                         w.fresh.push(k);
                     }
                 }
-                stats.duplicates += (succs.len() - w.fresh.len()) as u64;
+                stats.duplicates += (edges - w.fresh.len()) as u64;
                 for &k in &w.fresh {
                     let (hash, key) = (w.hashes[k], w.keys[k]);
+                    let mut verdict =
+                        || self.successor_verdict(properties, &mut w.next, &w.cur, &w.actions, key);
                     match work.filter.claim(hash, key, w.views.get(k)) {
                         Claimed::Duplicate => stats.duplicates += 1,
-                        Claimed::New(won) => {
-                            let verdict = first_violation(properties, &succs[k]);
-                            won.publish(w.views.get(k).into(), verdict);
-                        }
+                        Claimed::New(won) => won.publish(w.views.get(k).into(), verdict()),
                         Claimed::Overflow => overflow.push(PendingState {
                             key,
                             hash,
                             repr: w.views.get(k).into(),
-                            verdict: first_violation(properties, &succs[k]),
+                            verdict: verdict(),
                         }),
                     }
                 }
             }
         }
         (stats, overflow)
+    }
+
+    /// The first of `properties` that the successor behind claim `key`
+    /// violates: its pick re-stepped on the scratch successor `next`,
+    /// which is restored to `cur` after. Steps nothing when there are no
+    /// properties.
+    fn successor_verdict(
+        &self,
+        properties: &[&dyn Property<M::State>],
+        next: &mut M::State,
+        cur: &M::State,
+        actions: &[M::Action],
+        key: ClaimKey,
+    ) -> Option<u32> {
+        if properties.is_empty() {
+            return None;
+        }
+        let action = &actions[key.action as usize];
+        let stepped = self
+            .automaton
+            .step_in_place(next, action, key.succ as usize);
+        debug_assert!(stepped, "a claimed pick of {action:?} did not step again");
+        let verdict = first_violation(properties, next);
+        let touched = self.automaton.touched_parts(action);
+        self.automaton.restore_parts(next, cur, touched);
+        verdict
     }
 
     /// Fills `into` with `state`'s deterministic action list: the enabled
@@ -897,6 +965,7 @@ fn trace_violation<A, TP: TraceProperty<A>>(trace: &TP, tstate: &TP::State) -> O
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ioa::composition::Pair;
     use ioa::{ActionClass, TaskId};
 
     /// Counter modulo `n` with an input `Bump` and output `Tick`: `Tick`
@@ -1057,6 +1126,50 @@ mod tests {
         assert_eq!(v.state, 4);
         assert_eq!(v.property, "below-4");
         assert_eq!(v.path.len(), 2);
+    }
+
+    /// A leaf over a `Pair` state: the automaton is one part, but the
+    /// state's codec records two.
+    struct PairLeaf;
+
+    impl Automaton for PairLeaf {
+        type Action = Act;
+        type State = Pair<u8, u8>;
+
+        fn start_state(&self) -> Pair<u8, u8> {
+            Pair::new(0, 0)
+        }
+        fn classify(&self, a: &Act) -> Option<ActionClass> {
+            Counter { n: 10 }.classify(a)
+        }
+        fn successors(&self, s: &Pair<u8, u8>, a: &Act) -> Vec<Pair<u8, u8>> {
+            let left = Counter { n: 10 }.successors(&s.left, a);
+            left.into_iter().map(|l| Pair::new(l, s.right)).collect()
+        }
+        fn for_each_enabled_local(
+            &self,
+            s: &Pair<u8, u8>,
+            f: &mut dyn FnMut(Act) -> ControlFlow<()>,
+        ) -> ControlFlow<()> {
+            Counter { n: 10 }.for_each_enabled_local(&s.left, f)
+        }
+        fn task_of(&self, _a: &Act) -> TaskId {
+            TaskId(0)
+        }
+        fn task_count(&self) -> usize {
+            1
+        }
+    }
+
+    /// A successor spliced by the codec's parts under the automaton's
+    /// part mask would be encoded wrongly, so the mismatch panics,
+    /// naming the automaton.
+    #[test]
+    #[should_panic(expected = "PairLeaf: the automaton has 1 part(s), its state's codec 2")]
+    fn codec_parts_unlike_the_automaton_parts_panic() {
+        let _ = ParallelExplorer::new(PairLeaf, |_: &Pair<u8, u8>| vec![], 100, 100)
+            .threads(1)
+            .reachable_states();
     }
 
     /// Diamond automaton: two different one-step actions reach the same

@@ -12,12 +12,15 @@
 //!   in a [`std::thread::scope`] (no external dependencies) and parked
 //!   between layers; thin layers stay on the calling thread, and a panic
 //!   on any thread ends the search with that panic;
-//! * successors are built **in place**: a worker loads each frontier
-//!   state once into a reused state, and for every action and every pick
-//!   `clone_from`s it onto a second reused state and steps that with
-//!   [`ioa::Automaton::step_in_place`], picks counted by
-//!   `successor_count` in `successors` order — so an edge allocates
-//!   nothing once the reused states' buffers have grown;
+//! * successors are built **in place, part by part**: a worker decodes
+//!   each frontier state once into a reused state and copies it once onto
+//!   a scratch successor; for every action and every pick it steps the
+//!   scratch with [`ioa::Automaton::step_in_place`] (picks counted by
+//!   `successor_count` in `successors` order), splices the successor's
+//!   encoding from the parent's — only the components the action touches
+//!   ([`ioa::Automaton::touched_parts`]) are encoded, the rest copied —
+//!   and restores those components ([`ioa::Automaton::restore_parts`]),
+//!   so an edge allocates nothing once the reused buffers have grown;
 //! * admitted states live in a frozen, read-only arena during expansion,
 //!   and intra-layer discoveries go through a **lock-free claim filter**
 //!   sharded by state hash: slots are claimed by compare-and-swap on a

@@ -71,6 +71,16 @@ pub struct ExploreReport<A, S> {
     /// Encoding bytes admitted to the store, start states included: the
     /// bytes the barrier copied into the arena.
     pub admitted_bytes: u64,
+    /// Successor encoding bytes the workers encoded: the parts each
+    /// edge's action touched ([`Automaton::touched_parts`]).
+    ///
+    /// [`Automaton::touched_parts`]: ioa::Automaton::touched_parts
+    pub encoded_bytes: u64,
+    /// Successor encoding bytes the workers copied from the parent's
+    /// stored encoding: the parts each edge's action left untouched.
+    /// With [`encoded_bytes`](Self::encoded_bytes) it sums to the
+    /// encoding bytes of every edge's successor.
+    pub copied_bytes: u64,
     /// Claim-filter slots allocated, summed over the expanded layers.
     pub filter_slots: u64,
     /// Wall-clock duration of the search.
@@ -154,7 +164,7 @@ impl<A, S> ExploreReport<A, S> {
     /// Serializes the run into a [`RunLedger`] under the `explore` engine.
     ///
     /// Counters (`states`, `edges`, `dedup_hits`, `admitted_bytes`,
-    /// `filter_slots`, …) are pure functions of the model and budgets
+    /// `encoded_bytes`, `copied_bytes`, `filter_slots`, …) are pure functions of the model and budgets
     /// (`threads` aside, independent of the thread count) — the ledger
     /// round-trip tests compare them exactly across re-runs. Gauges
     /// (`states_per_sec`, `duration_micros`) and the `barrier` span and
@@ -178,6 +188,8 @@ impl<A, S> ExploreReport<A, S> {
         );
         ledger.counter("arena_bytes", self.arena_bytes as u64);
         ledger.counter("admitted_bytes", self.admitted_bytes);
+        ledger.counter("encoded_bytes", self.encoded_bytes);
+        ledger.counter("copied_bytes", self.copied_bytes);
         ledger.counter("filter_slots", self.filter_slots);
 
         let secs = self.duration.as_secs_f64().max(1e-9);

@@ -6,9 +6,12 @@
 //! zoo states. The claim-time contract works in batches: a worker expands
 //! one frontier state at a time and claims all of its successors
 //! together. It decodes the frontier state into one reused state with
-//! [`load_into`] and steps copies of it in place. As it steps each
-//! successor it appends the successor's encoding to the worker's reused
-//! [`PackedViews`] batch with [`push_view`], which returns the encoding's
+//! `load_parts_into`, which also returns the state's stored encoding and
+//! where each of its parts ends, and steps a scratch copy of it in place.
+//! As it steps each successor it appends the successor's encoding to the
+//! worker's reused [`PackedViews`] batch with `push_spliced` — the
+//! [`push_view`] bytes, but with the parts the step left untouched
+//! copied from the parent's encoding — which returns the encoding's
 //! hash. It then probes the frozen store for every entry of the batch with
 //! the read-only [`lookup`], in one loop so that independent probes
 //! overlap their cache misses, and claims the misses in the layer's claim
@@ -16,11 +19,10 @@
 //! overflows it boxes its entry ([`PackedViews::get`] into a
 //! `Box<[u8]>`); the barrier admits those in deterministic sorted order,
 //! so every thread count admits the same states under the same dense ids.
-//! Start states are admitted through the same batch calls. [`absorb`] (a
-//! one-entry batch), [`intern_new`] and [`load`] are the owned forms of
-//! the same steps, for callers that drive a store directly.
+//! Start states are admitted through [`push_view`] batches. [`absorb`]
+//! (a one-entry batch), [`intern_new`] and [`load`] are the owned forms
+//! of the same steps, for callers that drive a store directly.
 //!
-//! [`load_into`]: StateStore::load_into
 //! [`push_view`]: StateStore::push_view
 //! [`lookup`]: StateStore::lookup
 //! [`absorb`]: StateStore::absorb
@@ -30,7 +32,7 @@
 use std::borrow::Cow;
 use std::marker::PhantomData;
 
-use ioa::intern::{PackedCodec, PackedIndex, PackedTable};
+use ioa::intern::{PackedCodec, PackedIndex, PackedTable, Splice};
 
 /// Storage for one exploration run: an append-only arena of admitted
 /// states' encodings.
@@ -59,10 +61,6 @@ pub trait StateStore<S: Clone>: Sync {
     /// Decodes admitted state `idx`. Always owned; the `Cow` is kept for
     /// callers written against a store that could lend its states.
     fn load(&self, idx: u32) -> Cow<'_, S>;
-
-    /// Overwrites `state` with admitted state `idx`
-    /// ([`PackedCodec::decode_into`]), reusing the buffers `state` owns.
-    fn load_into(&self, idx: u32, state: &mut S);
 
     /// Number of admitted states.
     fn len(&self) -> usize;
@@ -117,6 +115,21 @@ impl PackedViews {
         self.bytes.clear();
         self.starts.clear();
         self.len = 0;
+    }
+
+    /// The bytes of every entry together.
+    pub(crate) fn byte_len(&self) -> usize {
+        self.bytes.len()
+    }
+
+    /// Opens the next entry, returning where its bytes start.
+    fn open(&mut self) -> usize {
+        let start = self.bytes.len();
+        if self.len > 0 {
+            self.starts.push(start);
+        }
+        self.len += 1;
+        start
     }
 
     /// The encoding of entry `i`.
@@ -176,13 +189,41 @@ impl<S> PackedStore<S> {
     }
 }
 
+impl<S: PackedCodec> PackedStore<S> {
+    /// Overwrites `state` with admitted state `idx`, replaces `ends` by
+    /// where each part of its encoding ends
+    /// ([`PackedCodec::decode_parts_into`]), and returns the encoding:
+    /// what [`push_spliced`](Self::push_spliced) splices its successors
+    /// from.
+    pub(crate) fn load_parts_into(&self, idx: u32, state: &mut S, ends: &mut Vec<usize>) -> &[u8] {
+        self.table.decode_parts_into(idx, state, ends);
+        self.table.encoding(idx)
+    }
+
+    /// [`StateStore::push_view`] for a successor of the state whose
+    /// encoding and part ends [`load_parts_into`](Self::load_parts_into)
+    /// returned: the parts `touched` marks are encoded anew and the rest
+    /// copied from `parent` ([`Splice`]), into the same bytes `push_view`
+    /// appends. Returns the hash and how many bytes were copied.
+    pub(crate) fn push_spliced(
+        &self,
+        state: &S,
+        touched: u64,
+        parent: &[u8],
+        ends: &[usize],
+        views: &mut PackedViews,
+    ) -> (u64, usize) {
+        let start = views.open();
+        let mut splice = Splice::new(parent, ends, touched, &mut views.bytes);
+        state.encode_spliced(&mut splice);
+        let copied = splice.finish();
+        (self.table.hash_bytes(&views.bytes[start..]), copied)
+    }
+}
+
 impl<S: Clone + PackedCodec> StateStore<S> for PackedStore<S> {
     fn push_view(&self, state: &S, views: &mut PackedViews) -> u64 {
-        let start = views.bytes.len();
-        if views.len > 0 {
-            views.starts.push(start);
-        }
-        views.len += 1;
+        let start = views.open();
         state.encode(&mut views.bytes);
         self.table.hash_bytes(&views.bytes[start..])
     }
@@ -207,10 +248,6 @@ impl<S: Clone + PackedCodec> StateStore<S> for PackedStore<S> {
         Cow::Owned(self.table.decode(idx))
     }
 
-    fn load_into(&self, idx: u32, state: &mut S) {
-        self.table.decode_into(idx, state);
-    }
-
     fn len(&self) -> usize {
         self.table.len()
     }
@@ -225,8 +262,9 @@ mod tests {
     use super::*;
 
     /// `absorb` must hash and encode exactly as the claim-time batch path
-    /// does, and a batch must keep every entry apart, so callers that
-    /// drive a store directly admit the same states under the same ids.
+    /// does, spliced or not, and a batch must keep every entry apart, so
+    /// callers that drive a store directly admit the same states under the
+    /// same ids.
     #[test]
     fn absorb_agrees_with_the_batch_path() {
         let mut store: PackedStore<u64> = PackedBackend::new().new_store();
@@ -246,14 +284,24 @@ mod tests {
             assert_eq!(store.lookup(hash, views.get(id)), None);
             assert_eq!(store.intern_new(hash, encoded), id as u32);
         }
-        let mut loaded = u64::MAX;
+        let (mut loaded, mut ends, mut spliced) = (u64::MAX, Vec::new(), PackedViews::default());
         for (id, &state) in states.iter().enumerate() {
             let (hash, encoded) = store.absorb(state);
             assert_eq!(store.lookup(hash, &encoded), Some(id as u32));
             assert_eq!(store.lookup(hashes[id], views.get(id)), Some(id as u32));
             assert_eq!(*store.load(id as u32), state);
-            store.load_into(id as u32, &mut loaded);
-            assert_eq!(loaded, state);
+            let parent = store.load_parts_into(id as u32, &mut loaded, &mut ends);
+            assert_eq!((loaded, parent, &ends[..]), (state, &encoded[..], &[0][..]));
+            // The one part copied from the parent, or encoded anew.
+            spliced.clear();
+            let copied = store.push_spliced(&loaded, 0, parent, &ends, &mut spliced);
+            let encoded_anew = store.push_spliced(&loaded, 1, parent, &ends, &mut spliced);
+            assert_eq!(copied, (hash, encoded.len()));
+            assert_eq!(encoded_anew, (hash, 0));
+            assert_eq!(
+                (spliced.get(0), spliced.get(1)),
+                (&encoded[..], &encoded[..])
+            );
         }
         assert_eq!(store.len(), states.len());
     }

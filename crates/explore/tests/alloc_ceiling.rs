@@ -1,38 +1,44 @@
 //! Allocation-ceiling smoke for the explorer's expansion and claim path.
 //!
-//! Workers build successors in place — each frontier state is loaded
-//! once into a reused state, copied onto a second reused state with
-//! `clone_from` before every pick, and stepped with `step_in_place` —
-//! and decide every claim on a borrowed encoding of the successor in a
-//! preallocated `LayerFilter`, so an edge allocates nothing and only a
-//! genuinely new state reaches the arena. This test pins that steady
-//! state with a counting global allocator (every thread's allocations
-//! count), on one worker and on two, so a change that quietly
-//! reintroduces per-edge cloning (a successor built by value, a derived
-//! `Clone` whose `clone_from` reallocates, a decode that allocates fresh
-//! buffers, or per-candidate boxing), or threads spawned per layer, fails
-//! loudly here rather than as a silent throughput loss in `explore/deep`.
+//! Workers build successors in place — each frontier state is decoded
+//! once into a reused state and copied once onto a reused scratch
+//! successor; for every pick the scratch is stepped with `step_in_place`,
+//! its encoding is spliced from the parent's into the worker's reused
+//! batch, and the parts the action touched are restored with their own
+//! `clone_from` — and decide every claim on a borrowed encoding of the
+//! successor in a preallocated `LayerFilter`, so an edge allocates
+//! nothing and only a genuinely new state reaches the arena. This test
+//! pins that steady state with a counting global allocator (every
+//! thread's allocations count), on one worker and on two, so a change
+//! that quietly reintroduces per-edge cloning (a successor built by
+//! value, a derived `Clone` whose `clone_from` reallocates, a decode that
+//! allocates fresh buffers, or per-candidate boxing), or threads spawned
+//! per layer, fails loudly here rather than as a silent throughput loss
+//! in `explore/deep`.
 //!
 //! Measured on the current engine (E9 at channel capacity 2, 594 states
-//! / 3042 edges; debug and release agree): one worker 996 allocations
-//! (≈1.68 per admitted state, ≈0.33 per edge — each admitted state boxes
+//! / 3042 edges; debug and release agree): one worker 921 allocations
+//! (≈1.55 per admitted state, ≈0.30 per edge — each admitted state boxes
 //! its canonical encoding once, each expanded state with a permitted
 //! input gets that input's `Vec` from the caller's closure, and the rest
 //! is set-up — the claim filter per layer, the worker's reused buffers
 //! and the barrier's once per search — plus one allocation per new
 //! encoding chunk, record segment and spanning-tree segment); two
-//! workers 1,140–1,194 over 19 runs, the spread being the second
+//! workers 1,010–1,054 over 18 runs, the spread being the second
 //! worker's buffer growth, which depends on how chunks fall, and the
-//! claims that race into the overflow path. The one-worker ceiling sits
-//! just above its count: worker buffers rebuilt for every layer measured
+//! claims that race into the overflow path. Both ceilings sit just above
+//! those counts. A worker that keeps one reused successor per (action,
+//! pick) of the widest batch, as the engine did before it spliced
+//! successors from their parents, measured 994–996 on one worker and
+//! 1,132–1,194 on two; worker buffers rebuilt for every layer measured
 //! 1,395, and the store's and spanning tree's doubling columns, whose
 //! every growth was a reallocation, 1,409; an engine that reallocates
-//! its barrier's claim list every layer read 1,070. The two-worker
-//! ceiling fails an engine that spawns its workers per layer and indexes
-//! every pending claim in its own `Vec` to merge overflow (1,496–1,521).
-//! Building every successor by value, as the engine once did, measured
-//! ≈ 23.9k (≈7 per edge). The rate bounds sit 2× above the measurements
-//! so only real regressions trip them, not allocator or libstd noise.
+//! its barrier's claim list every layer read 1,070. An engine that
+//! spawns its workers per layer and indexes every pending claim in its
+//! own `Vec` to merge overflow read 1,496–1,521 on two workers. Building
+//! every successor by value, as the engine once did, measured ≈ 23.9k
+//! (≈7 per edge). The rate bounds sit 2× above the measurements so only
+//! real regressions trip them, not allocator or libstd noise.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -80,7 +86,7 @@ type SysState = <Sys as Automaton>::State;
 
 /// E9 at channel capacity 2 — the published model one notch smaller, so
 /// a debug-build measurement stays fast while still exercising real
-/// heap-carrying states (channel `VecDeque`s, observer sets).
+/// heap-carrying states (station queues, channel flights, observer sets).
 fn small_e9() -> Sys {
     let p = dl_protocols::abp::protocol();
     Compose2::new(
@@ -141,7 +147,7 @@ fn allocs_for_one_run(threads: usize) -> (u64, usize, u64) {
 #[test]
 fn visited_set_allocations_stay_bounded() {
     // (threads, total ceiling, per-edge bound, per-state bound)
-    let bounds = [(1, 1_080u64, 0.7, 3.6), (2, 1_300u64, 0.7, 3.6)];
+    let bounds = [(1, 960u64, 0.7, 3.6), (2, 1_100u64, 0.7, 3.6)];
     for (threads, ceiling, edge_bound, state_bound) in bounds {
         let (allocs, states, edges) = allocs_for_one_run(threads);
         eprintln!("{threads} threads: {allocs} allocations over {states} states / {edges} edges");

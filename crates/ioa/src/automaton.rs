@@ -299,6 +299,35 @@ pub trait Automaton {
         self.step_chosen(state, action, &mut |_| pick)
     }
 
+    /// The number of leaf components whose states make up this
+    /// automaton's state: 1 for a leaf, and the sum of both sides for a
+    /// [`Compose2`](crate::composition::Compose2), left first. Its parts
+    /// are the parts of its state's packed encoding
+    /// ([`PackedCodec`](crate::intern::PackedCodec)), in the same order.
+    fn parts(&self) -> usize {
+        1
+    }
+
+    /// The parts a step on `action` may change, as a mask over
+    /// [`parts`](Automaton::parts) (bit `i` is part `i`): a leaf sets its
+    /// bit when `action` is in its signature. A step leaves every other
+    /// part as it was (§2.5), which lets the explorer re-encode and
+    /// [restore](Automaton::restore_parts) only the touched ones.
+    fn touched_parts(&self, action: &Self::Action) -> u64 {
+        u64::from(self.in_signature(action))
+    }
+
+    /// Copies the parts that `touched` marks back from `parent` into
+    /// `state`; a leaf `clone_from`s `parent` when its bit is set. After a
+    /// step of a copy of `parent` on an action, restoring
+    /// [`touched_parts`](Automaton::touched_parts) of that action makes
+    /// the copy equal `parent` again.
+    fn restore_parts(&self, state: &mut Self::State, parent: &Self::State, touched: u64) {
+        if touched & 1 != 0 {
+            state.clone_from(parent);
+        }
+    }
+
     /// Spot-checks input-enabledness: every action of `inputs` that
     /// classifies as an input must be enabled in every state of `states`.
     /// Returns the first violation as `(state, action)`.
@@ -400,6 +429,17 @@ impl<A: Automaton + ?Sized> Automaton for &A {
     }
     fn in_signature(&self, action: &Self::Action) -> bool {
         (**self).in_signature(action)
+    }
+    // Forwarded so the explorer splices a referenced composition's
+    // successors part by part instead of as one part.
+    fn parts(&self) -> usize {
+        (**self).parts()
+    }
+    fn touched_parts(&self, action: &Self::Action) -> u64 {
+        (**self).touched_parts(action)
+    }
+    fn restore_parts(&self, state: &mut Self::State, parent: &Self::State, touched: u64) {
+        (**self).restore_parts(state, parent, touched);
     }
 }
 

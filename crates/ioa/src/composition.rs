@@ -27,9 +27,12 @@ pub struct Pair<S, T> {
     pub right: T,
 }
 
-/// Written out because a derived `Clone` does not forward `clone_from`:
-/// the explorer copies each frontier state onto a reused successor per
-/// edge, and only a field-wise `clone_from` reuses the halves' buffers.
+/// Written out because a derived `Clone` does not forward `clone_from`,
+/// and only a field-wise `clone_from` reuses the halves' buffers. The
+/// explorer copies each frontier state onto its reused successor once,
+/// and after each edge restores only the parts the step touched
+/// ([`Automaton::restore_parts`]), a leaf's part by its own
+/// `clone_from`.
 impl<S: Clone, T: Clone> Clone for Pair<S, T> {
     #[inline]
     fn clone(&self) -> Self {
@@ -78,6 +81,16 @@ impl<S: crate::intern::PackedCodec, T: crate::intern::PackedCodec> crate::intern
     fn decode_into(&mut self, input: &mut &[u8]) {
         self.left.decode_into(input);
         self.right.decode_into(input);
+    }
+    #[inline]
+    fn decode_parts_into(&mut self, input: &mut &[u8], ends: &mut Vec<usize>) {
+        self.left.decode_parts_into(input, ends);
+        self.right.decode_parts_into(input, ends);
+    }
+    #[inline]
+    fn encode_spliced(&self, splice: &mut crate::intern::Splice<'_>) {
+        self.left.encode_spliced(splice);
+        self.right.encode_spliced(splice);
     }
 }
 
@@ -190,6 +203,21 @@ where
             }
         }
         out
+    }
+
+    /// Where the right component's parts start in a part mask.
+    ///
+    /// # Panics
+    ///
+    /// When the composition has more parts than a 64-bit mask holds.
+    fn right_shift(&self) -> u32 {
+        let parts = self.parts();
+        assert!(
+            parts <= 64,
+            "{} has {parts} parts; a part mask holds 64",
+            std::any::type_name::<Self>()
+        );
+        self.left.parts() as u32
     }
 
     /// Projects an execution of the composition onto the right component
@@ -487,6 +515,24 @@ where
 
     fn task_count(&self) -> usize {
         self.left.task_count() + self.right.task_count()
+    }
+
+    fn parts(&self) -> usize {
+        self.left.parts() + self.right.parts()
+    }
+
+    fn touched_parts(&self, action: &A) -> u64 {
+        self.left.touched_parts(action) | self.right.touched_parts(action) << self.right_shift()
+    }
+
+    fn restore_parts(&self, state: &mut Self::State, parent: &Self::State, touched: u64) {
+        self.left
+            .restore_parts(&mut state.left, &parent.left, touched);
+        self.right.restore_parts(
+            &mut state.right,
+            &parent.right,
+            touched >> self.right_shift(),
+        );
     }
 }
 
@@ -872,6 +918,128 @@ mod tests {
         let pr = c.project_right(&e);
         assert_eq!(pr.schedule(), vec![Act::Mid(7), Act::Out(7)]);
         assert_eq!(pr.validate(&Consumer), Ok(()));
+    }
+
+    #[test]
+    fn touched_parts_follow_the_signatures_and_restore_only_those() {
+        let c = pipeline();
+        assert_eq!(c.parts(), 2);
+        assert_eq!(c.touched_parts(&Act::Go), 0b01);
+        assert_eq!(c.touched_parts(&Act::Mid(7)), 0b11);
+        assert_eq!(c.touched_parts(&Act::Out(7)), 0b10);
+        // Nested: the right component's parts follow the left's.
+        let nested = Compose2::new(
+            pipeline(),
+            Fan {
+                fan: 2,
+                output: false,
+            },
+        );
+        assert_eq!(nested.parts(), 3);
+        assert_eq!(nested.touched_parts(&Act::Go), 0b001);
+        assert_eq!(nested.touched_parts(&Act::Mid(7)), 0b111);
+        assert_eq!(nested.touched_parts(&Act::Out(7)), 0b010);
+
+        // Restoring a step's touched parts undoes it; restoring fewer
+        // leaves the others stepped.
+        let parent = Pair::new(Pair::new(Some(7), None), 10);
+        let mut s = parent.clone();
+        for pick in 0..nested.successor_count(&parent, &Act::Mid(7)) {
+            assert!(nested.step_in_place(&mut s, &Act::Mid(7), pick));
+            assert_eq!(s, Pair::new(Pair::new(None, Some(7)), 10 + pick as u8));
+            nested.restore_parts(&mut s, &parent, 0b101);
+            assert_eq!(s, Pair::new(Pair::new(Some(7), Some(7)), 10));
+            nested.restore_parts(&mut s, &parent, 0b010);
+            assert_eq!(s, parent);
+        }
+    }
+
+    /// Claims 64 parts: any composition with it is too wide for a part
+    /// mask.
+    #[derive(Clone)]
+    struct Wide;
+    impl Automaton for Wide {
+        type Action = Act;
+        type State = Option<u8>;
+
+        fn start_state(&self) -> Self::State {
+            Producer.start_state()
+        }
+        fn classify(&self, a: &Act) -> Option<ActionClass> {
+            Producer.classify(a)
+        }
+        fn successors(&self, s: &Self::State, a: &Act) -> Vec<Self::State> {
+            Producer.successors(s, a)
+        }
+        fn for_each_enabled_local(
+            &self,
+            s: &Self::State,
+            f: &mut dyn FnMut(Act) -> ControlFlow<()>,
+        ) -> ControlFlow<()> {
+            Producer.for_each_enabled_local(s, f)
+        }
+        fn task_of(&self, _a: &Act) -> TaskId {
+            TaskId(0)
+        }
+        fn task_count(&self) -> usize {
+            1
+        }
+        fn parts(&self) -> usize {
+            64
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "Compose2<ioa::composition::tests::Wide, \
+                               ioa::composition::tests::Consumer> has 65 parts")]
+    fn a_composition_wider_than_a_part_mask_panics() {
+        let _ = Compose2::new(Wide, Consumer).touched_parts(&Act::Go);
+    }
+
+    /// A `Pair` records one end per leaf, and a splice copies every
+    /// untouched part from the parent's bytes: for every touched mask, the
+    /// result equals the successor's own encoding, appended after what
+    /// the output held.
+    #[test]
+    fn spliced_pairs_encode_touched_parts_and_copy_the_rest() {
+        use crate::intern::{PackedCodec, Splice};
+
+        let parent = Pair::new(Pair::new(1u64, 300u64), Pair::new(70_000u64, 5u64));
+        let lens = [1, 2, 3, 1];
+        let mut bytes = Vec::new();
+        parent.encode(&mut bytes);
+        let mut decoded = Pair::new(Pair::new(9, 9), Pair::new(9, 9));
+        let mut ends = vec![42];
+        ends.clear();
+        decoded.decode_parts_into(&mut &bytes[..], &mut ends);
+        assert_eq!(decoded, parent);
+        assert_eq!(ends, [6, 4, 1, 0], "bytes left after each part");
+
+        for touched in 0..16u64 {
+            let mut child = parent.clone();
+            let bit = |i: u32| touched >> i & 1 != 0;
+            if bit(0) {
+                child.left.left = 1 << 20;
+            }
+            if bit(1) {
+                child.left.right = 0;
+            }
+            if bit(2) {
+                child.right.left = 70_001;
+            }
+            if bit(3) {
+                child.right.right = 200;
+            }
+            let mut out = vec![0xAB];
+            let mut splice = Splice::new(&bytes, &ends, touched, &mut out);
+            child.encode_spliced(&mut splice);
+            let copied = splice.finish();
+            let mut want = vec![0xAB];
+            child.encode(&mut want);
+            assert_eq!(out, want, "touched {touched:#06b}");
+            let untouched: usize = (0..4).filter(|&i| !bit(i)).map(|i| lens[i as usize]).sum();
+            assert_eq!(copied, untouched, "touched {touched:#06b}");
+        }
     }
 
     #[test]

@@ -140,6 +140,18 @@ where
     ) -> bool {
         self.inner.step_chosen(state, action, choose)
     }
+
+    fn parts(&self) -> usize {
+        self.inner.parts()
+    }
+
+    fn touched_parts(&self, action: &Self::Action) -> u64 {
+        self.inner.touched_parts(action)
+    }
+
+    fn restore_parts(&self, state: &mut Self::State, parent: &Self::State, touched: u64) {
+        self.inner.restore_parts(state, parent, touched);
+    }
 }
 
 #[cfg(test)]

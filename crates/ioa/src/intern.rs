@@ -330,6 +330,16 @@ impl<S: std::fmt::Debug, H> std::fmt::Debug for StateTable<S, H> {
 /// place. Whatever the target held before, the result must equal
 /// `decode`'s — an override that forgets to clear a buffer or to
 /// overwrite a field leaks the previous state into the next.
+///
+/// An encoding is a sequence of *parts*, one per leaf component of a
+/// composed state: a type is one part, and
+/// [`Pair`](crate::composition::Pair) is its halves' parts, left first —
+/// the order of [`Automaton::parts`](crate::Automaton::parts). The
+/// explorer builds a successor's encoding from its parent's part by
+/// part: [`decode_parts_into`](PackedCodec::decode_parts_into) records
+/// where the parent's parts end, and
+/// [`encode_spliced`](PackedCodec::encode_spliced) encodes only the parts
+/// a step touched. A type that overrides one of the two overrides both.
 pub trait PackedCodec: Sized {
     /// Appends the canonical encoding of `self` to `out`.
     fn encode(&self, out: &mut Vec<u8>);
@@ -342,6 +352,106 @@ pub trait PackedCodec: Sized {
     #[inline]
     fn decode_into(&mut self, input: &mut &[u8]) {
         *self = Self::decode(input);
+    }
+    /// [`decode_into`](Self::decode_into) that also records where each
+    /// part ends: after decoding a part, it pushes the number of bytes of
+    /// `input` left behind it. One part, unless overridden.
+    #[inline]
+    fn decode_parts_into(&mut self, input: &mut &[u8], ends: &mut Vec<usize>) {
+        self.decode_into(input);
+        ends.push(input.len());
+    }
+    /// Appends the canonical encoding of `self` to the splice's output,
+    /// encoding only the parts the splice marks touched and copying the
+    /// rest from the parent's encoding ([`Splice::part`] per part). The
+    /// bytes equal [`encode`](Self::encode)'s whenever every untouched
+    /// part equals the parent's. One part, unless overridden.
+    #[inline]
+    fn encode_spliced(&self, splice: &mut Splice<'_>) {
+        splice.part(|out| self.encode(out));
+    }
+}
+
+/// A successor's encoding in the making, spliced from its parent's: the
+/// parts a step touched are encoded anew, and every run of adjacent
+/// untouched parts is copied from the parent's bytes in one go.
+///
+/// Built over the parent's encoding, its part ends as
+/// [`PackedCodec::decode_parts_into`] records them (bytes left after each
+/// part), and a mask of touched parts (bit `i` is part `i`); the
+/// successor's [`PackedCodec::encode_spliced`] visits every part in
+/// order, and [`finish`](Splice::finish) copies what is left.
+pub struct Splice<'a> {
+    parent: &'a [u8],
+    ends: &'a [usize],
+    /// The touched mask from the next part on, its bit 0 the next part.
+    touched: u64,
+    /// Index of the next part.
+    part: usize,
+    /// Where the next part starts in the parent's encoding.
+    start: usize,
+    /// Parent bytes from here to `start` are untouched and not yet
+    /// copied.
+    pending: usize,
+    /// Parent bytes copied so far.
+    copied: usize,
+    out: &'a mut Vec<u8>,
+}
+
+impl<'a> Splice<'a> {
+    /// A splice that appends to `out`, over the parent's encoding, its
+    /// part `ends` and the `touched` part mask.
+    pub fn new(parent: &'a [u8], ends: &'a [usize], touched: u64, out: &'a mut Vec<u8>) -> Self {
+        Splice {
+            parent,
+            ends,
+            touched,
+            part: 0,
+            start: 0,
+            pending: 0,
+            copied: 0,
+            out,
+        }
+    }
+
+    /// Visits the next part: a touched one flushes the untouched run
+    /// before it and appends what `encode` writes; an untouched one joins
+    /// the run.
+    ///
+    /// # Panics
+    ///
+    /// When called more often than the parent has parts.
+    #[inline]
+    pub fn part(&mut self, encode: impl FnOnce(&mut Vec<u8>)) {
+        let end = self.parent.len() - self.ends[self.part];
+        if self.touched & 1 != 0 {
+            self.copy_to(self.start);
+            encode(self.out);
+            self.pending = end;
+        }
+        self.touched >>= 1;
+        self.part += 1;
+        self.start = end;
+    }
+
+    /// Copies the last untouched run and returns how many bytes the
+    /// splice copied from the parent.
+    #[inline]
+    pub fn finish(mut self) -> usize {
+        debug_assert_eq!(
+            self.part,
+            self.ends.len(),
+            "a splice visited another number of parts than its parent has"
+        );
+        self.copy_to(self.parent.len());
+        self.copied
+    }
+
+    /// Appends the untouched parent bytes from `pending` to `to`.
+    #[inline]
+    fn copy_to(&mut self, to: usize) {
+        self.out.extend_from_slice(&self.parent[self.pending..to]);
+        self.copied += to - self.pending;
     }
 }
 
@@ -831,7 +941,11 @@ fn narrow<T: TryFrom<usize>>(value: usize, field: &str) -> T {
 /// an E15 state (ABP over two capacity-6 lossy channels, with the safety
 /// observer) is a 240-byte struct that owns seven heap buffers, but it
 /// encodes in 33 bytes on average and costs the table about 55, and the
-/// hasher reads those 33 bytes instead of walking the struct.
+/// hasher reads those 33 bytes instead of walking the struct. A stored
+/// encoding ([`encoding`](PackedTable::encoding)) is also what the
+/// explorer splices its successors' encodings from ([`Splice`]): each
+/// successor copies the parts its step left untouched out of its
+/// parent's bytes.
 ///
 /// An encoding must be at most `u16::MAX` bytes long; a longer one
 /// panics on admission.
@@ -1080,11 +1194,18 @@ impl<H: BuildHasher> PackedTable<H> {
         s
     }
 
-    /// Decodes state `idx` onto `state` ([`PackedCodec::decode_into`]),
-    /// reusing the buffers it already owns.
-    pub fn decode_into<S: PackedCodec>(&self, idx: u32, state: &mut S) {
+    /// Decodes state `idx` onto `state`, reusing the buffers it already
+    /// owns, and replaces `ends` by where each part of the encoding ends
+    /// ([`PackedCodec::decode_parts_into`]).
+    pub fn decode_parts_into<S: PackedCodec>(
+        &self,
+        idx: u32,
+        state: &mut S,
+        ends: &mut Vec<usize>,
+    ) {
         let mut b = self.encoding(idx);
-        state.decode_into(&mut b);
+        ends.clear();
+        state.decode_parts_into(&mut b, ends);
         debug_assert!(b.is_empty(), "encoding not fully consumed");
     }
 
@@ -1097,8 +1218,10 @@ impl<H: BuildHasher> PackedTable<H> {
             + self.index.approx_bytes()
     }
 
-    /// The stored encoding of state `idx`.
-    fn encoding(&self, idx: u32) -> &[u8] {
+    /// The stored encoding of state `idx`: the parent bytes a successor
+    /// is spliced from ([`Splice`]).
+    #[must_use]
+    pub fn encoding(&self, idx: u32) -> &[u8] {
         let rec = &self.records[idx as usize];
         let start = usize::try_from(rec.start).expect("u32 offsets fit usize");
         &self.chunks[usize::from(rec.chunk)][start..start + usize::from(rec.len)]
@@ -1455,9 +1578,10 @@ mod tests {
         assert_eq!(a, a2);
         assert_eq!(t.lookup(h, &enc), Some(a));
         assert_eq!(t.decode::<Vec<u64>>(a), vec![1, 2, 3]);
-        let mut back = vec![9u64; 5];
-        t.decode_into(a, &mut back);
+        let (mut back, mut ends) = (vec![9u64; 5], vec![7, 7]);
+        t.decode_parts_into(a, &mut back, &mut ends);
         assert_eq!(back, vec![1, 2, 3]);
+        assert_eq!(ends, [0], "one part, ending with the encoding");
         assert_eq!(t.len(), 1);
         assert!(t.approx_bytes() > 0);
     }
@@ -1636,7 +1760,7 @@ mod tests {
         }
         ends.push(MANY - 1);
         assert!(ends.len() > 80, "only {} boundary ids", ends.len());
-        let mut into = (0u64, vec![9u8; 40]);
+        let (mut into, mut parts) = ((0u64, vec![9u8; 40]), Vec::new());
         for id in ends {
             let bytes = &reference[id];
             let want = <(u64, Vec<u8>)>::decode(&mut bytes.as_slice());
@@ -1645,7 +1769,7 @@ mod tests {
             assert_eq!(t.lookup(hash, bytes), Some(id as u32), "id {id}");
             assert_eq!(t.intern(hash, bytes), (id as u32, false), "id {id}");
             assert_eq!(t.decode::<(u64, Vec<u8>)>(id as u32), want, "id {id}");
-            t.decode_into(id as u32, &mut into);
+            t.decode_parts_into(id as u32, &mut into, &mut parts);
             assert_eq!(into, want, "id {id}");
         }
         assert_eq!(t.len(), MANY);
@@ -1749,7 +1873,7 @@ mod tests {
             assert_eq!(t.intern(hash, enc), (id, false), "intern of id {id} {when}");
             assert_eq!(t.decode::<(u64, Vec<u8>)>(id), want, "id {id} {when}");
             let mut into = (u64::MAX, vec![9u8; 3]);
-            t.decode_into(id, &mut into);
+            t.decode_parts_into(id, &mut into, &mut Vec::new());
             assert_eq!(into, want, "id {id} {when}");
         }
     }

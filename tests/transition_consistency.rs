@@ -16,9 +16,20 @@
 //! same successors (asking its chooser once, with that count, and never
 //! for a disabled action) and move a state to exactly the one at the
 //! picked position. Executors pick actions and successors by position,
-//! so even a reordering would silently change schedules. The explorer
-//! also copies each state onto a reused one (`clone_from`) before every
-//! pick, so the picks here are stepped the same way.
+//! so even a reordering would silently change schedules. The picks here
+//! are stepped on a reused state copied onto with `clone_from`, so a
+//! copy that leaves part of a dirty target behind shows.
+//!
+//! The explorer builds successors part by part: it steps one scratch
+//! copy of the parent in place, splices the successor's encoding from
+//! the parent's (the parts the action touches, `touched_parts`, encoded
+//! anew and the rest copied), and restores the touched parts
+//! (`restore_parts`). Wherever the state has a packed codec — the
+//! simulated channels, the observer, the ABP link over them and E9's
+//! composition with the observer — every pick is checked for that
+//! contract too: the spliced encoding equals the stepped successor's own
+//! encoding, the restored scratch equals the parent, and the codec
+//! records one part end per automaton part.
 //!
 //! This suite walks the full composed `link_system` (Hide ∘ Compose2 ∘
 //! protocol stations ∘ channels) for every protocol of the zoo — over
@@ -34,6 +45,7 @@ use std::ops::ControlFlow;
 use datalink::channels::{CorruptChannel, CorruptSpec, FaultSpec, FaultyChannel, GhostSpec};
 use datalink::core::action::{Dir, DlAction, Msg, Station};
 use datalink::core::protocol::{action_sample, DataLinkProtocol, StationAutomaton};
+use datalink::ioa::intern::{PackedCodec, Splice};
 use datalink::ioa::{Automaton, TaskId};
 use datalink::sim::{link_state, link_system};
 
@@ -152,6 +164,61 @@ where
     }
 }
 
+/// Asserts the explorer's splice contract at state `s`, for each action
+/// in `actions` and each of its picks: on one reused scratch copy of `s`,
+/// the pick's successor encoded by splicing from `s`'s encoding equals
+/// its own encoding, and restoring the action's touched parts makes the
+/// scratch equal `s` again. The codec must record one part end per
+/// automaton part.
+fn check_splice<A>(auto: &A, s: &A::State, actions: &[A::Action])
+where
+    A: Automaton,
+    A::State: PackedCodec + std::fmt::Debug,
+    A::Action: std::fmt::Debug,
+{
+    let mut parent = Vec::new();
+    s.encode(&mut parent);
+    let (mut decoded, mut ends) = (s.clone(), Vec::new());
+    let mut input = &parent[..];
+    decoded.decode_parts_into(&mut input, &mut ends);
+    assert!(input.is_empty(), "decode_parts_into left bytes behind");
+    assert_eq!(&decoded, s, "decode_parts_into decoded another state");
+    assert_eq!(
+        ends.len(),
+        auto.parts(),
+        "the codec records another number of parts than the automaton has"
+    );
+
+    let enabled = auto.enabled_local(s);
+    let mut next = s.clone();
+    let (mut spliced, mut full) = (Vec::new(), Vec::new());
+    for a in actions.iter().chain(enabled.iter()) {
+        let touched = auto.touched_parts(a);
+        for pick in 0..auto.successor_count(s, a) {
+            assert!(
+                auto.step_in_place(&mut next, a, pick),
+                "pick {pick} refused for {a:?}"
+            );
+            spliced.clear();
+            let mut splice = Splice::new(&parent, &ends, touched, &mut spliced);
+            next.encode_spliced(&mut splice);
+            let copied = splice.finish();
+            full.clear();
+            next.encode(&mut full);
+            assert_eq!(
+                spliced, full,
+                "the spliced encoding of pick {pick} of {a:?} (parts {touched:#b}) differs"
+            );
+            assert!(copied <= full.len());
+            auto.restore_parts(&mut next, s, touched);
+            assert_eq!(
+                &next, s,
+                "restoring parts {touched:#b} after pick {pick} of {a:?} left another state"
+            );
+        }
+    }
+}
+
 /// Walks `auto` from its start state for `steps` transitions, checking
 /// consistency at every state.
 fn walk_and_check<A>(auto: &A, steps: usize, seed: u64)
@@ -162,6 +229,19 @@ where
     walk_and_check_from(auto, auto.start_state(), steps, seed);
 }
 
+/// [`walk_and_check_from`] that also checks the splice contract at every
+/// state.
+fn walk_and_check_packed_from<A>(auto: &A, start: A::State, steps: usize, seed: u64)
+where
+    A: Automaton<Action = DlAction>,
+    A::State: PackedCodec + std::fmt::Debug,
+{
+    walk(auto, start, steps, seed, &mut |s, inputs| {
+        check_state(auto, s, inputs);
+        check_splice(auto, s, inputs);
+    });
+}
+
 /// Walks `auto` from `start` for `steps` transitions, checking
 /// consistency at every state. Inputs offered: the dense action sample
 /// plus fresh messages.
@@ -169,6 +249,23 @@ fn walk_and_check_from<A>(auto: &A, start: A::State, steps: usize, seed: u64)
 where
     A: Automaton<Action = DlAction>,
     A::State: Clone + PartialEq + std::fmt::Debug,
+{
+    walk(auto, start, steps, seed, &mut |s, inputs| {
+        check_state(auto, s, inputs);
+    });
+}
+
+/// Walks `auto` from `start` for `steps` transitions, calling `check` on
+/// every visited state with the inputs offered: the dense action sample
+/// plus fresh messages.
+fn walk<A>(
+    auto: &A,
+    start: A::State,
+    steps: usize,
+    seed: u64,
+    check: &mut dyn FnMut(&A::State, &[DlAction]),
+) where
+    A: Automaton<Action = DlAction>,
 {
     let mut inputs = action_sample();
     inputs.extend((0..4).map(|i| DlAction::SendMsg(Msg(i))));
@@ -182,7 +279,7 @@ where
     let mut s = start;
     let mut rng = seed;
     for _ in 0..steps {
-        check_state(auto, &s, &inputs);
+        check(&s, &inputs);
         // Advance: pick among enabled locals and enabled inputs.
         let mut candidates: Vec<DlAction> = auto.enabled_local(&s);
         candidates.extend(
@@ -406,13 +503,17 @@ fn proof_engine_systems_over_permissive_channels_match() {
 /// explorer's exact channel setups — capacity-bounded `Nondet` channels
 /// as in E9/E15/E16, and the lossless bounded channel of the crash pump,
 /// whose sends into a full queue are dropped — the WDL observer that
-/// E9 and E15 compose in, and the ABP link over bounded nondeterministic
-/// channels.
+/// E9 and E15 compose in, the ABP link over bounded nondeterministic
+/// channels, and E9's composition itself (ABP over two capacity-3
+/// `Nondet` channels with the observer), from its woken start. Their
+/// states all have packed codecs, so every state also checks the splice
+/// contract.
 #[test]
 fn simulated_channels_interned_apis_match_legacy() {
     use datalink::channels::{LossMode, LossyFifoChannel, ReorderChannel};
     use datalink::core::action::Packet;
     use datalink::core::observer::WdlObserver;
+    use datalink::crosscheck::zoo;
 
     let mut inputs: Vec<DlAction> = Vec::new();
     for d in [Dir::TR, Dir::RT] {
@@ -439,12 +540,13 @@ fn simulated_channels_interned_apis_match_legacy() {
     fn drive<A>(auto: &A, inputs: &[DlAction], seed: u64)
     where
         A: Automaton<Action = DlAction>,
-        A::State: Clone + PartialEq + std::fmt::Debug,
+        A::State: PackedCodec + std::fmt::Debug,
     {
         let mut s = auto.start_states().remove(0);
         let mut rng = seed;
         for _ in 0..80 {
             check_state(auto, &s, inputs);
+            check_splice(auto, &s, inputs);
             let mut candidates: Vec<DlAction> = auto.enabled_local(&s);
             candidates.extend(inputs.iter().filter(|a| auto.is_enabled(&s, a)).cloned());
             if candidates.is_empty() {
@@ -497,6 +599,8 @@ fn simulated_channels_interned_apis_match_legacy() {
             LossyFifoChannel::with_capacity(Dir::TR, LossMode::Nondet, 2),
             ReorderChannel::with_capacity(Dir::RT, LossMode::Nondet, 2),
         );
-        walk_and_check(&sys, 160, seed);
+        walk_and_check_packed_from(&sys, sys.start_state(), 160, seed);
+        let e9 = zoo::abp_lossy_system(3);
+        walk_and_check_packed_from(&e9, zoo::woken_start(&e9), 160, seed);
     }
 }
