@@ -167,23 +167,6 @@ fn send_in_place(
     true
 }
 
-/// A simulated channel's `try_for_each_successor`: each pick its
-/// `successor_count` counts, stepped in place on a clone of `s`, in order.
-fn for_each_pick(
-    ch: &impl Automaton<Action = DlAction, State = FlightState>,
-    s: &FlightState,
-    a: &DlAction,
-    f: &mut dyn FnMut(FlightState) -> ControlFlow<()>,
-) -> ControlFlow<()> {
-    for pick in 0..ch.successor_count(s, a) {
-        let mut t = s.clone();
-        let stepped = ch.step_in_place(&mut t, a, pick);
-        debug_assert!(stepped, "a counted pick must step");
-        f(t)?;
-    }
-    ControlFlow::Continue(())
-}
-
 /// A lossy FIFO channel: solves `PL-FIFO` (delivers the head of the queue).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LossyFifoChannel {
@@ -263,19 +246,6 @@ impl Automaton for LossyFifoChannel {
             DlAction::Crash(x) if *x == self.dir.sender() => vec![s.clone()],
             _ => vec![],
         }
-    }
-
-    fn try_for_each_successor(
-        &self,
-        s: &FlightState,
-        a: &DlAction,
-        f: &mut dyn FnMut(FlightState) -> ControlFlow<()>,
-    ) -> ControlFlow<()> {
-        for_each_pick(self, s, a, f)
-    }
-
-    fn is_enabled(&self, s: &FlightState, a: &DlAction) -> bool {
-        self.successor_count(s, a) > 0
     }
 
     fn successor_count(&self, s: &FlightState, a: &DlAction) -> usize {
@@ -409,19 +379,6 @@ impl Automaton for ReorderChannel {
             DlAction::Crash(x) if *x == self.dir.sender() => vec![s.clone()],
             _ => vec![],
         }
-    }
-
-    fn try_for_each_successor(
-        &self,
-        s: &FlightState,
-        a: &DlAction,
-        f: &mut dyn FnMut(FlightState) -> ControlFlow<()>,
-    ) -> ControlFlow<()> {
-        for_each_pick(self, s, a, f)
-    }
-
-    fn is_enabled(&self, s: &FlightState, a: &DlAction) -> bool {
-        self.successor_count(s, a) > 0
     }
 
     fn successor_count(&self, s: &FlightState, a: &DlAction) -> usize {

@@ -7,8 +7,8 @@
 //! — while `dl-explore` drives the in-place and callback forms
 //! (`step_in_place` / `for_each_enabled_local`). Every leaf writes its
 //! enabled actions once, as the walk `enabled_local` collects, so that
-//! half is model code both checkers share (with `Compose2`'s defensive
-//! filter on top). The successor half still cross-checks the trait
+//! half is model code both checkers share, for a composition as for a
+//! leaf. The successor half still cross-checks the trait
 //! contract on every composed automaton it touches: an in-place override
 //! whose order drifted from `successors` would show up as a count or
 //! trace disagreement.

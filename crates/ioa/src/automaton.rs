@@ -29,12 +29,22 @@ pub struct TaskId(pub usize);
 /// 5. the task partition, [`task_of`](Automaton::task_of) /
 ///    [`task_count`](Automaton::task_count).
 ///
-/// Those six methods are the ones an implementation writes (`successors`
-/// through [`deterministic_transitions!`](crate::deterministic_transitions)
-/// for a [`Deterministic`] automaton). Every other method is derived from
-/// them: the `Vec` forms [`start_states`](Automaton::start_states) and
-/// [`enabled_local`](Automaton::enabled_local) collect the start state and
-/// the enabled walk, so an automaton defines each only once.
+/// Six of those methods are required: all but `start_states`, which
+/// collects the start state (a [`Deterministic`] automaton writes
+/// `successors` through
+/// [`deterministic_transitions!`](crate::deterministic_transitions)).
+/// Beside them, the transition core has defaults that an automaton may
+/// override:
+/// [`successor_count`](Automaton::successor_count) and
+/// [`step_chosen`](Automaton::step_chosen), the in-place step that
+/// sessions and the explorer take;
+/// [`for_each_enabled_of_task`](Automaton::for_each_enabled_of_task); and
+/// [`parts`](Automaton::parts),
+/// [`touched_parts`](Automaton::touched_parts) and
+/// [`restore_parts`](Automaton::restore_parts). Every other method is
+/// derived from those, is defined only here, and is never overridden, so
+/// a wrapper that forwards the core keeps each derived method as fast as
+/// its inner automaton's.
 ///
 /// # Input-enabledness
 ///
@@ -54,10 +64,10 @@ pub trait Automaton {
     /// The action universe this automaton's signature draws from.
     type Action: Clone + Eq + Debug;
     /// Automaton states. Cloneable so executions can be recorded, and
-    /// hashable so every execution layer — explorer visited sets,
-    /// [`StateTable`](crate::intern::StateTable) arenas,
-    /// [`InternedSeq`](crate::intern::InternedSeq) recordings — can intern
-    /// states instead of storing copies.
+    /// hashable so recordings ([`InternedSeq`](crate::intern::InternedSeq))
+    /// can intern states instead of storing copies. The explorer stores
+    /// packed encodings ([`PackedCodec`](crate::intern::PackedCodec))
+    /// instead.
     type State: Clone + Eq + Hash + Debug;
 
     /// The start state. Every automaton in this workspace has exactly one;
@@ -80,10 +90,14 @@ pub trait Automaton {
     /// the action is not in the signature at all.
     fn classify(&self, action: &Self::Action) -> Option<ActionClass>;
 
-    /// All states `s'` with `(state, action, s') ∈ steps(A)`.
+    /// All states `s'` with `(state, action, s') ∈ steps(A)`, in the order
+    /// executors pick them by position.
     ///
     /// Empty means the action is not enabled in `state` — which is only
     /// permitted for locally-controlled actions (inputs are always enabled).
+    /// This by-value form is the specification the in-place core
+    /// ([`successor_count`](Automaton::successor_count),
+    /// [`step_chosen`](Automaton::step_chosen)) is checked against.
     fn successors(&self, state: &Self::State, action: &Self::Action) -> Vec<Self::State>;
 
     /// Visits every locally-controlled action enabled in `state`, stopping
@@ -111,60 +125,28 @@ pub trait Automaton {
     /// Number of classes in the task partition.
     fn task_count(&self) -> usize;
 
-    /// Visits every successor of `(state, action)` in the same order
-    /// [`successors`](Automaton::successors) would return them, stopping
-    /// early when `f` breaks. Returns whatever the last `f` call returned.
-    ///
-    /// Every other transition method has a default derived from this one:
-    /// [`successors_into`](Automaton::successors_into),
-    /// [`is_enabled`](Automaton::is_enabled),
-    /// [`step_first`](Automaton::step_first),
-    /// [`successor_count`](Automaton::successor_count) and
-    /// [`step_chosen`](Automaton::step_chosen) (and through it
-    /// [`step_in_place`](Automaton::step_in_place), which is never
-    /// overridden). Those defaults build successor states to answer, so an
-    /// automaton on a hot path overrides them too: deterministic automata
-    /// derive all six from a guard and an in-place update through
-    /// [`Deterministic`] and
-    /// [`deterministic_transitions!`](crate::deterministic_transitions),
-    /// and [`Compose2`](crate::composition::Compose2) touches only the
-    /// components whose signature holds the action. Overrides must
-    /// enumerate **exactly** the `successors` list — same states, same
-    /// order — since executors pick successors by position.
-    fn try_for_each_successor(
-        &self,
-        state: &Self::State,
-        action: &Self::Action,
-        f: &mut dyn FnMut(Self::State) -> ControlFlow<()>,
-    ) -> ControlFlow<()> {
-        for s in self.successors(state, action) {
-            f(s)?;
-        }
-        ControlFlow::Continue(())
-    }
-
-    /// Appends all successors of `(state, action)` to `out` — the
-    /// buffer-reuse form of [`successors`](Automaton::successors). Callers
-    /// own the buffer lifecycle (typically `clear()` + `successors_into` in
-    /// a loop), so steady-state stepping performs no allocation once the
-    /// buffer has grown to its high-water mark.
+    /// Appends all successors of `(state, action)` to `out`, in
+    /// [`successors`](Automaton::successors) order — the buffer-reuse
+    /// form. Callers own the buffer lifecycle (typically `clear()` +
+    /// `successors_into` in a loop). Each counted pick is stepped in place
+    /// on a clone of `state`.
     fn successors_into(
         &self,
         state: &Self::State,
         action: &Self::Action,
         out: &mut Vec<Self::State>,
     ) {
-        let _ = self.try_for_each_successor(state, action, &mut |s| {
-            out.push(s);
-            ControlFlow::Continue(())
-        });
+        for pick in 0..self.successor_count(state, action) {
+            let mut next = state.clone();
+            let stepped = self.step_in_place(&mut next, action, pick);
+            debug_assert!(stepped, "a counted pick must step");
+            out.push(next);
+        }
     }
 
     /// The locally-controlled actions enabled in `state`: the
     /// [`for_each_enabled_local`](Automaton::for_each_enabled_local) walk,
-    /// collected in its order. [`Compose2`](crate::composition::Compose2)
-    /// overrides it to drop an action the other component refuses, which
-    /// its walk only asserts against in debug builds.
+    /// collected in its order.
     fn enabled_local(&self, state: &Self::State) -> Vec<Self::Action> {
         let mut out = Vec::new();
         let _ = self.for_each_enabled_local(state, &mut |a| {
@@ -211,38 +193,29 @@ pub trait Automaton {
     }
 
     /// Convenience: `true` if `action` has at least one successor from
-    /// `state`. Short-circuits on the first successor found instead of
-    /// materializing the full list.
+    /// `state` — a nonzero [`successor_count`](Automaton::successor_count).
     fn is_enabled(&self, state: &Self::State, action: &Self::Action) -> bool {
-        self.try_for_each_successor(state, action, &mut |_| ControlFlow::Break(()))
-            .is_break()
+        self.successor_count(state, action) > 0
     }
 
-    /// Takes one step, resolving nondeterminism by picking the first
-    /// successor. Returns `None` if the action is not enabled. Stops
-    /// enumerating after the first successor.
+    /// Takes one step on a clone of `state`, resolving nondeterminism by
+    /// picking the first successor. Returns `None` if the action is not
+    /// enabled.
     ///
     /// Deterministic automata (one successor per step, one start state) can
     /// be driven entirely through `step_first`.
     fn step_first(&self, state: &Self::State, action: &Self::Action) -> Option<Self::State> {
-        let mut first = None;
-        let _ = self.try_for_each_successor(state, action, &mut |s| {
-            first = Some(s);
-            ControlFlow::Break(())
-        });
-        first
+        let mut next = state.clone();
+        self.step_chosen(&mut next, action, &mut |_| 0)
+            .then_some(next)
     }
 
     /// The number of successors of `(state, action)`: the length
-    /// [`successors`](Automaton::successors) would return, without
-    /// collecting them. `0` means the action is not enabled.
+    /// [`successors`](Automaton::successors) returns. `0` means the action
+    /// is not enabled. The default builds that list; a hot-path automaton
+    /// counts without building a state.
     fn successor_count(&self, state: &Self::State, action: &Self::Action) -> usize {
-        let mut n = 0;
-        let _ = self.try_for_each_successor(state, action, &mut |_| {
-            n += 1;
-            ControlFlow::Continue(())
-        });
-        n
+        self.successors(state, action).len()
     }
 
     /// Counts the successors of `(state, action)` once, asks `choose` for
@@ -256,31 +229,22 @@ pub trait Automaton {
     /// step, and the transition method a hot-path automaton overrides:
     /// overrides update the state where it lies instead of building a new
     /// one, and a composition routes the action to its components once for
-    /// both the count and the step.
+    /// both the count and the step. The default builds the `successors`
+    /// list once and moves the chosen one in.
     fn step_chosen(
         &self,
         state: &mut Self::State,
         action: &Self::Action,
         choose: &mut dyn FnMut(usize) -> usize,
     ) -> bool {
-        let n = self.successor_count(state, action);
-        if n == 0 {
+        let successors = self.successors(state, action);
+        if successors.is_empty() {
             return false;
         }
-        let pick = choose(n);
-        let mut k = 0;
-        let mut chosen = None;
-        let _ = self.try_for_each_successor(state, action, &mut |s| {
-            if k == pick {
-                chosen = Some(s);
-                return ControlFlow::Break(());
-            }
-            k += 1;
-            ControlFlow::Continue(())
-        });
-        match chosen {
-            Some(s) => {
-                *state = s;
+        let pick = choose(successors.len());
+        match successors.into_iter().nth(pick) {
+            Some(next) => {
+                *state = next;
                 true
             }
             None => false,
@@ -348,7 +312,9 @@ pub trait Automaton {
 }
 
 /// Blanket impl so `&A` can be used wherever an automaton is consumed by
-/// value (executors take `&A` internally; this keeps APIs flexible).
+/// value (executors take `&A` internally; this keeps APIs flexible). It
+/// forwards the required methods and the overridable transition core, so
+/// every derived method of a reference runs its automaton's own core.
 impl<A: Automaton + ?Sized> Automaton for &A {
     type Action = A::Action;
     type State = A::State;
@@ -362,35 +328,11 @@ impl<A: Automaton + ?Sized> Automaton for &A {
     fn successors(&self, state: &Self::State, action: &Self::Action) -> Vec<Self::State> {
         (**self).successors(state, action)
     }
-    // Forwarded so a composition's filtered `enabled_local` survives the
-    // reference.
-    fn enabled_local(&self, state: &Self::State) -> Vec<Self::Action> {
-        (**self).enabled_local(state)
-    }
     fn task_of(&self, action: &Self::Action) -> TaskId {
         (**self).task_of(action)
     }
     fn task_count(&self) -> usize {
         (**self).task_count()
-    }
-    // Forward the hot-path defaults explicitly so a reference does not
-    // silently fall back to the allocating defaults when the underlying
-    // automaton overrides them.
-    fn try_for_each_successor(
-        &self,
-        state: &Self::State,
-        action: &Self::Action,
-        f: &mut dyn FnMut(Self::State) -> ControlFlow<()>,
-    ) -> ControlFlow<()> {
-        (**self).try_for_each_successor(state, action, f)
-    }
-    fn successors_into(
-        &self,
-        state: &Self::State,
-        action: &Self::Action,
-        out: &mut Vec<Self::State>,
-    ) {
-        (**self).successors_into(state, action, out);
     }
     fn for_each_enabled_local(
         &self,
@@ -407,15 +349,6 @@ impl<A: Automaton + ?Sized> Automaton for &A {
     ) -> ControlFlow<()> {
         (**self).for_each_enabled_of_task(state, task, f)
     }
-    fn has_enabled_local(&self, state: &Self::State) -> bool {
-        (**self).has_enabled_local(state)
-    }
-    fn is_enabled(&self, state: &Self::State, action: &Self::Action) -> bool {
-        (**self).is_enabled(state, action)
-    }
-    fn step_first(&self, state: &Self::State, action: &Self::Action) -> Option<Self::State> {
-        (**self).step_first(state, action)
-    }
     fn successor_count(&self, state: &Self::State, action: &Self::Action) -> usize {
         (**self).successor_count(state, action)
     }
@@ -427,11 +360,6 @@ impl<A: Automaton + ?Sized> Automaton for &A {
     ) -> bool {
         (**self).step_chosen(state, action, choose)
     }
-    fn in_signature(&self, action: &Self::Action) -> bool {
-        (**self).in_signature(action)
-    }
-    // Forwarded so the explorer splices a referenced composition's
-    // successors part by part instead of as one part.
     fn parts(&self) -> usize {
         (**self).parts()
     }
@@ -449,8 +377,8 @@ impl<A: Automaton + ?Sized> Automaton for &A {
 ///
 /// An automaton implements this pair and writes
 /// [`deterministic_transitions!`](crate::deterministic_transitions) inside
-/// its `impl Automaton` block. The macro derives every transition method
-/// from the pair, so the by-value path (guard, clone, apply) behind
+/// its `impl Automaton` block. The macro writes the transition core from
+/// the pair, so the by-value path (guard, clone, apply) behind
 /// `successors` and the in-place path that sessions and the explorer take
 /// run the same transition code.
 pub trait Deterministic: Automaton {
@@ -463,9 +391,9 @@ pub trait Deterministic: Automaton {
     fn apply(&self, state: &mut Self::State, action: &Self::Action);
 }
 
-/// Emits, inside an `impl Automaton` block, the six transition methods of
-/// a [`Deterministic`] automaton: `successors`, `try_for_each_successor`,
-/// `step_first`, `is_enabled`, `successor_count` and `step_chosen`.
+/// Emits, inside an `impl Automaton` block, the three transition methods of
+/// a [`Deterministic`] automaton: `successors`, `successor_count` and
+/// `step_chosen`. Every other transition method derives from those.
 ///
 /// ```
 /// use std::ops::ControlFlow;
@@ -519,37 +447,13 @@ macro_rules! deterministic_transitions {
             state: &Self::State,
             action: &Self::Action,
         ) -> ::std::vec::Vec<Self::State> {
-            $crate::automaton::Automaton::step_first(self, state, action)
-                .into_iter()
-                .collect()
-        }
-
-        fn try_for_each_successor(
-            &self,
-            state: &Self::State,
-            action: &Self::Action,
-            f: &mut dyn FnMut(Self::State) -> ::std::ops::ControlFlow<()>,
-        ) -> ::std::ops::ControlFlow<()> {
-            match $crate::automaton::Automaton::step_first(self, state, action) {
-                ::std::option::Option::Some(next) => f(next),
-                ::std::option::Option::None => ::std::ops::ControlFlow::Continue(()),
-            }
-        }
-
-        fn step_first(
-            &self,
-            state: &Self::State,
-            action: &Self::Action,
-        ) -> ::std::option::Option<Self::State> {
-            $crate::automaton::Deterministic::enabled(self, state, action).then(|| {
+            if $crate::automaton::Deterministic::enabled(self, state, action) {
                 let mut next = ::std::clone::Clone::clone(state);
                 $crate::automaton::Deterministic::apply(self, &mut next, action);
-                next
-            })
-        }
-
-        fn is_enabled(&self, state: &Self::State, action: &Self::Action) -> bool {
-            $crate::automaton::Deterministic::enabled(self, state, action)
+                ::std::vec![next]
+            } else {
+                ::std::vec::Vec::new()
+            }
         }
 
         fn successor_count(&self, state: &Self::State, action: &Self::Action) -> usize {
@@ -787,65 +691,5 @@ mod tests {
         assert_eq!(flow, ControlFlow::Continue(()));
         assert_eq!(seen, c.enabled_local(&0));
         assert!(c.has_enabled_local(&0));
-    }
-
-    #[test]
-    fn is_enabled_short_circuits_enumeration() {
-        /// Two successors; counts how many the visitor materialized.
-        #[derive(Clone)]
-        struct Pair2(std::sync::Arc<std::sync::atomic::AtomicUsize>);
-        impl Automaton for Pair2 {
-            type Action = Act;
-            type State = u8;
-            fn start_state(&self) -> u8 {
-                0
-            }
-            fn classify(&self, _a: &Act) -> Option<ActionClass> {
-                Some(ActionClass::Input)
-            }
-            fn successors(&self, _s: &u8, _a: &Act) -> Vec<u8> {
-                vec![0, 1]
-            }
-            fn try_for_each_successor(
-                &self,
-                _s: &u8,
-                _a: &Act,
-                f: &mut dyn FnMut(u8) -> ControlFlow<()>,
-            ) -> ControlFlow<()> {
-                for s in [0u8, 1] {
-                    self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    f(s)?;
-                }
-                ControlFlow::Continue(())
-            }
-            fn for_each_enabled_local(
-                &self,
-                _s: &u8,
-                _f: &mut dyn FnMut(Act) -> ControlFlow<()>,
-            ) -> ControlFlow<()> {
-                ControlFlow::Continue(())
-            }
-            fn task_of(&self, _a: &Act) -> TaskId {
-                TaskId(0)
-            }
-            fn task_count(&self) -> usize {
-                1
-            }
-        }
-
-        let made = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
-        let p = Pair2(std::sync::Arc::clone(&made));
-        assert!(p.is_enabled(&0, &Act::Reset));
-        assert_eq!(
-            made.load(std::sync::atomic::Ordering::Relaxed),
-            1,
-            "is_enabled must stop at the first successor"
-        );
-        assert_eq!(p.step_first(&0, &Act::Reset), Some(0));
-        assert_eq!(
-            made.load(std::sync::atomic::Ordering::Relaxed),
-            2,
-            "step_first must stop at the first successor"
-        );
     }
 }

@@ -136,8 +136,13 @@ impl<A: fmt::Debug> std::error::Error for CompatibilityError<A> {}
 /// [`for_each_enabled_local`](Automaton::for_each_enabled_local) and
 /// [`for_each_enabled_of_task`](Automaton::for_each_enabled_of_task)
 /// likewise assert that the other side takes every action one side enables
-/// (input enabledness, §2.2); [`enabled_local`](Automaton::enabled_local)
-/// filters such actions out instead.
+/// (input enabledness, §2.2).
+///
+/// Three methods route an action to the components whose signatures hold
+/// it: the by-value [`successors`](Automaton::successors) specification
+/// and the in-place core, [`successor_count`](Automaton::successor_count)
+/// and [`step_chosen`](Automaton::step_chosen). Every other transition
+/// method is the trait's derivation from those.
 #[derive(Clone)]
 pub struct Compose2<L, R> {
     left: L,
@@ -311,92 +316,6 @@ where
         }
     }
 
-    fn enabled_local(&self, state: &Self::State) -> Vec<A> {
-        let mut out: Vec<A> = Vec::new();
-        for a in self.left.enabled_local(&state.left) {
-            // A locally-controlled action of L is enabled in the composite
-            // only if every component having it in its signature can take it;
-            // R can only have it as an input (strong compatibility), and
-            // inputs are always enabled, but we check defensively.
-            if !self.right.in_signature(&a) || self.right.is_enabled(&state.right, &a) {
-                out.push(a);
-            }
-        }
-        for a in self.right.enabled_local(&state.right) {
-            if (!self.left.in_signature(&a) || self.left.is_enabled(&state.left, &a))
-                && !out.contains(&a)
-            {
-                out.push(a);
-            }
-        }
-        out
-    }
-
-    fn try_for_each_successor(
-        &self,
-        state: &Self::State,
-        action: &A,
-        f: &mut dyn FnMut(Self::State) -> ControlFlow<()>,
-    ) -> ControlFlow<()> {
-        // Mirrors `successors` exactly — same product states, same (left
-        // outer, right inner) order — without materializing per-component
-        // successor lists or the full cross product.
-        let in_l = self.left.in_signature(action);
-        let in_r = self.right.in_signature(action);
-        match (in_l, in_r) {
-            (false, false) => ControlFlow::Continue(()),
-            (true, false) => self
-                .left
-                .try_for_each_successor(&state.left, action, &mut |l| {
-                    f(Pair::new(l, state.right.clone()))
-                }),
-            (false, true) => self
-                .right
-                .try_for_each_successor(&state.right, action, &mut |r| {
-                    f(Pair::new(state.left.clone(), r))
-                }),
-            (true, true) => {
-                self.left
-                    .try_for_each_successor(&state.left, action, &mut |l| {
-                        // Each right successor is held back one step, so the
-                        // last product can take `l` by move: one clone fewer
-                        // per left successor, same products in the same order.
-                        let mut held = None;
-                        self.right.try_for_each_successor(
-                            &state.right,
-                            action,
-                            &mut |r| match held.replace(r) {
-                                Some(prev) => f(Pair::new(l.clone(), prev)),
-                                None => ControlFlow::Continue(()),
-                            },
-                        )?;
-                        match held {
-                            Some(last) => f(Pair::new(l, last)),
-                            None => ControlFlow::Continue(()),
-                        }
-                    })
-            }
-        }
-    }
-
-    fn is_enabled(&self, state: &Self::State, action: &A) -> bool {
-        // The cross product is non-empty iff both factors are, so the
-        // composite never needs to build a single `Pair` to decide
-        // enabledness — this was the hot path's worst offender (the
-        // shared-action arm materialized |L|·|R| product states).
-        let in_l = self.left.in_signature(action);
-        let in_r = self.right.in_signature(action);
-        match (in_l, in_r) {
-            (false, false) => false,
-            (true, false) => self.left.is_enabled(&state.left, action),
-            (false, true) => self.right.is_enabled(&state.right, action),
-            (true, true) => {
-                self.left.is_enabled(&state.left, action)
-                    && self.right.is_enabled(&state.right, action)
-            }
-        }
-    }
-
     fn successor_count(&self, state: &Self::State, action: &A) -> usize {
         let in_l = self.left.in_signature(action);
         let in_r = self.right.in_signature(action);
@@ -483,14 +402,13 @@ where
         state: &Self::State,
         f: &mut dyn FnMut(A) -> ControlFlow<()>,
     ) -> ControlFlow<()> {
-        // Same order as `enabled_local`: left's enabled actions, then
-        // right's. Strong compatibility (§2.5.1) makes an action one side
-        // controls at most an *input* of the other, and inputs are enabled
-        // in every state (§2.2), so the other side never refuses one: the
-        // check `enabled_local` makes defensively is a debug assertion
-        // here, like `classify`'s compatibility check. The same argument
-        // makes `enabled_local`'s dedup of right-side actions against the
-        // left's unreachable, so this form omits it.
+        // Left's enabled actions, then right's. Strong compatibility
+        // (§2.5.1) makes an action one side controls at most an *input* of
+        // the other, and inputs are enabled in every state (§2.2), so the
+        // other side never refuses one: that is a debug assertion here,
+        // like `classify`'s compatibility check. The same argument makes
+        // an action both sides enable impossible (an output of both is
+        // not compatible), so the union needs no dedup.
         self.left.for_each_enabled_local(&state.left, &mut |a| {
             debug_assert_takes(&self.right, &state.right, &a, "left");
             f(a)
@@ -732,7 +650,7 @@ mod tests {
     }
 
     #[test]
-    fn shared_action_callbacks_match_successors_and_stop_on_break() {
+    fn shared_action_picks_match_successors() {
         let mid = Act::Mid(0);
         for (lf, rf) in [(1, 1), (2, 3), (3, 1), (1, 3), (0, 2), (2, 0)] {
             let c = Compose2::new(
@@ -748,26 +666,6 @@ mod tests {
             let s = Pair::new(10, 20);
             let legacy = c.successors(&s, &mid);
             assert_eq!(legacy.len(), usize::from(lf * rf));
-            let mut seen = Vec::new();
-            let flow = c.try_for_each_successor(&s, &mid, &mut |p| {
-                seen.push(p);
-                ControlFlow::Continue(())
-            });
-            assert_eq!(flow, ControlFlow::Continue(()));
-            assert_eq!(seen, legacy, "fan {lf}x{rf}: order differs");
-            // A break after the k-th product stops the walk right there.
-            for k in 1..=legacy.len() {
-                let mut calls = 0;
-                let flow = c.try_for_each_successor(&s, &mid, &mut |_| {
-                    calls += 1;
-                    if calls == k {
-                        ControlFlow::Break(())
-                    } else {
-                        ControlFlow::Continue(())
-                    }
-                });
-                assert_eq!((flow, calls), (ControlFlow::Break(()), k));
-            }
             // In place, pick k lands on the k-th product; a pick equal to
             // the count is refused and leaves the state alone. The chooser
             // is asked once, with the product count, and never for an
@@ -811,13 +709,18 @@ mod tests {
         assert!(c.enabled_local(&s0).is_empty());
         let s1 = c.step_first(&s0, &Act::Go).unwrap();
         assert_eq!(c.enabled_local(&s1), vec![Act::Mid(7)]);
+        // Both sides enabled: the left's actions, then the right's.
+        let both = Pair::new(Some(7), Some(3));
+        assert_eq!(c.enabled_local(&both), vec![Act::Mid(7), Act::Out(3)]);
     }
 
     /// A consumer that refuses `Mid` while it holds a value: not input
-    /// enabled, so composing it breaks the contract the callback walk
-    /// asserts.
+    /// enabled, so composing it breaks the contract the enabled walks
+    /// assert in debug builds.
+    #[cfg(debug_assertions)]
     #[derive(Clone)]
     struct Picky;
+    #[cfg(debug_assertions)]
     impl Automaton for Picky {
         type Action = Act;
         type State = Option<u8>;
@@ -847,19 +750,6 @@ mod tests {
         fn task_count(&self) -> usize {
             1
         }
-    }
-
-    #[test]
-    fn enabled_local_filters_a_refused_input() {
-        let c = Compose2::new(Producer, Picky);
-        assert_eq!(
-            c.enabled_local(&Pair::new(Some(7), None)),
-            vec![Act::Mid(7)]
-        );
-        assert_eq!(
-            c.enabled_local(&Pair::new(Some(7), Some(3))),
-            vec![Act::Out(3)]
-        );
     }
 
     #[cfg(debug_assertions)]

@@ -6,30 +6,9 @@
 //! of external actions.
 
 use std::fmt::Debug;
-use std::ops::ControlFlow;
 
 use crate::action::ActionClass;
 use crate::automaton::Automaton;
-
-/// `true` if `(state, action, post)` is a step of the automaton.
-/// Short-circuits on the matching successor instead of collecting the
-/// full list.
-fn is_successor<M: Automaton>(
-    automaton: &M,
-    state: &M::State,
-    action: &M::Action,
-    post: &M::State,
-) -> bool {
-    automaton
-        .try_for_each_successor(state, action, &mut |s| {
-            if s == *post {
-                ControlFlow::Break(())
-            } else {
-                ControlFlow::Continue(())
-            }
-        })
-        .is_break()
-}
 
 /// One step of an execution: the action taken and the post-state.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -125,25 +104,12 @@ where
     where
         M: Automaton<Action = A, State = S>,
     {
-        // Stream successors and stop at index `choose` — no full list.
-        let mut seen = 0usize;
-        let mut post = None;
-        let _ = automaton.try_for_each_successor(self.last_state(), &action, &mut |s| {
-            if seen == choose {
-                post = Some(s);
-                ControlFlow::Break(())
-            } else {
-                seen += 1;
-                ControlFlow::Continue(())
-            }
-        });
-        match post {
-            Some(post) => {
-                self.steps.push(Step { action, post });
-                true
-            }
-            None => false,
+        let mut post = self.last_state().clone();
+        if !automaton.step_in_place(&mut post, &action, choose) {
+            return false;
         }
+        self.steps.push(Step { action, post });
+        true
     }
 
     /// Appends a step **without** validating it against an automaton.
@@ -192,7 +158,7 @@ where
         }
         let mut cur = &self.first;
         for (i, step) in self.steps.iter().enumerate() {
-            if !is_successor(automaton, cur, &step.action, &step.post) {
+            if !automaton.successors(cur, &step.action).contains(&step.post) {
                 return Err(Some(i));
             }
             cur = &step.post;
@@ -223,6 +189,8 @@ pub fn behavior_of_schedule<M: Automaton>(automaton: &M, schedule: &[M::Action])
 
 #[cfg(test)]
 mod tests {
+    use std::ops::ControlFlow;
+
     use super::*;
     use crate::automaton::TaskId;
 

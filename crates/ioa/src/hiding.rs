@@ -64,12 +64,6 @@ where
         self.inner.successors(state, action)
     }
 
-    // Forwarded so a composition's filtered `enabled_local` survives the
-    // wrapper.
-    fn enabled_local(&self, state: &Self::State) -> Vec<Self::Action> {
-        self.inner.enabled_local(state)
-    }
-
     fn task_of(&self, action: &Self::Action) -> TaskId {
         self.inner.task_of(action)
     }
@@ -78,27 +72,9 @@ where
         self.inner.task_count()
     }
 
-    // Hiding only relabels the signature; the transition structure — and
-    // therefore every hot-path method — delegates, so the inner automaton's
-    // allocation-free overrides survive the wrapper.
-    fn try_for_each_successor(
-        &self,
-        state: &Self::State,
-        action: &Self::Action,
-        f: &mut dyn FnMut(Self::State) -> ControlFlow<()>,
-    ) -> ControlFlow<()> {
-        self.inner.try_for_each_successor(state, action, f)
-    }
-
-    fn successors_into(
-        &self,
-        state: &Self::State,
-        action: &Self::Action,
-        out: &mut Vec<Self::State>,
-    ) {
-        self.inner.successors_into(state, action, out);
-    }
-
+    // Hiding only relabels the signature; the transition core delegates,
+    // so every derived method runs the inner automaton's in-place
+    // overrides and the explorer splices its parts.
     fn for_each_enabled_local(
         &self,
         state: &Self::State,
@@ -114,18 +90,6 @@ where
         f: &mut dyn FnMut(Self::Action) -> ControlFlow<()>,
     ) -> ControlFlow<()> {
         self.inner.for_each_enabled_of_task(state, task, f)
-    }
-
-    fn has_enabled_local(&self, state: &Self::State) -> bool {
-        self.inner.has_enabled_local(state)
-    }
-
-    fn is_enabled(&self, state: &Self::State, action: &Self::Action) -> bool {
-        self.inner.is_enabled(state, action)
-    }
-
-    fn step_first(&self, state: &Self::State, action: &Self::Action) -> Option<Self::State> {
-        self.inner.step_first(state, action)
     }
 
     fn successor_count(&self, state: &Self::State, action: &Self::Action) -> usize {

@@ -1,20 +1,22 @@
-//! State interning: dense `u32` ids for explicit-state search.
+//! State interning: dense `u32` ids for stored states.
 //!
-//! Exhaustive reachability over composed link systems (the E9 sweeps) is
-//! dominated by cloning and re-hashing full composite states: a
-//! `HashMap<S, _>` visited set stores every state **twice** (once as the
-//! map key, once in the exploration arena) and re-hashes it on every
-//! probe. [`StateTable`] fixes both costs: states live exactly once in an
-//! append-only arena, an open-addressing index maps hashes to arena slots,
-//! and everything downstream — frontiers, parent links, cross-shard
-//! exchanges — carries copyable [`StateId`]s instead of cloned states.
+//! Both interners store each distinct state once, append-only, behind an
+//! open-addressing index, and hand out copyable [`StateId`]s instead of
+//! clones:
 //!
-//! Id stability: ids are assigned in **insertion order** (the arena is
-//! append-only, nothing is ever removed), so any interleaving-independent
-//! insertion schedule yields interleaving-independent ids. The parallel
-//! explorer admits states at layer barriers in a deterministic sorted
-//! order, which makes ids — and therefore everything keyed on them —
-//! independent of thread count.
+//! * [`StateTable`] keeps the states themselves in an arena. It backs
+//!   [`InternedSeq`], the recorded executions the impossibility engines
+//!   keep, and the trace monitor's packet and message tables.
+//! * [`PackedTable`] keeps [`PackedCodec`] encodings in byte chunks that
+//!   never move. It is the explorer's visited set: frontiers and parent
+//!   links carry ids, and a successor's encoding is spliced from its
+//!   parent's stored bytes ([`Splice`]).
+//!
+//! Id stability: ids are assigned in **insertion order** (nothing is ever
+//! removed), so any interleaving-independent insertion schedule yields
+//! interleaving-independent ids. The parallel explorer admits states at
+//! layer barriers in a deterministic sorted order, which makes ids — and
+//! therefore everything keyed on them — independent of thread count.
 
 use std::collections::hash_map::RandomState;
 use std::collections::VecDeque;

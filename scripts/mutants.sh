@@ -16,8 +16,10 @@
 # builds fails the script, so a compile error can never pass for a caught
 # bug), run under `timeout` and an address-space cap, and the patch is
 # reverted. The script fails when any selection passes with its patch
-# applied. A selection killed by the timeout or the cap counts as caught
-# and is reported as such.
+# applied, and when a selection runs no test at all (a filter that names
+# a test that no longer exists passes with 0 tests, and is reported as
+# SELECTS NO TEST rather than as a surviving bug). A selection killed by
+# the timeout or the cap counts as caught and is reported as such.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -87,7 +89,15 @@ for patch in "${PATCHES[@]}"; do
         timeout "$TIMEOUT_SECS" cargo test -q $profile $args >"$ROOT/$WORK/last.log" 2>&1)
       status=$?
       set -e
-      if [[ $status -eq 0 ]]; then
+      # Tests the selection ran: the passed and failed counts of every
+      # `test result:` line.
+      ran=$(sed -n 's/^test result: [a-zA-Z]*\. \([0-9]*\) passed; \([0-9]*\) failed;.*/\1 \2/p' \
+        "$ROOT/$WORK/last.log" | awk '{ n += $1 + $2 } END { print n + 0 }')
+      if [[ $status -eq 0 && $ran -eq 0 ]]; then
+        echo "mutants: ${name}: '${label}' selects no test" >&2
+        report+=("$(printf '%-32s SELECTS NO TEST %s' "$name" "$label")")
+        failures=$((failures + 1))
+      elif [[ $status -eq 0 ]]; then
         echo "mutants: ${name}: '${label}' passed with the bug in" >&2
         report+=("$(printf '%-32s SURVIVED        %s' "$name" "$label")")
         failures=$((failures + 1))

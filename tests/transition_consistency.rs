@@ -1,24 +1,29 @@
-//! Differential audit of the allocation-free transition APIs.
+//! Differential audit of the transition core against its specification.
 //!
 //! Every leaf automaton writes its transition relation once — as
 //! `successors`, or as a `Deterministic` guard and update — and its
-//! enabled actions once, as the `for_each_enabled_local` walk; the `Vec`
-//! form `enabled_local` is that walk, collected. Everything else is
-//! derived or hand-optimized from those, and must agree with them
-//! **exactly** (same elements, same order): `try_for_each_successor`,
-//! `successors_into`, `is_enabled`, `step_first` and `has_enabled_local`,
-//! and `Compose2`'s two enabled forms — the walk every engine steps and
-//! the filtered by-value `enabled_local` the proof engines and
-//! `dl-crosscheck` read. The explorer steps through `successor_count`
-//! and `step_in_place`, and sessions through `for_each_enabled_of_task`
-//! and `step_chosen`: a task walk must yield exactly the enabled actions
-//! of that task class in enumeration order, and a step must count the
-//! same successors (asking its chooser once, with that count, and never
-//! for a disabled action) and move a state to exactly the one at the
-//! picked position. Executors pick actions and successors by position,
-//! so even a reordering would silently change schedules. The picks here
-//! are stepped on a reused state copied onto with `clone_from`, so a
-//! copy that leaves part of a dirty target behind shows.
+//! enabled actions once, as the `for_each_enabled_local` walk. The
+//! transition core beside them (`successor_count` and `step_chosen`, the
+//! per-task walk `for_each_enabled_of_task`) is hand-optimized by the
+//! hot-path automata and routed by `Compose2`, and every other method
+//! (`enabled_local`, `has_enabled_local`, `is_enabled`, `step_first`,
+//! `step_in_place`, `successors_into`) is derived from the core, with
+//! its one definition in the trait. All of them must agree with
+//! `successors` and the walk **exactly** (same elements, same order).
+//! The explorer steps through `successor_count` and `step_in_place`,
+//! and sessions through `for_each_enabled_of_task` and `step_chosen`: a
+//! task walk must yield exactly the enabled actions of that task class
+//! in enumeration order, and a step must count the same successors
+//! (asking its chooser once, with that count, and never for a disabled
+//! action) and move a state to exactly the one at the picked position.
+//! Executors pick actions and successors by position, so even a
+//! reordering would silently change schedules. The picks here are
+//! stepped on a reused state copied onto with `clone_from`, so a copy
+//! that leaves part of a dirty target behind shows. A last test scans
+//! the workspace sources and fails on a second definition of any
+//! derived method: an override, or a wrapper's forward, bypasses the
+//! core that method derives from, and agreeing with it on the automata
+//! checked here does not keep it from drifting elsewhere.
 //!
 //! The explorer builds successors part by part: it steps one scratch
 //! copy of the parent in place, splices the successor's encoding from
@@ -41,6 +46,7 @@
 //! sample of environment inputs.
 
 use std::ops::ControlFlow;
+use std::path::{Path, PathBuf};
 
 use datalink::channels::{CorruptChannel, CorruptSpec, FaultSpec, FaultyChannel, GhostSpec};
 use datalink::core::action::{Dir, DlAction, Msg, Station};
@@ -65,8 +71,7 @@ where
     A::State: Clone + PartialEq + std::fmt::Debug,
     A::Action: Clone + PartialEq + std::fmt::Debug,
 {
-    // enabled_local == collect(for_each_enabled_local), same order (a
-    // real comparison for a composition, whose by-value form filters).
+    // enabled_local == collect(for_each_enabled_local), same order.
     let legacy_enabled = auto.enabled_local(s);
     let mut cb_enabled = Vec::new();
     let flow = auto.for_each_enabled_local(s, &mut |a| {
@@ -108,12 +113,6 @@ where
     let mut t = s.clone();
     for a in actions.iter().chain(legacy_enabled.iter()) {
         let legacy = auto.successors(s, a);
-        let mut cb = Vec::new();
-        let _ = auto.try_for_each_successor(s, a, &mut |t| {
-            cb.push(t);
-            ControlFlow::Continue(())
-        });
-        assert_eq!(legacy, cb, "successors order differs for {a:?}");
         let mut into = Vec::new();
         auto.successors_into(s, a, &mut into);
         assert_eq!(legacy, into, "successors_into differs for {a:?}");
@@ -602,5 +601,96 @@ fn simulated_channels_interned_apis_match_legacy() {
         walk_and_check_packed_from(&sys, sys.start_state(), 160, seed);
         let e9 = zoo::abp_lossy_system(3);
         walk_and_check_packed_from(&e9, zoo::woken_start(&e9), 160, seed);
+    }
+}
+
+/// Appends every `.rs` file under `dir` to `out`.
+fn rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    for entry in std::fs::read_dir(dir).expect("a source directory") {
+        let path = entry.expect("a directory entry").path();
+        if path.is_dir() {
+            rs_files(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// The function a source line defines, if it opens one: rustfmt starts
+/// the line with `fn name`, after any visibility.
+fn defined_fn(line: &str) -> Option<&str> {
+    let item = line.trim_start();
+    let item = ["pub(crate) ", "pub(super) ", "pub "]
+        .iter()
+        .find_map(|v| item.strip_prefix(v))
+        .unwrap_or(item);
+    let rest = item.strip_prefix("fn ")?;
+    let end = rest
+        .find(|c: char| !(c.is_alphanumeric() || c == '_'))
+        .unwrap_or(rest.len());
+    Some(&rest[..end])
+}
+
+/// Each method derived from the transition core is defined once, in the
+/// `Automaton` trait, and nowhere else in the workspace's own sources
+/// (library code, tests and examples): an override or a wrapper's
+/// forward of one would bypass the core it derives from. The streaming
+/// successor walk that once stood beside the core is defined nowhere.
+#[test]
+fn derived_transition_methods_are_defined_once_in_the_trait() {
+    let derived = [
+        "start_states",
+        "enabled_local",
+        "has_enabled_local",
+        "in_signature",
+        "successors_into",
+        "is_enabled",
+        "step_first",
+        "step_in_place",
+        "check_input_enabled",
+    ];
+    let gone = ["try_for_each_successor"];
+
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    for dir in ["crates", "src", "tests", "examples"] {
+        rs_files(&root.join(dir), &mut files);
+    }
+    files.sort();
+    let trait_file = root.join("crates/ioa/src/automaton.rs");
+    // (name, file, line, inside the trait) of every definition found.
+    let mut found = Vec::new();
+    for file in &files {
+        let text = std::fs::read_to_string(file).expect("a readable source");
+        let mut in_trait = false;
+        for (i, line) in text.lines().enumerate() {
+            if *file == trait_file && line.starts_with("pub trait Automaton ") {
+                in_trait = true;
+            } else if in_trait && line == "}" {
+                in_trait = false;
+            }
+            let watched =
+                defined_fn(line).and_then(|f| derived.iter().chain(&gone).find(|&&n| n == f));
+            if let Some(&name) = watched {
+                let at = file.strip_prefix(root).unwrap_or(file).display();
+                found.push((name, format!("{at}:{}", i + 1), in_trait));
+            }
+        }
+    }
+    assert!(
+        found.len() > 1,
+        "the scan found no trait definition; is the workspace root right?"
+    );
+
+    for name in gone {
+        let defs: Vec<_> = found.iter().filter(|d| d.0 == name).collect();
+        assert!(defs.is_empty(), "`{name}` is defined again: {defs:?}");
+    }
+    for name in derived {
+        let defs: Vec<_> = found.iter().filter(|d| d.0 == name).collect();
+        assert!(
+            defs.len() == 1 && defs[0].2,
+            "`{name}` must be defined once, in the `Automaton` trait; found {defs:?}"
+        );
     }
 }
